@@ -35,6 +35,7 @@ def _cmd_run(args):
     if result.failure is not None:
         print(f"failure: {result.failure}")
     print(f"steps completed: {len(result.ledger)}")
+    print(result.solver.summary())
     if len(result.ledger):
         print(f"final energy: {result.ledger.rows[-1]['e_full']:.6e}")
     for path in written:

@@ -7,6 +7,7 @@ convention is CGS throughout.
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -24,7 +25,7 @@ _SCHEMA = {
     "time": {"t_final", "n_steps"},
     "waveform": {"inlet", "outlet"},
     "initial_data": {"kind", "eta_amplitude", "v_amplitude"},
-    "solver": {"fluid_tol", "structure_tol", "method"},
+    "solver": {"fluid_tol", "structure_tol"},
     "output": {"directory", "cadence", "fields", "ledger"},
 }
 _TOP_KEYS = set(_SCHEMA) | {"mode", "contact_threshold_factor",
@@ -43,8 +44,7 @@ _DEFAULTS = {
     "compatibility_tol": 1e-10,
     "debug_audit": False,
     "initial_data": {"kind": "zero"},
-    "solver": {"fluid_tol": 1e-10, "structure_tol": 1e-12,
-               "method": "direct"},
+    "solver": {"fluid_tol": 1e-10, "structure_tol": 1e-12},
     "output": {"directory": "wallflow-out", "cadence": 10,
                "fields": "none", "ledger": "csv"},
 }
@@ -58,6 +58,9 @@ def _require_number(problems, obj, section, key, positive=False,
     val = obj[key]
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         problems.append(f"{section}.{key} must be a number")
+        return None
+    if not math.isfinite(val):   # json parses NaN and Infinity
+        problems.append(f"{section}.{key} must be finite, got {val}")
         return None
     if positive and not val > 0:
         problems.append(f"{section}.{key} must be positive")
@@ -143,6 +146,8 @@ def validate_config(raw):
         elif kind == "sine":
             _require_number(problems, spec, f"waveform.{side}", "amplitude")
             _require_number(problems, spec, f"waveform.{side}", "frequency")
+            if "phase" in spec:
+                _require_number(problems, spec, f"waveform.{side}", "phase")
         elif kind == "pulse":
             _require_number(problems, spec, f"waveform.{side}", "amplitude")
             _require_number(problems, spec, f"waveform.{side}", "duration",
@@ -164,11 +169,14 @@ def validate_config(raw):
     cfg["initial_data"] = init
 
     solver = {**_DEFAULTS["solver"], **raw.get("solver", {})}
+    if "method" in solver:
+        del solver["method"]
+        problems.append("solver.method is no longer a setting: every fluid "
+                        "step reuses the last LU as a GMRES preconditioner "
+                        "and refactors when GMRES misses; remove the key")
     _check_unknown(problems, solver, _SCHEMA["solver"], "solver")
     _require_number(problems, solver, "solver", "fluid_tol", positive=True)
     _require_number(problems, solver, "solver", "structure_tol", positive=True)
-    if solver.get("method") not in ("direct", "gmres"):
-        problems.append("solver.method must be 'direct' or 'gmres'")
     cfg["solver"] = solver
 
     output = {**_DEFAULTS["output"], **raw.get("output", {})}
@@ -183,8 +191,9 @@ def validate_config(raw):
 
     for key in ("contact_threshold_factor", "compatibility_tol"):
         val = raw.get(key, _DEFAULTS[key])
-        if not isinstance(val, (int, float)) or val <= 0:
-            problems.append(f"{key} must be a positive number")
+        if (not isinstance(val, (int, float)) or not math.isfinite(val)
+                or val <= 0):
+            problems.append(f"{key} must be a positive finite number")
         cfg[key] = val
     cfg["debug_audit"] = bool(raw.get("debug_audit", False))
 
@@ -243,6 +252,9 @@ def _read_waveform_csv(path):
                         continue
                     raise ValidationError(
                         f"{path}: malformed waveform row {row!r}") from None
+                if not (math.isfinite(t) and math.isfinite(v)):
+                    raise ValidationError(
+                        f"{path}: non-finite waveform sample {row!r}")
                 times.append(t)
                 values.append(v)
     except OSError as exc:

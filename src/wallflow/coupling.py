@@ -7,6 +7,11 @@ the trace block of the system (Robin-type coupling).  That implicit
 treatment of wall inertia is what makes the split scheme unconditionally
 stable, and elimination (rather than a multiplier) keeps the discrete
 energy identities exact at the algebra level.
+
+The step systems of one run differ only slightly from step to step, so a
+run passes one :class:`~wallflow.sparsela.ReusedFactorSolver` to every
+step: the LU of an earlier step preconditions GMRES on the current one, and
+the system is refactored only when GMRES misses the residual contract.
 """
 
 from dataclasses import dataclass
@@ -17,7 +22,6 @@ import scipy.sparse as sp
 from . import fluid as fl
 from . import shell as sh
 from .errors import MeshAlignmentError, WallContact
-from .sparsela import DirectFactor, krylov_solve
 
 
 def build_coupling(shell_mesh, fluid_mesh, tol=1e-12):
@@ -63,7 +67,12 @@ def build_coupling(shell_mesh, fluid_mesh, tol=1e-12):
 
 @dataclass
 class CoupledSetup:
-    """Per-run immutable pieces of the coupled step."""
+    """Per-run immutable pieces of the coupled step.
+
+    ``solver_tol`` is the residual contract ``||Ax - b|| <= tol * ||b||`` of
+    every step solve.  The mutable solve policy is not part of the setup:
+    each run creates its own :class:`~wallflow.sparsela.ReusedFactorSolver`.
+    """
 
     fluid_mesh: object
     shell_mesh: object
@@ -76,11 +85,9 @@ class CoupledSetup:
     mu: float
     rho_s_h: float
     solver_tol: float = 1e-10
-    solver_method: str = "direct"   # or "gmres" (ILU-preconditioned)
 
 
-def make_setup(fluid_mesh, shell_mesh, coeffs, rho_f, mu, solver_tol=1e-10,
-               solver_method="direct"):
+def make_setup(fluid_mesh, shell_mesh, coeffs, rho_f, mu, solver_tol=1e-10):
     grams = sh.assemble_grams(shell_mesh)
     return CoupledSetup(
         fluid_mesh=fluid_mesh,
@@ -94,14 +101,7 @@ def make_setup(fluid_mesh, shell_mesh, coeffs, rho_f, mu, solver_tol=1e-10,
         mu=mu,
         rho_s_h=coeffs.rho_s_h,
         solver_tol=solver_tol,
-        solver_method=solver_method,
     )
-
-
-def _solve_step_system(setup, system, rhs):
-    if setup.solver_method == "gmres":
-        return krylov_solve(system, rhs, tol=setup.solver_tol)
-    return DirectFactor(system).solve(rhs, tol=setup.solver_tol)
 
 
 @dataclass
@@ -163,13 +163,15 @@ def reduce_coupled_system(setup, a_mom, b_div, dt):
     return system, b_f, b_t
 
 
-def fluid_step(setup, snapshot, u_prev_full, shell_half, dt, p_in, p_out):
+def fluid_step(setup, snapshot, u_prev_full, shell_half, dt, p_in, p_out,
+               solver):
     """Solve the coupled fluid/wall-velocity problem for one step.
 
     ``shell_half`` is the wall state after the elastodynamics half step
     (its ``v_star`` is the half-step velocity).  Returns the end-of-step
     velocity field, wall velocity, and pressure; the wall displacement does
-    not change in this half step.
+    not change in this half step.  ``solver`` is the run's
+    :class:`~wallflow.sparsela.ReusedFactorSolver`.
     """
     part, t = setup.partition, setup.trace_op
     if snapshot.min_radius <= 0.0:
@@ -186,7 +188,7 @@ def fluid_step(setup, snapshot, u_prev_full, shell_half, dt, p_in, p_out):
         t.T @ rhs_full[part.top_r] + (setup.rho_s_h / dt) * (setup.shell_mass @ v_half),
         np.zeros(setup.fluid_mesh.n_pressure_nodes),
     ])
-    x = _solve_step_system(setup, system, rhs)
+    x = solver.solve(system, rhs)
 
     nf = part.n_free
     ns = setup.shell_mesh.n_free
@@ -198,8 +200,9 @@ def fluid_step(setup, snapshot, u_prev_full, shell_half, dt, p_in, p_out):
                            operators=ops, forcing=forcing, rhs_full=rhs_full)
 
 
-def rigid_fluid_step(setup, snapshot, u_prev_full, dt, p_in, p_out):
-    """Test-harness fluid step with the wall frozen (all top DOFs zero)."""
+def rigid_fluid_step(setup, snapshot, u_prev_full, dt, p_in, p_out, solver):
+    """Test-harness fluid step with the wall frozen (all top DOFs zero);
+    ``solver`` as in :func:`fluid_step`."""
     part = setup.partition
     mesh = setup.fluid_mesh
     v_half_q = np.zeros((mesh.n_cells, mesh.n_quad))
@@ -220,7 +223,7 @@ def rigid_fluid_step(setup, snapshot, u_prev_full, dt, p_in, p_out):
     rhs_full = (setup.rho_f / dt) * (ops["mass"] @ u_prev_full) + forcing
     rhs = np.concatenate([rhs_full[free],
                           np.zeros(mesh.n_pressure_nodes)])
-    x = _solve_step_system(setup, system, rhs)
+    x = solver.solve(system, rhs)
     u_full = np.zeros(2 * mesh.n_velocity_nodes)
     u_full[free] = x[:part.n_free]
     pressure = x[part.n_free:]

@@ -26,6 +26,7 @@ from .config import build_material, ingest_waveform
 from .energy import EnergyLedger, EnergyMonitor, discrete_trace_constant
 from .errors import ConfigError, SolverError, ValidationError, WallContact
 from .materials import derive_coefficients, validate_compatibility
+from .sparsela import ReusedFactorSolver, SolveStats
 
 STATUS_COMPLETED = "completed"
 STATUS_WALL_CONTACT = "wall-contact"
@@ -93,6 +94,7 @@ class RunResult:
     contact: tuple = None            # (t, z) of first threshold crossing
     failure: str = None
     final: dict = None               # free-DOF eta/v/v_star, u, p, t
+    solver: SolveStats = None        # fluid-step solve counts; not in the ledger
 
     @property
     def exit_code(self):
@@ -126,8 +128,7 @@ class RunSetup:
                                           self.length)
         self.coupled = coupling.make_setup(
             self.fluid_mesh, self.shell_mesh, coeffs, self.rho_f, self.mu,
-            solver_tol=cfg["solver"]["fluid_tol"],
-            solver_method=cfg["solver"]["method"])
+            solver_tol=cfg["solver"]["fluid_tol"])
         self.grams = (self.coupled.shell_mass,) + tuple(
             shell.assemble_grams(self.shell_mesh)[1:])
         self.contact_threshold = cfg["contact_threshold_factor"] * self.radius
@@ -201,6 +202,8 @@ def run(cfg):
     sm, fm = setup.shell_mesh, setup.fluid_mesh
     dt, n_steps = setup.dt, setup.n_steps
     cs = setup.coupled
+    wall = shell.WallSystem(dt, cs.shell_mass, cs.shell_elastic, cs.rho_s_h)
+    solver = ReusedFactorSolver(cs.solver_tol)
 
     eta0_full, v0_full, u0 = setup.initial_data()
     report = validate_compatibility(sm, fm, eta0_full, v0_full, u0,
@@ -224,7 +227,8 @@ def run(cfg):
         ledger = EnergyLedger(_ledger_header(setup, 0.0, 0.0))
         return RunResult(STATUS_WALL_CONTACT, record, ledger,
                          contact=(0.0, contact.z_location),
-                         final=_final_state(state, u, pressure, 0.0))
+                         final=_final_state(state, u, pressure, 0.0),
+                         solver=solver.stats)
 
     mass_old = fluid.assemble_weighted_mass(fm, snap)
     monitor = EnergyMonitor(cs, setup.grams, setup.coeffs, dt)
@@ -241,8 +245,7 @@ def run(cfg):
         p_in = setup.wave_in.average(n * dt, t_next)
         p_out = setup.wave_out.average(n * dt, t_next)
 
-        half = shell.structure_step(state, dt, cs.shell_mass, cs.shell_elastic,
-                                    cs.rho_s_h,
+        half = shell.structure_step(state, wall,
                                     tol=cfg["solver"]["structure_tol"])
 
         min_r, min_z = ale.min_radius_of(sm, half.eta, setup.radius)
@@ -255,7 +258,8 @@ def run(cfg):
                 "fluid step geometry must be frozen at the start-of-step wall"
 
         try:
-            result = coupling.fluid_step(cs, snap, u, half, dt, p_in, p_out)
+            result = coupling.fluid_step(cs, snap, u, half, dt, p_in, p_out,
+                                         solver)
         except SolverError as exc:
             status, failure = STATUS_SOLVER_FAILURE, str(exc)
             break
@@ -285,7 +289,8 @@ def run(cfg):
                      sm.to_full(state.v_star), u, pressure)
     return RunResult(status, record, ledger, contact=contact_info,
                      failure=failure,
-                     final=_final_state(state, u, pressure, t))
+                     final=_final_state(state, u, pressure, t),
+                     solver=solver.stats)
 
 
 def _final_state(state, u, pressure, t):
@@ -333,6 +338,7 @@ def run_rigid_steady(cfg, steady_tol=1e-10, max_steps=None):
                               contact_threshold=None)
     u = np.zeros(2 * fm.n_velocity_nodes)
     pressure = np.zeros(fm.n_pressure_nodes)
+    solver = ReusedFactorSolver(setup.coupled.solver_tol)
     steps = max_steps if max_steps is not None else setup.n_steps
     increment = math.inf
     taken = 0
@@ -340,7 +346,7 @@ def run_rigid_steady(cfg, steady_tol=1e-10, max_steps=None):
         p_in = setup.wave_in.average(n * dt, (n + 1) * dt)
         p_out = setup.wave_out.average(n * dt, (n + 1) * dt)
         result = coupling.rigid_fluid_step(setup.coupled, snap, u, dt,
-                                           p_in, p_out)
+                                           p_in, p_out, solver)
         du = np.linalg.norm(result.u_full - u)
         scale = max(np.linalg.norm(result.u_full), 1e-30)
         increment = du / scale

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WallflowError
-from .sparsela import factor_solve
+from .sparsela import DirectFactor
 
 LEDGER_COLUMNS = [
     "step", "t", "e_n", "e_half", "e_full",
@@ -239,13 +239,15 @@ def discrete_trace_constant(k_reduced, l_in_reduced, l_out_reduced, radius):
 
     Largest ratio of the squared inlet/outlet flux functionals to the fluid
     viscous dissipation quadratic form, computed exactly from two sparse
-    solves (the numerator is rank two).  The returned value C satisfies
+    solves against one factorization (the numerator is rank two).  The
+    returned value C satisfies
 
         R * (P_in t_in(u) - P_out t_out(u)) <= d(u) + C * (P_in^2 + P_out^2)
 
     for every discrete u, where d is the *spare* half of the viscous form.
     """
-    sols = [factor_solve(k_reduced.tocsc(), 2.0 * l, tol=1e-10, symmetric=True)
+    factor = DirectFactor(k_reduced.tocsc(), symmetric=True)
+    sols = [factor.solve(2.0 * l, tol=1e-10)
             for l in (l_in_reduced, l_out_reduced)]
     gram = np.array([[float(l @ x) for x in sols]
                      for l in (l_in_reduced, l_out_reduced)])

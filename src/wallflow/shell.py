@@ -179,10 +179,33 @@ class ShellState:
         return ShellState(self.eta.copy(), self.v.copy(), self.v_star.copy())
 
 
-def structure_step(state, dt, mass, elastic, rho_s_h, tol=1e-12):
+class WallSystem:
+    """The wall half-step matrix ``rho_s_h * M + dt^2 * A`` of one run.
+
+    ``dt`` is fixed for a run, so the matrix is constant: it is factored on
+    its first solve and that factor serves every later step of the run.
+    """
+
+    def __init__(self, dt, mass, elastic, rho_s_h):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        self.dt = dt
+        self.mass = mass
+        self.elastic = elastic
+        self.rho_s_h = rho_s_h
+        self._factor = None
+
+    def solve(self, rhs, tol):
+        if self._factor is None:
+            a = self.rho_s_h * self.mass + self.dt * self.dt * self.elastic
+            self._factor = sparsela.DirectFactor(a.tocsc(), symmetric=True)
+        return self._factor.solve(rhs, tol=tol)
+
+
+def structure_step(state, wall, tol=1e-12):
     """Advance the wall elastodynamics half step.
 
-    Solves the one-matrix eliminated system
+    Solves the one-matrix eliminated system of the run's :class:`WallSystem`
 
         (rho_s_h * M + dt^2 * A) eta_half = rho_s_h * M (eta + dt * v)
 
@@ -192,14 +215,12 @@ def structure_step(state, dt, mass, elastic, rho_s_h, tol=1e-12):
     ``v_star`` holding v_half; ``v`` (the full-step wall velocity) is
     carried unchanged until the fluid step replaces it.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     if state.eta.size == 0:    # fully clamped wall (single-element mesh)
         return ShellState(eta=state.eta.copy(), v=state.v.copy(),
                           v_star=np.zeros(0))
-    a = (rho_s_h * mass + dt * dt * elastic).tocsc()
-    rhs = rho_s_h * (mass @ (state.eta + dt * state.v))
-    eta_half = sparsela.factor_solve(a, rhs, tol=tol, symmetric=True)
+    dt = wall.dt
+    rhs = wall.rho_s_h * (wall.mass @ (state.eta + dt * state.v))
+    eta_half = wall.solve(rhs, tol)
     v_half = (eta_half - state.eta) / dt
     return ShellState(eta=eta_half, v=state.v.copy(), v_star=v_half)
 

@@ -1,8 +1,15 @@
-"""Sparse storage, assembly scatter, and direct/iterative solve kernels.
+"""Sparse storage, assembly scatter, and the solve kernels.
 
-All step solvers go through :func:`factor_solve` / :class:`DirectFactor` so the
-residual contract ``||Ax - b|| <= tol * ||b||`` is enforced in one place.
+:class:`DirectFactor` is the only LU constructor.  Constant systems (the
+wall half step of a run, the trace constant) are factored once and solved
+with it directly; the fluid system of every time step goes through
+:class:`ReusedFactorSolver`, which reuses the last LU as a GMRES
+preconditioner and refactors only when GMRES misses.  Every path checks the
+residual contract ``||Ax - b|| <= tol * ||b||`` against the matrix actually
+being solved.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,6 +79,10 @@ class DirectFactor:
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SolverError(f"sparse factorization failed: {exc}") from exc
 
+    def apply(self, b):
+        """Unchecked solve with the LU factors, for use as a preconditioner."""
+        return self._lu.solve(b)
+
     def solve(self, b, tol=1e-12):
         b = np.asarray(b, dtype=float)
         x = self._lu.solve(b)
@@ -94,31 +105,130 @@ class DirectFactor:
         return x
 
 
-def factor_solve(a, b, tol=1e-12, symmetric=False):
-    """Factor ``a`` and solve ``a x = b`` with ``||Ax - b|| <= tol * ||b||``."""
-    return DirectFactor(a, symmetric=symmetric).solve(b, tol=tol)
+# Preconditioned GMRES iterations one solve may spend; the restart length is
+# the same, so the budget is one restart cycle unless SciPy ends that cycle
+# early (see krylov_solve).  A solve that misses the contract within them is
+# abandoned and the system refactored, so a miss costs at most this many
+# iterations on top of the factorization.
+GMRES_MAX_ITERATIONS = 20
 
 
-def krylov_solve(a, b, tol=1e-10, maxiter=2000):
-    """Optional preconditioned Krylov path for larger systems.
+class _IterationCapReached(Exception):
+    pass
 
-    GMRES with an incomplete-LU preconditioner; same residual contract as
-    the direct path, checked explicitly.
+
+def krylov_solve(a, b, factor, tol=1e-10, callback=None):
+    """GMRES on ``a x = b`` preconditioned by the LU ``factor`` of a nearby
+    matrix, within :data:`GMRES_MAX_ITERATIONS` iterations.
+
+    Returns ``x`` with ``||a x - b|| <= tol * ||b||``, checked against ``a``
+    itself; raises :class:`SolverError` otherwise.  ``callback`` is called
+    once per iteration.
+
+    SciPy's GMRES preconditions from the left and ends a restart cycle once
+    the *preconditioned* residual is small; when the true residual still
+    misses, it tightens its inner target and starts another cycle from the
+    current iterate, within the same iteration budget.
     """
-    a = sp.csc_matrix(a)
+    b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        return np.zeros(a.shape[0])
+        return np.zeros_like(b)
+    iterations = 0
+
+    def count(pr_norm):
+        nonlocal iterations
+        iterations += 1
+        if iterations > GMRES_MAX_ITERATIONS:
+            raise _IterationCapReached
+        if callback is not None:
+            callback(pr_norm)
+
+    m = spla.LinearOperator(a.shape, factor.apply)
     try:
-        ilu = spla.spilu(a, drop_tol=1e-6, fill_factor=20)
-    except RuntimeError as exc:
-        raise SolverError(f"ILU preconditioner failed: {exc}") from exc
-    m = spla.LinearOperator(a.shape, ilu.solve)
-    x, info = spla.gmres(a, b, rtol=tol, atol=0.0, maxiter=maxiter, M=m)
-    resid = np.linalg.norm(a @ x - b)
-    if info != 0 or resid > tol * norm_b:
+        x, _ = spla.gmres(a, b, rtol=tol, atol=0.0,
+                          restart=GMRES_MAX_ITERATIONS,
+                          maxiter=GMRES_MAX_ITERATIONS, M=m,
+                          callback=count, callback_type="pr_norm")
+        resid = np.linalg.norm(a @ x - b)
+    except _IterationCapReached:
+        resid = np.inf
+    if not resid <= tol * norm_b:     # also rejects a NaN residual
         raise SolverError(
-            f"gmres did not converge (info={info}, residual {resid:.3e})",
+            f"gmres missed {tol:.1e} * ||b|| within {GMRES_MAX_ITERATIONS} "
+            f"iterations (residual {resid:.3e})",
             residual=resid,
         )
     return x
+
+
+@dataclass
+class SolveStats:
+    """What one :class:`ReusedFactorSolver` did over its lifetime."""
+
+    factorizations: int = 0
+    reused_solves: int = 0
+    gmres_iterations: int = 0      # summed over the reused solves
+    max_gmres_iterations: int = 0
+    worst_rel_residual: float = 0.0
+
+    @property
+    def mean_gmres_iterations(self):
+        return self.gmres_iterations / max(self.reused_solves, 1)
+
+    def summary(self):
+        return (f"solver: {self.factorizations} factorizations, "
+                f"{self.reused_solves} reused solves, GMRES iterations "
+                f"mean {self.mean_gmres_iterations:.1f} max "
+                f"{self.max_gmres_iterations}, worst relative residual "
+                f"{self.worst_rel_residual:.2e}")
+
+
+class ReusedFactorSolver:
+    """The solve policy of a sequence of nearby systems, one per time step.
+
+    It keeps the LU of the last system it factored and solves each new
+    system by GMRES preconditioned with it (:func:`krylov_solve`).  When
+    GMRES misses ``||Ax - b|| <= tol * ||b||`` within its iteration cap, the
+    stale factor is released and the new system is factored and solved
+    directly, so at most one factor is alive at any time.  Each run owns
+    its own instance, so a result never depends on what ran before it.
+    """
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.stats = SolveStats()
+        self._factor = None
+
+    def solve(self, a, b):
+        """``x`` with ``||a x - b|| <= tol * ||b||``; raises
+        :class:`SolverError` when even a fresh factor of ``a`` misses."""
+        stats = self.stats
+        if self._factor is not None:
+            iterations = []
+            try:
+                x = krylov_solve(a, b, self._factor, tol=self.tol,
+                                 callback=iterations.append)
+            except SolverError:
+                # the stale LU is freed when this handler drops the
+                # traceback, before the next factorization starts
+                self._factor = None
+            else:
+                stats.reused_solves += 1
+                stats.gmres_iterations += len(iterations)
+                stats.max_gmres_iterations = max(stats.max_gmres_iterations,
+                                                 len(iterations))
+                self._record_residual(a, x, b)
+                return x
+        self._factor = DirectFactor(a)
+        stats.factorizations += 1
+        x = self._factor.solve(b, tol=self.tol)
+        self._record_residual(a, x, b)
+        return x
+
+    def _record_residual(self, a, x, b):
+        norm_b = np.linalg.norm(b)
+        if norm_b > 0.0:
+            rel = float(np.linalg.norm(a @ x - b) / norm_b)
+            self.stats.worst_rel_residual = max(self.stats.worst_rel_residual,
+                                                rel)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ def test_run_and_verify_round_trip(tmp_path, capsys):
     assert main(["run", cfg]) == 0
     out = capsys.readouterr().out
     assert "status: completed" in out
+    assert re.search(r"solver: \d+ factorizations, \d+ reused solves", out)
     ledger = str(tmp_path / "out" / "ledger.csv")
     assert os.path.exists(ledger)
     assert main(["verify", ledger]) == 0
@@ -48,6 +50,30 @@ def test_config_error_exit_code(tmp_path, capsys):
                           "thickness": 0.1, "density": 1.1})
     assert main(["run", bad]) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("geometry", "radius", float("inf")),
+    ("fluid", "viscosity", float("inf")),
+    ("waveform", "inlet", {"kind": "pulse", "amplitude": float("nan"),
+                           "duration": 0.001}),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, key,
+                                              value):
+    write_cfg(tmp_path)
+    raw = json.loads((tmp_path / "run.json").read_text())
+    raw[section][key] = value
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(raw))    # writes the NaN / Infinity literals
+    assert main(["run", str(path)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_removed_solver_method_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, solver={"fluid_tol": 1e-10, "method": "direct"})
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "solver.method" in err and "GMRES" in err
 
 
 def test_wall_contact_exit_code(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from wallflow import ale, coupling, fluid, shell
 from wallflow.errors import MeshAlignmentError
 from wallflow.materials import ShellMaterial, derive_coefficients
+from wallflow.sparsela import ReusedFactorSolver
 
 
 def make_setup(n_z=8, n_r=4, length=6.0, elastic=False):
@@ -67,10 +68,11 @@ def test_zero_data_gives_zero_solution():
     state = shell.ShellState.zeros(sm)
     u = np.zeros(2 * fm.n_velocity_nodes)
     dt = 1e-4
-    half = shell.structure_step(state, dt, cs.shell_mass, cs.shell_elastic,
-                                coeffs.rho_s_h)
+    half = shell.structure_step(state, shell.WallSystem(
+        dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, u, half, dt, 0.0, 0.0)
+    res = coupling.fluid_step(cs, snap, u, half, dt, 0.0, 0.0,
+                              ReusedFactorSolver(cs.solver_tol))
     assert np.all(res.u_full == 0.0)
     assert np.all(res.v_new == 0.0)
     assert np.all(res.pressure == 0.0)
@@ -82,10 +84,11 @@ def test_elastic_case_runs_and_is_finite():
     rng = np.random.default_rng(1)
     state, u = compatible_state(sm, fm, rng)
     dt = 1e-4
-    half = shell.structure_step(state, dt, cs.shell_mass, cs.shell_elastic,
-                                coeffs.rho_s_h)
+    half = shell.structure_step(state, shell.WallSystem(
+        dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, u, half, dt, 500.0, 0.0)
+    res = coupling.fluid_step(cs, snap, u, half, dt, 500.0, 0.0,
+                              ReusedFactorSolver(cs.solver_tol))
     assert np.all(np.isfinite(res.u_full))
     assert np.all(np.isfinite(res.v_new))
     assert np.all(np.isfinite(res.pressure))
@@ -97,10 +100,11 @@ def stepped():
     rng = np.random.default_rng(2)
     state, u = compatible_state(sm, fm, rng)
     dt = 5e-5
-    half = shell.structure_step(state, dt, cs.shell_mass, cs.shell_elastic,
-                                coeffs.rho_s_h)
+    half = shell.structure_step(state, shell.WallSystem(
+        dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, u, half, dt, 1500.0, -200.0)
+    res = coupling.fluid_step(cs, snap, u, half, dt, 1500.0, -200.0,
+                              ReusedFactorSolver(cs.solver_tol))
     mass_old = res.operators["mass"]
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
     mass_new = fluid.assemble_weighted_mass(fm, snap_new)
@@ -120,7 +124,8 @@ def test_zero_pressure_step_dissipates(stepped):
     material, coeffs, sm, fm, cs, state, u, dt, half, _, mass_old, _ = stepped
     res0 = coupling.fluid_step(cs, ale.build_snapshot(sm, state.eta, fm,
                                                       material.radius),
-                               u, half, dt, 0.0, 0.0)
+                               u, half, dt, 0.0, 0.0,
+                               ReusedFactorSolver(cs.solver_tol))
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
     mass_new = fluid.assemble_weighted_mass(fm, snap_new)
     rho_s_h = coeffs.rho_s_h
@@ -211,10 +216,11 @@ def test_wall_traction_zero_state():
     state = shell.ShellState.zeros(sm)
     u = np.zeros(2 * fm.n_velocity_nodes)
     dt = 1e-4
-    half = shell.structure_step(state, dt, cs.shell_mass, cs.shell_elastic,
-                                coeffs.rho_s_h)
+    half = shell.structure_step(state, shell.WallSystem(
+        dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, u, half, dt, 0.0, 0.0)
+    res = coupling.fluid_step(cs, snap, u, half, dt, 0.0, 0.0,
+                              ReusedFactorSolver(cs.solver_tol))
     load = coupling.wall_traction_load(cs, res, u, dt)
     assert np.abs(load).max() <= 1e-12
 
@@ -234,8 +240,9 @@ def test_rigid_poiseuille_traction_tracks_pressure():
     p_in, p_out = 1.0, 0.0
     dt = 0.05
     res = None
+    solver = ReusedFactorSolver(cs.solver_tol)
     for _ in range(300):
-        res = coupling.rigid_fluid_step(cs, snap, u, dt, p_in, p_out)
+        res = coupling.rigid_fluid_step(cs, snap, u, dt, p_in, p_out, solver)
         if np.linalg.norm(res.u_full - u) <= 1e-11 * np.linalg.norm(res.u_full):
             u = res.u_full
             break

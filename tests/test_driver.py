@@ -3,10 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from wallflow import driver
+from wallflow import driver, sparsela
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
-from wallflow.errors import ValidationError
+from wallflow.errors import SolverError, ValidationError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -91,16 +91,33 @@ def test_debug_audit_mode_runs():
     assert driver.run(cfg).status == driver.STATUS_COMPLETED
 
 
-def test_gmres_solver_path_agrees_with_direct():
-    direct = driver.run(small_cfg(time={"t_final": 0.001, "n_steps": 5}))
-    gmres = driver.run(small_cfg(
-        time={"t_final": 0.001, "n_steps": 5},
-        solver={"fluid_tol": 1e-12, "structure_tol": 1e-12,
-                "method": "gmres"}))
-    assert gmres.status == driver.STATUS_COMPLETED
-    assert verify_run(gmres.ledger).ok
-    scale = max(np.abs(direct.final["u"]).max(), 1e-30)
-    assert np.abs(direct.final["u"] - gmres.final["u"]).max() <= 1e-6 * scale
+def test_reuse_policy_matches_a_fresh_factor_every_step(monkeypatch):
+    reuse = driver.run(small_cfg())
+    assert reuse.solver.reused_solves > 0
+    assert reuse.solver.factorizations < len(reuse.ledger)
+
+    def always_miss(*args, **kwargs):
+        raise SolverError("forced miss: refactor every step")
+
+    monkeypatch.setattr(sparsela, "krylov_solve", always_miss)
+    fresh = driver.run(small_cfg())
+    assert fresh.solver.factorizations == len(fresh.ledger) == 10
+    assert fresh.solver.reused_solves == 0
+    for res in (reuse, fresh):
+        assert res.status == driver.STATUS_COMPLETED
+        assert verify_run(res.ledger).ok
+    for key in ("u", "v", "eta", "p"):
+        scale = max(np.abs(fresh.final[key]).max(), 1e-30)
+        assert np.abs(reuse.final[key] - fresh.final[key]).max() <= 1e-8 * scale
+
+
+def test_two_runs_in_one_process_write_identical_ledgers(tmp_path):
+    paths = []
+    for name in ("first", "second"):
+        res = driver.run(small_cfg())
+        paths.append(tmp_path / f"{name}.csv")
+        res.ledger.to_csv(paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_contact_scenario_halts_with_location():
@@ -148,12 +165,15 @@ def test_small_convergence_study_runs():
     assert "order" in text
 
 
-def test_worker_pool_matches_serial():
+def test_worker_pool_matches_serial(monkeypatch):
     cfg = small_cfg(time={"t_final": 0.001, "n_steps": 5})
     serial = driver.self_convergence_study(cfg, [5, 10], 40, workers=1)
     parallel = driver.self_convergence_study(cfg, [5, 10], 40, workers=2)
-    assert serial.errors == parallel.errors
-    assert serial.gaps == parallel.gaps
+    monkeypatch.setenv("WALLFLOW_WORKERS", "2")
+    from_env = driver.self_convergence_study(cfg, [5, 10], 40)
+    for other in (parallel, from_env):
+        assert serial.errors == other.errors
+        assert serial.gaps == other.gaps
 
 
 def test_rigid_steady_and_poiseuille_small():

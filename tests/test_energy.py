@@ -5,6 +5,7 @@ from wallflow import ale, coupling, fluid, shell
 from wallflow.energy import (LEDGER_COLUMNS, EnergyLedger, EnergyMonitor,
                              discrete_trace_constant, load_ledger, verify_run)
 from wallflow.materials import ShellMaterial, derive_coefficients
+from wallflow.sparsela import DirectFactor, ReusedFactorSolver
 
 
 def build_monitor(n_z=4, n_r=2, length=2.0):
@@ -30,10 +31,11 @@ def run_one_step(material, coeffs, sm, fm, cs, monitor, dt, p_in=300.0,
     u = np.zeros(2 * fm.n_velocity_nodes)
     vn = sm.evaluate(sm.to_full(v), fm.velocity_z)
     u[fm.n_velocity_nodes:] = np.outer(fm.velocity_r, vn).ravel()
-    half = shell.structure_step(state, dt, cs.shell_mass, cs.shell_elastic,
-                                coeffs.rho_s_h)
+    half = shell.structure_step(state, shell.WallSystem(
+        dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, u, half, dt, p_in, p_out)
+    res = coupling.fluid_step(cs, snap, u, half, dt, p_in, p_out,
+                              ReusedFactorSolver(cs.solver_tol))
     mass_old = res.operators["mass"]
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
     mass_new = fluid.assemble_weighted_mass(fm, snap_new)
@@ -45,10 +47,11 @@ def test_zero_states_record_all_zeros():
     material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
     state = shell.ShellState.zeros(sm)
     u = np.zeros(2 * fm.n_velocity_nodes)
-    half = shell.structure_step(state, dt, cs.shell_mass, cs.shell_elastic,
-                                coeffs.rho_s_h)
+    half = shell.structure_step(state, shell.WallSystem(
+        dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, u, half, dt, 0.0, 0.0)
+    res = coupling.fluid_step(cs, snap, u, half, dt, 0.0, 0.0,
+                              ReusedFactorSolver(cs.solver_tol))
     mass = res.operators["mass"]
     row = monitor.record_step(0, state, u, half, res, mass, mass, 0.0, 0.0)
     for key in ("e_n", "e_half", "e_full", "d_fluid", "d_shell", "jump_u",
@@ -165,7 +168,7 @@ def test_empty_ledger_verifies_trivially():
     assert report.ok
 
 
-def test_trace_constant_bounds_the_flux_functional():
+def test_trace_constant_bounds_the_flux_functional(monkeypatch):
     material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
     snap = ale.build_snapshot(sm, sm.zero_free(), fm, material.radius)
     k = fluid.assemble_viscous(fm, snap, 0.05)
@@ -179,8 +182,17 @@ def test_trace_constant_bounds_the_flux_functional():
     ell_in = np.concatenate([ell_full[part.free], t.T @ ell_full[part.top_r]])
     ell_full = -fluid.assemble_pressure_forcing(fm, 0.0, 1.0, 1.0)
     ell_out = np.concatenate([ell_full[part.free], t.T @ ell_full[part.top_r]])
+    factored = []
+    original = DirectFactor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        factored.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DirectFactor, "__init__", counting_init)
     c = discrete_trace_constant(k_red, ell_in, ell_out, material.radius)
     assert c > 0.0
+    assert len(factored) == 1    # both right-hand sides share one factor
     # the defining inequality at random discrete fields
     rng = np.random.default_rng(9)
     for _ in range(5):

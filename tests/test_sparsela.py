@@ -1,10 +1,17 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wallflow import sparsela
 from wallflow.errors import SolverError
-from wallflow.sparsela import (DirectFactor, ScatterPattern, build_csr,
-                               factor_solve, krylov_solve)
+from wallflow.sparsela import (DirectFactor, ReusedFactorSolver,
+                               ScatterPattern, build_csr, krylov_solve)
+
+
+def factor_solve(a, b, tol=1e-12, symmetric=False):
+    return DirectFactor(a, symmetric=symmetric).solve(b, tol=tol)
 
 
 def test_identity_solve_returns_rhs():
@@ -69,11 +76,100 @@ def test_scatter_pattern_matches_coo():
     assert np.abs(pattern.csr(vals2).toarray() - ref2).max() <= 1e-15
 
 
-def test_krylov_path_agrees_with_direct():
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((30, 30))
-    a = sp.csc_matrix(m @ m.T + 30.0 * np.eye(30))
-    b = rng.standard_normal(30)
-    x_direct = factor_solve(a, b)
-    x_krylov = krylov_solve(a, b, tol=1e-12)
-    assert np.abs(x_direct - x_krylov).max() <= 1e-9 * np.abs(x_direct).max()
+def nonsymmetric_system(seed, n=60):
+    """A well-conditioned nonsymmetric sparse matrix and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    a = sp.random(n, n, density=0.1, random_state=seed, format="csc")
+    a = (a - a.T) + sp.diags(4.0 + rng.random(n))
+    return sp.csc_matrix(a), rng.standard_normal(n)
+
+
+def nearby(a, scale, seed):
+    """``a`` with every stored entry perturbed by ``scale`` relative."""
+    rng = np.random.default_rng(seed)
+    out = a.copy()
+    out.data = out.data * (1.0 + scale * rng.standard_normal(out.data.size))
+    return out
+
+
+def rel_residual(a, x, b):
+    return np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+
+
+def test_policy_reuses_the_factor_for_a_nearby_matrix():
+    a0, b = nonsymmetric_system(5)
+    solver = ReusedFactorSolver(tol=1e-12)
+    solver.solve(a0, b)
+    a1 = nearby(a0, 1e-3, 6)
+    x1 = solver.solve(a1, b)
+    assert solver.stats.factorizations == 1
+    assert solver.stats.reused_solves == 1
+    assert 1 <= solver.stats.max_gmres_iterations <= sparsela.GMRES_MAX_ITERATIONS
+    assert rel_residual(a1, x1, b) <= 1e-12
+    assert solver.stats.worst_rel_residual <= 1e-12
+
+
+def test_policy_refactors_for_a_far_matrix():
+    a0, b = nonsymmetric_system(7)
+    far, _ = nonsymmetric_system(8)
+    solver = ReusedFactorSolver(tol=1e-12)
+    solver.solve(a0, b)
+    with pytest.raises(SolverError, match="gmres missed"):
+        krylov_solve(far, b, DirectFactor(a0), tol=1e-12)
+    x = solver.solve(far, b)
+    assert solver.stats.factorizations == 2
+    assert solver.stats.reused_solves == 0
+    assert rel_residual(far, x, b) <= 1e-12
+
+
+def test_policy_singular_matrix_raises():
+    a0, b = nonsymmetric_system(9)
+    singular = a0.tolil()
+    singular[3, :] = 0.0
+    singular = singular.tocsc()
+    solver = ReusedFactorSolver(tol=1e-12)
+    solver.solve(a0, b)
+    with pytest.raises(SolverError):
+        solver.solve(singular, b)
+    with pytest.raises(SolverError):
+        ReusedFactorSolver(tol=1e-12).solve(singular, b)
+
+
+def test_policy_zero_rhs_returns_zero():
+    a0, _ = nonsymmetric_system(10)
+    solver = ReusedFactorSolver(tol=1e-12)
+    assert np.all(solver.solve(a0, np.zeros(a0.shape[0])) == 0.0)
+    x = solver.solve(nearby(a0, 1e-3, 11), np.zeros(a0.shape[0]))
+    assert np.all(x == 0.0)
+    assert solver.stats.factorizations == 1
+
+
+def test_policy_checks_the_residual_against_the_new_matrix():
+    a0, b = nonsymmetric_system(12)
+    a1 = nearby(a0, 1e-2, 13)
+    solver = ReusedFactorSolver(tol=1e-11)
+    solver.solve(a0, b)
+    x1 = solver.solve(a1, b)
+    assert solver.stats.reused_solves == 1
+    assert rel_residual(a1, x1, b) <= 1e-11
+    # the stale factor's own solution misses the new system by far
+    assert rel_residual(a1, DirectFactor(a0).solve(b), b) > 1e-6
+
+
+def test_policy_releases_the_stale_factor_before_refactoring(monkeypatch):
+    a0, b = nonsymmetric_system(14)
+    far, _ = nonsymmetric_system(15)
+    solver = ReusedFactorSolver(tol=1e-12)
+    solver.solve(a0, b)
+    stale = weakref.ref(solver._factor)
+    alive_at_refactor = []
+    original = DirectFactor.__init__
+
+    def watching_init(self, *args, **kwargs):
+        alive_at_refactor.append(stale() is not None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DirectFactor, "__init__", watching_init)
+    solver.solve(far, b)
+    assert alive_at_refactor == [False]
+    assert solver.stats.factorizations == 2
