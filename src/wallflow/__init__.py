@@ -12,8 +12,7 @@ identities the scheme satisfies and a verifier checks them after the fact.
 from .ale import AleSnapshot, build_snapshot, min_radius_of
 from .config import load_config, validate_config
 from .driver import (RunResult, TrajectoryRecord, poiseuille_profile_error,
-                     run, run_rigid_steady, self_convergence_study,
-                     v_vstar_gap)
+                     run, run_rigid_steady, self_convergence_study)
 from .energy import EnergyLedger, load_ledger, verify_run
 from .errors import (ConfigError, SolverError, ValidationError, WallContact,
                      WallflowError)
@@ -28,6 +27,6 @@ __all__ = [
     "ValidationError", "WallContact", "WallflowError", "build_snapshot",
     "derive_coefficients", "load_config", "load_ledger", "min_radius_of",
     "poiseuille_profile_error", "run", "run_rigid_steady",
-    "self_convergence_study", "v_vstar_gap", "validate_compatibility",
+    "self_convergence_study", "validate_compatibility",
     "validate_config", "verify_run",
 ]

@@ -15,7 +15,7 @@ moving-domain derivatives via
 the two rows of (grad A)^{-T} applied to the reference gradient.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class AleSnapshot:
     r_q: np.ndarray          # (n_cells, n_quad) reference vertical coordinate
     min_radius: float
     min_radius_z: float
-    eta_source: np.ndarray = field(repr=False, default=None)
 
     def matches(self, shell_mesh, eta_free, fluid_mesh):
         """Audit hook: True when this snapshot was built from ``eta_free``."""
@@ -75,54 +74,7 @@ def build_snapshot(shell_mesh, eta_free, fluid_mesh, radius,
         r_q=fluid_mesh.quad_r,
         min_radius=min_r,
         min_radius_z=min_z,
-        eta_source=np.asarray(eta_free, dtype=float).copy(),
     )
-
-
-@dataclass(frozen=True)
-class DomainVelocityField:
-    """Domain velocity w = v_half(z) * r * e_r at the quadrature points."""
-
-    v_half_q: np.ndarray     # wall half-step velocity at quad points
-    r_q: np.ndarray          # reference vertical coordinate at quad points
-
-    @property
-    def w_r(self):
-        return self.v_half_q * self.r_q
-
-
-def transform_scalar_gradient(deta, jac, r, d_dz, d_dr):
-    """Apply the pullback to reference partials of a scalar field."""
-    d1 = d_dz - r * deta / jac * d_dr
-    d2 = d_dr / jac
-    return d1, d2
-
-
-def transformed_gradient(snapshot_point, ref_jacobian):
-    """Transformed gradient of a vector field at one or many points.
-
-    ``snapshot_point`` is a (deta, jac, r) triple (scalars or broadcastable
-    arrays); ``ref_jacobian[..., i, j]`` holds the reference partial of
-    component i along direction j (j = 0 for z, j = 1 for r).
-    """
-    deta, jac, r = snapshot_point
-    ref = np.asarray(ref_jacobian, dtype=float)
-    out = np.empty_like(ref)
-    out[..., 0] = ref[..., 0] - np.asarray(r * deta / jac)[..., None] * ref[..., 1]
-    out[..., 1] = ref[..., 1] / np.asarray(jac)[..., None]
-    return out
-
-
-def transformed_divergence(snapshot_point, ref_jacobian):
-    """Trace of the transformed gradient (the moving-domain divergence)."""
-    g = transformed_gradient(snapshot_point, ref_jacobian)
-    return g[..., 0, 0] + g[..., 1, 1]
-
-
-def symmetrized_transformed_gradient(snapshot_point, ref_jacobian):
-    """Symmetric part of the transformed gradient (viscous strain rate)."""
-    g = transformed_gradient(snapshot_point, ref_jacobian)
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 def map_to_physical(shell_mesh, eta_free, radius, z, r):

@@ -20,14 +20,13 @@ from .errors import ConfigError, SolverError, ValidationError, WallflowError
 def _cmd_run(args):
     cfg = load_config(args.config)
     if cfg["mode"] == "rigid":
-        u, _, steps, increment = driver.run_rigid_steady(cfg)
+        _, _, steps, increment = driver.run_rigid_steady(driver.RunSetup(cfg))
         print(f"rigid run: {steps} steps, final relative increment "
               f"{increment:.3e}")
         return 0
     result = driver.run(cfg)
-    setup = driver.RunSetup(cfg)
     from .exporters import write_outputs
-    written = write_outputs(result, setup, cfg["output"])
+    written = write_outputs(result, result.setup, cfg["output"])
     print(f"status: {result.status}")
     if result.contact is not None:
         t, z = result.contact

@@ -78,13 +78,18 @@ class CoupledSetup:
     shell_mesh: object
     partition: object
     trace_op: object          # top-edge values from free wall DOFs
-    shell_mass: object        # M_s
+    grams: tuple              # wall Gram matrices (G0, G1, G2); G0 = M_s
     shell_elastic: object     # A_s (only used by energy bookkeeping here)
     shell_viscous: object     # A'_s, zero matrix in the elastic case
     rho_f: float
     mu: float
     rho_s_h: float
     solver_tol: float = 1e-10
+
+    @property
+    def shell_mass(self):
+        """M_s, the L2 Gram matrix of the wall basis."""
+        return self.grams[0]
 
 
 def make_setup(fluid_mesh, shell_mesh, coeffs, rho_f, mu, solver_tol=1e-10):
@@ -94,7 +99,7 @@ def make_setup(fluid_mesh, shell_mesh, coeffs, rho_f, mu, solver_tol=1e-10):
         shell_mesh=shell_mesh,
         partition=fl.DofPartition(fluid_mesh),
         trace_op=build_coupling(shell_mesh, fluid_mesh),
-        shell_mass=grams[0],
+        grams=grams,
         shell_elastic=sh.assemble_elastic_form(shell_mesh, coeffs, grams),
         shell_viscous=sh.assemble_viscous_form(shell_mesh, coeffs, grams),
         rho_f=rho_f,
@@ -111,21 +116,23 @@ class FluidStepResult:
     pressure: np.ndarray
     operators: dict            # assembled matrices of this step
     forcing: np.ndarray
-    rhs_full: np.ndarray
 
 
-def assemble_step_operators(setup, snapshot, u_prev_full, v_half_free, dt,
-                            p_in, p_out):
-    """All matrices of one fluid step, assembled on the frozen geometry.
+def assemble_step_operators(setup, snapshot, mass, u_prev_full, v_half_free,
+                            dt, p_in, p_out):
+    """All matrices, the load and the momentum right-hand side of one fluid
+    step, on the frozen geometry; shared by the coupled and the rigid step.
 
-    The geometry weight comes from the start-of-step wall profile while the
-    advecting domain velocity uses the half step just produced by the wall
-    solve; this asymmetry is deliberate and required by the energy identity.
+    ``mass`` is the weighted mass of ``snapshot``, which the caller already
+    holds.  The geometry weight comes from the start-of-step wall profile
+    while the advecting domain velocity uses the half step just produced by
+    the wall solve; this asymmetry is deliberate and required by the energy
+    identity.  Returns (operators, forcing, rhs_full).
     """
     mesh = setup.fluid_mesh
     v_half_q = fl.shell_field_at_quad(setup.shell_mesh, v_half_free, mesh)
     ops = {
-        "mass": fl.assemble_weighted_mass(mesh, snapshot),
+        "mass": mass,
         "viscous": fl.assemble_viscous(mesh, snapshot, setup.mu),
         "advection": fl.assemble_advection(mesh, snapshot, u_prev_full,
                                            v_half_q, setup.rho_f),
@@ -133,7 +140,8 @@ def assemble_step_operators(setup, snapshot, u_prev_full, v_half_free, dt,
         "divergence": fl.assemble_divergence(mesh, snapshot),
     }
     forcing = fl.assemble_pressure_forcing(mesh, p_in, p_out, snapshot.radius)
-    return ops, forcing
+    rhs_full = (setup.rho_f / dt) * (mass @ u_prev_full) + forcing
+    return ops, forcing, rhs_full
 
 
 def momentum_matrix(setup, ops, dt):
@@ -163,26 +171,25 @@ def reduce_coupled_system(setup, a_mom, b_div, dt):
     return system, b_f, b_t
 
 
-def fluid_step(setup, snapshot, u_prev_full, shell_half, dt, p_in, p_out,
-               solver):
+def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, dt, p_in,
+               p_out, solver):
     """Solve the coupled fluid/wall-velocity problem for one step.
 
-    ``shell_half`` is the wall state after the elastodynamics half step
-    (its ``v_star`` is the half-step velocity).  Returns the end-of-step
-    velocity field, wall velocity, and pressure; the wall displacement does
-    not change in this half step.  ``solver`` is the run's
+    ``mass`` is the weighted mass of ``snapshot``.  ``shell_half`` is the
+    wall state after the elastodynamics half step (its ``v_star`` is the
+    half-step velocity).  Returns the end-of-step velocity field, wall
+    velocity, and pressure; the wall displacement does not change in this
+    half step.  ``solver`` is the run's
     :class:`~wallflow.sparsela.ReusedFactorSolver`.
     """
     part, t = setup.partition, setup.trace_op
     if snapshot.min_radius <= 0.0:
         raise WallContact(snapshot.min_radius, snapshot.min_radius_z)
     v_half = shell_half.v_star
-    ops, forcing = assemble_step_operators(setup, snapshot, u_prev_full,
-                                           v_half, dt, p_in, p_out)
+    ops, forcing, rhs_full = assemble_step_operators(
+        setup, snapshot, mass, u_prev_full, v_half, dt, p_in, p_out)
     a_mom = momentum_matrix(setup, ops, dt)
     system, _, _ = reduce_coupled_system(setup, a_mom, ops["divergence"], dt)
-
-    rhs_full = (setup.rho_f / dt) * (ops["mass"] @ u_prev_full) + forcing
     rhs = np.concatenate([
         rhs_full[part.free],
         t.T @ rhs_full[part.top_r] + (setup.rho_s_h / dt) * (setup.shell_mass @ v_half),
@@ -197,112 +204,28 @@ def fluid_step(setup, snapshot, u_prev_full, shell_half, dt, p_in, p_out,
     u_full[part.free] = w
     u_full[part.top_r] = t @ v_new
     return FluidStepResult(u_full=u_full, v_new=v_new, pressure=pressure,
-                           operators=ops, forcing=forcing, rhs_full=rhs_full)
+                           operators=ops, forcing=forcing)
 
 
-def rigid_fluid_step(setup, snapshot, u_prev_full, dt, p_in, p_out, solver):
-    """Test-harness fluid step with the wall frozen (all top DOFs zero);
-    ``solver`` as in :func:`fluid_step`."""
+def rigid_fluid_step(setup, snapshot, mass, u_prev_full, dt, p_in, p_out,
+                     solver):
+    """The fluid step of :func:`fluid_step` with the wall frozen: the wall
+    velocity is zero and the reduced system has no wall block (every
+    top-edge DOF is zero).  Test harness for rigid-wall channel flow."""
     part = setup.partition
-    mesh = setup.fluid_mesh
-    v_half_q = np.zeros((mesh.n_cells, mesh.n_quad))
-    ops = {
-        "mass": fl.assemble_weighted_mass(mesh, snapshot),
-        "viscous": fl.assemble_viscous(mesh, snapshot, setup.mu),
-        "advection": fl.assemble_advection(mesh, snapshot, u_prev_full,
-                                           v_half_q, setup.rho_f),
-        "robin": fl.assemble_robin_mass(mesh, v_half_q),
-        "divergence": fl.assemble_divergence(mesh, snapshot),
-    }
-    forcing = fl.assemble_pressure_forcing(mesh, p_in, p_out, snapshot.radius)
-    a_mom = momentum_matrix(setup, ops, dt)
     free = part.free
+    ops, forcing, rhs_full = assemble_step_operators(
+        setup, snapshot, mass, u_prev_full, setup.shell_mesh.zero_free(), dt,
+        p_in, p_out)
+    a_mom = momentum_matrix(setup, ops, dt)
     a_ff = a_mom[free][:, free]
     b_f = ops["divergence"][:, free]
     system = sp.bmat([[a_ff, -b_f.T], [b_f, None]], format="csc")
-    rhs_full = (setup.rho_f / dt) * (ops["mass"] @ u_prev_full) + forcing
     rhs = np.concatenate([rhs_full[free],
-                          np.zeros(mesh.n_pressure_nodes)])
+                          np.zeros(setup.fluid_mesh.n_pressure_nodes)])
     x = solver.solve(system, rhs)
-    u_full = np.zeros(2 * mesh.n_velocity_nodes)
+    u_full = np.zeros(2 * setup.fluid_mesh.n_velocity_nodes)
     u_full[free] = x[:part.n_free]
-    pressure = x[part.n_free:]
-    return FluidStepResult(u_full=u_full, v_new=np.zeros(setup.shell_mesh.n_free),
-                           pressure=pressure, operators=ops, forcing=forcing,
-                           rhs_full=rhs_full)
-
-
-def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
-                                v_half, dt, c_tilde=0.0, pressures_sq=0.0):
-    """Exact balance defect and stability-inequality slack of one fluid step.
-
-    Testing the step with its own solution gives, exactly in exact
-    arithmetic (the skew transport and the pressure constraint drop out),
-
-        E_new + (rho_f/2)||u_new - u_old||_{M(old)}^2
-              + (rho_s_h/2)||v_new - v_half||_M^2
-              + dt * (u K u + v A' v)  =  E_half + dt * <forcing, u_new>,
-
-    where E collects fluid kinetic (old weight on the left of the step, new
-    weight on the right) and wall kinetic terms; the wall elastic terms are
-    identical on both sides and omitted.  The first return value is the
-    absolute defect of this identity.
-
-    The second is the slack of the damped inequality: the same balance with
-    only half the viscous dissipation kept and the pressure work replaced by
-    c_tilde * dt * (P_in^2 + P_out^2); nonnegative whenever ``c_tilde``
-    dominates the discrete trace constant.
-    """
-    rho_f, rho_s_h = setup.rho_f, setup.rho_s_h
-    ms, asp = setup.shell_mass, setup.shell_viscous
-    u_new, v_new = result.u_full, result.v_new
-    e_half = (0.5 * rho_f * float(u_prev_full @ (mass_old @ u_prev_full))
-              + 0.5 * rho_s_h * float(v_half @ (ms @ v_half)))
-    e_new = (0.5 * rho_f * float(u_new @ (mass_new @ u_new))
-             + 0.5 * rho_s_h * float(v_new @ (ms @ v_new)))
-    du = u_new - u_prev_full
-    dv = v_new - v_half
-    jump_f = 0.5 * rho_f * float(du @ (mass_old @ du))
-    jump_s = 0.5 * rho_s_h * float(dv @ (ms @ dv))
-    visc = float(u_new @ (result.operators["viscous"] @ u_new))   # 2 mu |D|^2
-    wall_visc = float(v_new @ (asp @ v_new))
-    pwork = float(result.forcing @ u_new)
-    equality_residual = abs(e_new + jump_f + jump_s + dt * (visc + wall_visc)
-                            - e_half - dt * pwork)
-    # inequality form keeps half the fluid viscous term as ledger dissipation
-    d_ledger = dt * (0.5 * visc + wall_visc)
-    slack = (e_half + c_tilde * dt * pressures_sq
-             - e_new - jump_f - jump_s - d_ledger)
-    return equality_residual, slack
-
-
-def wall_traction_load(setup, result, u_prev_full, dt):
-    """Variationally consistent load the fluid exerts on the wall tests.
-
-    Computed as the momentum residual at the constrained top-edge DOFs,
-    paired through the trace map; by construction it equals the wall-side
-    terms of the coupled equations to solver precision.  Reporting only:
-    the coupling itself is monolithic and never exchanges tractions.
-    """
-    part, t = setup.partition, setup.trace_op
-    ops = result.operators
-    a_mom = momentum_matrix(setup, ops, dt)
-    resid_full = (result.rhs_full - a_mom @ result.u_full
-                  + ops["divergence"].T @ result.pressure)
-    return t.T @ resid_full[part.top_r]
-
-
-def top_edge_traction(setup, result, u_prev_full, dt):
-    """Pointwise wall-normal traction on the top edge (rigid diagnostics).
-
-    Returns nodal values of the traction by inverting the 1D trace mass
-    against the constrained-DOF residual.
-    """
-    part = setup.partition
-    ops = result.operators
-    a_mom = momentum_matrix(setup, ops, dt)
-    resid_full = (result.rhs_full - a_mom @ result.u_full
-                  + ops["divergence"].T @ result.pressure)
-    load = resid_full[part.top_r]
-    m_edge = fl.top_edge_mass(setup.fluid_mesh)
-    return np.linalg.solve(m_edge, load)
+    return FluidStepResult(u_full=u_full, v_new=setup.shell_mesh.zero_free(),
+                           pressure=x[part.n_free:], operators=ops,
+                           forcing=forcing)

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import ale, coupling, fluid, shell
+from . import ale, coupling, energy, fluid, shell
 from .config import build_material, ingest_waveform
-from .energy import EnergyLedger, EnergyMonitor, discrete_trace_constant
+from .energy import EnergyLedger, EnergyMonitor
 from .errors import ConfigError, SolverError, ValidationError, WallContact
 from .materials import derive_coefficients, validate_compatibility
 from .sparsela import ReusedFactorSolver, SolveStats
@@ -41,8 +41,7 @@ class TrajectoryRecord:
     """Snapshots at the configured cadence, plus the final state.
 
     Stored fields are piecewise constant in time between steps; timestamps
-    are exact multiples of dt.  ``linear_interpolant`` exposes the
-    continuous piecewise-linear reading of the same records.
+    are exact multiples of dt.
     """
 
     dt: float
@@ -64,31 +63,11 @@ class TrajectoryRecord:
     def __len__(self):
         return len(self.times)
 
-    def state_at(self, t):
-        """Piecewise-constant reading: latest stored state with time <= t."""
-        if not self.times:
-            raise ValueError("empty record")
-        i = int(np.searchsorted(self.times, t + 1e-15, side="right") - 1)
-        i = max(i, 0)
-        return {"t": self.times[i], "eta": self.etas[i], "v": self.vs[i],
-                "v_star": self.v_stars[i], "u": self.us[i], "p": self.ps[i]}
-
-    def linear_interpolant(self, t):
-        """Continuous, linear-in-time reading between stored snapshots."""
-        ts = np.asarray(self.times)
-        if not len(ts):
-            raise ValueError("empty record")
-        t = min(max(t, ts[0]), ts[-1])
-        j = int(np.clip(np.searchsorted(ts, t, side="right"), 1, len(ts) - 1))
-        w = (t - ts[j - 1]) / (ts[j] - ts[j - 1]) if ts[j] > ts[j - 1] else 0.0
-        lerp = lambda a: (1 - w) * a[j - 1] + w * a[j]
-        return {"t": t, "eta": lerp(self.etas), "v": lerp(self.vs),
-                "u": lerp(self.us)}
-
 
 @dataclass
 class RunResult:
     status: str
+    setup: "RunSetup"                # the run's meshes, operators, data
     record: TrajectoryRecord
     ledger: EnergyLedger
     contact: tuple = None            # (t, z) of first threshold crossing
@@ -129,8 +108,6 @@ class RunSetup:
         self.coupled = coupling.make_setup(
             self.fluid_mesh, self.shell_mesh, coeffs, self.rho_f, self.mu,
             solver_tol=cfg["solver"]["fluid_tol"])
-        self.grams = (self.coupled.shell_mass,) + tuple(
-            shell.assemble_grams(self.shell_mesh)[1:])
         self.contact_threshold = cfg["contact_threshold_factor"] * self.radius
         base = cfg.get("_base_dir", ".")
         self.wave_in = ingest_waveform(cfg["waveform"]["inlet"], base)
@@ -170,8 +147,9 @@ class RunSetup:
 
 def _trace_constant(setup, snapshot):
     """Pressure-work constant from the discrete trace inequality at the
-    initial geometry; combined with the observed per-step requirement by
-    the verifier."""
+    initial geometry, and whether it was computed; combined with the
+    observed per-step requirement by the verifier.  A failed factorization
+    gives (0.0, False), which the ledger header records."""
     cs = setup.coupled
     part, t = cs.partition, cs.trace_op
     k = fluid.assemble_viscous(setup.fluid_mesh, snapshot, setup.mu)
@@ -188,9 +166,10 @@ def _trace_constant(setup, snapshot):
         ell.append(np.concatenate([full[part.free],
                                    t.T @ full[part.top_r]]))
     try:
-        return discrete_trace_constant(k_red, ell[0], ell[1], setup.radius)
+        return energy.discrete_trace_constant(k_red, ell[0], ell[1],
+                                              setup.radius), True
     except SolverError:
-        return 0.0
+        return 0.0, False
 
 
 def run(cfg):
@@ -224,17 +203,17 @@ def run(cfg):
         snap = ale.build_snapshot(sm, state.eta, fm, setup.radius,
                                   contact_threshold=setup.contact_threshold)
     except WallContact as contact:
-        ledger = EnergyLedger(_ledger_header(setup, 0.0, 0.0))
-        return RunResult(STATUS_WALL_CONTACT, record, ledger,
+        ledger = EnergyLedger(_ledger_header(setup, 0.0, 0.0, False))
+        return RunResult(STATUS_WALL_CONTACT, setup, record, ledger,
                          contact=(0.0, contact.z_location),
                          final=_final_state(state, u, pressure, 0.0),
                          solver=solver.stats)
 
     mass_old = fluid.assemble_weighted_mass(fm, snap)
-    monitor = EnergyMonitor(cs, setup.grams, setup.coeffs, dt)
+    monitor = EnergyMonitor(cs, setup.coeffs, dt)
     e0 = monitor.total_energy(u, state.v, state.eta, mass_old)
-    c_ref = _trace_constant(setup, snap)
-    ledger = EnergyLedger(_ledger_header(setup, e0, c_ref))
+    c_ref, c_ref_computed = _trace_constant(setup, snap)
+    ledger = EnergyLedger(_ledger_header(setup, e0, c_ref, c_ref_computed))
 
     record.store(0.0, eta0_full, v0_full, v0_full, u, pressure)
 
@@ -248,9 +227,15 @@ def run(cfg):
         half = shell.structure_step(state, wall,
                                     tol=cfg["solver"]["structure_tol"])
 
-        min_r, min_z = ale.min_radius_of(sm, half.eta, setup.radius)
-        if min_r <= setup.contact_threshold:
-            status, contact_info = STATUS_WALL_CONTACT, (t_next, min_z)
+        # the end-of-step geometry, checked for contact before the fluid
+        # step, which still runs on the start-of-step snapshot
+        try:
+            snap_new = ale.build_snapshot(
+                sm, half.eta, fm, setup.radius,
+                contact_threshold=setup.contact_threshold)
+        except WallContact as contact:
+            status, contact_info = (STATUS_WALL_CONTACT,
+                                    (t_next, contact.z_location))
             break
 
         if cfg["debug_audit"]:
@@ -258,8 +243,8 @@ def run(cfg):
                 "fluid step geometry must be frozen at the start-of-step wall"
 
         try:
-            result = coupling.fluid_step(cs, snap, u, half, dt, p_in, p_out,
-                                         solver)
+            result = coupling.fluid_step(cs, snap, mass_old, u, half, dt,
+                                         p_in, p_out, solver)
         except SolverError as exc:
             status, failure = STATUS_SOLVER_FAILURE, str(exc)
             break
@@ -269,8 +254,6 @@ def run(cfg):
             status, failure = STATUS_SOLVER_FAILURE, "non-finite solution fields"
             break
 
-        snap_new = ale.build_snapshot(sm, half.eta, fm, setup.radius,
-                                      contact_threshold=None)
         mass_new = fluid.assemble_weighted_mass(fm, snap_new)
         ledger.append(monitor.record_step(n, state, u, half, result,
                                           mass_old, mass_new, p_in, p_out))
@@ -287,7 +270,7 @@ def run(cfg):
     if not record.times or record.times[-1] != t:
         record.store(t, sm.to_full(state.eta), sm.to_full(state.v),
                      sm.to_full(state.v_star), u, pressure)
-    return RunResult(status, record, ledger, contact=contact_info,
+    return RunResult(status, setup, record, ledger, contact=contact_info,
                      failure=failure,
                      final=_final_state(state, u, pressure, t),
                      solver=solver.stats)
@@ -299,7 +282,7 @@ def _final_state(state, u, pressure, t):
             "p": pressure.copy()}
 
 
-def _ledger_header(setup, e0, c_ref):
+def _ledger_header(setup, e0, c_ref, c_ref_computed):
     c = setup.coeffs
     return {
         "rho_f": setup.rho_f, "mu": setup.mu, "rho_s_h": c.rho_s_h,
@@ -309,43 +292,38 @@ def _ledger_header(setup, e0, c_ref):
         "D0": c.D0, "D1": c.D1, "D2": c.D2,
         "n_z": setup.fluid_mesh.n_z, "n_r": setup.fluid_mesh.n_r,
         "wall_elements": setup.shell_mesh.n_elements,
-        "e0": e0, "c_ref": c_ref,
+        "e0": e0, "c_ref": c_ref, "c_ref_computed": c_ref_computed,
         "p_in_l2_sq": setup.wave_in.l2_norm_sq(0.0, setup.t_final),
         "p_out_l2_sq": setup.wave_out.l2_norm_sq(0.0, setup.t_final),
     }
 
 
-def v_vstar_gap(result):
-    """Space-time L2 gap between the wall velocity and its half-step
-    predictor over a completed run."""
-    return result.ledger.v_vstar_gap()
-
-
 # -- rigid-wall test harness -------------------------------------------------
 
 
-def run_rigid_steady(cfg, steady_tol=1e-10, max_steps=None):
-    """March the rigid-wall configuration to a steady state.
+def run_rigid_steady(setup, steady_tol=1e-10):
+    """March the rigid-wall configuration of ``setup`` (a :class:`RunSetup`)
+    to a steady state, for at most its configured number of steps.
 
     The wall is frozen (every top-edge DOF is zero) and the geometry stays
-    at eta = 0; this is a test-harness mode for pressure-driven channel
-    flow regressions.  Returns (u_full, pressure, steps_taken, increment).
+    at eta = 0, so the weighted mass is assembled once; this is a
+    test-harness mode for pressure-driven channel flow regressions.
+    Returns (u_full, pressure, steps_taken, increment).
     """
-    setup = RunSetup(cfg)
     fm, sm = setup.fluid_mesh, setup.shell_mesh
     dt = setup.dt
     snap = ale.build_snapshot(sm, sm.zero_free(), fm, setup.radius,
                               contact_threshold=None)
+    mass = fluid.assemble_weighted_mass(fm, snap)
     u = np.zeros(2 * fm.n_velocity_nodes)
     pressure = np.zeros(fm.n_pressure_nodes)
     solver = ReusedFactorSolver(setup.coupled.solver_tol)
-    steps = max_steps if max_steps is not None else setup.n_steps
     increment = math.inf
     taken = 0
-    for n in range(steps):
+    for n in range(setup.n_steps):
         p_in = setup.wave_in.average(n * dt, (n + 1) * dt)
         p_out = setup.wave_out.average(n * dt, (n + 1) * dt)
-        result = coupling.rigid_fluid_step(setup.coupled, snap, u, dt,
+        result = coupling.rigid_fluid_step(setup.coupled, snap, mass, u, dt,
                                            p_in, p_out, solver)
         du = np.linalg.norm(result.u_full - u)
         scale = max(np.linalg.norm(result.u_full), 1e-30)
@@ -376,7 +354,7 @@ def poiseuille_profile_error(cfg, steady_tol=1e-10):
     the parabolic solution of pressure-driven flow between the symmetry
     line and a no-slip wall."""
     setup = RunSetup(cfg)
-    u, _, steps, increment = run_rigid_steady(cfg, steady_tol=steady_tol)
+    u, _, steps, increment = run_rigid_steady(setup, steady_tol=steady_tol)
     fm = setup.fluid_mesh
     radius, length, mu = setup.radius, setup.length, setup.mu
     dp = (setup.wave_in.average(0.0, setup.dt)

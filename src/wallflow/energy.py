@@ -150,9 +150,9 @@ def load_ledger(path):
 class EnergyMonitor:
     """Computes ledger rows from the states and operators of each step."""
 
-    def __init__(self, setup, grams, coeffs, dt):
+    def __init__(self, setup, coeffs, dt):
         self.setup = setup
-        self.grams = grams          # (G0, G1, G2) wall Gram matrices
+        self.grams = setup.grams    # (G0, G1, G2) wall Gram matrices
         self.coeffs = coeffs
         self.dt = dt
 
@@ -281,6 +281,10 @@ class VerdictReport:
 
     def __str__(self):
         lines = [c.line() for c in self.checks]
+        if not self.details.get("c_ref_computed", True):
+            lines.append("trace constant c_ref was not computed (its "
+                         "factorization failed); C_impl rests on the "
+                         "recorded steps alone")
         lines.append(f"energy scale {self.scale:.6e}, pressure constant "
                      f"C_impl {self.c_impl:.6e}")
         lines.append("verdict: " + ("PASS" if self.ok else "FAIL"))
@@ -303,7 +307,9 @@ def verify_run(ledger, tol_struct=1e-10, tol_fluid=1e-8, tol_telescoped=1e-8,
 
     ``C_impl`` is the larger of the trace constant computed from the actual
     mesh (stored by the driver in the header) and the smallest constant the
-    recorded steps require; both are reported, neither is assumed.
+    recorded steps require; both are reported, neither is assumed.  The
+    header key ``c_ref_computed`` says whether the trace constant was
+    computed; a ledger without the key is read as computed.
     """
     h = ledger.header
     rho_s_h = float(h["rho_s_h"])
@@ -312,10 +318,12 @@ def verify_run(ledger, tol_struct=1e-10, tol_fluid=1e-8, tol_telescoped=1e-8,
     scale = ledger.energy_scale()
     checks = []
 
+    c_ref_computed = bool(h.get("c_ref_computed", True))
     if not ledger.rows:
         checks.append(CheckResult("nonempty ledger", True, 0.0, 0.0,
                                   "empty run: nothing to verify"))
-        return VerdictReport(checks, True, scale, float(h.get("c_ref", 0.0)))
+        return VerdictReport(checks, True, scale, float(h.get("c_ref", 0.0)),
+                             details={"c_ref_computed": c_ref_computed})
 
     wall_eq = ledger.column("wall_step_residual") / scale
     checks.append(CheckResult("wall half-step energy equality", bool(wall_eq.max() <= tol_struct),
@@ -392,5 +400,6 @@ def verify_run(ledger, tol_struct=1e-10, tol_fluid=1e-8, tol_telescoped=1e-8,
 
     report = VerdictReport(checks, all(c.passed for c in checks), scale, c_impl,
                            details={"c_needed": c_needed,
-                                    "c_ref": float(h.get("c_ref", 0.0))})
+                                    "c_ref": float(h.get("c_ref", 0.0)),
+                                    "c_ref_computed": c_ref_computed})
     return report

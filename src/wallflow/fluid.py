@@ -166,14 +166,6 @@ class FluidMesh:
             np.einsum("ca,qa->cq", ur, self.phi),
         ])
 
-    def interpolate_velocity(self, fz, fr):
-        """Full velocity DOF vector from component callables fz(z, r), fr(z, r)."""
-        zg, rg = np.meshgrid(self.velocity_z, self.velocity_r)
-        u = np.empty(2 * self.n_velocity_nodes)
-        u[:self.n_velocity_nodes] = np.asarray(fz(zg, rg)).ravel()
-        u[self.n_velocity_nodes:] = np.asarray(fr(zg, rg)).ravel()
-        return u
-
 
 def shell_field_at_quad(shell_mesh, field_free, fluid_mesh, deriv=0):
     """Sample a wall field (z-dependent only) on the fluid quadrature grid."""
@@ -230,15 +222,10 @@ def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
     v_half * r * e_r; the two antisymmetrized terms make q^T N q = 0 exactly,
     entry by entry, so the assembled matrix satisfies N = -N^T to roundoff.
     """
-    from .ale import DomainVelocityField
     g1, g2 = _transformed_basis_gradients(mesh, snapshot)
     a = mesh.velocity_at_quad(u_advect_full)
-    domain_vel = DomainVelocityField(
-        v_half_q=np.broadcast_to(np.asarray(v_half_q, dtype=float),
-                                 mesh.quad_r.shape),
-        r_q=mesh.quad_r)
     a1 = a[0]
-    a2 = a[1] - domain_vel.w_r
+    a2 = a[1] - v_half_q * mesh.quad_r        # minus the domain velocity
     adv = a1[:, :, None] * g1 + a2[:, :, None] * g2       # (nc, nq, 9)
     w = mesh.quad_w_dv[None, :] * snapshot.jac_q
     x = np.einsum("cq,qa,cqb->cab", w, mesh.phi, adv)
@@ -285,18 +272,6 @@ def assemble_pressure_forcing(mesh, p_in, p_out, radius):
     f[mesh.inlet_nodes] += radius * p_in * mesh.edge_weights
     f[mesh.outlet_nodes] -= radius * p_out * mesh.edge_weights
     return f
-
-
-def top_edge_mass(mesh):
-    """1D mass matrix of the axial trace basis on the top edge (dense)."""
-    n = mesh.n_cols
-    m = np.zeros((n, n))
-    v, _ = _q2_shapes(_gx)
-    cellm = mesh.hz * np.einsum("q,qa,qb->ab", _gw, v, v)
-    for c in range(mesh.n_z):
-        sl = slice(2 * c, 2 * c + 3)
-        m[sl, sl] += cellm
-    return m
 
 
 class DofPartition:

@@ -128,26 +128,24 @@ class ShellMesh:
         return self.full_to_free[cols]
 
 
-def _assemble_gram(mesh, deriv):
-    """Free-space Gram matrix of the ``deriv``-th derivative of the basis."""
+def assemble_grams(mesh):
+    """The three free-space Gram matrices (L2, d/dz, d2/dz2) of the Hermite
+    basis, used by the wall forms; each element's matrices are computed once."""
     edofs = mesh.element_dofs_free()
-    blocks = np.stack([hermite_element_matrices(l)[deriv]
-                       for l in mesh.element_lengths])
+    blocks = np.array([hermite_element_matrices(l)
+                       for l in mesh.element_lengths])    # (n_el, 3, 4, 4)
     rows = np.repeat(edofs[:, :, None], 4, axis=2)
     cols = np.repeat(edofs[:, None, :], 4, axis=1)
     keep = (rows >= 0) & (cols >= 0)
-    return sparsela.build_csr(rows[keep], cols[keep], blocks[keep],
-                              (mesh.n_free, mesh.n_free))
+    return tuple(sparsela.build_csr(rows[keep], cols[keep],
+                                    blocks[:, d][keep],
+                                    (mesh.n_free, mesh.n_free))
+                 for d in range(3))
 
 
 def assemble_mass(mesh):
     """L2 Gram matrix of the Hermite basis on free DOFs (SPD)."""
-    return _assemble_gram(mesh, 0)
-
-
-def assemble_grams(mesh):
-    """The three Gram matrices (L2, d/dz, d2/dz2) used by the wall forms."""
-    return tuple(_assemble_gram(mesh, d) for d in (0, 1, 2))
+    return assemble_grams(mesh)[0]
 
 
 def assemble_elastic_form(mesh, coeffs, grams=None):
@@ -170,13 +168,6 @@ class ShellState:
     eta: np.ndarray
     v: np.ndarray
     v_star: np.ndarray
-
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh.zero_free(), mesh.zero_free(), mesh.zero_free())
-
-    def copy(self):
-        return ShellState(self.eta.copy(), self.v.copy(), self.v_star.copy())
 
 
 class WallSystem:
@@ -223,27 +214,3 @@ def structure_step(state, wall, tol=1e-12):
     eta_half = wall.solve(rhs, tol)
     v_half = (eta_half - state.eta) / dt
     return ShellState(eta=eta_half, v=state.v.copy(), v_star=v_half)
-
-
-def shell_energy(eta, v, mass, elastic, rho_s_h):
-    """0.5 * (rho_s_h ||v||_M^2 + ||eta||_A^2), the wall part of the energy."""
-    return 0.5 * (rho_s_h * float(v @ (mass @ v)) + float(eta @ (elastic @ eta)))
-
-
-def structure_step_energy_residual(before, after, mass, elastic, rho_s_h):
-    """Absolute defect of the half-step energy equality.
-
-    The half step satisfies, exactly in exact arithmetic,
-
-        E_half + 0.5 * (rho_s_h ||v_half - v||_M^2 + ||eta_half - eta||_A^2) = E
-
-    where E collects the wall kinetic and elastic energies (the fluid
-    kinetic term is identical on both sides and cancels).  The returned
-    value is |LHS - RHS|, not normalized.
-    """
-    e_before = shell_energy(before.eta, before.v, mass, elastic, rho_s_h)
-    e_after = shell_energy(after.eta, after.v_star, mass, elastic, rho_s_h)
-    dv = after.v_star - before.v
-    de = after.eta - before.eta
-    jumps = 0.5 * (rho_s_h * float(dv @ (mass @ dv)) + float(de @ (elastic @ de)))
-    return abs(e_after + jumps - e_before)

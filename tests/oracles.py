@@ -16,6 +16,9 @@ slope) per node with clamped ends dropped.
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from wallflow.coupling import momentum_matrix
+from wallflow.shell import ShellState
+
 
 def gauss01(n):
     x, w = leggauss(n)
@@ -264,3 +267,189 @@ class DenseFluidOracle:
                 f[self.vnode(self.n_cols - 1, 2 * cr + jr)] -= (
                     radius * p_out * weight)
         return f
+
+
+# -- helpers only the tests call ------------------------------------------------
+#
+# These sit on top of the package's own data structures and operators; they
+# are checks and conveniences of the test suite, not independent oracles.
+
+
+def transformed_gradient(snapshot_point, ref_jacobian):
+    """Transformed gradient of a vector field at one or many points.
+
+    ``snapshot_point`` is a (deta, jac, r) triple (scalars or broadcastable
+    arrays); ``ref_jacobian[..., i, j]`` holds the reference partial of
+    component i along direction j (j = 0 for z, j = 1 for r).
+    """
+    deta, jac, r = snapshot_point
+    ref = np.asarray(ref_jacobian, dtype=float)
+    out = np.empty_like(ref)
+    out[..., 0] = ref[..., 0] - np.asarray(r * deta / jac)[..., None] * ref[..., 1]
+    out[..., 1] = ref[..., 1] / np.asarray(jac)[..., None]
+    return out
+
+
+def transformed_divergence(snapshot_point, ref_jacobian):
+    """Trace of the transformed gradient (the moving-domain divergence)."""
+    g = transformed_gradient(snapshot_point, ref_jacobian)
+    return g[..., 0, 0] + g[..., 1, 1]
+
+
+def symmetrized_transformed_gradient(snapshot_point, ref_jacobian):
+    """Symmetric part of the transformed gradient (viscous strain rate)."""
+    g = transformed_gradient(snapshot_point, ref_jacobian)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+def state_at(record, t):
+    """Piecewise-constant reading of a trajectory record: the latest stored
+    state with time <= t."""
+    if not record.times:
+        raise ValueError("empty record")
+    i = int(np.searchsorted(record.times, t + 1e-15, side="right") - 1)
+    i = max(i, 0)
+    return {"t": record.times[i], "eta": record.etas[i], "v": record.vs[i],
+            "v_star": record.v_stars[i], "u": record.us[i], "p": record.ps[i]}
+
+
+def linear_interpolant(record, t):
+    """Continuous, linear-in-time reading between stored snapshots."""
+    ts = np.asarray(record.times)
+    if not len(ts):
+        raise ValueError("empty record")
+    t = min(max(t, ts[0]), ts[-1])
+    j = int(np.clip(np.searchsorted(ts, t, side="right"), 1, len(ts) - 1))
+    w = (t - ts[j - 1]) / (ts[j] - ts[j - 1]) if ts[j] > ts[j - 1] else 0.0
+    lerp = lambda a: (1 - w) * a[j - 1] + w * a[j]
+    return {"t": t, "eta": lerp(record.etas), "v": lerp(record.vs),
+            "u": lerp(record.us)}
+
+
+def interpolate_velocity(mesh, fz, fr):
+    """Full velocity DOF vector from component callables fz(z, r), fr(z, r)."""
+    zg, rg = np.meshgrid(mesh.velocity_z, mesh.velocity_r)
+    u = np.empty(2 * mesh.n_velocity_nodes)
+    u[:mesh.n_velocity_nodes] = np.asarray(fz(zg, rg)).ravel()
+    u[mesh.n_velocity_nodes:] = np.asarray(fr(zg, rg)).ravel()
+    return u
+
+
+def top_edge_mass(mesh):
+    """1D mass matrix of the axial trace basis on the top edge (dense)."""
+    q2 = lagrange_coeffs(np.array([0.0, 0.5, 1.0]))
+    gx, gw = gauss01(3)
+    v = np.stack([poly_eval(q2[:, a], gx) for a in range(3)], axis=-1)
+    cellm = mesh.hz * np.einsum("q,qa,qb->ab", gw, v, v)
+    m = np.zeros((mesh.n_cols, mesh.n_cols))
+    for c in range(mesh.n_z):
+        sl = slice(2 * c, 2 * c + 3)
+        m[sl, sl] += cellm
+    return m
+
+
+def zero_shell_state(mesh):
+    return ShellState(mesh.zero_free(), mesh.zero_free(), mesh.zero_free())
+
+
+def copy_shell_state(state):
+    return ShellState(state.eta.copy(), state.v.copy(), state.v_star.copy())
+
+
+def shell_energy(eta, v, mass, elastic, rho_s_h):
+    """0.5 * (rho_s_h ||v||_M^2 + ||eta||_A^2), the wall part of the energy."""
+    return 0.5 * (rho_s_h * float(v @ (mass @ v)) + float(eta @ (elastic @ eta)))
+
+
+def structure_step_energy_residual(before, after, mass, elastic, rho_s_h):
+    """Absolute defect of the half-step energy equality.
+
+    The half step satisfies, exactly in exact arithmetic,
+
+        E_half + 0.5 * (rho_s_h ||v_half - v||_M^2 + ||eta_half - eta||_A^2) = E
+
+    where E collects the wall kinetic and elastic energies (the fluid
+    kinetic term is identical on both sides and cancels).  The returned
+    value is |LHS - RHS|, not normalized.
+    """
+    e_before = shell_energy(before.eta, before.v, mass, elastic, rho_s_h)
+    e_after = shell_energy(after.eta, after.v_star, mass, elastic, rho_s_h)
+    dv = after.v_star - before.v
+    de = after.eta - before.eta
+    jumps = 0.5 * (rho_s_h * float(dv @ (mass @ dv)) + float(de @ (elastic @ de)))
+    return abs(e_after + jumps - e_before)
+
+
+def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
+                                v_half, dt, c_tilde=0.0, pressures_sq=0.0):
+    """Exact balance defect and stability-inequality slack of one fluid step.
+
+    Testing the step with its own solution gives, exactly in exact
+    arithmetic (the skew transport and the pressure constraint drop out),
+
+        E_new + (rho_f/2)||u_new - u_old||_{M(old)}^2
+              + (rho_s_h/2)||v_new - v_half||_M^2
+              + dt * (u K u + v A' v)  =  E_half + dt * <forcing, u_new>,
+
+    where E collects fluid kinetic (old weight on the left of the step, new
+    weight on the right) and wall kinetic terms; the wall elastic terms are
+    identical on both sides and omitted.  The first return value is the
+    absolute defect of this identity.
+
+    The second is the slack of the damped inequality: the same balance with
+    only half the viscous dissipation kept and the pressure work replaced by
+    c_tilde * dt * (P_in^2 + P_out^2); nonnegative whenever ``c_tilde``
+    dominates the discrete trace constant.
+    """
+    rho_f, rho_s_h = setup.rho_f, setup.rho_s_h
+    ms, asp = setup.shell_mass, setup.shell_viscous
+    u_new, v_new = result.u_full, result.v_new
+    e_half = (0.5 * rho_f * float(u_prev_full @ (mass_old @ u_prev_full))
+              + 0.5 * rho_s_h * float(v_half @ (ms @ v_half)))
+    e_new = (0.5 * rho_f * float(u_new @ (mass_new @ u_new))
+             + 0.5 * rho_s_h * float(v_new @ (ms @ v_new)))
+    du = u_new - u_prev_full
+    dv = v_new - v_half
+    jump_f = 0.5 * rho_f * float(du @ (mass_old @ du))
+    jump_s = 0.5 * rho_s_h * float(dv @ (ms @ dv))
+    visc = float(u_new @ (result.operators["viscous"] @ u_new))   # 2 mu |D|^2
+    wall_visc = float(v_new @ (asp @ v_new))
+    pwork = float(result.forcing @ u_new)
+    equality_residual = abs(e_new + jump_f + jump_s + dt * (visc + wall_visc)
+                            - e_half - dt * pwork)
+    # inequality form keeps half the fluid viscous term as ledger dissipation
+    d_ledger = dt * (0.5 * visc + wall_visc)
+    slack = (e_half + c_tilde * dt * pressures_sq
+             - e_new - jump_f - jump_s - d_ledger)
+    return equality_residual, slack
+
+
+def _momentum_residual(setup, result, u_prev_full, dt):
+    """Residual of the full momentum equations at the step's solution; it
+    vanishes on free DOFs and is the fluid load on the constrained ones."""
+    ops = result.operators
+    rhs_full = (setup.rho_f / dt) * (ops["mass"] @ u_prev_full) + result.forcing
+    return (rhs_full - momentum_matrix(setup, ops, dt) @ result.u_full
+            + ops["divergence"].T @ result.pressure)
+
+
+def wall_traction_load(setup, result, u_prev_full, dt):
+    """Variationally consistent load the fluid exerts on the wall tests.
+
+    Computed as the momentum residual at the constrained top-edge DOFs,
+    paired through the trace map; by construction it equals the wall-side
+    terms of the coupled equations to solver precision.
+    """
+    resid_full = _momentum_residual(setup, result, u_prev_full, dt)
+    return setup.trace_op.T @ resid_full[setup.partition.top_r]
+
+
+def top_edge_traction(setup, result, u_prev_full, dt):
+    """Pointwise wall-normal traction on the top edge (rigid diagnostics).
+
+    Returns nodal values of the traction by inverting the 1D trace mass
+    against the constrained-DOF residual.
+    """
+    resid_full = _momentum_residual(setup, result, u_prev_full, dt)
+    load = resid_full[setup.partition.top_r]
+    return np.linalg.solve(top_edge_mass(setup.fluid_mesh), load)

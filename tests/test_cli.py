@@ -5,7 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from wallflow import driver, energy
 from wallflow.cli import main
+from wallflow.energy import load_ledger
+from wallflow.errors import SolverError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -92,8 +95,8 @@ def test_shipped_configs_parse(name):
     assert cfg["mode"] in ("viscoelastic", "elastic", "rigid")
 
 
-def test_poiseuille_command(tmp_path, capsys):
-    cfg = write_cfg(
+def write_rigid_cfg(tmp_path):
+    return write_cfg(
         tmp_path, name="poiseuille.json", mode="rigid",
         geometry={"radius": 0.5, "length": 5.0},
         fluid={"density": 1.0, "viscosity": 1.0},
@@ -103,6 +106,10 @@ def test_poiseuille_command(tmp_path, capsys):
         time={"t_final": 10.0, "n_steps": 200},
         waveform={"inlet": {"kind": "constant", "value": 1.0},
                   "outlet": {"kind": "constant", "value": 0.0}})
+
+
+def test_poiseuille_command(tmp_path, capsys):
+    cfg = write_rigid_cfg(tmp_path)
     assert main(["poiseuille", cfg]) == 0
     assert "profile L2 relative error" in capsys.readouterr().out
 
@@ -124,3 +131,50 @@ def test_converge_command_smoke(tmp_path, capsys):
 def test_missing_file_is_config_error(capsys):
     assert main(["run", "/nonexistent/cfg.json"]) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, rigid", [("run", False), ("run", True),
+                                             ("poiseuille", True)])
+def test_one_setup_per_command(tmp_path, monkeypatch, command, rigid):
+    calls = []
+    original = driver.RunSetup.__init__
+
+    def counted(self, cfg):
+        calls.append(cfg)
+        original(self, cfg)
+
+    monkeypatch.setattr(driver.RunSetup, "__init__", counted)
+    cfg = write_rigid_cfg(tmp_path) if rigid else write_cfg(tmp_path)
+    assert main([command, cfg]) == 0
+    assert len(calls) == 1
+
+
+def test_trace_constant_fallback_is_recorded_and_reported(tmp_path,
+                                                          monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SolverError("forced trace-constant factorization failure")
+
+    monkeypatch.setattr(energy, "discrete_trace_constant", fail)
+    assert main(["run", write_cfg(tmp_path)]) == 0
+    ledger = str(tmp_path / "out" / "ledger.csv")
+    header = load_ledger(ledger).header
+    assert header["c_ref_computed"] is False and header["c_ref"] == 0.0
+    capsys.readouterr()
+    main(["verify", ledger])
+    assert "c_ref was not computed" in capsys.readouterr().out
+
+
+def test_ledger_without_trace_flag_still_verifies(tmp_path, capsys):
+    assert main(["run", write_cfg(tmp_path)]) == 0
+    path = tmp_path / "out" / "ledger.csv"
+    assert load_ledger(str(path)).header["c_ref_computed"] is True
+    first, rest = path.read_text().split("\n", 1)
+    header = json.loads(first.split(":", 1)[1])
+    del header["c_ref_computed"]
+    older = tmp_path / "older.csv"
+    older.write_text("# wallflow-ledger-header: "
+                     + json.dumps(header, sort_keys=True) + "\n" + rest)
+    capsys.readouterr()
+    assert main(["verify", str(older)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: PASS" in out and "not computed" not in out

@@ -3,10 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from wallflow import driver, sparsela
+from wallflow import ale, driver, fluid, shell, sparsela
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
 from wallflow.errors import SolverError, ValidationError
+
+from oracles import linear_interpolant, state_at
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -41,7 +43,7 @@ def test_zero_run_is_identically_zero():
     for eta in res.record.etas:
         assert np.all(eta == 0.0)
     assert all(row["e_full"] == 0.0 for row in res.ledger.rows)
-    assert driver.v_vstar_gap(res) == 0.0
+    assert res.ledger.v_vstar_gap() == 0.0
     assert verify_run(res.ledger).ok
 
 
@@ -135,6 +137,40 @@ def test_contact_scenario_halts_with_location():
     assert verify_run(res.ledger).ok
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to record each call; returns the call list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_each_step_builds_one_mass_and_one_contact_check(monkeypatch):
+    masses = count_calls(monkeypatch, fluid, "assemble_weighted_mass")
+    radii = count_calls(monkeypatch, ale, "min_radius_of")
+    res = driver.run(small_cfg())
+    assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
+    assert len(masses) == len(radii) == 10 + 1
+
+
+def test_one_gram_assembly_per_setup(monkeypatch):
+    grams = count_calls(monkeypatch, shell, "assemble_grams")
+    driver.RunSetup(small_cfg())
+    assert len(grams) == 1
+
+
+def test_rigid_harness_assembles_the_mass_once(monkeypatch):
+    setup = driver.RunSetup(rigid_cfg(n_steps=5))
+    masses = count_calls(monkeypatch, fluid, "assemble_weighted_mass")
+    _, _, steps, _ = driver.run_rigid_steady(setup)
+    assert steps == 5 and len(masses) == 1
+
+
 def test_fit_order_harness():
     dts = np.array([0.4, 0.2, 0.1, 0.05])
     errs = 3.0 * dts
@@ -176,18 +212,22 @@ def test_worker_pool_matches_serial(monkeypatch):
         assert serial.gaps == other.gaps
 
 
-def test_rigid_steady_and_poiseuille_small():
-    cfg = validate_config({
+def rigid_cfg(n_steps=200):
+    return validate_config({
         "geometry": {"radius": 0.5, "length": 5.0},
         "fluid": {"density": 1.0, "viscosity": 1.0},
         "wall": {"youngs_modulus": 7.5e5, "poisson_ratio": 0.5,
                  "thickness": 0.1, "density": 1.1},
         "mesh": {"n_z": 16, "n_r": 8, "wall_elements": 16},
-        "time": {"t_final": 10.0, "n_steps": 200},
+        "time": {"t_final": 0.05 * n_steps, "n_steps": n_steps},
         "mode": "rigid",
         "waveform": {"inlet": {"kind": "constant", "value": 1.0},
                      "outlet": {"kind": "constant", "value": 0.0}},
     })
+
+
+def test_rigid_steady_and_poiseuille_small():
+    cfg = rigid_cfg()
     err, info = driver.poiseuille_profile_error(cfg)
     assert err <= 0.02
     assert info["increment"] <= 1e-9
@@ -197,9 +237,9 @@ def test_record_interpolants():
     cfg = small_cfg()
     res = driver.run(cfg)
     rec = res.record
-    snap = rec.state_at(rec.times[2] + 1e-9)
+    snap = state_at(rec, rec.times[2] + 1e-9)
     assert snap["t"] == rec.times[2]
     mid = 0.5 * (rec.times[1] + rec.times[2])
-    lin = rec.linear_interpolant(mid)
+    lin = linear_interpolant(rec, mid)
     expect = 0.5 * (rec.etas[1] + rec.etas[2])
     assert np.allclose(lin["eta"], expect, rtol=0, atol=1e-15)

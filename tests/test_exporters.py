@@ -24,8 +24,7 @@ def run_small(tmp_path, constant_eta=False, **time):
     }
     cfg = validate_config(raw)
     result = driver.run(cfg)
-    setup = driver.RunSetup(cfg)
-    return cfg, result, setup
+    return cfg, result, result.setup
 
 
 def test_zero_run_export_shapes_and_values(tmp_path):
