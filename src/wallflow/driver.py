@@ -451,9 +451,11 @@ def self_convergence_study(cfg, rung_steps, reference_steps, workers=None):
     ref = outs[-1]
     rungs = outs[:-1]
 
-    setup = RunSetup(cfg)
-    ms = setup.coupled.shell_mass
-    mu_mass = fluid.assemble_unweighted_mass(setup.fluid_mesh)
+    length = cfg["geometry"]["length"]
+    ms = shell.assemble_mass(shell.ShellMesh(cfg["mesh"]["wall_elements"],
+                                             length))
+    mu_mass = fluid.assemble_unweighted_mass(
+        fluid.FluidMesh(cfg["mesh"]["n_z"], cfg["mesh"]["n_r"], length))
 
     def norm(m, x):
         return math.sqrt(max(float(x @ (m @ x)), 0.0))

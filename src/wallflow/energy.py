@@ -246,7 +246,7 @@ def discrete_trace_constant(k_reduced, l_in_reduced, l_out_reduced, radius):
 
     for every discrete u, where d is the *spare* half of the viscous form.
     """
-    factor = DirectFactor(k_reduced.tocsc(), symmetric=True)
+    factor = DirectFactor(k_reduced)
     sols = [factor.solve(2.0 * l, tol=1e-10)
             for l in (l_in_reduced, l_out_reduced)]
     gram = np.array([[float(l @ x) for x in sols]

@@ -206,12 +206,16 @@ def assemble_viscous(mesh, snapshot, mu):
     g1, g2 = _transformed_basis_gradients(mesh, snapshot)
     w = mesh.quad_w_dv[None, :] * snapshot.jac_q
     def form(xa, xb):
-        return np.einsum("cq,cqa,cqb->cab", w, xa, xb)
+        return np.matmul((w[..., None] * xa).transpose(0, 2, 1), xb)
+    def symmetric_form(x):       # exactly symmetric, like the bilinear form
+        f = form(x, x)
+        return 0.5 * (f + f.transpose(0, 2, 1))
+    f11, f22, f21 = symmetric_form(g1), symmetric_form(g2), form(g2, g1)
     data = mesh._vv_blocks()
-    data[0, 0] = 2.0 * mu * form(g1, g1) + mu * form(g2, g2)
-    data[1, 1] = 2.0 * mu * form(g2, g2) + mu * form(g1, g1)
-    data[0, 1] = mu * form(g2, g1)
-    data[1, 0] = mu * form(g1, g2)
+    data[0, 0] = 2.0 * mu * f11 + mu * f22
+    data[1, 1] = 2.0 * mu * f22 + mu * f11
+    data[0, 1] = mu * f21
+    data[1, 0] = mu * f21.transpose(0, 2, 1)     # form(g1, g2)
     return mesh.vv_pattern().csr(data)
 
 

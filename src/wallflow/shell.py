@@ -41,16 +41,28 @@ def _shape_table(s, deriv):
     return np.stack(cols, axis=-1)
 
 
-def hermite_element_matrices(length):
-    """Element Gram matrices (L2, first-, second-derivative) for one element."""
+def _unit_element_matrices():
+    """Gram matrices (L2, first-, second-derivative) of the unit element."""
     out = []
     for deriv in (0, 1, 2):
         t = _shape_table(_QX, deriv)
-        scale = np.array([1.0, length, 1.0, length])
         base = np.einsum("q,qa,qb->ab", _QW, t, t)
-        base = 0.5 * (base + base.T)    # forms are symmetric; make it exact
-        out.append(length ** (1 - 2 * deriv) * (scale[:, None] * base * scale[None, :]))
+        out.append(0.5 * (base + base.T))    # forms are symmetric; make it exact
     return tuple(out)
+
+
+_UNIT_ELEMENT_MATRICES = _unit_element_matrices()
+
+
+def hermite_element_matrices(length):
+    """Element Gram matrices (L2, first-, second-derivative) for elements of
+    the given length; an array of lengths gives one stacked matrix each."""
+    length = np.asarray(length, dtype=float)[..., None, None]
+    scale = np.ones(length.shape[:-2] + (4,))
+    scale[..., 1::2] = length[..., 0]
+    return tuple(length ** (1 - 2 * deriv)
+                 * (scale[..., :, None] * base * scale[..., None, :])
+                 for deriv, base in enumerate(_UNIT_ELEMENT_MATRICES))
 
 
 class ShellMesh:
@@ -130,15 +142,15 @@ class ShellMesh:
 
 def assemble_grams(mesh):
     """The three free-space Gram matrices (L2, d/dz, d2/dz2) of the Hermite
-    basis, used by the wall forms; each element's matrices are computed once."""
+    basis, used by the wall forms; the unit element's matrices are scaled to
+    every element in one broadcast."""
     edofs = mesh.element_dofs_free()
-    blocks = np.array([hermite_element_matrices(l)
-                       for l in mesh.element_lengths])    # (n_el, 3, 4, 4)
+    blocks = hermite_element_matrices(mesh.element_lengths)  # 3 x (n_el, 4, 4)
     rows = np.repeat(edofs[:, :, None], 4, axis=2)
     cols = np.repeat(edofs[:, None, :], 4, axis=1)
     keep = (rows >= 0) & (cols >= 0)
     return tuple(sparsela.build_csr(rows[keep], cols[keep],
-                                    blocks[:, d][keep],
+                                    blocks[d][keep],
                                     (mesh.n_free, mesh.n_free))
                  for d in range(3))
 
@@ -189,7 +201,7 @@ class WallSystem:
     def solve(self, rhs, tol):
         if self._factor is None:
             a = self.rho_s_h * self.mass + self.dt * self.dt * self.elastic
-            self._factor = sparsela.DirectFactor(a.tocsc(), symmetric=True)
+            self._factor = sparsela.DirectFactor(a)
         return self._factor.solve(rhs, tol=tol)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .errors import SolverError
 
@@ -64,20 +65,31 @@ class DirectFactor:
     """Sparse LU factorization with a checked solve.
 
     The factorization is immutable after construction; concurrent solves
-    against one factor are safe.  Symmetric inputs get the symmetric
-    fill-reducing ordering.
+    against one factor are safe.  Every matrix gets the same policy:
+    SuperLU's symmetric mode, a minimum-degree ordering of ``A^T + A`` and
+    diagonal pivots unless a diagonal entry is exactly zero.  All matrices
+    factored here are symmetric or saddle systems with a symmetric
+    pattern, where this keeps the fill near that of the symmetric
+    ordering at every ``dt``; the residual check of :meth:`solve` guards
+    the stability that threshold pivoting would otherwise buy.
     """
 
-    def __init__(self, a, symmetric=False):
+    def __init__(self, a):
         a = sp.csc_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise SolverError(f"matrix is not square: {a.shape}")
         self._a = a
         try:
-            permc = "MMD_AT_PLUS_A" if symmetric else "COLAMD"
-            self._lu = spla.splu(a, permc_spec=permc)
+            self._lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SolverError(f"sparse factorization failed: {exc}") from exc
+
+    @property
+    def fill_nnz(self):
+        """Stored entries of L plus U."""
+        return int(self._lu.L.nnz + self._lu.U.nnz)
 
     def apply(self, b):
         """Unchecked solve with the LU factors, for use as a preconditioner."""
@@ -105,55 +117,68 @@ class DirectFactor:
         return x
 
 
-# Preconditioned GMRES iterations one solve may spend; the restart length is
-# the same, so the budget is one restart cycle unless SciPy ends that cycle
-# early (see krylov_solve).  A solve that misses the contract within them is
-# abandoned and the system refactored, so a miss costs at most this many
-# iterations on top of the factorization.
+# GMRES iterations one solve may spend, without restarts.  A solve that
+# misses the contract within them is abandoned and the system refactored,
+# so a miss costs at most this many LU applications on top of the
+# factorization.
 GMRES_MAX_ITERATIONS = 20
 
 
-class _IterationCapReached(Exception):
-    pass
-
-
 def krylov_solve(a, b, factor, tol=1e-10, callback=None):
-    """GMRES on ``a x = b`` preconditioned by the LU ``factor`` of a nearby
-    matrix, within :data:`GMRES_MAX_ITERATIONS` iterations.
+    """GMRES on ``a x = b``, right-preconditioned by the LU ``factor`` of a
+    nearby matrix, within :data:`GMRES_MAX_ITERATIONS` iterations.
 
     Returns ``x`` with ``||a x - b|| <= tol * ||b||``, checked against ``a``
     itself; raises :class:`SolverError` otherwise.  ``callback`` is called
-    once per iteration.
+    once per iteration with the residual estimate.
 
-    SciPy's GMRES preconditions from the left and ends a restart cycle once
-    the *preconditioned* residual is small; when the true residual still
-    misses, it tightens its inner target and starts another cycle from the
-    current iterate, within the same iteration budget.
+    Arnoldi with modified Gram-Schmidt builds a basis ``V`` of the Krylov
+    space of ``a M^-1`` from ``x0 = 0``; Givens rotations keep the least
+    squares residual, which with right preconditioning estimates the true
+    residual ``||b - a x||`` itself.  Once the estimate meets the contract,
+    ``x = M^-1 V y`` is formed, so a solve of ``k`` iterations applies the
+    LU ``k + 1`` times, and ``x`` is returned only if its true residual
+    meets the contract too.
     """
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b)
-    iterations = 0
-
-    def count(pr_norm):
-        nonlocal iterations
-        iterations += 1
-        if iterations > GMRES_MAX_ITERATIONS:
-            raise _IterationCapReached
+    target = tol * norm_b
+    m = GMRES_MAX_ITERATIONS
+    basis = np.empty((m + 1, b.size))
+    hess = np.zeros((m + 1, m))
+    cos, sin = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)             # rotated right-hand side ||b|| e_1
+    g[0] = norm_b
+    basis[0] = b / norm_b
+    resid = np.inf
+    for j in range(m):
+        w = a @ factor.apply(basis[j])
+        for i in range(j + 1):
+            hess[i, j] = w @ basis[i]
+            w -= hess[i, j] * basis[i]
+        h_next = np.linalg.norm(w)
+        for i in range(j):
+            hess[i, j], hess[i + 1, j] = (
+                cos[i] * hess[i, j] + sin[i] * hess[i + 1, j],
+                -sin[i] * hess[i, j] + cos[i] * hess[i + 1, j])
+        r = np.hypot(hess[j, j], h_next)
+        if not r > 0.0:             # singular or non-finite Hessenberg column
+            break
+        cos[j], sin[j] = hess[j, j] / r, h_next / r
+        hess[j, j] = r
+        g[j + 1] = -sin[j] * g[j]
+        g[j] *= cos[j]
         if callback is not None:
-            callback(pr_norm)
-
-    m = spla.LinearOperator(a.shape, factor.apply)
-    try:
-        x, _ = spla.gmres(a, b, rtol=tol, atol=0.0,
-                          restart=GMRES_MAX_ITERATIONS,
-                          maxiter=GMRES_MAX_ITERATIONS, M=m,
-                          callback=count, callback_type="pr_norm")
-        resid = np.linalg.norm(a @ x - b)
-    except _IterationCapReached:
-        resid = np.inf
-    if not resid <= tol * norm_b:     # also rejects a NaN residual
+            callback(abs(g[j + 1]))
+        if abs(g[j + 1]) <= target:
+            y = solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
+            x = factor.apply(y @ basis[:j + 1])
+            resid = np.linalg.norm(a @ x - b)
+            break
+        basis[j + 1] = w / h_next
+    if not resid <= target:         # also rejects a NaN residual
         raise SolverError(
             f"gmres missed {tol:.1e} * ||b|| within {GMRES_MAX_ITERATIONS} "
             f"iterations (residual {resid:.3e})",
@@ -171,6 +196,7 @@ class SolveStats:
     gmres_iterations: int = 0      # summed over the reused solves
     max_gmres_iterations: int = 0
     worst_rel_residual: float = 0.0
+    lu_fill_nnz: int = 0           # L+U entries of the last factor
 
     @property
     def mean_gmres_iterations(self):
@@ -181,7 +207,7 @@ class SolveStats:
                 f"{self.reused_solves} reused solves, GMRES iterations "
                 f"mean {self.mean_gmres_iterations:.1f} max "
                 f"{self.max_gmres_iterations}, worst relative residual "
-                f"{self.worst_rel_residual:.2e}")
+                f"{self.worst_rel_residual:.2e}, LU fill {self.lu_fill_nnz}")
 
 
 class ReusedFactorSolver:
@@ -222,6 +248,7 @@ class ReusedFactorSolver:
                 return x
         self._factor = DirectFactor(a)
         stats.factorizations += 1
+        stats.lu_fill_nnz = self._factor.fill_nnz
         x = self._factor.solve(b, tol=self.tol)
         self._record_residual(a, x, b)
         return x

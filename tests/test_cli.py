@@ -40,6 +40,7 @@ def test_run_and_verify_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status: completed" in out
     assert re.search(r"solver: \d+ factorizations, \d+ reused solves", out)
+    assert re.search(r"LU fill [1-9]\d*$", out, re.MULTILINE)
     ledger = str(tmp_path / "out" / "ledger.csv")
     assert os.path.exists(ledger)
     assert main(["verify", ledger]) == 0

@@ -99,6 +99,28 @@ def test_elastic_case_runs_and_is_finite():
     assert np.all(np.isfinite(res.pressure))
 
 
+def test_fluid_factor_fill_does_not_grow_at_extreme_dt():
+    # without threshold pivoting the fill stays near that of the symmetric
+    # ordering at every dt; with a pivot threshold of 1e-3 this mesh fills
+    # 1.9 times as much at dt = 1e-7 as at dt = 6e-5
+    material, coeffs, sm, fm, cs = make_setup(n_z=16, n_r=8)
+    state, u = compatible_state(sm, fm, np.random.default_rng(4))
+    snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
+    mass = fluid.assemble_weighted_mass(fm, snap)
+    fill = {}
+    for dt in (1e-7, 6e-5, 1.0):
+        half = shell.structure_step(state, shell.WallSystem(
+            dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
+        solver = ReusedFactorSolver(cs.solver_tol)
+        coupling.fluid_step(cs, snap, mass, u, half, dt, 1500.0, -200.0,
+                            solver)
+        assert solver.stats.factorizations == 1
+        fill[dt] = solver.stats.lu_fill_nnz
+    assert fill[6e-5] > 0
+    assert fill[1e-7] <= 1.25 * fill[6e-5]
+    assert fill[1.0] <= 1.25 * fill[6e-5]
+
+
 @pytest.fixture
 def stepped():
     material, coeffs, sm, fm, cs = make_setup()

@@ -201,6 +201,12 @@ def test_small_convergence_study_runs():
     assert "order" in text
 
 
+def test_convergence_study_builds_one_setup_per_run(monkeypatch):
+    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
+    driver.self_convergence_study(small_cfg(), [10, 20], 80, workers=1)
+    assert len(setups) == 3
+
+
 def test_worker_pool_matches_serial(monkeypatch):
     cfg = small_cfg(time={"t_final": 0.001, "n_steps": 5})
     serial = driver.self_convergence_study(cfg, [5, 10], 40, workers=1)

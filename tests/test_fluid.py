@@ -47,6 +47,12 @@ def test_viscous_vs_oracle(n_z, n_r, flat):
     assert rel_err(ours, ref) <= 1e-12
 
 
+def test_viscous_is_exactly_symmetric():
+    _, fm, _, snap, _, _ = make_case(6, 3, radius=0.8, seed=3)
+    k = fluid.assemble_viscous(fm, snap, mu=0.7)
+    assert abs(k - k.T).max() == 0.0
+
+
 @pytest.mark.parametrize("n_z,n_r,flat", CASES)
 def test_advection_vs_oracle(n_z, n_r, flat):
     sm, fm, eta, snap, oracle, rng = make_case(n_z, n_r, radius=0.8, flat=flat,

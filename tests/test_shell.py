@@ -47,6 +47,22 @@ def test_grams_match_dense_oracle_nonuniform():
         assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_broadcast_grams_match_a_per_element_loop():
+    rng = np.random.default_rng(5)
+    nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 6.0, 63)), [6.0]])
+    mesh = shell.ShellMesh(64, 6.0, nodes=nodes)
+    edofs = mesh.element_dofs_free()
+    loop = [np.zeros((mesh.n_free, mesh.n_free)) for _ in range(3)]
+    for k, length in enumerate(mesh.element_lengths):
+        for gram, block in zip(loop, shell.hermite_element_matrices(length)):
+            for a, i in enumerate(edofs[k]):
+                for b, j in enumerate(edofs[k]):
+                    if i >= 0 and j >= 0:
+                        gram[i, j] += block[a, b]
+    for ours, ref in zip(shell.assemble_grams(mesh), loop):
+        assert np.abs(ours.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_elastic_form_with_only_c0_is_the_mass():
     mesh = shell.ShellMesh(5, 1.0)
     a = shell.assemble_elastic_form(mesh, coeffs(c0=1.0))

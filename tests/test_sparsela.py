@@ -10,8 +10,8 @@ from wallflow.sparsela import (DirectFactor, ReusedFactorSolver,
                                ScatterPattern, build_csr, krylov_solve)
 
 
-def factor_solve(a, b, tol=1e-12, symmetric=False):
-    return DirectFactor(a, symmetric=symmetric).solve(b, tol=tol)
+def factor_solve(a, b, tol=1e-12):
+    return DirectFactor(a).solve(b, tol=tol)
 
 
 def test_identity_solve_returns_rhs():
@@ -25,7 +25,7 @@ def test_spd_solve_matches_dense_inverse():
     m = rng.standard_normal((5, 5))
     a_dense = m @ m.T + 5.0 * np.eye(5)
     b = rng.standard_normal(5)
-    x = factor_solve(sp.csc_matrix(a_dense), b, symmetric=True)
+    x = factor_solve(sp.csc_matrix(a_dense), b)
     ref = np.linalg.inv(a_dense) @ b
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -173,3 +173,81 @@ def test_policy_releases_the_stale_factor_before_refactoring(monkeypatch):
     solver.solve(far, b)
     assert alive_at_refactor == [False]
     assert solver.stats.factorizations == 2
+
+
+def count_applications(monkeypatch):
+    """Wrap ``DirectFactor.apply`` to count LU applications."""
+    calls = []
+    original = DirectFactor.apply
+
+    def counted(self, b):
+        calls.append(1)
+        return original(self, b)
+
+    monkeypatch.setattr(DirectFactor, "apply", counted)
+    return calls
+
+
+def test_reused_solve_applies_the_lu_once_per_iteration_plus_one(monkeypatch):
+    a0, b = nonsymmetric_system(16)
+    solver = ReusedFactorSolver(tol=1e-12)
+    solver.solve(a0, b)
+    applied = count_applications(monkeypatch)
+    for k, scale in enumerate((1e-4, 1e-3, 1e-2)):
+        before = (len(applied), solver.stats.gmres_iterations)
+        solver.solve(nearby(a0, scale, 17 + k), b)
+        iterations = solver.stats.gmres_iterations - before[1]
+        assert iterations >= 1
+        assert len(applied) - before[0] == iterations + 1
+    assert solver.stats.factorizations == 1
+    assert solver.stats.reused_solves == 3
+
+
+def test_far_matrix_raises_within_the_application_cap(monkeypatch):
+    a0, b = nonsymmetric_system(20)
+    far, _ = nonsymmetric_system(21)
+    factor = DirectFactor(a0)
+    applied = count_applications(monkeypatch)
+    estimates = []
+    with pytest.raises(SolverError, match="gmres missed"):
+        krylov_solve(far, b, factor, tol=1e-12, callback=estimates.append)
+    assert len(estimates) <= sparsela.GMRES_MAX_ITERATIONS
+    assert len(applied) <= sparsela.GMRES_MAX_ITERATIONS + 1
+
+
+def test_krylov_solution_meets_the_true_residual_contract():
+    a0, b = nonsymmetric_system(22)
+    a1 = nearby(a0, 1e-2, 23)
+    estimates = []
+    x = krylov_solve(a1, b, DirectFactor(a0), tol=1e-11,
+                     callback=estimates.append)
+    assert rel_residual(a1, x, b) <= 1e-11
+    assert estimates[-1] <= 1e-11 * np.linalg.norm(b)
+    assert all(e1 <= e0 for e0, e1 in zip(estimates, estimates[1:]))
+
+
+def test_krylov_rejects_a_solution_only_its_estimate_accepts():
+    # a preconditioner that is not the same linear map on every call breaks
+    # the link between the GMRES estimate and the true residual
+    a0, b = nonsymmetric_system(24)
+    factor = DirectFactor(a0)
+    rng = np.random.default_rng(25)
+
+    class Drifting:
+        def apply(self, v):
+            return factor.apply(v) * (1.0 + 1e-6 * rng.standard_normal())
+
+    with pytest.raises(SolverError, match="gmres missed"):
+        krylov_solve(a0, b, Drifting(), tol=1e-12)
+
+
+def test_stats_record_the_fill_of_the_last_factor():
+    a0, b = nonsymmetric_system(26)
+    far, _ = nonsymmetric_system(27)
+    solver = ReusedFactorSolver(tol=1e-12)
+    solver.solve(a0, b)
+    assert solver.stats.lu_fill_nnz == DirectFactor(a0).fill_nnz > 0
+    solver.solve(far, b)
+    assert solver.stats.factorizations == 2
+    assert solver.stats.lu_fill_nnz == DirectFactor(far).fill_nnz
+    assert f"LU fill {solver.stats.lu_fill_nnz}" in solver.stats.summary()
