@@ -34,13 +34,6 @@ class AleSnapshot:
     min_radius: float
     min_radius_z: float
 
-    def matches(self, shell_mesh, eta_free, fluid_mesh):
-        """Audit hook: True when this snapshot was built from ``eta_free``."""
-        probe = build_snapshot(shell_mesh, eta_free, fluid_mesh, self.radius,
-                               contact_threshold=None)
-        return (np.array_equal(probe.eta_q, self.eta_q)
-                and np.array_equal(probe.deta_q, self.deta_q))
-
 
 def min_radius_of(shell_mesh, eta_free, radius):
     """min(R + eta) over mesh nodes and quadrature points, with its location."""

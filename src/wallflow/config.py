@@ -29,7 +29,7 @@ _SCHEMA = {
     "output": {"directory", "cadence", "fields", "ledger"},
 }
 _TOP_KEYS = set(_SCHEMA) | {"mode", "contact_threshold_factor",
-                            "compatibility_tol", "debug_audit"}
+                            "compatibility_tol"}
 _WAVE_KEYS = {
     "constant": {"kind", "value"},
     "sine": {"kind", "amplitude", "frequency", "phase"},
@@ -42,7 +42,6 @@ _DEFAULTS = {
     "mode": "viscoelastic",
     "contact_threshold_factor": 1e-6,
     "compatibility_tol": 1e-10,
-    "debug_audit": False,
     "initial_data": {"kind": "zero"},
     "solver": {"fluid_tol": 1e-10, "structure_tol": 1e-12},
     "output": {"directory": "wallflow-out", "cadence": 10,
@@ -195,7 +194,6 @@ def validate_config(raw):
                 or val <= 0):
             problems.append(f"{key} must be a positive finite number")
         cfg[key] = val
-    cfg["debug_audit"] = bool(raw.get("debug_audit", False))
 
     if not problems and cfg["mesh"].get("wall_elements") != cfg["mesh"].get("n_z"):
         problems.append("mesh.wall_elements must equal mesh.n_z so interface "

@@ -3,7 +3,9 @@
 One linear solve per step over (interior fluid velocities, pressures, wall
 velocity): the interface condition u_r = v on the top edge is eliminated
 through the Hermite trace map, so wall inertia and wall viscosity land on
-the trace block of the system (Robin-type coupling).  That implicit
+the trace block of the system (Robin-type coupling).  The elimination,
+fixed DOFs included, is one prolongation ``P`` built per run; every
+reduced system, load and recovered field goes through it.  That implicit
 treatment of wall inertia is what makes the split scheme unconditionally
 stable, and elimination (rather than a multiplier) keeps the discrete
 energy identities exact at the algebra level.
@@ -27,10 +29,13 @@ from .errors import MeshAlignmentError, WallContact
 def build_coupling(shell_mesh, fluid_mesh, tol=1e-12):
     """Trace map from free wall DOFs to top-edge velocity node values.
 
-    Rows follow the top-edge nodes in z order (vertices and midpoints);
-    vertex rows pick the nodal value DOF, midpoint rows evaluate the cubic
-    shape functions at the element midpoint, so the map is exact on the
-    wall's own space.  The clamped end DOFs are absent, which pins the
+    Rows follow the top-edge nodes in z order (vertices and midpoints).  A
+    vertex row picks the nodal value DOF and a midpoint row evaluates the
+    cubic shape functions at the element midpoint, so the map is exact on
+    the wall's own space.  Built column by column (CSC): the value DOF of an
+    interior node has 1 at its vertex and 1/2 at the two adjacent
+    midpoints, its slope DOF -l/8 and +l/8 at the midpoints of the elements
+    to its left and right.  The clamped end DOFs are absent, which pins the
     corner trace values to zero.
     """
     if shell_mesh.n_elements != fluid_mesh.n_z:
@@ -42,27 +47,35 @@ def build_coupling(shell_mesh, fluid_mesh, tol=1e-12):
             or np.max(np.abs(shell_mesh.nodes - vertex_z)) > tol * fluid_mesh.length):
         raise MeshAlignmentError("wall nodes do not coincide with fluid "
                                  "top-edge vertices")
-    n_top = fluid_mesh.n_cols
-    rows, cols, vals = [], [], []
-    f2f = shell_mesh.full_to_free
-    for k in range(shell_mesh.n_nodes):
-        j = f2f[2 * k]
-        if j >= 0:
-            rows.append(2 * k)
-            cols.append(j)
-            vals.append(1.0)
-    for e in range(shell_mesh.n_elements):
-        le = shell_mesh.element_lengths[e]
-        weights = (0.5, le / 8.0, 0.5, -le / 8.0)   # cubic shapes at midpoint
-        for local, w in enumerate(weights):
-            j = f2f[2 * e + local]
-            if j >= 0:
-                rows.append(2 * e + 1)
-                cols.append(j)
-                vals.append(w)
-    t = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(n_top, shell_mesh.n_free)).tocsr()
-    return t
+    k = np.arange(1, shell_mesh.n_nodes - 1, dtype=np.int32)  # interior nodes
+    le = shell_mesh.element_lengths
+    half = np.full(k.size, 0.5)
+    rows = np.stack([2 * k - 1, 2 * k, 2 * k + 1, 2 * k - 1, 2 * k + 1], axis=1)
+    vals = np.stack([half, np.ones(k.size), half,
+                     -le[k - 1] / 8.0, le[k] / 8.0], axis=1)
+    indptr = np.zeros(shell_mesh.n_free + 1, dtype=np.int32)
+    indptr[1::2] = 5 * np.arange(k.size) + 3
+    indptr[2::2] = 5 * np.arange(1, k.size + 1)
+    return sp.csc_matrix((vals.ravel(), rows.ravel(), indptr),
+                         shape=(fluid_mesh.n_cols, shell_mesh.n_free))
+
+
+def build_prolongation(fluid_mesh, partition, trace_op):
+    """The elimination as one map ``P`` from reduced unknowns (free fluid
+    DOFs, then free wall DOFs) to the full velocity vector.
+
+    Its columns are the identity on the free DOFs and the trace map on the
+    top-edge radial DOFs; fixed DOFs get zero rows.  Reduced operators are
+    ``P^T A P``, reduced loads ``P^T f`` and recovered fields ``P x``.
+    Stored as CSC, so ``P.T`` is a CSR view and column slices are cheap.
+    """
+    nf = partition.n_free
+    t = trace_op.tocsc()
+    return sp.csc_matrix(
+        (np.concatenate([np.ones(nf), t.data]),
+         np.concatenate([partition.free, partition.top_r[t.indices]]),
+         np.concatenate([np.arange(nf), nf + t.indptr])),
+        shape=(2 * fluid_mesh.n_velocity_nodes, nf + t.shape[1]))
 
 
 @dataclass
@@ -78,6 +91,7 @@ class CoupledSetup:
     shell_mesh: object
     partition: object
     trace_op: object          # top-edge values from free wall DOFs
+    prolongation: object      # P: full velocity from reduced unknowns
     grams: tuple              # wall Gram matrices (G0, G1, G2); G0 = M_s
     shell_elastic: object     # A_s (only used by energy bookkeeping here)
     shell_viscous: object     # A'_s, zero matrix in the elastic case
@@ -94,11 +108,14 @@ class CoupledSetup:
 
 def make_setup(fluid_mesh, shell_mesh, coeffs, rho_f, mu, solver_tol=1e-10):
     grams = sh.assemble_grams(shell_mesh)
+    partition = fl.DofPartition(fluid_mesh)
+    trace_op = build_coupling(shell_mesh, fluid_mesh)
     return CoupledSetup(
         fluid_mesh=fluid_mesh,
         shell_mesh=shell_mesh,
-        partition=fl.DofPartition(fluid_mesh),
-        trace_op=build_coupling(shell_mesh, fluid_mesh),
+        partition=partition,
+        trace_op=trace_op,
+        prolongation=build_prolongation(fluid_mesh, partition, trace_op),
         grams=grams,
         shell_elastic=sh.assemble_elastic_form(shell_mesh, coeffs, grams),
         shell_viscous=sh.assemble_viscous_form(shell_mesh, coeffs, grams),
@@ -150,25 +167,34 @@ def momentum_matrix(setup, ops, dt):
             + 0.5 * setup.rho_f * ops["robin"] + ops["viscous"])
 
 
-def reduce_coupled_system(setup, a_mom, b_div, dt):
-    """Eliminate constrained DOFs and append the wall-velocity block."""
-    part, t = setup.partition, setup.trace_op
-    free, topr = part.free, part.top_r
-    a_rows_f = a_mom[free]
-    a_rows_t = a_mom[topr]
-    a_ff = a_rows_f[:, free]
-    a_ft = a_rows_f[:, topr] @ t
-    a_tf = t.T @ a_rows_t[:, free]
-    a_tt = (t.T @ a_rows_t[:, topr] @ t
-            + (setup.rho_s_h / dt) * setup.shell_mass + setup.shell_viscous)
-    b_f = b_div[:, free]
-    b_t = b_div[:, topr] @ t
-    system = sp.bmat([
-        [a_ff, a_ft, -b_f.T],
-        [a_tf, a_tt, -b_t.T],
-        [b_f, b_t, None],
-    ], format="csc")
-    return system, b_f, b_t
+def reduce_coupled_system(p, a_mom, b_div, wall=None):
+    """The step's saddle system ``[[P^T A P + W, -(B P)^T], [B P, 0]]``,
+    reduced through the prolongation ``p``.
+
+    ``wall`` (W) acts on the trailing reduced unknowns, the wall velocity;
+    without it the system has no wall block.  Every block is CSR, so
+    ``sp.bmat`` stacks them without a round trip through COO.
+    """
+    a_red = p.T @ a_mom @ p
+    if wall is not None:
+        n = a_red.shape[0] - wall.shape[0]
+        a_red = a_red + sp.block_diag((sp.csr_matrix((n, n)), wall),
+                                      format="csr")
+    bp = (b_div @ p).tocsr()
+    zero = sp.csr_matrix((bp.shape[0], bp.shape[0]))
+    return sp.bmat([[a_red, -bp.T.tocsr()], [bp, zero]], format="csr")
+
+
+def _solve_reduced(setup, p, ops, load, dt, solver, wall=None):
+    """Reduce the step through ``p``, solve it with the reduced momentum
+    load ``load`` and prolong; returns (reduced velocity, full velocity,
+    pressure)."""
+    system = reduce_coupled_system(p, momentum_matrix(setup, ops, dt),
+                                   ops["divergence"], wall)
+    n = p.shape[1]
+    x = solver.solve(system, np.concatenate(
+        [load, np.zeros(setup.fluid_mesh.n_pressure_nodes)]))
+    return x[:n], p @ x[:n], x[n:]
 
 
 def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, dt, p_in,
@@ -182,28 +208,18 @@ def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, dt, p_in,
     half step.  ``solver`` is the run's
     :class:`~wallflow.sparsela.ReusedFactorSolver`.
     """
-    part, t = setup.partition, setup.trace_op
     if snapshot.min_radius <= 0.0:
         raise WallContact(snapshot.min_radius, snapshot.min_radius_z)
     v_half = shell_half.v_star
     ops, forcing, rhs_full = assemble_step_operators(
         setup, snapshot, mass, u_prev_full, v_half, dt, p_in, p_out)
-    a_mom = momentum_matrix(setup, ops, dt)
-    system, _, _ = reduce_coupled_system(setup, a_mom, ops["divergence"], dt)
-    rhs = np.concatenate([
-        rhs_full[part.free],
-        t.T @ rhs_full[part.top_r] + (setup.rho_s_h / dt) * (setup.shell_mass @ v_half),
-        np.zeros(setup.fluid_mesh.n_pressure_nodes),
-    ])
-    x = solver.solve(system, rhs)
-
-    nf = part.n_free
-    ns = setup.shell_mesh.n_free
-    w, v_new, pressure = x[:nf], x[nf:nf + ns], x[nf + ns:]
-    u_full = np.zeros(2 * setup.fluid_mesh.n_velocity_nodes)
-    u_full[part.free] = w
-    u_full[part.top_r] = t @ v_new
-    return FluidStepResult(u_full=u_full, v_new=v_new, pressure=pressure,
+    p, nf = setup.prolongation, setup.partition.n_free
+    inertia = (setup.rho_s_h / dt) * setup.shell_mass
+    load = p.T @ rhs_full
+    load[nf:] += inertia @ v_half
+    x, u_full, pressure = _solve_reduced(setup, p, ops, load, dt, solver,
+                                         wall=inertia + setup.shell_viscous)
+    return FluidStepResult(u_full=u_full, v_new=x[nf:], pressure=pressure,
                            operators=ops, forcing=forcing)
 
 
@@ -212,20 +228,11 @@ def rigid_fluid_step(setup, snapshot, mass, u_prev_full, dt, p_in, p_out,
     """The fluid step of :func:`fluid_step` with the wall frozen: the wall
     velocity is zero and the reduced system has no wall block (every
     top-edge DOF is zero).  Test harness for rigid-wall channel flow."""
-    part = setup.partition
-    free = part.free
     ops, forcing, rhs_full = assemble_step_operators(
         setup, snapshot, mass, u_prev_full, setup.shell_mesh.zero_free(), dt,
         p_in, p_out)
-    a_mom = momentum_matrix(setup, ops, dt)
-    a_ff = a_mom[free][:, free]
-    b_f = ops["divergence"][:, free]
-    system = sp.bmat([[a_ff, -b_f.T], [b_f, None]], format="csc")
-    rhs = np.concatenate([rhs_full[free],
-                          np.zeros(setup.fluid_mesh.n_pressure_nodes)])
-    x = solver.solve(system, rhs)
-    u_full = np.zeros(2 * setup.fluid_mesh.n_velocity_nodes)
-    u_full[free] = x[:part.n_free]
+    p = setup.prolongation[:, :setup.partition.n_free]
+    _, u_full, pressure = _solve_reduced(setup, p, ops, p.T @ rhs_full, dt,
+                                         solver)
     return FluidStepResult(u_full=u_full, v_new=setup.shell_mesh.zero_free(),
-                           pressure=x[part.n_free:], operators=ops,
-                           forcing=forcing)
+                           pressure=pressure, operators=ops, forcing=forcing)

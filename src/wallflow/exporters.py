@@ -22,6 +22,7 @@ import os
 
 import numpy as np
 
+from .ale import map_to_physical
 from .errors import WallflowError
 
 _FMT = "%.17g"
@@ -29,11 +30,6 @@ _FMT = "%.17g"
 
 def _fmt(x):
     return _FMT % float(x)
-
-
-def _deformed_r(shell_mesh, eta_full, radius, z, r_ref):
-    eta = shell_mesh.evaluate(eta_full, z)
-    return (radius + eta) * r_ref
 
 
 def write_fields_csv(record, fluid_mesh, shell_mesh, radius, directory):
@@ -47,7 +43,8 @@ def write_fields_csv(record, fluid_mesh, shell_mesh, radius, directory):
         u = record.us[k]
         p = record.ps[k]
         nv = fluid_mesh.n_velocity_nodes
-        rp_v = _deformed_r(shell_mesh, eta, radius, zg_v.ravel(), rg_v.ravel())
+        _, rp_v = map_to_physical(shell_mesh, eta, radius, zg_v.ravel(),
+                                  rg_v.ravel())
         path = os.path.join(directory, f"velocity_{k:04d}.csv")
         with open(path, "w") as f:
             f.write("z,r_ref,r_phys,u_z,u_r\n")
@@ -56,7 +53,8 @@ def write_fields_csv(record, fluid_mesh, shell_mesh, radius, directory):
                                   _fmt(rp_v[i]), _fmt(u[i]), _fmt(u[nv + i])])
                         + "\n")
         written.append(path)
-        rp_p = _deformed_r(shell_mesh, eta, radius, zg_p.ravel(), rg_p.ravel())
+        _, rp_p = map_to_physical(shell_mesh, eta, radius, zg_p.ravel(),
+                                  rg_p.ravel())
         path = os.path.join(directory, f"pressure_{k:04d}.csv")
         with open(path, "w") as f:
             f.write("z,r_ref,r_phys,p\n")
@@ -104,8 +102,8 @@ def write_fields_vtk(record, fluid_mesh, shell_mesh, radius, directory):
     nz, nr = fluid_mesh.n_cols, fluid_mesh.n_rows
     nv = fluid_mesh.n_velocity_nodes
     for k in range(len(record)):
-        rp = _deformed_r(shell_mesh, record.etas[k], radius,
-                         zg.ravel(), rg.ravel())
+        _, rp = map_to_physical(shell_mesh, record.etas[k], radius,
+                                zg.ravel(), rg.ravel())
         u = record.us[k]
         p_nodes = _pressure_at_velocity_nodes(fluid_mesh, record.ps[k])
         path = os.path.join(directory, f"fields_{k:04d}.vtk")

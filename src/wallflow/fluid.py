@@ -181,24 +181,25 @@ def _transformed_basis_gradients(mesh, snapshot):
     return g1, g2
 
 
-def assemble_weighted_mass(mesh, snapshot):
-    """Velocity mass with the Jacobian weight R + eta (SPD)."""
-    w = mesh.quad_w_dv[None, :] * snapshot.jac_q
+def _mass(mesh, w):
+    """Velocity mass with the (n_cells, n_quad) quadrature weights ``w`` on
+    both components."""
     blk = np.einsum("cq,qa,qb->cab", w, mesh.phi, mesh.phi)
     data = mesh._vv_blocks()
     data[0, 0] = blk
     data[1, 1] = blk
     return mesh.vv_pattern().csr(data)
+
+
+def assemble_weighted_mass(mesh, snapshot):
+    """Velocity mass with the Jacobian weight R + eta (SPD)."""
+    return _mass(mesh, mesh.quad_w_dv[None, :] * snapshot.jac_q)
 
 
 def assemble_unweighted_mass(mesh):
     """Plain velocity mass on the reference rectangle (norms, diagnostics)."""
-    w = np.broadcast_to(mesh.quad_w_dv[None, :], (mesh.n_cells, mesh.n_quad))
-    blk = np.einsum("cq,qa,qb->cab", w, mesh.phi, mesh.phi)
-    data = mesh._vv_blocks()
-    data[0, 0] = blk
-    data[1, 1] = blk
-    return mesh.vv_pattern().csr(data)
+    return _mass(mesh, np.broadcast_to(mesh.quad_w_dv[None, :],
+                                       (mesh.n_cells, mesh.n_quad)))
 
 
 def assemble_viscous(mesh, snapshot, mu):
@@ -247,13 +248,8 @@ def assemble_robin_mass(mesh, v_half_q):
     weighted mass into the weight R + eta + dt * v_half at every quadrature
     point, which is the kinetic-energy update identity the scheme relies on.
     """
-    w = mesh.quad_w_dv[None, :] * np.broadcast_to(
-        np.asarray(v_half_q, dtype=float), (mesh.n_cells, mesh.n_quad))
-    blk = np.einsum("cq,qa,qb->cab", w, mesh.phi, mesh.phi)
-    data = mesh._vv_blocks()
-    data[0, 0] = blk
-    data[1, 1] = blk
-    return mesh.vv_pattern().csr(data)
+    return _mass(mesh, mesh.quad_w_dv[None, :] * np.broadcast_to(
+        np.asarray(v_half_q, dtype=float), (mesh.n_cells, mesh.n_quad)))
 
 
 def assemble_divergence(mesh, snapshot):

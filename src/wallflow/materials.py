@@ -68,10 +68,6 @@ class ShellCoefficients:
     D2: float
     rho_s_h: float
 
-    @property
-    def is_elastic(self):
-        return self.D0 == 0.0 and self.D1 == 0.0 and self.D2 == 0.0
-
 
 def derive_coefficients(material: ShellMaterial) -> ShellCoefficients:
     """Map physical wall parameters to the PDE coefficients.
@@ -165,9 +161,7 @@ def validate_compatibility(shell_mesh, fluid_mesh, eta0, v0, u0, radius,
     add("v0 clamped value at z=L", abs(v0[end]), s_v)
     add("v0 clamped slope at z=L", abs(v0[end + 1]), s_v)
 
-    trace_op = build_coupling(shell_mesh, fluid_mesh)
-    v0_free = shell_mesh.to_free(v0)
-    trace = trace_op @ v0_free
+    trace = build_coupling(shell_mesh, fluid_mesh) @ shell_mesh.to_free(v0)
     nv = fluid_mesh.n_velocity_nodes
     top = fluid_mesh.top_nodes
     s_u = max(scale_of(u0), s_v)

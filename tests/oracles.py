@@ -14,6 +14,7 @@ slope) per node with clamped ends dropped.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from wallflow.coupling import momentum_matrix
@@ -422,6 +423,45 @@ def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
     slack = (e_half + c_tilde * dt * pressures_sq
              - e_new - jump_f - jump_s - d_ledger)
     return equality_residual, slack
+
+
+def trace_map_by_loop(shell_mesh, fluid_mesh):
+    """Reference trace map, row by row: a vertex row picks the nodal value
+    DOF, a midpoint row evaluates the cubic shapes at the element midpoint."""
+    t = np.zeros((fluid_mesh.n_cols, shell_mesh.n_free))
+    f2f = shell_mesh.full_to_free
+    for k in range(shell_mesh.n_nodes):
+        if f2f[2 * k] >= 0:
+            t[2 * k, f2f[2 * k]] = 1.0
+    for e in range(shell_mesh.n_elements):
+        le = shell_mesh.element_lengths[e]
+        for local, w in enumerate((0.5, le / 8.0, 0.5, -le / 8.0)):
+            j = f2f[2 * e + local]
+            if j >= 0:
+                t[2 * e + 1, j] = w
+    return t
+
+
+def reduce_by_index(setup, a_mom, b_div, wall=None):
+    """Reference block reduction of a step system by index sets.
+
+    Picks the free rows and columns, pairs the top-edge radial ones with
+    the trace map and appends ``wall`` to the wall block; without ``wall``
+    every top-edge DOF is zero and there is no wall block (the rigid step).
+    """
+    part, t = setup.partition, setup.trace_op
+    free, topr = part.free, part.top_r
+    a_ff = a_mom[free][:, free]
+    b_f = b_div[:, free]
+    if wall is None:
+        return sp.bmat([[a_ff, -b_f.T], [b_f, None]], format="csc")
+    a_ft = a_mom[free][:, topr] @ t
+    a_tf = t.T @ a_mom[topr][:, free]
+    a_tt = t.T @ a_mom[topr][:, topr] @ t + wall
+    b_t = b_div[:, topr] @ t
+    return sp.bmat([[a_ff, a_ft, -b_f.T],
+                    [a_tf, a_tt, -b_t.T],
+                    [b_f, b_t, None]], format="csc")
 
 
 def _momentum_residual(setup, result, u_prev_full, dt):

@@ -144,12 +144,3 @@ def test_pullback_samples_the_deformed_geometry(meshes):
     node = fm.top_nodes[fm.n_cols // 2]
     assert u[node] == pytest.approx(0.7, rel=1e-12)
     assert np.all(u[fm.n_velocity_nodes:] == 0.0)
-
-
-def test_snapshot_audit_matches_source(meshes):
-    sm, fm = meshes
-    rng = np.random.default_rng(8)
-    eta = 0.01 * rng.standard_normal(sm.n_free)
-    snap = ale.build_snapshot(sm, eta, fm, radius=0.5)
-    assert snap.matches(sm, eta, fm)
-    assert not snap.matches(sm, eta * 1.001, fm)

@@ -7,8 +7,9 @@ from wallflow.errors import MeshAlignmentError
 from wallflow.materials import ShellMaterial, derive_coefficients
 from wallflow.sparsela import ReusedFactorSolver
 
-from oracles import (fluid_step_energy_residuals, top_edge_traction,
-                     wall_traction_load, zero_shell_state)
+from oracles import (fluid_step_energy_residuals, reduce_by_index,
+                     top_edge_traction, trace_map_by_loop, wall_traction_load,
+                     zero_shell_state)
 
 
 def make_setup(n_z=8, n_r=4, length=6.0, elastic=False):
@@ -54,6 +55,27 @@ def test_trace_reproduces_wall_fields_at_all_edge_nodes():
     trace = cs.trace_op @ v
     direct = sm.evaluate(v, fm.velocity_z)
     assert np.abs(trace - direct).max() <= 1e-14 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("n_z", [1, 2, 8, 13])
+def test_trace_map_matches_the_loop_reference(n_z):
+    sm, fm = shell.ShellMesh(n_z, 2.7), fluid.FluidMesh(n_z, 2, 2.7)
+    t = coupling.build_coupling(sm, fm)
+    assert np.array_equal(t.toarray(), trace_map_by_loop(sm, fm))
+
+
+def test_prolongation_places_free_trace_and_fixed_dofs():
+    _, _, sm, fm, cs = make_setup()
+    part, p = cs.partition, cs.prolongation
+    assert p.format == "csc"
+    assert p.shape == (2 * fm.n_velocity_nodes, part.n_free + sm.n_free)
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal(part.n_free)
+    v = rng.standard_normal(sm.n_free)
+    u = p @ np.concatenate([w, v])
+    assert np.array_equal(u[part.free], w)
+    assert np.array_equal(u[part.top_r], cs.trace_op @ v)
+    assert np.all(u[part.fixed] == 0.0)
 
 
 def test_mesh_misalignment_is_rejected():
@@ -164,31 +186,47 @@ def test_zero_pressure_step_dissipates(stepped):
     assert e_new < e_half
 
 
+def wall_block(cs, dt):
+    return (cs.rho_s_h / dt) * cs.shell_mass + cs.shell_viscous
+
+
+def test_reduction_matches_the_index_reference(stepped):
+    # coupled: P^T A P + W over (free, wall); rigid: the free columns only
+    _, _, _, _, cs, _, _, dt, _, res, _, _ = stepped
+    a_mom = coupling.momentum_matrix(cs, res.operators, dt)
+    b_div = res.operators["divergence"]
+    p, nf = cs.prolongation, cs.partition.n_free
+    for system, ref in (
+            (coupling.reduce_coupled_system(p, a_mom, b_div,
+                                            wall_block(cs, dt)),
+             reduce_by_index(cs, a_mom, b_div, wall_block(cs, dt))),
+            (coupling.reduce_coupled_system(p[:, :nf], a_mom, b_div),
+             reduce_by_index(cs, a_mom, b_div))):
+        assert system.shape == ref.shape
+        assert abs(system - ref).max() <= 1e-14 * abs(ref).max()
+
+
 def test_frozen_operator_solve_is_linear(stepped):
     # the coupled problem is linear: with the assembled operators frozen,
     # the solution superposes over (previous velocity, wall velocity, loads)
     material, coeffs, sm, fm, cs, state, u, dt, half, res, mass_old, _ = stepped
-    part, t = cs.partition, cs.trace_op
+    p, nf = cs.prolongation, cs.partition.n_free
     a_mom = coupling.momentum_matrix(cs, res.operators, dt)
-    system, _, _ = coupling.reduce_coupled_system(cs, a_mom,
-                                                  res.operators["divergence"],
-                                                  dt)
+    system = coupling.reduce_coupled_system(
+        p, a_mom, res.operators["divergence"], wall_block(cs, dt))
     from wallflow.sparsela import DirectFactor
     lu = DirectFactor(system)
 
     def solve(u_prev, v_half, forcing):
         rhs_full = (cs.rho_f / dt) * (res.operators["mass"] @ u_prev) + forcing
-        rhs = np.concatenate([
-            rhs_full[part.free],
-            t.T @ rhs_full[part.top_r]
-            + (cs.rho_s_h / dt) * (cs.shell_mass @ v_half),
-            np.zeros(fm.n_pressure_nodes)])
+        load = p.T @ rhs_full
+        load[nf:] += (cs.rho_s_h / dt) * (cs.shell_mass @ v_half)
+        rhs = np.concatenate([load, np.zeros(fm.n_pressure_nodes)])
         x = lu.solve(rhs, tol=1e-10)
         return x + lu.solve(rhs - system @ x, tol=1.0)
 
     rng = np.random.default_rng(3)
-    u2 = np.zeros_like(u)
-    u2[part.free] = rng.standard_normal(part.n_free)
+    u2 = p[:, :nf] @ rng.standard_normal(nf)
     v2 = rng.standard_normal(sm.n_free)
     f1 = res.forcing
     f2 = fluid.assemble_pressure_forcing(fm, -300.0, 100.0, material.radius)

@@ -1,9 +1,11 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
-from wallflow import ale, driver, fluid, shell, sparsela
+from wallflow import ale, coupling, driver, fluid, shell, sparsela
+from wallflow.cli import main
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
 from wallflow.errors import SolverError, ValidationError
@@ -13,7 +15,7 @@ from oracles import linear_interpolant, state_at
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-def small_cfg(**overrides):
+def small_raw(**overrides):
     raw = {
         "geometry": {"radius": 0.5, "length": 6.0},
         "fluid": {"density": 1.0, "viscosity": 0.035},
@@ -29,7 +31,11 @@ def small_cfg(**overrides):
     }
     for key, val in overrides.items():
         raw[key] = val
-    return validate_config(raw)
+    return raw
+
+
+def small_cfg(**overrides):
+    return validate_config(small_raw(**overrides))
 
 
 def test_zero_run_is_identically_zero():
@@ -88,9 +94,38 @@ def test_zero_forcing_energy_never_increases():
     assert mono and mono[0].passed
 
 
-def test_debug_audit_mode_runs():
-    cfg = small_cfg(debug_audit=True, time={"t_final": 0.001, "n_steps": 4})
-    assert driver.run(cfg).status == driver.STATUS_COMPLETED
+def test_fluid_step_geometry_is_the_start_of_step_wall(monkeypatch, tmp_path,
+                                                      capsys):
+    # step 0 runs on the snapshot of the initial eta, every later step on
+    # the snapshot of the eta the previous step's wall half step produced
+    calls = []
+    original = coupling.fluid_step
+
+    def recording(setup, snapshot, mass, u_prev, shell_half, *args):
+        calls.append((snapshot, shell_half.eta.copy()))
+        return original(setup, snapshot, mass, u_prev, shell_half, *args)
+
+    monkeypatch.setattr(coupling, "fluid_step", recording)
+    res = driver.run(small_cfg(
+        initial_data={"kind": "bump", "eta_amplitude": 0.02,
+                      "v_amplitude": 2.0},
+        time={"t_final": 0.001, "n_steps": 5}))
+    assert res.status == driver.STATUS_COMPLETED and len(calls) == 5
+    setup = res.setup
+    sm, fm = setup.shell_mesh, setup.fluid_mesh
+    sources = [sm.to_free(setup.initial_data()[0])]
+    sources += [eta for _, eta in calls[:-1]]
+    for (snap, eta_half), eta in zip(calls, sources):
+        probe = ale.build_snapshot(sm, eta, fm, setup.radius)
+        for name in ("eta_q", "deta_q", "jac_q"):
+            assert np.array_equal(getattr(snap, name), getattr(probe, name))
+        ahead = ale.build_snapshot(sm, eta_half, fm, setup.radius)
+        assert not np.array_equal(snap.eta_q, ahead.eta_q)
+    # the retired audit key is now an unknown key
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(small_raw(debug_audit=True)))
+    assert main(["run", str(path)]) == 1
+    assert "debug_audit" in capsys.readouterr().err
 
 
 def test_reuse_policy_matches_a_fresh_factor_every_step(monkeypatch):

@@ -174,17 +174,10 @@ def test_empty_ledger_verifies_trivially():
 def test_trace_constant_bounds_the_flux_functional(monkeypatch):
     material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
     snap = ale.build_snapshot(sm, sm.zero_free(), fm, material.radius)
-    k = fluid.assemble_viscous(fm, snap, 0.05)
-    part, t = cs.partition, cs.trace_op
-    import scipy.sparse as sp
-    k_red = sp.bmat([
-        [k[part.free][:, part.free], k[part.free][:, part.top_r] @ t],
-        [t.T @ k[part.top_r][:, part.free],
-         t.T @ k[part.top_r][:, part.top_r] @ t]], format="csc")
-    ell_full = fluid.assemble_pressure_forcing(fm, 1.0, 0.0, 1.0)
-    ell_in = np.concatenate([ell_full[part.free], t.T @ ell_full[part.top_r]])
-    ell_full = -fluid.assemble_pressure_forcing(fm, 0.0, 1.0, 1.0)
-    ell_out = np.concatenate([ell_full[part.free], t.T @ ell_full[part.top_r]])
+    p = cs.prolongation
+    k_red = p.T @ fluid.assemble_viscous(fm, snap, 0.05) @ p
+    ell_in = p.T @ fluid.assemble_pressure_forcing(fm, 1.0, 0.0, 1.0)
+    ell_out = p.T @ -fluid.assemble_pressure_forcing(fm, 0.0, 1.0, 1.0)
     factored = []
     original = DirectFactor.__init__
 

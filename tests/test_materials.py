@@ -42,7 +42,6 @@ def test_all_coefficient_formulas():
 def test_zero_wall_viscosity_zeroes_damping():
     c = derive_coefficients(reference_material(viscous_modulus=0.0))
     assert c.D0 == 0.0 and c.D1 == 0.0 and c.D2 == 0.0
-    assert c.is_elastic
 
 
 def test_zero_poisson_drops_c1():
