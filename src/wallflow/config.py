@@ -68,6 +68,15 @@ def _require_number(problems, obj, section, key, positive=False,
     return val
 
 
+def _optional_section(problems, raw, section):
+    """The raw ``section``, or its default when absent or not an object."""
+    sub = raw.get(section, _DEFAULTS[section])
+    if isinstance(sub, dict):
+        return sub
+    problems.append(f"section '{section}' must be an object")
+    return _DEFAULTS[section]
+
+
 def _check_unknown(problems, obj, allowed, section):
     for key in obj:
         if key not in allowed:
@@ -154,7 +163,7 @@ def validate_config(raw):
         elif kind == "csv" and not isinstance(spec.get("path"), str):
             problems.append(f"waveform.{side}.path must be a string")
 
-    init = dict(raw.get("initial_data", _DEFAULTS["initial_data"]))
+    init = dict(_optional_section(problems, raw, "initial_data"))
     _check_unknown(problems, init, _SCHEMA["initial_data"], "initial_data")
     if init.get("kind") not in ("zero", "bump"):
         problems.append("initial_data.kind must be 'zero' or 'bump'")
@@ -167,7 +176,8 @@ def validate_config(raw):
         problems.append("rigid mode requires zero initial data")
     cfg["initial_data"] = init
 
-    solver = {**_DEFAULTS["solver"], **raw.get("solver", {})}
+    solver = {**_DEFAULTS["solver"],
+              **_optional_section(problems, raw, "solver")}
     if "method" in solver:
         del solver["method"]
         problems.append("solver.method is no longer a setting: every fluid "
@@ -178,8 +188,11 @@ def validate_config(raw):
     _require_number(problems, solver, "solver", "structure_tol", positive=True)
     cfg["solver"] = solver
 
-    output = {**_DEFAULTS["output"], **raw.get("output", {})}
+    output = {**_DEFAULTS["output"],
+              **_optional_section(problems, raw, "output")}
     _check_unknown(problems, output, _SCHEMA["output"], "output")
+    if not isinstance(output["directory"], str):
+        problems.append("output.directory must be a string")
     if output["fields"] not in ("none", "csv", "vtk", "both"):
         problems.append("output.fields must be none|csv|vtk|both")
     if output["ledger"] not in ("none", "csv", "jsonl", "both"):

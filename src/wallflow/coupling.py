@@ -5,7 +5,8 @@ velocity): the interface condition u_r = v on the top edge is eliminated
 through the Hermite trace map, so wall inertia and wall viscosity land on
 the trace block of the system (Robin-type coupling).  The elimination,
 fixed DOFs included, is one prolongation ``P`` built per run; every
-reduced system, load and recovered field goes through it.  That implicit
+reduced system, load and recovered field goes through it; the steps read
+``P`` and the wall operators from the run's ``RunSetup``.  That implicit
 treatment of wall inertia is what makes the split scheme unconditionally
 stable, and elimination (rather than a multiplier) keeps the discrete
 energy identities exact at the algebra level.
@@ -22,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fluid as fl
-from . import shell as sh
 from .errors import MeshAlignmentError, WallContact
 
 
@@ -76,54 +76,6 @@ def build_prolongation(fluid_mesh, partition, trace_op):
          np.concatenate([partition.free, partition.top_r[t.indices]]),
          np.concatenate([np.arange(nf), nf + t.indptr])),
         shape=(2 * fluid_mesh.n_velocity_nodes, nf + t.shape[1]))
-
-
-@dataclass
-class CoupledSetup:
-    """Per-run immutable pieces of the coupled step.
-
-    ``solver_tol`` is the residual contract ``||Ax - b|| <= tol * ||b||`` of
-    every step solve.  The mutable solve policy is not part of the setup:
-    each run creates its own :class:`~wallflow.sparsela.ReusedFactorSolver`.
-    """
-
-    fluid_mesh: object
-    shell_mesh: object
-    partition: object
-    trace_op: object          # top-edge values from free wall DOFs
-    prolongation: object      # P: full velocity from reduced unknowns
-    grams: tuple              # wall Gram matrices (G0, G1, G2); G0 = M_s
-    shell_elastic: object     # A_s (only used by energy bookkeeping here)
-    shell_viscous: object     # A'_s, zero matrix in the elastic case
-    rho_f: float
-    mu: float
-    rho_s_h: float
-    solver_tol: float = 1e-10
-
-    @property
-    def shell_mass(self):
-        """M_s, the L2 Gram matrix of the wall basis."""
-        return self.grams[0]
-
-
-def make_setup(fluid_mesh, shell_mesh, coeffs, rho_f, mu, solver_tol=1e-10):
-    grams = sh.assemble_grams(shell_mesh)
-    partition = fl.DofPartition(fluid_mesh)
-    trace_op = build_coupling(shell_mesh, fluid_mesh)
-    return CoupledSetup(
-        fluid_mesh=fluid_mesh,
-        shell_mesh=shell_mesh,
-        partition=partition,
-        trace_op=trace_op,
-        prolongation=build_prolongation(fluid_mesh, partition, trace_op),
-        grams=grams,
-        shell_elastic=sh.assemble_elastic_form(shell_mesh, coeffs, grams),
-        shell_viscous=sh.assemble_viscous_form(shell_mesh, coeffs, grams),
-        rho_f=rho_f,
-        mu=mu,
-        rho_s_h=coeffs.rho_s_h,
-        solver_tol=solver_tol,
-    )
 
 
 @dataclass

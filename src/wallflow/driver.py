@@ -80,7 +80,9 @@ class RunResult:
 
 
 class RunSetup:
-    """Meshes, operators, and parameters shared by every step of a run."""
+    """Meshes, operators, and parameters shared by every step of a run: the
+    one per-run object, which carries the wall Gram matrices and forms, the
+    trace map and the prolongation ``P`` that both sub-steps read."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -100,13 +102,20 @@ class RunSetup:
         self.t_final = cfg["time"]["t_final"]
         self.n_steps = cfg["time"]["n_steps"]
         self.dt = self.t_final / self.n_steps
-        self.fluid_mesh = fluid.FluidMesh(cfg["mesh"]["n_z"], cfg["mesh"]["n_r"],
-                                          self.length)
-        self.shell_mesh = shell.ShellMesh(cfg["mesh"]["wall_elements"],
-                                          self.length)
-        self.coupled = coupling.make_setup(
-            self.fluid_mesh, self.shell_mesh, coeffs, self.rho_f, self.mu,
-            solver_tol=cfg["solver"]["fluid_tol"])
+        self.fluid_mesh = fm = fluid.FluidMesh(
+            cfg["mesh"]["n_z"], cfg["mesh"]["n_r"], self.length)
+        self.shell_mesh = sm = shell.ShellMesh(cfg["mesh"]["wall_elements"],
+                                               self.length)
+        self.grams = g = shell.assemble_grams(sm)    # (G0, G1, G2)
+        self.shell_mass = g[0]                       # M_s = G0
+        self.shell_elastic = shell.assemble_elastic_form(sm, coeffs, g)
+        self.shell_viscous = shell.assemble_viscous_form(sm, coeffs, g)
+        self.rho_s_h = coeffs.rho_s_h
+        self.partition = fluid.DofPartition(fm)
+        self.trace_op = coupling.build_coupling(sm, fm)   # top edge <- wall
+        self.prolongation = coupling.build_prolongation(fm, self.partition,
+                                                        self.trace_op)
+        self.solver_tol = cfg["solver"]["fluid_tol"]
         self.contact_threshold = cfg["contact_threshold_factor"] * self.radius
         base = cfg.get("_base_dir", ".")
         self.wave_in = ingest_waveform(cfg["waveform"]["inlet"], base)
@@ -149,7 +158,7 @@ def _trace_constant(setup, snapshot):
     initial geometry, and whether it was computed; combined with the
     observed per-step requirement by the verifier.  A failed factorization
     gives (0.0, False), which the ledger header records."""
-    p = setup.coupled.prolongation
+    p = setup.prolongation
     k_red = p.T @ fluid.assemble_viscous(setup.fluid_mesh, snapshot,
                                          setup.mu) @ p
     # both functionals as signed flux integrals
@@ -171,9 +180,9 @@ def run(cfg):
                           "poiseuille command, not run()")
     sm, fm = setup.shell_mesh, setup.fluid_mesh
     dt, n_steps = setup.dt, setup.n_steps
-    cs = setup.coupled
-    wall = shell.WallSystem(dt, cs.shell_mass, cs.shell_elastic, cs.rho_s_h)
-    solver = ReusedFactorSolver(cs.solver_tol)
+    wall = shell.WallSystem(dt, setup.shell_mass, setup.shell_elastic,
+                            setup.rho_s_h)
+    solver = ReusedFactorSolver(setup.solver_tol)
 
     eta0_full, v0_full, u0 = setup.initial_data()
     report = validate_compatibility(sm, fm, eta0_full, v0_full, u0,
@@ -201,7 +210,7 @@ def run(cfg):
                          solver=solver.stats)
 
     mass_old = fluid.assemble_weighted_mass(fm, snap)
-    monitor = EnergyMonitor(cs, setup.coeffs, dt)
+    monitor = EnergyMonitor(setup)
     e0 = monitor.total_energy(u, state.v, state.eta, mass_old)
     c_ref, c_ref_computed = _trace_constant(setup, snap)
     ledger = EnergyLedger(_ledger_header(setup, e0, c_ref, c_ref_computed))
@@ -230,7 +239,7 @@ def run(cfg):
             break
 
         try:
-            result = coupling.fluid_step(cs, snap, mass_old, u, half, dt,
+            result = coupling.fluid_step(setup, snap, mass_old, u, half, dt,
                                          p_in, p_out, solver)
         except SolverError as exc:
             status, failure = STATUS_SOLVER_FAILURE, str(exc)
@@ -304,14 +313,14 @@ def run_rigid_steady(setup, steady_tol=1e-10):
     mass = fluid.assemble_weighted_mass(fm, snap)
     u = np.zeros(2 * fm.n_velocity_nodes)
     pressure = np.zeros(fm.n_pressure_nodes)
-    solver = ReusedFactorSolver(setup.coupled.solver_tol)
+    solver = ReusedFactorSolver(setup.solver_tol)
     increment = math.inf
     taken = 0
     for n in range(setup.n_steps):
         p_in = setup.wave_in.average(n * dt, (n + 1) * dt)
         p_out = setup.wave_out.average(n * dt, (n + 1) * dt)
-        result = coupling.rigid_fluid_step(setup.coupled, snap, mass, u, dt,
-                                           p_in, p_out, solver)
+        result = coupling.rigid_fluid_step(setup, snap, mass, u, dt, p_in,
+                                           p_out, solver)
         du = np.linalg.norm(result.u_full - u)
         scale = max(np.linalg.norm(result.u_full), 1e-30)
         increment = du / scale
@@ -322,18 +331,17 @@ def run_rigid_steady(setup, steady_tol=1e-10):
     return u, pressure, taken, increment
 
 
+_P2_MASS = np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0],
+                     [-1.0, 2.0, 4.0]]) / 30.0
+
+
 def _column_l2_sq(vals, h):
     """Exact L2 norm squared of the per-cell quadratic interpolant through
-    3-node column values spaced h/2 apart."""
-    total = 0.0
-    for c in range((len(vals) - 1) // 2):
-        f0, f1, f2 = vals[2 * c], vals[2 * c + 1], vals[2 * c + 2]
-        a = f0
-        b = -3.0 * f0 + 4.0 * f1 - f2
-        q = 2.0 * f0 - 4.0 * f1 + 2.0 * f2
-        total += h * (a * a + a * b + (b * b + 2.0 * a * q) / 3.0
-                      + b * q / 2.0 + q * q / 5.0)
-    return total
+    3-node column values spaced h/2 apart: ``h v^T M v`` per cell of width
+    h, with M the P2 mass matrix of a unit cell."""
+    vals = np.asarray(vals, dtype=float)
+    cells = np.stack([vals[0:-1:2], vals[1::2], vals[2::2]], axis=1)
+    return h * float(np.einsum("ci,ij,cj->", cells, _P2_MASS, cells))
 
 
 def poiseuille_profile_error(cfg, steady_tol=1e-10):

@@ -46,6 +46,7 @@ LEDGER_COLUMNS = [
 ]
 
 ENERGY_FLOOR = 1e-30
+CSV_HEADER_TAG = "# wallflow-ledger-header:"
 
 
 class EnergyLedger:
@@ -86,7 +87,7 @@ class EnergyLedger:
 
     def to_csv(self, path):
         with open(path, "w", newline="") as f:
-            f.write("# wallflow-ledger-header: "
+            f.write(CSV_HEADER_TAG + " "
                     + json.dumps(self.header, sort_keys=True) + "\n")
             w = csv.writer(f)
             w.writerow(LEDGER_COLUMNS)
@@ -97,14 +98,15 @@ class EnergyLedger:
     def from_csv(cls, path):
         with open(path) as f:
             first = f.readline()
-            if not first.startswith("# wallflow-ledger-header:"):
+            if not first.startswith(CSV_HEADER_TAG):
                 raise WallflowError(f"{path} is not a ledger CSV")
-            header = json.loads(first.split(":", 1)[1])
+            led = cls(_parse_json_object(first[len(CSV_HEADER_TAG):], path))
             reader = csv.DictReader(f)
-            led = cls(header)
+            missing = set(LEDGER_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise WallflowError(f"{path}: no columns {sorted(missing)}")
             for rec in reader:
-                led.append({c: (int(rec[c]) if c == "step" else float(rec[c]))
-                            for c in LEDGER_COLUMNS})
+                led.append(_parse_row(rec, f"{path} line {reader.line_num}"))
         return led
 
     def to_jsonl(self, path):
@@ -118,15 +120,17 @@ class EnergyLedger:
     def from_jsonl(cls, path):
         led = None
         with open(path) as f:
-            for line in f:
-                obj = json.loads(line)
-                kind = obj.pop("kind")
+            for n, line in enumerate(f, start=1):
+                where = f"{path} line {n}"
+                obj = _parse_json_object(line, where)
+                kind = obj.pop("kind", None)
                 if kind == "header":
                     led = cls(obj)
-                elif kind == "row":
-                    if led is None:
-                        raise WallflowError("ledger rows before header")
-                    led.append(obj)
+                elif kind == "row" and led is not None:
+                    led.append(_parse_row(obj, where))
+                else:
+                    raise WallflowError(f"{where}: not a header or a row "
+                                        "after one")
         if led is None:
             raise WallflowError(f"{path} held no ledger header")
         return led
@@ -138,27 +142,55 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _parse_json_object(text, where):
+    """A JSON object from ledger text, or a WallflowError naming ``where``."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise WallflowError(f"{where}: malformed ledger JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise WallflowError(f"{where}: ledger JSON is not an object")
+    return obj
+
+
+def _parse_row(cells, where):
+    """The ledger columns of one stored row as numbers; a missing or
+    non-numeric cell is a WallflowError naming ``where``."""
+    row = {}
+    for c in LEDGER_COLUMNS:
+        cell = cells.get(c)
+        if cell is None:     # absent key, or a CSV row cut short
+            raise WallflowError(f"{where}: column {c} is missing")
+        try:
+            row[c] = int(cell) if c == "step" else float(cell)
+        except (TypeError, ValueError):
+            raise WallflowError(f"{where}: column {c} holds {cell!r}, "
+                                "not a number") from None
+    return row
+
+
 def load_ledger(path):
-    """Read a ledger from CSV or JSONL, sniffing the format."""
-    with open(path) as f:
-        first = f.readline()
-    if first.startswith("# wallflow-ledger-header:"):
-        return EnergyLedger.from_csv(path)
-    return EnergyLedger.from_jsonl(path)
+    """Read a ledger from CSV or JSONL, sniffing the format.  A file that
+    cannot be read or parsed raises :class:`WallflowError` naming it."""
+    try:
+        with open(path) as f:
+            is_csv = f.readline().startswith(CSV_HEADER_TAG)
+    except OSError as exc:
+        raise WallflowError(
+            f"cannot read ledger {path}: {exc.strerror}") from None
+    return (EnergyLedger.from_csv if is_csv else EnergyLedger.from_jsonl)(path)
 
 
 class EnergyMonitor:
-    """Computes ledger rows from the states and operators of each step."""
+    """Computes ledger rows from the states and operators of each step and
+    the run's ``RunSetup`` (its per-run operators, coefficients and dt)."""
 
-    def __init__(self, setup, coeffs, dt):
+    def __init__(self, setup):
         self.setup = setup
-        self.grams = setup.grams    # (G0, G1, G2) wall Gram matrices
-        self.coeffs = coeffs
-        self.dt = dt
 
     def _wall_elastic(self, eta):
-        g0, g1, g2 = self.grams
-        c = self.coeffs
+        g0, g1, g2 = self.setup.grams
+        c = self.setup.coeffs
         return (c.C0 * float(eta @ (g0 @ eta)) + c.C1 * float(eta @ (g1 @ eta))
                 + c.C2 * float(eta @ (g2 @ eta)))
 
@@ -174,9 +206,9 @@ class EnergyMonitor:
     def record_step(self, step, state_n, u_n, shell_half, result, mass_old,
                     mass_new, p_in, p_out):
         """One ledger row for a completed (wall + fluid) step."""
-        s, dt = self.setup, self.dt
-        g0, g1, g2 = self.grams
-        c = self.coeffs
+        s = self.setup
+        dt, c = s.dt, s.coeffs
+        g0, g1, g2 = s.grams
         ms = s.shell_mass
 
         e_n = self.total_energy(u_n, state_n.v, state_n.eta, mass_old)

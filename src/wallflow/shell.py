@@ -143,16 +143,15 @@ class ShellMesh:
 def assemble_grams(mesh):
     """The three free-space Gram matrices (L2, d/dz, d2/dz2) of the Hermite
     basis, used by the wall forms; the unit element's matrices are scaled to
-    every element in one broadcast."""
+    every element in one broadcast onto one shared scatter pattern."""
     edofs = mesh.element_dofs_free()
     blocks = hermite_element_matrices(mesh.element_lengths)  # 3 x (n_el, 4, 4)
     rows = np.repeat(edofs[:, :, None], 4, axis=2)
     cols = np.repeat(edofs[:, None, :], 4, axis=1)
     keep = (rows >= 0) & (cols >= 0)
-    return tuple(sparsela.build_csr(rows[keep], cols[keep],
-                                    blocks[d][keep],
-                                    (mesh.n_free, mesh.n_free))
-                 for d in range(3))
+    pattern = sparsela.ScatterPattern(rows[keep], cols[keep],
+                                      (mesh.n_free, mesh.n_free))
+    return tuple(pattern.csr(blocks[d][keep]) for d in range(3))
 
 
 def assemble_mass(mesh):

@@ -19,20 +19,14 @@ from scipy.linalg import solve_triangular
 from .errors import SolverError
 
 
-def build_csr(rows, cols, data, shape):
-    """Assemble a CSR matrix from COO triplets, summing duplicate entries."""
-    a = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-    a.sum_duplicates()
-    return a
-
-
 class ScatterPattern:
     """Precomputed duplicate-summing COO -> CSR map for a fixed sparsity pattern.
 
     Assembly loops produce raw (row, col, value) triplets in a fixed order;
     the pattern maps each raw slot to its CSR data slot so repeated
     assemblies only touch the data array.  Summation order is fixed by the
-    raw entry order, which keeps reassembly bit-reproducible.
+    raw entry order, which keeps reassembly bit-reproducible.  An empty
+    pattern (a wall with no free DOFs) gives empty matrices.
     """
 
     def __init__(self, rows, cols, shape):
@@ -40,11 +34,10 @@ class ScatterPattern:
         cols = np.asarray(cols, dtype=np.int64).ravel()
         order = np.lexsort((cols, rows))
         rs, cs = rows[order], cols[order]
-        new_group = np.empty(rs.size, dtype=bool)
-        new_group[0] = True
+        new_group = np.ones(rs.size, dtype=bool)
         new_group[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
         group = np.cumsum(new_group) - 1
-        self.nnz = int(group[-1]) + 1
+        self.nnz = int(np.count_nonzero(new_group))
         self.slot = np.empty(rows.size, dtype=np.int64)
         self.slot[order] = group
         self.indices = cs[new_group].astype(np.int32)

@@ -7,7 +7,8 @@ import pytest
 
 from wallflow import driver, energy
 from wallflow.cli import main
-from wallflow.energy import load_ledger
+from wallflow.energy import (CSV_HEADER_TAG, LEDGER_COLUMNS, EnergyLedger,
+                             load_ledger)
 from wallflow.errors import SolverError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -71,6 +72,24 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, key,
     path.write_text(json.dumps(raw))    # writes the NaN / Infinity literals
     assert main(["run", str(path)]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    ({"solver": [1e-10]}, "section 'solver' must be an object"),
+    ({"output": "out"}, "section 'output' must be an object"),
+    ({"initial_data": "zero"}, "section 'initial_data' must be an object"),
+    ({"output": {"directory": 5}}, "output.directory must be a string"),
+], ids=["solver-list", "output-string", "initial-data-string",
+        "directory-number"])
+def test_malformed_sections_are_config_errors(tmp_path, capsys, overrides,
+                                              problem):
+    cfg = write_cfg(tmp_path, name="malformed.json", **overrides)
+    assert main(["run", cfg]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert problem in lines[0]
+    assert "status:" not in captured.out     # rejected before the run
 
 
 def test_removed_solver_method_is_config_error(tmp_path, capsys):
@@ -179,3 +198,46 @@ def test_ledger_without_trace_flag_still_verifies(tmp_path, capsys):
     assert main(["verify", str(older)]) == 0
     out = capsys.readouterr().out
     assert "verdict: PASS" in out and "not computed" not in out
+
+
+def drop_column(lines, name):
+    at = lines[1].split(",").index(name)
+    return lines[:1] + [",".join(c for k, c in enumerate(line.split(","))
+                                 if k != at) for line in lines[1:]]
+
+
+def set_cell(lines, row, name, value):
+    cells = lines[2 + row].split(",")
+    cells[lines[1].split(",").index(name)] = value
+    return lines[:2 + row] + [",".join(cells)] + lines[3 + row:]
+
+
+MALFORMED_LEDGERS = {     # case -> (ledger format, edit of its lines)
+    "missing-file": ("csv", None),
+    "bad-header-json": ("csv", lambda lines: [CSV_HEADER_TAG + ' {"dt": ']
+                        + lines[1:]),
+    "non-numeric-cell": ("csv",
+                         lambda lines: set_cell(lines, 1, "e_full", "abc")),
+    "truncated-row": ("csv", lambda lines: lines[:-1] + [lines[-1][:20]]),
+    "missing-column": ("csv", lambda lines: drop_column(lines, "pwork")),
+    "jsonl-non-numeric-cell": ("jsonl", lambda lines: [
+        line.replace('"pwork": 0.5', '"pwork": "x"') for line in lines]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LEDGERS))
+def test_malformed_ledger_is_a_clean_error(tmp_path, capsys, case):
+    led = EnergyLedger({"dt": 1e-3, "rho_s_h": 1.0, "e0": 1.0})
+    for k in range(3):
+        led.append({c: k if c == "step" else 0.5 for c in LEDGER_COLUMNS})
+    fmt, edit = MALFORMED_LEDGERS[case]
+    path = tmp_path / f"ledger.{fmt}"
+    getattr(led, f"to_{fmt}")(path)
+    if edit is None:
+        path.unlink()
+    else:
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    assert main(["verify", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(path) in lines[0]

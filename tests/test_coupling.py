@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wallflow import ale, coupling, fluid, shell
+from wallflow import ale, coupling, driver, fluid, shell
+from wallflow.config import validate_config
 from wallflow.errors import MeshAlignmentError
-from wallflow.materials import ShellMaterial, derive_coefficients
 from wallflow.sparsela import ReusedFactorSolver
 
 from oracles import (fluid_step_energy_residuals, reduce_by_index,
@@ -12,17 +12,25 @@ from oracles import (fluid_step_energy_residuals, reduce_by_index,
                      zero_shell_state)
 
 
+def run_setup(n_z, n_r, length, mu, wall):
+    """A RunSetup for the given mesh, viscosity and wall section; the time
+    section is a placeholder, since every step here takes its own dt."""
+    return driver.RunSetup(validate_config({
+        "geometry": {"radius": 0.5, "length": length},
+        "fluid": {"density": 1.0, "viscosity": mu},
+        "wall": {"youngs_modulus": 7.5e5, "poisson_ratio": 0.5,
+                 "thickness": 0.1, "density": 1.1, **wall},
+        "mesh": {"n_z": n_z, "n_r": n_r, "wall_elements": n_z},
+        "time": {"t_final": 1.0, "n_steps": 1},
+        "waveform": {"inlet": {"kind": "constant", "value": 0.0},
+                     "outlet": {"kind": "constant", "value": 0.0}}}))
+
+
 def make_setup(n_z=8, n_r=4, length=6.0, elastic=False):
-    material = ShellMaterial(
-        youngs_modulus=7.5e5, poisson_ratio=0.5, thickness=0.1, radius=0.5,
-        length=length, density=1.1,
-        viscous_modulus=0.0 if elastic else 1000.0,
-        viscous_poisson=0.0 if elastic else 0.5)
-    coeffs = derive_coefficients(material)
-    sm = shell.ShellMesh(n_z, length)
-    fm = fluid.FluidMesh(n_z, n_r, length)
-    cs = coupling.make_setup(fm, sm, coeffs, rho_f=1.0, mu=0.035)
-    return material, coeffs, sm, fm, cs
+    wall = ({} if elastic
+            else {"viscous_modulus": 1000.0, "viscous_poisson": 0.5})
+    cs = run_setup(n_z, n_r, length, 0.035, wall)
+    return cs.material, cs.coeffs, cs.shell_mesh, cs.fluid_mesh, cs
 
 
 def compatible_state(sm, fm, rng, scale=0.01):
@@ -295,13 +303,8 @@ def test_wall_traction_zero_state():
 def test_rigid_poiseuille_traction_tracks_pressure():
     # steady rigid flow: the wall-normal traction equals the pressure up to
     # discretization effects away from the ends
-    material = ShellMaterial(youngs_modulus=7.5e5, poisson_ratio=0.5,
-                             thickness=0.1, radius=0.5, length=5.0,
-                             density=1.1)
-    coeffs = derive_coefficients(material)
-    sm = shell.ShellMesh(16, 5.0)
-    fm = fluid.FluidMesh(16, 8, 5.0)
-    cs = coupling.make_setup(fm, sm, coeffs, rho_f=1.0, mu=1.0)
+    cs = run_setup(16, 8, 5.0, 1.0, {})
+    material, sm, fm = cs.material, cs.shell_mesh, cs.fluid_mesh
     snap = ale.build_snapshot(sm, sm.zero_free(), fm, material.radius)
     mass = fluid.assemble_weighted_mass(fm, snap)
     u = np.zeros(2 * fm.n_velocity_nodes)

@@ -79,6 +79,28 @@ def test_replay_is_bitwise_reproducible():
         assert ra == rb
 
 
+def test_fully_clamped_wall_run_completes_and_verifies():
+    # one wall element: all four wall DOFs are clamped, so the wall has no
+    # free unknowns, the Gram matrices are empty and the wall half step
+    # has nothing to solve
+    cfg = small_cfg(mesh={"n_z": 1, "n_r": 1, "wall_elements": 1})
+    res = driver.run(cfg)
+    assert res.status == driver.STATUS_COMPLETED
+    assert res.setup.shell_mass.shape == (0, 0)
+    assert res.final["eta"].size == 0 and res.final["v"].size == 0
+    assert len(res.ledger) == cfg["time"]["n_steps"]
+    assert verify_run(res.ledger).ok
+
+
+@pytest.mark.parametrize("n_cells", [1, 4, 16])
+def test_column_norm_is_exact_on_quadratics(n_cells):
+    # 1 - r^2 is quadratic on every cell: its squared L2 norm on (0, 1)
+    # is 1 - 2/3 + 1/5 = 8/15 at any resolution
+    r = np.linspace(0.0, 1.0, 2 * n_cells + 1)
+    norm_sq = driver._column_l2_sq(1.0 - r**2, 1.0 / n_cells)
+    assert abs(norm_sq - 8.0 / 15.0) <= 1e-15
+
+
 def test_zero_forcing_energy_never_increases():
     cfg = small_cfg(
         waveform={"inlet": {"kind": "constant", "value": 0.0},

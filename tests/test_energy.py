@@ -1,26 +1,28 @@
 import numpy as np
 import pytest
 
-from wallflow import ale, coupling, fluid, shell
+from wallflow import ale, coupling, driver, fluid, shell
+from wallflow.config import validate_config
 from wallflow.energy import (LEDGER_COLUMNS, EnergyLedger, EnergyMonitor,
                              discrete_trace_constant, load_ledger, verify_run)
-from wallflow.materials import ShellMaterial, derive_coefficients
 from wallflow.sparsela import DirectFactor, ReusedFactorSolver
 
 from oracles import zero_shell_state
 
 
 def build_monitor(n_z=4, n_r=2, length=2.0):
-    material = ShellMaterial(youngs_modulus=1.0e5, poisson_ratio=0.5,
-                             thickness=0.1, radius=0.5, length=length,
-                             density=1.1, viscous_modulus=100.0,
-                             viscous_poisson=0.5)
-    coeffs = derive_coefficients(material)
-    sm = shell.ShellMesh(n_z, length)
-    fm = fluid.FluidMesh(n_z, n_r, length)
-    cs = coupling.make_setup(fm, sm, coeffs, rho_f=1.0, mu=0.05)
-    dt = 1e-3
-    return material, coeffs, sm, fm, cs, EnergyMonitor(cs, coeffs, dt), dt
+    cs = driver.RunSetup(validate_config({
+        "geometry": {"radius": 0.5, "length": length},
+        "fluid": {"density": 1.0, "viscosity": 0.05},
+        "wall": {"youngs_modulus": 1.0e5, "poisson_ratio": 0.5,
+                 "thickness": 0.1, "density": 1.1, "viscous_modulus": 100.0,
+                 "viscous_poisson": 0.5},
+        "mesh": {"n_z": n_z, "n_r": n_r, "wall_elements": n_z},
+        "time": {"t_final": 1e-3, "n_steps": 1},     # dt = 1e-3
+        "waveform": {"inlet": {"kind": "constant", "value": 0.0},
+                     "outlet": {"kind": "constant", "value": 0.0}}}))
+    return (cs.material, cs.coeffs, cs.shell_mesh, cs.fluid_mesh, cs,
+            EnergyMonitor(cs), cs.dt)
 
 
 def run_one_step(material, coeffs, sm, fm, cs, monitor, dt, p_in=300.0,

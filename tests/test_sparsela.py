@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from wallflow import sparsela
 from wallflow.errors import SolverError
 from wallflow.sparsela import (DirectFactor, ReusedFactorSolver,
-                               ScatterPattern, build_csr, krylov_solve)
+                               ScatterPattern, krylov_solve)
 
 
 def factor_solve(a, b, tol=1e-12):
@@ -56,11 +56,6 @@ def test_zero_rhs_returns_zero():
     assert np.all(factor_solve(a, np.zeros(4)) == 0.0)
 
 
-def test_build_csr_sums_duplicates():
-    a = build_csr([0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0], (2, 2))
-    assert a[0, 0] == 3.0 and a[1, 1] == 5.0 and a.nnz == 2
-
-
 def test_scatter_pattern_matches_coo():
     rng = np.random.default_rng(3)
     rows = rng.integers(0, 6, size=40)
@@ -74,6 +69,14 @@ def test_scatter_pattern_matches_coo():
     vals2 = rng.standard_normal(40)
     ref2 = sp.coo_matrix((vals2, (rows, cols)), shape=(6, 5)).toarray()
     assert np.abs(pattern.csr(vals2).toarray() - ref2).max() <= 1e-15
+
+
+def test_empty_scatter_pattern_gives_empty_matrices():
+    # the Gram pattern of a single-element wall, which has no free DOFs
+    pattern = ScatterPattern([], [], (0, 0))
+    a = pattern.csr([])
+    assert a.shape == (0, 0) and a.nnz == 0
+    assert ScatterPattern([], [], (3, 2)).csr([]).shape == (3, 2)
 
 
 def nonsymmetric_system(seed, n=60):
