@@ -1,9 +1,11 @@
 """Command-line surface.
 
 Subcommands: ``run`` a configured simulation, ``verify`` a stored energy
-ledger, ``converge`` a temporal self-convergence ladder, ``poiseuille`` the
-rigid-wall regression.  Exit codes are stable: 0 success, 1 configuration
-or verification error, 2 wall contact, 3 solver failure.  The environment
+ledger (``ledger.csv``, or the JSONL of older runs), ``converge`` a temporal
+self-convergence ladder, ``poiseuille`` the rigid-wall regression.  Exit
+codes are stable: 0 success, 1 configuration or verification error, 2 wall
+contact, 3 solver failure.  Tolerances are package constants, not settings:
+a configuration that sets one exits 1 as an unknown key.  The environment
 variable ``WALLFLOW_WORKERS`` sets the process count for convergence
 ladders (results are identical for any worker count).
 """

@@ -25,11 +25,9 @@ _SCHEMA = {
     "time": {"t_final", "n_steps"},
     "waveform": {"inlet", "outlet"},
     "initial_data": {"kind", "eta_amplitude", "v_amplitude"},
-    "solver": {"fluid_tol", "structure_tol"},
     "output": {"directory", "cadence", "fields", "ledger"},
 }
-_TOP_KEYS = set(_SCHEMA) | {"mode", "contact_threshold_factor",
-                            "compatibility_tol"}
+_TOP_KEYS = set(_SCHEMA) | {"mode"}
 _WAVE_KEYS = {
     "constant": {"kind", "value"},
     "sine": {"kind", "amplitude", "frequency", "phase"},
@@ -40,10 +38,7 @@ _MODES = {"viscoelastic", "elastic", "rigid"}
 
 _DEFAULTS = {
     "mode": "viscoelastic",
-    "contact_threshold_factor": 1e-6,
-    "compatibility_tol": 1e-10,
     "initial_data": {"kind": "zero"},
-    "solver": {"fluid_tol": 1e-10, "structure_tol": 1e-12},
     "output": {"directory": "wallflow-out", "cadence": 10,
                "fields": "none", "ledger": "csv"},
 }
@@ -176,18 +171,6 @@ def validate_config(raw):
         problems.append("rigid mode requires zero initial data")
     cfg["initial_data"] = init
 
-    solver = {**_DEFAULTS["solver"],
-              **_optional_section(problems, raw, "solver")}
-    if "method" in solver:
-        del solver["method"]
-        problems.append("solver.method is no longer a setting: every fluid "
-                        "step reuses the last LU as a GMRES preconditioner "
-                        "and refactors when GMRES misses; remove the key")
-    _check_unknown(problems, solver, _SCHEMA["solver"], "solver")
-    _require_number(problems, solver, "solver", "fluid_tol", positive=True)
-    _require_number(problems, solver, "solver", "structure_tol", positive=True)
-    cfg["solver"] = solver
-
     output = {**_DEFAULTS["output"],
               **_optional_section(problems, raw, "output")}
     _check_unknown(problems, output, _SCHEMA["output"], "output")
@@ -195,18 +178,13 @@ def validate_config(raw):
         problems.append("output.directory must be a string")
     if output["fields"] not in ("none", "csv", "vtk", "both"):
         problems.append("output.fields must be none|csv|vtk|both")
-    if output["ledger"] not in ("none", "csv", "jsonl", "both"):
-        problems.append("output.ledger must be none|csv|jsonl|both")
-    if not isinstance(output["cadence"], int) or output["cadence"] < 1:
+    if output["ledger"] not in ("none", "csv"):
+        problems.append(f"output.ledger must be none|csv, got "
+                        f"{output['ledger']!r}: the ledger is written as CSV")
+    cadence = output["cadence"]
+    if not isinstance(cadence, int) or isinstance(cadence, bool) or cadence < 1:
         problems.append("output.cadence must be a positive integer")
     cfg["output"] = output
-
-    for key in ("contact_threshold_factor", "compatibility_tol"):
-        val = raw.get(key, _DEFAULTS[key])
-        if (not isinstance(val, (int, float)) or not math.isfinite(val)
-                or val <= 0):
-            problems.append(f"{key} must be a positive finite number")
-        cfg[key] = val
 
     if not problems and cfg["mesh"].get("wall_elements") != cfg["mesh"].get("n_z"):
         problems.append("mesh.wall_elements must equal mesh.n_z so interface "

@@ -25,6 +25,10 @@ import scipy.sparse as sp
 from . import fluid as fl
 from .errors import MeshAlignmentError, WallContact
 
+# relative residual contract ||Ax - b|| <= tol * ||b|| of every fluid-step
+# solve; the run's ReusedFactorSolver refactors when GMRES misses it
+FLUID_TOL = 1e-10
+
 
 def build_coupling(shell_mesh, fluid_mesh, tol=1e-12):
     """Trace map from free wall DOFs to top-edge velocity node values.

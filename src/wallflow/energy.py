@@ -48,6 +48,14 @@ LEDGER_COLUMNS = [
 ENERGY_FLOOR = 1e-30
 CSV_HEADER_TAG = "# wallflow-ledger-header:"
 
+# verifier tolerances, relative; the acceptance criteria rest on them
+TOL_WALL_EQUALITY = 1e-10
+TOL_BALANCE = 1e-8
+TOL_TELESCOPED = 1e-8
+TOL_SLACK = 1e-10
+TOL_MONOTONE = 1e-12
+TOL_ENTRYWISE = 1e-13
+
 
 class EnergyLedger:
     """Append-only record of per-step energies and identity residuals."""
@@ -109,13 +117,6 @@ class EnergyLedger:
                 led.append(_parse_row(rec, f"{path} line {reader.line_num}"))
         return led
 
-    def to_jsonl(self, path):
-        with open(path, "w") as f:
-            f.write(json.dumps({"kind": "header", **self.header},
-                               sort_keys=True) + "\n")
-            for r in self.rows:
-                f.write(json.dumps({"kind": "row", **r}, sort_keys=True) + "\n")
-
     @classmethod
     def from_jsonl(cls, path):
         led = None
@@ -169,16 +170,32 @@ def _parse_row(cells, where):
     return row
 
 
+def _check_header(header, path):
+    """Raise a WallflowError naming ``path`` unless the header numbers the
+    verifier reads, ``dt`` and ``rho_s_h`` and any optional ones, are finite."""
+    for key in ("dt", "rho_s_h", "e0", "c_ref", "p_in_l2_sq", "p_out_l2_sq"):
+        val = header.get(key)
+        if key not in header:
+            if key in ("dt", "rho_s_h"):
+                raise WallflowError(f"{path}: ledger header has no {key}")
+        elif type(val) not in (int, float) or not math.isfinite(val):
+            raise WallflowError(f"{path}: ledger header {key} is {val!r}, "
+                                "not a finite number")
+
+
 def load_ledger(path):
-    """Read a ledger from CSV or JSONL, sniffing the format.  A file that
-    cannot be read or parsed raises :class:`WallflowError` naming it."""
+    """Read a ledger from CSV or (as older runs wrote it) JSONL, sniffing
+    the format.  A file that cannot be read or parsed, or whose header lacks
+    a number the verifier reads, raises :class:`WallflowError` naming it."""
     try:
         with open(path) as f:
             is_csv = f.readline().startswith(CSV_HEADER_TAG)
     except OSError as exc:
         raise WallflowError(
             f"cannot read ledger {path}: {exc.strerror}") from None
-    return (EnergyLedger.from_csv if is_csv else EnergyLedger.from_jsonl)(path)
+    led = (EnergyLedger.from_csv if is_csv else EnergyLedger.from_jsonl)(path)
+    _check_header(led.header, path)
+    return led
 
 
 class EnergyMonitor:
@@ -323,8 +340,11 @@ class VerdictReport:
         return "\n".join(lines)
 
 
-def verify_run(ledger, tol_struct=1e-10, tol_fluid=1e-8, tol_telescoped=1e-8,
-               tol_slack=1e-10, tol_monotone=1e-12):
+def _at_most(name, value, tol, detail=""):
+    return CheckResult(name, bool(value <= tol), float(value), tol, detail)
+
+
+def verify_run(ledger):
     """Run-level verification of the per-step identities and uniform bounds.
 
     Checks, all relative to max(E0, max energies, floor):
@@ -357,15 +377,13 @@ def verify_run(ledger, tol_struct=1e-10, tol_fluid=1e-8, tol_telescoped=1e-8,
         return VerdictReport(checks, True, scale, float(h.get("c_ref", 0.0)),
                              details={"c_ref_computed": c_ref_computed})
 
-    wall_eq = ledger.column("wall_step_residual") / scale
-    checks.append(CheckResult("wall half-step energy equality", bool(wall_eq.max() <= tol_struct),
-                              float(wall_eq.max()), tol_struct,
-                              f"worst step {int(np.argmax(wall_eq))}"))
-
-    bal = ledger.column("balance_residual") / scale
-    checks.append(CheckResult("fluid-step energy balance", bool(bal.max() <= tol_fluid),
-                              float(bal.max()), tol_fluid,
-                              f"worst step {int(np.argmax(bal))}"))
+    for name, column, tol in (
+            ("wall half-step energy equality", "wall_step_residual",
+             TOL_WALL_EQUALITY),
+            ("fluid-step energy balance", "balance_residual", TOL_BALANCE)):
+        rel = ledger.column(column) / scale
+        checks.append(_at_most(name, rel.max(), tol,
+                               f"worst step {int(np.argmax(rel))}"))
 
     # smallest constant the recorded steps require, then the max with the
     # mesh trace constant from the header
@@ -390,8 +408,9 @@ def verify_run(ledger, tol_struct=1e-10, tol_fluid=1e-8, tol_telescoped=1e-8,
 
     slack = (e_half + c_impl * dt * p_sq - e_full - 0.5 * jump_u
              - 0.5 * rho_s_h * jump_v_a2 - (d_fluid + d_shell))
-    checks.append(CheckResult("stability inequality slack", bool(slack.min() / scale >= -tol_slack),
-                              float(slack.min() / scale), -tol_slack,
+    checks.append(CheckResult("stability inequality slack",
+                              bool(slack.min() / scale >= -TOL_SLACK),
+                              float(slack.min() / scale), -TOL_SLACK,
                               f"worst step {int(np.argmin(slack))}"))
 
     dissipation_identity = 2.0 * d_fluid + d_shell
@@ -399,8 +418,8 @@ def verify_run(ledger, tol_struct=1e-10, tol_fluid=1e-8, tol_telescoped=1e-8,
                  + 0.5 * jump_eta)
     telescoped = abs(float(e_full[-1] + np.sum(dissipation_identity + all_jumps)
                            - np.sum(ledger.column("pwork")) - e0)) / scale
-    checks.append(CheckResult("telescoped energy identity", bool(telescoped <= tol_telescoped),
-                              telescoped, tol_telescoped))
+    checks.append(_at_most("telescoped energy identity", telescoped,
+                           TOL_TELESCOPED))
 
     if p_sq.max() <= ENERGY_FLOOR:
         chain = np.empty(2 * len(ledger) + 1)
@@ -408,10 +427,10 @@ def verify_run(ledger, tol_struct=1e-10, tol_fluid=1e-8, tol_telescoped=1e-8,
         chain[1::2] = e_half
         chain[2::2] = e_full
         increases = np.diff(chain)
-        worst = float(increases.max() / scale)
-        checks.append(CheckResult("zero-forcing energy monotonicity",
-                                  bool(worst <= tol_monotone), worst, tol_monotone,
-                                  f"{int(np.sum(increases > tol_monotone * scale))} violations"))
+        checks.append(_at_most(
+            "zero-forcing energy monotonicity", increases.max() / scale,
+            TOL_MONOTONE,
+            f"{int(np.sum(increases > TOL_MONOTONE * scale))} violations"))
     else:
         p_l2 = float(h.get("p_in_l2_sq", 0.0)) + float(h.get("p_out_l2_sq", 0.0))
         bound = e0 + c_impl * p_l2
@@ -420,18 +439,15 @@ def verify_run(ledger, tol_struct=1e-10, tol_fluid=1e-8, tol_telescoped=1e-8,
                                   ratio, 1.0,
                                   f"max energy / (E0 + C_impl ||P||^2)"))
 
-    mass_rel = ledger.column("mass_update_residual") / np.maximum(
-        ledger.column("mass_update_scale"), ENERGY_FLOOR)
-    checks.append(CheckResult("mass/geometry update identity", bool(mass_rel.max() <= 1e-13),
-                              float(mass_rel.max()), 1e-13))
+    for name, column, ref in (
+            ("mass/geometry update identity", "mass_update_residual",
+             "mass_update_scale"),
+            ("transport skew-symmetry", "advection_skew", "advection_scale")):
+        rel = ledger.column(column) / np.maximum(ledger.column(ref),
+                                                 ENERGY_FLOOR)
+        checks.append(_at_most(name, rel.max(), TOL_ENTRYWISE))
 
-    skew_rel = ledger.column("advection_skew") / np.maximum(
-        ledger.column("advection_scale"), ENERGY_FLOOR)
-    checks.append(CheckResult("transport skew-symmetry", bool(skew_rel.max() <= 1e-13),
-                              float(skew_rel.max()), 1e-13))
-
-    report = VerdictReport(checks, all(c.passed for c in checks), scale, c_impl,
-                           details={"c_needed": c_needed,
-                                    "c_ref": float(h.get("c_ref", 0.0)),
-                                    "c_ref_computed": c_ref_computed})
-    return report
+    return VerdictReport(checks, all(c.passed for c in checks), scale, c_impl,
+                         details={"c_needed": c_needed,
+                                  "c_ref": float(h.get("c_ref", 0.0)),
+                                  "c_ref_computed": c_ref_computed})

@@ -15,7 +15,7 @@ File layouts (documented here, stable across releases):
 * ``fields_NNNN.vtk``: legacy VTK STRUCTURED_GRID on the deformed velocity
   grid with a velocity vector field and the pressure interpolated to the
   velocity nodes;
-* ledger CSV/JSONL: see :mod:`wallflow.energy`.
+* ``ledger.csv``: see :mod:`wallflow.energy`.
 """
 
 import os
@@ -131,14 +131,9 @@ def write_outputs(result, setup, output_cfg):
     directory = output_cfg["directory"]
     os.makedirs(directory, exist_ok=True)
     written = []
-    ledger_mode = output_cfg["ledger"]
-    if ledger_mode in ("csv", "both"):
+    if output_cfg["ledger"] == "csv":
         path = os.path.join(directory, "ledger.csv")
         result.ledger.to_csv(path)
-        written.append(path)
-    if ledger_mode in ("jsonl", "both"):
-        path = os.path.join(directory, "ledger.jsonl")
-        result.ledger.to_jsonl(path)
         written.append(path)
     fields_mode = output_cfg["fields"]
     try:

@@ -173,14 +173,6 @@ def shell_field_at_quad(shell_mesh, field_free, fluid_mesh, deriv=0):
     return vals[fluid_mesh.quad_z_index]
 
 
-def _transformed_basis_gradients(mesh, snapshot):
-    """Per-cell transformed partials (G1, G2) of every velocity basis."""
-    factor = mesh.quad_r * snapshot.deta_q / snapshot.jac_q       # (nc, nq)
-    g1 = mesh.dphi_dz[None, :, :] - factor[:, :, None] * mesh.dphi_dr[None, :, :]
-    g2 = mesh.dphi_dr[None, :, :] / snapshot.jac_q[:, :, None]
-    return g1, g2
-
-
 def _mass(mesh, w):
     """Velocity mass with the (n_cells, n_quad) quadrature weights ``w`` on
     both components."""
@@ -193,7 +185,7 @@ def _mass(mesh, w):
 
 def assemble_weighted_mass(mesh, snapshot):
     """Velocity mass with the Jacobian weight R + eta (SPD)."""
-    return _mass(mesh, mesh.quad_w_dv[None, :] * snapshot.jac_q)
+    return _mass(mesh, snapshot.w)
 
 
 def assemble_unweighted_mass(mesh):
@@ -204,8 +196,7 @@ def assemble_unweighted_mass(mesh):
 
 def assemble_viscous(mesh, snapshot, mu):
     """Weighted viscous operator 2*mu*(strain(u), strain(q)), symmetric PSD."""
-    g1, g2 = _transformed_basis_gradients(mesh, snapshot)
-    w = mesh.quad_w_dv[None, :] * snapshot.jac_q
+    g1, g2, w = snapshot.g1, snapshot.g2, snapshot.w
     def form(xa, xb):
         return np.matmul((w[..., None] * xa).transpose(0, 2, 1), xb)
     def symmetric_form(x):       # exactly symmetric, like the bilinear form
@@ -227,13 +218,11 @@ def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
     v_half * r * e_r; the two antisymmetrized terms make q^T N q = 0 exactly,
     entry by entry, so the assembled matrix satisfies N = -N^T to roundoff.
     """
-    g1, g2 = _transformed_basis_gradients(mesh, snapshot)
     a = mesh.velocity_at_quad(u_advect_full)
     a1 = a[0]
     a2 = a[1] - v_half_q * mesh.quad_r        # minus the domain velocity
-    adv = a1[:, :, None] * g1 + a2[:, :, None] * g2       # (nc, nq, 9)
-    w = mesh.quad_w_dv[None, :] * snapshot.jac_q
-    x = np.einsum("cq,qa,cqb->cab", w, mesh.phi, adv)
+    adv = a1[:, :, None] * snapshot.g1 + a2[:, :, None] * snapshot.g2
+    x = np.einsum("cq,qa,cqb->cab", snapshot.w, mesh.phi, adv)
     blk = 0.5 * rho_f * (x - np.swapaxes(x, 1, 2))
     data = mesh._vv_blocks()
     data[0, 0] = blk
@@ -254,11 +243,9 @@ def assemble_robin_mass(mesh, v_half_q):
 
 def assemble_divergence(mesh, snapshot):
     """Weighted divergence coupling: rows pressures, columns velocities."""
-    g1, g2 = _transformed_basis_gradients(mesh, snapshot)
-    w = mesh.quad_w_dv[None, :] * snapshot.jac_q
     data = np.stack([
-        np.einsum("cq,qa,cqb->cab", w, mesh.chi, g1),
-        np.einsum("cq,qa,cqb->cab", w, mesh.chi, g2),
+        np.einsum("cq,qa,cqb->cab", snapshot.w, mesh.chi, snapshot.g1),
+        np.einsum("cq,qa,cqb->cab", snapshot.w, mesh.chi, snapshot.g2),
     ])
     return mesh.pv_pattern().csr(data)
 

@@ -9,7 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ale import min_radius_of
 from .errors import ValidationError
+
+# relative residual under which a compatibility condition of initial data holds
+COMPATIBILITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,7 @@ class CompatibilityReport:
         return "\n".join(lines)
 
 
-def validate_compatibility(shell_mesh, fluid_mesh, eta0, v0, u0, radius,
-                           tol=1e-10):
+def validate_compatibility(shell_mesh, fluid_mesh, eta0, v0, u0, radius):
     """Check that discrete initial data are mutually compatible.
 
     ``eta0`` and ``v0`` are full Hermite DOF vectors (value, slope per node,
@@ -131,7 +134,7 @@ def validate_compatibility(shell_mesh, fluid_mesh, eta0, v0, u0, radius,
     * strict positivity of R + eta0 over nodes and quadrature points.
 
     Residuals are relative to the max-norm of the corresponding field, so
-    exactly constructed data report zero.  The default tolerance is tight
+    exactly constructed data report zero; :data:`COMPATIBILITY_TOL` is tight
     because initial data are typically built exactly.
     """
     from .coupling import build_coupling  # local import to avoid a cycle
@@ -148,23 +151,18 @@ def validate_compatibility(shell_mesh, fluid_mesh, eta0, v0, u0, radius,
 
     def add(name, residual, scale):
         rel = residual / scale
-        checks.append(ConditionCheck(name, rel, rel <= tol))
+        checks.append(ConditionCheck(name, rel, rel <= COMPATIBILITY_TOL))
 
     end = 2 * shell_mesh.n_nodes - 2
-    s_eta, s_v = scale_of(eta0), scale_of(v0)
-    add("eta0 clamped value at z=0", abs(eta0[0]), s_eta)
-    add("eta0 clamped slope at z=0", abs(eta0[1]), s_eta)
-    add("eta0 clamped value at z=L", abs(eta0[end]), s_eta)
-    add("eta0 clamped slope at z=L", abs(eta0[end + 1]), s_eta)
-    add("v0 clamped value at z=0", abs(v0[0]), s_v)
-    add("v0 clamped slope at z=0", abs(v0[1]), s_v)
-    add("v0 clamped value at z=L", abs(v0[end]), s_v)
-    add("v0 clamped slope at z=L", abs(v0[end + 1]), s_v)
+    for name, field in (("eta0", eta0), ("v0", v0)):
+        for k, which in ((0, "value at z=0"), (1, "slope at z=0"),
+                         (end, "value at z=L"), (end + 1, "slope at z=L")):
+            add(f"{name} clamped {which}", abs(field[k]), scale_of(field))
 
     trace = build_coupling(shell_mesh, fluid_mesh) @ shell_mesh.to_free(v0)
     nv = fluid_mesh.n_velocity_nodes
     top = fluid_mesh.top_nodes
-    s_u = max(scale_of(u0), s_v)
+    s_u = max(scale_of(u0), scale_of(v0))
     add("interface trace u0_r = v0", float(np.max(np.abs(u0[nv + top] - trace))), s_u)
     add("interface trace u0_z = 0", float(np.max(np.abs(u0[top]))), s_u)
     others = np.concatenate(
@@ -172,8 +170,7 @@ def validate_compatibility(shell_mesh, fluid_mesh, eta0, v0, u0, radius,
     )
     add("u0_r = 0 on bottom/inlet/outlet", float(np.max(np.abs(u0[nv + others]))), s_u)
 
-    zs = np.concatenate([shell_mesh.nodes, shell_mesh.quad_points()])
-    min_r = radius + float(np.min(shell_mesh.evaluate(eta0, zs)))
+    min_r, _ = min_radius_of(shell_mesh, eta0, radius)
     checks.append(ConditionCheck("R + eta0 > 0 (min radius)", min_r, min_r > 0.0))
 
     report = CompatibilityReport(tuple(checks), all(c.passed for c in checks))

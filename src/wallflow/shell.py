@@ -19,6 +19,9 @@ _QX, _QW = leggauss(4)
 _QX = 0.5 * (_QX + 1.0)
 _QW = 0.5 * _QW
 
+# relative residual contract ||Ax - b|| <= tol * ||b|| of the wall half step
+STRUCTURE_TOL = 1e-12
+
 
 def _shape_table(s, deriv):
     """Hermite shapes on [0,1] for unit element length, one row per point.
@@ -197,14 +200,14 @@ class WallSystem:
         self.rho_s_h = rho_s_h
         self._factor = None
 
-    def solve(self, rhs, tol):
+    def solve(self, rhs):
         if self._factor is None:
             a = self.rho_s_h * self.mass + self.dt * self.dt * self.elastic
             self._factor = sparsela.DirectFactor(a)
-        return self._factor.solve(rhs, tol=tol)
+        return self._factor.solve(rhs, tol=STRUCTURE_TOL)
 
 
-def structure_step(state, wall, tol=1e-12):
+def structure_step(state, wall):
     """Advance the wall elastodynamics half step.
 
     Solves the one-matrix eliminated system of the run's :class:`WallSystem`
@@ -222,6 +225,6 @@ def structure_step(state, wall, tol=1e-12):
                           v_star=np.zeros(0))
     dt = wall.dt
     rhs = wall.rho_s_h * (wall.mass @ (state.eta + dt * state.v))
-    eta_half = wall.solve(rhs, tol)
+    eta_half = wall.solve(rhs)
     v_half = (eta_half - state.eta) / dt
     return ShellState(eta=eta_half, v=state.v.copy(), v_star=v_half)

@@ -120,7 +120,7 @@ def test_map_jacobian_determinant_is_the_weight(meshes):
     # determinant of [[1, 0], [r deta, R + eta]] at a few sampled points
     for c, q in [(0, 0), (3, 4), (7, 8)]:
         grad_map = np.array([[1.0, 0.0],
-                             [snap.r_q[c, q] * snap.deta_q[c, q],
+                             [fm.quad_r[c, q] * snap.deta_q[c, q],
                               snap.jac_q[c, q]]])
         det = np.linalg.det(grad_map)
         assert det == pytest.approx(snap.jac_q[c, q], rel=1e-14)

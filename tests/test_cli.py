@@ -11,6 +11,8 @@ from wallflow.energy import (CSV_HEADER_TAG, LEDGER_COLUMNS, EnergyLedger,
                              load_ledger)
 from wallflow.errors import SolverError
 
+from oracles import write_ledger_jsonl
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
@@ -75,12 +77,13 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, key,
 
 
 @pytest.mark.parametrize("overrides, problem", [
-    ({"solver": [1e-10]}, "section 'solver' must be an object"),
+    ({"solver": [1e-10]}, "unknown key <top>.solver"),
     ({"output": "out"}, "section 'output' must be an object"),
     ({"initial_data": "zero"}, "section 'initial_data' must be an object"),
     ({"output": {"directory": 5}}, "output.directory must be a string"),
+    ({"output": {"cadence": True}}, "output.cadence must be a positive integer"),
 ], ids=["solver-list", "output-string", "initial-data-string",
-        "directory-number"])
+        "directory-number", "cadence-bool"])
 def test_malformed_sections_are_config_errors(tmp_path, capsys, overrides,
                                               problem):
     cfg = write_cfg(tmp_path, name="malformed.json", **overrides)
@@ -92,11 +95,28 @@ def test_malformed_sections_are_config_errors(tmp_path, capsys, overrides,
     assert "status:" not in captured.out     # rejected before the run
 
 
-def test_removed_solver_method_is_config_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, solver={"fluid_tol": 1e-10, "method": "direct"})
-    assert main(["run", cfg]) == 1
-    err = capsys.readouterr().err
-    assert "solver.method" in err and "GMRES" in err
+@pytest.mark.parametrize("key, value, says", [
+    ("solver", {"fluid_tol": 1e-10}, "unknown key <top>.solver"),
+    ("contact_threshold_factor", 1e-6,
+     "unknown key <top>.contact_threshold_factor"),
+    ("compatibility_tol", 1e-10, "unknown key <top>.compatibility_tol"),
+    ("output.ledger", "jsonl", "the ledger is written as CSV"),
+    ("output.ledger", "both", "the ledger is written as CSV"),
+], ids=["solver", "contact-threshold-factor", "compatibility-tol",
+        "ledger-jsonl", "ledger-both"])
+def test_retired_key_is_config_error(tmp_path, capsys, key, value, says):
+    path = write_cfg(tmp_path)
+    raw = json.loads((tmp_path / "run.json").read_text())
+    section, _, name = key.rpartition(".")
+    (raw[section] if section else raw)[name] = value
+    (tmp_path / "run.json").write_text(json.dumps(raw))
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert key in lines[0] and says in lines[0]
+    assert "status:" not in captured.out     # rejected before the run
+    assert not (tmp_path / "out").exists()
 
 
 def test_wall_contact_exit_code(tmp_path, monkeypatch, capsys):
@@ -220,6 +240,11 @@ MALFORMED_LEDGERS = {     # case -> (ledger format, edit of its lines)
                          lambda lines: set_cell(lines, 1, "e_full", "abc")),
     "truncated-row": ("csv", lambda lines: lines[:-1] + [lines[-1][:20]]),
     "missing-column": ("csv", lambda lines: drop_column(lines, "pwork")),
+    "header-missing-rho_s_h": ("csv", lambda lines: [
+        CSV_HEADER_TAG + ' {"dt": 0.001, "e0": 1.0}'] + lines[1:]),
+    "header-non-numeric-dt": ("csv", lambda lines: [
+        CSV_HEADER_TAG + ' {"dt": "abc", "e0": 1.0, "rho_s_h": 1.0}']
+        + lines[1:]),
     "jsonl-non-numeric-cell": ("jsonl", lambda lines: [
         line.replace('"pwork": 0.5', '"pwork": "x"') for line in lines]),
 }
@@ -232,7 +257,7 @@ def test_malformed_ledger_is_a_clean_error(tmp_path, capsys, case):
         led.append({c: k if c == "step" else 0.5 for c in LEDGER_COLUMNS})
     fmt, edit = MALFORMED_LEDGERS[case]
     path = tmp_path / f"ledger.{fmt}"
-    getattr(led, f"to_{fmt}")(path)
+    {"csv": EnergyLedger.to_csv, "jsonl": write_ledger_jsonl}[fmt](led, path)
     if edit is None:
         path.unlink()
     else:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +27,17 @@ def test_minimal_config_fills_defaults():
     cfg = validate_config(minimal_raw())
     assert cfg["mode"] == "viscoelastic"
     assert cfg["initial_data"] == {"kind": "zero"}
-    assert cfg["solver"]["structure_tol"] == 1e-12
     assert cfg["output"]["ledger"] == "csv"
     assert cfg["wall"]["viscous_modulus"] == 0.0
     build_material(cfg).validate()
+
+
+def test_readme_configuration_example_validates():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    cfg = validate_config(json.loads(blocks[0]))
+    assert cfg["output"]["ledger"] == "csv"
 
 
 def test_bad_poisson_ratio_named():

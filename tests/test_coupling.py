@@ -106,7 +106,7 @@ def test_zero_data_gives_zero_solution():
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
                               u, half, dt, 0.0, 0.0,
-                              ReusedFactorSolver(cs.solver_tol))
+                              ReusedFactorSolver(coupling.FLUID_TOL))
     assert np.all(res.u_full == 0.0)
     assert np.all(res.v_new == 0.0)
     assert np.all(res.pressure == 0.0)
@@ -123,7 +123,7 @@ def test_elastic_case_runs_and_is_finite():
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
                               u, half, dt, 500.0, 0.0,
-                              ReusedFactorSolver(cs.solver_tol))
+                              ReusedFactorSolver(coupling.FLUID_TOL))
     assert np.all(np.isfinite(res.u_full))
     assert np.all(np.isfinite(res.v_new))
     assert np.all(np.isfinite(res.pressure))
@@ -141,7 +141,7 @@ def test_fluid_factor_fill_does_not_grow_at_extreme_dt():
     for dt in (1e-7, 6e-5, 1.0):
         half = shell.structure_step(state, shell.WallSystem(
             dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
-        solver = ReusedFactorSolver(cs.solver_tol)
+        solver = ReusedFactorSolver(coupling.FLUID_TOL)
         coupling.fluid_step(cs, snap, mass, u, half, dt, 1500.0, -200.0,
                             solver)
         assert solver.stats.factorizations == 1
@@ -162,7 +162,7 @@ def stepped():
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
                               u, half, dt, 1500.0, -200.0,
-                              ReusedFactorSolver(cs.solver_tol))
+                              ReusedFactorSolver(coupling.FLUID_TOL))
     mass_old = res.operators["mass"]
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
     mass_new = fluid.assemble_weighted_mass(fm, snap_new)
@@ -183,7 +183,7 @@ def test_zero_pressure_step_dissipates(stepped):
     res0 = coupling.fluid_step(cs, ale.build_snapshot(sm, state.eta, fm,
                                                       material.radius),
                                mass_old, u, half, dt, 0.0, 0.0,
-                               ReusedFactorSolver(cs.solver_tol))
+                               ReusedFactorSolver(coupling.FLUID_TOL))
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
     mass_new = fluid.assemble_weighted_mass(fm, snap_new)
     rho_s_h = coeffs.rho_s_h
@@ -295,7 +295,7 @@ def test_wall_traction_zero_state():
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
                               u, half, dt, 0.0, 0.0,
-                              ReusedFactorSolver(cs.solver_tol))
+                              ReusedFactorSolver(coupling.FLUID_TOL))
     load = wall_traction_load(cs, res, u, dt)
     assert np.abs(load).max() <= 1e-12
 
@@ -311,7 +311,7 @@ def test_rigid_poiseuille_traction_tracks_pressure():
     p_in, p_out = 1.0, 0.0
     dt = 0.05
     res = None
-    solver = ReusedFactorSolver(cs.solver_tol)
+    solver = ReusedFactorSolver(coupling.FLUID_TOL)
     for _ in range(300):
         u_prev = u
         res = coupling.rigid_fluid_step(cs, snap, mass, u_prev, dt, p_in, p_out,

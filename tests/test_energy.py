@@ -7,7 +7,7 @@ from wallflow.energy import (LEDGER_COLUMNS, EnergyLedger, EnergyMonitor,
                              discrete_trace_constant, load_ledger, verify_run)
 from wallflow.sparsela import DirectFactor, ReusedFactorSolver
 
-from oracles import zero_shell_state
+from oracles import write_ledger_jsonl, zero_shell_state
 
 
 def build_monitor(n_z=4, n_r=2, length=2.0):
@@ -39,7 +39,7 @@ def run_one_step(material, coeffs, sm, fm, cs, monitor, dt, p_in=300.0,
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
                               u, half, dt, p_in, p_out,
-                              ReusedFactorSolver(cs.solver_tol))
+                              ReusedFactorSolver(coupling.FLUID_TOL))
     mass_old = res.operators["mass"]
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
     mass_new = fluid.assemble_weighted_mass(fm, snap_new)
@@ -56,7 +56,7 @@ def test_zero_states_record_all_zeros():
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
                               u, half, dt, 0.0, 0.0,
-                              ReusedFactorSolver(cs.solver_tol))
+                              ReusedFactorSolver(coupling.FLUID_TOL))
     mass = res.operators["mass"]
     row = monitor.record_step(0, state, u, half, res, mass, mass, 0.0, 0.0)
     for key in ("e_n", "e_half", "e_full", "d_fluid", "d_shell", "jump_u",
@@ -116,7 +116,7 @@ def test_ledger_round_trip_csv_and_jsonl(tmp_path):
     csv_path = tmp_path / "ledger.csv"
     jsonl_path = tmp_path / "ledger.jsonl"
     led.to_csv(csv_path)
-    led.to_jsonl(jsonl_path)
+    write_ledger_jsonl(led, jsonl_path)
     for path in (csv_path, jsonl_path):
         back = load_ledger(path)
         assert back.header == led.header

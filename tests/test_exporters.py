@@ -20,7 +20,7 @@ def run_small(tmp_path, constant_eta=False, **time):
         "waveform": {"inlet": {"kind": "constant", "value": 0.0},
                      "outlet": {"kind": "constant", "value": 0.0}},
         "output": {"directory": str(tmp_path / "out"), "cadence": 1,
-                   "fields": "both", "ledger": "both"},
+                   "fields": "both", "ledger": "csv"},
     }
     cfg = validate_config(raw)
     result = driver.run(cfg)
@@ -31,7 +31,7 @@ def test_zero_run_export_shapes_and_values(tmp_path):
     cfg, result, setup = run_small(tmp_path)
     written = exporters.write_outputs(result, setup, cfg["output"])
     names = {os.path.basename(p) for p in written}
-    assert "ledger.csv" in names and "ledger.jsonl" in names
+    assert "ledger.csv" in names and "ledger.jsonl" not in names
     assert "velocity_0000.csv" in names and "fields_0000.vtk" in names
     vel = np.genfromtxt(tmp_path / "out" / "velocity_0000.csv",
                         delimiter=",", names=True)
@@ -98,11 +98,9 @@ def test_ledger_round_trip_preserves_verdict(tmp_path):
     cfg, result, setup = run_small(tmp_path, t_final=0.001, n_steps=8)
     exporters.write_outputs(result, setup, cfg["output"])
     original = verify_run(result.ledger)
-    for name in ("ledger.csv", "ledger.jsonl"):
-        back = load_ledger(tmp_path / "out" / name)
-        rep = verify_run(back)
-        assert rep.ok == original.ok
-        assert [c.value for c in rep.checks] == [c.value for c in original.checks]
+    rep = verify_run(load_ledger(tmp_path / "out" / "ledger.csv"))
+    assert rep.ok == original.ok
+    assert [c.value for c in rep.checks] == [c.value for c in original.checks]
 
 
 def test_pressure_interpolation_to_velocity_nodes_is_exact(tmp_path):
