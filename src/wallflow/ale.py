@@ -5,15 +5,16 @@ reference domain (0, L) x (0, 1) by the vertical-stretch map
 (z, r) -> (z, (R + eta(z)) r).  Everything the fluid assembly needs from
 the geometry is frozen per time step in an :class:`AleSnapshot`: the wall
 profile, its slope and the Jacobian weight R + eta at the quadrature points,
-the weighted quadrature weights and transformed basis gradients below, and
-the minimum radius for the contact check.
+the weighted quadrature weights, and the minimum radius for the contact
+check.
 
 Reference-domain derivatives (d_z, d_r) of any field transform to
 moving-domain derivatives via
 
     d1 = d_z - r * eta_z / (R + eta) * d_r,     d2 = d_r / (R + eta),
 
-the two rows of (grad A)^{-T} applied to the reference gradient.
+the two rows of (grad A)^{-T} applied to the reference gradient; the fluid
+kernels expand these products against tabulated shape-function tables.
 """
 
 from dataclasses import dataclass
@@ -35,8 +36,6 @@ class AleSnapshot:
     deta_q: np.ndarray       # (n_cells, n_quad) wall slope d eta / d z
     jac_q: np.ndarray        # (n_cells, n_quad) Jacobian weight R + eta
     w: np.ndarray            # (n_cells, n_quad) quadrature weight * jac_q
-    g1: np.ndarray           # (n_cells, n_quad, 9) transformed d1 of each basis
-    g2: np.ndarray           # (n_cells, n_quad, 9) transformed d2 of each basis
     min_radius: float
     min_radius_z: float
 
@@ -66,16 +65,12 @@ def build_snapshot(shell_mesh, eta_free, fluid_mesh, radius,
     if contact_threshold is not None and min_r <= contact_threshold:
         raise WallContact(min_r, min_z)
     jac_q = radius + eta_q
-    factor = fluid_mesh.quad_r * deta_q / jac_q                  # (nc, nq)
-    dz, dr = fluid_mesh.dphi_dz[None, :, :], fluid_mesh.dphi_dr[None, :, :]
     return AleSnapshot(
         radius=float(radius),
         eta_q=eta_q,
         deta_q=deta_q,
         jac_q=jac_q,
         w=fluid_mesh.quad_w_dv[None, :] * jac_q,
-        g1=dz - factor[:, :, None] * dr,
-        g2=dr / jac_q[:, :, None],
         min_radius=min_r,
         min_radius_z=min_z,
     )

@@ -176,6 +176,8 @@ def validate_config(raw):
     _check_unknown(problems, output, _SCHEMA["output"], "output")
     if not isinstance(output["directory"], str):
         problems.append("output.directory must be a string")
+    elif not output["directory"]:
+        problems.append("output.directory must not be empty")
     if output["fields"] not in ("none", "csv", "vtk", "both"):
         problems.append("output.fields must be none|csv|vtk|both")
     if output["ledger"] not in ("none", "csv"):

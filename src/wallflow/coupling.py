@@ -15,6 +15,10 @@ The step systems of one run differ only slightly from step to step, so a
 run passes one :class:`~wallflow.sparsela.ReusedFactorSolver` to every
 step: the LU of an earlier step preconditions GMRES on the current one, and
 the system is refactored only when GMRES misses the residual contract.
+They also share one sparsity pattern: the geometry is frozen on the fixed
+reference rectangle and ``P`` is fixed, so the reduction is a
+:class:`~wallflow.sparsela.ProductMap` built once per run and system kind,
+and a step only combines data arrays.
 """
 
 from dataclasses import dataclass
@@ -24,13 +28,19 @@ import scipy.sparse as sp
 
 from . import fluid as fl
 from .errors import MeshAlignmentError, WallContact
+from .shell import combine_grams
+from .sparsela import ProductMap, csr_rows
 
 # relative residual contract ||Ax - b|| <= tol * ||b|| of every fluid-step
 # solve; the run's ReusedFactorSolver refactors when GMRES misses it
 FLUID_TOL = 1e-10
 
+# wall nodes and fluid top-edge vertices coincide when they agree to this
+# fraction of the channel length
+ALIGNMENT_TOL = 1e-12
 
-def build_coupling(shell_mesh, fluid_mesh, tol=1e-12):
+
+def build_coupling(shell_mesh, fluid_mesh):
     """Trace map from free wall DOFs to top-edge velocity node values.
 
     Rows follow the top-edge nodes in z order (vertices and midpoints).  A
@@ -47,8 +57,9 @@ def build_coupling(shell_mesh, fluid_mesh, tol=1e-12):
             f"wall elements ({shell_mesh.n_elements}) must match fluid columns "
             f"({fluid_mesh.n_z}) so interface nodes coincide")
     vertex_z = fluid_mesh.velocity_z[0::2]
-    if (abs(shell_mesh.length - fluid_mesh.length) > tol * fluid_mesh.length
-            or np.max(np.abs(shell_mesh.nodes - vertex_z)) > tol * fluid_mesh.length):
+    tol = ALIGNMENT_TOL * fluid_mesh.length
+    if (abs(shell_mesh.length - fluid_mesh.length) > tol
+            or np.max(np.abs(shell_mesh.nodes - vertex_z)) > tol):
         raise MeshAlignmentError("wall nodes do not coincide with fluid "
                                  "top-edge vertices")
     k = np.arange(1, shell_mesh.n_nodes - 1, dtype=np.int32)  # interior nodes
@@ -118,34 +129,59 @@ def assemble_step_operators(setup, snapshot, mass, u_prev_full, v_half_free,
 
 
 def momentum_matrix(setup, ops, dt):
-    """(rho_f/dt) M + N + (rho_f/2) S + K on the full velocity space."""
-    return ((setup.rho_f / dt) * ops["mass"] + ops["advection"]
-            + 0.5 * setup.rho_f * ops["robin"] + ops["viscous"])
+    """(rho_f/dt) M + N + (rho_f/2) S + K on the full velocity space, one
+    combination of the four data arrays on the shared velocity pattern."""
+    return setup.fluid_mesh.vv_pattern().matrix(
+        (setup.rho_f / dt) * ops["mass"].data + ops["advection"].data
+        + (0.5 * setup.rho_f) * ops["robin"].data + ops["viscous"].data)
 
 
-def reduce_coupled_system(p, a_mom, b_div, wall=None):
+def build_reduction(setup, coupled):
+    """The reduction of :func:`reduce_coupled_system` for the run of
+    ``setup``, as a map of the operands' data arrays: the momentum matrix
+    on the velocity pattern, the divergence on the pressure-velocity
+    pattern and, when ``coupled``, the wall block on the wall-Gram
+    pattern.  The rigid system reduces through the free columns of ``P``
+    and has no wall block."""
+    fm, nf = setup.fluid_mesh, setup.partition.n_free
+    p = setup.prolongation if coupled else setup.prolongation[:, :nf]
+    n, n_p = p.shape[1], fm.n_pressure_nodes
+    vv, pv = fm.vv_pattern(), fm.pv_pattern()
+    a_rows, b_rows = csr_rows(vv), csr_rows(pv)
+    eye_p = sp.identity(n_p, format="csr")
+    terms = [(0, a_rows, vv.indices, p.T, p, (0, 0), 1.0),
+             (vv.nnz, b_rows, pv.indices, eye_p, p, (n, 0), 1.0),
+             (vv.nnz, pv.indices, b_rows, p.T, eye_p, (0, n), -1.0)]
+    if coupled:
+        ms = setup.shell_mass
+        eye_w = sp.identity(n - nf, format="csr")
+        terms.append((vv.nnz + pv.nnz, csr_rows(ms), ms.indices, eye_w, eye_w,
+                      (nf, nf), 1.0))
+    return ProductMap(terms, (n + n_p, n + n_p))
+
+
+def reduce_coupled_system(setup, a_mom, b_div, wall=None):
     """The step's saddle system ``[[P^T A P + W, -(B P)^T], [B P, 0]]``,
-    reduced through the prolongation ``p``.
+    reduced through the run's prolongation ``P``.
 
     ``wall`` (W) acts on the trailing reduced unknowns, the wall velocity;
-    without it the system has no wall block.  Every block is CSR, so
-    ``sp.bmat`` stacks them without a round trip through COO.
+    without it the system is the rigid one, over the free columns of ``P``
+    with no wall block.  The operands must be on their fixed patterns (see
+    :func:`build_reduction`); the map is built on the first call of each
+    kind and kept on ``setup``, so every step system of a run has the same
+    pattern.
     """
-    a_red = p.T @ a_mom @ p
-    if wall is not None:
-        n = a_red.shape[0] - wall.shape[0]
-        a_red = a_red + sp.block_diag((sp.csr_matrix((n, n)), wall),
-                                      format="csr")
-    bp = (b_div @ p).tocsr()
-    zero = sp.csr_matrix((bp.shape[0], bp.shape[0]))
-    return sp.bmat([[a_red, -bp.T.tocsr()], [bp, zero]], format="csr")
+    if wall is None:
+        return setup.rigid_reduction(np.concatenate([a_mom.data, b_div.data]))
+    return setup.coupled_reduction(
+        np.concatenate([a_mom.data, b_div.data, wall.data]))
 
 
 def _solve_reduced(setup, p, ops, load, dt, solver, wall=None):
-    """Reduce the step through ``p``, solve it with the reduced momentum
-    load ``load`` and prolong; returns (reduced velocity, full velocity,
+    """Reduce the step, solve it with the reduced momentum load ``load``
+    and prolong through ``p``; returns (reduced velocity, full velocity,
     pressure)."""
-    system = reduce_coupled_system(p, momentum_matrix(setup, ops, dt),
+    system = reduce_coupled_system(setup, momentum_matrix(setup, ops, dt),
                                    ops["divergence"], wall)
     n = p.shape[1]
     x = solver.solve(system, np.concatenate(
@@ -170,11 +206,13 @@ def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, dt, p_in,
     ops, forcing, rhs_full = assemble_step_operators(
         setup, snapshot, mass, u_prev_full, v_half, dt, p_in, p_out)
     p, nf = setup.prolongation, setup.partition.n_free
-    inertia = (setup.rho_s_h / dt) * setup.shell_mass
+    inertia = setup.rho_s_h / dt
     load = p.T @ rhs_full
-    load[nf:] += inertia @ v_half
+    load[nf:] += inertia * (setup.shell_mass @ v_half)
+    wall = combine_grams((setup.shell_mass, setup.shell_viscous),
+                         (inertia, 1.0))
     x, u_full, pressure = _solve_reduced(setup, p, ops, load, dt, solver,
-                                         wall=inertia + setup.shell_viscous)
+                                         wall)
     return FluidStepResult(u_full=u_full, v_new=x[nf:], pressure=pressure,
                            operators=ops, forcing=forcing)
 

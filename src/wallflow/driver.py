@@ -14,6 +14,7 @@ The geometry-from-the-start-of-step / velocity-from-the-half-step pairing
 is what makes the kinetic-energy weight update an identity; don't "fix" it.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -82,7 +83,8 @@ class RunResult:
 class RunSetup:
     """Meshes, operators, and parameters shared by every step of a run: the
     one per-run object, which carries the wall Gram matrices and forms, the
-    trace map and the prolongation ``P`` that both sub-steps read."""
+    trace map and the prolongation ``P`` that both sub-steps read, and the
+    reduction maps of the fluid-step systems, built on first use."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -119,6 +121,16 @@ class RunSetup:
         base = cfg.get("_base_dir", ".")
         self.wave_in = ingest_waveform(cfg["waveform"]["inlet"], base)
         self.wave_out = ingest_waveform(cfg["waveform"]["outlet"], base)
+
+    @functools.cached_property
+    def coupled_reduction(self):
+        """The coupled step's reduction map, built on its first use."""
+        return coupling.build_reduction(self, coupled=True)
+
+    @functools.cached_property
+    def rigid_reduction(self):
+        """The rigid step's reduction map, built on its first use."""
+        return coupling.build_reduction(self, coupled=False)
 
     def initial_data(self):
         """Full-DOF initial fields per the config, exactly compatible."""
@@ -401,8 +413,12 @@ def _run_final(cfg_steps):
     if result.status != STATUS_COMPLETED:
         raise SolverError(f"convergence rung with {n_steps} steps ended "
                           f"with status {result.status}")
+    # the error norms come from the run's own setup, so the study builds
+    # no meshes of its own; every run of a study has the same meshes
     return {"eta": result.final["eta"], "v": result.final["v"],
-            "u": result.final["u"], "gap": result.ledger.v_vstar_gap()}
+            "u": result.final["u"], "gap": result.ledger.v_vstar_gap(),
+            "norms": (result.setup.shell_mass, fluid.assemble_unweighted_mass(
+                result.setup.fluid_mesh))}
 
 
 @dataclass
@@ -448,11 +464,7 @@ def self_convergence_study(cfg, rung_steps, reference_steps, workers=None):
     ref = outs[-1]
     rungs = outs[:-1]
 
-    length = cfg["geometry"]["length"]
-    ms = shell.assemble_mass(shell.ShellMesh(cfg["mesh"]["wall_elements"],
-                                             length))
-    mu_mass = fluid.assemble_unweighted_mass(
-        fluid.FluidMesh(cfg["mesh"]["n_z"], cfg["mesh"]["n_r"], length))
+    ms, mu_mass = ref["norms"]
 
     def norm(m, x):
         return math.sqrt(max(float(x @ (m @ x)), 0.0))

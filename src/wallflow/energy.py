@@ -258,10 +258,10 @@ class EnergyMonitor:
         mass_resid = float(np.max(np.abs(
             mass_old.data + dt * result.operators["robin"].data - mass_new.data)))
         mass_scale = float(np.max(np.abs(mass_new.data)))
-        n_adv = result.operators["advection"]
-        skew_sum = (n_adv + n_adv.T)
-        skew = float(np.abs(skew_sum.data).max()) if skew_sum.nnz else 0.0
-        skew_scale = float(np.abs(n_adv.data).max()) if n_adv.nnz else 0.0
+        n_adv = result.operators["advection"].data
+        skew_sum = n_adv + n_adv[s.fluid_mesh.vv_pattern().transpose_slots]
+        skew = float(np.abs(skew_sum).max()) if n_adv.size else 0.0
+        skew_scale = float(np.abs(n_adv).max()) if n_adv.size else 0.0
 
         scale = max(e_n, e_half, e_full, ENERGY_FLOOR)
         for name, val in (("e_n", e_n), ("e_half", e_half), ("e_full", e_full)):
@@ -283,6 +283,10 @@ class EnergyMonitor:
         }
 
 
+# relative residual contract of the two solves of the trace constant
+TRACE_CONSTANT_TOL = 1e-10
+
+
 def discrete_trace_constant(k_reduced, l_in_reduced, l_out_reduced, radius):
     """Pressure-work constant from the discrete trace inequality.
 
@@ -296,7 +300,7 @@ def discrete_trace_constant(k_reduced, l_in_reduced, l_out_reduced, radius):
     for every discrete u, where d is the *spare* half of the viscous form.
     """
     factor = DirectFactor(k_reduced)
-    sols = [factor.solve(2.0 * l, tol=1e-10)
+    sols = [factor.solve(2.0 * l, tol=TRACE_CONSTANT_TOL)
             for l in (l_in_reduced, l_out_reduced)]
     gram = np.array([[float(l @ x) for x in sols]
                      for l in (l_in_reduced, l_out_reduced)])

@@ -127,16 +127,17 @@ def write_fields_vtk(record, fluid_mesh, shell_mesh, radius, directory):
 
 
 def write_outputs(result, setup, output_cfg):
-    """Write the configured artifacts of a finished run; returns paths."""
+    """Write the configured artifacts of a finished run; returns paths.
+    A directory or file that cannot be written raises WallflowError."""
     directory = output_cfg["directory"]
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    if output_cfg["ledger"] == "csv":
-        path = os.path.join(directory, "ledger.csv")
-        result.ledger.to_csv(path)
-        written.append(path)
     fields_mode = output_cfg["fields"]
+    written = []
     try:
+        os.makedirs(directory, exist_ok=True)
+        if output_cfg["ledger"] == "csv":
+            path = os.path.join(directory, "ledger.csv")
+            result.ledger.to_csv(path)
+            written.append(path)
         if fields_mode in ("csv", "both"):
             written += write_fields_csv(result.record, setup.fluid_mesh,
                                         setup.shell_mesh, setup.radius,
@@ -146,5 +147,6 @@ def write_outputs(result, setup, output_cfg):
                                         setup.shell_mesh, setup.radius,
                                         directory)
     except OSError as exc:
-        raise WallflowError(f"cannot write field output: {exc}") from exc
+        raise WallflowError(f"cannot write output to {directory}: "
+                            f"{exc}") from exc
     return written

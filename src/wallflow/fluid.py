@@ -5,7 +5,8 @@ bilinear pressure (an inf-sup stable pair).  All operators are assembled
 with the same 3x3 Gauss rule and, for velocity-velocity forms, on one shared
 sparsity pattern (full 2x2 component-block structure), so linear
 combinations and entrywise identities between assembled matrices are exact
-up to roundoff.
+up to roundoff.  Every element kernel is (n_cells, 9) quadrature weights
+times a shape-function product table built once per mesh.
 
 DOF layout: velocity component c, node n -> index c * n_velocity_nodes + n,
 with nodes numbered row-major bottom-to-top (n = ir * n_cols + iz).
@@ -13,6 +14,8 @@ Essential velocity values (axial on the top edge, radial on the bottom,
 inlet and outlet edges) are imposed by DOF elimination downstream; the
 radial top-edge values are the coupling unknowns.
 """
+
+import functools
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -125,15 +128,18 @@ class FluidMesh:
     # -- patterns ---------------------------------------------------------
 
     def vv_pattern(self):
+        """Pattern of the velocity-velocity forms: all four component blocks
+        of every cell, raw entries ordered by block (0,0), (1,1), (0,1),
+        (1,0), so a form with zero off-diagonal blocks scatters only the
+        leading half."""
         if self._vv_pattern is None:
             nv = self.n_velocity_nodes
-            comp = np.arange(2)
-            rows = (comp[:, None, None, None, None] * nv
-                    + self.conn_v[None, None, :, :, None])
-            cols = (comp[None, :, None, None, None] * nv
-                    + self.conn_v[None, None, :, None, :])
-            rows = np.broadcast_to(rows, (2, 2, self.n_cells, 9, 9))
-            cols = np.broadcast_to(cols, (2, 2, self.n_cells, 9, 9))
+            comp_r = np.array([0, 1, 0, 1])[:, None, None, None]
+            comp_c = np.array([0, 1, 1, 0])[:, None, None, None]
+            rows = comp_r * nv + self.conn_v[None, :, :, None]
+            cols = comp_c * nv + self.conn_v[None, :, None, :]
+            rows = np.broadcast_to(rows, (4, self.n_cells, 9, 9))
+            cols = np.broadcast_to(cols, (4, self.n_cells, 9, 9))
             self._vv_pattern = ScatterPattern(rows, cols, (2 * nv, 2 * nv))
         return self._vv_pattern
 
@@ -150,8 +156,28 @@ class FluidMesh:
                 rows, cols, (self.n_pressure_nodes, 2 * nv))
         return self._pv_pattern
 
-    def _vv_blocks(self):
-        return np.zeros((2, 2, self.n_cells, 9, 9))
+    @functools.cached_property
+    def tables(self):
+        """Products of the shape tables at each quadrature point, built on
+        first use.  Each is (9 quadrature points, element block entries),
+        so an element kernel is (n_cells, 9) weights times one table.  The
+        pullback gradients ``g1 = dz - f dr`` and ``g2 = dr / (R + eta)``
+        expand into ``dz dz``, ``dz dr + dr dz`` and ``dr dr`` (``strain``),
+        ``dr dz`` and ``dr dr`` (``cross``), ``phi dz`` and ``phi dr``
+        (``transport``), ``chi dz`` and ``chi dr`` (``divergence``), each
+        stack holding its tables in that order."""
+        def outer(x, y):
+            return (x[:, :, None] * y[:, None, :]).reshape(self.n_quad, -1)
+        phi, dz, dr = self.phi, self.dphi_dz, self.dphi_dr
+        return {
+            "mass": outer(phi, phi),
+            "strain": np.vstack([outer(dz, dz), outer(dz, dr) + outer(dr, dz),
+                                 outer(dr, dr)]),
+            "cross": np.vstack([outer(dr, dz), outer(dr, dr)]),
+            "transport": np.vstack([outer(phi, dz), outer(phi, dr)]),
+            "divergence": np.vstack([outer(self.chi, dz),
+                                     outer(self.chi, dr)]),
+        }
 
     # -- field sampling ----------------------------------------------------
 
@@ -173,14 +199,22 @@ def shell_field_at_quad(shell_mesh, field_free, fluid_mesh, deriv=0):
     return vals[fluid_mesh.quad_z_index]
 
 
+def _blocks(x):
+    """(n_cells, 81) kernel output as (n_cells, 9, 9) element blocks."""
+    return x.reshape(x.shape[0], 9, 9)
+
+
 def _mass(mesh, w):
     """Velocity mass with the (n_cells, n_quad) quadrature weights ``w`` on
     both components."""
-    blk = np.einsum("cq,qa,qb->cab", w, mesh.phi, mesh.phi)
-    data = mesh._vv_blocks()
-    data[0, 0] = blk
-    data[1, 1] = blk
-    return mesh.vv_pattern().csr(data)
+    blk = w @ mesh.tables["mass"]
+    return mesh.vv_pattern().csr(np.concatenate([blk, blk]))
+
+
+def _slope(mesh, snapshot):
+    """Slope factor ``f = r eta_z / (R + eta)`` of the pullback gradient
+    ``g1 = dz - f dr``; the other is ``g2 = dr / (R + eta)``."""
+    return mesh.quad_r * snapshot.deta_q / snapshot.jac_q
 
 
 def assemble_weighted_mass(mesh, snapshot):
@@ -195,20 +229,25 @@ def assemble_unweighted_mass(mesh):
 
 
 def assemble_viscous(mesh, snapshot, mu):
-    """Weighted viscous operator 2*mu*(strain(u), strain(q)), symmetric PSD."""
-    g1, g2, w = snapshot.g1, snapshot.g2, snapshot.w
-    def form(xa, xb):
-        return np.matmul((w[..., None] * xa).transpose(0, 2, 1), xb)
-    def symmetric_form(x):       # exactly symmetric, like the bilinear form
-        f = form(x, x)
-        return 0.5 * (f + f.transpose(0, 2, 1))
-    f11, f22, f21 = symmetric_form(g1), symmetric_form(g2), form(g2, g1)
-    data = mesh._vv_blocks()
-    data[0, 0] = 2.0 * mu * f11 + mu * f22
-    data[1, 1] = 2.0 * mu * f22 + mu * f11
-    data[0, 1] = mu * f21
-    data[1, 0] = mu * f21.transpose(0, 2, 1)     # form(g1, g2)
-    return mesh.vv_pattern().csr(data)
+    """Weighted viscous operator 2*mu*(strain(u), strain(q)), symmetric PSD.
+
+    With ``F_ij`` the form of ``g_i`` against ``g_j``, the blocks are
+    ``2 mu F11 + mu F22``, ``2 mu F22 + mu F11`` and ``mu F21`` with its
+    transpose; the diagonal blocks are symmetrized, so the operator is
+    exactly symmetric, like the bilinear form.
+    """
+    w, f = snapshot.w, _slope(mesh, snapshot)
+    wj = w / snapshot.jac_q
+    f22 = wj / snapshot.jac_q
+    # weights of (dz dz, dz dr + dr dz, dr dr) for F11 and F22 combined
+    diag = np.concatenate([
+        np.hstack([2.0 * w, -2.0 * w * f, 2.0 * w * f * f + f22]),
+        np.hstack([w, -w * f, w * f * f + 2.0 * f22])]) @ mesh.tables["strain"]
+    diag = _blocks(mu * diag)
+    diag = 0.5 * (diag + diag.transpose(0, 2, 1))
+    f21 = _blocks(mu * (np.hstack([wj, -wj * f]) @ mesh.tables["cross"]))
+    return mesh.vv_pattern().csr(np.concatenate(
+        [diag, f21, f21.transpose(0, 2, 1)]))
 
 
 def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
@@ -218,16 +257,14 @@ def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
     v_half * r * e_r; the two antisymmetrized terms make q^T N q = 0 exactly,
     entry by entry, so the assembled matrix satisfies N = -N^T to roundoff.
     """
-    a = mesh.velocity_at_quad(u_advect_full)
-    a1 = a[0]
-    a2 = a[1] - v_half_q * mesh.quad_r        # minus the domain velocity
-    adv = a1[:, :, None] * snapshot.g1 + a2[:, :, None] * snapshot.g2
-    x = np.einsum("cq,qa,cqb->cab", snapshot.w, mesh.phi, adv)
-    blk = 0.5 * rho_f * (x - np.swapaxes(x, 1, 2))
-    data = mesh._vv_blocks()
-    data[0, 0] = blk
-    data[1, 1] = blk
-    return mesh.vv_pattern().csr(data)
+    w, f = snapshot.w, _slope(mesh, snapshot)
+    a1, a2 = mesh.velocity_at_quad(u_advect_full)
+    a2 = a2 - v_half_q * mesh.quad_r          # minus the domain velocity
+    # a1 g1 + a2 g2 = a1 dz + (a2 / (R + eta) - a1 f) dr
+    x = _blocks(np.hstack([w * a1, w * (a2 / snapshot.jac_q - a1 * f)])
+                @ mesh.tables["transport"])
+    blk = 0.5 * rho_f * (x - x.transpose(0, 2, 1))
+    return mesh.vv_pattern().csr(np.concatenate([blk, blk]))
 
 
 def assemble_robin_mass(mesh, v_half_q):
@@ -243,11 +280,11 @@ def assemble_robin_mass(mesh, v_half_q):
 
 def assemble_divergence(mesh, snapshot):
     """Weighted divergence coupling: rows pressures, columns velocities."""
-    data = np.stack([
-        np.einsum("cq,qa,cqb->cab", snapshot.w, mesh.chi, snapshot.g1),
-        np.einsum("cq,qa,cqb->cab", snapshot.w, mesh.chi, snapshot.g2),
-    ])
-    return mesh.pv_pattern().csr(data)
+    w, f = snapshot.w, _slope(mesh, snapshot)
+    table = mesh.tables["divergence"]
+    return mesh.pv_pattern().csr(np.concatenate([
+        np.hstack([w, -w * f]) @ table,
+        (w / snapshot.jac_q) @ table[mesh.n_quad:]]))
 
 
 def assemble_pressure_forcing(mesh, p_in, p_out, radius):

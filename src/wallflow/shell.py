@@ -9,6 +9,7 @@ as a plain Gram matrix of second derivatives.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from . import sparsela
@@ -162,16 +163,25 @@ def assemble_mass(mesh):
     return assemble_grams(mesh)[0]
 
 
+def combine_grams(grams, weights):
+    """``sum_d weights[d] * grams[d]`` for matrices on the shared Gram
+    pattern, combined entry by entry on that pattern (structural zeros
+    kept), so the result is on the pattern too."""
+    g0 = grams[0]
+    data = sum(c * g.data for c, g in zip(weights, grams))
+    return sp.csr_matrix((data, g0.indices, g0.indptr), shape=g0.shape)
+
+
 def assemble_elastic_form(mesh, coeffs, grams=None):
     """Stiffness C0*G0 + C1*G1 + C2*G2 of the elastic wall operator."""
-    g0, g1, g2 = grams if grams is not None else assemble_grams(mesh)
-    return coeffs.C0 * g0 + coeffs.C1 * g1 + coeffs.C2 * g2
+    return combine_grams(grams if grams is not None else assemble_grams(mesh),
+                         (coeffs.C0, coeffs.C1, coeffs.C2))
 
 
 def assemble_viscous_form(mesh, coeffs, grams=None):
     """Damping D0*G0 + D1*G1 + D2*G2; the zero matrix for an elastic wall."""
-    g0, g1, g2 = grams if grams is not None else assemble_grams(mesh)
-    return coeffs.D0 * g0 + coeffs.D1 * g1 + coeffs.D2 * g2
+    return combine_grams(grams if grams is not None else assemble_grams(mesh),
+                         (coeffs.D0, coeffs.D1, coeffs.D2))
 
 
 @dataclass

@@ -1,4 +1,9 @@
-"""Sparse storage, assembly scatter, and the solve kernels.
+"""Sparse storage, assembly scatter, fixed-pattern products, and the solve
+kernels.
+
+:class:`ScatterPattern` (assembly) and :class:`ProductMap` (sums of sparse
+products) do their symbolic work once per pattern, so each later call only
+forms a data array.
 
 :class:`DirectFactor` is the only LU constructor.  Constant systems (the
 wall half step of a run, the trace constant) are factored once and solved
@@ -9,6 +14,7 @@ residual contract ``||Ax - b|| <= tol * ||b||`` against the matrix actually
 being solved.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +32,9 @@ class ScatterPattern:
     the pattern maps each raw slot to its CSR data slot so repeated
     assemblies only touch the data array.  Summation order is fixed by the
     raw entry order, which keeps reassembly bit-reproducible.  An empty
-    pattern (a wall with no free DOFs) gives empty matrices.
+    pattern (a wall with no free DOFs) gives empty matrices.  Every matrix
+    of one pattern stores every slot, structural zeros included, so linear
+    combinations of them are combinations of their ``data`` arrays.
     """
 
     def __init__(self, rows, cols, shape):
@@ -38,20 +46,97 @@ class ScatterPattern:
         new_group[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
         group = np.cumsum(new_group) - 1
         self.nnz = int(np.count_nonzero(new_group))
-        self.slot = np.empty(rows.size, dtype=np.int64)
+        # intp: np.bincount casts any other index type on every call
+        self.slot = np.empty(rows.size, dtype=np.intp)
         self.slot[order] = group
         self.indices = cs[new_group].astype(np.int32)
-        keep_rows = rs[new_group]
         self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-        np.add.at(self.indptr, keep_rows + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
+        np.cumsum(np.bincount(rs[new_group], minlength=shape[0]),
+                  out=self.indptr[1:])
         self.shape = shape
 
     def csr(self, raw_data):
-        """Scatter raw COO data into a fresh CSR matrix on this pattern."""
-        data = np.zeros(self.nnz)
-        np.add.at(data, self.slot, np.asarray(raw_data).ravel())
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        """Scatter raw COO data into a fresh CSR matrix on this pattern.
+
+        ``raw_data`` may stop short of the raw entries: it then fills the
+        leading ones, and the rest are zero.
+        """
+        raw = np.asarray(raw_data, dtype=float).ravel()
+        return self.matrix(np.bincount(self.slot[:raw.size], weights=raw,
+                                       minlength=self.nnz))
+
+    def matrix(self, data):
+        """The CSR matrix on this pattern with CSR data array ``data``."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    @functools.cached_property
+    def transpose_slots(self):
+        """For a structurally symmetric pattern, the slot of entry (j, i) at
+        the slot of each entry (i, j): ``data + data[transpose_slots]`` are
+        the entries of ``A + A^T``.  Built on first use."""
+        t = self.matrix(np.arange(self.nnz)).T.tocsr()
+        if not (np.array_equal(t.indptr, self.indptr)
+                and np.array_equal(t.indices, self.indices)):
+            raise ValueError("pattern is not structurally symmetric")
+        return t.data
+
+
+def csr_rows(m):
+    """Row index of every stored entry of a CSR matrix or pattern ``m``."""
+    return np.repeat(np.arange(m.shape[0], dtype=np.int32), np.diff(m.indptr))
+
+
+def _expand(starts, counts):
+    """Owner ``k`` and position of every item of the index ranges
+    ``[starts[k], starts[k] + counts[k])``, in order."""
+    owner = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return owner, np.arange(owner.size) + shift
+
+
+class ProductMap:
+    """The numeric phase of a fixed sum of sparse triple products.
+
+    Each term ``(src, rows, cols, left, right, corner, scale)`` reads an
+    operand ``X`` whose entry ``k`` sits at ``(rows[k], cols[k])`` and is
+    input ``src + k``, and adds ``scale * left @ X @ right`` with its
+    top-left corner at ``corner`` of the result.  Building the map is the
+    symbolic phase of the products (Gustavson, ACM TOMS 4, 1978): every
+    scalar product is scattered onto the result's pattern, structural zeros
+    included, through a sparse ``G`` with one row per result entry.  A call
+    is the numeric phase, ``data = G @ input``, so the result's pattern
+    never depends on the values.
+    """
+
+    def __init__(self, terms, shape):
+        rows_out, cols_out, srcs, vals = [], [], [], []
+        n_in = 0
+        for src, rows, cols, left, right, (r0, c0), scale in terms:
+            left, right = sp.csc_matrix(left), sp.csr_matrix(right)
+            # every product left[r, rows[k]] * right[cols[k], s]
+            k, lpos = _expand(left.indptr[rows], np.diff(left.indptr)[rows])
+            kc = cols[k]
+            t, rpos = _expand(right.indptr[kc], np.diff(right.indptr)[kc])
+            rows_out.append(left.indices[lpos[t]] + r0)
+            cols_out.append(right.indices[rpos] + c0)
+            srcs.append(src + k[t])
+            vals.append(scale * left.data[lpos[t]] * right.data[rpos])
+            n_in = max(n_in, src + len(rows))
+        out = ScatterPattern(np.concatenate(rows_out),
+                             np.concatenate(cols_out), shape)
+        self.g = sp.csr_matrix(
+            (np.concatenate(vals), (out.slot, np.concatenate(srcs))),
+            shape=(out.nnz, n_in))
+        self.indices, self.indptr, self.shape = out.indices, out.indptr, shape
+
+    def __call__(self, data):
+        """The CSR result for the operands' concatenated ``data`` arrays."""
+        if data.size != self.g.shape[1]:
+            raise ValueError(f"product map takes {self.g.shape[1]} operand "
+                             f"entries, got {data.size}")
+        return sp.csr_matrix((self.g @ data, self.indices, self.indptr),
+                             shape=self.shape)
 
 
 class DirectFactor:

@@ -82,17 +82,24 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, key,
     ({"initial_data": "zero"}, "section 'initial_data' must be an object"),
     ({"output": {"directory": 5}}, "output.directory must be a string"),
     ({"output": {"cadence": True}}, "output.cadence must be a positive integer"),
+    ({"output": {"directory": ""}}, "output.directory must not be empty"),
+    # an existing file where the directory should be: the run completes,
+    # then writing its outputs fails
+    ({"output": {"directory": os.path.join(CONFIG_DIR, "pulse.json")}},
+     "error: cannot write output to"),
 ], ids=["solver-list", "output-string", "initial-data-string",
-        "directory-number", "cadence-bool"])
+        "directory-number", "cadence-bool", "directory-empty",
+        "directory-is-a-file"])
 def test_malformed_sections_are_config_errors(tmp_path, capsys, overrides,
                                               problem):
     cfg = write_cfg(tmp_path, name="malformed.json", **overrides)
     assert main(["run", cfg]) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    prefix = "error:" if problem.startswith("error:") else "configuration error:"
+    assert len(lines) == 1 and lines[0].startswith(prefix)
     assert problem in lines[0]
-    assert "status:" not in captured.out     # rejected before the run
+    assert "status:" not in captured.out     # no run summary, no outputs
 
 
 @pytest.mark.parametrize("key, value, says", [

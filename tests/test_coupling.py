@@ -195,7 +195,8 @@ def test_zero_pressure_step_dissipates(stepped):
 
 
 def wall_block(cs, dt):
-    return (cs.rho_s_h / dt) * cs.shell_mass + cs.shell_viscous
+    return shell.combine_grams((cs.shell_mass, cs.shell_viscous),
+                               (cs.rho_s_h / dt, 1.0))
 
 
 def test_reduction_matches_the_index_reference(stepped):
@@ -203,15 +204,42 @@ def test_reduction_matches_the_index_reference(stepped):
     _, _, _, _, cs, _, _, dt, _, res, _, _ = stepped
     a_mom = coupling.momentum_matrix(cs, res.operators, dt)
     b_div = res.operators["divergence"]
-    p, nf = cs.prolongation, cs.partition.n_free
     for system, ref in (
-            (coupling.reduce_coupled_system(p, a_mom, b_div,
+            (coupling.reduce_coupled_system(cs, a_mom, b_div,
                                             wall_block(cs, dt)),
              reduce_by_index(cs, a_mom, b_div, wall_block(cs, dt))),
-            (coupling.reduce_coupled_system(p[:, :nf], a_mom, b_div),
+            (coupling.reduce_coupled_system(cs, a_mom, b_div),
              reduce_by_index(cs, a_mom, b_div))):
         assert system.shape == ref.shape
         assert abs(system - ref).max() <= 1e-14 * abs(ref).max()
+
+
+@pytest.mark.parametrize("coupled, elastic", [(True, False), (True, True),
+                                             (False, False)],
+                         ids=["coupled", "coupled-elastic", "rigid"])
+def test_step_system_pattern_is_fixed(coupled, elastic):
+    # the mesh and P alone set the pattern: a flat wall at rest, where
+    # advection and Robin terms vanish, and a deformed moving state give
+    # the same indices and indptr at every dt
+    material, _, sm, fm, cs = make_setup(elastic=elastic)
+    rng = np.random.default_rng(4)
+    zero = (sm.zero_free(), sm.zero_free(), np.zeros(2 * fm.n_velocity_nodes))
+    moving = (0.05 * rng.standard_normal(sm.n_free),
+              rng.standard_normal(sm.n_free),
+              rng.standard_normal(2 * fm.n_velocity_nodes))
+    systems = []
+    for eta, v_half, u_prev in (zero, moving):
+        snap = ale.build_snapshot(sm, eta, fm, material.radius)
+        mass = fluid.assemble_weighted_mass(fm, snap)
+        for dt in (1e-7, 6e-5, 1.0):
+            ops, _, _ = coupling.assemble_step_operators(
+                cs, snap, mass, u_prev, v_half, dt, 0.0, 0.0)
+            systems.append(coupling.reduce_coupled_system(
+                cs, coupling.momentum_matrix(cs, ops, dt), ops["divergence"],
+                wall_block(cs, dt) if coupled else None))
+    for system in systems[1:]:
+        assert np.array_equal(system.indices, systems[0].indices)
+        assert np.array_equal(system.indptr, systems[0].indptr)
 
 
 def test_frozen_operator_solve_is_linear(stepped):
@@ -221,7 +249,7 @@ def test_frozen_operator_solve_is_linear(stepped):
     p, nf = cs.prolongation, cs.partition.n_free
     a_mom = coupling.momentum_matrix(cs, res.operators, dt)
     system = coupling.reduce_coupled_system(
-        p, a_mom, res.operators["divergence"], wall_block(cs, dt))
+        cs, a_mom, res.operators["divergence"], wall_block(cs, dt))
     from wallflow.sparsela import DirectFactor
     lu = DirectFactor(system)
 

@@ -155,6 +155,17 @@ def test_advection_zero_field_and_exact_skewness():
     assert abs(x @ (n @ x)) <= 1e-12 * np.abs(n.data).max() * (x @ x)
 
 
+def test_transpose_slots_give_the_symmetric_part():
+    # the ledger's skew check forms N + N^T as data + data[transpose_slots]
+    _, fm, _, _, _, rng = make_case(3, 2, seed=6)
+    pattern = fm.vv_pattern()
+    n = pattern.matrix(rng.standard_normal(pattern.nnz))
+    ours = pattern.matrix(n.data + n.data[pattern.transpose_slots])
+    assert np.array_equal(ours.toarray(), (n + n.T).toarray())
+    with pytest.raises(ValueError, match="not structurally symmetric"):
+        fm.pv_pattern().transpose_slots
+
+
 def test_viscous_vanishes_on_strain_free_field():
     # uniform axial translation has zero strain rate but is not in the
     # constrained space; the quadratic form must still annihilate it

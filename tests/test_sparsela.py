@@ -69,6 +69,36 @@ def test_scatter_pattern_matches_coo():
     vals2 = rng.standard_normal(40)
     ref2 = sp.coo_matrix((vals2, (rows, cols)), shape=(6, 5)).toarray()
     assert np.abs(pattern.csr(vals2).toarray() - ref2).max() <= 1e-15
+    # raw data that stops short fills the leading raw entries
+    ref3 = sp.coo_matrix((vals[:25], (rows[:25], cols[:25])),
+                         shape=(6, 5)).toarray()
+    assert np.abs(pattern.csr(vals[:25]).toarray() - ref3).max() <= 1e-15
+
+
+def test_product_map_matches_scipy_products():
+    # [[R^T A R, -(B R)^T], [B R, 0]] plus W in a corner, as the step
+    # reduction forms it, for two sets of operand values
+    rng = np.random.default_rng(8)
+    a = sp.random(7, 7, density=0.4, random_state=1, format="csr")
+    b = sp.random(3, 7, density=0.5, random_state=2, format="csr")
+    w = sp.random(2, 2, density=1.0, random_state=3, format="csr")
+    r = sp.random(7, 4, density=0.5, random_state=4, format="csc")
+    eye = sp.identity(3, format="csr")
+    a_rows, b_rows = sparsela.csr_rows(a), sparsela.csr_rows(b)
+    pmap = sparsela.ProductMap(
+        [(0, a_rows, a.indices, r.T, r, (0, 0), 1.0),
+         (a.nnz, b_rows, b.indices, eye, r, (4, 0), 1.0),
+         (a.nnz, b.indices, b_rows, r.T, eye, (0, 4), -1.0),
+         (a.nnz + b.nnz, sparsela.csr_rows(w), w.indices,
+          sp.identity(2), sp.identity(2), (2, 2), 1.0)], (7, 7))
+    for _ in range(2):
+        a.data, b.data, w.data = (rng.standard_normal(m.nnz) for m in (a, b, w))
+        ours = pmap(np.concatenate([a.data, b.data, w.data]))
+        ref = sp.bmat([[r.T @ a @ r + sp.block_diag((sp.csr_matrix((2, 2)), w)),
+                        -(b @ r).T], [b @ r, None]]).toarray()
+        assert np.abs(ours.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+    with pytest.raises(ValueError, match="operand entries"):
+        pmap(np.zeros(3))
 
 
 def test_empty_scatter_pattern_gives_empty_matrices():
