@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WallContact
+from .fluid import shell_field_at_quad
 
 # a run halts when min(R + eta) falls to this fraction of the radius R
 CONTACT_THRESHOLD_FACTOR = 1e-6
@@ -56,11 +57,8 @@ def build_snapshot(shell_mesh, eta_free, fluid_mesh, radius,
     quadrature points does not exceed ``contact_threshold`` (pass ``None``
     to skip the check, e.g. for diagnostics on an already-halted run).
     """
-    zq = fluid_mesh.quad_z_flat
-    eta_cols = shell_mesh.evaluate(eta_free, zq)
-    deta_cols = shell_mesh.evaluate(eta_free, zq, deriv=1)
-    eta_q = eta_cols[fluid_mesh.quad_z_index]
-    deta_q = deta_cols[fluid_mesh.quad_z_index]
+    eta_q = shell_field_at_quad(shell_mesh, eta_free, fluid_mesh, deriv=0)
+    deta_q = shell_field_at_quad(shell_mesh, eta_free, fluid_mesh, deriv=1)
     min_r, min_z = min_radius_of(shell_mesh, eta_free, radius)
     if contact_threshold is not None and min_r <= contact_threshold:
         raise WallContact(min_r, min_z)

@@ -225,7 +225,7 @@ def build_material(cfg):
         density=wall["density"],
         viscous_modulus=wall["viscous_modulus"],
         viscous_poisson=wall["viscous_poisson"],
-    ).validate()
+    )
 
 
 def _read_waveform_csv(path):

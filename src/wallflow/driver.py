@@ -89,14 +89,8 @@ class RunSetup:
     def __init__(self, cfg):
         self.cfg = cfg
         self.material = build_material(cfg)
-        coeffs = derive_coefficients(self.material)
-        if cfg["mode"] == "elastic":
-            # elastic mode zeroes wall viscosity regardless of inputs;
-            # the config layer already rejected contradictory values
-            coeffs = type(coeffs)(C0=coeffs.C0, C1=coeffs.C1, C2=coeffs.C2,
-                                  D0=0.0, D1=0.0, D2=0.0,
-                                  rho_s_h=coeffs.rho_s_h)
-        self.coeffs = coeffs
+        # elastic mode: D = 0, as the config forces viscous_modulus = 0
+        self.coeffs = coeffs = derive_coefficients(self.material)
         self.radius = cfg["geometry"]["radius"]
         self.length = cfg["geometry"]["length"]
         self.rho_f = cfg["fluid"]["density"]
@@ -185,10 +179,10 @@ def _trace_constant(setup, snapshot):
 
 def run(cfg):
     """Execute a configured FSI run; returns trajectory, ledger, status."""
-    setup = RunSetup(cfg)
     if cfg["mode"] == "rigid":
         raise ConfigError("rigid mode runs through run_rigid_steady / the "
                           "poiseuille command, not run()")
+    setup = RunSetup(cfg)
     sm, fm = setup.shell_mesh, setup.fluid_mesh
     dt, n_steps = setup.dt, setup.n_steps
     wall = shell.WallSystem(dt, setup.shell_mass, setup.shell_elastic,

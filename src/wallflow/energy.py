@@ -211,14 +211,18 @@ class EnergyMonitor:
         return (c.C0 * float(eta @ (g0 @ eta)) + c.C1 * float(eta @ (g1 @ eta))
                 + c.C2 * float(eta @ (g2 @ eta)))
 
+    def _kinetic(self, u_full, weighted_mass):
+        return 0.5 * self.setup.rho_f * float(u_full @ (weighted_mass @ u_full))
+
+    def _wall_kinetic(self, v):
+        s = self.setup
+        return 0.5 * s.rho_s_h * float(v @ (s.shell_mass @ v))
+
     def total_energy(self, u_full, v, eta, weighted_mass):
         """E = kinetic (fluid, wall) + elastic wall energy, with the fluid
         kinetic term weighted by the profile the arguments belong to."""
-        s = self.setup
-        e = (0.5 * s.rho_f * float(u_full @ (weighted_mass @ u_full))
-             + 0.5 * s.rho_s_h * float(v @ (s.shell_mass @ v))
-             + 0.5 * self._wall_elastic(eta))
-        return e
+        return (self._kinetic(u_full, weighted_mass) + self._wall_kinetic(v)
+                + 0.5 * self._wall_elastic(eta))
 
     def record_step(self, step, state_n, u_n, shell_half, result, mass_old,
                     mass_new, p_in, p_out):
@@ -228,11 +232,15 @@ class EnergyMonitor:
         g0, g1, g2 = s.grams
         ms = s.shell_mass
 
-        e_n = self.total_energy(u_n, state_n.v, state_n.eta, mass_old)
-        e_half = self.total_energy(u_n, shell_half.v_star, shell_half.eta,
-                                   mass_old)
-        e_full = self.total_energy(result.u_full, result.v_new,
-                                   shell_half.eta, mass_new)
+        # total_energy's sums in its order (bitwise equal), with the shared
+        # fluid kinetic (e_n, e_half) and elastic (e_half, e_full) terms once
+        kinetic_n = self._kinetic(u_n, mass_old)
+        elastic_half = 0.5 * self._wall_elastic(shell_half.eta)
+        e_n = (kinetic_n + self._wall_kinetic(state_n.v)
+               + 0.5 * self._wall_elastic(state_n.eta))
+        e_half = kinetic_n + self._wall_kinetic(shell_half.v_star) + elastic_half
+        e_full = (self._kinetic(result.u_full, mass_new)
+                  + self._wall_kinetic(result.v_new) + elastic_half)
 
         d_eta = shell_half.eta - state_n.eta
         dv1 = shell_half.v_star - state_n.v

@@ -26,102 +26,83 @@ from .ale import map_to_physical
 from .errors import WallflowError
 
 _FMT = "%.17g"
+_PAIR_FMT = "%.17g %.17g 0"     # a VTK point or vector in the (z, r) plane
 
 
-def _fmt(x):
-    return _FMT % float(x)
+def _reference_grid(z, r):
+    """Flat coordinates of a grid's nodes, row-major (r outer, z inner)."""
+    zg, rg = np.meshgrid(z, r)
+    return zg.ravel(), rg.ravel()
+
+
+def _write_table(f, cols, fmt=_FMT, header=""):
+    """Rows of the numpy columns ``cols`` under an optional header line."""
+    np.savetxt(f, np.column_stack(cols), fmt=fmt, delimiter=",",
+               header=header, comments="")
 
 
 def write_fields_csv(record, fluid_mesh, shell_mesh, radius, directory):
     """One velocity/pressure/wall CSV triple per stored snapshot."""
     os.makedirs(directory, exist_ok=True)
+    nv = fluid_mesh.n_velocity_nodes
+    zv, rv = _reference_grid(fluid_mesh.velocity_z, fluid_mesh.velocity_r)
+    zp, rp = _reference_grid(fluid_mesh.pressure_z, fluid_mesh.pressure_r)
     written = []
-    zg_v, rg_v = np.meshgrid(fluid_mesh.velocity_z, fluid_mesh.velocity_r)
-    zg_p, rg_p = np.meshgrid(fluid_mesh.pressure_z, fluid_mesh.pressure_r)
     for k in range(len(record)):
-        eta = record.etas[k]
-        u = record.us[k]
-        p = record.ps[k]
-        nv = fluid_mesh.n_velocity_nodes
-        _, rp_v = map_to_physical(shell_mesh, eta, radius, zg_v.ravel(),
-                                  rg_v.ravel())
-        path = os.path.join(directory, f"velocity_{k:04d}.csv")
-        with open(path, "w") as f:
-            f.write("z,r_ref,r_phys,u_z,u_r\n")
-            for i in range(nv):
-                f.write(",".join([_fmt(zg_v.ravel()[i]), _fmt(rg_v.ravel()[i]),
-                                  _fmt(rp_v[i]), _fmt(u[i]), _fmt(u[nv + i])])
-                        + "\n")
-        written.append(path)
-        _, rp_p = map_to_physical(shell_mesh, eta, radius, zg_p.ravel(),
-                                  rg_p.ravel())
-        path = os.path.join(directory, f"pressure_{k:04d}.csv")
-        with open(path, "w") as f:
-            f.write("z,r_ref,r_phys,p\n")
-            for i in range(fluid_mesh.n_pressure_nodes):
-                f.write(",".join([_fmt(zg_p.ravel()[i]), _fmt(rg_p.ravel()[i]),
-                                  _fmt(rp_p[i]), _fmt(p[i])]) + "\n")
-        written.append(path)
-        path = os.path.join(directory, f"wall_{k:04d}.csv")
-        with open(path, "w") as f:
-            f.write("z,eta,v,v_star\n")
-            for i, z in enumerate(shell_mesh.nodes):
-                f.write(",".join([_fmt(z), _fmt(record.etas[k][2 * i]),
-                                  _fmt(record.vs[k][2 * i]),
-                                  _fmt(record.v_stars[k][2 * i])]) + "\n")
-        written.append(path)
+        eta, u = record.etas[k], record.us[k]
+        tables = (
+            ("velocity", "z,r_ref,r_phys,u_z,u_r",
+             [zv, rv, map_to_physical(shell_mesh, eta, radius, zv, rv)[1],
+              u[:nv], u[nv:]]),
+            ("pressure", "z,r_ref,r_phys,p",
+             [zp, rp, map_to_physical(shell_mesh, eta, radius, zp, rp)[1],
+              record.ps[k]]),
+            ("wall", "z,eta,v,v_star",
+             [shell_mesh.nodes, eta[0::2], record.vs[k][0::2],
+              record.v_stars[k][0::2]]),
+        )
+        for name, header, cols in tables:
+            path = os.path.join(directory, f"{name}_{k:04d}.csv")
+            _write_table(path, cols, header=header)
+            written.append(path)
     return written
 
 
 def _pressure_at_velocity_nodes(fluid_mesh, p):
     """Evaluate the bilinear pressure at the velocity nodes (exact)."""
-    grid = p.reshape(fluid_mesh.n_r + 1, fluid_mesh.n_z + 1)
-    # refine each direction by midpoint averaging (linear interpolation)
-    def refine(a, axis):
-        mids = 0.5 * (np.take(a, np.arange(a.shape[axis] - 1), axis=axis)
-                      + np.take(a, np.arange(1, a.shape[axis]), axis=axis))
-        out_shape = list(a.shape)
-        out_shape[axis] = 2 * a.shape[axis] - 1
-        out = np.empty(out_shape)
-        sl_even = [slice(None)] * a.ndim
-        sl_even[axis] = slice(0, None, 2)
-        sl_odd = [slice(None)] * a.ndim
-        sl_odd[axis] = slice(1, None, 2)
-        out[tuple(sl_even)] = a
-        out[tuple(sl_odd)] = mids
+    def refine(a):
+        # midpoints between consecutive rows: linear interpolation
+        out = np.empty((2 * a.shape[0] - 1,) + a.shape[1:])
+        out[0::2] = a
+        out[1::2] = 0.5 * (a[:-1] + a[1:])
         return out
 
-    return refine(refine(grid, 0), 1).ravel()
+    grid = p.reshape(fluid_mesh.n_r + 1, fluid_mesh.n_z + 1)
+    return refine(refine(grid).T).T.ravel()
 
 
 def write_fields_vtk(record, fluid_mesh, shell_mesh, radius, directory):
     """Legacy-VTK structured grids on the deformed velocity grid."""
     os.makedirs(directory, exist_ok=True)
-    written = []
-    zg, rg = np.meshgrid(fluid_mesh.velocity_z, fluid_mesh.velocity_r)
-    nz, nr = fluid_mesh.n_cols, fluid_mesh.n_rows
     nv = fluid_mesh.n_velocity_nodes
+    zv, rv = _reference_grid(fluid_mesh.velocity_z, fluid_mesh.velocity_r)
+    written = []
     for k in range(len(record)):
-        _, rp = map_to_physical(shell_mesh, record.etas[k], radius,
-                                zg.ravel(), rg.ravel())
+        _, r_phys = map_to_physical(shell_mesh, record.etas[k], radius, zv, rv)
         u = record.us[k]
-        p_nodes = _pressure_at_velocity_nodes(fluid_mesh, record.ps[k])
         path = os.path.join(directory, f"fields_{k:04d}.vtk")
         with open(path, "w") as f:
-            f.write("# vtk DataFile Version 3.0\n")
-            f.write(f"wallflow fields t={_fmt(record.times[k])}\n")
-            f.write("ASCII\nDATASET STRUCTURED_GRID\n")
-            f.write(f"DIMENSIONS {nz} {nr} 1\n")
-            f.write(f"POINTS {nv} double\n")
-            for i in range(nv):
-                f.write(f"{_fmt(zg.ravel()[i])} {_fmt(rp[i])} 0\n")
-            f.write(f"POINT_DATA {nv}\n")
-            f.write("VECTORS velocity double\n")
-            for i in range(nv):
-                f.write(f"{_fmt(u[i])} {_fmt(u[nv + i])} 0\n")
+            f.write("# vtk DataFile Version 3.0\n"
+                    f"wallflow fields t={_FMT % record.times[k]}\n"
+                    "ASCII\nDATASET STRUCTURED_GRID\n"
+                    f"DIMENSIONS {fluid_mesh.n_cols} {fluid_mesh.n_rows} 1\n"
+                    f"POINTS {nv} double\n")
+            _write_table(f, [zv, r_phys], _PAIR_FMT)
+            f.write(f"POINT_DATA {nv}\nVECTORS velocity double\n")
+            _write_table(f, [u[:nv], u[nv:]], _PAIR_FMT)
             f.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-            for i in range(nv):
-                f.write(f"{_fmt(p_nodes[i])}\n")
+            _write_table(f, [_pressure_at_velocity_nodes(fluid_mesh,
+                                                         record.ps[k])])
         written.append(path)
     return written
 

@@ -77,7 +77,6 @@ class FluidMesh:
         jzp, jrp = jzp.ravel(), jrp.ravel()
         self.conn_p = ((crg[:, None] + jrp[None, :]) * (self.n_z + 1)
                        + czg[:, None] + jzp[None, :])
-        self._cell_cz = czg
         self._cell_cr = crg
 
         # quadrature: q = qr*3 + qz on the unit cell, weights sum to 1
@@ -105,7 +104,6 @@ class FluidMesh:
         qcol = np.arange(self.n_cells)[:, None] % self.n_z
         self.quad_z_index = qcol * 3 + (np.arange(9)[None, :] % 3)    # (nc, 9)
         self.quad_r = (self._cell_cr[:, None] + self.quad_t[None, :]) * self.hr
-        self.quad_z = self.quad_z_flat[self.quad_z_index]
 
         # boundary node sets (top nodes ordered by z to match the trace map)
         top_row = self.n_rows - 1

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ale import min_radius_of
+from .coupling import build_coupling
 from .errors import ValidationError
 
 # relative residual under which a compatibility condition of initial data holds
@@ -111,13 +112,6 @@ class CompatibilityReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
-    def __str__(self):
-        lines = []
-        for c in self.checks:
-            flag = "ok  " if c.passed else "FAIL"
-            lines.append(f"[{flag}] {c.name}: residual {c.residual:.3e}")
-        return "\n".join(lines)
-
 
 def validate_compatibility(shell_mesh, fluid_mesh, eta0, v0, u0, radius):
     """Check that discrete initial data are mutually compatible.
@@ -137,8 +131,6 @@ def validate_compatibility(shell_mesh, fluid_mesh, eta0, v0, u0, radius):
     exactly constructed data report zero; :data:`COMPATIBILITY_TOL` is tight
     because initial data are typically built exactly.
     """
-    from .coupling import build_coupling  # local import to avoid a cycle
-
     eta0 = np.asarray(eta0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     u0 = np.asarray(u0, dtype=float)

@@ -158,11 +158,6 @@ def assemble_grams(mesh):
     return tuple(pattern.csr(blocks[d][keep]) for d in range(3))
 
 
-def assemble_mass(mesh):
-    """L2 Gram matrix of the Hermite basis on free DOFs (SPD)."""
-    return assemble_grams(mesh)[0]
-
-
 def combine_grams(grams, weights):
     """``sum_d weights[d] * grams[d]`` for matrices on the shared Gram
     pattern, combined entry by entry on that pattern (structural zeros

@@ -8,7 +8,7 @@ from wallflow import ale, coupling, driver, fluid, shell, sparsela
 from wallflow.cli import main
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
-from wallflow.errors import SolverError, ValidationError
+from wallflow.errors import ConfigError, SolverError, ValidationError
 
 from oracles import linear_interpolant, state_at
 
@@ -287,6 +287,13 @@ def rigid_cfg(n_steps=200):
         "waveform": {"inlet": {"kind": "constant", "value": 1.0},
                      "outlet": {"kind": "constant", "value": 0.0}},
     })
+
+
+def test_run_rejects_rigid_mode_before_any_setup(monkeypatch):
+    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
+    with pytest.raises(ConfigError, match="rigid mode"):
+        driver.run(rigid_cfg())
+    assert setups == []
 
 
 def test_rigid_steady_and_poiseuille_small():

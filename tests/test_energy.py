@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wallflow import ale, coupling, driver, fluid, shell
 from wallflow.config import validate_config
@@ -25,8 +26,9 @@ def build_monitor(n_z=4, n_r=2, length=2.0):
             EnergyMonitor(cs), cs.dt)
 
 
-def run_one_step(material, coeffs, sm, fm, cs, monitor, dt, p_in=300.0,
-                 p_out=0.0, seed=0):
+def one_step(material, coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
+             seed=0):
+    """The arguments of ``record_step`` for one step from random wall data."""
     rng = np.random.default_rng(seed)
     eta = 0.01 * rng.standard_normal(sm.n_free)
     v = 0.01 * rng.standard_normal(sm.n_free)
@@ -43,8 +45,12 @@ def run_one_step(material, coeffs, sm, fm, cs, monitor, dt, p_in=300.0,
     mass_old = res.operators["mass"]
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
     mass_new = fluid.assemble_weighted_mass(fm, snap_new)
-    return monitor.record_step(0, state, u, half, res, mass_old, mass_new,
-                               p_in, p_out)
+    return 0, state, u, half, res, mass_old, mass_new, p_in, p_out
+
+
+def run_one_step(material, coeffs, sm, fm, cs, monitor, dt, **kwargs):
+    return monitor.record_step(*one_step(material, coeffs, sm, fm, cs, dt,
+                                         **kwargs))
 
 
 def test_zero_states_record_all_zeros():
@@ -73,6 +79,31 @@ def test_recorded_identities_hold():
     assert row["balance_residual"] <= 1e-10 * scale
     assert row["jump_u"] >= 0.0 and row["d_fluid"] >= 0.0
     assert row["mass_update_residual"] <= 1e-13 * row["mass_update_scale"]
+
+
+class CountingMatrix(sp.csr_matrix):
+    """A CSR matrix that counts its products with vectors."""
+
+    def __matmul__(self, other):
+        if np.ndim(other) == 1:
+            self.products = getattr(self, "products", 0) + 1
+        return super().__matmul__(other)
+
+
+def test_ledger_row_evaluates_each_form_once():
+    material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
+    args = one_step(material, coeffs, sm, fm, cs, dt)
+    _, state, u, half, res, mass_old, mass_new, _, _ = args
+    e_n = monitor.total_energy(u, state.v, state.eta, mass_old)
+    e_half = monitor.total_energy(u, half.v_star, half.eta, mass_old)
+    e_full = monitor.total_energy(res.u_full, res.v_new, half.eta, mass_new)
+    counted = CountingMatrix(mass_old)
+    cs.grams = tuple(CountingMatrix(g) for g in cs.grams)
+    row = monitor.record_step(*args[:5], counted, *args[6:])
+    assert counted.products == 2      # the kinetic energy at n and jump_u
+    # elastic energy at eta_n and eta_half, and the eta jump
+    assert [g.products for g in cs.grams] == [3, 3, 3]
+    assert (row["e_n"], row["e_half"], row["e_full"]) == (e_n, e_half, e_full)
 
 
 def test_hand_computed_wall_energy_single_dof():

@@ -7,8 +7,12 @@ from wallflow import driver, exporters
 from wallflow.config import validate_config
 from wallflow.energy import load_ledger, verify_run
 
+from oracles import write_fields_csv_by_loop, write_fields_vtk_by_loop
 
-def run_small(tmp_path, constant_eta=False, **time):
+
+def run_small(tmp_path, bump=False, **time):
+    """A short zero run, or with ``bump`` a bumped, moving wall under a
+    pressure pulse, so every exported field is non-zero."""
     raw = {
         "geometry": {"radius": 0.5, "length": 6.0},
         "fluid": {"density": 1.0, "viscosity": 0.035},
@@ -22,6 +26,11 @@ def run_small(tmp_path, constant_eta=False, **time):
         "output": {"directory": str(tmp_path / "out"), "cadence": 1,
                    "fields": "both", "ledger": "csv"},
     }
+    if bump:
+        raw["initial_data"] = {"kind": "bump", "eta_amplitude": 0.01,
+                               "v_amplitude": 1.0}
+        raw["waveform"]["inlet"] = {"kind": "pulse", "amplitude": 2.0e4,
+                                    "duration": 0.005}
     cfg = validate_config(raw)
     result = driver.run(cfg)
     return cfg, result, result.setup
@@ -113,3 +122,21 @@ def test_pressure_interpolation_to_velocity_nodes_is_exact(tmp_path):
     zv, rv = np.meshgrid(fm.velocity_z, fm.velocity_r)
     exact = (1.0 + 2.0 * zv + 3.0 * rv + 0.5 * zv * rv).ravel()
     assert np.abs(interp - exact).max() <= 1e-12
+
+
+def test_writers_match_the_loop_reference(tmp_path):
+    cfg, result, setup = run_small(tmp_path, bump=True)
+    rec = result.record
+    assert all(np.abs(p).max() > 0.0 for p in rec.ps[1:])
+    assert all(np.abs(eta).max() > 0.0 for eta in rec.etas)
+    new = exporters.write_outputs(result, setup, cfg["output"])[1:]
+    ref_dir = str(tmp_path / "ref")
+    ref = (write_fields_csv_by_loop(rec, setup.fluid_mesh, setup.shell_mesh,
+                                    setup.radius, ref_dir)
+           + write_fields_vtk_by_loop(rec, setup.fluid_mesh, setup.shell_mesh,
+                                      setup.radius, ref_dir))
+    assert len(new) == len(ref) == 4 * len(rec)
+    for a, b in zip(new, ref):
+        assert os.path.basename(a) == os.path.basename(b)
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read(), os.path.basename(a)

@@ -24,7 +24,7 @@ def test_element_mass_value_diagonal():
 
 def test_mass_is_exactly_symmetric_and_spd():
     mesh = shell.ShellMesh(6, 2.0)
-    m = shell.assemble_mass(mesh)
+    m = shell.assemble_grams(mesh)[0]
     assert abs(m - m.T).max() == 0.0
     assert np.linalg.eigvalsh(m.toarray()).min() > 0.0
 
@@ -66,7 +66,7 @@ def test_broadcast_grams_match_a_per_element_loop():
 def test_elastic_form_with_only_c0_is_the_mass():
     mesh = shell.ShellMesh(5, 1.0)
     a = shell.assemble_elastic_form(mesh, coeffs(c0=1.0))
-    m = shell.assemble_mass(mesh)
+    m = shell.assemble_grams(mesh)[0]
     assert abs(a - m).max() == 0.0
 
 
@@ -90,7 +90,7 @@ def test_viscous_form_zero_and_mass_cases():
     mesh = shell.ShellMesh(4, 1.0)
     zero = shell.assemble_viscous_form(mesh, coeffs())
     assert abs(zero).max() == 0.0
-    m = shell.assemble_mass(mesh)
+    m = shell.assemble_grams(mesh)[0]
     d0 = shell.assemble_viscous_form(mesh, coeffs(d0=1.0))
     assert abs(d0 - m).max() == 0.0
 
@@ -107,7 +107,7 @@ def test_viscous_form_random_coefficients_vs_oracle():
 
 def test_piecewise_cubic_norm_matches_dense_integral():
     mesh = shell.ShellMesh(2, 1.0)
-    m = shell.assemble_mass(mesh)
+    m = shell.assemble_grams(mesh)[0]
     free = np.array([0.7, -0.3])
     quad_form = float(free @ (m @ free))
     full = mesh.to_full(free)
@@ -136,7 +136,7 @@ def test_evaluate_reproduces_a_global_cubic():
 @pytest.fixture
 def step_system():
     mesh = shell.ShellMesh(4, 1.0)
-    m = shell.assemble_mass(mesh)
+    m = shell.assemble_grams(mesh)[0]
     a = shell.assemble_elastic_form(mesh, coeffs(c0=3.0, c1=0.4, c2=2.0))
     return mesh, m, a
 

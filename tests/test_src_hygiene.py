@@ -1,0 +1,73 @@
+"""Every top-level function and class of the package has a use: code in
+src/wallflow refers to it outside its own definition, the package exports
+it in ``__all__``, or README.md names it.  A helper whose only caller is a
+test belongs in tests/oracles.py.  The sources are read, not imported."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _names_used(node):
+    """Every name a piece of code refers to: plain names, attributes and
+    imported names."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_definitions(root=ROOT):
+    """``file:name`` of each top-level def or class with no use in the
+    tree at ``root``."""
+    modules = {path.name: ast.parse(path.read_text())
+               for path in sorted((root / "src" / "wallflow").glob("*.py"))}
+    # (file, top-level node, names it uses) for every top-level node
+    parts = [(name, node, _names_used(node))
+             for name, tree in modules.items() for node in tree.body]
+    exported = _exported(modules["__init__.py"])
+    readme = (root / "README.md").read_text()
+    unused = []
+    for fname, node, _ in parts:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        used = any(node.name in names for _, other, names in parts
+                   if other is not node)
+        if not (used or node.name in exported
+                or re.search(rf"\b{re.escape(node.name)}\b", readme)):
+            unused.append(f"{fname}:{node.name}")
+    return unused
+
+
+def test_every_definition_has_a_use_outside_tests():
+    assert unused_definitions() == []
+
+
+def test_the_check_sees_a_helper_with_no_use(tmp_path):
+    pkg = tmp_path / "src" / "wallflow"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("__all__ = ['api']\n")
+    (pkg / "a.py").write_text(
+        "def api():\n    return _helper()\n\n\n"
+        "def _helper():\n    return 1\n\n\n"
+        "def documented():\n    return 2\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n")
+    (tmp_path / "README.md").write_text("Call `documented()`.\n")
+    # a call from inside its own definition is no use
+    assert unused_definitions(tmp_path) == ["a.py:recursive"]
