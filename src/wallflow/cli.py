@@ -1,13 +1,11 @@
 """Command-line surface.
 
 Subcommands: ``run`` a configured simulation, ``verify`` a stored energy
-ledger (``ledger.csv``, or the JSONL of older runs), ``converge`` a temporal
+ledger (a ``ledger.csv``; any other file exits 1), ``converge`` a temporal
 self-convergence ladder, ``poiseuille`` the rigid-wall regression.  Exit
 codes are stable: 0 success, 1 configuration or verification error, 2 wall
 contact, 3 solver failure.  Tolerances are package constants, not settings:
-a configuration that sets one exits 1 as an unknown key.  The environment
-variable ``WALLFLOW_WORKERS`` sets the process count for convergence
-ladders (results are identical for any worker count).
+a configuration that sets one exits 1 as an unknown key.
 """
 
 import argparse
@@ -17,6 +15,7 @@ from . import driver
 from .config import load_config
 from .energy import load_ledger, verify_run
 from .errors import ConfigError, SolverError, ValidationError, WallflowError
+from .exporters import write_outputs
 
 
 def _cmd_run(args):
@@ -27,7 +26,6 @@ def _cmd_run(args):
               f"{increment:.3e}")
         return 0
     result = driver.run(cfg)
-    from .exporters import write_outputs
     written = write_outputs(result, result.setup, cfg["output"])
     print(f"status: {result.status}")
     if result.contact is not None:
@@ -52,6 +50,9 @@ def _cmd_verify(args):
 
 
 def _cmd_converge(args):
+    if args.ladder < 2 or args.reference_refinement < 2:
+        raise ConfigError("--ladder and --reference-refinement must be at "
+                          "least 2")
     cfg = load_config(args.config)
     base = cfg["time"]["n_steps"]
     rungs = [base * 2**i for i in range(args.ladder)]

@@ -126,7 +126,7 @@ def validate_config(raw):
         problems.append("time.n_steps must be a positive integer")
 
     mode = raw.get("mode", _DEFAULTS["mode"])
-    if mode not in _MODES:
+    if not isinstance(mode, str) or mode not in _MODES:
         problems.append(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
     if mode == "elastic" and wall.get("viscous_modulus", 0.0) not in (0, 0.0):
         problems.append("mode 'elastic' contradicts wall.viscous_modulus > 0; "
@@ -139,7 +139,7 @@ def validate_config(raw):
             problems.append(f"waveform.{side} is required")
             continue
         kind = spec.get("kind")
-        if kind not in _WAVE_KEYS:
+        if not isinstance(kind, str) or kind not in _WAVE_KEYS:
             problems.append(f"waveform.{side}.kind must be one of "
                             f"{sorted(_WAVE_KEYS)}, got {kind!r}")
             continue

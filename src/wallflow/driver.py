@@ -16,7 +16,6 @@ is what makes the kinetic-energy weight update an identity; don't "fix" it.
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ class TrajectoryRecord:
     are exact multiples of dt.
     """
 
-    dt: float
     times: list = field(default_factory=list)
     etas: list = field(default_factory=list)        # full Hermite DOFs
     vs: list = field(default_factory=list)          # full Hermite DOFs
@@ -104,8 +102,10 @@ class RunSetup:
                                                self.length)
         self.grams = g = shell.assemble_grams(sm)    # (G0, G1, G2)
         self.shell_mass = g[0]                       # M_s = G0
-        self.shell_elastic = shell.assemble_elastic_form(sm, coeffs, g)
-        self.shell_viscous = shell.assemble_viscous_form(sm, coeffs, g)
+        self.shell_elastic = shell.combine_grams(g, (coeffs.C0, coeffs.C1,
+                                                     coeffs.C2))
+        self.shell_viscous = shell.combine_grams(g, (coeffs.D0, coeffs.D1,
+                                                     coeffs.D2))
         self.rho_s_h = coeffs.rho_s_h
         self.partition = fluid.DofPartition(fm)
         self.trace_op = coupling.build_coupling(sm, fm)   # top edge <- wall
@@ -201,7 +201,7 @@ def run(cfg):
     u = u0.copy()
     pressure = np.zeros(fm.n_pressure_nodes)
 
-    record = TrajectoryRecord(dt=dt)
+    record = TrajectoryRecord()
     cadence = cfg["output"]["cadence"]
 
     try:
@@ -396,13 +396,11 @@ def fit_order(dts, errors):
 
 def _with_steps(cfg, n_steps):
     new = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items()}
-    new["time"] = dict(cfg["time"])
     new["time"]["n_steps"] = int(n_steps)
     return new
 
 
-def _run_final(cfg_steps):
-    cfg, n_steps = cfg_steps
+def _run_final(cfg, n_steps):
     result = run(_with_steps(cfg, n_steps))
     if result.status != STATUS_COMPLETED:
         raise SolverError(f"convergence rung with {n_steps} steps ended "
@@ -434,27 +432,17 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def self_convergence_study(cfg, rung_steps, reference_steps, workers=None):
+def self_convergence_study(cfg, rung_steps, reference_steps):
     """Errors at the final time against a fine-dt reference of the same run.
 
     The spatial mesh is shared by every rung, so the observed order isolates
-    the time discretization.  ``workers`` (default: the WALLFLOW_WORKERS
-    environment variable) runs rungs in separate processes; results do not
-    depend on the worker count.
+    the time discretization.
     """
     rung_steps = sorted(int(n) for n in rung_steps)
     if reference_steps in rung_steps:
         raise ValidationError("reference resolution duplicates a rung")
     t_final = cfg["time"]["t_final"]
-    jobs = [(cfg, n) for n in rung_steps + [reference_steps]]
-    if workers is None:
-        workers = int(os.environ.get("WALLFLOW_WORKERS", "1"))
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            outs = pool.map(_run_final, jobs)
-    else:
-        outs = [_run_final(j) for j in jobs]
+    outs = [_run_final(cfg, n) for n in rung_steps + [reference_steps]]
     ref = outs[-1]
     rungs = outs[:-1]
 

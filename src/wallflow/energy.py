@@ -117,25 +117,6 @@ class EnergyLedger:
                 led.append(_parse_row(rec, f"{path} line {reader.line_num}"))
         return led
 
-    @classmethod
-    def from_jsonl(cls, path):
-        led = None
-        with open(path) as f:
-            for n, line in enumerate(f, start=1):
-                where = f"{path} line {n}"
-                obj = _parse_json_object(line, where)
-                kind = obj.pop("kind", None)
-                if kind == "header":
-                    led = cls(obj)
-                elif kind == "row" and led is not None:
-                    led.append(_parse_row(obj, where))
-                else:
-                    raise WallflowError(f"{where}: not a header or a row "
-                                        "after one")
-        if led is None:
-            raise WallflowError(f"{path} held no ledger header")
-        return led
-
 
 def _fmt(x):
     if isinstance(x, (int, np.integer)):
@@ -160,11 +141,11 @@ def _parse_row(cells, where):
     row = {}
     for c in LEDGER_COLUMNS:
         cell = cells.get(c)
-        if cell is None:     # absent key, or a CSV row cut short
+        if cell is None:     # a CSV row cut short
             raise WallflowError(f"{where}: column {c} is missing")
         try:
             row[c] = int(cell) if c == "step" else float(cell)
-        except (TypeError, ValueError):
+        except ValueError:
             raise WallflowError(f"{where}: column {c} holds {cell!r}, "
                                 "not a number") from None
     return row
@@ -184,16 +165,14 @@ def _check_header(header, path):
 
 
 def load_ledger(path):
-    """Read a ledger from CSV or (as older runs wrote it) JSONL, sniffing
-    the format.  A file that cannot be read or parsed, or whose header lacks
-    a number the verifier reads, raises :class:`WallflowError` naming it."""
+    """Read a ledger CSV.  A file that cannot be read or parsed, or whose
+    header lacks a number the verifier reads, raises :class:`WallflowError`
+    naming it."""
     try:
-        with open(path) as f:
-            is_csv = f.readline().startswith(CSV_HEADER_TAG)
+        led = EnergyLedger.from_csv(path)
     except OSError as exc:
         raise WallflowError(
             f"cannot read ledger {path}: {exc.strerror}") from None
-    led = (EnergyLedger.from_csv if is_csv else EnergyLedger.from_jsonl)(path)
     _check_header(led.header, path)
     return led
 

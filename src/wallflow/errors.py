@@ -29,10 +29,6 @@ class MeshAlignmentError(ConfigError):
 class SolverError(WallflowError):
     """A linear solve failed or did not meet its residual contract."""
 
-    def __init__(self, message, residual=None):
-        self.residual = residual
-        super().__init__(message)
-
 
 class WallContact(WallflowError):
     """The moving wall reached the contact threshold min(R + eta) <= tol.

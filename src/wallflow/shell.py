@@ -167,18 +167,6 @@ def combine_grams(grams, weights):
     return sp.csr_matrix((data, g0.indices, g0.indptr), shape=g0.shape)
 
 
-def assemble_elastic_form(mesh, coeffs, grams=None):
-    """Stiffness C0*G0 + C1*G1 + C2*G2 of the elastic wall operator."""
-    return combine_grams(grams if grams is not None else assemble_grams(mesh),
-                         (coeffs.C0, coeffs.C1, coeffs.C2))
-
-
-def assemble_viscous_form(mesh, coeffs, grams=None):
-    """Damping D0*G0 + D1*G1 + D2*G2; the zero matrix for an elastic wall."""
-    return combine_grams(grams if grams is not None else assemble_grams(mesh),
-                         (coeffs.D0, coeffs.D1, coeffs.D2))
-
-
 @dataclass
 class ShellState:
     """Free-DOF wall state: displacement, velocity, and the half-step

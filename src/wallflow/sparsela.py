@@ -173,7 +173,7 @@ class DirectFactor:
         """Unchecked solve with the LU factors, for use as a preconditioner."""
         return self._lu.solve(b)
 
-    def solve(self, b, tol=1e-12):
+    def solve(self, b, tol):
         b = np.asarray(b, dtype=float)
         x = self._lu.solve(b)
         norm_b = np.linalg.norm(b)
@@ -187,9 +187,7 @@ class DirectFactor:
             if resid > tol * norm_b:
                 raise SolverError(
                     f"direct solve residual {resid:.3e} exceeds {tol:.1e} * ||b|| = "
-                    f"{tol * norm_b:.3e}",
-                    residual=resid,
-                )
+                    f"{tol * norm_b:.3e}")
         if not np.all(np.isfinite(x)):
             raise SolverError("direct solve produced non-finite entries")
         return x
@@ -202,7 +200,7 @@ class DirectFactor:
 GMRES_MAX_ITERATIONS = 20
 
 
-def krylov_solve(a, b, factor, tol=1e-10, callback=None):
+def krylov_solve(a, b, factor, tol, callback=None):
     """GMRES on ``a x = b``, right-preconditioned by the LU ``factor`` of a
     nearby matrix, within :data:`GMRES_MAX_ITERATIONS` iterations.
 
@@ -259,9 +257,7 @@ def krylov_solve(a, b, factor, tol=1e-10, callback=None):
     if not resid <= target:         # also rejects a NaN residual
         raise SolverError(
             f"gmres missed {tol:.1e} * ||b|| within {GMRES_MAX_ITERATIONS} "
-            f"iterations (residual {resid:.3e})",
-            residual=resid,
-        )
+            f"iterations (residual {resid:.3e})")
     return x
 
 

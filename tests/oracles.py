@@ -13,7 +13,6 @@ nodes row-major (r outer, z inner), component-blocked; wall DOFs (value,
 slope) per node with clamped ends dropped.
 """
 
-import json
 import os
 
 import numpy as np
@@ -497,16 +496,6 @@ def top_edge_traction(setup, result, u_prev_full, dt):
     resid_full = _momentum_residual(setup, result, u_prev_full, dt)
     load = resid_full[setup.partition.top_r]
     return np.linalg.solve(top_edge_mass(setup.fluid_mesh), load)
-
-
-def write_ledger_jsonl(ledger, path):
-    """The JSONL ledger layout older runs wrote (a header object, then one
-    object per row), for tests of the reader that still accepts it."""
-    with open(path, "w") as f:
-        f.write(json.dumps({"kind": "header", **ledger.header},
-                           sort_keys=True) + "\n")
-        for r in ledger.rows:
-            f.write(json.dumps({"kind": "row", **r}, sort_keys=True) + "\n")
 
 
 # -- field writers, one formatted node at a time ------------------------------

@@ -11,7 +11,7 @@ from wallflow.energy import (CSV_HEADER_TAG, LEDGER_COLUMNS, EnergyLedger,
                              load_ledger)
 from wallflow.errors import SolverError
 
-from oracles import write_ledger_jsonl
+from test_driver import count_calls
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -87,9 +87,13 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, key,
     # then writing its outputs fails
     ({"output": {"directory": os.path.join(CONFIG_DIR, "pulse.json")}},
      "error: cannot write output to"),
+    ({"mode": []}, "mode must be one of"),
+    ({"waveform": {"inlet": {"kind": ["pulse"]},
+                   "outlet": {"kind": "constant", "value": 0.0}}},
+     "waveform.inlet.kind must be one of"),
 ], ids=["solver-list", "output-string", "initial-data-string",
         "directory-number", "cadence-bool", "directory-empty",
-        "directory-is-a-file"])
+        "directory-is-a-file", "mode-list", "waveform-kind-list"])
 def test_malformed_sections_are_config_errors(tmp_path, capsys, overrides,
                                               problem):
     cfg = write_cfg(tmp_path, name="malformed.json", **overrides)
@@ -175,6 +179,19 @@ def test_converge_command_smoke(tmp_path, capsys):
     assert "dt ladder" in out and "order" in out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--ladder", "0"), ("--ladder", "-1"), ("--ladder", "1"),
+    ("--reference-refinement", "0"), ("--reference-refinement", "1")])
+def test_bad_converge_arguments_are_config_errors(tmp_path, monkeypatch,
+                                                  capsys, flag, value):
+    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
+    assert main(["converge", write_cfg(tmp_path), flag, value]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert flag in lines[0]
+    assert setups == []     # rejected before any run
+
+
 def test_missing_file_is_config_error(capsys):
     assert main(["run", "/nonexistent/cfg.json"]) == 1
     assert "configuration error" in capsys.readouterr().err
@@ -239,6 +256,17 @@ def set_cell(lines, row, name, value):
     return lines[:2 + row] + [",".join(cells)] + lines[3 + row:]
 
 
+def as_jsonl(lines):
+    """A CSV ledger's lines in the JSONL layout of old versions: a header
+    object, then one object per row."""
+    header = json.loads(lines[0][len(CSV_HEADER_TAG):])
+    names = lines[1].split(",")
+    rows = [dict(zip(names, map(float, line.split(","))))
+            for line in lines[2:]]
+    return ([json.dumps({"kind": "header", **header})]
+            + [json.dumps({"kind": "row", **row}) for row in rows])
+
+
 MALFORMED_LEDGERS = {     # case -> (ledger format, edit of its lines)
     "missing-file": ("csv", None),
     "bad-header-json": ("csv", lambda lines: [CSV_HEADER_TAG + ' {"dt": ']
@@ -252,8 +280,7 @@ MALFORMED_LEDGERS = {     # case -> (ledger format, edit of its lines)
     "header-non-numeric-dt": ("csv", lambda lines: [
         CSV_HEADER_TAG + ' {"dt": "abc", "e0": 1.0, "rho_s_h": 1.0}']
         + lines[1:]),
-    "jsonl-non-numeric-cell": ("jsonl", lambda lines: [
-        line.replace('"pwork": 0.5', '"pwork": "x"') for line in lines]),
+    "jsonl-ledger": ("jsonl", as_jsonl),
 }
 
 
@@ -264,7 +291,7 @@ def test_malformed_ledger_is_a_clean_error(tmp_path, capsys, case):
         led.append({c: k if c == "step" else 0.5 for c in LEDGER_COLUMNS})
     fmt, edit = MALFORMED_LEDGERS[case]
     path = tmp_path / f"ledger.{fmt}"
-    {"csv": EnergyLedger.to_csv, "jsonl": write_ledger_jsonl}[fmt](led, path)
+    led.to_csv(path)
     if edit is None:
         path.unlink()
     else:

@@ -260,19 +260,8 @@ def test_small_convergence_study_runs():
 
 def test_convergence_study_builds_one_setup_per_run(monkeypatch):
     setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
-    driver.self_convergence_study(small_cfg(), [10, 20], 80, workers=1)
+    driver.self_convergence_study(small_cfg(), [10, 20], 80)
     assert len(setups) == 3
-
-
-def test_worker_pool_matches_serial(monkeypatch):
-    cfg = small_cfg(time={"t_final": 0.001, "n_steps": 5})
-    serial = driver.self_convergence_study(cfg, [5, 10], 40, workers=1)
-    parallel = driver.self_convergence_study(cfg, [5, 10], 40, workers=2)
-    monkeypatch.setenv("WALLFLOW_WORKERS", "2")
-    from_env = driver.self_convergence_study(cfg, [5, 10], 40)
-    for other in (parallel, from_env):
-        assert serial.errors == other.errors
-        assert serial.gaps == other.gaps
 
 
 def rigid_cfg(n_steps=200):

@@ -8,7 +8,7 @@ from wallflow.energy import (LEDGER_COLUMNS, EnergyLedger, EnergyMonitor,
                              discrete_trace_constant, load_ledger, verify_run)
 from wallflow.sparsela import DirectFactor, ReusedFactorSolver
 
-from oracles import write_ledger_jsonl, zero_shell_state
+from oracles import zero_shell_state
 
 
 def build_monitor(n_z=4, n_r=2, length=2.0):
@@ -144,17 +144,14 @@ def make_ledger(rows=3):
 
 def test_ledger_round_trip_csv_and_jsonl(tmp_path):
     led = make_ledger()
-    csv_path = tmp_path / "ledger.csv"
-    jsonl_path = tmp_path / "ledger.jsonl"
-    led.to_csv(csv_path)
-    write_ledger_jsonl(led, jsonl_path)
-    for path in (csv_path, jsonl_path):
-        back = load_ledger(path)
-        assert back.header == led.header
-        assert len(back) == len(led)
-        for a, b in zip(back.rows, led.rows):
-            for col in LEDGER_COLUMNS:
-                assert a[col] == b[col], col
+    path = tmp_path / "ledger.csv"
+    led.to_csv(path)
+    back = load_ledger(path)
+    assert back.header == led.header
+    assert len(back) == len(led)
+    for a, b in zip(back.rows, led.rows):
+        for col in LEDGER_COLUMNS:
+            assert a[col] == b[col], col
 
 
 def test_round_trip_preserves_verdict(tmp_path):

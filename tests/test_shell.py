@@ -15,6 +15,14 @@ def coeffs(c0=0.0, c1=0.0, c2=0.0, d0=0.0, d1=0.0, d2=0.0, rho_s_h=1.0):
                              rho_s_h=rho_s_h)
 
 
+def elastic_form(mesh, c):
+    return shell.combine_grams(shell.assemble_grams(mesh), (c.C0, c.C1, c.C2))
+
+
+def viscous_form(mesh, c):
+    return shell.combine_grams(shell.assemble_grams(mesh), (c.D0, c.D1, c.D2))
+
+
 def test_element_mass_value_diagonal():
     length = 0.37
     me, _, _ = shell.hermite_element_matrices(length)
@@ -65,14 +73,14 @@ def test_broadcast_grams_match_a_per_element_loop():
 
 def test_elastic_form_with_only_c0_is_the_mass():
     mesh = shell.ShellMesh(5, 1.0)
-    a = shell.assemble_elastic_form(mesh, coeffs(c0=1.0))
+    a = elastic_form(mesh, coeffs(c0=1.0))
     m = shell.assemble_grams(mesh)[0]
     assert abs(a - m).max() == 0.0
 
 
 def test_elastic_form_is_positive_definite():
     mesh = shell.ShellMesh(5, 1.0)
-    a = shell.assemble_elastic_form(mesh, coeffs(c0=2.0, c1=0.3, c2=1.5))
+    a = elastic_form(mesh, coeffs(c0=2.0, c1=0.3, c2=1.5))
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.standard_normal(mesh.n_free)
@@ -81,24 +89,24 @@ def test_elastic_form_is_positive_definite():
 
 def test_bending_only_form_matches_dense_oracle():
     mesh = shell.ShellMesh(2, 1.0)
-    a = shell.assemble_elastic_form(mesh, coeffs(c2=1.0)).toarray()
+    a = elastic_form(mesh, coeffs(c2=1.0)).toarray()
     ref = shell_gram_dense(mesh.nodes, 2)
     assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_viscous_form_zero_and_mass_cases():
     mesh = shell.ShellMesh(4, 1.0)
-    zero = shell.assemble_viscous_form(mesh, coeffs())
+    zero = viscous_form(mesh, coeffs())
     assert abs(zero).max() == 0.0
     m = shell.assemble_grams(mesh)[0]
-    d0 = shell.assemble_viscous_form(mesh, coeffs(d0=1.0))
+    d0 = viscous_form(mesh, coeffs(d0=1.0))
     assert abs(d0 - m).max() == 0.0
 
 
 def test_viscous_form_random_coefficients_vs_oracle():
     mesh = shell.ShellMesh(2, 1.0)
     c = coeffs(d0=0.7, d1=1.9, d2=0.23)
-    ours = shell.assemble_viscous_form(mesh, c).toarray()
+    ours = viscous_form(mesh, c).toarray()
     ref = (0.7 * shell_gram_dense(mesh.nodes, 0)
            + 1.9 * shell_gram_dense(mesh.nodes, 1)
            + 0.23 * shell_gram_dense(mesh.nodes, 2))
@@ -137,7 +145,7 @@ def test_evaluate_reproduces_a_global_cubic():
 def step_system():
     mesh = shell.ShellMesh(4, 1.0)
     m = shell.assemble_grams(mesh)[0]
-    a = shell.assemble_elastic_form(mesh, coeffs(c0=3.0, c1=0.4, c2=2.0))
+    a = elastic_form(mesh, coeffs(c0=3.0, c1=0.4, c2=2.0))
     return mesh, m, a
 
 

@@ -71,3 +71,16 @@ def test_the_check_sees_a_helper_with_no_use(tmp_path):
     (tmp_path / "README.md").write_text("Call `documented()`.\n")
     # a call from inside its own definition is no use
     assert unused_definitions(tmp_path) == ["a.py:recursive"]
+
+
+def environment_reads(root=ROOT):
+    """``file`` of each module of the package whose code names ``environ``
+    or ``getenv``, as a plain name, an attribute or an imported name."""
+    return [path.name
+            for path in sorted((root / "src" / "wallflow").glob("*.py"))
+            if _names_used(ast.parse(path.read_text()))
+            & {"environ", "getenv"}]
+
+
+def test_no_module_reads_the_environment():
+    assert environment_reads() == []
