@@ -80,19 +80,3 @@ def map_to_physical(shell_mesh, eta_free, radius, z, r):
     r = np.asarray(r, dtype=float)
     return z, (radius + shell_mesh.evaluate(eta_free, z)) * r
 
-
-def pullback_velocity(shell_mesh, eta_free, radius, fluid_mesh, fz, fr):
-    """Reference-domain velocity DOFs of a physical-domain field.
-
-    Composes the callables fz(z, r_phys), fr(z, r_phys) with the domain map,
-    i.e. samples them at the image of every velocity node.  Use this to feed
-    initial data given on the deformed geometry to a run; data already on
-    the reference rectangle can go in directly.
-    """
-    zg, rg = np.meshgrid(fluid_mesh.velocity_z, fluid_mesh.velocity_r)
-    _, r_phys = map_to_physical(shell_mesh, eta_free, radius,
-                                zg.ravel(), rg.ravel())
-    u = np.empty(2 * fluid_mesh.n_velocity_nodes)
-    u[:fluid_mesh.n_velocity_nodes] = np.asarray(fz(zg.ravel(), r_phys))
-    u[fluid_mesh.n_velocity_nodes:] = np.asarray(fr(zg.ravel(), r_phys))
-    return u

@@ -93,7 +93,9 @@ def validate_config(raw):
     for section in ("geometry", "fluid", "wall", "mesh", "time", "waveform"):
         sub = raw.get(section)
         if not isinstance(sub, dict):
-            problems.append(f"section '{section}' is required")
+            problems.append(f"section '{section}' must be an object"
+                            if section in raw
+                            else f"section '{section}' is required")
             sub = {}
         else:
             _check_unknown(problems, sub, _SCHEMA[section], section)
@@ -215,17 +217,11 @@ def load_config(path):
 
 
 def build_material(cfg):
-    wall, geo = cfg["wall"], cfg["geometry"]
-    return ShellMaterial(
-        youngs_modulus=wall["youngs_modulus"],
-        poisson_ratio=wall["poisson_ratio"],
-        thickness=wall["thickness"],
-        radius=geo["radius"],
-        length=geo["length"],
-        density=wall["density"],
-        viscous_modulus=wall["viscous_modulus"],
-        viscous_poisson=wall["viscous_poisson"],
-    )
+    """The wall of a validated config: its wall section, whose keys are the
+    material's fields, on the tube's radius and length."""
+    geo = cfg["geometry"]
+    return ShellMaterial(radius=geo["radius"], length=geo["length"],
+                         **cfg["wall"])
 
 
 def _read_waveform_csv(path):

@@ -6,7 +6,8 @@ through the Hermite trace map, so wall inertia and wall viscosity land on
 the trace block of the system (Robin-type coupling).  The elimination,
 fixed DOFs included, is one prolongation ``P`` built per run; every
 reduced system, load and recovered field goes through it; the steps read
-``P`` and the wall operators from the run's ``RunSetup``.  That implicit
+``P``, ``dt`` and the wall operators, the wall block included, from the
+run's ``RunSetup``.  That implicit
 treatment of wall inertia is what makes the split scheme unconditionally
 stable, and elimination (rather than a multiplier) keeps the discrete
 energy identities exact at the algebra level.
@@ -28,7 +29,6 @@ import scipy.sparse as sp
 
 from . import fluid as fl
 from .errors import MeshAlignmentError, WallContact
-from .shell import combine_grams
 from .sparsela import ProductMap, csr_rows
 
 # relative residual contract ||Ax - b|| <= tol * ||b|| of every fluid-step
@@ -124,16 +124,21 @@ def assemble_step_operators(setup, snapshot, mass, u_prev_full, v_half_free,
         "divergence": fl.assemble_divergence(mesh, snapshot),
     }
     forcing = fl.assemble_pressure_forcing(mesh, p_in, p_out, snapshot.radius)
-    rhs_full = (setup.rho_f / dt) * (mass @ u_prev_full) + forcing
+    rhs_full = ((setup.rho_f / dt) * fl.componentwise(mass, u_prev_full)
+                + forcing)
     return ops, forcing, rhs_full
 
 
 def momentum_matrix(setup, ops, dt):
-    """(rho_f/dt) M + N + (rho_f/2) S + K on the full velocity space, one
-    combination of the four data arrays on the shared velocity pattern."""
-    return setup.fluid_mesh.vv_pattern().matrix(
-        (setup.rho_f / dt) * ops["mass"].data + ops["advection"].data
-        + (0.5 * setup.rho_f) * ops["robin"].data + ops["viscous"].data)
+    """(rho_f/dt) M + N + (rho_f/2) S + K on the full velocity space: the
+    scalar M, N and S combine on their data, which is added to both diagonal
+    blocks of K's, so each entry is the two-component operators' sum."""
+    fm = setup.fluid_mesh
+    scalar = ((setup.rho_f / dt) * ops["mass"].data + ops["advection"].data
+              + (0.5 * setup.rho_f) * ops["robin"].data)
+    data = ops["viscous"].data.copy()
+    data[fm.diagonal_slots] += np.concatenate([scalar, scalar])
+    return fm.vv_pattern.matrix(data)
 
 
 def build_reduction(setup, coupled):
@@ -146,7 +151,7 @@ def build_reduction(setup, coupled):
     fm, nf = setup.fluid_mesh, setup.partition.n_free
     p = setup.prolongation if coupled else setup.prolongation[:, :nf]
     n, n_p = p.shape[1], fm.n_pressure_nodes
-    vv, pv = fm.vv_pattern(), fm.pv_pattern()
+    vv, pv = fm.vv_pattern, fm.pv_pattern
     a_rows, b_rows = csr_rows(vv), csr_rows(pv)
     eye_p = sp.identity(n_p, format="csr")
     terms = [(0, a_rows, vv.indices, p.T, p, (0, 0), 1.0),
@@ -177,21 +182,22 @@ def reduce_coupled_system(setup, a_mom, b_div, wall=None):
         np.concatenate([a_mom.data, b_div.data, wall.data]))
 
 
-def _solve_reduced(setup, p, ops, load, dt, solver, wall=None):
+def _solve_reduced(setup, p, ops, load, solver, wall=None):
     """Reduce the step, solve it with the reduced momentum load ``load``
     and prolong through ``p``; returns (reduced velocity, full velocity,
     pressure)."""
-    system = reduce_coupled_system(setup, momentum_matrix(setup, ops, dt),
-                                   ops["divergence"], wall)
+    system = reduce_coupled_system(
+        setup, momentum_matrix(setup, ops, setup.dt), ops["divergence"], wall)
     n = p.shape[1]
     x = solver.solve(system, np.concatenate(
         [load, np.zeros(setup.fluid_mesh.n_pressure_nodes)]))
     return x[:n], p @ x[:n], x[n:]
 
 
-def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, dt, p_in,
-               p_out, solver):
-    """Solve the coupled fluid/wall-velocity problem for one step.
+def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, p_in, p_out,
+               solver):
+    """Solve the coupled fluid/wall-velocity problem for one step of the
+    run's ``dt``.
 
     ``mass`` is the weighted mass of ``snapshot``.  ``shell_half`` is the
     wall state after the elastodynamics half step (its ``v_star`` is the
@@ -204,29 +210,25 @@ def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, dt, p_in,
         raise WallContact(snapshot.min_radius, snapshot.min_radius_z)
     v_half = shell_half.v_star
     ops, forcing, rhs_full = assemble_step_operators(
-        setup, snapshot, mass, u_prev_full, v_half, dt, p_in, p_out)
+        setup, snapshot, mass, u_prev_full, v_half, setup.dt, p_in, p_out)
     p, nf = setup.prolongation, setup.partition.n_free
-    inertia = setup.rho_s_h / dt
     load = p.T @ rhs_full
-    load[nf:] += inertia * (setup.shell_mass @ v_half)
-    wall = combine_grams((setup.shell_mass, setup.shell_viscous),
-                         (inertia, 1.0))
-    x, u_full, pressure = _solve_reduced(setup, p, ops, load, dt, solver,
-                                         wall)
+    load[nf:] += (setup.rho_s_h / setup.dt) * (setup.shell_mass @ v_half)
+    x, u_full, pressure = _solve_reduced(setup, p, ops, load, solver,
+                                         setup.wall_block)
     return FluidStepResult(u_full=u_full, v_new=x[nf:], pressure=pressure,
                            operators=ops, forcing=forcing)
 
 
-def rigid_fluid_step(setup, snapshot, mass, u_prev_full, dt, p_in, p_out,
-                     solver):
+def rigid_fluid_step(setup, snapshot, mass, u_prev_full, p_in, p_out, solver):
     """The fluid step of :func:`fluid_step` with the wall frozen: the wall
     velocity is zero and the reduced system has no wall block (every
     top-edge DOF is zero).  Test harness for rigid-wall channel flow."""
     ops, forcing, rhs_full = assemble_step_operators(
-        setup, snapshot, mass, u_prev_full, setup.shell_mesh.zero_free(), dt,
-        p_in, p_out)
+        setup, snapshot, mass, u_prev_full, setup.shell_mesh.zero_free(),
+        setup.dt, p_in, p_out)
     p = setup.prolongation[:, :setup.partition.n_free]
-    _, u_full, pressure = _solve_reduced(setup, p, ops, p.T @ rhs_full, dt,
+    _, u_full, pressure = _solve_reduced(setup, p, ops, p.T @ rhs_full,
                                          solver)
     return FluidStepResult(u_full=u_full, v_new=setup.shell_mesh.zero_free(),
                            pressure=pressure, operators=ops, forcing=forcing)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WallflowError
+from .fluid import componentwise
 from .sparsela import DirectFactor
 
 LEDGER_COLUMNS = [
@@ -104,7 +105,7 @@ class EnergyLedger:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             first = f.readline()
             if not first.startswith(CSV_HEADER_TAG):
                 raise WallflowError(f"{path} is not a ledger CSV")
@@ -165,14 +166,16 @@ def _check_header(header, path):
 
 
 def load_ledger(path):
-    """Read a ledger CSV.  A file that cannot be read or parsed, or whose
-    header lacks a number the verifier reads, raises :class:`WallflowError`
-    naming it."""
+    """Read a ledger CSV.  A file that cannot be read, is not UTF-8 text or
+    cannot be parsed, or whose header lacks a number the verifier reads,
+    raises :class:`WallflowError` naming it."""
     try:
         led = EnergyLedger.from_csv(path)
     except OSError as exc:
         raise WallflowError(
             f"cannot read ledger {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise WallflowError(f"{path} is not a ledger CSV") from None
     _check_header(led.header, path)
     return led
 
@@ -191,7 +194,8 @@ class EnergyMonitor:
                 + c.C2 * float(eta @ (g2 @ eta)))
 
     def _kinetic(self, u_full, weighted_mass):
-        return 0.5 * self.setup.rho_f * float(u_full @ (weighted_mass @ u_full))
+        return 0.5 * self.setup.rho_f * float(
+            u_full @ componentwise(weighted_mass, u_full))
 
     def _wall_kinetic(self, v):
         s = self.setup
@@ -229,7 +233,7 @@ class EnergyMonitor:
                     c.C1 * float(d_eta @ (g1 @ d_eta)),
                     c.C2 * float(d_eta @ (g2 @ d_eta))]
         jump_v_a1 = float(dv1 @ (ms @ dv1))
-        jump_u = s.rho_f * float(du @ (mass_old @ du))
+        jump_u = s.rho_f * float(du @ componentwise(mass_old, du))
         jump_v_a2 = float(dv2 @ (ms @ dv2))
 
         visc2 = float(result.u_full @ (result.operators["viscous"] @ result.u_full))
@@ -242,11 +246,13 @@ class EnergyMonitor:
         balance = abs(e_full + 0.5 * jump_u + 0.5 * s.rho_s_h * jump_v_a2
                       + 2.0 * d_fluid + d_shell - e_half - pwork)
 
+        # the scalar operators hold every entry of I_2 (x) m once, so these
+        # maxima over their data are those over the two-component operators
         mass_resid = float(np.max(np.abs(
             mass_old.data + dt * result.operators["robin"].data - mass_new.data)))
         mass_scale = float(np.max(np.abs(mass_new.data)))
         n_adv = result.operators["advection"].data
-        skew_sum = n_adv + n_adv[s.fluid_mesh.vv_pattern().transpose_slots]
+        skew_sum = n_adv + n_adv[s.fluid_mesh.scalar_pattern.transpose_slots]
         skew = float(np.abs(skew_sum).max()) if n_adv.size else 0.0
         skew_scale = float(np.abs(n_adv).max()) if n_adv.size else 0.0
 

@@ -2,11 +2,13 @@
 
 Structured quadrilateral grid on (0, L) x (0, 1), biquadratic velocity and
 bilinear pressure (an inf-sup stable pair).  All operators are assembled
-with the same 3x3 Gauss rule and, for velocity-velocity forms, on one shared
-sparsity pattern (full 2x2 component-block structure), so linear
-combinations and entrywise identities between assembled matrices are exact
-up to roundoff.  Every element kernel is (n_cells, 9) quadrature weights
-times a shape-function product table built once per mesh.
+with the same 3x3 Gauss rule.  The mass, Robin mass and advection forms are
+``I_2 (x) m``, so each is its scalar matrix ``m`` on one scalar pattern,
+applied by :func:`componentwise`; the viscous form has a two-component
+pattern.  Operators of one pattern combine, and satisfy their entrywise
+identities, on their data arrays, exactly up to roundoff.  Every element
+kernel is (n_cells, 9) quadrature weights times a shape-function product
+table built once per mesh.
 
 DOF layout: velocity component c, node n -> index c * n_velocity_nodes + n,
 with nodes numbered row-major bottom-to-top (n = ir * n_cols + iz).
@@ -39,6 +41,15 @@ def _q2_shapes(s):
 def _q1_shapes(s):
     s = np.asarray(s, dtype=float)
     return np.stack([1 - s, s], axis=-1)
+
+
+def _cell_pattern(row_conn, col_conn, offsets, shape):
+    """Pattern of every cell's ``row_conn x col_conn`` block once per (row,
+    col) index offset, raw entries ordered by offset, cell, row, column."""
+    offsets = np.asarray(offsets)[:, :, None, None, None]
+    rows = offsets[:, 0] + row_conn[None, :, :, None]
+    cols = offsets[:, 1] + col_conn[None, :, None, :]
+    return ScatterPattern(*np.broadcast_arrays(rows, cols), shape)
 
 
 class FluidMesh:
@@ -77,7 +88,6 @@ class FluidMesh:
         jzp, jrp = jzp.ravel(), jrp.ravel()
         self.conn_p = ((crg[:, None] + jrp[None, :]) * (self.n_z + 1)
                        + czg[:, None] + jzp[None, :])
-        self._cell_cr = crg
 
         # quadrature: q = qr*3 + qz on the unit cell, weights sum to 1
         qz, qr = np.meshgrid(_gx, _gx)
@@ -90,10 +100,9 @@ class FluidMesh:
         # shape tables at quadrature points, derivatives already global
         v_s, d_s = _q2_shapes(self.quad_s)
         v_t, d_t = _q2_shapes(self.quad_t)
-        a_jz, a_jr = jz, jr
-        self.phi = v_s[:, a_jz] * v_t[:, a_jr]                       # (9q, 9a)
-        self.dphi_dz = d_s[:, a_jz] * v_t[:, a_jr] / self.hz
-        self.dphi_dr = v_s[:, a_jz] * d_t[:, a_jr] / self.hr
+        self.phi = v_s[:, jz] * v_t[:, jr]                            # (9q, 9a)
+        self.dphi_dz = d_s[:, jz] * v_t[:, jr] / self.hz
+        self.dphi_dr = v_s[:, jz] * d_t[:, jr] / self.hr
         p_s = _q1_shapes(self.quad_s)
         p_t = _q1_shapes(self.quad_t)
         self.chi = p_s[:, jzp] * p_t[:, jrp]                          # (9q, 4a)
@@ -103,7 +112,7 @@ class FluidMesh:
                             + _gx[None, :] * self.hz).ravel()         # (n_z*3,)
         qcol = np.arange(self.n_cells)[:, None] % self.n_z
         self.quad_z_index = qcol * 3 + (np.arange(9)[None, :] % 3)    # (nc, 9)
-        self.quad_r = (self._cell_cr[:, None] + self.quad_t[None, :]) * self.hr
+        self.quad_r = (crg[:, None] + self.quad_t[None, :]) * self.hr
 
         # boundary node sets (top nodes ordered by z to match the trace map)
         top_row = self.n_rows - 1
@@ -120,39 +129,42 @@ class FluidMesh:
             w1d[2 * c:2 * c + 3] += cellw
         self.edge_weights = w1d
 
-        self._vv_pattern = None
-        self._pv_pattern = None
+    # -- patterns (each built on first use) --------------------------------
 
-    # -- patterns ---------------------------------------------------------
+    @functools.cached_property
+    def scalar_pattern(self):
+        """Pattern of one velocity component against itself, ``conn_v x
+        conn_v``: the mass, Robin mass and advection matrices."""
+        nv = self.n_velocity_nodes
+        return _cell_pattern(self.conn_v, self.conn_v, [(0, 0)], (nv, nv))
 
+    @functools.cached_property
     def vv_pattern(self):
-        """Pattern of the velocity-velocity forms: all four component blocks
-        of every cell, raw entries ordered by block (0,0), (1,1), (0,1),
-        (1,0), so a form with zero off-diagonal blocks scatters only the
-        leading half."""
-        if self._vv_pattern is None:
-            nv = self.n_velocity_nodes
-            comp_r = np.array([0, 1, 0, 1])[:, None, None, None]
-            comp_c = np.array([0, 1, 1, 0])[:, None, None, None]
-            rows = comp_r * nv + self.conn_v[None, :, :, None]
-            cols = comp_c * nv + self.conn_v[None, :, None, :]
-            rows = np.broadcast_to(rows, (4, self.n_cells, 9, 9))
-            cols = np.broadcast_to(cols, (4, self.n_cells, 9, 9))
-            self._vv_pattern = ScatterPattern(rows, cols, (2 * nv, 2 * nv))
-        return self._vv_pattern
+        """Pattern of the viscous form: all four component blocks of every
+        cell, raw entries ordered by block (0,0), (1,1), (0,1), (1,0); each
+        block's raw entries are those of :attr:`scalar_pattern`."""
+        nv = self.n_velocity_nodes
+        blocks = nv * np.array([(0, 0), (1, 1), (0, 1), (1, 0)])
+        return _cell_pattern(self.conn_v, self.conn_v, blocks,
+                             (2 * nv, 2 * nv))
 
+    @functools.cached_property
+    def diagonal_slots(self):
+        """The :attr:`vv_pattern` slots of the (0,0) block, then of the
+        (1,1) block, each in :attr:`scalar_pattern` slot order: adding
+        ``[m.data, m.data]`` at them adds ``I_2 (x) m``."""
+        scalar, vv = self.scalar_pattern, self.vv_pattern
+        n_raw = scalar.slot.size
+        first = np.empty(scalar.nnz, dtype=np.intp)   # a raw entry per slot
+        first[scalar.slot] = np.arange(n_raw)
+        return np.concatenate([vv.slot[first], vv.slot[n_raw + first]])
+
+    @functools.cached_property
     def pv_pattern(self):
-        if self._pv_pattern is None:
-            nv = self.n_velocity_nodes
-            comp = np.arange(2)
-            rows = np.broadcast_to(
-                self.conn_p[None, :, :, None], (2, self.n_cells, 4, 9))
-            cols = (comp[:, None, None, None] * nv
-                    + self.conn_v[None, :, None, :])
-            cols = np.broadcast_to(cols, (2, self.n_cells, 4, 9))
-            self._pv_pattern = ScatterPattern(
-                rows, cols, (self.n_pressure_nodes, 2 * nv))
-        return self._pv_pattern
+        """Pattern of the divergence: pressures against both components."""
+        nv = self.n_velocity_nodes
+        return _cell_pattern(self.conn_p, self.conn_v, [(0, 0), (0, nv)],
+                             (self.n_pressure_nodes, 2 * nv))
 
     @functools.cached_property
     def tables(self):
@@ -181,14 +193,8 @@ class FluidMesh:
 
     def velocity_at_quad(self, u_full):
         """Both velocity components at the quadrature points, (2, nc, nq)."""
-        nv = self.n_velocity_nodes
-        u = np.asarray(u_full, dtype=float)
-        uz = u[:nv][self.conn_v]           # (nc, 9 local dofs)
-        ur = u[nv:][self.conn_v]
-        return np.stack([
-            np.einsum("ca,qa->cq", uz, self.phi),
-            np.einsum("ca,qa->cq", ur, self.phi),
-        ])
+        u = np.asarray(u_full, dtype=float).reshape(2, -1)[:, self.conn_v]
+        return np.einsum("kca,qa->kcq", u, self.phi)
 
 
 def shell_field_at_quad(shell_mesh, field_free, fluid_mesh, deriv=0):
@@ -197,16 +203,20 @@ def shell_field_at_quad(shell_mesh, field_free, fluid_mesh, deriv=0):
     return vals[fluid_mesh.quad_z_index]
 
 
+def componentwise(m, u_full):
+    """``(I_2 (x) m) u_full``: the scalar velocity operator ``m`` on each
+    component of ``u_full``, summed as the two-component matvec sums."""
+    return (m @ u_full.reshape(2, -1).T).T.ravel()
+
+
 def _blocks(x):
     """(n_cells, 81) kernel output as (n_cells, 9, 9) element blocks."""
     return x.reshape(x.shape[0], 9, 9)
 
 
 def _mass(mesh, w):
-    """Velocity mass with the (n_cells, n_quad) quadrature weights ``w`` on
-    both components."""
-    blk = w @ mesh.tables["mass"]
-    return mesh.vv_pattern().csr(np.concatenate([blk, blk]))
+    """Scalar velocity mass with quadrature weights ``w`` (n_cells, n_quad)."""
+    return mesh.scalar_pattern.csr(w @ mesh.tables["mass"])
 
 
 def _slope(mesh, snapshot):
@@ -216,12 +226,12 @@ def _slope(mesh, snapshot):
 
 
 def assemble_weighted_mass(mesh, snapshot):
-    """Velocity mass with the Jacobian weight R + eta (SPD)."""
+    """Scalar velocity mass with the Jacobian weight R + eta (SPD)."""
     return _mass(mesh, snapshot.w)
 
 
 def assemble_unweighted_mass(mesh):
-    """Plain velocity mass on the reference rectangle (norms, diagnostics)."""
+    """Plain scalar velocity mass on the reference rectangle (norms)."""
     return _mass(mesh, np.broadcast_to(mesh.quad_w_dv[None, :],
                                        (mesh.n_cells, mesh.n_quad)))
 
@@ -244,12 +254,12 @@ def assemble_viscous(mesh, snapshot, mu):
     diag = _blocks(mu * diag)
     diag = 0.5 * (diag + diag.transpose(0, 2, 1))
     f21 = _blocks(mu * (np.hstack([wj, -wj * f]) @ mesh.tables["cross"]))
-    return mesh.vv_pattern().csr(np.concatenate(
+    return mesh.vv_pattern.csr(np.concatenate(
         [diag, f21, f21.transpose(0, 2, 1)]))
 
 
 def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
-    """Skew-symmetrized transport operator.
+    """Skew-symmetrized scalar transport operator.
 
     The advecting field is the previous velocity minus the domain velocity
     v_half * r * e_r; the two antisymmetrized terms make q^T N q = 0 exactly,
@@ -261,12 +271,11 @@ def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
     # a1 g1 + a2 g2 = a1 dz + (a2 / (R + eta) - a1 f) dr
     x = _blocks(np.hstack([w * a1, w * (a2 / snapshot.jac_q - a1 * f)])
                 @ mesh.tables["transport"])
-    blk = 0.5 * rho_f * (x - x.transpose(0, 2, 1))
-    return mesh.vv_pattern().csr(np.concatenate([blk, blk]))
+    return mesh.scalar_pattern.csr(0.5 * rho_f * (x - x.transpose(0, 2, 1)))
 
 
 def assemble_robin_mass(mesh, v_half_q):
-    """Velocity mass weighted by the wall half-step velocity alone.
+    """Scalar velocity mass weighted by the wall half-step velocity alone.
 
     No Jacobian weight and no r factor: exactly this form combines with the
     weighted mass into the weight R + eta + dt * v_half at every quadrature
@@ -280,7 +289,7 @@ def assemble_divergence(mesh, snapshot):
     """Weighted divergence coupling: rows pressures, columns velocities."""
     w, f = snapshot.w, _slope(mesh, snapshot)
     table = mesh.tables["divergence"]
-    return mesh.pv_pattern().csr(np.concatenate([
+    return mesh.pv_pattern.csr(np.concatenate([
         np.hstack([w, -w * f]) @ table,
         (w / snapshot.jac_q) @ table[mesh.n_quad:]]))
 

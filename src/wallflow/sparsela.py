@@ -56,13 +56,10 @@ class ScatterPattern:
         self.shape = shape
 
     def csr(self, raw_data):
-        """Scatter raw COO data into a fresh CSR matrix on this pattern.
-
-        ``raw_data`` may stop short of the raw entries: it then fills the
-        leading ones, and the rest are zero.
-        """
+        """Scatter raw COO data, one value per raw entry, into a fresh CSR
+        matrix on this pattern."""
         raw = np.asarray(raw_data, dtype=float).ravel()
-        return self.matrix(np.bincount(self.slot[:raw.size], weights=raw,
+        return self.matrix(np.bincount(self.slot, weights=raw,
                                        minlength=self.nnz))
 
     def matrix(self, data):

@@ -20,8 +20,8 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from wallflow.ale import map_to_physical
-from wallflow.coupling import momentum_matrix
 from wallflow.shell import ShellState
+from wallflow.sparsela import csr_rows
 
 
 def gauss01(n):
@@ -396,7 +396,8 @@ def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
               + dt * (u K u + v A' v)  =  E_half + dt * <forcing, u_new>,
 
     where E collects fluid kinetic (old weight on the left of the step, new
-    weight on the right) and wall kinetic terms; the wall elastic terms are
+    weight on the right, ``mass_old`` and ``mass_new`` being the scalar
+    weighted masses) and wall kinetic terms; the wall elastic terms are
     identical on both sides and omitted.  The first return value is the
     absolute defect of this identity.
 
@@ -407,6 +408,7 @@ def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
     """
     rho_f, rho_s_h = setup.rho_f, setup.rho_s_h
     ms, asp = setup.shell_mass, setup.shell_viscous
+    mass_old, mass_new = two_component(mass_old), two_component(mass_new)
     u_new, v_new = result.u_full, result.v_new
     e_half = (0.5 * rho_f * float(u_prev_full @ (mass_old @ u_prev_full))
               + 0.5 * rho_s_h * float(v_half @ (ms @ v_half)))
@@ -467,12 +469,35 @@ def reduce_by_index(setup, a_mom, b_div, wall=None):
                     [b_f, b_t, None]], format="csc")
 
 
+def two_component(m):
+    """``I_2 (x) m``: a scalar velocity operator ``m`` acting on both
+    velocity components, as one CSR matrix."""
+    return sp.kron(sp.identity(2), m, format="csr")
+
+
+def momentum_matrix_by_kron(setup, ops, dt):
+    """Reference for ``coupling.momentum_matrix``: the two-component sum
+    ``(rho_f/dt) I_2(x)M + I_2(x)N + (rho_f/2) I_2(x)S + K``, formed term
+    by term on the data arrays of the viscous pattern, structural zeros
+    included, in the order of the sum."""
+    vv = setup.fluid_mesh.vv_pattern
+    rows = csr_rows(vv)
+
+    def lifted(m):
+        return two_component(m).toarray()[rows, vv.indices]
+
+    return vv.matrix(
+        (setup.rho_f / dt) * lifted(ops["mass"]) + lifted(ops["advection"])
+        + (0.5 * setup.rho_f) * lifted(ops["robin"]) + ops["viscous"].data)
+
+
 def _momentum_residual(setup, result, u_prev_full, dt):
     """Residual of the full momentum equations at the step's solution; it
     vanishes on free DOFs and is the fluid load on the constrained ones."""
     ops = result.operators
-    rhs_full = (setup.rho_f / dt) * (ops["mass"] @ u_prev_full) + result.forcing
-    return (rhs_full - momentum_matrix(setup, ops, dt) @ result.u_full
+    rhs_full = ((setup.rho_f / dt) * (two_component(ops["mass"]) @ u_prev_full)
+                + result.forcing)
+    return (rhs_full - momentum_matrix_by_kron(setup, ops, dt) @ result.u_full
             + ops["divergence"].T @ result.pressure)
 
 

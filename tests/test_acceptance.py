@@ -17,7 +17,7 @@ from wallflow import ale, driver, fluid, shell
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
 
-from oracles import DenseFluidOracle
+from oracles import DenseFluidOracle, two_component
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -175,14 +175,15 @@ def test_criterion_07_assembly_oracles():
             return np.abs(ours - ref).max() / max(np.abs(ref).max(), 1e-30)
 
         pairs = [
-            (fluid.assemble_weighted_mass(fm, snap).toarray(),
+            (two_component(fluid.assemble_weighted_mass(fm, snap)).toarray(),
              oracle.mass(sm.nodes, eta_full, radius)),
             (fluid.assemble_viscous(fm, snap, 0.035).toarray(),
              oracle.viscous(sm.nodes, eta_full, radius, 0.035)),
-            (fluid.assemble_advection(fm, snap, u, v_half_q, 1.0).toarray(),
+            (two_component(fluid.assemble_advection(fm, snap, u, v_half_q,
+                                                    1.0)).toarray(),
              oracle.advection(sm.nodes, eta_full, radius, u,
                               sm.to_full(v_half), 1.0)),
-            (fluid.assemble_robin_mass(fm, v_half_q).toarray(),
+            (two_component(fluid.assemble_robin_mass(fm, v_half_q)).toarray(),
              oracle.robin(sm.nodes, sm.to_full(v_half))),
             (fluid.assemble_divergence(fm, snap).toarray(),
              oracle.divergence(sm.nodes, eta_full, radius)),

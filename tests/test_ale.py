@@ -132,15 +132,3 @@ def test_physical_map_and_domain_velocity(meshes):
     z, r = ale.map_to_physical(sm, eta, 0.5, np.array([1.0]), np.array([0.5]))
     assert r[0] == pytest.approx(0.25, rel=1e-15)
 
-
-def test_pullback_samples_the_deformed_geometry(meshes):
-    sm, fm = meshes
-    full = np.zeros(2 * sm.n_nodes)
-    full[2:-2:2] = 0.2
-    eta = sm.to_free(full)
-    u = ale.pullback_velocity(sm, eta, 0.5, fm,
-                              fz=lambda z, r: r, fr=lambda z, r: 0.0 * z)
-    # at an interior top node the physical ordinate is R + 0.2
-    node = fm.top_nodes[fm.n_cols // 2]
-    assert u[node] == pytest.approx(0.7, rel=1e-12)
-    assert np.all(u[fm.n_velocity_nodes:] == 0.0)

@@ -300,3 +300,19 @@ def test_malformed_ledger_is_a_clean_error(tmp_path, capsys, case):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert str(path) in lines[0]
+
+
+NOT_UTF8 = {    # case -> file contents that do not decode as UTF-8
+    "random-bytes": np.random.default_rng(11).integers(
+        0, 256, size=300, dtype=np.uint8).tobytes(),
+    "utf16-bom": b"\xff\xfe" + "# wallflow".encode("utf-16-le"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_ledger_that_is_not_utf8_is_a_clean_error(tmp_path, capsys, case):
+    path = tmp_path / "ledger.csv"
+    path.write_bytes(NOT_UTF8[case])
+    assert main(["verify", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {path} is not a ledger CSV"]

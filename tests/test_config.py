@@ -87,6 +87,24 @@ def test_problems_are_aggregated():
         assert len(exc.problems) >= 3
 
 
+REQUIRED_SECTIONS = ("geometry", "fluid", "wall", "mesh", "time", "waveform")
+
+
+@pytest.mark.parametrize("section", REQUIRED_SECTIONS)
+@pytest.mark.parametrize("value, says", [(None, "is required"),
+                                         ([], "must be an object")],
+                         ids=["absent", "not-an-object"])
+def test_required_section_absent_or_not_an_object(section, value, says):
+    raw = minimal_raw()
+    if value is None:
+        del raw[section]
+    else:
+        raw[section] = value
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw)
+    assert f"section '{section}' {says}" in info.value.problems
+
+
 def test_waveform_specs_validated():
     raw = minimal_raw()
     raw["waveform"]["inlet"] = {"kind": "triangle", "value": 1.0}

@@ -7,29 +7,29 @@ from wallflow.config import validate_config
 from wallflow.errors import MeshAlignmentError
 from wallflow.sparsela import ReusedFactorSolver
 
-from oracles import (fluid_step_energy_residuals, reduce_by_index,
-                     top_edge_traction, trace_map_by_loop, wall_traction_load,
-                     zero_shell_state)
+from oracles import (fluid_step_energy_residuals, momentum_matrix_by_kron,
+                     reduce_by_index, top_edge_traction, trace_map_by_loop,
+                     two_component, wall_traction_load, zero_shell_state)
 
 
-def run_setup(n_z, n_r, length, mu, wall):
-    """A RunSetup for the given mesh, viscosity and wall section; the time
-    section is a placeholder, since every step here takes its own dt."""
+def run_setup(n_z, n_r, length, mu, wall, dt):
+    """A RunSetup for the given mesh, viscosity and wall section with one
+    time step of size ``dt``, which its fluid steps and wall block use."""
     return driver.RunSetup(validate_config({
         "geometry": {"radius": 0.5, "length": length},
         "fluid": {"density": 1.0, "viscosity": mu},
         "wall": {"youngs_modulus": 7.5e5, "poisson_ratio": 0.5,
                  "thickness": 0.1, "density": 1.1, **wall},
         "mesh": {"n_z": n_z, "n_r": n_r, "wall_elements": n_z},
-        "time": {"t_final": 1.0, "n_steps": 1},
+        "time": {"t_final": dt, "n_steps": 1},
         "waveform": {"inlet": {"kind": "constant", "value": 0.0},
                      "outlet": {"kind": "constant", "value": 0.0}}}))
 
 
-def make_setup(n_z=8, n_r=4, length=6.0, elastic=False):
+def make_setup(n_z=8, n_r=4, length=6.0, elastic=False, dt=1e-4):
     wall = ({} if elastic
             else {"viscous_modulus": 1000.0, "viscous_poisson": 0.5})
-    cs = run_setup(n_z, n_r, length, 0.035, wall)
+    cs = run_setup(n_z, n_r, length, 0.035, wall, dt)
     return cs.material, cs.coeffs, cs.shell_mesh, cs.fluid_mesh, cs
 
 
@@ -105,7 +105,7 @@ def test_zero_data_gives_zero_solution():
         dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
-                              u, half, dt, 0.0, 0.0,
+                              u, half, 0.0, 0.0,
                               ReusedFactorSolver(coupling.FLUID_TOL))
     assert np.all(res.u_full == 0.0)
     assert np.all(res.v_new == 0.0)
@@ -122,7 +122,7 @@ def test_elastic_case_runs_and_is_finite():
         dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
-                              u, half, dt, 500.0, 0.0,
+                              u, half, 500.0, 0.0,
                               ReusedFactorSolver(coupling.FLUID_TOL))
     assert np.all(np.isfinite(res.u_full))
     assert np.all(np.isfinite(res.v_new))
@@ -133,17 +133,16 @@ def test_fluid_factor_fill_does_not_grow_at_extreme_dt():
     # without threshold pivoting the fill stays near that of the symmetric
     # ordering at every dt; with a pivot threshold of 1e-3 this mesh fills
     # 1.9 times as much at dt = 1e-7 as at dt = 6e-5
-    material, coeffs, sm, fm, cs = make_setup(n_z=16, n_r=8)
-    state, u = compatible_state(sm, fm, np.random.default_rng(4))
-    snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    mass = fluid.assemble_weighted_mass(fm, snap)
     fill = {}
     for dt in (1e-7, 6e-5, 1.0):
+        material, coeffs, sm, fm, cs = make_setup(n_z=16, n_r=8, dt=dt)
+        state, u = compatible_state(sm, fm, np.random.default_rng(4))
+        snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
         half = shell.structure_step(state, shell.WallSystem(
             dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
         solver = ReusedFactorSolver(coupling.FLUID_TOL)
-        coupling.fluid_step(cs, snap, mass, u, half, dt, 1500.0, -200.0,
-                            solver)
+        coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
+                            u, half, 1500.0, -200.0, solver)
         assert solver.stats.factorizations == 1
         fill[dt] = solver.stats.lu_fill_nnz
     assert fill[6e-5] > 0
@@ -153,15 +152,15 @@ def test_fluid_factor_fill_does_not_grow_at_extreme_dt():
 
 @pytest.fixture
 def stepped():
-    material, coeffs, sm, fm, cs = make_setup()
+    dt = 5e-5
+    material, coeffs, sm, fm, cs = make_setup(dt=dt)
     rng = np.random.default_rng(2)
     state, u = compatible_state(sm, fm, rng)
-    dt = 5e-5
     half = shell.structure_step(state, shell.WallSystem(
         dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
-                              u, half, dt, 1500.0, -200.0,
+                              u, half, 1500.0, -200.0,
                               ReusedFactorSolver(coupling.FLUID_TOL))
     mass_old = res.operators["mass"]
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
@@ -174,7 +173,7 @@ def test_step_balance_is_exact(stepped):
     (_, _, _, _, cs, _, u, dt, half, res, mass_old, mass_new) = stepped
     residual, _ = fluid_step_energy_residuals(
         cs, mass_old, mass_new, res, u, half.v_star, dt)
-    e_scale = 0.5 * float(u @ (mass_old @ u)) + 1.0
+    e_scale = 0.5 * float(u @ fluid.componentwise(mass_old, u)) + 1.0
     assert residual <= 1e-10 * e_scale
 
 
@@ -182,14 +181,15 @@ def test_zero_pressure_step_dissipates(stepped):
     material, coeffs, sm, fm, cs, state, u, dt, half, _, mass_old, _ = stepped
     res0 = coupling.fluid_step(cs, ale.build_snapshot(sm, state.eta, fm,
                                                       material.radius),
-                               mass_old, u, half, dt, 0.0, 0.0,
+                               mass_old, u, half, 0.0, 0.0,
                                ReusedFactorSolver(coupling.FLUID_TOL))
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
     mass_new = fluid.assemble_weighted_mass(fm, snap_new)
     rho_s_h = coeffs.rho_s_h
-    e_half = (0.5 * float(u @ (mass_old @ u))
+    e_half = (0.5 * float(u @ fluid.componentwise(mass_old, u))
               + 0.5 * rho_s_h * float(half.v_star @ (cs.shell_mass @ half.v_star)))
-    e_new = (0.5 * float(res0.u_full @ (mass_new @ res0.u_full))
+    e_new = (0.5 * float(res0.u_full @ fluid.componentwise(mass_new,
+                                                           res0.u_full))
              + 0.5 * rho_s_h * float(res0.v_new @ (cs.shell_mass @ res0.v_new)))
     assert e_new < e_half
 
@@ -212,6 +212,29 @@ def test_reduction_matches_the_index_reference(stepped):
              reduce_by_index(cs, a_mom, b_div))):
         assert system.shape == ref.shape
         assert abs(system - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def test_momentum_matrix_is_the_two_component_sum_bit_for_bit(stepped):
+    # the scalar operators, added once per component onto the viscous
+    # data, give every entry the sum of the two-component operators
+    _, _, _, fm, cs, _, _, dt, _, res, _, _ = stepped
+    u = res.u_full                     # both components nonzero
+    ours = coupling.momentum_matrix(cs, res.operators, dt)
+    ref = momentum_matrix_by_kron(cs, res.operators, dt)
+    assert np.array_equal(ours.indptr, ref.indptr)
+    assert np.array_equal(ours.indices, ref.indices)
+    assert np.array_equal(ours.data, ref.data)
+    for name in ("mass", "robin", "advection"):
+        m = res.operators[name]
+        assert m.shape == (fm.n_velocity_nodes, fm.n_velocity_nodes)
+        assert np.array_equal(fluid.componentwise(m, u),
+                              two_component(m) @ u)
+
+
+def test_wall_block_is_the_gram_combination_at_the_run_dt(stepped):
+    _, _, _, _, cs, _, _, dt, _, _, _, _ = stepped
+    assert cs.dt == dt
+    assert np.array_equal(cs.wall_block.data, wall_block(cs, dt).data)
 
 
 @pytest.mark.parametrize("coupled, elastic", [(True, False), (True, True),
@@ -254,7 +277,9 @@ def test_frozen_operator_solve_is_linear(stepped):
     lu = DirectFactor(system)
 
     def solve(u_prev, v_half, forcing):
-        rhs_full = (cs.rho_f / dt) * (res.operators["mass"] @ u_prev) + forcing
+        rhs_full = ((cs.rho_f / dt)
+                    * fluid.componentwise(res.operators["mass"], u_prev)
+                    + forcing)
         load = p.T @ rhs_full
         load[nf:] += (cs.rho_s_h / dt) * (cs.shell_mass @ v_half)
         rhs = np.concatenate([load, np.zeros(fm.n_pressure_nodes)])
@@ -282,16 +307,17 @@ def test_coercivity_witness(stepped):
     u_new, v_new = res.u_full, res.v_new
     ops = res.operators
     lhs = dt * (
-        (cs.rho_f / dt) * float(u_new @ (ops["mass"] @ u_new))
-        + 0.5 * cs.rho_f * float(u_new @ (ops["robin"] @ u_new))
-        + float(u_new @ (ops["advection"] @ u_new))
+        (cs.rho_f / dt) * float(u_new @ fluid.componentwise(ops["mass"], u_new))
+        + 0.5 * cs.rho_f * float(u_new @ fluid.componentwise(ops["robin"],
+                                                             u_new))
+        + float(u_new @ fluid.componentwise(ops["advection"], u_new))
         + float(u_new @ (ops["viscous"] @ u_new))
         + (cs.rho_s_h / dt) * float(v_new @ (cs.shell_mass @ v_new))
         + float(v_new @ (cs.shell_viscous @ v_new)))
     m_mid = 0.5 * (mass_old.data + mass_new.data)
     m_mid = type(mass_old)((m_mid, mass_old.indices, mass_old.indptr),
                            shape=mass_old.shape)
-    rhs = (cs.rho_f * float(u_new @ (m_mid @ u_new))
+    rhs = (cs.rho_f * float(u_new @ fluid.componentwise(m_mid, u_new))
            + dt * (float(u_new @ (ops["viscous"] @ u_new))
                    + float(v_new @ (cs.shell_viscous @ v_new)))
            + cs.rho_s_h * float(v_new @ (cs.shell_mass @ v_new)))
@@ -299,7 +325,8 @@ def test_coercivity_witness(stepped):
     snap_half = ale.min_radius_of(sm, 0.5 * (state.eta + half.eta),
                                   material.radius)[0]
     unweighted = fluid.assemble_unweighted_mass(fm)
-    assert rhs >= (cs.rho_f * snap_half * float(u_new @ (unweighted @ u_new))
+    assert rhs >= (cs.rho_f * snap_half
+                   * float(u_new @ fluid.componentwise(unweighted, u_new))
                    - 1e-12 * abs(rhs))
 
 
@@ -322,7 +349,7 @@ def test_wall_traction_zero_state():
         dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
-                              u, half, dt, 0.0, 0.0,
+                              u, half, 0.0, 0.0,
                               ReusedFactorSolver(coupling.FLUID_TOL))
     load = wall_traction_load(cs, res, u, dt)
     assert np.abs(load).max() <= 1e-12
@@ -331,18 +358,18 @@ def test_wall_traction_zero_state():
 def test_rigid_poiseuille_traction_tracks_pressure():
     # steady rigid flow: the wall-normal traction equals the pressure up to
     # discretization effects away from the ends
-    cs = run_setup(16, 8, 5.0, 1.0, {})
+    dt = 0.05
+    cs = run_setup(16, 8, 5.0, 1.0, {}, dt)
     material, sm, fm = cs.material, cs.shell_mesh, cs.fluid_mesh
     snap = ale.build_snapshot(sm, sm.zero_free(), fm, material.radius)
     mass = fluid.assemble_weighted_mass(fm, snap)
     u = np.zeros(2 * fm.n_velocity_nodes)
     p_in, p_out = 1.0, 0.0
-    dt = 0.05
     res = None
     solver = ReusedFactorSolver(coupling.FLUID_TOL)
     for _ in range(300):
         u_prev = u
-        res = coupling.rigid_fluid_step(cs, snap, mass, u_prev, dt, p_in, p_out,
+        res = coupling.rigid_fluid_step(cs, snap, mass, u_prev, p_in, p_out,
                                         solver)
         u = res.u_full
         if np.linalg.norm(u - u_prev) <= 1e-11 * np.linalg.norm(u):

@@ -6,7 +6,7 @@ import pytest
 
 from wallflow import ale, fluid, shell
 
-from oracles import DenseFluidOracle, interpolate_velocity
+from oracles import DenseFluidOracle, interpolate_velocity, two_component
 
 
 def make_case(n_z, n_r, length=1.0, radius=1.0, seed=0, flat=False):
@@ -33,7 +33,7 @@ CASES = [(1, 1, True), (2, 2, False), (4, 1, False)]
 @pytest.mark.parametrize("n_z,n_r,flat", CASES)
 def test_weighted_mass_vs_oracle(n_z, n_r, flat):
     sm, fm, eta, snap, oracle, _ = make_case(n_z, n_r, radius=0.8, flat=flat)
-    ours = fluid.assemble_weighted_mass(fm, snap).toarray()
+    ours = two_component(fluid.assemble_weighted_mass(fm, snap)).toarray()
     ref = oracle.mass(sm.nodes, sm.to_full(eta), 0.8)
     assert rel_err(ours, ref) <= 1e-12
 
@@ -65,7 +65,8 @@ def test_advection_vs_oracle(n_z, n_r, flat):
     else:
         v_half_free = sm.zero_free()
     v_half_q = fluid.shell_field_at_quad(sm, v_half_free, fm)
-    ours = fluid.assemble_advection(fm, snap, u, v_half_q, rho_f=1.3).toarray()
+    ours = two_component(
+        fluid.assemble_advection(fm, snap, u, v_half_q, rho_f=1.3)).toarray()
     ref = oracle.advection(sm.nodes, sm.to_full(eta), 0.8, u, v_half_full, 1.3)
     assert rel_err(ours, ref) <= 1e-12
 
@@ -83,7 +84,7 @@ def test_robin_mass_vs_oracle():
     sm, fm, _, _, oracle, rng = make_case(2, 2, seed=4)
     v_half_free = rng.standard_normal(sm.n_free)
     v_half_q = fluid.shell_field_at_quad(sm, v_half_free, fm)
-    ours = fluid.assemble_robin_mass(fm, v_half_q).toarray()
+    ours = two_component(fluid.assemble_robin_mass(fm, v_half_q)).toarray()
     ref = oracle.robin(sm.nodes, sm.to_full(v_half_free))
     assert rel_err(ours, ref) <= 1e-12
 
@@ -152,18 +153,49 @@ def test_advection_zero_field_and_exact_skewness():
     skew = np.abs(skew_sum.data).max() if skew_sum.nnz else 0.0
     assert skew <= 1e-13 * np.abs(n.data).max()
     x = rng.standard_normal(2 * fm.n_velocity_nodes)
-    assert abs(x @ (n @ x)) <= 1e-12 * np.abs(n.data).max() * (x @ x)
+    assert (abs(x @ fluid.componentwise(n, x))
+            <= 1e-12 * np.abs(n.data).max() * (x @ x))
 
 
 def test_transpose_slots_give_the_symmetric_part():
     # the ledger's skew check forms N + N^T as data + data[transpose_slots]
     _, fm, _, _, _, rng = make_case(3, 2, seed=6)
-    pattern = fm.vv_pattern()
-    n = pattern.matrix(rng.standard_normal(pattern.nnz))
-    ours = pattern.matrix(n.data + n.data[pattern.transpose_slots])
-    assert np.array_equal(ours.toarray(), (n + n.T).toarray())
+    for pattern in (fm.scalar_pattern, fm.vv_pattern):
+        n = pattern.matrix(rng.standard_normal(pattern.nnz))
+        ours = pattern.matrix(n.data + n.data[pattern.transpose_slots])
+        assert np.array_equal(ours.toarray(), (n + n.T).toarray())
     with pytest.raises(ValueError, match="not structurally symmetric"):
-        fm.pv_pattern().transpose_slots
+        fm.pv_pattern.transpose_slots
+
+
+def test_scalar_operators_are_one_component_square():
+    # 64x16 is the pulse mesh: 66,177 entries each, a quarter of the
+    # two-component pattern's
+    sm, fm = shell.ShellMesh(64, 6.0), fluid.FluidMesh(64, 16, 6.0)
+    rng = np.random.default_rng(9)
+    snap = ale.build_snapshot(sm, 0.01 * rng.standard_normal(sm.n_free), fm,
+                              0.5)
+    v_half_q = fluid.shell_field_at_quad(sm, rng.standard_normal(sm.n_free),
+                                         fm)
+    u = rng.standard_normal(2 * fm.n_velocity_nodes)
+    nv = fm.n_velocity_nodes
+    for m in (fluid.assemble_weighted_mass(fm, snap),
+              fluid.assemble_unweighted_mass(fm),
+              fluid.assemble_robin_mass(fm, v_half_q),
+              fluid.assemble_advection(fm, snap, u, v_half_q, 1.0)):
+        assert m.shape == (nv, nv)
+        assert m.nnz == 66177
+    assert fm.vv_pattern.nnz == 4 * 66177
+
+
+def test_diagonal_slots_place_both_component_blocks():
+    _, fm, _, _, _, rng = make_case(3, 2, seed=8)
+    scalar, vv = fm.scalar_pattern, fm.vv_pattern
+    m = scalar.matrix(rng.standard_normal(scalar.nnz))
+    data = np.zeros(vv.nnz)
+    data[fm.diagonal_slots] = np.concatenate([m.data, m.data])
+    assert np.array_equal(vv.matrix(data).toarray(),
+                          two_component(m).toarray())
 
 
 def test_viscous_vanishes_on_strain_free_field():

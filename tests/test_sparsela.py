@@ -69,10 +69,6 @@ def test_scatter_pattern_matches_coo():
     vals2 = rng.standard_normal(40)
     ref2 = sp.coo_matrix((vals2, (rows, cols)), shape=(6, 5)).toarray()
     assert np.abs(pattern.csr(vals2).toarray() - ref2).max() <= 1e-15
-    # raw data that stops short fills the leading raw entries
-    ref3 = sp.coo_matrix((vals[:25], (rows[:25], cols[:25])),
-                         shape=(6, 5)).toarray()
-    assert np.abs(pattern.csr(vals[:25]).toarray() - ref3).max() <= 1e-15
 
 
 def test_product_map_matches_scipy_products():
