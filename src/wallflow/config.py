@@ -44,6 +44,15 @@ _DEFAULTS = {
 }
 
 
+def is_finite(val):
+    """``math.isfinite``, except that an int too large for a float is not
+    finite: json parses NaN, Infinity and integers of any size."""
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _require_number(problems, obj, section, key, positive=False,
                     nonnegative=False):
     if key not in obj:
@@ -53,7 +62,7 @@ def _require_number(problems, obj, section, key, positive=False,
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         problems.append(f"{section}.{key} must be a number")
         return None
-    if not math.isfinite(val):   # json parses NaN and Infinity
+    if not is_finite(val):
         problems.append(f"{section}.{key} must be finite, got {val}")
         return None
     if positive and not val > 0:

@@ -13,9 +13,11 @@ stable, and elimination (rather than a multiplier) keeps the discrete
 energy identities exact at the algebra level.
 
 The step systems of one run differ only slightly from step to step, so a
-run passes one :class:`~wallflow.sparsela.ReusedFactorSolver` to every
-step: the LU of an earlier step preconditions GMRES on the current one, and
-the system is refactored only when GMRES misses the residual contract.
+run passes one :class:`~wallflow.sparsela.ReusedFactorSolver`, the solve
+policy of every linear system of the package, to every step: the LU of an
+earlier step preconditions GMRES on the current one, and the system is
+refactored only when GMRES misses the residual contract.  The wall half
+step and the trace constant have solvers of their own.
 They also share one sparsity pattern: the geometry is frozen on the fixed
 reference rectangle and ``P`` is fixed, so the reduction is a
 :class:`~wallflow.sparsela.ProductMap` built once per run and system kind,
@@ -203,7 +205,7 @@ def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, p_in, p_out,
     wall state after the elastodynamics half step (its ``v_star`` is the
     half-step velocity).  Returns the end-of-step velocity field, wall
     velocity, and pressure; the wall displacement does not change in this
-    half step.  ``solver`` is the run's
+    half step.  ``solver`` is the run's fluid-step
     :class:`~wallflow.sparsela.ReusedFactorSolver`.
     """
     if snapshot.min_radius <= 0.0:

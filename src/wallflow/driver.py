@@ -81,9 +81,10 @@ class RunResult:
 class RunSetup:
     """Meshes, operators, and parameters shared by every step of a run: the
     one per-run object, which carries the wall Gram matrices and forms, the
-    fluid step's wall block, the trace map and the prolongation ``P`` that
-    both sub-steps read, and the reduction maps of the fluid-step systems,
-    built on first use."""
+    wall half step's matrix, the fluid step's wall block, the trace map and
+    the prolongation ``P`` that both sub-steps read, and the reduction maps
+    of the fluid-step systems, built on first use.  Each linear system of a
+    run is solved through a ``ReusedFactorSolver`` of its own, not here."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -108,9 +109,12 @@ class RunSetup:
         self.shell_viscous = shell.combine_grams(g, (coeffs.D0, coeffs.D1,
                                                      coeffs.D2))
         self.rho_s_h = coeffs.rho_s_h
-        # the fluid step's wall block rho_s_h/dt M_s + D, constant for a run
+        # the fluid step's wall block rho_s_h/dt M_s + D and the wall half
+        # step's matrix rho_s_h M_s + dt^2 A, constant for a run
         self.wall_block = shell.combine_grams(
             (g[0], self.shell_viscous), (coeffs.rho_s_h / self.dt, 1.0))
+        self.wall_matrix = shell.combine_grams(
+            (g[0], self.shell_elastic), (coeffs.rho_s_h, self.dt * self.dt))
         self.partition = fluid.DofPartition(fm)
         self.trace_op = coupling.build_coupling(sm, fm)   # top edge <- wall
         self.prolongation = coupling.build_prolongation(fm, self.partition,
@@ -189,9 +193,8 @@ def run(cfg):
     setup = RunSetup(cfg)
     sm, fm = setup.shell_mesh, setup.fluid_mesh
     dt, n_steps = setup.dt, setup.n_steps
-    wall = shell.WallSystem(dt, setup.shell_mass, setup.shell_elastic,
-                            setup.rho_s_h)
     solver = ReusedFactorSolver(coupling.FLUID_TOL)
+    wall_solver = ReusedFactorSolver(shell.STRUCTURE_TOL)
 
     eta0_full, v0_full, u0 = setup.initial_data()
     report = validate_compatibility(sm, fm, eta0_full, v0_full, u0,
@@ -233,7 +236,7 @@ def run(cfg):
         p_in = setup.wave_in.average(n * dt, t_next)
         p_out = setup.wave_out.average(n * dt, t_next)
 
-        half = shell.structure_step(state, wall)
+        half = shell.structure_step(setup, state, wall_solver)
 
         # the end-of-step geometry, checked for contact before the fluid
         # step, which still runs on the start-of-step snapshot

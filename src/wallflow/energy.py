@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import is_finite
 from .errors import WallflowError
 from .fluid import componentwise
-from .sparsela import DirectFactor
+from .sparsela import ReusedFactorSolver
 
 LEDGER_COLUMNS = [
     "step", "t", "e_n", "e_half", "e_full",
@@ -154,21 +155,25 @@ def _parse_row(cells, where):
 
 def _check_header(header, path):
     """Raise a WallflowError naming ``path`` unless the header numbers the
-    verifier reads, ``dt`` and ``rho_s_h`` and any optional ones, are finite."""
+    verifier reads, ``dt`` and ``rho_s_h`` and any optional ones, are finite,
+    and ``dt`` and ``rho_s_h`` are positive."""
     for key in ("dt", "rho_s_h", "e0", "c_ref", "p_in_l2_sq", "p_out_l2_sq"):
         val = header.get(key)
         if key not in header:
             if key in ("dt", "rho_s_h"):
                 raise WallflowError(f"{path}: ledger header has no {key}")
-        elif type(val) not in (int, float) or not math.isfinite(val):
+        elif type(val) not in (int, float) or not is_finite(val):
             raise WallflowError(f"{path}: ledger header {key} is {val!r}, "
                                 "not a finite number")
+        elif key in ("dt", "rho_s_h") and not val > 0:
+            raise WallflowError(f"{path}: ledger header {key} is {val!r}, "
+                                "not a positive number")
 
 
 def load_ledger(path):
     """Read a ledger CSV.  A file that cannot be read, is not UTF-8 text or
-    cannot be parsed, or whose header lacks a number the verifier reads,
-    raises :class:`WallflowError` naming it."""
+    cannot be parsed, or whose header lacks a valid number the verifier
+    reads, raises :class:`WallflowError` naming it."""
     try:
         led = EnergyLedger.from_csv(path)
     except OSError as exc:
@@ -176,6 +181,8 @@ def load_ledger(path):
             f"cannot read ledger {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise WallflowError(f"{path} is not a ledger CSV") from None
+    except csv.Error as exc:    # e.g. a cell over the csv module's limit
+        raise WallflowError(f"{path}: malformed ledger CSV: {exc}") from None
     _check_header(led.header, path)
     return led
 
@@ -285,15 +292,15 @@ def discrete_trace_constant(k_reduced, l_in_reduced, l_out_reduced, radius):
 
     Largest ratio of the squared inlet/outlet flux functionals to the fluid
     viscous dissipation quadratic form, computed exactly from two sparse
-    solves against one factorization (the numerator is rank two).  The
-    returned value C satisfies
+    solves (the numerator is rank two) through one solver, whose second
+    solve reuses the first one's factor.  The returned value C satisfies
 
         R * (P_in t_in(u) - P_out t_out(u)) <= d(u) + C * (P_in^2 + P_out^2)
 
     for every discrete u, where d is the *spare* half of the viscous form.
     """
-    factor = DirectFactor(k_reduced)
-    sols = [factor.solve(2.0 * l, tol=TRACE_CONSTANT_TOL)
+    solver = ReusedFactorSolver(TRACE_CONSTANT_TOL)
+    sols = [solver.solve(k_reduced, 2.0 * l)
             for l in (l_in_reduced, l_out_reduced)]
     gram = np.array([[float(l @ x) for x in sols]
                      for l in (l_in_reduced, l_out_reduced)])

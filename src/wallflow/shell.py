@@ -3,7 +3,10 @@
 The wall displacement and velocity live in the clamped space (value and
 slope pinned at both ends), which the C1 Hermite elements represent
 conformingly; that is what makes the fourth-order bending term assemblable
-as a plain Gram matrix of second derivatives.
+as a plain Gram matrix of second derivatives.  The wall half step solves
+the run's constant wall matrix through the run's solve policy
+(:class:`~wallflow.sparsela.ReusedFactorSolver`), like every other linear
+system of a run.
 """
 
 from dataclasses import dataclass
@@ -177,47 +180,29 @@ class ShellState:
     v_star: np.ndarray
 
 
-class WallSystem:
-    """The wall half-step matrix ``rho_s_h * M + dt^2 * A`` of one run.
-
-    ``dt`` is fixed for a run, so the matrix is constant: it is factored on
-    its first solve and that factor serves every later step of the run.
-    """
-
-    def __init__(self, dt, mass, elastic, rho_s_h):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        self.dt = dt
-        self.mass = mass
-        self.elastic = elastic
-        self.rho_s_h = rho_s_h
-        self._factor = None
-
-    def solve(self, rhs):
-        if self._factor is None:
-            a = self.rho_s_h * self.mass + self.dt * self.dt * self.elastic
-            self._factor = sparsela.DirectFactor(a)
-        return self._factor.solve(rhs, tol=STRUCTURE_TOL)
-
-
-def structure_step(state, wall):
+def structure_step(setup, state, solver):
     """Advance the wall elastodynamics half step.
 
-    Solves the one-matrix eliminated system of the run's :class:`WallSystem`
+    Solves, through the run's wall ``solver`` (a
+    :class:`~wallflow.sparsela.ReusedFactorSolver` at :data:`STRUCTURE_TOL`),
+    the one-matrix eliminated system whose matrix ``setup.wall_matrix`` is
+    built once per run,
 
         (rho_s_h * M + dt^2 * A) eta_half = rho_s_h * M (eta + dt * v)
 
     and recovers the half-step velocity v_half = (eta_half - eta) / dt,
-    which is exact by definition.  The fluid state is untouched in this
-    half step.  Returns a new ShellState with ``eta`` advanced and
-    ``v_star`` holding v_half; ``v`` (the full-step wall velocity) is
-    carried unchanged until the fluid step replaces it.
+    which is exact by definition.  The matrix is constant, so the solver
+    factors it on the first step and reuses that factor on every later one.
+    The fluid state is untouched in this half step.  Returns a new
+    ShellState with ``eta`` advanced and ``v_star`` holding v_half; ``v``
+    (the full-step wall velocity) is carried unchanged until the fluid step
+    replaces it.
     """
     if state.eta.size == 0:    # fully clamped wall (single-element mesh)
         return ShellState(eta=state.eta.copy(), v=state.v.copy(),
                           v_star=np.zeros(0))
-    dt = wall.dt
-    rhs = wall.rho_s_h * (wall.mass @ (state.eta + dt * state.v))
-    eta_half = wall.solve(rhs)
+    dt = setup.dt
+    rhs = setup.rho_s_h * (setup.shell_mass @ (state.eta + dt * state.v))
+    eta_half = solver.solve(setup.wall_matrix, rhs)
     v_half = (eta_half - state.eta) / dt
     return ShellState(eta=eta_half, v=state.v.copy(), v_star=v_half)

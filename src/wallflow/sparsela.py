@@ -5,13 +5,13 @@ kernels.
 products) do their symbolic work once per pattern, so each later call only
 forms a data array.
 
-:class:`DirectFactor` is the only LU constructor.  Constant systems (the
-wall half step of a run, the trace constant) are factored once and solved
-with it directly; the fluid system of every time step goes through
-:class:`ReusedFactorSolver`, which reuses the last LU as a GMRES
-preconditioner and refactors only when GMRES misses.  Every path checks the
-residual contract ``||Ax - b|| <= tol * ||b||`` against the matrix actually
-being solved.
+:class:`DirectFactor` is the only LU constructor, and
+:class:`ReusedFactorSolver` the only solve policy: every linear system (the
+fluid system of each time step, the wall half step of a run, the trace
+constant) is solved by GMRES preconditioned with the last LU it factored,
+refactoring only when GMRES misses.  The residual contract
+``||Ax - b|| <= tol * ||b||`` is checked against the matrix actually being
+solved.
 """
 
 import functools
@@ -137,23 +137,22 @@ class ProductMap:
 
 
 class DirectFactor:
-    """Sparse LU factorization with a checked solve.
+    """Sparse LU factorization, applied as a preconditioner.
 
-    The factorization is immutable after construction; concurrent solves
-    against one factor are safe.  Every matrix gets the same policy:
+    The factorization is immutable after construction; concurrent
+    applications of one factor are safe.  Every matrix gets the same policy:
     SuperLU's symmetric mode, a minimum-degree ordering of ``A^T + A`` and
     diagonal pivots unless a diagonal entry is exactly zero.  All matrices
     factored here are symmetric or saddle systems with a symmetric
     pattern, where this keeps the fill near that of the symmetric
-    ordering at every ``dt``; the residual check of :meth:`solve` guards
-    the stability that threshold pivoting would otherwise buy.
+    ordering at every ``dt``; the residual check of :func:`krylov_solve`
+    guards the stability that threshold pivoting would otherwise buy.
     """
 
     def __init__(self, a):
         a = sp.csc_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise SolverError(f"matrix is not square: {a.shape}")
-        self._a = a
         try:
             self._lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A",
                                  diag_pivot_thresh=0.0,
@@ -170,48 +169,32 @@ class DirectFactor:
         """Unchecked solve with the LU factors, for use as a preconditioner."""
         return self._lu.solve(b)
 
-    def solve(self, b, tol):
-        b = np.asarray(b, dtype=float)
-        x = self._lu.solve(b)
-        norm_b = np.linalg.norm(b)
-        if norm_b == 0.0:
-            return np.zeros_like(b)
-        resid = np.linalg.norm(self._a @ x - b)
-        if resid > tol * norm_b:
-            # one step of iterative refinement before giving up
-            x = x + self._lu.solve(b - self._a @ x)
-            resid = np.linalg.norm(self._a @ x - b)
-            if resid > tol * norm_b:
-                raise SolverError(
-                    f"direct solve residual {resid:.3e} exceeds {tol:.1e} * ||b|| = "
-                    f"{tol * norm_b:.3e}")
-        if not np.all(np.isfinite(x)):
-            raise SolverError("direct solve produced non-finite entries")
-        return x
 
-
-# GMRES iterations one solve may spend, without restarts.  A solve that
-# misses the contract within them is abandoned and the system refactored,
-# so a miss costs at most this many LU applications on top of the
-# factorization.
+# GMRES iterations one solve may spend, restarts included.  A solve that
+# misses the contract within them raises, so a miss costs at most this many
+# LU applications plus one on top of the factorization.
 GMRES_MAX_ITERATIONS = 20
 
 
 def krylov_solve(a, b, factor, tol, callback=None):
-    """GMRES on ``a x = b``, right-preconditioned by the LU ``factor`` of a
-    nearby matrix, within :data:`GMRES_MAX_ITERATIONS` iterations.
+    """GMRES on ``a x = b``, right-preconditioned by the LU ``factor`` of
+    ``a`` or of a nearby matrix, within :data:`GMRES_MAX_ITERATIONS`
+    iterations.
 
     Returns ``x`` with ``||a x - b|| <= tol * ||b||``, checked against ``a``
     itself; raises :class:`SolverError` otherwise.  ``callback`` is called
     once per iteration with the residual estimate.
 
     Arnoldi with modified Gram-Schmidt builds a basis ``V`` of the Krylov
-    space of ``a M^-1`` from ``x0 = 0``; Givens rotations keep the least
-    squares residual, which with right preconditioning estimates the true
-    residual ``||b - a x||`` itself.  Once the estimate meets the contract,
-    ``x = M^-1 V y`` is formed, so a solve of ``k`` iterations applies the
-    LU ``k + 1`` times, and ``x`` is returned only if its true residual
-    meets the contract too.
+    space of ``a M^-1`` from the residual ``r`` of ``x``, first ``x = 0``;
+    Givens rotations keep the least squares residual, which with right
+    preconditioning estimates the true residual itself.  Once the estimate
+    meets the contract, ``x + M^-1 V y`` is formed and its true residual
+    checked.  When only the estimate meets it, GMRES restarts from the new
+    ``x`` on its true residual, a step of iterative refinement (Arioli &
+    Duff, ETNA 33, 2009).  A cycle of ``k`` iterations applies the LU
+    ``k + 1`` times, and the cycles share the iteration cap, so a solve
+    applies it at most ``GMRES_MAX_ITERATIONS + 1`` times in all.
     """
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
@@ -222,40 +205,46 @@ def krylov_solve(a, b, factor, tol, callback=None):
     basis = np.empty((m + 1, b.size))
     hess = np.zeros((m + 1, m))
     cos, sin = np.zeros(m), np.zeros(m)
-    g = np.zeros(m + 1)             # rotated right-hand side ||b|| e_1
-    g[0] = norm_b
-    basis[0] = b / norm_b
-    resid = np.inf
-    for j in range(m):
-        w = a @ factor.apply(basis[j])
-        for i in range(j + 1):
-            hess[i, j] = w @ basis[i]
-            w -= hess[i, j] * basis[i]
-        h_next = np.linalg.norm(w)
-        for i in range(j):
-            hess[i, j], hess[i + 1, j] = (
-                cos[i] * hess[i, j] + sin[i] * hess[i + 1, j],
-                -sin[i] * hess[i, j] + cos[i] * hess[i + 1, j])
-        r = np.hypot(hess[j, j], h_next)
-        if not r > 0.0:             # singular or non-finite Hessenberg column
-            break
-        cos[j], sin[j] = hess[j, j] / r, h_next / r
-        hess[j, j] = r
-        g[j + 1] = -sin[j] * g[j]
-        g[j] *= cos[j]
-        if callback is not None:
-            callback(abs(g[j + 1]))
-        if abs(g[j + 1]) <= target:
-            y = solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
-            x = factor.apply(y @ basis[:j + 1])
-            resid = np.linalg.norm(a @ x - b)
-            break
-        basis[j + 1] = w / h_next
-    if not resid <= target:         # also rejects a NaN residual
-        raise SolverError(
-            f"gmres missed {tol:.1e} * ||b|| within {GMRES_MAX_ITERATIONS} "
-            f"iterations (residual {resid:.3e})")
-    return x
+    g = np.zeros(m + 1)             # rotated right-hand side ||r|| e_1
+    x, r, resid, left = 0.0, b, norm_b, m
+    while left > 0:                 # one GMRES cycle from x on r
+        g[0] = resid
+        basis[0] = r / resid
+        for j in range(left):
+            w = a @ factor.apply(basis[j])
+            for i in range(j + 1):
+                hess[i, j] = w @ basis[i]
+                w -= hess[i, j] * basis[i]
+            h_next = np.linalg.norm(w)
+            for i in range(j):
+                hess[i, j], hess[i + 1, j] = (
+                    cos[i] * hess[i, j] + sin[i] * hess[i + 1, j],
+                    -sin[i] * hess[i, j] + cos[i] * hess[i + 1, j])
+            rho = np.hypot(hess[j, j], h_next)
+            if not rho > 0.0:       # singular or non-finite Hessenberg column
+                left = 0
+                break
+            cos[j], sin[j] = hess[j, j] / rho, h_next / rho
+            hess[j, j] = rho
+            g[j + 1] = -sin[j] * g[j]
+            g[j] *= cos[j]
+            if callback is not None:
+                callback(abs(g[j + 1]))
+            if abs(g[j + 1]) <= target:
+                y = solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
+                x = x + factor.apply(y @ basis[:j + 1])
+                r = b - a @ x
+                resid = np.linalg.norm(r)
+                if resid <= target:     # also rejects a NaN residual
+                    return x
+                left -= j + 2       # the cycle's iterations and its update
+                break
+            basis[j + 1] = w / h_next
+        else:
+            left = 0
+    raise SolverError(
+        f"gmres missed {tol:.1e} * ||b|| within {GMRES_MAX_ITERATIONS} "
+        f"iterations (residual {resid:.3e})")
 
 
 @dataclass
@@ -282,14 +271,16 @@ class SolveStats:
 
 
 class ReusedFactorSolver:
-    """The solve policy of a sequence of nearby systems, one per time step.
+    """The solve policy of every linear system: a sequence of nearby
+    systems, one per time step, or one constant system solved many times.
 
     It keeps the LU of the last system it factored and solves each new
     system by GMRES preconditioned with it (:func:`krylov_solve`).  When
     GMRES misses ``||Ax - b|| <= tol * ||b||`` within its iteration cap, the
-    stale factor is released and the new system is factored and solved
-    directly, so at most one factor is alive at any time.  Each run owns
-    its own instance, so a result never depends on what ran before it.
+    stale factor is released and the new system is factored and solved by
+    GMRES again, now preconditioned with its own LU, so at most one factor
+    is alive at any time.  Each run owns its own instances, so a result
+    never depends on what ran before it.
     """
 
     def __init__(self, tol):
@@ -320,7 +311,7 @@ class ReusedFactorSolver:
         self._factor = DirectFactor(a)
         stats.factorizations += 1
         stats.lu_fill_nnz = self._factor.fill_nnz
-        x = self._factor.solve(b, tol=self.tol)
+        x = krylov_solve(a, b, self._factor, tol=self.tol)
         self._record_residual(a, x, b)
         return x
 

@@ -45,4 +45,5 @@ def test_step_targets_and_the_reduction_resolve():
 def test_only_the_retired_factor_solve_target_is_missing():
     tracing = load_tracing()
     missing = [f"{m}.{p}" for m, p in tracing.TARGETS if not resolves(m, p)]
-    assert missing == ["sparsela.factor_solve"]
+    # every solve is timed through krylov_solve; the direct solve is retired
+    assert missing == ["sparsela.DirectFactor.solve", "sparsela.factor_solve"]

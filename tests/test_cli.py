@@ -64,6 +64,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("fluid", "viscosity", float("inf")),
     ("waveform", "inlet", {"kind": "pulse", "amplitude": float("nan"),
                            "duration": 0.001}),
+    pytest.param("geometry", "radius", 10**400,    # too large for a float
+                 id="geometry-radius-huge-int"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, key,
                                               value):
@@ -280,6 +282,17 @@ MALFORMED_LEDGERS = {     # case -> (ledger format, edit of its lines)
     "header-non-numeric-dt": ("csv", lambda lines: [
         CSV_HEADER_TAG + ' {"dt": "abc", "e0": 1.0, "rho_s_h": 1.0}']
         + lines[1:]),
+    "header-overflowing-dt": ("csv", lambda lines: [
+        CSV_HEADER_TAG + f' {{"dt": {10**400}, "e0": 1.0, "rho_s_h": 1.0}}']
+        + lines[1:]),
+    "header-zero-dt": ("csv", lambda lines: [
+        CSV_HEADER_TAG + ' {"dt": 0, "e0": 1.0, "rho_s_h": 1.0}']
+        + lines[1:]),
+    "header-negative-rho_s_h": ("csv", lambda lines: [
+        CSV_HEADER_TAG + ' {"dt": 0.001, "e0": 1.0, "rho_s_h": -1.0}']
+        + lines[1:]),
+    "overlong-cell": ("csv", lambda lines: set_cell(lines, 1, "e_full",
+                                                    "1" * 131073)),
     "jsonl-ledger": ("jsonl", as_jsonl),
 }
 

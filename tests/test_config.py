@@ -47,6 +47,19 @@ def test_bad_poisson_ratio_named():
         validate_config(raw)
 
 
+@pytest.mark.parametrize("time, problem", [
+    ({"t_final": 0.0, "n_steps": 10}, "time.t_final must be positive"),
+    ({"t_final": -0.01, "n_steps": 10}, "time.t_final must be positive"),
+    ({"t_final": 0.01, "n_steps": 0}, "time.n_steps must be a positive"),
+], ids=["t_final-zero", "t_final-negative", "n_steps-zero"])
+def test_nonpositive_time_step_rejected(time, problem):
+    # the run's dt = t_final / n_steps is positive for every valid config
+    raw = minimal_raw()
+    raw["time"] = time
+    with pytest.raises(ConfigError, match=problem):
+        validate_config(raw)
+
+
 def test_elastic_mode_with_viscosity_is_contradictory():
     raw = minimal_raw()
     raw["mode"] = "elastic"

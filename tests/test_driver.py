@@ -8,7 +8,7 @@ from wallflow import ale, coupling, driver, fluid, shell, sparsela
 from wallflow.cli import main
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
-from wallflow.errors import ConfigError, SolverError, ValidationError
+from wallflow.errors import ConfigError, ValidationError
 
 from oracles import linear_interpolant, state_at
 
@@ -155,10 +155,13 @@ def test_reuse_policy_matches_a_fresh_factor_every_step(monkeypatch):
     assert reuse.solver.reused_solves > 0
     assert reuse.solver.factorizations < len(reuse.ledger)
 
-    def always_miss(*args, **kwargs):
-        raise SolverError("forced miss: refactor every step")
+    original = sparsela.ReusedFactorSolver.solve
 
-    monkeypatch.setattr(sparsela, "krylov_solve", always_miss)
+    def forgetful(self, a, b):
+        self._factor = None          # drop the held factor: refactor
+        return original(self, a, b)
+
+    monkeypatch.setattr(sparsela.ReusedFactorSolver, "solve", forgetful)
     fresh = driver.run(small_cfg())
     assert fresh.solver.factorizations == len(fresh.ledger) == 10
     assert fresh.solver.reused_solves == 0
@@ -168,6 +171,28 @@ def test_reuse_policy_matches_a_fresh_factor_every_step(monkeypatch):
     for key in ("u", "v", "eta", "p"):
         scale = max(np.abs(fresh.final[key]).max(), 1e-30)
         assert np.abs(reuse.final[key] - fresh.final[key]).max() <= 1e-8 * scale
+
+
+def test_a_fresh_factor_whose_first_update_misses_restarts():
+    # an elastic wall under strong suction on a 3x3 mesh: at step 2 GMRES
+    # misses with the step-1 factor, and with the fresh factor the first
+    # update's true residual misses FLUID_TOL while its estimate meets it;
+    # the restart on the true residual, a refinement step, meets it
+    res = driver.run(validate_config(small_raw(
+        geometry={"radius": 2.0, "length": 4.18},
+        fluid={"density": 0.95, "viscosity": 0.0107},
+        wall={"youngs_modulus": 1e6, "poisson_ratio": 0.23,
+              "thickness": 0.25, "density": 0.237},
+        mesh={"n_z": 3, "n_r": 3, "wall_elements": 3},
+        time={"t_final": 2.0, "n_steps": 2}, mode="elastic",
+        waveform={"inlet": {"kind": "constant", "value": -3731.0},
+                  "outlet": {"kind": "constant", "value": -1e4}},
+        initial_data={"kind": "bump", "eta_amplitude": -0.445,
+                      "v_amplitude": 7.94})))
+    assert res.status == driver.STATUS_COMPLETED, res.failure
+    assert res.solver.factorizations == 2 and len(res.ledger) == 2
+    assert res.solver.worst_rel_residual <= coupling.FLUID_TOL
+    assert verify_run(res.ledger).ok
 
 
 def test_two_runs_in_one_process_write_identical_ledgers(tmp_path):

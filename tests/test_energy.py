@@ -36,8 +36,8 @@ def one_step(material, coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
     u = np.zeros(2 * fm.n_velocity_nodes)
     vn = sm.evaluate(sm.to_full(v), fm.velocity_z)
     u[fm.n_velocity_nodes:] = np.outer(fm.velocity_r, vn).ravel()
-    half = shell.structure_step(state, shell.WallSystem(
-        dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
+    half = shell.structure_step(cs, state,
+                                ReusedFactorSolver(shell.STRUCTURE_TOL))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
                               u, half, p_in, p_out,
@@ -57,8 +57,8 @@ def test_zero_states_record_all_zeros():
     material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
     state = zero_shell_state(sm)
     u = np.zeros(2 * fm.n_velocity_nodes)
-    half = shell.structure_step(state, shell.WallSystem(
-        dt, cs.shell_mass, cs.shell_elastic, coeffs.rho_s_h))
+    half = shell.structure_step(cs, state,
+                                ReusedFactorSolver(shell.STRUCTURE_TOL))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
                               u, half, 0.0, 0.0,

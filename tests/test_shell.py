@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from wallflow import shell, sparsela
 from wallflow.materials import ShellCoefficients
+from wallflow.sparsela import ReusedFactorSolver
 
 from oracles import (copy_shell_state, gauss01, hermite_eval, shell_energy,
                      shell_gram_dense, structure_step_energy_residual,
@@ -141,6 +144,19 @@ def test_evaluate_reproduces_a_global_cubic():
                        rtol=0, atol=1e-11)
 
 
+def wall_setup(dt, m, a, rho_s_h):
+    """What the wall half step reads of a ``RunSetup``, for these forms."""
+    return SimpleNamespace(dt=dt, rho_s_h=rho_s_h, shell_mass=m,
+                           wall_matrix=rho_s_h * m + dt * dt * a)
+
+
+def half_step(state, dt, m, a, rho_s_h, solver=None):
+    """One wall half step, through ``solver`` or a fresh one."""
+    return shell.structure_step(
+        wall_setup(dt, m, a, rho_s_h), state,
+        solver or ReusedFactorSolver(shell.STRUCTURE_TOL))
+
+
 @pytest.fixture
 def step_system():
     mesh = shell.ShellMesh(4, 1.0)
@@ -152,7 +168,7 @@ def step_system():
 def test_structure_step_zero_data(step_system):
     mesh, m, a = step_system
     state = zero_shell_state(mesh)
-    out = shell.structure_step(state, shell.WallSystem(0.1, m, a, 0.11))
+    out = half_step(state, 0.1, m, a, 0.11)
     assert np.all(out.eta == 0.0) and np.all(out.v_star == 0.0)
 
 
@@ -164,7 +180,7 @@ def test_structure_step_free_flight_without_stiffness(step_system):
                              v_star=np.zeros(mesh.n_free))
     zero_a = sp.csr_matrix((mesh.n_free, mesh.n_free))
     dt = 0.05
-    out = shell.structure_step(state, shell.WallSystem(dt, m, zero_a, 0.11))
+    out = half_step(state, dt, m, zero_a, 0.11)
     assert np.allclose(out.eta, state.eta + dt * state.v, rtol=1e-12, atol=0)
     assert np.allclose(out.v_star, state.v, rtol=1e-12, atol=0)
 
@@ -176,7 +192,7 @@ def test_structure_step_matches_dense_solve(step_system):
                              v=rng.standard_normal(mesh.n_free),
                              v_star=np.zeros(mesh.n_free))
     dt, rho_s_h = 0.02, 0.11
-    out = shell.structure_step(state, shell.WallSystem(dt, m, a, rho_s_h))
+    out = half_step(state, dt, m, a, rho_s_h)
     dense = np.linalg.solve(
         rho_s_h * m.toarray() + dt * dt * a.toarray(),
         rho_s_h * m.toarray() @ (state.eta + dt * state.v))
@@ -190,7 +206,7 @@ def test_half_step_velocity_is_the_difference_quotient(step_system):
                              v=rng.standard_normal(mesh.n_free),
                              v_star=np.zeros(mesh.n_free))
     dt = 0.01
-    out = shell.structure_step(state, shell.WallSystem(dt, m, a, 0.11))
+    out = half_step(state, dt, m, a, 0.11)
     assert np.array_equal(out.v_star, (out.eta - state.eta) / dt)
 
 
@@ -206,10 +222,10 @@ def test_structure_step_superposition(step_system):
                           v_star=np.zeros(mesh.n_free))
     both = shell.ShellState(eta=s1.eta + 2.0 * s2.eta, v=s1.v + 2.0 * s2.v,
                             v_star=np.zeros(mesh.n_free))
-    wall = shell.WallSystem(dt, m, a, rho_s_h)
-    o1 = shell.structure_step(s1, wall)
-    o2 = shell.structure_step(s2, wall)
-    ob = shell.structure_step(both, wall)
+    solver = ReusedFactorSolver(shell.STRUCTURE_TOL)
+    o1 = half_step(s1, dt, m, a, rho_s_h, solver)
+    o2 = half_step(s2, dt, m, a, rho_s_h, solver)
+    ob = half_step(both, dt, m, a, rho_s_h, solver)
     scale = np.abs(ob.eta).max()
     assert np.abs(ob.eta - o1.eta - 2.0 * o2.eta).max() <= 1e-12 * scale
 
@@ -230,32 +246,27 @@ def test_wall_system_factors_once_and_matches_a_fresh_factor(step_system,
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(sparsela.DirectFactor, "__init__", counting_init)
-    wall = shell.WallSystem(0.02, m, a, 0.11)
-    reused = [shell.structure_step(s, wall) for s in states]
+    solver = ReusedFactorSolver(shell.STRUCTURE_TOL)
+    reused = [half_step(s, 0.02, m, a, 0.11, solver) for s in states]
     assert len(built) == 1
+    assert solver.stats.reused_solves == 2
     for s, out in zip(states, reused):
-        fresh = shell.structure_step(s, shell.WallSystem(0.02, m, a, 0.11))
+        fresh = half_step(s, 0.02, m, a, 0.11)
         assert np.array_equal(out.eta, fresh.eta)
         assert np.array_equal(out.v_star, fresh.v_star)
-
-
-def test_wall_system_rejects_nonpositive_dt(step_system):
-    _, m, a = step_system
-    with pytest.raises(ValueError, match="dt"):
-        shell.WallSystem(0.0, m, a, 0.11)
 
 
 def test_step_energy_equality_and_detector(step_system):
     mesh, m, a = step_system
     state = zero_shell_state(mesh)
-    out = shell.structure_step(state, shell.WallSystem(0.1, m, a, 0.11))
+    out = half_step(state, 0.1, m, a, 0.11)
     assert structure_step_energy_residual(state, out, m, a, 0.11) == 0.0
 
     rng = np.random.default_rng(13)
     state = shell.ShellState(eta=rng.standard_normal(mesh.n_free),
                              v=rng.standard_normal(mesh.n_free),
                              v_star=np.zeros(mesh.n_free))
-    out = shell.structure_step(state, shell.WallSystem(0.01, m, a, 0.11))
+    out = half_step(state, 0.01, m, a, 0.11)
     scale = shell_energy(state.eta, state.v, m, a, 0.11)
     res = structure_step_energy_residual(state, out, m, a, 0.11)
     assert res <= 1e-10 * scale

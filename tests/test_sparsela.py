@@ -9,9 +9,11 @@ from wallflow.errors import SolverError
 from wallflow.sparsela import (DirectFactor, ReusedFactorSolver,
                                ScatterPattern, krylov_solve)
 
+from test_driver import count_calls
+
 
 def factor_solve(a, b, tol=1e-12):
-    return DirectFactor(a).solve(b, tol=tol)
+    return ReusedFactorSolver(tol).solve(a, b)
 
 
 def test_identity_solve_returns_rhs():
@@ -182,7 +184,7 @@ def test_policy_checks_the_residual_against_the_new_matrix():
     assert solver.stats.reused_solves == 1
     assert rel_residual(a1, x1, b) <= 1e-11
     # the stale factor's own solution misses the new system by far
-    assert rel_residual(a1, DirectFactor(a0).solve(b, tol=1e-12), b) > 1e-6
+    assert rel_residual(a1, factor_solve(a0, b), b) > 1e-6
 
 
 def test_policy_releases_the_stale_factor_before_refactoring(monkeypatch):
@@ -206,15 +208,7 @@ def test_policy_releases_the_stale_factor_before_refactoring(monkeypatch):
 
 def count_applications(monkeypatch):
     """Wrap ``DirectFactor.apply`` to count LU applications."""
-    calls = []
-    original = DirectFactor.apply
-
-    def counted(self, b):
-        calls.append(1)
-        return original(self, b)
-
-    monkeypatch.setattr(DirectFactor, "apply", counted)
-    return calls
+    return count_calls(monkeypatch, DirectFactor, "apply")
 
 
 def test_reused_solve_applies_the_lu_once_per_iteration_plus_one(monkeypatch):
@@ -255,19 +249,44 @@ def test_krylov_solution_meets_the_true_residual_contract():
     assert all(e1 <= e0 for e0, e1 in zip(estimates, estimates[1:]))
 
 
-def test_krylov_rejects_a_solution_only_its_estimate_accepts():
-    # a preconditioner that is not the same linear map on every call breaks
-    # the link between the GMRES estimate and the true residual
+class Drifting:
+    """A preconditioner that is not the same linear map on every call, which
+    breaks the link between the GMRES estimate and the true residual."""
+
+    def __init__(self, factor, drift, seed):
+        self.factor, self.drift = factor, drift
+        self.rng = np.random.default_rng(seed)
+
+    def apply(self, v):
+        return self.factor.apply(v) * (1.0 + self.drift
+                                       * self.rng.standard_normal())
+
+
+def test_krylov_restarts_when_only_its_estimate_meets_the_contract(
+        monkeypatch):
     a0, b = nonsymmetric_system(24)
-    factor = DirectFactor(a0)
-    rng = np.random.default_rng(25)
+    drifting = Drifting(DirectFactor(a0), 1e-6, 25)
+    applied = count_applications(monkeypatch)
+    estimates = []
+    # the first update misses by about the drift; restarts on the true
+    # residual, each a refinement step, close the rest of the gap
+    x = krylov_solve(a0, b, drifting, tol=1e-12, callback=estimates.append)
+    assert rel_residual(a0, x, b) <= 1e-12
+    cycles = len(applied) - len(estimates)   # one update per cycle
+    assert cycles >= 2
+    assert len(applied) <= sparsela.GMRES_MAX_ITERATIONS + 1
 
-    class Drifting:
-        def apply(self, v):
-            return factor.apply(v) * (1.0 + 1e-6 * rng.standard_normal())
 
+def test_krylov_rejects_a_solution_only_its_estimate_accepts(
+        monkeypatch):
+    a0, b = nonsymmetric_system(24)
+    drifting = Drifting(DirectFactor(a0), 0.3, 25)
+    applied = count_applications(monkeypatch)
+    estimates = []
     with pytest.raises(SolverError, match="gmres missed"):
-        krylov_solve(a0, b, Drifting(), tol=1e-12)
+        krylov_solve(a0, b, drifting, tol=1e-12, callback=estimates.append)
+    assert len(estimates) <= sparsela.GMRES_MAX_ITERATIONS
+    assert len(applied) <= sparsela.GMRES_MAX_ITERATIONS + 1
 
 
 def test_stats_record_the_fill_of_the_last_factor():

@@ -84,3 +84,18 @@ def environment_reads(root=ROOT):
 
 def test_no_module_reads_the_environment():
     assert environment_reads() == []
+
+
+def lu_constructors(root=ROOT):
+    """``file`` of each module of the package other than ``sparsela.py``
+    whose code names ``DirectFactor`` or ``splu``: every linear system is
+    solved through ``sparsela.ReusedFactorSolver``, one solve policy."""
+    return [path.name
+            for path in sorted((root / "src" / "wallflow").glob("*.py"))
+            if path.name != "sparsela.py"
+            and _names_used(ast.parse(path.read_text()))
+            & {"DirectFactor", "splu"}]
+
+
+def test_only_sparsela_constructs_an_lu():
+    assert lu_constructors() == []
