@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -176,8 +177,13 @@ def validate_config(raw):
     if init.get("kind") == "bump":
         init.setdefault("eta_amplitude", 0.0)
         init.setdefault("v_amplitude", 0.0)
-        _require_number(problems, init, "initial_data", "eta_amplitude")
-        _require_number(problems, init, "initial_data", "v_amplitude")
+        for key in ("eta_amplitude", "v_amplitude"):
+            val = _require_number(problems, init, "initial_data", key)
+            # a subnormal bump underflows in the compatibility check
+            if val is not None and 0 < abs(val) < sys.float_info.min:
+                problems.append(f"initial_data.{key} must be 0 or of "
+                                f"magnitude at least {sys.float_info.min:.4g},"
+                                f" got {val}")
     if mode == "rigid" and init.get("kind") != "zero":
         problems.append("rigid mode requires zero initial data")
     cfg["initial_data"] = init

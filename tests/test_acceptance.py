@@ -8,6 +8,7 @@ mesh-independent).  Run with ``pytest -s tests/test_acceptance.py`` to see
 the criterion lines as they pass.
 """
 
+import json
 import os
 
 import numpy as np
@@ -236,6 +237,21 @@ def test_criterion_10_v_vstar_gap_decay(convergence_report):
     report(10, "wall-velocity predictor gap decays with order >= 0.45",
            f"fitted order {rep.gap_order:.3f}",
            rep.gap_order >= GAP_ORDER_MIN)
+
+
+def test_elastic_wall_temporal_self_convergence():
+    # the ladder of criteria 9 and 10 under the same gates with an elastic
+    # wall, the other wall model the paper's existence proof covers
+    with open(os.path.join(CONFIG_DIR, "convergence_pulse.json")) as f:
+        raw = json.load(f)
+    raw["mode"] = "elastic"
+    raw["wall"].update(viscous_modulus=0.0, viscous_poisson=0.0)
+    rep = driver.self_convergence_study(validate_config(raw),
+                                        [25, 50, 100, 200], 1600)
+    lo, hi = ORDER_RANGE
+    orders = {f: rep.orders[f] for f in ("eta", "u", "v")}
+    assert all(lo <= order <= hi for order in orders.values()), orders
+    assert rep.gap_order >= GAP_ORDER_MIN, rep.gap_order
 
 
 def test_criterion_11_wall_contact_halting(tmp_path, monkeypatch, capsys):

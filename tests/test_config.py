@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,20 @@ def test_nonpositive_time_step_rejected(time, problem):
     raw["time"] = time
     with pytest.raises(ConfigError, match=problem):
         validate_config(raw)
+
+
+@pytest.mark.parametrize("key", ["eta_amplitude", "v_amplitude"])
+@pytest.mark.parametrize("value", [5e-324, -5e-324, 1e-310])
+def test_subnormal_initial_amplitude_rejected(key, value):
+    # a subnormal bump used to pass validation and then fail the run's
+    # initial-data compatibility check; the smallest normal one runs
+    raw = minimal_raw()
+    raw["initial_data"] = {"kind": "bump", key: value}
+    with pytest.raises(ConfigError, match=f"initial_data.{key} must be 0 or"):
+        validate_config(raw)
+    smallest = math.copysign(sys.float_info.min, value)
+    raw["initial_data"][key] = smallest
+    assert validate_config(raw)["initial_data"][key] == smallest
 
 
 def test_elastic_mode_with_viscosity_is_contradictory():

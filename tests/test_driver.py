@@ -195,6 +195,28 @@ def test_a_fresh_factor_whose_first_update_misses_restarts():
     assert verify_run(res.ledger).ok
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: FLUID_TOL bounds the solve residual by ||b||, and when "
+    "the pressure dwarfs the velocity the pressure times the divergence "
+    "rows of that residual moves the fluid-step balance past TOL_BALANCE"))
+def test_balance_holds_when_the_pressure_dwarfs_the_velocity():
+    # Hypothesis's shrunk example of a valid config whose ledger fails the
+    # fluid-step balance and the telescoped identity at 2.7e-8 (1e-8 gate)
+    res = driver.run(validate_config(small_raw(
+        geometry={"radius": 2.0, "length": 1.0},
+        fluid={"density": 1.0, "viscosity": 1.0},
+        wall={"youngs_modulus": 1000.0, "poisson_ratio": 0.0,
+              "thickness": 0.25, "density": 0.08},
+        mesh={"n_z": 3, "n_r": 1, "wall_elements": 3},
+        time={"t_final": 3.0, "n_steps": 3}, mode="elastic",
+        waveform={"inlet": {"kind": "pulse", "amplitude": 5144.0,
+                            "duration": 6.0},
+                  "outlet": {"kind": "pulse", "amplitude": 5143.0,
+                             "duration": 6.0}})))
+    assert res.status == driver.STATUS_COMPLETED
+    assert verify_run(res.ledger).ok
+
+
 def test_two_runs_in_one_process_write_identical_ledgers(tmp_path):
     paths = []
     for name in ("first", "second"):

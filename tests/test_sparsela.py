@@ -299,3 +299,118 @@ def test_stats_record_the_fill_of_the_last_factor():
     assert solver.stats.factorizations == 2
     assert solver.stats.lu_fill_nnz == DirectFactor(far).fill_nnz
     assert f"LU fill {solver.stats.lu_fill_nnz}" in solver.stats.summary()
+
+
+class CountingMatrix:
+    """A matrix that counts its products, one per ``@`` whatever the width
+    of the operand."""
+
+    def __init__(self, a):
+        self.a, self.shape, self.products = a, a.shape, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.a @ x
+
+
+def drifting_systems(seed, count):
+    """``count`` systems whose matrix and right-hand side drift smoothly
+    from step to step, as the systems of consecutive time steps do."""
+    a0, b0 = nonsymmetric_system(seed)
+    rng = np.random.default_rng(seed + 1)
+    da, db = rng.standard_normal(a0.nnz), rng.standard_normal(b0.size)
+    for k in range(count):
+        a = a0.copy()
+        a.data = a0.data * (1.0 + 2e-3 * np.sin(0.3 * k) * da)
+        yield a, b0 + 0.2 * np.sin(0.2 * k) * db + 0.01 * k * b0
+
+
+def test_warm_start_cuts_iterations_on_a_drifting_sequence(monkeypatch):
+    systems = list(drifting_systems(30, 16))
+    warm = ReusedFactorSolver(tol=1e-12)
+    for a, b in systems:
+        assert rel_residual(a, warm.solve(a, b), b) <= 1e-12
+    monkeypatch.setattr(sparsela, "PROJECTION_DEPTH", 0)
+    cold = ReusedFactorSolver(tol=1e-12)     # keeps no solution
+    for a, b in systems:
+        assert rel_residual(a, cold.solve(a, b), b) <= 1e-12
+    assert warm.stats.factorizations == cold.stats.factorizations == 1
+    assert warm.stats.gmres_iterations < cold.stats.gmres_iterations
+    assert warm.stats.worst_rel_residual <= 1e-12
+
+
+def test_same_system_twice_returns_checked_without_iterating(monkeypatch):
+    a, b = nonsymmetric_system(31)
+    solver = ReusedFactorSolver(tol=1e-12)
+    solver.solve(a, b)
+    applied = count_applications(monkeypatch)
+    counted = CountingMatrix(a)
+    x = solver.solve(counted, b)
+    assert solver.stats.reused_solves == 1
+    assert solver.stats.gmres_iterations == 0 and applied == []
+    # the block product a X and the check of the true residual
+    assert counted.products == 2
+    assert rel_residual(a, x, b) <= 1e-12
+
+
+def test_reused_solve_makes_one_product_per_iteration_plus_two():
+    # a X, one per GMRES iteration, one check: a duplicate residual product
+    # after the solve would show here
+    a0, b = nonsymmetric_system(32)
+    solver = ReusedFactorSolver(tol=1e-12)
+    solver.solve(a0, b)
+    for k, scale in enumerate((1e-4, 1e-3, 1e-2)):
+        counted = CountingMatrix(nearby(a0, scale, 33 + k))
+        before = solver.stats.gmres_iterations
+        x = solver.solve(counted, b)
+        iterations = solver.stats.gmres_iterations - before
+        assert iterations >= 1
+        assert counted.products == iterations + 2
+        assert rel_residual(counted.a, x, b) <= 1e-12
+    assert solver.stats.factorizations == 1
+
+
+def test_history_holds_at_most_projection_depth_solutions():
+    a, _ = nonsymmetric_system(34)
+    rng = np.random.default_rng(35)
+    solver = ReusedFactorSolver(tol=1e-12)
+    for k in range(sparsela.PROJECTION_DEPTH + 4):
+        solver.solve(a, rng.standard_normal(a.shape[0]))
+        assert len(solver._solutions) == min(k + 1, sparsela.PROJECTION_DEPTH)
+    # a zero right-hand side adds nothing: its solution spans nothing
+    oldest = solver._solutions[0]
+    assert np.all(solver.solve(a, np.zeros(a.shape[0])) == 0.0)
+    assert len(solver._solutions) == sparsela.PROJECTION_DEPTH
+    assert solver._solutions[0] is oldest
+
+
+def test_history_survives_a_refactorization():
+    a0, b = nonsymmetric_system(36)
+    far, _ = nonsymmetric_system(37)
+    solver = ReusedFactorSolver(tol=1e-12)
+    solver.solve(a0, b)
+    solver.solve(far, b)
+    assert solver.stats.factorizations == 2
+    assert len(solver._solutions) == 2
+    x = solver.solve(far, b)         # the refactored solution starts it
+    assert solver.stats.reused_solves == 1
+    assert solver.stats.max_gmres_iterations == 0
+    assert rel_residual(far, x, b) <= 1e-12
+
+
+def test_krylov_from_a_start_that_meets_the_target_checks_it():
+    a, b = nonsymmetric_system(38)
+    x = krylov_solve(a, b, DirectFactor(a), tol=1e-12)
+    counted, checked, estimates = CountingMatrix(a), [], []
+    # an r0 that claims a zero residual is only an estimate: the true one
+    # of x0 is checked before x0 is returned
+    out = krylov_solve(counted, b, DirectFactor(a), 1e-12, estimates.append,
+                       x0=x, r0=np.zeros_like(b), on_residual=checked.append)
+    assert out is x and estimates == [] and counted.products == 1
+    assert checked == [pytest.approx(rel_residual(a, x, b), rel=1e-12)]
+    # a wrong start whose r0 claims convergence is caught and solved on
+    wrong = x + 1e-3
+    out = krylov_solve(a, b, DirectFactor(a), 1e-12, estimates.append,
+                       x0=wrong, r0=np.zeros_like(b))
+    assert len(estimates) >= 1
+    assert rel_residual(a, out, b) <= 1e-12
