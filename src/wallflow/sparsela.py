@@ -8,13 +8,13 @@ forms a data array.
 :class:`DirectFactor` is the only LU constructor, and
 :class:`ReusedFactorSolver` the only solve policy: every linear system (the
 fluid system of each time step, the wall half step of a run, the trace
-constant) is solved by GMRES preconditioned with the last LU it factored,
-refactoring only when GMRES misses.  GMRES starts from the projection of
-the right-hand side onto the solver's last :data:`PROJECTION_DEPTH`
-solutions, so a system close to the ones before it needs few GMRES
-iterations, or none.  The residual contract ``||Ax - b|| <= tol * ||b||`` is
-checked on the true residual of the full right-hand side, against the
-matrix actually being solved.
+constant) is solved by flexible GMRES preconditioned with the last LU it
+factored, refactoring only when GMRES misses.  GMRES starts from the
+solver's last :data:`PROJECTION_DEPTH` solutions, combined as their
+right-hand sides best fit the new one, so a system close to the ones before
+it needs few GMRES iterations, or none.  The residual contract
+``||Ax - b|| <= tol * ||b||`` is checked on the true residual of the full
+right-hand side, against the matrix actually being solved.
 """
 
 import collections
@@ -174,22 +174,22 @@ class DirectFactor:
         return self._lu.solve(b)
 
 
-# GMRES iterations one solve may spend, restarts included.  A solve that
-# misses the contract within them raises, so a miss costs at most this many
-# LU applications plus one on top of the factorization.
+# GMRES iterations one solve may spend, restarts included.  Each applies
+# the LU once, so a miss costs at most this many LU applications on top of
+# the factorization.
 GMRES_MAX_ITERATIONS = 20
 
-# Earlier solutions a ReusedFactorSolver keeps to start the next solve from
-# (Fischer, CMAME 163, 1998): the last eight take the pulse run's mean GMRES
-# count from 5.7 to 1.3 at one block product per solve.
+# Earlier (solution, right-hand side) pairs a ReusedFactorSolver keeps to
+# start the next solve from (Fischer, CMAME 163, 1998): the last eight take
+# the pulse run's mean GMRES count from 5.7 to 1.3.
 PROJECTION_DEPTH = 8
 
 
-def krylov_solve(a, b, factor, tol, callback=None, *, x0=None, r0=None,
+def krylov_solve(a, b, factor, tol, callback=None, *, x0=None,
                  on_residual=None):
-    """GMRES on ``a x = b``, right-preconditioned by the LU ``factor`` of
-    ``a`` or of a nearby matrix, within :data:`GMRES_MAX_ITERATIONS`
-    iterations.
+    """Flexible GMRES on ``a x = b``, right-preconditioned by the LU
+    ``factor`` of ``a`` or of a nearby matrix, within
+    :data:`GMRES_MAX_ITERATIONS` iterations.
 
     Returns ``x`` with ``||a x - b|| <= tol * ||b||``, checked against ``a``
     itself; raises :class:`SolverError` otherwise.  ``callback`` is called
@@ -197,19 +197,19 @@ def krylov_solve(a, b, factor, tol, callback=None, *, x0=None, r0=None,
     with the checked relative residual ``||b - a x|| / ||b||`` of the ``x``
     returned.
 
-    Arnoldi with modified Gram-Schmidt builds a basis ``V`` of the Krylov
-    space of ``a M^-1`` from the residual ``r`` of ``x``, first ``x = 0``,
-    or ``x0`` with its residual ``r0 = b - a x0`` when given;
-    Givens rotations keep the least squares residual, which with right
-    preconditioning estimates the true residual itself.  Once the estimate
-    meets the contract, ``x + M^-1 V y`` is formed and its true residual
-    checked.  When only the estimate meets it, GMRES restarts from the new
-    ``x`` on its true residual, a step of iterative refinement (Arioli &
-    Duff, ETNA 33, 2009).  An ``r0`` that already meets the contract is
-    only an estimate too: ``x0`` is returned after 0 iterations once its
-    true residual is checked.  A cycle of ``k`` iterations applies the LU
-    ``k + 1`` times, and the cycles share the iteration cap, so a solve
-    applies it at most ``GMRES_MAX_ITERATIONS + 1`` times in all.
+    GMRES starts from ``x = 0``, or from ``x0`` on its true residual
+    ``b - a x0``; a start that meets the contract is returned after 0
+    iterations.  Arnoldi with modified Gram-Schmidt builds a basis ``V`` of
+    the Krylov space of ``a M^-1`` and keeps ``Z = M^-1 V`` beside it
+    (Saad, SIAM J. Sci. Comput. 14, 1993), so ``x + Z y`` costs no further
+    LU application and ``a Z = V H`` holds whatever the preconditioner.
+    Givens rotations keep the least squares residual, which estimates the
+    true residual.  Once the estimate meets the contract, ``x + Z y`` is
+    formed and its true residual checked; when only the estimate meets it,
+    GMRES restarts from the new ``x`` on its true residual, a step of
+    iterative refinement (Arioli & Duff, ETNA 33, 2009).  The cycles share
+    the iteration cap, and each iteration applies the LU once, so a solve
+    applies it at most :data:`GMRES_MAX_ITERATIONS` times.
     """
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
@@ -218,27 +218,25 @@ def krylov_solve(a, b, factor, tol, callback=None, *, x0=None, r0=None,
     target = tol * norm_b
     m = GMRES_MAX_ITERATIONS
     basis = np.empty((m + 1, b.size))
+    zs = np.empty((m, b.size))      # M^-1 applied to each basis vector
     hess = np.zeros((m + 1, m))
     cos, sin = np.zeros(m), np.zeros(m)
     g = np.zeros(m + 1)             # rotated right-hand side ||r|| e_1
-    x, r = (0.0, b) if x0 is None else (x0, r0)
-    resid, left = np.linalg.norm(r), m
-    estimated = x0 is not None and resid <= target
+    x, r = (np.zeros_like(b), b) if x0 is None else (x0, b - a @ x0)
+    left = m
     while True:
-        if estimated:               # check x on its true residual
-            r = b - a @ x
-            resid = np.linalg.norm(r)
-            if resid <= target:     # also rejects a NaN residual
-                if on_residual is not None:
-                    on_residual(float(resid / norm_b))
-                return x
+        resid = np.linalg.norm(r)   # the true residual of x
+        if resid <= target:         # also rejects a NaN residual
+            if on_residual is not None:
+                on_residual(float(resid / norm_b))
+            return x
         if left <= 0:
             break
-        estimated = False           # one GMRES cycle from x on r
-        g[0] = resid
+        g[0] = resid                # one GMRES cycle from x on r
         basis[0] = r / resid
         for j in range(left):
-            w = a @ factor.apply(basis[j])
+            zs[j] = factor.apply(basis[j])
+            w = a @ zs[j]
             for i in range(j + 1):
                 hess[i, j] = w @ basis[i]
                 w -= hess[i, j] * basis[i]
@@ -259,9 +257,9 @@ def krylov_solve(a, b, factor, tol, callback=None, *, x0=None, r0=None,
                 callback(abs(g[j + 1]))
             if abs(g[j + 1]) <= target:
                 y = solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
-                x = x + factor.apply(y @ basis[:j + 1])
-                estimated = True
-                left -= j + 2       # the cycle's iterations and its update
+                x = x + y @ zs[:j + 1]
+                r = b - a @ x
+                left -= j + 1
                 break
             basis[j + 1] = w / h_next
         else:
@@ -305,35 +303,36 @@ class ReusedFactorSolver:
     GMRES again, now preconditioned with its own LU, so at most one factor
     is alive at any time.
 
-    GMRES starts from the projection of ``b`` onto the last
-    :data:`PROJECTION_DEPTH` solutions ``X``: ``x0 = X c`` with ``c``
-    minimizing ``||b - a X c||``, one block product ``a X`` and a least
-    squares problem of ``PROJECTION_DEPTH`` columns (Fischer, CMAME 163,
-    1998; Saad, Iterative Methods, 2nd ed., section 6.5).  The history
-    survives a refactorization; the zero solution of a zero right-hand side
-    is not kept.  Each run owns its own instances, so a result never
-    depends on what ran before it.
+    GMRES starts from the last :data:`PROJECTION_DEPTH` solutions ``X`` and
+    their right-hand sides ``B``: ``x0 = X c`` with ``c`` minimizing
+    ``||b - B c||``, which needs no product with ``a`` (Fischer, CMAME 163,
+    1998).  When ``a`` has changed the fit is only a guess, and the true
+    residual of ``x0`` decides.  The history survives a refactorization; a
+    zero right-hand side adds nothing.  Each run owns its own instances, so
+    a result never depends on what ran before it.
     """
 
     def __init__(self, tol):
         self.tol = tol
         self.stats = SolveStats()
         self._factor = None
-        self._solutions = collections.deque(maxlen=PROJECTION_DEPTH)
+        self._history = collections.deque(maxlen=PROJECTION_DEPTH)
 
     def solve(self, a, b):
         """``x`` with ``||a x - b|| <= tol * ||b||``; raises
         :class:`SolverError` when even a fresh factor of ``a`` misses."""
         stats = self.stats
         b = np.asarray(b, dtype=float)
-        start = self._projection(a, b)
-        checked = []
+        x = x0 = None
+        if self._history:
+            xs, bs = (np.array(rows) for rows in zip(*self._history))
+            x0 = np.linalg.lstsq(bs.T, b, rcond=None)[0] @ xs
+        checked, iterations = [], []
         if self._factor is not None:
-            iterations = []
             try:
-                x = krylov_solve(a, b, self._factor, tol=self.tol,
-                                 callback=iterations.append,
-                                 on_residual=checked.append, **start)
+                x = krylov_solve(a, b, self._factor, self.tol,
+                                 iterations.append, x0=x0,
+                                 on_residual=checked.append)
             except SolverError:
                 # the stale LU is freed when this handler drops the
                 # traceback, before the next factorization starts
@@ -343,29 +342,14 @@ class ReusedFactorSolver:
                 stats.gmres_iterations += len(iterations)
                 stats.max_gmres_iterations = max(stats.max_gmres_iterations,
                                                  len(iterations))
-                return self._keep(x, checked)
-        self._factor = DirectFactor(a)
-        stats.factorizations += 1
-        stats.lu_fill_nnz = self._factor.fill_nnz
-        x = krylov_solve(a, b, self._factor, tol=self.tol,
-                         on_residual=checked.append, **start)
-        return self._keep(x, checked)
-
-    def _projection(self, a, b):
-        """The start ``x0 = X c``, ``r0 = b - (a X) c`` of the next solve,
-        as :func:`krylov_solve` keywords; none before the first solution."""
-        if not self._solutions:
-            return {}
-        xs = np.column_stack(self._solutions)
-        axs = a @ xs
-        c = np.linalg.lstsq(axs, b, rcond=None)[0]
-        return {"x0": xs @ c, "r0": b - axs @ c}
-
-    def _keep(self, x, checked):
-        """Record the checked residual of ``x`` and add it to the history;
-        a zero right-hand side has no residual to check."""
-        if checked:
-            self.stats.worst_rel_residual = max(self.stats.worst_rel_residual,
-                                                checked[0])
-            self._solutions.append(x)
+        if x is None:
+            self._factor = DirectFactor(a)
+            stats.factorizations += 1
+            stats.lu_fill_nnz = self._factor.fill_nnz
+            x = krylov_solve(a, b, self._factor, self.tol, x0=x0,
+                             on_residual=checked.append)
+        if checked:     # a zero right-hand side has no residual to check
+            stats.worst_rel_residual = max(stats.worst_rel_residual,
+                                           checked[0])
+            self._history.append((x, b))
         return x

@@ -211,7 +211,9 @@ def count_applications(monkeypatch):
     return count_calls(monkeypatch, DirectFactor, "apply")
 
 
-def test_reused_solve_applies_the_lu_once_per_iteration_plus_one(monkeypatch):
+def test_reused_solve_applies_the_lu_once_per_iteration(monkeypatch):
+    # flexible GMRES forms x from the stored M^-1 v_j: no LU application
+    # beyond the iterations'
     a0, b = nonsymmetric_system(16)
     solver = ReusedFactorSolver(tol=1e-12)
     solver.solve(a0, b)
@@ -221,7 +223,7 @@ def test_reused_solve_applies_the_lu_once_per_iteration_plus_one(monkeypatch):
         solver.solve(nearby(a0, scale, 17 + k), b)
         iterations = solver.stats.gmres_iterations - before[1]
         assert iterations >= 1
-        assert len(applied) - before[0] == iterations + 1
+        assert len(applied) - before[0] == iterations
     assert solver.stats.factorizations == 1
     assert solver.stats.reused_solves == 3
 
@@ -235,7 +237,7 @@ def test_far_matrix_raises_within_the_application_cap(monkeypatch):
     with pytest.raises(SolverError, match="gmres missed"):
         krylov_solve(far, b, factor, tol=1e-12, callback=estimates.append)
     assert len(estimates) <= sparsela.GMRES_MAX_ITERATIONS
-    assert len(applied) <= sparsela.GMRES_MAX_ITERATIONS + 1
+    assert len(applied) <= sparsela.GMRES_MAX_ITERATIONS
 
 
 def test_krylov_solution_meets_the_true_residual_contract():
@@ -249,9 +251,8 @@ def test_krylov_solution_meets_the_true_residual_contract():
     assert all(e1 <= e0 for e0, e1 in zip(estimates, estimates[1:]))
 
 
-class Drifting:
-    """A preconditioner that is not the same linear map on every call, which
-    breaks the link between the GMRES estimate and the true residual."""
+class DriftingPreconditioner:
+    """A preconditioner that is not the same linear map on every call."""
 
     def __init__(self, factor, drift, seed):
         self.factor, self.drift = factor, drift
@@ -262,31 +263,68 @@ class Drifting:
                                        * self.rng.standard_normal())
 
 
+class DriftingOperator:
+    """A matrix whose first ``drifting`` products (every one when
+    ``None``) are scaled by ``1 + drift * noise``, a new draw each time.
+    It is not the same linear map on every call, which breaks the link
+    between the GMRES estimate and the true residual; a drifting
+    preconditioner no longer does, since flexible GMRES keeps ``a Z = V H``
+    for any preconditioner.  ``products`` counts every product."""
+
+    def __init__(self, a, drift, seed, drifting=None):
+        self.a, self.shape, self.drift = a, a.shape, drift
+        self.rng = np.random.default_rng(seed)
+        self.drifting, self.products = drifting, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        out = self.a @ x
+        if self.drifting is None or self.products <= self.drifting:
+            out = out * (1.0 + self.drift * self.rng.standard_normal())
+        return out
+
+
+def test_flexible_gmres_meets_the_contract_with_a_drifting_preconditioner(
+        monkeypatch):
+    # right-preconditioned GMRES that forms x as x + M^-1 V y rejected
+    # this solve: its estimate no longer matched the true residual
+    a0, b = nonsymmetric_system(24)
+    drifting = DriftingPreconditioner(DirectFactor(a0), 0.3, 25)
+    applied = count_applications(monkeypatch)
+    estimates = []
+    x = krylov_solve(a0, b, drifting, tol=1e-12, callback=estimates.append)
+    assert rel_residual(a0, x, b) <= 1e-12
+    assert len(applied) == len(estimates) <= sparsela.GMRES_MAX_ITERATIONS
+
+
 def test_krylov_restarts_when_only_its_estimate_meets_the_contract(
         monkeypatch):
     a0, b = nonsymmetric_system(24)
-    drifting = Drifting(DirectFactor(a0), 1e-6, 25)
+    drifting = DriftingOperator(a0, 1e-6, 25, drifting=1)
     applied = count_applications(monkeypatch)
     estimates = []
-    # the first update misses by about the drift; restarts on the true
-    # residual, each a refinement step, close the rest of the gap
-    x = krylov_solve(a0, b, drifting, tol=1e-12, callback=estimates.append)
+    # the first cycle's update misses by about the drift; a restart on
+    # the true residual, a refinement step, closes the gap
+    x = krylov_solve(drifting, b, DirectFactor(a0), tol=1e-12,
+                     callback=estimates.append)
     assert rel_residual(a0, x, b) <= 1e-12
-    cycles = len(applied) - len(estimates)   # one update per cycle
+    cycles = drifting.products - len(estimates)   # one check per cycle
     assert cycles >= 2
-    assert len(applied) <= sparsela.GMRES_MAX_ITERATIONS + 1
+    assert len(applied) == len(estimates) <= sparsela.GMRES_MAX_ITERATIONS
 
 
 def test_krylov_rejects_a_solution_only_its_estimate_accepts(
         monkeypatch):
     a0, b = nonsymmetric_system(24)
-    drifting = Drifting(DirectFactor(a0), 0.3, 25)
+    drifting = DriftingOperator(a0, 0.3, 25)
     applied = count_applications(monkeypatch)
     estimates = []
     with pytest.raises(SolverError, match="gmres missed"):
-        krylov_solve(a0, b, drifting, tol=1e-12, callback=estimates.append)
+        krylov_solve(drifting, b, DirectFactor(a0), tol=1e-12,
+                     callback=estimates.append)
+    assert min(estimates) <= 1e-12 * np.linalg.norm(b)
     assert len(estimates) <= sparsela.GMRES_MAX_ITERATIONS
-    assert len(applied) <= sparsela.GMRES_MAX_ITERATIONS + 1
+    assert len(applied) <= sparsela.GMRES_MAX_ITERATIONS
 
 
 def test_stats_record_the_fill_of_the_last_factor():
@@ -348,14 +386,14 @@ def test_same_system_twice_returns_checked_without_iterating(monkeypatch):
     x = solver.solve(counted, b)
     assert solver.stats.reused_solves == 1
     assert solver.stats.gmres_iterations == 0 and applied == []
-    # the block product a X and the check of the true residual
-    assert counted.products == 2
+    # the true residual of the start, which meets the contract
+    assert counted.products == 1
     assert rel_residual(a, x, b) <= 1e-12
 
 
 def test_reused_solve_makes_one_product_per_iteration_plus_two():
-    # a X, one per GMRES iteration, one check: a duplicate residual product
-    # after the solve would show here
+    # the start's residual, one per GMRES iteration, one check: a duplicate
+    # residual product after the solve would show here
     a0, b = nonsymmetric_system(32)
     solver = ReusedFactorSolver(tol=1e-12)
     solver.solve(a0, b)
@@ -376,41 +414,56 @@ def test_history_holds_at_most_projection_depth_solutions():
     solver = ReusedFactorSolver(tol=1e-12)
     for k in range(sparsela.PROJECTION_DEPTH + 4):
         solver.solve(a, rng.standard_normal(a.shape[0]))
-        assert len(solver._solutions) == min(k + 1, sparsela.PROJECTION_DEPTH)
+        assert len(solver._history) == min(k + 1, sparsela.PROJECTION_DEPTH)
     # a zero right-hand side adds nothing: its solution spans nothing
-    oldest = solver._solutions[0]
+    oldest = solver._history[0]
     assert np.all(solver.solve(a, np.zeros(a.shape[0])) == 0.0)
-    assert len(solver._solutions) == sparsela.PROJECTION_DEPTH
-    assert solver._solutions[0] is oldest
+    assert len(solver._history) == sparsela.PROJECTION_DEPTH
+    assert solver._history[0] is oldest
 
 
 def test_history_survives_a_refactorization():
     a0, b = nonsymmetric_system(36)
-    far, _ = nonsymmetric_system(37)
+    far, b_far = nonsymmetric_system(37)
     solver = ReusedFactorSolver(tol=1e-12)
     solver.solve(a0, b)
-    solver.solve(far, b)
+    solver.solve(far, b_far)
     assert solver.stats.factorizations == 2
-    assert len(solver._solutions) == 2
-    x = solver.solve(far, b)         # the refactored solution starts it
+    assert len(solver._history) == 2
+    x = solver.solve(far, b_far)     # the refactored solution starts it
     assert solver.stats.reused_solves == 1
     assert solver.stats.max_gmres_iterations == 0
-    assert rel_residual(far, x, b) <= 1e-12
+    assert rel_residual(far, x, b_far) <= 1e-12
 
 
-def test_krylov_from_a_start_that_meets_the_target_checks_it():
+def test_same_rhs_against_two_matrices_meets_the_contract():
+    # a right-hand-side fit cannot tell the two systems apart, so each
+    # start is a solution of the other matrix; only the true residual of
+    # the start shows it, and GMRES solves on from there
+    a0, b = nonsymmetric_system(40)
+    a1 = nearby(a0, 1e-2, 41)
+    solver = ReusedFactorSolver(tol=1e-12)
+    for a in (a0, a1, a0, a1):
+        assert rel_residual(a, solver.solve(a, b), b) <= 1e-12
+    assert solver.stats.factorizations == 1
+    assert solver.stats.reused_solves == 3
+    assert solver.stats.max_gmres_iterations >= 1
+    assert solver.stats.worst_rel_residual <= 1e-12
+
+
+def test_krylov_from_a_start_that_meets_the_target_checks_it(monkeypatch):
     a, b = nonsymmetric_system(38)
-    x = krylov_solve(a, b, DirectFactor(a), tol=1e-12)
+    factor = DirectFactor(a)
+    x = krylov_solve(a, b, factor, tol=1e-12)
+    applied = count_applications(monkeypatch)
     counted, checked, estimates = CountingMatrix(a), [], []
-    # an r0 that claims a zero residual is only an estimate: the true one
-    # of x0 is checked before x0 is returned
-    out = krylov_solve(counted, b, DirectFactor(a), 1e-12, estimates.append,
-                       x0=x, r0=np.zeros_like(b), on_residual=checked.append)
-    assert out is x and estimates == [] and counted.products == 1
+    # a passing start costs the product of its true residual, nothing more
+    out = krylov_solve(counted, b, factor, 1e-12, estimates.append,
+                       x0=x, on_residual=checked.append)
+    assert out is x and counted.products == 1
+    assert estimates == [] and applied == []
     assert checked == [pytest.approx(rel_residual(a, x, b), rel=1e-12)]
-    # a wrong start whose r0 claims convergence is caught and solved on
-    wrong = x + 1e-3
-    out = krylov_solve(a, b, DirectFactor(a), 1e-12, estimates.append,
-                       x0=wrong, r0=np.zeros_like(b))
+    # a wrong start is caught on its true residual and solved on
+    out = krylov_solve(a, b, factor, 1e-12, estimates.append, x0=x + 1e-3)
     assert len(estimates) >= 1
     assert rel_residual(a, out, b) <= 1e-12
