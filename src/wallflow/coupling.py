@@ -3,25 +3,27 @@
 One linear solve per step over (interior fluid velocities, pressures, wall
 velocity): the interface condition u_r = v on the top edge is eliminated
 through the Hermite trace map, so wall inertia and wall viscosity land on
-the trace block of the system (Robin-type coupling).  The elimination,
-fixed DOFs included, is one prolongation ``P`` built per run; every
-reduced system, load and recovered field goes through it; the steps read
-``P``, ``dt`` and the wall operators, the wall block included, from the
-run's ``RunSetup``.  That implicit
+the trace block of the system (Robin-type coupling).  That implicit
 treatment of wall inertia is what makes the split scheme unconditionally
 stable, and elimination (rather than a multiplier) keeps the discrete
 energy identities exact at the algebra level.
 
-The step systems of one run differ only slightly from step to step, so a
-run passes one :class:`~wallflow.sparsela.ReusedFactorSolver`, the solve
-policy of every linear system of the package, to every step: the LU of an
-earlier step preconditions GMRES on the current one, and the system is
-refactored only when GMRES misses the residual contract.  The wall half
-step and the trace constant have solvers of their own.
-They also share one sparsity pattern: the geometry is frozen on the fixed
-reference rectangle and ``P`` is fixed, so the reduction is a
-:class:`~wallflow.sparsela.ProductMap` built once per run and system kind,
-and a step only combines data arrays.
+The elimination is the run's prolongation ``P`` (reduced unknowns to the
+full velocity, fixed DOFs included) and wall injection ``E`` (a wall vector
+among the reduced unknowns), both on its ``RunSetup``: a step solves
+``P^T A P + E W E^T``, loads ``P^T f + E g`` and recovers ``u = P x`` and
+``v = E^T x``.  A rigid wall is the same elimination with no wall velocity
+left to couple (no wall columns in ``P``, ``E`` zero), so the coupled and
+the rigid step share one body.
+
+Every step of a run is solved by one
+:class:`~wallflow.sparsela.ReusedFactorSolver`: the LU of an earlier step
+preconditions GMRES on the current one, and the system is refactored only
+when GMRES misses the residual contract.  The geometry is frozen on the
+fixed reference rectangle and ``P`` and ``E`` are fixed, so every step
+system has one pattern: the reduction is one
+:class:`~wallflow.sparsela.ProductMap` built once per run, and a step only
+combines data arrays.
 """
 
 from dataclasses import dataclass
@@ -79,7 +81,8 @@ def build_coupling(shell_mesh, fluid_mesh):
 
 def build_prolongation(fluid_mesh, partition, trace_op):
     """The elimination as one map ``P`` from reduced unknowns (free fluid
-    DOFs, then free wall DOFs) to the full velocity vector.
+    DOFs, then one per column of ``trace_op``: the free wall DOFs, or none
+    for a rigid wall) to the full velocity vector.
 
     Its columns are the identity on the free DOFs and the trace map on the
     top-edge radial DOFs; fixed DOFs get zero rows.  Reduced operators are
@@ -105,9 +108,9 @@ class FluidStepResult:
 
 
 def assemble_step_operators(setup, snapshot, mass, u_prev_full, v_half_free,
-                            dt, p_in, p_out):
+                            p_in, p_out):
     """All matrices, the load and the momentum right-hand side of one fluid
-    step, on the frozen geometry; shared by the coupled and the rigid step.
+    step of the run's ``dt``, on the frozen geometry.
 
     ``mass`` is the weighted mass of ``snapshot``, which the caller already
     holds.  The geometry weight comes from the start-of-step wall profile
@@ -126,74 +129,70 @@ def assemble_step_operators(setup, snapshot, mass, u_prev_full, v_half_free,
         "divergence": fl.assemble_divergence(mesh, snapshot),
     }
     forcing = fl.assemble_pressure_forcing(mesh, p_in, p_out, snapshot.radius)
-    rhs_full = ((setup.rho_f / dt) * fl.componentwise(mass, u_prev_full)
+    rhs_full = ((setup.rho_f / setup.dt) * fl.componentwise(mass, u_prev_full)
                 + forcing)
     return ops, forcing, rhs_full
 
 
-def momentum_matrix(setup, ops, dt):
+def momentum_matrix(setup, ops):
     """(rho_f/dt) M + N + (rho_f/2) S + K on the full velocity space: the
     scalar M, N and S combine on their data, which is added to both diagonal
     blocks of K's, so each entry is the two-component operators' sum."""
     fm = setup.fluid_mesh
-    scalar = ((setup.rho_f / dt) * ops["mass"].data + ops["advection"].data
-              + (0.5 * setup.rho_f) * ops["robin"].data)
+    scalar = ((setup.rho_f / setup.dt) * ops["mass"].data
+              + ops["advection"].data + (0.5 * setup.rho_f) * ops["robin"].data)
     data = ops["viscous"].data.copy()
     data[fm.diagonal_slots] += np.concatenate([scalar, scalar])
     return fm.vv_pattern.matrix(data)
 
 
-def build_reduction(setup, coupled):
+def build_reduction(setup):
     """The reduction of :func:`reduce_coupled_system` for the run of
     ``setup``, as a map of the operands' data arrays: the momentum matrix
     on the velocity pattern, the divergence on the pressure-velocity
-    pattern and, when ``coupled``, the wall block on the wall-Gram
-    pattern.  The rigid system reduces through the free columns of ``P``
-    and has no wall block."""
-    fm, nf = setup.fluid_mesh, setup.partition.n_free
-    p = setup.prolongation if coupled else setup.prolongation[:, :nf]
+    pattern and the wall block on the wall-Gram pattern, injected by the
+    run's ``E`` (zero for a rigid wall)."""
+    fm, p, e, w = (setup.fluid_mesh, setup.prolongation,
+                   setup.wall_injection, setup.wall_block)
     n, n_p = p.shape[1], fm.n_pressure_nodes
     vv, pv = fm.vv_pattern, fm.pv_pattern
     a_rows, b_rows = csr_rows(vv), csr_rows(pv)
     eye_p = sp.identity(n_p, format="csr")
-    terms = [(0, a_rows, vv.indices, p.T, p, (0, 0), 1.0),
-             (vv.nnz, b_rows, pv.indices, eye_p, p, (n, 0), 1.0),
-             (vv.nnz, pv.indices, b_rows, p.T, eye_p, (0, n), -1.0)]
-    if coupled:
-        ms = setup.shell_mass
-        eye_w = sp.identity(n - nf, format="csr")
-        terms.append((vv.nnz + pv.nnz, csr_rows(ms), ms.indices, eye_w, eye_w,
-                      (nf, nf), 1.0))
-    return ProductMap(terms, (n + n_p, n + n_p))
+    return ProductMap(
+        [(0, a_rows, vv.indices, p.T, p, (0, 0), 1.0),
+         (vv.nnz, b_rows, pv.indices, eye_p, p, (n, 0), 1.0),
+         (vv.nnz, pv.indices, b_rows, p.T, eye_p, (0, n), -1.0),
+         (vv.nnz + pv.nnz, csr_rows(w), w.indices, e, e.T, (0, 0), 1.0)],
+        (n + n_p, n + n_p))
 
 
-def reduce_coupled_system(setup, a_mom, b_div, wall=None):
-    """The step's saddle system ``[[P^T A P + W, -(B P)^T], [B P, 0]]``,
-    reduced through the run's prolongation ``P``.
-
-    ``wall`` (W) acts on the trailing reduced unknowns, the wall velocity;
-    without it the system is the rigid one, over the free columns of ``P``
-    with no wall block.  The operands must be on their fixed patterns (see
-    :func:`build_reduction`); the map is built on the first call of each
-    kind and kept on ``setup``, so every step system of a run has the same
-    pattern.
-    """
-    if wall is None:
-        return setup.rigid_reduction(np.concatenate([a_mom.data, b_div.data]))
-    return setup.coupled_reduction(
-        np.concatenate([a_mom.data, b_div.data, wall.data]))
+def reduce_coupled_system(setup, a_mom, b_div):
+    """The step's saddle system ``[[P^T A P + E W E^T, -(B P)^T], [B P, 0]]``
+    with the run's wall block ``W``.  The operands must be on their fixed
+    patterns (see :func:`build_reduction`); the map is built on the first
+    call and kept on ``setup``, so every step system of a run has the same
+    pattern."""
+    return setup.reduction(
+        np.concatenate([a_mom.data, b_div.data, setup.wall_block.data]))
 
 
-def _solve_reduced(setup, p, ops, load, solver, wall=None):
-    """Reduce the step, solve it with the reduced momentum load ``load``
-    and prolong through ``p``; returns (reduced velocity, full velocity,
-    pressure)."""
-    system = reduce_coupled_system(
-        setup, momentum_matrix(setup, ops, setup.dt), ops["divergence"], wall)
-    n = p.shape[1]
+def _step(setup, snapshot, mass, u_prev_full, v_half, p_in, p_out, solver):
+    """The fluid step with domain and wall velocity ``v_half``: one reduced
+    solve for ``x``, then ``u = P x`` and ``v_new = E^T x``."""
+    if snapshot.min_radius <= 0.0:
+        raise WallContact(snapshot.min_radius, snapshot.min_radius_z)
+    ops, forcing, rhs_full = assemble_step_operators(
+        setup, snapshot, mass, u_prev_full, v_half, p_in, p_out)
+    p, e = setup.prolongation, setup.wall_injection
+    load = p.T @ rhs_full + e @ ((setup.rho_s_h / setup.dt)
+                                 * (setup.shell_mass @ v_half))
+    system = reduce_coupled_system(setup, momentum_matrix(setup, ops),
+                                   ops["divergence"])
     x = solver.solve(system, np.concatenate(
         [load, np.zeros(setup.fluid_mesh.n_pressure_nodes)]))
-    return x[:n], p @ x[:n], x[n:]
+    n = p.shape[1]
+    return FluidStepResult(u_full=p @ x[:n], v_new=e.T @ x[:n],
+                           pressure=x[n:], operators=ops, forcing=forcing)
 
 
 def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, p_in, p_out,
@@ -208,29 +207,13 @@ def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, p_in, p_out,
     half step.  ``solver`` is the run's fluid-step
     :class:`~wallflow.sparsela.ReusedFactorSolver`.
     """
-    if snapshot.min_radius <= 0.0:
-        raise WallContact(snapshot.min_radius, snapshot.min_radius_z)
-    v_half = shell_half.v_star
-    ops, forcing, rhs_full = assemble_step_operators(
-        setup, snapshot, mass, u_prev_full, v_half, setup.dt, p_in, p_out)
-    p, nf = setup.prolongation, setup.partition.n_free
-    load = p.T @ rhs_full
-    load[nf:] += (setup.rho_s_h / setup.dt) * (setup.shell_mass @ v_half)
-    x, u_full, pressure = _solve_reduced(setup, p, ops, load, solver,
-                                         setup.wall_block)
-    return FluidStepResult(u_full=u_full, v_new=x[nf:], pressure=pressure,
-                           operators=ops, forcing=forcing)
+    return _step(setup, snapshot, mass, u_prev_full, shell_half.v_star,
+                 p_in, p_out, solver)
 
 
 def rigid_fluid_step(setup, snapshot, mass, u_prev_full, p_in, p_out, solver):
-    """The fluid step of :func:`fluid_step` with the wall frozen: the wall
-    velocity is zero and the reduced system has no wall block (every
-    top-edge DOF is zero).  Test harness for rigid-wall channel flow."""
-    ops, forcing, rhs_full = assemble_step_operators(
-        setup, snapshot, mass, u_prev_full, setup.shell_mesh.zero_free(),
-        setup.dt, p_in, p_out)
-    p = setup.prolongation[:, :setup.partition.n_free]
-    _, u_full, pressure = _solve_reduced(setup, p, ops, p.T @ rhs_full,
-                                         solver)
-    return FluidStepResult(u_full=u_full, v_new=setup.shell_mesh.zero_free(),
-                           pressure=pressure, operators=ops, forcing=forcing)
+    """The fluid step of a rigid-mode ``setup``, whose ``P`` has no wall
+    columns and ``E`` is zero: every top-edge DOF and the returned wall
+    velocity are zero.  Test harness for rigid-wall channel flow."""
+    return _step(setup, snapshot, mass, u_prev_full,
+                 setup.shell_mesh.zero_free(), p_in, p_out, solver)

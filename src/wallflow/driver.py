@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import ale, coupling, energy, fluid, shell
 from .config import build_material, ingest_waveform
@@ -81,10 +82,11 @@ class RunResult:
 class RunSetup:
     """Meshes, operators, and parameters shared by every step of a run: the
     one per-run object, which carries the wall Gram matrices and forms, the
-    wall half step's matrix, the fluid step's wall block, the trace map and
-    the prolongation ``P`` that both sub-steps read, and the reduction maps
-    of the fluid-step systems, built on first use.  Each linear system of a
-    run is solved through a ``ReusedFactorSolver`` of its own, not here."""
+    wall half step's matrix, the fluid step's wall block, the trace map, the
+    prolongation ``P`` (with no wall columns for a rigid wall: the run's one
+    mode choice) and, built on first use, the wall injection ``E`` and the
+    fluid step's reduction map.  Each linear system of a run is solved
+    through a ``ReusedFactorSolver`` of its own, not here."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -117,22 +119,28 @@ class RunSetup:
             (g[0], self.shell_elastic), (coeffs.rho_s_h, self.dt * self.dt))
         self.partition = fluid.DofPartition(fm)
         self.trace_op = coupling.build_coupling(sm, fm)   # top edge <- wall
+        # a rigid wall leaves no wall velocity to couple: P has no wall columns
+        wall_columns = (self.trace_op[:, :0] if cfg["mode"] == "rigid"
+                        else self.trace_op)
         self.prolongation = coupling.build_prolongation(fm, self.partition,
-                                                        self.trace_op)
+                                                        wall_columns)
         self.contact_threshold = ale.CONTACT_THRESHOLD_FACTOR * self.radius
         base = cfg.get("_base_dir", ".")
         self.wave_in = ingest_waveform(cfg["waveform"]["inlet"], base)
         self.wave_out = ingest_waveform(cfg["waveform"]["outlet"], base)
 
     @functools.cached_property
-    def coupled_reduction(self):
-        """The coupled step's reduction map, built on its first use."""
-        return coupling.build_reduction(self, coupled=True)
+    def wall_injection(self):
+        """``E``, the wall velocity's place among the reduced unknowns: a
+        wall vector ``v`` enters as ``E v`` and ``E^T x`` is the wall
+        velocity of ``x``; zero for a rigid wall.  Built on first use."""
+        return sp.eye(self.prolongation.shape[1], self.shell_mesh.n_free,
+                      k=-self.partition.n_free, format="csr")
 
     @functools.cached_property
-    def rigid_reduction(self):
-        """The rigid step's reduction map, built on its first use."""
-        return coupling.build_reduction(self, coupled=False)
+    def reduction(self):
+        """The fluid step's reduction map, built on its first use."""
+        return coupling.build_reduction(self)
 
     def initial_data(self):
         """Full-DOF initial fields per the config, exactly compatible."""
@@ -197,8 +205,8 @@ def run(cfg):
     wall_solver = ReusedFactorSolver(shell.STRUCTURE_TOL)
 
     eta0_full, v0_full, u0 = setup.initial_data()
-    report = validate_compatibility(sm, fm, eta0_full, v0_full, u0,
-                                    setup.radius)
+    report = validate_compatibility(sm, fm, setup.trace_op, eta0_full,
+                                    v0_full, u0, setup.radius)
     if not report.ok:
         raise ConfigError(["initial data failed compatibility validation"]
                           + [c.name for c in report.failures()])
@@ -318,9 +326,13 @@ def run_rigid_steady(setup):
 
     The wall is frozen (every top-edge DOF is zero) and the geometry stays
     at eta = 0, so the weighted mass is assembled once; this is a
-    test-harness mode for pressure-driven channel flow regressions.
+    test-harness mode for pressure-driven channel flow regressions.  A
+    setup of another mode, whose wall moves, is rejected before any step.
     Returns (u_full, pressure, steps_taken, increment).
     """
+    if setup.cfg["mode"] != "rigid":
+        raise ConfigError(f"run_rigid_steady needs a rigid-mode setup, got "
+                          f"mode {setup.cfg['mode']!r}; run() takes it")
     fm, sm = setup.fluid_mesh, setup.shell_mesh
     dt = setup.dt
     snap = ale.build_snapshot(sm, sm.zero_free(), fm, setup.radius,

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ale import min_radius_of
-from .coupling import build_coupling
 from .errors import ValidationError
 
 # relative residual under which a compatibility condition of initial data holds
@@ -113,12 +112,14 @@ class CompatibilityReport:
         return [c for c in self.checks if not c.passed]
 
 
-def validate_compatibility(shell_mesh, fluid_mesh, eta0, v0, u0, radius):
+def validate_compatibility(shell_mesh, fluid_mesh, trace_op, eta0, v0, u0,
+                           radius):
     """Check that discrete initial data are mutually compatible.
 
     ``eta0`` and ``v0`` are full Hermite DOF vectors (value, slope per node,
     boundary nodes included); ``u0`` is a full velocity DOF vector on the
-    fluid mesh.  Conditions checked, each reported with its residual:
+    fluid mesh; ``trace_op`` is the run's trace map (top edge <- free wall
+    DOFs).  Conditions checked, each reported with its residual:
 
     * clamped ends: value and slope of eta0 and v0 vanish at z = 0 and z = L;
     * interface trace: u0 on the top edge equals v0 * e_r at every edge node
@@ -151,7 +152,7 @@ def validate_compatibility(shell_mesh, fluid_mesh, eta0, v0, u0, radius):
                          (end, "value at z=L"), (end + 1, "slope at z=L")):
             add(f"{name} clamped {which}", abs(field[k]), scale_of(field))
 
-    trace = build_coupling(shell_mesh, fluid_mesh) @ shell_mesh.to_free(v0)
+    trace = trace_op @ shell_mesh.to_free(v0)
     nv = fluid_mesh.n_velocity_nodes
     top = fluid_mesh.top_nodes
     s_u = max(scale_of(u0), scale_of(v0))

@@ -20,8 +20,26 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from wallflow.ale import map_to_physical
+from wallflow.config import validate_config
+from wallflow.driver import RunSetup
 from wallflow.shell import ShellState
 from wallflow.sparsela import csr_rows
+
+
+def run_setup(n_z, n_r, length, mu, wall, dt, mode="viscoelastic"):
+    """A RunSetup in ``mode`` for the given mesh, viscosity and wall section
+    with one time step of size ``dt``, which its fluid steps and wall block
+    use."""
+    return RunSetup(validate_config({
+        "geometry": {"radius": 0.5, "length": length},
+        "fluid": {"density": 1.0, "viscosity": mu},
+        "wall": {"youngs_modulus": 7.5e5, "poisson_ratio": 0.5,
+                 "thickness": 0.1, "density": 1.1, **wall},
+        "mesh": {"n_z": n_z, "n_r": n_r, "wall_elements": n_z},
+        "time": {"t_final": dt, "n_steps": 1},
+        "mode": mode,
+        "waveform": {"inlet": {"kind": "constant", "value": 0.0},
+                     "outlet": {"kind": "constant", "value": 0.0}}}))
 
 
 def gauss01(n):
@@ -452,7 +470,8 @@ def reduce_by_index(setup, a_mom, b_div, wall=None):
 
     Picks the free rows and columns, pairs the top-edge radial ones with
     the trace map and appends ``wall`` to the wall block; without ``wall``
-    every top-edge DOF is zero and there is no wall block (the rigid step).
+    every top-edge DOF is zero and there is no wall block (the system of a
+    rigid-mode setup).
     """
     part, t = setup.partition, setup.trace_op
     free, topr = part.free, part.top_r

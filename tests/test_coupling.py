@@ -2,34 +2,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wallflow import ale, coupling, driver, fluid, shell
-from wallflow.config import validate_config
+from wallflow import ale, coupling, fluid, shell
 from wallflow.errors import MeshAlignmentError
 from wallflow.sparsela import ReusedFactorSolver
 
 from oracles import (fluid_step_energy_residuals, momentum_matrix_by_kron,
-                     reduce_by_index, top_edge_traction, trace_map_by_loop,
-                     two_component, wall_traction_load, zero_shell_state)
+                     reduce_by_index, run_setup, top_edge_traction,
+                     trace_map_by_loop, two_component, wall_traction_load,
+                     zero_shell_state)
 
 
-def run_setup(n_z, n_r, length, mu, wall, dt):
-    """A RunSetup for the given mesh, viscosity and wall section with one
-    time step of size ``dt``, which its fluid steps and wall block use."""
-    return driver.RunSetup(validate_config({
-        "geometry": {"radius": 0.5, "length": length},
-        "fluid": {"density": 1.0, "viscosity": mu},
-        "wall": {"youngs_modulus": 7.5e5, "poisson_ratio": 0.5,
-                 "thickness": 0.1, "density": 1.1, **wall},
-        "mesh": {"n_z": n_z, "n_r": n_r, "wall_elements": n_z},
-        "time": {"t_final": dt, "n_steps": 1},
-        "waveform": {"inlet": {"kind": "constant", "value": 0.0},
-                     "outlet": {"kind": "constant", "value": 0.0}}}))
-
-
-def make_setup(n_z=8, n_r=4, length=6.0, elastic=False, dt=1e-4):
+def make_setup(n_z=8, n_r=4, length=6.0, elastic=False, dt=1e-4,
+               mode="viscoelastic"):
     wall = ({} if elastic
             else {"viscous_modulus": 1000.0, "viscous_poisson": 0.5})
-    cs = run_setup(n_z, n_r, length, 0.035, wall, dt)
+    cs = run_setup(n_z, n_r, length, 0.035, wall, dt, mode)
     return cs.material, cs.coeffs, cs.shell_mesh, cs.fluid_mesh, cs
 
 
@@ -200,18 +187,41 @@ def wall_block(cs, dt):
 
 
 def test_reduction_matches_the_index_reference(stepped):
-    # coupled: P^T A P + W over (free, wall); rigid: the free columns only
+    # coupled: P^T A P + W over (free, wall); rigid: the free columns only,
+    # on a rigid-mode setup of the same mesh and dt
     _, _, _, _, cs, _, _, dt, _, res, _, _ = stepped
-    a_mom = coupling.momentum_matrix(cs, res.operators, dt)
+    rigid = make_setup(dt=dt, mode="rigid")[-1]
+    a_mom = coupling.momentum_matrix(cs, res.operators)
     b_div = res.operators["divergence"]
     for system, ref in (
-            (coupling.reduce_coupled_system(cs, a_mom, b_div,
-                                            wall_block(cs, dt)),
-             reduce_by_index(cs, a_mom, b_div, wall_block(cs, dt))),
             (coupling.reduce_coupled_system(cs, a_mom, b_div),
-             reduce_by_index(cs, a_mom, b_div))):
+             reduce_by_index(cs, a_mom, b_div, wall_block(cs, dt))),
+            (coupling.reduce_coupled_system(rigid, a_mom, b_div),
+             reduce_by_index(rigid, a_mom, b_div))):
         assert system.shape == ref.shape
         assert abs(system - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def test_rigid_system_is_the_coupled_one_without_the_wall(stepped):
+    # a rigid wall is the coupled elimination with no wall velocity left:
+    # on the same operators, deleting the wall rows and columns of the
+    # coupled system gives the rigid one, pattern and values bit for bit
+    _, _, sm, _, cs, _, _, dt, _, res, _, _ = stepped
+    rigid = make_setup(dt=dt, mode="rigid")[-1]
+    a_mom = coupling.momentum_matrix(cs, res.operators)
+    b_div = res.operators["divergence"]
+    coupled = coupling.reduce_coupled_system(cs, a_mom, b_div)
+    ours = coupling.reduce_coupled_system(rigid, a_mom, b_div)
+    nf, n = cs.partition.n_free, cs.prolongation.shape[1]
+    keep = np.r_[0:nf, n:coupled.shape[0]]
+    assert n - nf == sm.n_free > 0
+    assert ours.shape == (keep.size, keep.size)
+    kept = coupled[keep][:, keep]
+    assert kept.nnz == ours.nnz
+    assert np.array_equal(kept.indptr, ours.indptr)
+    assert np.array_equal(kept.indices, ours.indices)
+    assert np.array_equal(kept.data, ours.data)
+    assert rigid.wall_injection.nnz == 0
 
 
 def test_momentum_matrix_is_the_two_component_sum_bit_for_bit(stepped):
@@ -219,7 +229,7 @@ def test_momentum_matrix_is_the_two_component_sum_bit_for_bit(stepped):
     # data, give every entry the sum of the two-component operators
     _, _, _, fm, cs, _, _, dt, _, res, _, _ = stepped
     u = res.u_full                     # both components nonzero
-    ours = coupling.momentum_matrix(cs, res.operators, dt)
+    ours = coupling.momentum_matrix(cs, res.operators)
     ref = momentum_matrix_by_kron(cs, res.operators, dt)
     assert np.array_equal(ours.indptr, ref.indptr)
     assert np.array_equal(ours.indices, ref.indices)
@@ -237,14 +247,17 @@ def test_wall_block_is_the_gram_combination_at_the_run_dt(stepped):
     assert np.array_equal(cs.wall_block.data, wall_block(cs, dt).data)
 
 
-@pytest.mark.parametrize("coupled, elastic", [(True, False), (True, True),
-                                             (False, False)],
+@pytest.mark.parametrize("mode, elastic", [("viscoelastic", False),
+                                           ("viscoelastic", True),
+                                           ("rigid", False)],
                          ids=["coupled", "coupled-elastic", "rigid"])
-def test_step_system_pattern_is_fixed(coupled, elastic):
+def test_step_system_pattern_is_fixed(mode, elastic):
     # the mesh and P alone set the pattern: a flat wall at rest, where
     # advection and Robin terms vanish, and a deformed moving state give
-    # the same indices and indptr at every dt
-    material, _, sm, fm, cs = make_setup(elastic=elastic)
+    # the same indices and indptr at every dt, one setup per dt
+    setups = [make_setup(elastic=elastic, dt=dt, mode=mode)
+              for dt in (1e-7, 6e-5, 1.0)]
+    material, _, sm, fm, _ = setups[0]
     rng = np.random.default_rng(4)
     zero = (sm.zero_free(), sm.zero_free(), np.zeros(2 * fm.n_velocity_nodes))
     moving = (0.05 * rng.standard_normal(sm.n_free),
@@ -254,12 +267,11 @@ def test_step_system_pattern_is_fixed(coupled, elastic):
     for eta, v_half, u_prev in (zero, moving):
         snap = ale.build_snapshot(sm, eta, fm, material.radius)
         mass = fluid.assemble_weighted_mass(fm, snap)
-        for dt in (1e-7, 6e-5, 1.0):
+        for *_, cs in setups:
             ops, _, _ = coupling.assemble_step_operators(
-                cs, snap, mass, u_prev, v_half, dt, 0.0, 0.0)
+                cs, snap, mass, u_prev, v_half, 0.0, 0.0)
             systems.append(coupling.reduce_coupled_system(
-                cs, coupling.momentum_matrix(cs, ops, dt), ops["divergence"],
-                wall_block(cs, dt) if coupled else None))
+                cs, coupling.momentum_matrix(cs, ops), ops["divergence"]))
     for system in systems[1:]:
         assert np.array_equal(system.indices, systems[0].indices)
         assert np.array_equal(system.indptr, systems[0].indptr)
@@ -270,9 +282,9 @@ def test_frozen_operator_solve_is_linear(stepped):
     # the solution superposes over (previous velocity, wall velocity, loads)
     material, coeffs, sm, fm, cs, state, u, dt, half, res, mass_old, _ = stepped
     p, nf = cs.prolongation, cs.partition.n_free
-    a_mom = coupling.momentum_matrix(cs, res.operators, dt)
-    system = coupling.reduce_coupled_system(
-        cs, a_mom, res.operators["divergence"], wall_block(cs, dt))
+    a_mom = coupling.momentum_matrix(cs, res.operators)
+    system = coupling.reduce_coupled_system(cs, a_mom,
+                                            res.operators["divergence"])
     from wallflow.sparsela import DirectFactor
     lu = DirectFactor(system)
 
@@ -359,7 +371,7 @@ def test_rigid_poiseuille_traction_tracks_pressure():
     # steady rigid flow: the wall-normal traction equals the pressure up to
     # discretization effects away from the ends
     dt = 0.05
-    cs = run_setup(16, 8, 5.0, 1.0, {}, dt)
+    cs = run_setup(16, 8, 5.0, 1.0, {}, dt, mode="rigid")
     material, sm, fm = cs.material, cs.shell_mesh, cs.fluid_mesh
     snap = ale.build_snapshot(sm, sm.zero_free(), fm, material.radius)
     mass = fluid.assemble_weighted_mass(fm, snap)

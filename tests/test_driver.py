@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -359,6 +360,84 @@ def test_run_rejects_rigid_mode_before_any_setup(monkeypatch):
     with pytest.raises(ConfigError, match="rigid mode"):
         driver.run(rigid_cfg())
     assert setups == []
+
+
+def test_rigid_steady_rejects_a_coupled_setup(monkeypatch):
+    # a coupled setup's elimination keeps the wall velocity: a rigid march
+    # on it would solve with a moving wall, so it stops before any step
+    steps = count_calls(monkeypatch, coupling, "rigid_fluid_step")
+    with pytest.raises(ConfigError, match="rigid-mode setup"):
+        driver.run_rigid_steady(driver.RunSetup(small_cfg()))
+    assert steps == []
+
+
+def test_each_run_builds_one_reduction(monkeypatch):
+    reductions = count_calls(monkeypatch, coupling, "build_reduction")
+    res = driver.run(small_cfg())
+    assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
+    assert len(reductions) == 1
+    _, _, steps, _ = driver.run_rigid_steady(
+        driver.RunSetup(rigid_cfg(n_steps=5)))
+    assert steps == 5 and len(reductions) == 2
+
+
+def step_on_the_end_of_step_geometry(monkeypatch):
+    original = coupling.fluid_step
+
+    def mutated(setup, snapshot, mass, u_prev, shell_half, *args):
+        fm = setup.fluid_mesh
+        snap = ale.build_snapshot(setup.shell_mesh, shell_half.eta, fm,
+                                  setup.radius)
+        return original(setup, snap, fluid.assemble_weighted_mass(fm, snap),
+                        u_prev, shell_half, *args)
+
+    monkeypatch.setattr(coupling, "fluid_step", mutated)
+
+
+def momentum_without_the_robin_term(monkeypatch):
+    original = coupling.momentum_matrix
+    monkeypatch.setattr(coupling, "momentum_matrix", lambda setup, ops: (
+        original(setup, {**ops, "robin": 0.0 * ops["robin"]})))
+
+
+def step_with_the_lagged_wall_velocity(monkeypatch):
+    # the fluid step reads v_n, the wall velocity the half step started
+    # from, where the scheme reads its result v_half
+    wall_step, original = shell.structure_step, coupling.fluid_step
+    start = {}
+
+    def recording(setup, state, solver):
+        start["v"] = state.v
+        return wall_step(setup, state, solver)
+
+    def mutated(setup, snapshot, mass, u_prev, shell_half, *args):
+        return original(setup, snapshot, mass, u_prev,
+                        dataclasses.replace(shell_half, v_star=start["v"]),
+                        *args)
+
+    monkeypatch.setattr(shell, "structure_step", recording)
+    monkeypatch.setattr(coupling, "fluid_step", mutated)
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (step_on_the_end_of_step_geometry,
+     ["fluid-step energy balance", "telescoped energy identity"]),
+    (momentum_without_the_robin_term,
+     ["fluid-step energy balance", "telescoped energy identity"]),
+    (step_with_the_lagged_wall_velocity,
+     ["fluid-step energy balance", "telescoped energy identity",
+      "mass/geometry update identity"]),
+], ids=["end-of-step-geometry", "no-robin-term", "lagged-wall-velocity"])
+def test_verifier_fails_a_mutated_step(monkeypatch, mutate, failing):
+    # each wrong variant of the step still runs to completion, and the
+    # ledger's verdict names exactly the identities it breaks; the
+    # end-of-step geometry keeps the mass/geometry identity, whose two
+    # masses the ledger takes from the driver, not from the step
+    mutate(monkeypatch)
+    res = driver.run(small_cfg())
+    assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
+    report = verify_run(res.ledger)
+    assert [c.name for c in report.checks if not c.passed] == failing
 
 
 def test_rigid_steady_and_poiseuille_small():
