@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fluid as fl
-from .errors import MeshAlignmentError, WallContact
+from .errors import MeshAlignmentError, SolverError, WallContact
 from .sparsela import ProductMap, csr_rows
 
 # relative residual contract ||Ax - b|| <= tol * ||b|| of every fluid-step
@@ -79,10 +79,10 @@ def build_coupling(shell_mesh, fluid_mesh):
                          shape=(fluid_mesh.n_cols, shell_mesh.n_free))
 
 
-def build_prolongation(fluid_mesh, partition, trace_op):
+def build_prolongation(fluid_mesh, partition, trace_op, n_wall):
     """The elimination as one map ``P`` from reduced unknowns (free fluid
-    DOFs, then one per column of ``trace_op``: the free wall DOFs, or none
-    for a rigid wall) to the full velocity vector.
+    DOFs, then the first ``n_wall`` columns of the CSC ``trace_op``: all
+    free wall DOFs, or 0 for a rigid wall) to the full velocity vector.
 
     Its columns are the identity on the free DOFs and the trace map on the
     top-edge radial DOFs; fixed DOFs get zero rows.  Reduced operators are
@@ -90,12 +90,13 @@ def build_prolongation(fluid_mesh, partition, trace_op):
     Stored as CSC, so ``P.T`` is a CSR view and column slices are cheap.
     """
     nf = partition.n_free
-    t = trace_op.tocsc()
+    indptr = trace_op.indptr[:n_wall + 1]
+    rows = trace_op.indices[:indptr[-1]]
     return sp.csc_matrix(
-        (np.concatenate([np.ones(nf), t.data]),
-         np.concatenate([partition.free, partition.top_r[t.indices]]),
-         np.concatenate([np.arange(nf), nf + t.indptr])),
-        shape=(2 * fluid_mesh.n_velocity_nodes, nf + t.shape[1]))
+        (np.concatenate([np.ones(nf), trace_op.data[:indptr[-1]]]),
+         np.concatenate([partition.free, partition.top_r[rows]]),
+         np.concatenate([np.arange(nf), nf + indptr])),
+        shape=(2 * fluid_mesh.n_velocity_nodes, nf + n_wall))
 
 
 @dataclass
@@ -178,7 +179,8 @@ def reduce_coupled_system(setup, a_mom, b_div):
 
 def _step(setup, snapshot, mass, u_prev_full, v_half, p_in, p_out, solver):
     """The fluid step with domain and wall velocity ``v_half``: one reduced
-    solve for ``x``, then ``u = P x`` and ``v_new = E^T x``."""
+    solve for ``x``, then ``u = P x`` and ``v_new = E^T x``.  A solution
+    that is not finite raises :class:`SolverError`."""
     if snapshot.min_radius <= 0.0:
         raise WallContact(snapshot.min_radius, snapshot.min_radius_z)
     ops, forcing, rhs_full = assemble_step_operators(
@@ -190,6 +192,8 @@ def _step(setup, snapshot, mass, u_prev_full, v_half, p_in, p_out, solver):
                                    ops["divergence"])
     x = solver.solve(system, np.concatenate(
         [load, np.zeros(setup.fluid_mesh.n_pressure_nodes)]))
+    if not np.isfinite(x).all():
+        raise SolverError("non-finite solution fields")
     n = p.shape[1]
     return FluidStepResult(u_full=p @ x[:n], v_new=e.T @ x[:n],
                            pressure=x[n:], operators=ops, forcing=forcing)

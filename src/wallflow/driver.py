@@ -38,7 +38,7 @@ EXIT_CODES = {STATUS_COMPLETED: 0, STATUS_WALL_CONTACT: 2,
 
 @dataclass
 class TrajectoryRecord:
-    """Snapshots at the configured cadence, plus the final state.
+    """The t = 0 state, snapshots at the configured cadence, the end state.
 
     Stored fields are piecewise constant in time between steps; timestamps
     are exact multiples of dt.
@@ -65,13 +65,16 @@ class TrajectoryRecord:
 
 @dataclass
 class RunResult:
+    """The one result of every ending of a run: ``record`` starts at t = 0
+    and its last entry is always the end state, the last completed step's,
+    and ``ledger`` has one row per completed step."""
+
     status: str
     setup: "RunSetup"                # the run's meshes, operators, data
     record: TrajectoryRecord
     ledger: EnergyLedger
     contact: tuple = None            # (t, z) of first threshold crossing
     failure: str = None
-    final: dict = None               # free-DOF eta/v/v_star, u, p, t
     solver: SolveStats = None        # fluid-step solve counts; not in the ledger
 
     @property
@@ -120,10 +123,9 @@ class RunSetup:
         self.partition = fluid.DofPartition(fm)
         self.trace_op = coupling.build_coupling(sm, fm)   # top edge <- wall
         # a rigid wall leaves no wall velocity to couple: P has no wall columns
-        wall_columns = (self.trace_op[:, :0] if cfg["mode"] == "rigid"
-                        else self.trace_op)
-        self.prolongation = coupling.build_prolongation(fm, self.partition,
-                                                        wall_columns)
+        n_wall = 0 if cfg["mode"] == "rigid" else sm.n_free
+        self.prolongation = coupling.build_prolongation(
+            fm, self.partition, self.trace_op, n_wall)
         self.contact_threshold = ale.CONTACT_THRESHOLD_FACTOR * self.radius
         base = cfg.get("_base_dir", ".")
         self.wave_in = ingest_waveform(cfg["waveform"]["inlet"], base)
@@ -194,7 +196,13 @@ def _trace_constant(setup, snapshot):
 
 
 def run(cfg):
-    """Execute a configured FSI run; returns trajectory, ledger, status."""
+    """Execute a configured FSI run; returns trajectory, ledger, status.
+
+    A :class:`WallContact` of any snapshot, or a :class:`SolverError` of a
+    wall or fluid step, ends the run in one handler with the steps completed
+    so far: a ledger prefix that verifies on its own (a contact at t = 0
+    keeps the zero energy header) and a record ending with the last state.
+    """
     if cfg["mode"] == "rigid":
         raise ConfigError("rigid mode runs through run_rigid_steady / the "
                           "poiseuille command, not run()")
@@ -217,87 +225,63 @@ def run(cfg):
     pressure = np.zeros(fm.n_pressure_nodes)
 
     record = TrajectoryRecord()
+    record.store(0.0, eta0_full, v0_full, v0_full, u, pressure)
+    ledger = EnergyLedger(_ledger_header(setup))
     cadence = cfg["output"]["cadence"]
 
+    status, contact, failure = STATUS_COMPLETED, None, None
+    t = t_next = 0.0
     try:
         snap = ale.build_snapshot(sm, state.eta, fm, setup.radius,
                                   contact_threshold=setup.contact_threshold)
-    except WallContact as contact:
-        ledger = EnergyLedger(_ledger_header(setup, 0.0, 0.0, False))
-        return RunResult(STATUS_WALL_CONTACT, setup, record, ledger,
-                         contact=(0.0, contact.z_location),
-                         final=_final_state(state, u, pressure, 0.0),
-                         solver=solver.stats)
+        mass_old = fluid.assemble_weighted_mass(fm, snap)
+        monitor = EnergyMonitor(setup)
+        c_ref, c_ref_computed = _trace_constant(setup, snap)
+        ledger.header.update(
+            e0=monitor.total_energy(u, state.v, state.eta, mass_old),
+            c_ref=c_ref, c_ref_computed=c_ref_computed)
 
-    mass_old = fluid.assemble_weighted_mass(fm, snap)
-    monitor = EnergyMonitor(setup)
-    e0 = monitor.total_energy(u, state.v, state.eta, mass_old)
-    c_ref, c_ref_computed = _trace_constant(setup, snap)
-    ledger = EnergyLedger(_ledger_header(setup, e0, c_ref, c_ref_computed))
+        for n in range(n_steps):
+            t_next = (n + 1) * dt
+            p_in = setup.wave_in.average(n * dt, t_next)
+            p_out = setup.wave_out.average(n * dt, t_next)
 
-    record.store(0.0, eta0_full, v0_full, v0_full, u, pressure)
-
-    status, contact_info, failure = STATUS_COMPLETED, None, None
-    t = 0.0
-    for n in range(n_steps):
-        t_next = (n + 1) * dt
-        p_in = setup.wave_in.average(n * dt, t_next)
-        p_out = setup.wave_out.average(n * dt, t_next)
-
-        half = shell.structure_step(setup, state, wall_solver)
-
-        # the end-of-step geometry, checked for contact before the fluid
-        # step, which still runs on the start-of-step snapshot
-        try:
+            half = shell.structure_step(setup, state, wall_solver)
+            # the end-of-step geometry, checked for contact before the
+            # fluid step, which still runs on the start-of-step snapshot
             snap_new = ale.build_snapshot(
                 sm, half.eta, fm, setup.radius,
                 contact_threshold=setup.contact_threshold)
-        except WallContact as contact:
-            status, contact_info = (STATUS_WALL_CONTACT,
-                                    (t_next, contact.z_location))
-            break
-
-        try:
             result = coupling.fluid_step(setup, snap, mass_old, u, half,
                                          p_in, p_out, solver)
-        except SolverError as exc:
-            status, failure = STATUS_SOLVER_FAILURE, str(exc)
-            break
-        if not (np.all(np.isfinite(result.u_full))
-                and np.all(np.isfinite(result.v_new))
-                and np.all(np.isfinite(result.pressure))):
-            status, failure = STATUS_SOLVER_FAILURE, "non-finite solution fields"
-            break
 
-        mass_new = fluid.assemble_weighted_mass(fm, snap_new)
-        ledger.append(monitor.record_step(n, state, u, half, result,
-                                          mass_old, mass_new, p_in, p_out))
+            mass_new = fluid.assemble_weighted_mass(fm, snap_new)
+            ledger.append(monitor.record_step(n, state, u, half, result,
+                                              mass_old, mass_new, p_in,
+                                              p_out))
 
-        state = shell.ShellState(eta=half.eta, v=result.v_new,
-                                 v_star=half.v_star)
-        u, pressure = result.u_full, result.pressure
-        snap, mass_old = snap_new, mass_new
-        t = t_next
-        if (n + 1) % cadence == 0 and n + 1 < n_steps:
-            record.store(t, sm.to_full(state.eta), sm.to_full(state.v),
-                         sm.to_full(state.v_star), u, pressure)
+            state = shell.ShellState(eta=half.eta, v=result.v_new,
+                                     v_star=half.v_star)
+            u, pressure = result.u_full, result.pressure
+            snap, mass_old = snap_new, mass_new
+            t = t_next
+            if (n + 1) % cadence == 0:
+                record.store(t, sm.to_full(state.eta), sm.to_full(state.v),
+                             sm.to_full(state.v_star), u, pressure)
+    except WallContact as exc:
+        status, contact = STATUS_WALL_CONTACT, (t_next, exc.z_location)
+    except SolverError as exc:
+        status, failure = STATUS_SOLVER_FAILURE, str(exc)
 
-    if not record.times or record.times[-1] != t:
+    if record.times[-1] != t:
         record.store(t, sm.to_full(state.eta), sm.to_full(state.v),
                      sm.to_full(state.v_star), u, pressure)
-    return RunResult(status, setup, record, ledger, contact=contact_info,
-                     failure=failure,
-                     final=_final_state(state, u, pressure, t),
-                     solver=solver.stats)
+    return RunResult(status, setup, record, ledger, contact=contact,
+                     failure=failure, solver=solver.stats)
 
 
-def _final_state(state, u, pressure, t):
-    return {"t": t, "eta": state.eta.copy(), "v": state.v.copy(),
-            "v_star": state.v_star.copy(), "u": u.copy(),
-            "p": pressure.copy()}
-
-
-def _ledger_header(setup, e0, c_ref, c_ref_computed):
+def _ledger_header(setup):
+    """A run's ledger header, with zero initial energy and trace constant."""
     c = setup.coeffs
     return {
         "rho_f": setup.rho_f, "mu": setup.mu, "rho_s_h": c.rho_s_h,
@@ -307,7 +291,7 @@ def _ledger_header(setup, e0, c_ref, c_ref_computed):
         "D0": c.D0, "D1": c.D1, "D2": c.D2,
         "n_z": setup.fluid_mesh.n_z, "n_r": setup.fluid_mesh.n_r,
         "wall_elements": setup.shell_mesh.n_elements,
-        "e0": e0, "c_ref": c_ref, "c_ref_computed": c_ref_computed,
+        "e0": 0.0, "c_ref": 0.0, "c_ref_computed": False,
         "p_in_l2_sq": setup.wave_in.l2_norm_sq(0.0, setup.t_final),
         "p_out_l2_sq": setup.wave_out.l2_norm_sq(0.0, setup.t_final),
     }
@@ -426,8 +410,9 @@ def _run_final(cfg, n_steps):
                           f"with status {result.status}")
     # the error norms come from the run's own setup, so the study builds
     # no meshes of its own; every run of a study has the same meshes
-    return {"eta": result.final["eta"], "v": result.final["v"],
-            "u": result.final["u"], "gap": result.ledger.v_vstar_gap(),
+    sm, rec = result.setup.shell_mesh, result.record
+    return {"eta": sm.to_free(rec.etas[-1]), "v": sm.to_free(rec.vs[-1]),
+            "u": rec.us[-1], "gap": result.ledger.v_vstar_gap(),
             "norms": (result.setup.shell_mass, fluid.assemble_unweighted_mass(
                 result.setup.fluid_mesh))}
 

@@ -306,7 +306,8 @@ def assemble_pressure_forcing(mesh, p_in, p_out, radius):
 
 
 class DofPartition:
-    """Classification of velocity DOFs into free, coupled, and fixed sets.
+    """Classification of velocity DOFs into free, coupled, and fixed sets;
+    the free and coupled indices are kept.
 
     Fixed (eliminated at zero): axial component on the top edge, radial
     component on the bottom, inlet and outlet edges.  Coupled: radial
@@ -324,8 +325,6 @@ class DofPartition:
         fixed[nv + mesh.inlet_nodes] = True
         fixed[nv + mesh.outlet_nodes] = True
         coupled[nv + mesh.top_nodes] = True              # u_r = trace of wall v
-        fixed &= ~coupled
         self.top_r = nv + mesh.top_nodes                 # ordered by z
         self.free = np.where(~(fixed | coupled))[0]
-        self.fixed = np.where(fixed)[0]
         self.n_free = self.free.size

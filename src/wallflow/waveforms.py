@@ -18,9 +18,6 @@ class Constant:
     def __init__(self, value):
         self.value = float(value)
 
-    def __call__(self, t):
-        return self.value + 0.0 * np.asarray(t, dtype=float)
-
     def average(self, t0, t1):
         return self.value
 
@@ -35,10 +32,6 @@ class Sine:
         self.amplitude = float(amplitude)
         self.omega = 2.0 * math.pi * float(frequency)
         self.phase = float(phase)
-
-    def __call__(self, t):
-        return self.amplitude * np.sin(self.omega * np.asarray(t, dtype=float)
-                                       + self.phase)
 
     def average(self, t0, t1):
         if t1 <= t0:
@@ -69,14 +62,6 @@ class HalfCosinePulse:
         self.amplitude = float(amplitude)
         self.duration = float(duration)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= 0.0) & (t < self.duration)
-        out = np.zeros_like(t)
-        out[inside] = 0.5 * self.amplitude * (
-            1.0 - np.cos(2.0 * math.pi * t[inside] / self.duration))
-        return out
-
     def _anti(self, t):
         # antiderivative of the pulse on [0, duration]
         tau = self.duration
@@ -97,15 +82,34 @@ class HalfCosinePulse:
         b = min(max(t1, 0.0), self.duration)
         if b <= a:
             return 0.0
-        amp, tau = self.amplitude, self.duration
+        tau = self.duration
         w = 2.0 * math.pi / tau
 
         def anti(t):
-            # integral of ((1 - cos(w t)) / 2)^2
-            return (1.5 * t - 2.0 * math.sin(w * t) / w
-                    + math.sin(2.0 * w * t) / (4.0 * w)) / 4.0
+            # integral of sin^4(w s / 2) over (0, t), for x = w t <= pi:
+            # (3 x - sin x (3 + 2 sin^2(x / 2))) / (8 w), or for x < 2, where
+            # its terms cancel, the series t x^4 sum_{k=2}^{16} (-1)^k
+            # (4^k - 4) x^(2k - 4) / (8 (2k + 1)!), led by t x^4 / 80
+            x = w * t
+            if x < 2.0:
+                series = 0.0
+                for k in range(16, 1, -1):
+                    series = series * x * x + ((-1)**k * (4**k - 4)
+                                               / (8 * math.factorial(2 * k + 1)))
+                return t * x**4 * series
+            return (3.0 * x - math.sin(x) * (3.0 + 2.0 * math.sin(0.5 * x)**2)
+                    ) / (8.0 * w)
 
-        return amp * amp * (anti(b) - anti(a))
+        # the pulse is symmetric about its middle: measuring a window end
+        # from the nearer pulse end keeps large values from cancelling
+        half = 0.5 * tau
+        if b <= half:
+            value = anti(b) - anti(a)
+        elif a >= half:
+            value = anti(tau - a) - anti(tau - b)
+        else:
+            value = 2.0 * anti(half) - anti(a) - anti(tau - b)
+        return self.amplitude**2 * max(value, 0.0)
 
 
 class Sampled:
@@ -131,11 +135,6 @@ class Sampled:
             raise ValidationError(
                 f"sampled waveform covers [{self.times[0]:g}, {self.times[-1]:g}] "
                 f"but [{t0:g}, {t1:g}] was requested")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        self._check_range(float(np.min(t)), float(np.max(t)))
-        return np.interp(t, self.times, self.values)
 
     def _knots(self, t0, t1):
         inner = self.times[(self.times > t0) & (self.times < t1)]

@@ -24,6 +24,7 @@ from wallflow.config import validate_config
 from wallflow.driver import RunSetup
 from wallflow.shell import ShellState
 from wallflow.sparsela import csr_rows
+from wallflow.waveforms import Constant, HalfCosinePulse, Sampled, Sine
 
 
 def run_setup(n_z, n_r, length, mu, wall, dt, mode="viscoelastic"):
@@ -446,6 +447,36 @@ def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
     slack = (e_half + c_tilde * dt * pressures_sq
              - e_new - jump_f - jump_s - d_ledger)
     return equality_residual, slack
+
+
+def waveform_at(wave, t):
+    """Pointwise value of a package waveform at the times ``t``, from its
+    defining formula; a sampled waveform rejects times outside its
+    samples, as its averages do."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(wave, Constant):
+        return np.full_like(t, wave.value)
+    if isinstance(wave, Sine):
+        return wave.amplitude * np.sin(wave.omega * t + wave.phase)
+    if isinstance(wave, HalfCosinePulse):
+        inside = (t >= 0.0) & (t < wave.duration)
+        return np.where(inside, 0.5 * wave.amplitude
+                        * (1.0 - np.cos(2.0 * np.pi * t / wave.duration)), 0.0)
+    if isinstance(wave, Sampled):
+        wave._check_range(float(np.min(t)), float(np.max(t)))
+        return np.interp(t, wave.times, wave.values)
+    raise TypeError(f"no pointwise oracle for {type(wave).__name__}")
+
+
+def fixed_dofs(mesh):
+    """Velocity DOFs eliminated at zero, from the boundary conditions: the
+    axial component on the top edge and the radial component on the
+    bottom, inlet and outlet edges, less the coupled top-edge radial
+    DOFs."""
+    nv = mesh.n_velocity_nodes
+    fixed = np.concatenate([mesh.top_nodes, nv + mesh.bottom_nodes,
+                            nv + mesh.inlet_nodes, nv + mesh.outlet_nodes])
+    return np.setdiff1d(fixed, nv + mesh.top_nodes)
 
 
 def trace_map_by_loop(shell_mesh, fluid_mesh):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from wallflow import driver, energy
+from wallflow import driver, energy, shell
 from wallflow.cli import main
 from wallflow.energy import (CSV_HEADER_TAG, LEDGER_COLUMNS, EnergyLedger,
                              load_ledger)
@@ -139,6 +139,59 @@ def test_wall_contact_exit_code(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "wall contact at t" in out
+
+
+def test_a_wall_step_failure_leaves_a_verifiable_ledger(tmp_path,
+                                                      monkeypatch, capsys):
+    # the wall half step of step 3 (counting from 0) fails: the run ends as
+    # a solver failure with the ledger rows of steps 0-2 written
+    wall_step, calls = shell.structure_step, []
+
+    def failing(setup, state, solver):
+        calls.append(state)
+        if len(calls) == 4:
+            raise SolverError("injected wall-step failure")
+        return wall_step(setup, state, solver)
+
+    monkeypatch.setattr(shell, "structure_step", failing)
+    assert main(["run", write_cfg(tmp_path)]) == 3
+    out = capsys.readouterr().out
+    assert "status: solver-failure" in out
+    assert "failure: injected wall-step failure" in out
+    assert "steps completed: 3" in out
+    ledger = str(tmp_path / "out" / "ledger.csv")
+    assert len(load_ledger(ledger)) == 3
+    assert main(["verify", ledger]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
+def test_a_wall_solve_that_misses_its_contract_writes_its_ledger(tmp_path,
+                                                                  capsys):
+    # property-replay draw 3889: with v_amplitude -4.2e-161 the wall solve
+    # of step 0 misses STRUCTURE_TOL, because NumPy's norm of its 1e-161
+    # scale vectors underflows; the run still writes its (empty) ledger
+    path = write_cfg(
+        tmp_path,
+        geometry={"radius": 0.736137072807026, "length": 6.430841916762859},
+        fluid={"density": 1.9337980736525224, "viscosity": 0.978633464700345},
+        wall={"youngs_modulus": 22103.51011176426,
+              "poisson_ratio": 0.03835038121007062,
+              "thickness": 0.10008778507519914,
+              "density": 0.6471845697974208,
+              "viscous_modulus": 13.081552795664173,
+              "viscous_poisson": 2.225073858507203e-309},
+        mesh={"n_z": 6, "n_r": 1, "wall_elements": 6},
+        time={"t_final": 2.0, "n_steps": 2}, mode="viscoelastic",
+        waveform={"inlet": {"kind": "constant", "value": -1868.103057942647},
+                  "outlet": {"kind": "constant", "value": 0.0}},
+        initial_data={"kind": "bump", "eta_amplitude": 6.358034283727677e-195,
+                      "v_amplitude": -4.16727592386706e-161})
+    assert main(["run", path]) == 3
+    out = capsys.readouterr().out
+    assert "status: solver-failure" in out and "failure: gmres missed" in out
+    ledger = tmp_path / "out" / "ledger.csv"
+    assert ledger.exists()
+    assert main(["verify", str(ledger)]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))

@@ -6,10 +6,10 @@ from wallflow import ale, coupling, fluid, shell
 from wallflow.errors import MeshAlignmentError
 from wallflow.sparsela import ReusedFactorSolver
 
-from oracles import (fluid_step_energy_residuals, momentum_matrix_by_kron,
-                     reduce_by_index, run_setup, top_edge_traction,
-                     trace_map_by_loop, two_component, wall_traction_load,
-                     zero_shell_state)
+from oracles import (fixed_dofs, fluid_step_energy_residuals,
+                     momentum_matrix_by_kron, reduce_by_index, run_setup,
+                     top_edge_traction, trace_map_by_loop, two_component,
+                     wall_traction_load, zero_shell_state)
 
 
 def make_setup(n_z=8, n_r=4, length=6.0, elastic=False, dt=1e-4,
@@ -70,7 +70,7 @@ def test_prolongation_places_free_trace_and_fixed_dofs():
     u = p @ np.concatenate([w, v])
     assert np.array_equal(u[part.free], w)
     assert np.array_equal(u[part.top_r], cs.trace_op @ v)
-    assert np.all(u[part.fixed] == 0.0)
+    assert np.all(u[fixed_dofs(fm)] == 0.0)
 
 
 def test_mesh_misalignment_is_rejected():

@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from wallflow import ale, coupling, driver, fluid, shell, sparsela
+from wallflow import ale, coupling, driver, exporters, fluid, shell, sparsela
 from wallflow.cli import main
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
-from wallflow.errors import ConfigError, ValidationError
+from wallflow.errors import ConfigError, SolverError, ValidationError
 
 from oracles import linear_interpolant, state_at
 
@@ -73,9 +73,9 @@ def test_replay_is_bitwise_reproducible():
     cfg = small_cfg()
     a = driver.run(cfg)
     b = driver.run(small_cfg())
-    assert np.array_equal(a.final["u"], b.final["u"])
-    assert np.array_equal(a.final["eta"], b.final["eta"])
-    assert np.array_equal(a.final["p"], b.final["p"])
+    assert np.array_equal(a.record.us[-1], b.record.us[-1])
+    assert np.array_equal(a.record.etas[-1], b.record.etas[-1])
+    assert np.array_equal(a.record.ps[-1], b.record.ps[-1])
     for ra, rb in zip(a.ledger.rows, b.ledger.rows):
         assert ra == rb
 
@@ -88,7 +88,9 @@ def test_fully_clamped_wall_run_completes_and_verifies():
     res = driver.run(cfg)
     assert res.status == driver.STATUS_COMPLETED
     assert res.setup.shell_mass.shape == (0, 0)
-    assert res.final["eta"].size == 0 and res.final["v"].size == 0
+    sm = res.setup.shell_mesh
+    assert sm.to_free(res.record.etas[-1]).size == 0
+    assert sm.to_free(res.record.vs[-1]).size == 0
     assert len(res.ledger) == cfg["time"]["n_steps"]
     assert verify_run(res.ledger).ok
 
@@ -169,9 +171,11 @@ def test_reuse_policy_matches_a_fresh_factor_every_step(monkeypatch):
     for res in (reuse, fresh):
         assert res.status == driver.STATUS_COMPLETED
         assert verify_run(res.ledger).ok
-    for key in ("u", "v", "eta", "p"):
-        scale = max(np.abs(fresh.final[key]).max(), 1e-30)
-        assert np.abs(reuse.final[key] - fresh.final[key]).max() <= 1e-8 * scale
+    for key in ("us", "vs", "etas", "ps"):
+        end_reuse, end_fresh = (getattr(res.record, key)[-1]
+                                for res in (reuse, fresh))
+        scale = max(np.abs(end_fresh).max(), 1e-30)
+        assert np.abs(end_reuse - end_fresh).max() <= 1e-8 * scale
 
 
 def test_pulse_prefix_applies_the_lu_once_per_gmres_iteration(monkeypatch):
@@ -457,3 +461,98 @@ def test_record_interpolants():
     lin = linear_interpolant(rec, mid)
     expect = 0.5 * (rec.etas[1] + rec.etas[2])
     assert np.allclose(lin["eta"], expect, rtol=0, atol=1e-15)
+
+
+def test_a_contact_at_t0_records_and_writes_the_initial_state(tmp_path):
+    # the initial bump brings the wall's middle to 1e-7 of the symmetry
+    # line, inside the contact threshold 1e-6 R: the initial snapshot is in
+    # contact, so no step runs, the ledger keeps its zero energy header and
+    # the record holds the t = 0 state alone
+    cfg = small_cfg(initial_data={"kind": "bump", "eta_amplitude": -0.4999999,
+                                  "v_amplitude": 0.0},
+                    output={"directory": str(tmp_path), "cadence": 1,
+                            "fields": "csv", "ledger": "csv"})
+    res = driver.run(cfg)
+    assert res.status == driver.STATUS_WALL_CONTACT and res.exit_code == 2
+    t, z = res.contact
+    assert t == 0.0 and z == pytest.approx(3.0)
+    assert len(res.ledger) == 0
+    header = res.ledger.header
+    assert (header["e0"], header["c_ref"], header["c_ref_computed"]) == (
+        0.0, 0.0, False)
+    eta0, v0, u0 = res.setup.initial_data()
+    rec = res.record
+    assert rec.times == [0.0]
+    assert np.array_equal(rec.etas[0], eta0) and np.array_equal(rec.vs[0], v0)
+    assert np.array_equal(rec.us[0], u0) and not rec.ps[0].any()
+    written = exporters.write_outputs(res, res.setup, cfg["output"])
+    assert sorted(os.path.basename(p) for p in written) == [
+        "ledger.csv", "pressure_0000.csv", "velocity_0000.csv",
+        "wall_0000.csv"]
+    assert verify_run(res.ledger).ok
+
+
+def nan_fluid_solves_from(monkeypatch, first):
+    """From its ``first``-th solve on (counting from 0), the fluid-step
+    solver of a run, the one at ``FLUID_TOL``, returns NaN; returns the
+    list of its solves.  The trace constant's solver is built elsewhere."""
+    solves = []
+
+    class Poisoned(sparsela.ReusedFactorSolver):
+        def solve(self, a, b):
+            x = super().solve(a, b)
+            if self.tol != coupling.FLUID_TOL:
+                return x
+            solves.append(len(solves))
+            return x if len(solves) <= first else np.full_like(x, np.nan)
+
+    monkeypatch.setattr(driver, "ReusedFactorSolver", Poisoned)
+    return solves
+
+
+def test_a_non_finite_fluid_solve_is_a_solver_failure(monkeypatch):
+    solves = nan_fluid_solves_from(monkeypatch, 2)
+    res = driver.run(small_cfg())
+    assert res.status == driver.STATUS_SOLVER_FAILURE and res.exit_code == 3
+    assert res.failure == "non-finite solution fields" and len(solves) == 3
+    # the two completed steps: their ledger rows verify and the record
+    # ends with the state after them, all finite
+    assert len(res.ledger) == 2 and verify_run(res.ledger).ok
+    assert res.record.times[-1] == pytest.approx(2 * res.setup.dt, rel=1e-15)
+    assert all(np.isfinite(u).all() for u in res.record.us)
+
+
+def test_a_non_finite_rigid_solve_stops_the_rigid_march(monkeypatch):
+    solves = nan_fluid_solves_from(monkeypatch, 2)
+    with pytest.raises(SolverError, match="non-finite solution fields"):
+        driver.run_rigid_steady(driver.RunSetup(rigid_cfg(n_steps=5)))
+    assert len(solves) == 3
+
+
+def test_a_short_pulse_window_has_a_positive_norm_and_verifies():
+    # property-replay draw 3807: one step of 2.1e-4 into a 6.8 s inlet
+    # pulse, w t = 1.9e-4, where a closed form in sin(w t) cancels to a
+    # negative squared norm and the uniform energy bound fails
+    res = driver.run(validate_config({
+        "geometry": {"radius": 0.1, "length": 1.3565969058700555},
+        "fluid": {"density": 1.9652508294293307,
+                  "viscosity": 0.033715999033230075},
+        "wall": {"youngs_modulus": 12149.305870244849,
+                 "poisson_ratio": 3.0934929454094903e-84,
+                 "thickness": 0.012940597401200144,
+                 "density": 1.6460373454955834},
+        "mesh": {"n_z": 5, "n_r": 3, "wall_elements": 5},
+        "time": {"t_final": 0.00020902281189956592, "n_steps": 1},
+        "mode": "elastic",
+        "waveform": {"inlet": {"kind": "pulse",
+                               "amplitude": 2248.7581013486415,
+                               "duration": 6.793069093479936},
+                     "outlet": {"kind": "constant", "value": 0.0}},
+        "initial_data": {"kind": "bump",
+                         "eta_amplitude": 4.3534141166323563e-14,
+                         "v_amplitude": 1.9178178055017317e-242},
+        "output": {"cadence": 1}}))
+    assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 1
+    assert res.ledger.header["p_in_l2_sq"] == pytest.approx(
+        1.845947171519477e-14, rel=1e-14, abs=0.0)
+    assert verify_run(res.ledger).ok

@@ -6,7 +6,8 @@ import pytest
 
 from wallflow import ale, fluid, shell
 
-from oracles import DenseFluidOracle, interpolate_velocity, two_component
+from oracles import (DenseFluidOracle, fixed_dofs, interpolate_velocity,
+                     two_component)
 
 
 def make_case(n_z, n_r, length=1.0, radius=1.0, seed=0, flat=False):
@@ -239,9 +240,10 @@ def test_partition_classification():
     nv = fm.n_velocity_nodes
     assert set(part.top_r) == set(nv + fm.top_nodes)
     # no overlap and full coverage
-    all_sets = np.concatenate([part.free, part.fixed, part.top_r])
+    fixed = fixed_dofs(fm)
+    all_sets = np.concatenate([part.free, fixed, part.top_r])
     assert np.unique(all_sets).size == 2 * nv
     # axial top DOFs are fixed, interior DOFs free
-    assert fm.top_nodes[1] in part.fixed
+    assert fm.top_nodes[1] in fixed
     interior = fm.n_cols + 1
     assert interior in part.free and (nv + interior) in part.free

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from wallflow import waveforms as wf
 from wallflow.errors import ValidationError
 
+from oracles import waveform_at
 
-def numeric_average(fn, t0, t1, n=200001):
+
+def numeric_average(wave, t0, t1, n=200001):
     t = np.linspace(t0, t1, n)
-    return np.trapezoid(fn(t), t) / (t1 - t0)
+    return np.trapezoid(waveform_at(wave, t), t) / (t1 - t0)
 
 
 def test_constant_average_is_the_value():
@@ -41,7 +43,7 @@ def test_sine_average_closed_form():
 def test_sine_l2_norm_matches_quadrature():
     w = wf.Sine(amplitude=2.5, frequency=3.0, phase=0.4)
     t = np.linspace(0.0, 1.3, 400001)
-    ref = np.trapezoid(w(t)**2, t)
+    ref = np.trapezoid(waveform_at(w, t)**2, t)
     assert w.l2_norm_sq(0.0, 1.3) == pytest.approx(ref, rel=1e-9)
 
 
@@ -52,13 +54,13 @@ def test_pulse_average_and_support():
     t0, t1 = 0.004, 0.0062     # straddles the pulse end
     assert w.average(t0, t1) == pytest.approx(
         numeric_average(w, t0, t1), rel=1e-7)
-    assert w(np.array([0.0025]))[0] == pytest.approx(2.0e4, rel=1e-12)
+    assert waveform_at(w, [0.0025])[0] == pytest.approx(2.0e4, rel=1e-12)
 
 
 def test_pulse_l2_norm_matches_quadrature():
     w = wf.HalfCosinePulse(amplitude=3.0, duration=0.8)
     t = np.linspace(0.0, 1.0, 400001)
-    ref = np.trapezoid(w(t)**2, t)
+    ref = np.trapezoid(waveform_at(w, t)**2, t)
     assert w.l2_norm_sq(0.0, 1.0) == pytest.approx(ref, rel=1e-9)
 
 
@@ -86,7 +88,7 @@ def test_sampled_l2_is_exact():
     values = np.array([2.0, 0.0, 1.0])
     w = wf.Sampled(times, values)
     t = np.linspace(0.0, 3.0, 600001)
-    ref = np.trapezoid(w(t)**2, t)
+    ref = np.trapezoid(waveform_at(w, t)**2, t)
     assert w.l2_norm_sq(0.0, 3.0) == pytest.approx(ref, rel=1e-9)
 
 
@@ -100,3 +102,49 @@ def test_sampled_rejections():
     w = wf.Sampled([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValidationError):
         w.average(0.5, 1.5)
+
+
+def pulse_l2_reference(w, t0, t1):
+    """50-digit squared L2 norm of a pulse over (t0, t1), by quadrature of
+    its defining formula clipped to the pulse."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, b = (min(max(mpmath.mpf(t), 0), w.duration) for t in (t0, t1))
+        if b <= a:
+            return 0.0
+        amp, tau = mpmath.mpf(w.amplitude), mpmath.mpf(w.duration)
+        value = mpmath.quad(
+            lambda t: (amp * (1 - mpmath.cos(2 * mpmath.pi * t / tau)) / 2)**2,
+            [a, b])
+        return float(value)
+
+
+@pytest.mark.parametrize("wb", np.geomspace(1e-8, 2.0 * math.pi, 17))
+def test_pulse_l2_norm_from_the_start_is_accurate_for_short_windows(wb):
+    # w b = 2 pi b / duration; a closed form in sin(w b) and sin(2 w b)
+    # cancels to a negative value once w b falls below about 1e-3, where
+    # the norm is b (w b)^4 / 80
+    w = wf.HalfCosinePulse(amplitude=2248.7581013486415, duration=6.8)
+    b = wb * w.duration / (2.0 * math.pi)
+    ref = pulse_l2_reference(w, 0.0, b)
+    assert ref > 0.0
+    assert w.l2_norm_sq(0.0, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("window", [(0.5e-6, 1e-6), (0.25, 0.5), (0.1, 0.7),
+                                    (0.3, 1.0), (0.5, 2.0), (0.999, 1.5)])
+def test_pulse_l2_norm_inside_the_pulse_matches_the_reference(window):
+    # windows (in units of the duration) at the start, in the middle,
+    # across the middle and at the end, where the pulse is small again
+    w = wf.HalfCosinePulse(amplitude=-3.0, duration=0.8)
+    t0, t1 = (s * w.duration for s in window)
+    assert w.l2_norm_sq(t0, t1) == pytest.approx(
+        pulse_l2_reference(w, t0, t1), rel=1e-14, abs=0.0)
+
+
+def test_pulse_l2_norm_is_never_negative():
+    w = wf.HalfCosinePulse(amplitude=1e4, duration=0.8)
+    for t0 in (1e-9, 0.013, 0.4, 0.79):
+        for ulps in (1, 2, 8):
+            t1 = t0 + ulps * math.ulp(t0)
+            assert w.l2_norm_sq(t0, t1) >= 0.0
