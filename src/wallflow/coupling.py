@@ -21,9 +21,10 @@ Every step of a run is solved by one
 preconditions GMRES on the current one, and the system is refactored only
 when GMRES misses the residual contract.  The geometry is frozen on the
 fixed reference rectangle and ``P`` and ``E`` are fixed, so every step
-system has one pattern: the reduction is one
-:class:`~wallflow.sparsela.ProductMap` built once per run, and a step only
-combines data arrays.
+system has one pattern and its data are linear in the element kernels'
+output.  One :class:`~wallflow.sparsela.ProductMap` per run composes the
+assembly scatter with the reduction: a step runs its kernels, applies that
+one sparse map and solves.
 """
 
 from dataclasses import dataclass
@@ -104,77 +105,60 @@ class FluidStepResult:
     u_full: np.ndarray
     v_new: np.ndarray
     pressure: np.ndarray
-    operators: dict            # assembled matrices of this step
+    operators: dict            # scalar mass, advection and Robin matrices
+    viscous_blocks: np.ndarray  # raw element blocks of the viscous form
     forcing: np.ndarray
 
 
-def assemble_step_operators(setup, snapshot, mass, u_prev_full, v_half_free,
-                            p_in, p_out):
-    """All matrices, the load and the momentum right-hand side of one fluid
-    step of the run's ``dt``, on the frozen geometry.
-
-    ``mass`` is the weighted mass of ``snapshot``, which the caller already
-    holds.  The geometry weight comes from the start-of-step wall profile
-    while the advecting domain velocity uses the half step just produced by
-    the wall solve; this asymmetry is deliberate and required by the energy
-    identity.  Returns (operators, forcing, rhs_full).
-    """
+def assemble_step_operators(setup, snapshot, mass, u_prev_full, v_half_free):
+    """The kernels of one fluid step: the scalar mass (``mass``, of
+    ``snapshot``), advection and Robin matrices, and the raw viscous and
+    divergence blocks.  The geometry weight comes from the start-of-step
+    wall profile while the advecting domain velocity uses the half step just
+    produced by the wall solve; this asymmetry is deliberate and required by
+    the energy identity.  Returns (operators, viscous, divergence)."""
     mesh = setup.fluid_mesh
     v_half_q = fl.shell_field_at_quad(setup.shell_mesh, v_half_free, mesh)
-    ops = {
-        "mass": mass,
-        "viscous": fl.assemble_viscous(mesh, snapshot, setup.mu),
-        "advection": fl.assemble_advection(mesh, snapshot, u_prev_full,
-                                           v_half_q, setup.rho_f),
-        "robin": fl.assemble_robin_mass(mesh, v_half_q),
-        "divergence": fl.assemble_divergence(mesh, snapshot),
-    }
-    forcing = fl.assemble_pressure_forcing(mesh, p_in, p_out, snapshot.radius)
-    rhs_full = ((setup.rho_f / setup.dt) * fl.componentwise(mass, u_prev_full)
-                + forcing)
-    return ops, forcing, rhs_full
-
-
-def momentum_matrix(setup, ops):
-    """(rho_f/dt) M + N + (rho_f/2) S + K on the full velocity space: the
-    scalar M, N and S combine on their data, which is added to both diagonal
-    blocks of K's, so each entry is the two-component operators' sum."""
-    fm = setup.fluid_mesh
-    scalar = ((setup.rho_f / setup.dt) * ops["mass"].data
-              + ops["advection"].data + (0.5 * setup.rho_f) * ops["robin"].data)
-    data = ops["viscous"].data.copy()
-    data[fm.diagonal_slots] += np.concatenate([scalar, scalar])
-    return fm.vv_pattern.matrix(data)
+    ops = {"mass": mass,
+           "advection": fl.assemble_advection(mesh, snapshot, u_prev_full,
+                                              v_half_q, setup.rho_f),
+           "robin": fl.assemble_robin_mass(mesh, v_half_q)}
+    return (ops, fl.assemble_viscous_blocks(mesh, snapshot, setup.mu),
+            fl.assemble_divergence_blocks(mesh, snapshot))
 
 
 def build_reduction(setup):
-    """The reduction of :func:`reduce_coupled_system` for the run of
-    ``setup``, as a map of the operands' data arrays: the momentum matrix
-    on the velocity pattern, the divergence on the pressure-velocity
-    pattern and the wall block on the wall-Gram pattern, injected by the
-    run's ``E`` (zero for a rigid wall)."""
-    fm, p, e, w = (setup.fluid_mesh, setup.prolongation,
-                   setup.wall_injection, setup.wall_block)
-    n, n_p = p.shape[1], fm.n_pressure_nodes
-    vv, pv = fm.vv_pattern, fm.pv_pattern
-    a_rows, b_rows = csr_rows(vv), csr_rows(pv)
+    """The map of :func:`reduce_coupled_system` for the run of ``setup``:
+    the assembly scatter of its raw operands composed with the reduction,
+    the wall block injected by the run's ``E`` (zero for a rigid wall)."""
+    fm, w, e = setup.fluid_mesh, setup.wall_block, setup.wall_injection
+    p = setup.prolongation.tocsr()
+    n, n_p, nv = p.shape[1], fm.n_pressure_nodes, fm.n_velocity_nodes
     eye_p = sp.identity(n_p, format="csr")
+    s_rows, s_cols = csr_rows(fm.scalar_pattern), fm.scalar_pattern.indices
+    (v_rows, v_cols), (d_rows, d_cols) = (fm.viscous_entries(),
+                                          fm.divergence_entries())
+    s0, d0 = v_rows.size, v_rows.size + s_cols.size
     return ProductMap(
-        [(0, a_rows, vv.indices, p.T, p, (0, 0), 1.0),
-         (vv.nnz, b_rows, pv.indices, eye_p, p, (n, 0), 1.0),
-         (vv.nnz, pv.indices, b_rows, p.T, eye_p, (0, n), -1.0),
-         (vv.nnz + pv.nnz, csr_rows(w), w.indices, e, e.T, (0, 0), 1.0)],
+        [(0, v_rows, v_cols, p.T, p, (0, 0), 1.0),
+         (s0, s_rows, s_cols, p.T, p, (0, 0), 1.0),
+         (s0, s_rows + nv, s_cols + nv, p.T, p, (0, 0), 1.0),
+         (d0, d_rows, d_cols, eye_p, p, (n, 0), 1.0),
+         (d0, d_cols, d_rows, p.T, eye_p, (0, n), -1.0),
+         (d0 + d_rows.size, csr_rows(w), w.indices, e, e.T, (0, 0), 1.0)],
         (n + n_p, n + n_p))
 
 
-def reduce_coupled_system(setup, a_mom, b_div):
-    """The step's saddle system ``[[P^T A P + E W E^T, -(B P)^T], [B P, 0]]``
-    with the run's wall block ``W``.  The operands must be on their fixed
-    patterns (see :func:`build_reduction`); the map is built on the first
-    call and kept on ``setup``, so every step system of a run has the same
-    pattern."""
-    return setup.reduction(
-        np.concatenate([a_mom.data, b_div.data, setup.wall_block.data]))
+def reduce_coupled_system(setup, ops, viscous, divergence):
+    """The step's saddle system ``[[P^T A P + E W E^T, -(B P)^T], [B P,
+    0]]``, ``A = K + I_2 (x) ((rho_f/dt) M + N + (rho_f/2) S)``, from the
+    scalar ``ops`` and the raw ``viscous`` (``K``) and ``divergence``
+    (``B``) blocks, through the run's one map, so every step system of a
+    run has the same pattern."""
+    scalar = ((setup.rho_f / setup.dt) * ops["mass"].data
+              + ops["advection"].data + (0.5 * setup.rho_f) * ops["robin"].data)
+    return setup.reduction(viscous.ravel(), scalar, divergence.ravel(),
+                           setup.wall_block.data)
 
 
 def _step(setup, snapshot, mass, u_prev_full, v_half, p_in, p_out, solver):
@@ -183,34 +167,33 @@ def _step(setup, snapshot, mass, u_prev_full, v_half, p_in, p_out, solver):
     that is not finite raises :class:`SolverError`."""
     if snapshot.min_radius <= 0.0:
         raise WallContact(snapshot.min_radius, snapshot.min_radius_z)
-    ops, forcing, rhs_full = assemble_step_operators(
-        setup, snapshot, mass, u_prev_full, v_half, p_in, p_out)
+    ops, viscous, divergence = assemble_step_operators(
+        setup, snapshot, mass, u_prev_full, v_half)
+    forcing = fl.assemble_pressure_forcing(setup.fluid_mesh, p_in, p_out,
+                                           snapshot.radius)
+    rhs_full = ((setup.rho_f / setup.dt) * fl.componentwise(mass, u_prev_full)
+                + forcing)
     p, e = setup.prolongation, setup.wall_injection
     load = p.T @ rhs_full + e @ ((setup.rho_s_h / setup.dt)
                                  * (setup.shell_mass @ v_half))
-    system = reduce_coupled_system(setup, momentum_matrix(setup, ops),
-                                   ops["divergence"])
+    system = reduce_coupled_system(setup, ops, viscous, divergence)
     x = solver.solve(system, np.concatenate(
         [load, np.zeros(setup.fluid_mesh.n_pressure_nodes)]))
     if not np.isfinite(x).all():
         raise SolverError("non-finite solution fields")
     n = p.shape[1]
     return FluidStepResult(u_full=p @ x[:n], v_new=e.T @ x[:n],
-                           pressure=x[n:], operators=ops, forcing=forcing)
+                           pressure=x[n:], operators=ops,
+                           viscous_blocks=viscous, forcing=forcing)
 
 
 def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, p_in, p_out,
                solver):
-    """Solve the coupled fluid/wall-velocity problem for one step of the
-    run's ``dt``.
-
-    ``mass`` is the weighted mass of ``snapshot``.  ``shell_half`` is the
-    wall state after the elastodynamics half step (its ``v_star`` is the
-    half-step velocity).  Returns the end-of-step velocity field, wall
-    velocity, and pressure; the wall displacement does not change in this
-    half step.  ``solver`` is the run's fluid-step
-    :class:`~wallflow.sparsela.ReusedFactorSolver`.
-    """
+    """The coupled fluid/wall-velocity step of the run's ``dt`` on
+    ``snapshot`` (weighted mass ``mass``) after the wall half step
+    ``shell_half``, whose ``v_star`` is the half-step velocity, solved by
+    the run's fluid-step ``solver``.  The wall displacement does not change
+    in this half step."""
     return _step(setup, snapshot, mass, u_prev_full, shell_half.v_star,
                  p_in, p_out, solver)
 

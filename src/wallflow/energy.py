@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import is_finite
 from .errors import WallflowError
-from .fluid import componentwise
+from .fluid import componentwise, viscous_form
 from .sparsela import ReusedFactorSolver
 
 LEDGER_COLUMNS = [
@@ -243,8 +243,8 @@ class EnergyMonitor:
         jump_u = s.rho_f * float(du @ componentwise(mass_old, du))
         jump_v_a2 = float(dv2 @ (ms @ dv2))
 
-        visc2 = float(result.u_full @ (result.operators["viscous"] @ result.u_full))
-        d_fluid = dt * 0.5 * visc2
+        d_fluid = dt * 0.5 * viscous_form(s.fluid_mesh, result.viscous_blocks,
+                                          result.u_full)
         d_shell = dt * float(result.v_new @ (s.shell_viscous @ result.v_new))
         pwork = dt * float(result.forcing @ result.u_full)
 

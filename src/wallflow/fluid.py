@@ -4,8 +4,9 @@ Structured quadrilateral grid on (0, L) x (0, 1), biquadratic velocity and
 bilinear pressure (an inf-sup stable pair).  All operators are assembled
 with the same 3x3 Gauss rule.  The mass, Robin mass and advection forms are
 ``I_2 (x) m``, so each is its scalar matrix ``m`` on one scalar pattern,
-applied by :func:`componentwise`; the viscous form has a two-component
-pattern.  Operators of one pattern combine, and satisfy their entrywise
+applied by :func:`componentwise`; the viscous and divergence kernels
+return raw element blocks, which the run's reduction maps into the step
+system.  Operators of one pattern combine, and satisfy their entrywise
 identities, on their data arrays, exactly up to roundoff.  Every element
 kernel is (n_cells, 9) quadrature weights times a shape-function product
 table built once per mesh.
@@ -23,6 +24,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .sparsela import ScatterPattern
+
+# component (row, column) of each block of the viscous kernel, in its order
+VISCOUS_BLOCKS = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 # 3x3 tensor Gauss on the unit cell
 _gx, _gw = leggauss(3)
@@ -43,13 +47,13 @@ def _q1_shapes(s):
     return np.stack([1 - s, s], axis=-1)
 
 
-def _cell_pattern(row_conn, col_conn, offsets, shape):
-    """Pattern of every cell's ``row_conn x col_conn`` block once per (row,
-    col) index offset, raw entries ordered by offset, cell, row, column."""
-    offsets = np.asarray(offsets)[:, :, None, None, None]
+def _cell_entries(row_conn, col_conn, offsets):
+    """Row and column of each entry of each cell's ``row_conn x col_conn``
+    block per (row, col) offset, ordered by offset, cell, row, column."""
+    offsets = np.asarray(offsets, dtype=np.int32)[:, :, None, None, None]
     rows = offsets[:, 0] + row_conn[None, :, :, None]
     cols = offsets[:, 1] + col_conn[None, :, None, :]
-    return ScatterPattern(*np.broadcast_arrays(rows, cols), shape)
+    return tuple(a.ravel() for a in np.broadcast_arrays(rows, cols))
 
 
 class FluidMesh:
@@ -83,11 +87,11 @@ class FluidMesh:
         jz, jr = np.meshgrid(np.arange(3), np.arange(3))  # local a = jr*3 + jz
         jz, jr = jz.ravel(), jr.ravel()
         self.conn_v = ((2 * crg[:, None] + jr[None, :]) * self.n_cols
-                       + 2 * czg[:, None] + jz[None, :])
+                       + 2 * czg[:, None] + jz[None, :]).astype(np.int32)
         jzp, jrp = np.meshgrid(np.arange(2), np.arange(2))
         jzp, jrp = jzp.ravel(), jrp.ravel()
         self.conn_p = ((crg[:, None] + jrp[None, :]) * (self.n_z + 1)
-                       + czg[:, None] + jzp[None, :])
+                       + czg[:, None] + jzp[None, :]).astype(np.int32)
 
         # quadrature: q = qr*3 + qz on the unit cell, weights sum to 1
         qz, qr = np.meshgrid(_gx, _gx)
@@ -129,42 +133,25 @@ class FluidMesh:
             w1d[2 * c:2 * c + 3] += cellw
         self.edge_weights = w1d
 
-    # -- patterns (each built on first use) --------------------------------
+    # -- raw entries and the scalar pattern (built on first use) -----------
+
+    def viscous_entries(self):
+        """Rows and columns of :func:`assemble_viscous_blocks`' entries."""
+        return _cell_entries(self.conn_v, self.conn_v,
+                             self.n_velocity_nodes * np.array(VISCOUS_BLOCKS))
+
+    def divergence_entries(self):
+        """Rows and columns of :func:`assemble_divergence_blocks`' entries."""
+        return _cell_entries(self.conn_p, self.conn_v,
+                             [(0, 0), (0, self.n_velocity_nodes)])
 
     @functools.cached_property
     def scalar_pattern(self):
         """Pattern of one velocity component against itself, ``conn_v x
         conn_v``: the mass, Robin mass and advection matrices."""
         nv = self.n_velocity_nodes
-        return _cell_pattern(self.conn_v, self.conn_v, [(0, 0)], (nv, nv))
-
-    @functools.cached_property
-    def vv_pattern(self):
-        """Pattern of the viscous form: all four component blocks of every
-        cell, raw entries ordered by block (0,0), (1,1), (0,1), (1,0); each
-        block's raw entries are those of :attr:`scalar_pattern`."""
-        nv = self.n_velocity_nodes
-        blocks = nv * np.array([(0, 0), (1, 1), (0, 1), (1, 0)])
-        return _cell_pattern(self.conn_v, self.conn_v, blocks,
-                             (2 * nv, 2 * nv))
-
-    @functools.cached_property
-    def diagonal_slots(self):
-        """The :attr:`vv_pattern` slots of the (0,0) block, then of the
-        (1,1) block, each in :attr:`scalar_pattern` slot order: adding
-        ``[m.data, m.data]`` at them adds ``I_2 (x) m``."""
-        scalar, vv = self.scalar_pattern, self.vv_pattern
-        n_raw = scalar.slot.size
-        first = np.empty(scalar.nnz, dtype=np.intp)   # a raw entry per slot
-        first[scalar.slot] = np.arange(n_raw)
-        return np.concatenate([vv.slot[first], vv.slot[n_raw + first]])
-
-    @functools.cached_property
-    def pv_pattern(self):
-        """Pattern of the divergence: pressures against both components."""
-        nv = self.n_velocity_nodes
-        return _cell_pattern(self.conn_p, self.conn_v, [(0, 0), (0, nv)],
-                             (self.n_pressure_nodes, 2 * nv))
+        return ScatterPattern(*_cell_entries(self.conn_v, self.conn_v,
+                                             [(0, 0)]), (nv, nv))
 
     @functools.cached_property
     def tables(self):
@@ -236,8 +223,9 @@ def assemble_unweighted_mass(mesh):
                                        (mesh.n_cells, mesh.n_quad)))
 
 
-def assemble_viscous(mesh, snapshot, mu):
-    """Weighted viscous operator 2*mu*(strain(u), strain(q)), symmetric PSD.
+def assemble_viscous_blocks(mesh, snapshot, mu):
+    """Raw element blocks, (4, n_cells, 9, 9) in :data:`VISCOUS_BLOCKS`
+    order, of the weighted viscous operator 2*mu*(strain(u), strain(q)).
 
     With ``F_ij`` the form of ``g_i`` against ``g_j``, the blocks are
     ``2 mu F11 + mu F22``, ``2 mu F22 + mu F11`` and ``mu F21`` with its
@@ -254,8 +242,15 @@ def assemble_viscous(mesh, snapshot, mu):
     diag = _blocks(mu * diag)
     diag = 0.5 * (diag + diag.transpose(0, 2, 1))
     f21 = _blocks(mu * (np.hstack([wj, -wj * f]) @ mesh.tables["cross"]))
-    return mesh.vv_pattern.csr(np.concatenate(
-        [diag, f21, f21.transpose(0, 2, 1)]))
+    return np.stack([*diag.reshape(2, -1, 9, 9), f21, f21.transpose(0, 2, 1)])
+
+
+def viscous_form(mesh, blocks, u_full):
+    """``u^T K u`` summed element by element from ``K``'s raw blocks."""
+    u = u_full.reshape(2, -1)[:, mesh.conn_v]
+    rows, cols = (list(c) for c in zip(*VISCOUS_BLOCKS))
+    ku = np.matmul(blocks, u[cols, ..., None])[..., 0]
+    return float(np.sum(u[rows] * ku))
 
 
 def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
@@ -285,13 +280,14 @@ def assemble_robin_mass(mesh, v_half_q):
         np.asarray(v_half_q, dtype=float), (mesh.n_cells, mesh.n_quad)))
 
 
-def assemble_divergence(mesh, snapshot):
-    """Weighted divergence coupling: rows pressures, columns velocities."""
+def assemble_divergence_blocks(mesh, snapshot):
+    """Raw element blocks of the weighted divergence, (2 n_cells, 36): each
+    cell's pressures against the axial, then the radial component."""
     w, f = snapshot.w, _slope(mesh, snapshot)
     table = mesh.tables["divergence"]
-    return mesh.pv_pattern.csr(np.concatenate([
+    return np.concatenate([
         np.hstack([w, -w * f]) @ table,
-        (w / snapshot.jac_q) @ table[mesh.n_quad:]]))
+        (w / snapshot.jac_q) @ table[mesh.n_quad:]])
 
 
 def assemble_pressure_forcing(mesh, p_in, p_out, radius):

@@ -29,34 +29,40 @@ from scipy.linalg import solve_triangular
 from .errors import SolverError
 
 
+def _entries(rows, cols, shape):
+    """The stable order that sorts entries by ``row * n_cols + col``, the
+    mask of sorted entries that start a distinct entry, and the CSR
+    indices and indptr of the distinct entries."""
+    dtype = np.int32 if shape[0] * shape[1] < 2**31 else np.int64
+    key = (np.asarray(rows, dtype=dtype) * shape[1]
+           + np.asarray(cols, dtype=dtype))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.diff(key, prepend=-1) != 0
+    key = key[new]
+    indptr = np.searchsorted(key // shape[1], np.arange(shape[0] + 1))
+    return (order, new, (key % shape[1]).astype(np.int32),
+            indptr.astype(np.int32))
+
+
 class ScatterPattern:
     """Precomputed duplicate-summing COO -> CSR map for a fixed sparsity pattern.
 
-    Assembly loops produce raw (row, col, value) triplets in a fixed order;
-    the pattern maps each raw slot to its CSR data slot so repeated
-    assemblies only touch the data array.  Summation order is fixed by the
-    raw entry order, which keeps reassembly bit-reproducible.  An empty
-    pattern (a wall with no free DOFs) gives empty matrices.  Every matrix
-    of one pattern stores every slot, structural zeros included, so linear
-    combinations of them are combinations of their ``data`` arrays.
+    Each raw (row, col) entry, in a fixed order, maps to its CSR data slot,
+    so repeated assemblies only touch the data array, summed in raw entry
+    order, bit-reproducibly.  An empty pattern (a wall with no free DOFs)
+    gives empty matrices.  Every matrix of one pattern stores every slot,
+    structural zeros included, so linear combinations of them are
+    combinations of their ``data`` arrays.
     """
 
     def __init__(self, rows, cols, shape):
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        order = np.lexsort((cols, rows))
-        rs, cs = rows[order], cols[order]
-        new_group = np.ones(rs.size, dtype=bool)
-        new_group[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-        group = np.cumsum(new_group) - 1
-        self.nnz = int(np.count_nonzero(new_group))
+        order, new, self.indices, self.indptr = _entries(
+            np.ravel(rows), np.ravel(cols), shape)
+        self.nnz = self.indices.size
         # intp: np.bincount casts any other index type on every call
-        self.slot = np.empty(rows.size, dtype=np.intp)
-        self.slot[order] = group
-        self.indices = cs[new_group].astype(np.int32)
-        self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rs[new_group], minlength=shape[0]),
-                  out=self.indptr[1:])
+        self.slot = np.empty(order.size, dtype=np.intp)
+        self.slot[order] = np.cumsum(new) - 1
         self.shape = shape
 
     def csr(self, raw_data):
@@ -101,13 +107,12 @@ class ProductMap:
 
     Each term ``(src, rows, cols, left, right, corner, scale)`` reads an
     operand ``X`` whose entry ``k`` sits at ``(rows[k], cols[k])`` and is
-    input ``src + k``, and adds ``scale * left @ X @ right`` with its
-    top-left corner at ``corner`` of the result.  Building the map is the
-    symbolic phase of the products (Gustavson, ACM TOMS 4, 1978): every
-    scalar product is scattered onto the result's pattern, structural zeros
-    included, through a sparse ``G`` with one row per result entry.  A call
-    is the numeric phase, ``data = G @ input``, so the result's pattern
-    never depends on the values.
+    input ``src + k`` (terms may share inputs), and adds ``scale * left @ X
+    @ right`` at ``corner`` of the result.  Building the map is the symbolic
+    phase (Gustavson, ACM TOMS 4, 1978): one stable sort by result entry
+    makes the scalar products, in term order, the rows of a CSR ``G``, one
+    per result entry, structural zeros included; products on one entry stay
+    separate.  A call is the numeric phase, ``data = G @ input``.
     """
 
     def __init__(self, terms, shape):
@@ -119,25 +124,31 @@ class ProductMap:
             k, lpos = _expand(left.indptr[rows], np.diff(left.indptr)[rows])
             kc = cols[k]
             t, rpos = _expand(right.indptr[kc], np.diff(right.indptr)[kc])
-            rows_out.append(left.indices[lpos[t]] + r0)
+            lpos = lpos[t]
+            rows_out.append(left.indices[lpos] + r0)
             cols_out.append(right.indices[rpos] + c0)
-            srcs.append(src + k[t])
-            vals.append(scale * left.data[lpos[t]] * right.data[rpos])
+            srcs.append((src + k[t]).astype(np.int32))
+            vals.append(scale * left.data[lpos] * right.data[rpos])
             n_in = max(n_in, src + len(rows))
-        out = ScatterPattern(np.concatenate(rows_out),
-                             np.concatenate(cols_out), shape)
+        order, new, self.indices, self.indptr = _entries(
+            np.concatenate(rows_out), np.concatenate(cols_out), shape)
+        first = np.flatnonzero(new).astype(np.int32)
         self.g = sp.csr_matrix(
-            (np.concatenate(vals), (out.slot, np.concatenate(srcs))),
-            shape=(out.nnz, n_in))
-        self.indices, self.indptr, self.shape = out.indices, out.indptr, shape
+            (np.concatenate(vals)[order], np.concatenate(srcs)[order],
+             np.append(first, order.size)), shape=(first.size, n_in))
+        self.shape = shape
+        self._input = np.empty(n_in)
 
-    def __call__(self, data):
-        """The CSR result for the operands' concatenated ``data`` arrays."""
-        if data.size != self.g.shape[1]:
-            raise ValueError(f"product map takes {self.g.shape[1]} operand "
-                             f"entries, got {data.size}")
-        return sp.csr_matrix((self.g @ data, self.indices, self.indptr),
-                             shape=self.shape)
+    def __call__(self, *data):
+        """The CSR result for the operands' ``data`` arrays in input order,
+        concatenated into the one input array the map keeps."""
+        n_in = sum(d.size for d in data)
+        if n_in != self._input.size:
+            raise ValueError(f"product map takes {self._input.size} operand "
+                             f"entries, got {n_in}")
+        np.concatenate(data, out=self._input)
+        return sp.csr_matrix((self.g @ self._input, self.indices,
+                              self.indptr), shape=self.shape)
 
 
 class DirectFactor:

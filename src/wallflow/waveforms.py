@@ -62,12 +62,6 @@ class HalfCosinePulse:
         self.amplitude = float(amplitude)
         self.duration = float(duration)
 
-    def _anti(self, t):
-        # antiderivative of the pulse on [0, duration]
-        tau = self.duration
-        return 0.5 * self.amplitude * (t - tau / (2.0 * math.pi)
-                                       * math.sin(2.0 * math.pi * t / tau))
-
     def average(self, t0, t1):
         if t1 <= t0:
             raise ValidationError("average needs t1 > t0")
@@ -75,7 +69,16 @@ class HalfCosinePulse:
         b = min(max(t1, 0.0), self.duration)
         if b <= a:
             return 0.0
-        return (self._anti(b) - self._anti(a)) / (t1 - t0)
+        # integral of sin^2(w s / 2) over (a, b): ((x - sin x) + 2 sin x
+        # sin^2(w m / 2)) / w, x = w (b - a) / 2, m the window's middle from
+        # the nearer end (the pulse is symmetric); x - sin x by series if x < 2
+        tau, w = self.duration, 2.0 * math.pi / self.duration
+        x = 0.5 * w * (b - a)
+        m = 0.5 * (a + b) if a + b <= tau else 0.5 * ((tau - a) + (tau - b))
+        odd = (sum((-1)**(k + 1) * x**(2 * k + 1) / math.factorial(2 * k + 1)
+                   for k in range(12, 0, -1)) if x < 2.0 else x - math.sin(x))
+        value = odd + 2.0 * math.sin(x) * math.sin(0.5 * w * m)**2
+        return self.amplitude * value / (w * (t1 - t0))
 
     def l2_norm_sq(self, t0, t1):
         a = min(max(t0, 0.0), self.duration)

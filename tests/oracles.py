@@ -19,11 +19,12 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
+from wallflow import fluid
 from wallflow.ale import map_to_physical
 from wallflow.config import validate_config
 from wallflow.driver import RunSetup
 from wallflow.shell import ShellState
-from wallflow.sparsela import csr_rows
+from wallflow.sparsela import ScatterPattern, csr_rows
 from wallflow.waveforms import Constant, HalfCosinePulse, Sampled, Sine
 
 
@@ -437,7 +438,7 @@ def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
     dv = v_new - v_half
     jump_f = 0.5 * rho_f * float(du @ (mass_old @ du))
     jump_s = 0.5 * rho_s_h * float(dv @ (ms @ dv))
-    visc = float(u_new @ (result.operators["viscous"] @ u_new))   # 2 mu |D|^2
+    visc = float(u_new @ (viscous_matrix(setup, result) @ u_new))  # 2 mu |D|^2
     wall_visc = float(v_new @ (asp @ v_new))
     pwork = float(result.forcing @ u_new)
     equality_residual = abs(e_new + jump_f + jump_s + dt * (visc + wall_visc)
@@ -525,12 +526,41 @@ def two_component(m):
     return sp.kron(sp.identity(2), m, format="csr")
 
 
-def momentum_matrix_by_kron(setup, ops, dt):
-    """Reference for ``coupling.momentum_matrix``: the two-component sum
-    ``(rho_f/dt) I_2(x)M + I_2(x)N + (rho_f/2) I_2(x)S + K``, formed term
-    by term on the data arrays of the viscous pattern, structural zeros
+def assemble_divergence(mesh, snapshot):
+    """The package's raw divergence kernel summed into its matrix by COO:
+    rows pressures, columns velocities."""
+    return sp.coo_matrix(
+        (fluid.assemble_divergence_blocks(mesh, snapshot).ravel(),
+         mesh.divergence_entries()),
+        shape=(mesh.n_pressure_nodes, 2 * mesh.n_velocity_nodes)).tocsr()
+
+
+def viscous_pattern(mesh):
+    """The pattern of the viscous operator, from the mesh's raw viscous
+    entries."""
+    nv2 = 2 * mesh.n_velocity_nodes
+    return ScatterPattern(*mesh.viscous_entries(), (nv2, nv2))
+
+
+def assemble_viscous(mesh, snapshot, mu):
+    """The package's raw viscous kernel scattered onto its pattern."""
+    return viscous_pattern(mesh).csr(
+        fluid.assemble_viscous_blocks(mesh, snapshot, mu))
+
+
+def viscous_matrix(setup, result):
+    """The viscous operator of a fluid step's result, its raw element
+    blocks scattered onto the viscous pattern."""
+    return viscous_pattern(setup.fluid_mesh).csr(result.viscous_blocks)
+
+
+def momentum_matrix_by_kron(setup, ops, viscous, dt):
+    """Reference for the momentum block of the step system: the
+    two-component sum ``(rho_f/dt) I_2(x)M + I_2(x)N + (rho_f/2) I_2(x)S
+    + K`` with the assembled viscous operator ``viscous``, formed term by
+    term on the data arrays of the viscous pattern, structural zeros
     included, in the order of the sum."""
-    vv = setup.fluid_mesh.vv_pattern
+    vv = viscous_pattern(setup.fluid_mesh)
     rows = csr_rows(vv)
 
     def lifted(m):
@@ -538,37 +568,40 @@ def momentum_matrix_by_kron(setup, ops, dt):
 
     return vv.matrix(
         (setup.rho_f / dt) * lifted(ops["mass"]) + lifted(ops["advection"])
-        + (0.5 * setup.rho_f) * lifted(ops["robin"]) + ops["viscous"].data)
+        + (0.5 * setup.rho_f) * lifted(ops["robin"]) + viscous.data)
 
 
-def _momentum_residual(setup, result, u_prev_full, dt):
-    """Residual of the full momentum equations at the step's solution; it
-    vanishes on free DOFs and is the fluid load on the constrained ones."""
+def _momentum_residual(setup, snapshot, result, u_prev_full, dt):
+    """Residual of the full momentum equations at the step's solution on
+    the step's geometry ``snapshot``; it vanishes on free DOFs and is the
+    fluid load on the constrained ones."""
     ops = result.operators
     rhs_full = ((setup.rho_f / dt) * (two_component(ops["mass"]) @ u_prev_full)
                 + result.forcing)
-    return (rhs_full - momentum_matrix_by_kron(setup, ops, dt) @ result.u_full
-            + ops["divergence"].T @ result.pressure)
+    a_mom = momentum_matrix_by_kron(setup, ops, viscous_matrix(setup, result),
+                                    dt)
+    b_div = assemble_divergence(setup.fluid_mesh, snapshot)
+    return rhs_full - a_mom @ result.u_full + b_div.T @ result.pressure
 
 
-def wall_traction_load(setup, result, u_prev_full, dt):
+def wall_traction_load(setup, snapshot, result, u_prev_full, dt):
     """Variationally consistent load the fluid exerts on the wall tests.
 
     Computed as the momentum residual at the constrained top-edge DOFs,
     paired through the trace map; by construction it equals the wall-side
     terms of the coupled equations to solver precision.
     """
-    resid_full = _momentum_residual(setup, result, u_prev_full, dt)
+    resid_full = _momentum_residual(setup, snapshot, result, u_prev_full, dt)
     return setup.trace_op.T @ resid_full[setup.partition.top_r]
 
 
-def top_edge_traction(setup, result, u_prev_full, dt):
+def top_edge_traction(setup, snapshot, result, u_prev_full, dt):
     """Pointwise wall-normal traction on the top edge (rigid diagnostics).
 
     Returns nodal values of the traction by inverting the 1D trace mass
     against the constrained-DOF residual.
     """
-    resid_full = _momentum_residual(setup, result, u_prev_full, dt)
+    resid_full = _momentum_residual(setup, snapshot, result, u_prev_full, dt)
     load = resid_full[setup.partition.top_r]
     return np.linalg.solve(top_edge_mass(setup.fluid_mesh), load)
 

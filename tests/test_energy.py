@@ -8,7 +8,7 @@ from wallflow.energy import (LEDGER_COLUMNS, EnergyLedger, EnergyMonitor,
                              discrete_trace_constant, load_ledger, verify_run)
 from wallflow.sparsela import DirectFactor, ReusedFactorSolver
 
-from oracles import zero_shell_state
+from oracles import assemble_viscous, zero_shell_state
 
 
 def build_monitor(n_z=4, n_r=2, length=2.0):
@@ -206,7 +206,7 @@ def test_trace_constant_bounds_the_flux_functional(monkeypatch):
     material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
     snap = ale.build_snapshot(sm, sm.zero_free(), fm, material.radius)
     p = cs.prolongation
-    k_red = p.T @ fluid.assemble_viscous(fm, snap, 0.05) @ p
+    k_red = p.T @ assemble_viscous(fm, snap, 0.05) @ p
     ell_in = p.T @ fluid.assemble_pressure_forcing(fm, 1.0, 0.0, 1.0)
     ell_out = p.T @ -fluid.assemble_pressure_forcing(fm, 0.0, 1.0, 1.0)
     factored = []

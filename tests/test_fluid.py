@@ -3,11 +3,14 @@ algebraic identities the operators are designed to satisfy."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wallflow import ale, fluid, shell
+from wallflow.sparsela import ScatterPattern, csr_rows
 
-from oracles import (DenseFluidOracle, fixed_dofs, interpolate_velocity,
-                     two_component)
+from oracles import (DenseFluidOracle, assemble_divergence, assemble_viscous,
+                     fixed_dofs, interpolate_velocity, two_component,
+                     viscous_pattern)
 
 
 def make_case(n_z, n_r, length=1.0, radius=1.0, seed=0, flat=False):
@@ -43,14 +46,14 @@ def test_weighted_mass_vs_oracle(n_z, n_r, flat):
 def test_viscous_vs_oracle(n_z, n_r, flat):
     sm, fm, eta, snap, oracle, _ = make_case(n_z, n_r, radius=0.8, flat=flat,
                                              seed=1)
-    ours = fluid.assemble_viscous(fm, snap, mu=0.7).toarray()
+    ours = assemble_viscous(fm, snap, mu=0.7).toarray()
     ref = oracle.viscous(sm.nodes, sm.to_full(eta), 0.8, mu=0.7)
     assert rel_err(ours, ref) <= 1e-12
 
 
 def test_viscous_is_exactly_symmetric():
     _, fm, _, snap, _, _ = make_case(6, 3, radius=0.8, seed=3)
-    k = fluid.assemble_viscous(fm, snap, mu=0.7)
+    k = assemble_viscous(fm, snap, mu=0.7)
     assert abs(k - k.T).max() == 0.0
 
 
@@ -76,7 +79,7 @@ def test_advection_vs_oracle(n_z, n_r, flat):
 def test_divergence_vs_oracle(n_z, n_r, flat):
     sm, fm, eta, snap, oracle, _ = make_case(n_z, n_r, radius=0.8, flat=flat,
                                              seed=3)
-    ours = fluid.assemble_divergence(fm, snap).toarray()
+    ours = assemble_divergence(fm, snap).toarray()
     ref = oracle.divergence(sm.nodes, sm.to_full(eta), 0.8)
     assert rel_err(ours, ref) <= 1e-12
 
@@ -115,7 +118,7 @@ def test_flat_wall_unit_radius_is_the_plain_assembly():
     mass = fluid.assemble_weighted_mass(fm, snap).toarray()
     plain = fluid.assemble_unweighted_mass(fm).toarray()
     assert np.array_equal(mass, plain)
-    visc = fluid.assemble_viscous(fm, snap, mu=1.0).toarray()
+    visc = assemble_viscous(fm, snap, mu=1.0).toarray()
     ref = oracle.viscous(sm.nodes, np.zeros(2 * sm.n_nodes), 1.0, mu=1.0)
     assert rel_err(visc, ref) <= 1e-12
 
@@ -161,12 +164,14 @@ def test_advection_zero_field_and_exact_skewness():
 def test_transpose_slots_give_the_symmetric_part():
     # the ledger's skew check forms N + N^T as data + data[transpose_slots]
     _, fm, _, _, _, rng = make_case(3, 2, seed=6)
-    for pattern in (fm.scalar_pattern, fm.vv_pattern):
+    for pattern in (fm.scalar_pattern, viscous_pattern(fm)):
         n = pattern.matrix(rng.standard_normal(pattern.nnz))
         ours = pattern.matrix(n.data + n.data[pattern.transpose_slots])
         assert np.array_equal(ours.toarray(), (n + n.T).toarray())
+    divergence = ScatterPattern(*fm.divergence_entries(),
+                                (fm.n_pressure_nodes, 2 * fm.n_velocity_nodes))
     with pytest.raises(ValueError, match="not structurally symmetric"):
-        fm.pv_pattern.transpose_slots
+        divergence.transpose_slots
 
 
 def test_scalar_operators_are_one_component_square():
@@ -186,24 +191,51 @@ def test_scalar_operators_are_one_component_square():
               fluid.assemble_advection(fm, snap, u, v_half_q, 1.0)):
         assert m.shape == (nv, nv)
         assert m.nnz == 66177
-    assert fm.vv_pattern.nnz == 4 * 66177
+    assert viscous_pattern(fm).nnz == 4 * 66177
 
 
-def test_diagonal_slots_place_both_component_blocks():
-    _, fm, _, _, _, rng = make_case(3, 2, seed=8)
-    scalar, vv = fm.scalar_pattern, fm.vv_pattern
-    m = scalar.matrix(rng.standard_normal(scalar.nnz))
-    data = np.zeros(vv.nnz)
-    data[fm.diagonal_slots] = np.concatenate([m.data, m.data])
-    assert np.array_equal(vv.matrix(data).toarray(),
-                          two_component(m).toarray())
+def test_raw_kernels_sit_at_their_entries():
+    # raw blocks summed by COO at the mesh's raw entries give the assembled
+    # viscous operator (the divergence oracle test sums its blocks so), and
+    # the viscous entries are the scalar pattern's once per component block
+    sm, fm, _, snap, _, _ = make_case(3, 2, seed=8)
+    nv, n_p = fm.n_velocity_nodes, fm.n_pressure_nodes
+    blocks = fluid.assemble_viscous_blocks(fm, snap, mu=0.7)
+    assert blocks.shape == (4, fm.n_cells, 9, 9)
+    coo = sp.coo_matrix((blocks.ravel(), fm.viscous_entries()),
+                        shape=(2 * nv, 2 * nv))
+    assert rel_err(coo.toarray(),
+                   assemble_viscous(fm, snap, mu=0.7).toarray()) <= 1e-15
+    scalar = csr_rows(fm.scalar_pattern), fm.scalar_pattern.indices
+    for (r, c), rows, cols in zip(fluid.VISCOUS_BLOCKS, *(
+            np.split(e, 4) for e in fm.viscous_entries())):
+        assert {*zip(rows, cols)} == {*zip(scalar[0] + r * nv,
+                                           scalar[1] + c * nv)}
+    div = fluid.assemble_divergence_blocks(fm, snap)
+    assert div.shape == (2 * fm.n_cells, 36)
+    rows, cols = fm.divergence_entries()
+    assert rows.size == div.size
+    assert rows.max() < n_p and cols.max() < 2 * nv
+
+
+def test_viscous_form_sums_the_element_blocks():
+    # the ledger's u^T K u, element by element from the raw blocks, is the
+    # quadratic form of the assembled operator to roundoff
+    sm, fm, _, snap, _, rng = make_case(4, 3, seed=11)
+    blocks = fluid.assemble_viscous_blocks(fm, snap, mu=0.7)
+    k = assemble_viscous(fm, snap, mu=0.7)
+    for _ in range(3):
+        u = rng.standard_normal(2 * fm.n_velocity_nodes)
+        ref = float(u @ (k @ u))
+        scale = float(np.abs(u) @ (abs(k) @ np.abs(u)))
+        assert abs(fluid.viscous_form(fm, blocks, u) - ref) <= 1e-14 * scale
 
 
 def test_viscous_vanishes_on_strain_free_field():
     # uniform axial translation has zero strain rate but is not in the
     # constrained space; the quadratic form must still annihilate it
     sm, fm, eta, snap, _, _ = make_case(2, 2, seed=6)
-    k = fluid.assemble_viscous(fm, snap, mu=1.0)
+    k = assemble_viscous(fm, snap, mu=1.0)
     u = np.zeros(2 * fm.n_velocity_nodes)
     u[:fm.n_velocity_nodes] = 1.0
     assert abs(u @ (k @ u)) <= 1e-12 * np.abs(k.data).max()
@@ -211,7 +243,7 @@ def test_viscous_vanishes_on_strain_free_field():
 
 def test_divergence_free_interpolant_in_kernel():
     sm, fm, _, snap, _, _ = make_case(1, 1, flat=True)
-    b = fluid.assemble_divergence(fm, snap).toarray()
+    b = assemble_divergence(fm, snap).toarray()
     u = interpolate_velocity(fm, lambda z, r: z, lambda z, r: -r)
     assert np.abs(b @ u).max() <= 1e-13 * np.abs(b).max()
     # dense null space: the kernel is large and well-defined

@@ -7,6 +7,7 @@ verifier.  The draw is derandomized so the suite stays deterministic.
 """
 
 import math
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,14 @@ from wallflow.energy import verify_run
 
 def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def amplitude(lo, hi, scale=1.0):
+    """``scale`` times a float in [lo, hi], drawn as 0 or of magnitude at
+    least the smallest normal float, as ``validate_config`` requires of an
+    initial amplitude."""
+    return st.floats(lo, hi).map(lambda a: a * scale).filter(
+        lambda a: a == 0.0 or abs(a) >= sys.float_info.min)
 
 
 @st.composite
@@ -47,8 +56,8 @@ def cases(draw):
                                "value": draw(st.floats(-1e4, 1e4))},
                      "outlet": {"kind": "constant", "value": 0.0}},
         "initial_data": {"kind": "bump",
-                         "eta_amplitude": draw(st.floats(-0.3, 0.3)) * radius,
-                         "v_amplitude": draw(st.floats(-10.0, 10.0))},
+                         "eta_amplitude": draw(amplitude(-0.3, 0.3, radius)),
+                         "v_amplitude": draw(amplitude(-10.0, 10.0))},
         "output": {"cadence": 1},
     }
 

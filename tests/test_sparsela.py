@@ -99,6 +99,43 @@ def test_product_map_matches_scipy_products():
         pmap(np.zeros(3))
 
 
+def test_product_map_keeps_products_that_share_an_input_and_a_slot():
+    # X + X^T through a map with two terms on one operand: a diagonal
+    # entry of X is read by both terms and lands on one slot twice.  Each
+    # product stays its own entry of G's row, in term order, so the call
+    # sums 2 * x_kk as x_kk + x_kk
+    rng = np.random.default_rng(11)
+    x = sp.random(5, 5, density=0.5, random_state=5, format="csr")
+    x.setdiag(rng.standard_normal(5))
+    x = sp.csr_matrix(x)
+    rows, eye = sparsela.csr_rows(x), sp.identity(5, format="csr")
+    pmap = sparsela.ProductMap(
+        [(0, rows, x.indices, eye, eye, (0, 0), 1.0),
+         (0, x.indices, rows, eye, eye, (0, 0), 1.0)], (5, 5))
+    assert pmap.g.shape == (abs(x + x.T).nnz, x.nnz)
+    assert pmap.g.nnz == 2 * x.nnz
+    diagonal = np.flatnonzero(rows == x.indices)
+    for k in diagonal:
+        slot = np.flatnonzero(pmap.g.indices == k)
+        assert slot.size == 2          # one row, both products
+        assert np.searchsorted(pmap.g.indptr, slot[0], side="right") == \
+            np.searchsorted(pmap.g.indptr, slot[1], side="right")
+    ours = pmap(x.data)
+    assert np.array_equal(ours.toarray(), (x + x.T).toarray())
+    assert np.array_equal(ours.diagonal(), x.diagonal() + x.diagonal())
+
+
+def test_product_map_with_no_products():
+    # a term whose operand or sides are empty adds no row to G
+    empty = np.zeros(0, dtype=np.int32)
+    pmap = sparsela.ProductMap(
+        [(0, empty, empty, sp.identity(3), sp.identity(3), (0, 0), 1.0)],
+        (3, 3))
+    assert pmap.g.shape == (0, 0)
+    out = pmap(np.zeros(0))
+    assert out.shape == (3, 3) and out.nnz == 0
+
+
 def test_empty_scatter_pattern_gives_empty_matrices():
     # the Gram pattern of a single-element wall, which has no free DOFs
     pattern = ScatterPattern([], [], (0, 0))

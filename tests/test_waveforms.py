@@ -148,3 +148,59 @@ def test_pulse_l2_norm_is_never_negative():
         for ulps in (1, 2, 8):
             t1 = t0 + ulps * math.ulp(t0)
             assert w.l2_norm_sq(t0, t1) >= 0.0
+
+
+def pulse_average_reference(w, t0, t1):
+    """50-digit step average of a pulse over (t0, t1), from the exact
+    antiderivative of its defining formula clipped to the pulse."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, b = (min(max(mpmath.mpf(t), 0), w.duration) for t in (t0, t1))
+        if b <= a:
+            return 0.0
+        amp, omega = mpmath.mpf(w.amplitude), 2 * mpmath.pi / w.duration
+
+        def anti(t):
+            return amp * (t - mpmath.sin(omega * t) / omega) / 2
+
+        return float((anti(b) - anti(a)) / (mpmath.mpf(t1) - mpmath.mpf(t0)))
+
+
+@pytest.mark.parametrize("wb", np.geomspace(1e-8, 2.0 * math.pi, 17))
+def test_pulse_average_from_the_start_is_accurate_for_short_windows(wb):
+    # t - sin(w t) / w cancels for w t << 1, where the average is about
+    # amplitude (w b)^2 / 6
+    w = wf.HalfCosinePulse(amplitude=2248.7581013486415, duration=6.8)
+    b = wb * w.duration / (2.0 * math.pi)
+    assert w.average(0.0, b) == pytest.approx(
+        pulse_average_reference(w, 0.0, b), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("window", [(0.5e-6, 1e-6), (0.25, 0.5), (0.1, 0.7),
+                                    (0.3, 1.0), (0.5, 2.0), (0.999, 1.5),
+                                    (0.5 - 1e-12, 0.5 + 1e-12),
+                                    (1.0 - 1e-9, 1.0), (-1.0, 2.0)])
+def test_pulse_average_inside_the_pulse_matches_the_reference(window):
+    # short windows anywhere in the pulse, most of all near its end where
+    # the pulse is small again, and windows across its ends
+    w = wf.HalfCosinePulse(amplitude=-3.0, duration=0.8)
+    t0, t1 = (s * w.duration for s in window)
+    assert w.average(t0, t1) == pytest.approx(
+        pulse_average_reference(w, t0, t1), rel=1e-14, abs=0.0)
+
+
+def test_pulse_step_averages_match_the_reference():
+    # every step of the shipped pulse run, and the first step of a run
+    # whose step is 3e-5 of the pulse (its average read -9.2e-9 relative
+    # off with the antiderivative difference)
+    w = wf.HalfCosinePulse(amplitude=2.0e4, duration=0.005)
+    dt = 0.012 / 200
+    for n in range(200):
+        t0, t1 = n * dt, (n + 1) * dt
+        assert w.average(t0, t1) == pytest.approx(
+            pulse_average_reference(w, t0, t1), rel=1e-14, abs=0.0)
+    w = wf.HalfCosinePulse(amplitude=2248.7581013486415,
+                           duration=6.793069093479936)
+    dt = 0.00020902281189956592
+    assert w.average(0.0, dt) == pytest.approx(
+        pulse_average_reference(w, 0.0, dt), rel=1e-14, abs=0.0)
