@@ -5,8 +5,8 @@ reference domain (0, L) x (0, 1) by the vertical-stretch map
 (z, r) -> (z, (R + eta(z)) r).  Everything the fluid assembly needs from
 the geometry is frozen per time step in an :class:`AleSnapshot`: the wall
 profile, its slope and the Jacobian weight R + eta at the quadrature points,
-the weighted quadrature weights, and the minimum radius for the contact
-check.
+the weighted quadrature weights, the two factors of the transformed
+derivatives below, and the minimum radius for the contact check.
 
 Reference-domain derivatives (d_z, d_r) of any field transform to
 moving-domain derivatives via
@@ -37,6 +37,8 @@ class AleSnapshot:
     deta_q: np.ndarray       # (n_cells, n_quad) wall slope d eta / d z
     jac_q: np.ndarray        # (n_cells, n_quad) Jacobian weight R + eta
     w: np.ndarray            # (n_cells, n_quad) quadrature weight * jac_q
+    slope: np.ndarray        # (n_cells, n_quad) r * eta_z / (R + eta)
+    w_over_jac: np.ndarray   # (n_cells, n_quad) w / (R + eta)
     min_radius: float
     min_radius_z: float
 
@@ -63,12 +65,15 @@ def build_snapshot(shell_mesh, eta_free, fluid_mesh, radius,
     if contact_threshold is not None and min_r <= contact_threshold:
         raise WallContact(min_r, min_z)
     jac_q = radius + eta_q
+    w = fluid_mesh.quad_w_dv[None, :] * jac_q
     return AleSnapshot(
         radius=float(radius),
         eta_q=eta_q,
         deta_q=deta_q,
         jac_q=jac_q,
-        w=fluid_mesh.quad_w_dv[None, :] * jac_q,
+        w=w,
+        slope=fluid_mesh.quad_r * deta_q / jac_q,
+        w_over_jac=w / jac_q,
         min_radius=min_r,
         min_radius_z=min_z,
     )

@@ -106,14 +106,14 @@ class FluidStepResult:
     v_new: np.ndarray
     pressure: np.ndarray
     operators: dict            # scalar mass, advection and Robin matrices
-    viscous_blocks: np.ndarray  # raw element blocks of the viscous form
+    snapshot: object           # the step's geometry, for the viscous form
     forcing: np.ndarray
 
 
 def assemble_step_operators(setup, snapshot, mass, u_prev_full, v_half_free):
     """The kernels of one fluid step: the scalar mass (``mass``, of
-    ``snapshot``), advection and Robin matrices, and the raw viscous and
-    divergence blocks.  The geometry weight comes from the start-of-step
+    ``snapshot``), advection and Robin matrices, the viscous entries and the
+    raw divergence blocks.  The geometry weight comes from the start-of-step
     wall profile while the advecting domain velocity uses the half step just
     produced by the wall solve; this asymmetry is deliberate and required by
     the energy identity.  Returns (operators, viscous, divergence)."""
@@ -130,17 +130,20 @@ def assemble_step_operators(setup, snapshot, mass, u_prev_full, v_half_free):
 def build_reduction(setup):
     """The map of :func:`reduce_coupled_system` for the run of ``setup``:
     the assembly scatter of its raw operands composed with the reduction,
-    the wall block injected by the run's ``E`` (zero for a rigid wall)."""
+    the wall block injected by the run's ``E`` (zero for a rigid wall).
+    Viscous entries off the diagonal are read at their entry and at its
+    mirror, as the divergence blocks are by ``B P`` and ``-(B P)^T``."""
     fm, w, e = setup.fluid_mesh, setup.wall_block, setup.wall_injection
     p = setup.prolongation.tocsr()
     n, n_p, nv = p.shape[1], fm.n_pressure_nodes, fm.n_velocity_nodes
     eye_p = sp.identity(n_p, format="csr")
     s_rows, s_cols = csr_rows(fm.scalar_pattern), fm.scalar_pattern.indices
-    (v_rows, v_cols), (d_rows, d_cols) = (fm.viscous_entries(),
-                                          fm.divergence_entries())
+    v_rows, v_cols, m = fm.viscous_entries()
+    d_rows, d_cols = fm.divergence_entries()
     s0, d0 = v_rows.size, v_rows.size + s_cols.size
     return ProductMap(
         [(0, v_rows, v_cols, p.T, p, (0, 0), 1.0),
+         (m, v_cols[m:], v_rows[m:], p.T, p, (0, 0), 1.0),
          (s0, s_rows, s_cols, p.T, p, (0, 0), 1.0),
          (s0, s_rows + nv, s_cols + nv, p.T, p, (0, 0), 1.0),
          (d0, d_rows, d_cols, eye_p, p, (n, 0), 1.0),
@@ -152,12 +155,12 @@ def build_reduction(setup):
 def reduce_coupled_system(setup, ops, viscous, divergence):
     """The step's saddle system ``[[P^T A P + E W E^T, -(B P)^T], [B P,
     0]]``, ``A = K + I_2 (x) ((rho_f/dt) M + N + (rho_f/2) S)``, from the
-    scalar ``ops`` and the raw ``viscous`` (``K``) and ``divergence``
-    (``B``) blocks, through the run's one map, so every step system of a
-    run has the same pattern."""
+    scalar ``ops``, the viscous entries ``viscous`` (``K``) and the raw
+    ``divergence`` blocks (``B``), through the run's one map, so every step
+    system of a run has the same pattern."""
     scalar = ((setup.rho_f / setup.dt) * ops["mass"].data
               + ops["advection"].data + (0.5 * setup.rho_f) * ops["robin"].data)
-    return setup.reduction(viscous.ravel(), scalar, divergence.ravel(),
+    return setup.reduction(viscous, scalar, divergence.ravel(),
                            setup.wall_block.data)
 
 
@@ -184,7 +187,7 @@ def _step(setup, snapshot, mass, u_prev_full, v_half, p_in, p_out, solver):
     n = p.shape[1]
     return FluidStepResult(u_full=p @ x[:n], v_new=e.T @ x[:n],
                            pressure=x[n:], operators=ops,
-                           viscous_blocks=viscous, forcing=forcing)
+                           snapshot=snapshot, forcing=forcing)
 
 
 def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, p_in, p_out,

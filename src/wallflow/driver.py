@@ -181,11 +181,11 @@ def _trace_constant(setup, snapshot):
     initial geometry, and whether it was computed; combined with the
     observed per-step requirement by the verifier.  A failed factorization
     gives (0.0, False), which the ledger header records.  ``P^T K P`` is
-    the run's step map with every operand but the viscous blocks zero."""
+    the run's step map with every operand but the viscous entries zero."""
     p, step_map = setup.prolongation, setup.reduction
     k = fluid.assemble_viscous_blocks(setup.fluid_mesh, snapshot, setup.mu)
     n, zeros = p.shape[1], np.zeros(step_map.g.shape[1] - k.size)
-    k_red = step_map(k.ravel(), zeros)[:n, :n]
+    k_red = step_map(k, zeros)[:n, :n]
     # both functionals as signed flux integrals
     ell = [p.T @ np.abs(fluid.assemble_pressure_forcing(
                setup.fluid_mesh, p_in, p_out, 1.0))

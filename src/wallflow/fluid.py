@@ -5,11 +5,13 @@ bilinear pressure (an inf-sup stable pair).  All operators are assembled
 with the same 3x3 Gauss rule.  The mass, Robin mass and advection forms are
 ``I_2 (x) m``, so each is its scalar matrix ``m`` on one scalar pattern,
 applied by :func:`componentwise`; the viscous and divergence kernels
-return raw element blocks, which the run's reduction maps into the step
-system.  Operators of one pattern combine, and satisfy their entrywise
-identities, on their data arrays, exactly up to roundoff.  Every element
-kernel is (n_cells, 9) quadrature weights times a shape-function product
-table built once per mesh.
+return raw element entries, which the run's reduction maps into the step
+system; the viscous ones are only the independent entries of a symmetric
+operator.  The ledger's dissipation :func:`viscous_form` is the same
+quadratic form at the quadrature points.  Operators of one pattern
+combine, and satisfy their entrywise identities, on their data arrays,
+exactly up to roundoff.  Every element kernel is (n_cells, 9) quadrature
+weights times a shape-function product table built once per mesh.
 
 DOF layout: velocity component c, node n -> index c * n_velocity_nodes + n,
 with nodes numbered row-major bottom-to-top (n = ir * n_cols + iz).
@@ -25,8 +27,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .sparsela import ScatterPattern
 
-# component (row, column) of each block of the viscous kernel, in its order
-VISCOUS_BLOCKS = ((0, 0), (1, 1), (0, 1), (1, 0))
+# local (row, column) of the independent entries of a symmetric 9x9 cell
+# block: the diagonal, then the strict upper triangle
+_UPPER = np.hstack([np.tile(np.arange(9), (2, 1)), np.triu_indices(9, 1)])
 
 # 3x3 tensor Gauss on the unit cell
 _gx, _gw = leggauss(3)
@@ -136,9 +139,16 @@ class FluidMesh:
     # -- raw entries and the scalar pattern (built on first use) -----------
 
     def viscous_entries(self):
-        """Rows and columns of :func:`assemble_viscous_blocks`' entries."""
-        return _cell_entries(self.conn_v, self.conn_v,
-                             self.n_velocity_nodes * np.array(VISCOUS_BLOCKS))
+        """Rows and columns of :func:`assemble_viscous_blocks`' entries, and
+        how many of them, all first, lie on the diagonal; each later entry
+        also stands for its mirror (column, row)."""
+        conn, nv = self.conn_v.T, self.n_velocity_nodes
+        shift = nv * np.arange(2, dtype=np.int32)[:, None]
+        a, b = _UPPER
+        rows = [conn[a][:, None] + shift, conn.repeat(9, axis=0)]
+        cols = [conn[b][:, None] + shift, np.tile(conn, (9, 1)) + nv]
+        return (np.concatenate([x.ravel() for x in rows]),
+                np.concatenate([x.ravel() for x in cols]), 18 * self.n_cells)
 
     def divergence_entries(self):
         """Rows and columns of :func:`assemble_divergence_blocks`' entries."""
@@ -159,17 +169,18 @@ class FluidMesh:
         first use.  Each is (9 quadrature points, element block entries),
         so an element kernel is (n_cells, 9) weights times one table.  The
         pullback gradients ``g1 = dz - f dr`` and ``g2 = dr / (R + eta)``
-        expand into ``dz dz``, ``dz dr + dr dz`` and ``dr dr`` (``strain``),
-        ``dr dz`` and ``dr dr`` (``cross``), ``phi dz`` and ``phi dr``
-        (``transport``), ``chi dz`` and ``chi dr`` (``divergence``), each
-        stack holding its tables in that order."""
+        expand into ``dz dz``, ``dz dr + dr dz`` and ``dr dr`` (``strain``,
+        at the upper-triangle entries only), ``dr dz`` and ``dr dr``
+        (``cross``), ``phi dz`` and ``phi dr`` (``transport``), ``chi dz``
+        and ``chi dr`` (``divergence``), each stack holding its tables in
+        that order."""
         def outer(x, y):
             return (x[:, :, None] * y[:, None, :]).reshape(self.n_quad, -1)
         phi, dz, dr = self.phi, self.dphi_dz, self.dphi_dr
         return {
             "mass": outer(phi, phi),
             "strain": np.vstack([outer(dz, dz), outer(dz, dr) + outer(dr, dz),
-                                 outer(dr, dr)]),
+                                 outer(dr, dr)])[:, _UPPER[0] * 9 + _UPPER[1]],
             "cross": np.vstack([outer(dr, dz), outer(dr, dr)]),
             "transport": np.vstack([outer(phi, dz), outer(phi, dr)]),
             "divergence": np.vstack([outer(self.chi, dz),
@@ -181,7 +192,7 @@ class FluidMesh:
     def velocity_at_quad(self, u_full):
         """Both velocity components at the quadrature points, (2, nc, nq)."""
         u = np.asarray(u_full, dtype=float).reshape(2, -1)[:, self.conn_v]
-        return np.einsum("kca,qa->kcq", u, self.phi)
+        return (u.reshape(-1, 9) @ self.phi.T).reshape(2, self.n_cells, 9)
 
 
 def shell_field_at_quad(shell_mesh, field_free, fluid_mesh, deriv=0):
@@ -196,20 +207,9 @@ def componentwise(m, u_full):
     return (m @ u_full.reshape(2, -1).T).T.ravel()
 
 
-def _blocks(x):
-    """(n_cells, 81) kernel output as (n_cells, 9, 9) element blocks."""
-    return x.reshape(x.shape[0], 9, 9)
-
-
 def _mass(mesh, w):
     """Scalar velocity mass with quadrature weights ``w`` (n_cells, n_quad)."""
     return mesh.scalar_pattern.csr(w @ mesh.tables["mass"])
-
-
-def _slope(mesh, snapshot):
-    """Slope factor ``f = r eta_z / (R + eta)`` of the pullback gradient
-    ``g1 = dz - f dr``; the other is ``g2 = dr / (R + eta)``."""
-    return mesh.quad_r * snapshot.deta_q / snapshot.jac_q
 
 
 def assemble_weighted_mass(mesh, snapshot):
@@ -224,33 +224,42 @@ def assemble_unweighted_mass(mesh):
 
 
 def assemble_viscous_blocks(mesh, snapshot, mu):
-    """Raw element blocks, (4, n_cells, 9, 9) in :data:`VISCOUS_BLOCKS`
-    order, of the weighted viscous operator 2*mu*(strain(u), strain(q)).
+    """The independent entries of the weighted viscous operator
+    2*mu*(strain(u), strain(q)), a flat array at the entries of
+    :meth:`FluidMesh.viscous_entries`, entry-major: each upper-triangle
+    entry of both diagonal blocks over (component, cell), then each entry
+    of the (0, 1) cross block over cells.
 
     With ``F_ij`` the form of ``g_i`` against ``g_j``, the blocks are
-    ``2 mu F11 + mu F22``, ``2 mu F22 + mu F11`` and ``mu F21`` with its
-    transpose; the diagonal blocks are symmetrized, so the operator is
-    exactly symmetric, like the bilinear form.
+    ``2 mu F11 + mu F22``, ``2 mu F22 + mu F11`` and ``mu F21``; the
+    reduction reads the diagonal blocks' strict upper triangle and the
+    cross block again at their mirrors, so the operator is exactly
+    symmetric, like the bilinear form.
     """
-    w, f = snapshot.w, _slope(mesh, snapshot)
-    wj = w / snapshot.jac_q
-    f22 = wj / snapshot.jac_q
+    w, f, wj = snapshot.w, snapshot.slope, snapshot.w_over_jac
+    f22, nc = wj / snapshot.jac_q, mesh.n_cells
+    out = np.empty(171 * nc)
     # weights of (dz dz, dz dr + dr dz, dr dr) for F11 and F22 combined
-    diag = np.concatenate([
+    diag = mu * np.concatenate([
         np.hstack([2.0 * w, -2.0 * w * f, 2.0 * w * f * f + f22]),
-        np.hstack([w, -w * f, w * f * f + 2.0 * f22])]) @ mesh.tables["strain"]
-    diag = _blocks(mu * diag)
-    diag = 0.5 * (diag + diag.transpose(0, 2, 1))
-    f21 = _blocks(mu * (np.hstack([wj, -wj * f]) @ mesh.tables["cross"]))
-    return np.stack([*diag.reshape(2, -1, 9, 9), f21, f21.transpose(0, 2, 1)])
+        np.hstack([w, -w * f, w * f * f + 2.0 * f22])])
+    np.matmul(mesh.tables["strain"].T, diag.T,
+              out=out[:90 * nc].reshape(45, 2 * nc))
+    np.matmul(mesh.tables["cross"].T, mu * np.hstack([wj, -wj * f]).T,
+              out=out[90 * nc:].reshape(81, nc))
+    return out
 
 
-def viscous_form(mesh, blocks, u_full):
-    """``u^T K u`` summed element by element from ``K``'s raw blocks."""
-    u = u_full.reshape(2, -1)[:, mesh.conn_v]
-    rows, cols = (list(c) for c in zip(*VISCOUS_BLOCKS))
-    ku = np.matmul(blocks, u[cols, ..., None])[..., 0]
-    return float(np.sum(u[rows] * ku))
+def viscous_form(mesh, snapshot, mu, u_full):
+    """``u^T K u`` of the viscous operator, at the quadrature points:
+    ``mu sum w (2 (g1 u_z)^2 + 2 (g2 u_r)^2 + (g2 u_z + g1 u_r)^2)``."""
+    u = u_full.reshape(2, -1)[:, mesh.conn_v].reshape(-1, 9)
+    dz = (u @ mesh.dphi_dz.T).reshape(2, mesh.n_cells, 9)
+    dr = (u @ mesh.dphi_dr.T).reshape(2, mesh.n_cells, 9)
+    g1 = dz - snapshot.slope * dr
+    g2 = dr / snapshot.jac_q
+    return mu * float(np.sum(snapshot.w * (2.0 * (g1[0] ** 2 + g2[1] ** 2)
+                                           + (g2[0] + g1[1]) ** 2)))
 
 
 def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
@@ -260,12 +269,12 @@ def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
     v_half * r * e_r; the two antisymmetrized terms make q^T N q = 0 exactly,
     entry by entry, so the assembled matrix satisfies N = -N^T to roundoff.
     """
-    w, f = snapshot.w, _slope(mesh, snapshot)
+    w, f = snapshot.w, snapshot.slope
     a1, a2 = mesh.velocity_at_quad(u_advect_full)
     a2 = a2 - v_half_q * mesh.quad_r          # minus the domain velocity
     # a1 g1 + a2 g2 = a1 dz + (a2 / (R + eta) - a1 f) dr
-    x = _blocks(np.hstack([w * a1, w * (a2 / snapshot.jac_q - a1 * f)])
-                @ mesh.tables["transport"])
+    x = (np.hstack([w * a1, w * (a2 / snapshot.jac_q - a1 * f)])
+         @ mesh.tables["transport"]).reshape(-1, 9, 9)
     return mesh.scalar_pattern.csr(0.5 * rho_f * (x - x.transpose(0, 2, 1)))
 
 
@@ -283,11 +292,11 @@ def assemble_robin_mass(mesh, v_half_q):
 def assemble_divergence_blocks(mesh, snapshot):
     """Raw element blocks of the weighted divergence, (2 n_cells, 36): each
     cell's pressures against the axial, then the radial component."""
-    w, f = snapshot.w, _slope(mesh, snapshot)
+    w, f = snapshot.w, snapshot.slope
     table = mesh.tables["divergence"]
     return np.concatenate([
         np.hstack([w, -w * f]) @ table,
-        (w / snapshot.jac_q) @ table[mesh.n_quad:]])
+        snapshot.w_over_jac @ table[mesh.n_quad:]])
 
 
 def assemble_pressure_forcing(mesh, p_in, p_out, radius):

@@ -535,23 +535,68 @@ def assemble_divergence(mesh, snapshot):
         shape=(mesh.n_pressure_nodes, 2 * mesh.n_velocity_nodes)).tocsr()
 
 
+def viscous_blocks_by_four(mesh, snapshot, mu):
+    """Reference for the package's viscous kernel: its four full element
+    blocks, (4, n_cells, 9, 9) for the component blocks (0, 0), (1, 1),
+    (0, 1) and (1, 0), the diagonal ones computed in full and symmetrized,
+    the last the transpose of the third."""
+    def outer(x, y):
+        return (x[:, :, None] * y[:, None, :]).reshape(mesh.n_quad, -1)
+    dz, dr = mesh.dphi_dz, mesh.dphi_dr
+    w, jac = snapshot.w, snapshot.jac_q
+    f = mesh.quad_r * snapshot.deta_q / jac
+    wj = w / jac
+    f22 = wj / jac
+    diag = np.concatenate([
+        np.hstack([2.0 * w, -2.0 * w * f, 2.0 * w * f * f + f22]),
+        np.hstack([w, -w * f, w * f * f + 2.0 * f22])]) @ np.vstack(
+            [outer(dz, dz), outer(dz, dr) + outer(dr, dz), outer(dr, dr)])
+    diag = (mu * diag).reshape(-1, 9, 9)
+    diag = 0.5 * (diag + diag.transpose(0, 2, 1))
+    f21 = (mu * (np.hstack([wj, -wj * f])
+                 @ np.vstack([outer(dr, dz), outer(dr, dr)]))).reshape(-1, 9, 9)
+    return np.stack([*diag.reshape(2, -1, 9, 9), f21, f21.transpose(0, 2, 1)])
+
+
+def viscous_by_four(mesh, snapshot, mu):
+    """The reference four-block viscous kernel scattered into its matrix."""
+    nv = mesh.n_velocity_nodes
+    blocks = viscous_blocks_by_four(mesh, snapshot, mu)
+    conn = mesh.conn_v
+    rows, cols = [], []
+    for r, c in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        rows.append(np.broadcast_to(conn[:, :, None] + r * nv, (*conn.shape, 9)))
+        cols.append(np.broadcast_to(conn[:, None, :] + c * nv, (*conn.shape, 9)))
+    return sp.coo_matrix(
+        (blocks.ravel(), (np.ravel(rows), np.ravel(cols))),
+        shape=(2 * nv, 2 * nv)).tocsr()
+
+
 def viscous_pattern(mesh):
-    """The pattern of the viscous operator, from the mesh's raw viscous
-    entries."""
+    """The pattern of the viscous operator: the mesh's viscous entries, then
+    the mirror of each one off the diagonal."""
+    rows, cols, m = mesh.viscous_entries()
     nv2 = 2 * mesh.n_velocity_nodes
-    return ScatterPattern(*mesh.viscous_entries(), (nv2, nv2))
+    return ScatterPattern(np.r_[rows, cols[m:]], np.r_[cols, rows[m:]],
+                          (nv2, nv2))
+
+
+def viscous_csr(mesh, viscous):
+    """The viscous operator of the kernel's entries ``viscous``: each
+    entry at its place, and each one off the diagonal at its mirror too."""
+    m = mesh.viscous_entries()[2]
+    return viscous_pattern(mesh).csr(np.r_[viscous, viscous[m:]])
 
 
 def assemble_viscous(mesh, snapshot, mu):
-    """The package's raw viscous kernel scattered onto its pattern."""
-    return viscous_pattern(mesh).csr(
-        fluid.assemble_viscous_blocks(mesh, snapshot, mu))
+    """The package's viscous kernel scattered onto its pattern."""
+    return viscous_csr(mesh, fluid.assemble_viscous_blocks(mesh, snapshot, mu))
 
 
 def viscous_matrix(setup, result):
-    """The viscous operator of a fluid step's result, its raw element
-    blocks scattered onto the viscous pattern."""
-    return viscous_pattern(setup.fluid_mesh).csr(result.viscous_blocks)
+    """The viscous operator of a fluid step's result, assembled on the
+    step's geometry."""
+    return assemble_viscous(setup.fluid_mesh, result.snapshot, setup.mu)
 
 
 def momentum_matrix_by_kron(setup, ops, viscous, dt):

@@ -9,8 +9,8 @@ from wallflow.sparsela import ReusedFactorSolver
 from oracles import (assemble_divergence, fixed_dofs,
                      fluid_step_energy_residuals, momentum_matrix_by_kron,
                      reduce_by_index, run_setup, top_edge_traction,
-                     trace_map_by_loop, two_component, viscous_matrix,
-                     viscous_pattern, wall_traction_load, zero_shell_state)
+                     trace_map_by_loop, two_component, viscous_csr,
+                     viscous_matrix, wall_traction_load, zero_shell_state)
 
 
 def make_setup(n_z=8, n_r=4, length=6.0, elastic=False, dt=1e-4,
@@ -189,7 +189,7 @@ def wall_block(cs, dt):
 
 def step_kernels(cs, seed=2):
     """A moving, deformed step of ``cs``: its snapshot and the scalar
-    operators and raw viscous and divergence blocks of the step."""
+    operators, viscous entries and raw divergence blocks of the step."""
     sm, fm = cs.shell_mesh, cs.fluid_mesh
     rng = np.random.default_rng(seed)
     snap = ale.build_snapshot(sm, 0.01 * rng.standard_normal(sm.n_free), fm,
@@ -213,7 +213,7 @@ def test_reduction_matches_the_index_reference():
         cs = make_setup(elastic=elastic, dt=dt, mode=mode)[-1]
         snap, ops, viscous, divergence = step_kernels(cs)
         a_mom = momentum_matrix_by_kron(
-            cs, ops, viscous_pattern(cs.fluid_mesh).csr(viscous), dt)
+            cs, ops, viscous_csr(cs.fluid_mesh, viscous), dt)
         b_div = assemble_divergence(cs.fluid_mesh, snap)
         wall = None if mode == "rigid" else wall_block(cs, dt)
         ref = reduce_by_index(cs, a_mom, b_div, wall)
@@ -296,7 +296,8 @@ def test_frozen_operator_solve_is_linear(stepped):
     p, nf = cs.prolongation, cs.partition.n_free
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     system = coupling.reduce_coupled_system(
-        cs, res.operators, res.viscous_blocks,
+        cs, res.operators,
+        fluid.assemble_viscous_blocks(fm, res.snapshot, cs.mu),
         fluid.assemble_divergence_blocks(fm, snap))
     from wallflow.sparsela import DirectFactor
     lu = DirectFactor(system)

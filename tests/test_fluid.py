@@ -9,8 +9,8 @@ from wallflow import ale, fluid, shell
 from wallflow.sparsela import ScatterPattern, csr_rows
 
 from oracles import (DenseFluidOracle, assemble_divergence, assemble_viscous,
-                     fixed_dofs, interpolate_velocity, two_component,
-                     viscous_pattern)
+                     fixed_dofs, interpolate_velocity, run_setup,
+                     two_component, viscous_by_four, viscous_pattern)
 
 
 def make_case(n_z, n_r, length=1.0, radius=1.0, seed=0, flat=False):
@@ -195,22 +195,23 @@ def test_scalar_operators_are_one_component_square():
 
 
 def test_raw_kernels_sit_at_their_entries():
-    # raw blocks summed by COO at the mesh's raw entries give the assembled
-    # viscous operator (the divergence oracle test sums its blocks so), and
-    # the viscous entries are the scalar pattern's once per component block
+    # the viscous entries: the diagonal of both diagonal blocks first, then
+    # the strict upper triangles and the (0, 1) cross block, which with
+    # their mirrors make each component block the scalar pattern, with each
+    # cell's 81 entries once
     sm, fm, _, snap, _, _ = make_case(3, 2, seed=8)
-    nv, n_p = fm.n_velocity_nodes, fm.n_pressure_nodes
-    blocks = fluid.assemble_viscous_blocks(fm, snap, mu=0.7)
-    assert blocks.shape == (4, fm.n_cells, 9, 9)
-    coo = sp.coo_matrix((blocks.ravel(), fm.viscous_entries()),
-                        shape=(2 * nv, 2 * nv))
-    assert rel_err(coo.toarray(),
-                   assemble_viscous(fm, snap, mu=0.7).toarray()) <= 1e-15
-    scalar = csr_rows(fm.scalar_pattern), fm.scalar_pattern.indices
-    for (r, c), rows, cols in zip(fluid.VISCOUS_BLOCKS, *(
-            np.split(e, 4) for e in fm.viscous_entries())):
-        assert {*zip(rows, cols)} == {*zip(scalar[0] + r * nv,
-                                           scalar[1] + c * nv)}
+    nv, n_p, nc = fm.n_velocity_nodes, fm.n_pressure_nodes, fm.n_cells
+    viscous = fluid.assemble_viscous_blocks(fm, snap, mu=0.7)
+    rows, cols, m = fm.viscous_entries()
+    assert viscous.shape == rows.shape == cols.shape == (171 * nc,)
+    assert m == 18 * nc
+    assert np.array_equal(rows[:m], cols[:m]) and np.all(rows[m:] < cols[m:])
+    rows, cols = np.r_[rows, cols[m:]], np.r_[cols, rows[m:]]
+    scalar = {*zip(csr_rows(fm.scalar_pattern), fm.scalar_pattern.indices)}
+    for r, c in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        block = (rows // nv == r) & (cols // nv == c)
+        assert np.count_nonzero(block) == 81 * nc
+        assert {*zip(rows[block] - r * nv, cols[block] - c * nv)} == scalar
     div = fluid.assemble_divergence_blocks(fm, snap)
     assert div.shape == (2 * fm.n_cells, 36)
     rows, cols = fm.divergence_entries()
@@ -218,17 +219,37 @@ def test_raw_kernels_sit_at_their_entries():
     assert rows.max() < n_p and cols.max() < 2 * nv
 
 
+@pytest.mark.parametrize("n_z,n_r,flat", CASES + [(6, 3, False)])
+def test_viscous_entries_expand_to_the_four_block_kernel(n_z, n_r, flat):
+    # the independent entries, each at its entry and off the diagonal at
+    # its mirror too, give the reference's four full, symmetrized blocks
+    sm, fm, _, snap, _, _ = make_case(n_z, n_r, radius=0.8, flat=flat, seed=4)
+    ours = assemble_viscous(fm, snap, mu=0.7).toarray()
+    ref = viscous_by_four(fm, snap, mu=0.7).toarray()
+    assert rel_err(ours, ref) <= 1e-15
+
+
 def test_viscous_form_sums_the_element_blocks():
-    # the ledger's u^T K u, element by element from the raw blocks, is the
-    # quadratic form of the assembled operator to roundoff
-    sm, fm, _, snap, _, rng = make_case(4, 3, seed=11)
-    blocks = fluid.assemble_viscous_blocks(fm, snap, mu=0.7)
-    k = assemble_viscous(fm, snap, mu=0.7)
-    for _ in range(3):
-        u = rng.standard_normal(2 * fm.n_velocity_nodes)
-        ref = float(u @ (k @ u))
-        scale = float(np.abs(u) @ (abs(k) @ np.abs(u)))
-        assert abs(fluid.viscous_form(fm, blocks, u) - ref) <= 1e-14 * scale
+    # the ledger's u^T K u, taken at the quadrature points, is the quadratic
+    # form of the assembled operator to roundoff, on coupled, elastic and
+    # rigid setups, for velocities of the setup's elimination and for
+    # unconstrained ones
+    rng = np.random.default_rng(11)
+    for mode, wall in (("viscoelastic", {"viscous_modulus": 1000.0,
+                                         "viscous_poisson": 0.5}),
+                       ("elastic", {}), ("rigid", {})):
+        cs = run_setup(4, 3, 6.0, 0.7, wall, 1e-4, mode)
+        sm, fm, p = cs.shell_mesh, cs.fluid_mesh, cs.prolongation
+        eta = (sm.zero_free() if mode == "rigid"
+               else 0.05 * rng.standard_normal(sm.n_free))
+        snap = ale.build_snapshot(sm, eta, fm, cs.radius)
+        k = assemble_viscous(fm, snap, cs.mu)
+        for u in (p @ rng.standard_normal(p.shape[1]),
+                  rng.standard_normal(2 * fm.n_velocity_nodes)):
+            ref = float(u @ (k @ u))
+            scale = float(np.abs(u) @ (abs(k) @ np.abs(u)))
+            assert (abs(fluid.viscous_form(fm, snap, cs.mu, u) - ref)
+                    <= 1e-14 * scale)
 
 
 def test_viscous_vanishes_on_strain_free_field():
