@@ -1,6 +1,7 @@
 """Run-configuration files: strict JSON schema, defaults, and builders.
 
-A configuration is a JSON object; unknown keys are rejected anywhere in the
+A configuration is a JSON object checked against one table that gives
+each key its rule and default; unknown keys are rejected anywhere in the
 tree and all violations are collected into one error.  The reference unit
 convention is CGS throughout.
 """
@@ -17,33 +18,6 @@ from . import waveforms as wf
 from .errors import ConfigError, ValidationError
 from .materials import ShellMaterial
 
-_SCHEMA = {
-    "geometry": {"radius", "length"},
-    "fluid": {"density", "viscosity"},
-    "wall": {"youngs_modulus", "poisson_ratio", "thickness", "density",
-             "viscous_modulus", "viscous_poisson"},
-    "mesh": {"n_z", "n_r", "wall_elements"},
-    "time": {"t_final", "n_steps"},
-    "waveform": {"inlet", "outlet"},
-    "initial_data": {"kind", "eta_amplitude", "v_amplitude"},
-    "output": {"directory", "cadence", "fields", "ledger"},
-}
-_TOP_KEYS = set(_SCHEMA) | {"mode"}
-_WAVE_KEYS = {
-    "constant": {"kind", "value"},
-    "sine": {"kind", "amplitude", "frequency", "phase"},
-    "pulse": {"kind", "amplitude", "duration"},
-    "csv": {"kind", "path"},
-}
-_MODES = {"viscoelastic", "elastic", "rigid"}
-
-_DEFAULTS = {
-    "mode": "viscoelastic",
-    "initial_data": {"kind": "zero"},
-    "output": {"directory": "wallflow-out", "cadence": 10,
-               "fields": "none", "ledger": "csv"},
-}
-
 
 def is_finite(val):
     """``math.isfinite``, except that an int too large for a float is not
@@ -54,38 +28,128 @@ def is_finite(val):
         return False
 
 
-def _require_number(problems, obj, section, key, positive=False,
-                    nonnegative=False):
-    if key not in obj:
-        problems.append(f"{section}.{key} is required")
-        return None
-    val = obj[key]
+# Each rule returns what is wrong with a value, or None when it is admissible.
+
+def _number(val):
     if not isinstance(val, (int, float)) or isinstance(val, bool):
-        problems.append(f"{section}.{key} must be a number")
-        return None
+        return "must be a number"
     if not is_finite(val):
-        problems.append(f"{section}.{key} must be finite, got {val}")
+        return f"must be finite, got {val}"
+    return None
+
+
+def _positive(val):
+    return _number(val) or (None if val > 0 else "must be positive")
+
+
+def _nonnegative(val):
+    return _number(val) or (None if val >= 0 else "must be nonnegative")
+
+
+def _ratio(val):
+    return _number(val) or (None if 0.0 <= val < 1.0
+                            else f"= {val} must lie in [0, 1)")
+
+
+def _amplitude(val):
+    # a subnormal bump underflows in the compatibility check
+    return _number(val) or (
+        None if val == 0 or abs(val) >= sys.float_info.min
+        else f"must be 0 or of magnitude at least {sys.float_info.min:.4g},"
+             f" got {val}")
+
+
+def _count(val):
+    if isinstance(val, int) and not isinstance(val, bool) and val >= 1:
         return None
-    if positive and not val > 0:
-        problems.append(f"{section}.{key} must be positive")
-    if nonnegative and val < 0:
-        problems.append(f"{section}.{key} must be nonnegative")
-    return val
+    return "must be a positive integer"
 
 
-def _optional_section(problems, raw, section):
-    """The raw ``section``, or its default when absent or not an object."""
-    sub = raw.get(section, _DEFAULTS[section])
-    if isinstance(sub, dict):
-        return sub
-    problems.append(f"section '{section}' must be an object")
-    return _DEFAULTS[section]
+def _text(val):
+    if not isinstance(val, str):
+        return "must be a string"
+    return None if val else "must not be empty"
 
 
-def _check_unknown(problems, obj, allowed, section):
+def _choice(*options, why=""):
+    def rule(val):
+        if isinstance(val, str) and val in options:
+            return None
+        return f"must be one of {sorted(options)}, got {val!r}{why}"
+    return rule
+
+
+class _Kinds(dict):
+    """A kind-tagged object: its ``kind`` names the table of its other keys."""
+
+
+# key -> (rule, default); a key with no default (None) is required.  A rule
+# that is a table, or a _Kinds of tables, is a nested object.
+_WAVEFORM = _Kinds(
+    constant={"value": (_number, None)},
+    sine={"amplitude": (_number, None), "frequency": (_number, None),
+          "phase": (_number, 0.0)},
+    pulse={"amplitude": (_number, None), "duration": (_positive, None)},
+    csv={"path": (_text, None)})
+_TABLE = {
+    "geometry": ({"radius": (_positive, None), "length": (_positive, None)},
+                 None),
+    "fluid": ({"density": (_positive, None), "viscosity": (_positive, None)},
+              None),
+    "wall": ({"youngs_modulus": (_positive, None),
+              "poisson_ratio": (_ratio, None),
+              "thickness": (_positive, None), "density": (_positive, None),
+              "viscous_modulus": (_nonnegative, 0.0),
+              "viscous_poisson": (_ratio, 0.0)}, None),
+    "mesh": ({"n_z": (_count, None), "n_r": (_count, None),
+              "wall_elements": (_count, None)}, None),
+    "time": ({"t_final": (_positive, None), "n_steps": (_count, None)}, None),
+    "mode": (_choice("viscoelastic", "elastic", "rigid"), "viscoelastic"),
+    "waveform": ({"inlet": (_WAVEFORM, None), "outlet": (_WAVEFORM, None)},
+                 None),
+    "initial_data": (_Kinds(zero={}, bump={
+        "eta_amplitude": (_amplitude, 0.0),
+        "v_amplitude": (_amplitude, 0.0)}), {"kind": "zero"}),
+    "output": ({"directory": (_text, "wallflow-out"),
+                "cadence": (_count, 10),
+                "fields": (_choice("none", "csv", "vtk", "both"), "none"),
+                "ledger": (_choice("none", "csv",
+                                   why=": the ledger is written as CSV"),
+                           "csv")}, {}),
+}
+
+
+def _check(obj, table, path, problems):
+    """``obj`` with the defaults of ``table`` filled in; appends its unknown
+    keys, missing keys and broken rules to ``problems``."""
     for key in obj:
-        if key not in allowed:
-            problems.append(f"unknown key {section}.{key}")
+        if key not in table:
+            problems.append(f"unknown key {path or '<top>'}.{key}")
+    out = {}
+    for key, (rule, default) in table.items():
+        name = (f"{path}.{key}" if path else key if callable(rule)
+                else f"section '{key}'")
+        val = obj.get(key, default)
+        if key not in obj and default is None:
+            problems.append(f"{name} is required")
+        elif callable(rule):
+            says = rule(val)
+            if says:
+                problems.append(f"{name} {says}")
+            out[key] = val
+        elif not isinstance(val, dict):
+            problems.append(f"{name} must be an object")
+        else:
+            sub = f"{path}.{key}" if path else key
+            if isinstance(rule, _Kinds):
+                kind = _choice(*rule)
+                says = kind(val.get("kind"))
+                if says:
+                    problems.append(f"{sub}.kind {says}")
+                    continue
+                rule = {"kind": (kind, None), **rule[val["kind"]]}
+            out[key] = _check(val, rule, sub, problems)
+    return out
 
 
 def validate_config(raw):
@@ -94,118 +158,19 @@ def validate_config(raw):
     Returns a new dict with defaults filled in; raises :class:`ConfigError`
     listing every violation at once.
     """
-    problems = []
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    _check_unknown(problems, raw, _TOP_KEYS, "<top>")
-
-    cfg = {}
-    for section in ("geometry", "fluid", "wall", "mesh", "time", "waveform"):
-        sub = raw.get(section)
-        if not isinstance(sub, dict):
-            problems.append(f"section '{section}' must be an object"
-                            if section in raw
-                            else f"section '{section}' is required")
-            sub = {}
-        else:
-            _check_unknown(problems, sub, _SCHEMA[section], section)
-        cfg[section] = dict(sub)
-
-    _require_number(problems, cfg["geometry"], "geometry", "radius", positive=True)
-    _require_number(problems, cfg["geometry"], "geometry", "length", positive=True)
-    _require_number(problems, cfg["fluid"], "fluid", "density", positive=True)
-    _require_number(problems, cfg["fluid"], "fluid", "viscosity", positive=True)
-
-    wall = cfg["wall"]
-    wall.setdefault("viscous_modulus", 0.0)
-    wall.setdefault("viscous_poisson", 0.0)
-    _require_number(problems, wall, "wall", "youngs_modulus", positive=True)
-    _require_number(problems, wall, "wall", "thickness", positive=True)
-    _require_number(problems, wall, "wall", "density", positive=True)
-    _require_number(problems, wall, "wall", "viscous_modulus", nonnegative=True)
-    for key in ("poisson_ratio", "viscous_poisson"):
-        val = _require_number(problems, wall, "wall", key)
-        if val is not None and not 0.0 <= val < 1.0:
-            problems.append(f"wall.{key} = {val} must lie in [0, 1)")
-
-    for key in ("n_z", "n_r", "wall_elements"):
-        val = cfg["mesh"].get(key)
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            problems.append(f"mesh.{key} must be a positive integer")
-    _require_number(problems, cfg["time"], "time", "t_final", positive=True)
-    nsteps = cfg["time"].get("n_steps")
-    if not isinstance(nsteps, int) or isinstance(nsteps, bool) or nsteps < 1:
-        problems.append("time.n_steps must be a positive integer")
-
-    mode = raw.get("mode", _DEFAULTS["mode"])
-    if not isinstance(mode, str) or mode not in _MODES:
-        problems.append(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
-    if mode == "elastic" and wall.get("viscous_modulus", 0.0) not in (0, 0.0):
+    problems = []
+    cfg = _check(raw, _TABLE, "", problems)
+    # the rules that relate two keys
+    if (cfg.get("mode") == "elastic"
+            and cfg.get("wall", {}).get("viscous_modulus", 0) not in (0, 0.0)):
         problems.append("mode 'elastic' contradicts wall.viscous_modulus > 0; "
                         "set it to 0 or use mode 'viscoelastic'")
-    cfg["mode"] = mode
-
-    for side in ("inlet", "outlet"):
-        spec = cfg["waveform"].get(side)
-        if not isinstance(spec, dict):
-            problems.append(f"waveform.{side} is required")
-            continue
-        kind = spec.get("kind")
-        if not isinstance(kind, str) or kind not in _WAVE_KEYS:
-            problems.append(f"waveform.{side}.kind must be one of "
-                            f"{sorted(_WAVE_KEYS)}, got {kind!r}")
-            continue
-        _check_unknown(problems, spec, _WAVE_KEYS[kind], f"waveform.{side}")
-        if kind == "constant":
-            _require_number(problems, spec, f"waveform.{side}", "value")
-        elif kind == "sine":
-            _require_number(problems, spec, f"waveform.{side}", "amplitude")
-            _require_number(problems, spec, f"waveform.{side}", "frequency")
-            if "phase" in spec:
-                _require_number(problems, spec, f"waveform.{side}", "phase")
-        elif kind == "pulse":
-            _require_number(problems, spec, f"waveform.{side}", "amplitude")
-            _require_number(problems, spec, f"waveform.{side}", "duration",
-                            positive=True)
-        elif kind == "csv" and not isinstance(spec.get("path"), str):
-            problems.append(f"waveform.{side}.path must be a string")
-
-    init = dict(_optional_section(problems, raw, "initial_data"))
-    _check_unknown(problems, init, _SCHEMA["initial_data"], "initial_data")
-    if init.get("kind") not in ("zero", "bump"):
-        problems.append("initial_data.kind must be 'zero' or 'bump'")
-    if init.get("kind") == "bump":
-        init.setdefault("eta_amplitude", 0.0)
-        init.setdefault("v_amplitude", 0.0)
-        for key in ("eta_amplitude", "v_amplitude"):
-            val = _require_number(problems, init, "initial_data", key)
-            # a subnormal bump underflows in the compatibility check
-            if val is not None and 0 < abs(val) < sys.float_info.min:
-                problems.append(f"initial_data.{key} must be 0 or of "
-                                f"magnitude at least {sys.float_info.min:.4g},"
-                                f" got {val}")
-    if mode == "rigid" and init.get("kind") != "zero":
+    if (cfg.get("mode") == "rigid"
+            and cfg.get("initial_data", {}).get("kind", "zero") != "zero"):
         problems.append("rigid mode requires zero initial data")
-    cfg["initial_data"] = init
-
-    output = {**_DEFAULTS["output"],
-              **_optional_section(problems, raw, "output")}
-    _check_unknown(problems, output, _SCHEMA["output"], "output")
-    if not isinstance(output["directory"], str):
-        problems.append("output.directory must be a string")
-    elif not output["directory"]:
-        problems.append("output.directory must not be empty")
-    if output["fields"] not in ("none", "csv", "vtk", "both"):
-        problems.append("output.fields must be none|csv|vtk|both")
-    if output["ledger"] not in ("none", "csv"):
-        problems.append(f"output.ledger must be none|csv, got "
-                        f"{output['ledger']!r}: the ledger is written as CSV")
-    cadence = output["cadence"]
-    if not isinstance(cadence, int) or isinstance(cadence, bool) or cadence < 1:
-        problems.append("output.cadence must be a positive integer")
-    cfg["output"] = output
-
-    if not problems and cfg["mesh"].get("wall_elements") != cfg["mesh"].get("n_z"):
+    if not problems and cfg["mesh"]["wall_elements"] != cfg["mesh"]["n_z"]:
         problems.append("mesh.wall_elements must equal mesh.n_z so interface "
                         "nodes coincide")
     if problems:
@@ -272,8 +237,7 @@ def ingest_waveform(spec, base_dir="."):
     if kind == "constant":
         return wf.Constant(spec["value"])
     if kind == "sine":
-        return wf.Sine(spec["amplitude"], spec["frequency"],
-                       spec.get("phase", 0.0))
+        return wf.Sine(spec["amplitude"], spec["frequency"], spec["phase"])
     if kind == "pulse":
         return wf.HalfCosinePulse(spec["amplitude"], spec["duration"])
     if kind == "csv":

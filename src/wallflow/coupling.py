@@ -33,16 +33,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fluid as fl
-from .errors import MeshAlignmentError, SolverError, WallContact
+from .errors import SolverError
 from .sparsela import ProductMap, csr_rows
 
 # relative residual contract ||Ax - b|| <= tol * ||b|| of every fluid-step
 # solve; the run's ReusedFactorSolver refactors when GMRES misses it
 FLUID_TOL = 1e-10
-
-# wall nodes and fluid top-edge vertices coincide when they agree to this
-# fraction of the channel length
-ALIGNMENT_TOL = 1e-12
 
 
 def build_coupling(shell_mesh, fluid_mesh):
@@ -55,18 +51,9 @@ def build_coupling(shell_mesh, fluid_mesh):
     interior node has 1 at its vertex and 1/2 at the two adjacent
     midpoints, its slope DOF -l/8 and +l/8 at the midpoints of the elements
     to its left and right.  The clamped end DOFs are absent, which pins the
-    corner trace values to zero.
+    corner trace values to zero.  The wall mesh is the fluid mesh's top
+    edge: one wall element per fluid column.
     """
-    if shell_mesh.n_elements != fluid_mesh.n_z:
-        raise MeshAlignmentError(
-            f"wall elements ({shell_mesh.n_elements}) must match fluid columns "
-            f"({fluid_mesh.n_z}) so interface nodes coincide")
-    vertex_z = fluid_mesh.velocity_z[0::2]
-    tol = ALIGNMENT_TOL * fluid_mesh.length
-    if (abs(shell_mesh.length - fluid_mesh.length) > tol
-            or np.max(np.abs(shell_mesh.nodes - vertex_z)) > tol):
-        raise MeshAlignmentError("wall nodes do not coincide with fluid "
-                                 "top-edge vertices")
     k = np.arange(1, shell_mesh.n_nodes - 1, dtype=np.int32)  # interior nodes
     le = shell_mesh.element_lengths
     half = np.full(k.size, 0.5)
@@ -168,8 +155,6 @@ def _step(setup, snapshot, mass, u_prev_full, v_half, p_in, p_out, solver):
     """The fluid step with domain and wall velocity ``v_half``: one reduced
     solve for ``x``, then ``u = P x`` and ``v_new = E^T x``.  A solution
     that is not finite raises :class:`SolverError`."""
-    if snapshot.min_radius <= 0.0:
-        raise WallContact(snapshot.min_radius, snapshot.min_radius_z)
     ops, viscous, divergence = assemble_step_operators(
         setup, snapshot, mass, u_prev_full, v_half)
     forcing = fl.assemble_pressure_forcing(setup.fluid_mesh, p_in, p_out,

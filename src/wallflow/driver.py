@@ -105,8 +105,8 @@ class RunSetup:
         self.dt = self.t_final / self.n_steps
         self.fluid_mesh = fm = fluid.FluidMesh(
             cfg["mesh"]["n_z"], cfg["mesh"]["n_r"], self.length)
-        self.shell_mesh = sm = shell.ShellMesh(cfg["mesh"]["wall_elements"],
-                                               self.length)
+        # the wall mesh is the fluid mesh's top edge
+        self.shell_mesh = sm = shell.ShellMesh(fm.n_z, self.length)
         self.grams = g = shell.assemble_grams(sm)    # (G0, G1, G2)
         self.shell_mass = g[0]                       # M_s = G0
         self.shell_elastic = shell.combine_grams(g, (coeffs.C0, coeffs.C1,

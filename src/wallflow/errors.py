@@ -22,10 +22,6 @@ class ConfigError(WallflowError):
         super().__init__("; ".join(self.problems))
 
 
-class MeshAlignmentError(ConfigError):
-    """Shell and fluid meshes do not share interface nodes."""
-
-
 class SolverError(WallflowError):
     """A linear solve failed or did not meet its residual contract."""
 

@@ -73,23 +73,20 @@ def hermite_element_matrices(length):
 
 
 class ShellMesh:
-    """1D mesh of Hermite elements with clamped end conditions.
+    """1D mesh of ``n_elements`` equal Hermite elements on (0, ``length``),
+    with clamped end conditions.
 
     DOF conventions: a *full* vector stores (value, slope) per node,
     ``full[2k]`` and ``full[2k+1]``; the *free* vector drops the four
     clamped end DOFs and is what the solvers work with.
     """
 
-    def __init__(self, n_elements, length, nodes=None):
+    def __init__(self, n_elements, length):
         if n_elements < 1:
             raise ValueError("need at least one element")
         self.n_elements = int(n_elements)
         self.length = float(length)
-        if nodes is None:
-            nodes = np.linspace(0.0, self.length, self.n_elements + 1)
-        self.nodes = np.asarray(nodes, dtype=float)
-        if not np.all(np.diff(self.nodes) > 0):
-            raise ValueError("shell nodes must be strictly increasing")
+        self.nodes = np.linspace(0.0, self.length, self.n_elements + 1)
         self.n_nodes = self.nodes.size
         self.element_lengths = np.diff(self.nodes)
         self.n_free = 2 * (self.n_nodes - 2)

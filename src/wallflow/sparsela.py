@@ -19,6 +19,7 @@ right-hand side, against the matrix actually being solved.
 
 import collections
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,11 +222,21 @@ def krylov_solve(a, b, factor, tol, callback=None, *, x0=None,
     iterative refinement (Arioli & Duff, ETNA 33, 2009).  The cycles share
     the iteration cap, and each iteration applies the LU once, so a solve
     applies it at most :data:`GMRES_MAX_ITERATIONS` times.
+
+    GMRES solves for ``b / 2^e``, with ``2^e`` the power of two that takes
+    ``max |b|`` into [1/2, 1), from ``x0 / 2^e``, and returns ``x 2^e``.
+    Scaling by a power of two is exact short of underflow, so the solution
+    keeps its digits, while no norm underflows: ``np.linalg.norm`` squares
+    the entries, so it loses accuracy on a vector whose entries are all
+    below about 1e-154 and reads 0 below about 1e-162.
     """
     b = np.asarray(b, dtype=float)
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
+    big = np.max(np.abs(b), initial=0.0)
+    if big == 0.0:
         return np.zeros_like(b)
+    e = np.frexp(big)[1]
+    b = np.ldexp(b, -e)
+    norm_b = np.linalg.norm(b)
     target = tol * norm_b
     m = GMRES_MAX_ITERATIONS
     basis = np.empty((m + 1, b.size))
@@ -233,14 +244,20 @@ def krylov_solve(a, b, factor, tol, callback=None, *, x0=None,
     hess = np.zeros((m + 1, m))
     cos, sin = np.zeros(m), np.zeros(m)
     g = np.zeros(m + 1)             # rotated right-hand side ||r|| e_1
-    x, r = (np.zeros_like(b), b) if x0 is None else (x0, b - a @ x0)
+    if x0 is None:
+        x, r = np.zeros_like(b), b
+    else:
+        x = np.ldexp(x0, -e)
+        r = b - a @ x
     left = m
     while True:
         resid = np.linalg.norm(r)   # the true residual of x
         if resid <= target:         # also rejects a NaN residual
             if on_residual is not None:
                 on_residual(float(resid / norm_b))
-            return x
+            if left == m and x0 is not None:
+                return x0       # the start itself, checked
+            return np.ldexp(x, e)
         if left <= 0:
             break
         g[0] = resid                # one GMRES cycle from x on r
@@ -265,7 +282,7 @@ def krylov_solve(a, b, factor, tol, callback=None, *, x0=None,
             g[j + 1] = -sin[j] * g[j]
             g[j] *= cos[j]
             if callback is not None:
-                callback(abs(g[j + 1]))
+                callback(np.ldexp(abs(g[j + 1]), e))
             if abs(g[j + 1]) <= target:
                 y = solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
                 x = x + y @ zs[:j + 1]
@@ -277,7 +294,7 @@ def krylov_solve(a, b, factor, tol, callback=None, *, x0=None,
             left = 0
     raise SolverError(
         f"gmres missed {tol:.1e} * ||b|| within {GMRES_MAX_ITERATIONS} "
-        f"iterations (residual {resid:.3e})")
+        f"iterations (residual {np.ldexp(resid, e):.3e})")
 
 
 @dataclass
@@ -319,8 +336,9 @@ class ReusedFactorSolver:
     ``||b - B c||``, which needs no product with ``a`` (Fischer, CMAME 163,
     1998).  When ``a`` has changed the fit is only a guess, and the true
     residual of ``x0`` decides.  The history survives a refactorization; a
-    zero right-hand side adds nothing.  Each run owns its own instances, so
-    a result never depends on what ran before it.
+    right-hand side ``b`` whose ``b·b`` underflows adds nothing, as the fit
+    of a start to such pairs goes to NaN.  Each run owns its own instances,
+    so a result never depends on what ran before it.
     """
 
     def __init__(self, tol):
@@ -362,5 +380,6 @@ class ReusedFactorSolver:
         if checked:     # a zero right-hand side has no residual to check
             stats.worst_rel_residual = max(stats.worst_rel_residual,
                                            checked[0])
-            self._history.append((x, b))
+            if b @ b >= sys.float_info.min:
+                self._history.append((x, b))
         return x

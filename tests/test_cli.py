@@ -165,33 +165,54 @@ def test_a_wall_step_failure_leaves_a_verifiable_ledger(tmp_path,
     assert "verdict: PASS" in capsys.readouterr().out
 
 
-def test_a_wall_solve_that_misses_its_contract_writes_its_ledger(tmp_path,
-                                                                  capsys):
-    # property-replay draw 3889: with v_amplitude -4.2e-161 the wall solve
-    # of step 0 misses STRUCTURE_TOL, because NumPy's norm of its 1e-161
-    # scale vectors underflows; the run still writes its (empty) ledger
-    path = write_cfg(
-        tmp_path,
-        geometry={"radius": 0.736137072807026, "length": 6.430841916762859},
-        fluid={"density": 1.9337980736525224, "viscosity": 0.978633464700345},
-        wall={"youngs_modulus": 22103.51011176426,
-              "poisson_ratio": 0.03835038121007062,
-              "thickness": 0.10008778507519914,
-              "density": 0.6471845697974208,
-              "viscous_modulus": 13.081552795664173,
-              "viscous_poisson": 2.225073858507203e-309},
-        mesh={"n_z": 6, "n_r": 1, "wall_elements": 6},
-        time={"t_final": 2.0, "n_steps": 2}, mode="viscoelastic",
-        waveform={"inlet": {"kind": "constant", "value": -1868.103057942647},
-                  "outlet": {"kind": "constant", "value": 0.0}},
-        initial_data={"kind": "bump", "eta_amplitude": 6.358034283727677e-195,
-                      "v_amplitude": -4.16727592386706e-161})
-    assert main(["run", path]) == 3
+def test_a_wall_solve_that_misses_its_contract_writes_its_ledger(
+        tmp_path, monkeypatch, capsys):
+    # the wall solve of step 0 misses its contract: the run still writes
+    # its (empty) ledger, and that ledger verifies
+    def failing(setup, state, solver):
+        raise SolverError("gmres missed 1.0e-12 * ||b|| within 20 iterations")
+
+    monkeypatch.setattr(shell, "structure_step", failing)
+    assert main(["run", write_cfg(tmp_path)]) == 3
     out = capsys.readouterr().out
     assert "status: solver-failure" in out and "failure: gmres missed" in out
     ledger = tmp_path / "out" / "ledger.csv"
     assert ledger.exists()
     assert main(["verify", str(ledger)]) == 0
+
+
+# property-replay draw 3889, whose wall velocity of -4.2e-161 gives right-hand
+# sides far below 1e-154, where np.linalg.norm underflows
+DRAW_3889 = dict(
+    geometry={"radius": 0.736137072807026, "length": 6.430841916762859},
+    fluid={"density": 1.9337980736525224, "viscosity": 0.978633464700345},
+    wall={"youngs_modulus": 22103.51011176426,
+          "poisson_ratio": 0.03835038121007062,
+          "thickness": 0.10008778507519914, "density": 0.6471845697974208,
+          "viscous_modulus": 13.081552795664173,
+          "viscous_poisson": 2.225073858507203e-309},
+    mesh={"n_z": 6, "n_r": 1, "wall_elements": 6},
+    time={"t_final": 2.0, "n_steps": 2}, mode="viscoelastic",
+    waveform={"inlet": {"kind": "constant", "value": -1868.103057942647},
+              "outlet": {"kind": "constant", "value": 0.0}})
+
+
+@pytest.mark.parametrize("initial_data", [
+    {"kind": "bump", "eta_amplitude": 6.358034283727677e-195,
+     "v_amplitude": -4.16727592386706e-161},
+    {"kind": "bump", "eta_amplitude": 0.0,
+     "v_amplitude": -2.2250738585072014e-308},
+], ids=["draw-3889", "smallest-normal-v"])
+def test_a_wall_velocity_far_below_1e_154_runs_and_verifies(
+        tmp_path, capsys, initial_data):
+    # draw 3889 missed its wall-solve contract; with the smallest normal
+    # wall velocity a stored solution of subnormal entries sent the next
+    # start's fit to NaN
+    path = write_cfg(tmp_path, **DRAW_3889, initial_data=initial_data)
+    assert main(["run", path]) == 0
+    assert "status: completed" in capsys.readouterr().out
+    assert main(["verify", str(tmp_path / "out" / "ledger.csv")]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))

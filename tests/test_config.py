@@ -26,6 +26,86 @@ def minimal_raw():
     }
 
 
+def full_raw():
+    """The minimal config with every optional key set to a non-default."""
+    raw = minimal_raw()
+    raw["wall"].update(viscous_modulus=10.0, viscous_poisson=0.3)
+    raw["waveform"]["outlet"] = {"kind": "sine", "amplitude": 1.0,
+                                 "frequency": 2.0, "phase": 0.5}
+    raw["mode"] = "viscoelastic"
+    raw["initial_data"] = {"kind": "bump", "eta_amplitude": 0.01,
+                           "v_amplitude": 0.1}
+    raw["output"] = {"directory": "out", "cadence": 2, "fields": "csv",
+                     "ledger": "none"}
+    return raw
+
+
+def key_paths(raw, path=()):
+    """Every key path below the sections of ``raw``, kind tags left out."""
+    for key, val in raw.items():
+        if path and key != "kind":
+            yield path + (key,)
+        if isinstance(val, dict):
+            yield from key_paths(val, path + (key,))
+
+
+def parent_of(raw, path):
+    for key in path[:-1]:
+        raw = raw[key]
+    return raw
+
+
+@pytest.mark.parametrize("path", list(key_paths(minimal_raw())), ids=".".join)
+def test_deleting_a_required_key_names_it_required(path):
+    raw = minimal_raw()
+    del parent_of(raw, path)[path[-1]]
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw)
+    assert f"{'.'.join(path)} is required" in info.value.problems
+
+
+NUMERIC_PATHS = [p for p in key_paths(full_raw())
+                 if type(parent_of(full_raw(), p)[p[-1]]) in (int, float)]
+
+
+@pytest.mark.parametrize("path", NUMERIC_PATHS, ids=".".join)
+def test_a_string_in_a_numeric_key_is_named(path):
+    raw = full_raw()
+    integer = type(parent_of(raw, path)[path[-1]]) is int
+    parent_of(raw, path)[path[-1]] = "7"
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw)
+    says = "must be a positive integer" if integer else "must be a number"
+    assert f"{'.'.join(path)} {says}" in info.value.problems
+
+
+DEFAULTS = [
+    (("mode",), "viscoelastic"),
+    (("wall", "viscous_modulus"), 0.0),
+    (("wall", "viscous_poisson"), 0.0),
+    (("waveform", "outlet", "phase"), 0.0),
+    (("initial_data",), {"kind": "zero"}),
+    (("initial_data", "eta_amplitude"), 0.0),
+    (("initial_data", "v_amplitude"), 0.0),
+    (("output",), {"directory": "wallflow-out", "cadence": 10,
+                   "fields": "none", "ledger": "csv"}),
+    (("output", "directory"), "wallflow-out"),
+    (("output", "cadence"), 10),
+    (("output", "fields"), "none"),
+    (("output", "ledger"), "csv"),
+]
+
+
+@pytest.mark.parametrize("path, default", DEFAULTS,
+                         ids=[".".join(path) for path, _ in DEFAULTS])
+def test_a_left_out_key_gets_its_default(path, default):
+    raw = full_raw()
+    assert validate_config(raw) == raw      # every key set, nothing filled
+    del parent_of(raw, path)[path[-1]]
+    filled = parent_of(validate_config(raw), path)[path[-1]]
+    assert filled == default and type(filled) is type(default)
+
+
 def test_minimal_config_fills_defaults():
     cfg = validate_config(minimal_raw())
     assert cfg["mode"] == "viscoelastic"

@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from wallflow import ale, coupling, fluid, shell
-from wallflow.errors import MeshAlignmentError
 from wallflow.sparsela import ReusedFactorSolver
 
 from oracles import (assemble_divergence, fixed_dofs,
@@ -72,16 +71,6 @@ def test_prolongation_places_free_trace_and_fixed_dofs():
     assert np.array_equal(u[part.free], w)
     assert np.array_equal(u[part.top_r], cs.trace_op @ v)
     assert np.all(u[fixed_dofs(fm)] == 0.0)
-
-
-def test_mesh_misalignment_is_rejected():
-    sm = shell.ShellMesh(6, 6.0)
-    fm = fluid.FluidMesh(8, 4, 6.0)
-    with pytest.raises(MeshAlignmentError):
-        coupling.build_coupling(sm, fm)
-    sm_short = shell.ShellMesh(8, 5.0)
-    with pytest.raises(MeshAlignmentError):
-        coupling.build_coupling(sm_short, fm)
 
 
 def test_zero_data_gives_zero_solution():

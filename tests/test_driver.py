@@ -54,6 +54,35 @@ def test_zero_run_is_identically_zero():
     assert verify_run(res.ledger).ok
 
 
+def smoke_with_inlet(value):
+    """``configs/smoke_zero.json`` cut to 3 steps of its own ``dt``, with a
+    constant inlet pressure ``value``."""
+    with open(os.path.join(CONFIG_DIR, "smoke_zero.json")) as f:
+        raw = json.load(f)
+    dt = raw["time"]["t_final"] / raw["time"]["n_steps"]
+    raw["time"] = {"t_final": 3 * dt, "n_steps": 3}
+    raw["waveform"]["inlet"] = {"kind": "constant", "value": value}
+    return validate_config(raw)
+
+
+@pytest.mark.parametrize("value", [1e-160, 1e-300])
+def test_a_tiny_inlet_pressure_drives_a_proportional_flow(value):
+    # every right-hand side lies far below 1e-154, where np.linalg.norm
+    # underflows: 1e-160 used to miss the solve contract at step 0, and
+    # 1e-300 to solve to all-zero fields
+    res = driver.run(smoke_with_inlet(value))
+    assert res.exit_code == 0
+    assert verify_run(res.ledger).ok
+    ref = driver.run(smoke_with_inlet(1e-10))
+    for ours, theirs in ((res.record.us[-1], ref.record.us[-1]),
+                         (res.record.ps[-1], ref.record.ps[-1])):
+        assert np.abs(ours).max() > 0.0
+        # far from contact the flow is linear in the pressure data
+        ours, theirs = ours / value, theirs / 1e-10
+        assert (np.linalg.norm(ours - theirs)
+                <= 1e-6 * np.linalg.norm(theirs))
+
+
 def test_pulse_run_passes_verification_and_threads_state():
     cfg = small_cfg()
     res = driver.run(cfg)
