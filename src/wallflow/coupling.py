@@ -23,8 +23,9 @@ when GMRES misses the residual contract.  The geometry is frozen on the
 fixed reference rectangle and ``P`` and ``E`` are fixed, so every step
 system has one pattern and its data are linear in the element kernels'
 output.  One :class:`~wallflow.sparsela.ProductMap` per run composes the
-assembly scatter with the reduction: a step runs its kernels, applies that
-one sparse map and solves.
+assembly scatter with the reduction.  A wall profile's :class:`Frame`
+holds what the profile alone fixes, so a step on it runs only its flow
+kernels, adds their share through the map and solves.
 """
 
 from dataclasses import dataclass
@@ -87,6 +88,18 @@ def build_prolongation(fluid_mesh, partition, trace_op, n_wall):
         shape=(2 * fluid_mesh.n_velocity_nodes, nf + n_wall))
 
 
+GEOMETRY, FLOW = 0, 1      # the operand groups of the run's reduction map
+
+
+@dataclass
+class Frame:
+    """A wall profile's ``snapshot``, scalar weighted ``mass`` and ``data``,
+    the geometry group's share of every step system on the profile."""
+    snapshot: object
+    mass: object
+    data: np.ndarray
+
+
 @dataclass
 class FluidStepResult:
     u_full: np.ndarray
@@ -97,21 +110,49 @@ class FluidStepResult:
     forcing: np.ndarray
 
 
-def assemble_step_operators(setup, snapshot, mass, u_prev_full, v_half_free):
-    """The kernels of one fluid step: the scalar mass (``mass``, of
-    ``snapshot``), advection and Robin matrices, the viscous entries and the
-    raw divergence blocks.  The geometry weight comes from the start-of-step
-    wall profile while the advecting domain velocity uses the half step just
-    produced by the wall solve; this asymmetry is deliberate and required by
-    the energy identity.  Returns (operators, viscous, divergence)."""
+def geometry_operands(setup, snapshot):
+    """The geometry group's input on ``snapshot``, written in place: the
+    viscous entries, the raw divergence blocks, the wall block's data."""
+    mesh, step_map = setup.fluid_mesh, setup.reduction
+    x = np.empty(step_map.g[GEOMETRY].shape[1])
+    nk, nd = fl.VISCOUS_PER_CELL * mesh.n_cells, x.size - setup.wall_block.nnz
+    fl.assemble_viscous_blocks(mesh, snapshot, setup.mu, out=x[:nk])
+    fl.assemble_divergence_blocks(mesh, snapshot, out=x[nk:nd])
+    x[nd:] = setup.wall_block.data
+    return x
+
+
+def reduced_viscous(setup, operands):
+    """``P^T K P``: the geometry group on ``operands`` with every one but
+    the viscous entries zero."""
+    nk = fl.VISCOUS_PER_CELL * setup.fluid_mesh.n_cells
+    k, n = np.zeros_like(operands), setup.prolongation.shape[1]
+    k[:nk] = operands[:nk]
+    return setup.reduction.matrix(setup.reduction(GEOMETRY, k))[:n, :n]
+
+
+def build_frame(setup, snapshot, operands=None):
+    """The :class:`Frame` of ``snapshot``; ``operands``, when given, are its
+    :func:`geometry_operands`."""
+    if operands is None:
+        operands = geometry_operands(setup, snapshot)
+    mass = fl.assemble_weighted_mass(setup.fluid_mesh, snapshot)
+    return Frame(snapshot, mass, setup.reduction(GEOMETRY, operands))
+
+
+def assemble_step_operators(setup, frame, u_prev_full, v_half_free):
+    """The scalar operators of a fluid step on ``frame``: its mass and the
+    step's advection and Robin matrices.  The geometry weight comes from the
+    start-of-step wall profile while the advecting domain velocity uses the
+    half step just produced by the wall solve; this asymmetry is deliberate
+    and required by the energy identity."""
     mesh = setup.fluid_mesh
     v_half_q = fl.shell_field_at_quad(setup.shell_mesh, v_half_free, mesh)
-    ops = {"mass": mass,
-           "advection": fl.assemble_advection(mesh, snapshot, u_prev_full,
-                                              v_half_q, setup.rho_f),
-           "robin": fl.assemble_robin_mass(mesh, v_half_q)}
-    return (ops, fl.assemble_viscous_blocks(mesh, snapshot, setup.mu),
-            fl.assemble_divergence_blocks(mesh, snapshot))
+    return {"mass": frame.mass,
+            "advection": fl.assemble_advection(mesh, frame.snapshot,
+                                               u_prev_full, v_half_q,
+                                               setup.rho_f),
+            "robin": fl.assemble_robin_mass(mesh, v_half_q)}
 
 
 def build_reduction(setup):
@@ -119,7 +160,8 @@ def build_reduction(setup):
     the assembly scatter of its raw operands composed with the reduction,
     the wall block injected by the run's ``E`` (zero for a rigid wall).
     Viscous entries off the diagonal are read at their entry and at its
-    mirror, as the divergence blocks are by ``B P`` and ``-(B P)^T``."""
+    mirror, as the divergence blocks are by ``B P`` and ``-(B P)^T``; the
+    scalar data, the flow group, once per velocity component."""
     fm, w, e = setup.fluid_mesh, setup.wall_block, setup.wall_injection
     p = setup.prolongation.tocsr()
     n, n_p, nv = p.shape[1], fm.n_pressure_nodes, fm.n_velocity_nodes
@@ -127,44 +169,44 @@ def build_reduction(setup):
     s_rows, s_cols = csr_rows(fm.scalar_pattern), fm.scalar_pattern.indices
     v_rows, v_cols, m = fm.viscous_entries()
     d_rows, d_cols = fm.divergence_entries()
-    s0, d0 = v_rows.size, v_rows.size + s_cols.size
+    d0, w0 = v_rows.size, v_rows.size + d_rows.size
     return ProductMap(
-        [(0, v_rows, v_cols, p.T, p, (0, 0), 1.0),
-         (m, v_cols[m:], v_rows[m:], p.T, p, (0, 0), 1.0),
-         (s0, s_rows, s_cols, p.T, p, (0, 0), 1.0),
-         (s0, s_rows + nv, s_cols + nv, p.T, p, (0, 0), 1.0),
-         (d0, d_rows, d_cols, eye_p, p, (n, 0), 1.0),
-         (d0, d_cols, d_rows, p.T, eye_p, (0, n), -1.0),
-         (d0 + d_rows.size, csr_rows(w), w.indices, e, e.T, (0, 0), 1.0)],
+        [[(0, v_rows, v_cols, p.T, p, (0, 0), 1.0),
+          (m, v_cols[m:], v_rows[m:], p.T, p, (0, 0), 1.0),
+          (d0, d_rows, d_cols, eye_p, p, (n, 0), 1.0),
+          (d0, d_cols, d_rows, p.T, eye_p, (0, n), -1.0),
+          (w0, csr_rows(w), w.indices, e, e.T, (0, 0), 1.0)],
+         [(0, s_rows, s_cols, p.T, p, (0, 0), 1.0),
+          (0, s_rows + nv, s_cols + nv, p.T, p, (0, 0), 1.0)]],
         (n + n_p, n + n_p))
 
 
-def reduce_coupled_system(setup, ops, viscous, divergence):
+def reduce_coupled_system(setup, frame, ops):
     """The step's saddle system ``[[P^T A P + E W E^T, -(B P)^T], [B P,
-    0]]``, ``A = K + I_2 (x) ((rho_f/dt) M + N + (rho_f/2) S)``, from the
-    scalar ``ops``, the viscous entries ``viscous`` (``K``) and the raw
-    ``divergence`` blocks (``B``), through the run's one map, so every step
-    system of a run has the same pattern."""
+    0]]``, ``A = K + I_2 (x) ((rho_f/dt) M + N + (rho_f/2) S)``: the
+    ``frame``'s data plus the flow group's share of the scalar ``ops``,
+    through the run's one map, so every step system of a run has the same
+    pattern."""
     scalar = ((setup.rho_f / setup.dt) * ops["mass"].data
               + ops["advection"].data + (0.5 * setup.rho_f) * ops["robin"].data)
-    return setup.reduction(viscous, scalar, divergence.ravel(),
-                           setup.wall_block.data)
+    data = setup.reduction(FLOW, scalar)
+    data += frame.data
+    return setup.reduction.matrix(data)
 
 
-def _step(setup, snapshot, mass, u_prev_full, v_half, p_in, p_out, solver):
-    """The fluid step with domain and wall velocity ``v_half``: one reduced
-    solve for ``x``, then ``u = P x`` and ``v_new = E^T x``.  A solution
-    that is not finite raises :class:`SolverError`."""
-    ops, viscous, divergence = assemble_step_operators(
-        setup, snapshot, mass, u_prev_full, v_half)
+def _step(setup, frame, u_prev_full, v_half, p_in, p_out, solver):
+    """The fluid step on ``frame`` with domain and wall velocity
+    ``v_half``: one reduced solve for ``x``, then ``u = P x`` and ``v_new =
+    E^T x``.  A solution that is not finite raises :class:`SolverError`."""
+    ops = assemble_step_operators(setup, frame, u_prev_full, v_half)
     forcing = fl.assemble_pressure_forcing(setup.fluid_mesh, p_in, p_out,
-                                           snapshot.radius)
-    rhs_full = ((setup.rho_f / setup.dt) * fl.componentwise(mass, u_prev_full)
-                + forcing)
+                                           frame.snapshot.radius)
+    rhs_full = ((setup.rho_f / setup.dt)
+                * fl.componentwise(frame.mass, u_prev_full) + forcing)
     p, e = setup.prolongation, setup.wall_injection
     load = p.T @ rhs_full + e @ ((setup.rho_s_h / setup.dt)
                                  * (setup.shell_mass @ v_half))
-    system = reduce_coupled_system(setup, ops, viscous, divergence)
+    system = reduce_coupled_system(setup, frame, ops)
     x = solver.solve(system, np.concatenate(
         [load, np.zeros(setup.fluid_mesh.n_pressure_nodes)]))
     if not np.isfinite(x).all():
@@ -172,23 +214,22 @@ def _step(setup, snapshot, mass, u_prev_full, v_half, p_in, p_out, solver):
     n = p.shape[1]
     return FluidStepResult(u_full=p @ x[:n], v_new=e.T @ x[:n],
                            pressure=x[n:], operators=ops,
-                           snapshot=snapshot, forcing=forcing)
+                           snapshot=frame.snapshot, forcing=forcing)
 
 
-def fluid_step(setup, snapshot, mass, u_prev_full, shell_half, p_in, p_out,
-               solver):
-    """The coupled fluid/wall-velocity step of the run's ``dt`` on
-    ``snapshot`` (weighted mass ``mass``) after the wall half step
-    ``shell_half``, whose ``v_star`` is the half-step velocity, solved by
-    the run's fluid-step ``solver``.  The wall displacement does not change
-    in this half step."""
-    return _step(setup, snapshot, mass, u_prev_full, shell_half.v_star,
+def fluid_step(setup, frame, u_prev_full, shell_half, p_in, p_out, solver):
+    """The coupled fluid/wall-velocity step of the run's ``dt`` on the
+    start-of-step ``frame`` after the wall half step ``shell_half``, whose
+    ``v_star`` is the half-step velocity, solved by the run's fluid-step
+    ``solver``.  The wall displacement does not change in this half step."""
+    return _step(setup, frame, u_prev_full, shell_half.v_star, p_in, p_out,
+                 solver)
+
+
+def rigid_fluid_step(setup, frame, u_prev_full, p_in, p_out, solver):
+    """The fluid step of a rigid-mode ``setup`` on ``frame``, whose ``P``
+    has no wall columns and ``E`` is zero: every top-edge DOF and the
+    returned wall velocity are zero.  Test harness for rigid-wall channel
+    flow."""
+    return _step(setup, frame, u_prev_full, setup.shell_mesh.zero_free(),
                  p_in, p_out, solver)
-
-
-def rigid_fluid_step(setup, snapshot, mass, u_prev_full, p_in, p_out, solver):
-    """The fluid step of a rigid-mode ``setup``, whose ``P`` has no wall
-    columns and ``E`` is zero: every top-edge DOF and the returned wall
-    velocity are zero.  Test harness for rigid-wall channel flow."""
-    return _step(setup, snapshot, mass, u_prev_full,
-                 setup.shell_mesh.zero_free(), p_in, p_out, solver)

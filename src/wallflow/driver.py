@@ -176,16 +176,13 @@ class RunSetup:
         return eta0, v0, u0
 
 
-def _trace_constant(setup, snapshot):
+def _trace_constant(setup, operands):
     """Pressure-work constant from the discrete trace inequality at the
     initial geometry, and whether it was computed; combined with the
     observed per-step requirement by the verifier.  A failed factorization
-    gives (0.0, False), which the ledger header records.  ``P^T K P`` is
-    the run's step map with every operand but the viscous entries zero."""
-    p, step_map = setup.prolongation, setup.reduction
-    k = fluid.assemble_viscous_blocks(setup.fluid_mesh, snapshot, setup.mu)
-    n, zeros = p.shape[1], np.zeros(step_map.g.shape[1] - k.size)
-    k_red = step_map(k, zeros)[:n, :n]
+    gives (0.0, False), which the ledger header records.  ``P^T K P``
+    comes from the initial geometry's frame ``operands``."""
+    p, k_red = setup.prolongation, coupling.reduced_viscous(setup, operands)
     # both functionals as signed flux integrals
     ell = [p.T @ np.abs(fluid.assemble_pressure_forcing(
                setup.fluid_mesh, p_in, p_out, 1.0))
@@ -236,11 +233,14 @@ def run(cfg):
     try:
         snap = ale.build_snapshot(sm, state.eta, fm, setup.radius,
                                   contact_threshold=setup.contact_threshold)
-        mass_old = fluid.assemble_weighted_mass(fm, snap)
+        # the step map is built here, before the trace constant's LU
+        operands = coupling.geometry_operands(setup, snap)
+        c_ref, c_ref_computed = _trace_constant(setup, operands)
+        frame = coupling.build_frame(setup, snap, operands)
+        del operands
         monitor = EnergyMonitor(setup)
-        c_ref, c_ref_computed = _trace_constant(setup, snap)
         ledger.header.update(
-            e0=monitor.total_energy(u, state.v, state.eta, mass_old),
+            e0=monitor.total_energy(u, state.v, state.eta, frame.mass),
             c_ref=c_ref, c_ref_computed=c_ref_computed)
 
         for n in range(n_steps):
@@ -254,18 +254,18 @@ def run(cfg):
             snap_new = ale.build_snapshot(
                 sm, half.eta, fm, setup.radius,
                 contact_threshold=setup.contact_threshold)
-            result = coupling.fluid_step(setup, snap, mass_old, u, half,
-                                         p_in, p_out, solver)
-
-            mass_new = fluid.assemble_weighted_mass(fm, snap_new)
+            result = coupling.fluid_step(setup, frame, u, half, p_in, p_out,
+                                         solver)
+            # the spent frame's system data go before the next frame's come
+            mass_old, frame = frame.mass, None
+            frame = coupling.build_frame(setup, snap_new)
             ledger.append(monitor.record_step(n, state, u, half, result,
-                                              mass_old, mass_new, p_in,
+                                              mass_old, frame.mass, p_in,
                                               p_out))
 
             state = shell.ShellState(eta=half.eta, v=result.v_new,
                                      v_star=half.v_star)
             u, pressure = result.u_full, result.pressure
-            snap, mass_old = snap_new, mass_new
             t = t_next
             if (n + 1) % cadence == 0:
                 record.store(t, sm.to_full(state.eta), sm.to_full(state.v),
@@ -311,10 +311,11 @@ def run_rigid_steady(setup):
     to a steady state, for at most its configured number of steps.
 
     The wall is frozen (every top-edge DOF is zero) and the geometry stays
-    at eta = 0, so the weighted mass is assembled once; this is a
-    test-harness mode for pressure-driven channel flow regressions.  A
-    setup of another mode, whose wall moves, is rejected before any step.
-    Returns (u_full, pressure, steps_taken, increment).
+    at eta = 0, so the run builds one frame; this is a test-harness mode
+    for pressure-driven channel flow regressions.  A setup of another mode,
+    whose wall moves, is rejected before any step.  The increment scales
+    ``u`` and ``du`` by the power of two of ``max |u|``, so no norm
+    underflows.  Returns (u_full, pressure, steps_taken, increment).
     """
     if setup.cfg["mode"] != "rigid":
         raise ConfigError(f"run_rigid_steady needs a rigid-mode setup, got "
@@ -323,7 +324,7 @@ def run_rigid_steady(setup):
     dt = setup.dt
     snap = ale.build_snapshot(sm, sm.zero_free(), fm, setup.radius,
                               contact_threshold=None)
-    mass = fluid.assemble_weighted_mass(fm, snap)
+    frame = coupling.build_frame(setup, snap)
     u = np.zeros(2 * fm.n_velocity_nodes)
     pressure = np.zeros(fm.n_pressure_nodes)
     solver = ReusedFactorSolver(coupling.FLUID_TOL)
@@ -332,11 +333,11 @@ def run_rigid_steady(setup):
     for n in range(setup.n_steps):
         p_in = setup.wave_in.average(n * dt, (n + 1) * dt)
         p_out = setup.wave_out.average(n * dt, (n + 1) * dt)
-        result = coupling.rigid_fluid_step(setup, snap, mass, u, p_in, p_out,
+        result = coupling.rigid_fluid_step(setup, frame, u, p_in, p_out,
                                            solver)
-        du = np.linalg.norm(result.u_full - u)
-        scale = max(np.linalg.norm(result.u_full), 1e-30)
-        increment = du / scale
+        e = -np.frexp(np.max(np.abs(result.u_full)))[1]
+        increment = (np.linalg.norm(np.ldexp(result.u_full - u, e))
+                     / max(np.linalg.norm(np.ldexp(result.u_full, e)), 1e-30))
         u, pressure = result.u_full, result.pressure
         taken = n + 1
         if increment < STEADY_TOL:

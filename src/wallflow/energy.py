@@ -193,6 +193,7 @@ class EnergyMonitor:
 
     def __init__(self, setup):
         self.setup = setup
+        self._last_kinetic = (None, None, 0.0)
 
     def _wall_elastic(self, eta):
         g0, g1, g2 = self.setup.grams
@@ -201,8 +202,14 @@ class EnergyMonitor:
                 + c.C2 * float(eta @ (g2 @ eta)))
 
     def _kinetic(self, u_full, weighted_mass):
-        return 0.5 * self.setup.rho_f * float(
-            u_full @ componentwise(weighted_mass, u_full))
+        """The fluid kinetic energy, carried over to the next call on the
+        same arrays (a row's ``e_full`` term is the next row's ``e_n``)."""
+        u_last, mass_last, value = self._last_kinetic
+        if u_full is not u_last or weighted_mass is not mass_last:
+            value = 0.5 * self.setup.rho_f * float(
+                u_full @ componentwise(weighted_mass, u_full))
+            self._last_kinetic = (u_full, weighted_mass, value)
+        return value
 
     def _wall_kinetic(self, v):
         s = self.setup

@@ -31,6 +31,10 @@ from .sparsela import ScatterPattern
 # block: the diagonal, then the strict upper triangle
 _UPPER = np.hstack([np.tile(np.arange(9), (2, 1)), np.triu_indices(9, 1)])
 
+# entries per cell of the viscous kernel: the upper triangles of both
+# diagonal blocks, then the (0, 1) cross block
+VISCOUS_PER_CELL = 2 * _UPPER.shape[1] + 81
+
 # 3x3 tensor Gauss on the unit cell
 _gx, _gw = leggauss(3)
 _gx = 0.5 * (_gx + 1.0)
@@ -223,12 +227,12 @@ def assemble_unweighted_mass(mesh):
                                        (mesh.n_cells, mesh.n_quad)))
 
 
-def assemble_viscous_blocks(mesh, snapshot, mu):
+def assemble_viscous_blocks(mesh, snapshot, mu, out=None):
     """The independent entries of the weighted viscous operator
     2*mu*(strain(u), strain(q)), a flat array at the entries of
     :meth:`FluidMesh.viscous_entries`, entry-major: each upper-triangle
     entry of both diagonal blocks over (component, cell), then each entry
-    of the (0, 1) cross block over cells.
+    of the (0, 1) cross block over cells; written into ``out`` when given.
 
     With ``F_ij`` the form of ``g_i`` against ``g_j``, the blocks are
     ``2 mu F11 + mu F22``, ``2 mu F22 + mu F11`` and ``mu F21``; the
@@ -238,7 +242,7 @@ def assemble_viscous_blocks(mesh, snapshot, mu):
     """
     w, f, wj = snapshot.w, snapshot.slope, snapshot.w_over_jac
     f22, nc = wj / snapshot.jac_q, mesh.n_cells
-    out = np.empty(171 * nc)
+    out = np.empty(VISCOUS_PER_CELL * nc) if out is None else out
     # weights of (dz dz, dz dr + dr dz, dr dr) for F11 and F22 combined
     diag = mu * np.concatenate([
         np.hstack([2.0 * w, -2.0 * w * f, 2.0 * w * f * f + f22]),
@@ -289,14 +293,16 @@ def assemble_robin_mass(mesh, v_half_q):
         np.asarray(v_half_q, dtype=float), (mesh.n_cells, mesh.n_quad)))
 
 
-def assemble_divergence_blocks(mesh, snapshot):
+def assemble_divergence_blocks(mesh, snapshot, out=None):
     """Raw element blocks of the weighted divergence, (2 n_cells, 36): each
-    cell's pressures against the axial, then the radial component."""
-    w, f = snapshot.w, snapshot.slope
+    cell's pressures against the axial, then the radial component; written
+    into ``out`` when given."""
+    w, f, nc = snapshot.w, snapshot.slope, mesh.n_cells
     table = mesh.tables["divergence"]
-    return np.concatenate([
-        np.hstack([w, -w * f]) @ table,
-        snapshot.w_over_jac @ table[mesh.n_quad:]])
+    out = np.empty((2 * nc, 36)) if out is None else out.reshape(2 * nc, 36)
+    np.matmul(np.hstack([w, -w * f]), table, out=out[:nc])
+    np.matmul(snapshot.w_over_jac, table[mesh.n_quad:], out=out[nc:])
+    return out
 
 
 def assemble_pressure_forcing(mesh, p_in, p_out, radius):

@@ -30,13 +30,17 @@ from scipy.linalg import solve_triangular
 from .errors import SolverError
 
 
-def _entries(rows, cols, shape):
-    """The stable order that sorts entries by ``row * n_cols + col``, the
-    mask of sorted entries that start a distinct entry, and the CSR
-    indices and indptr of the distinct entries."""
+def _key(rows, cols, shape):
+    """``row * n_cols + col`` of each entry, in int32 where that holds."""
     dtype = np.int32 if shape[0] * shape[1] < 2**31 else np.int64
-    key = (np.asarray(rows, dtype=dtype) * shape[1]
-           + np.asarray(cols, dtype=dtype))
+    return (np.asarray(rows, dtype=dtype) * shape[1]
+            + np.asarray(cols, dtype=dtype))
+
+
+def _entries(key, shape):
+    """The stable order that sorts entries by their :func:`_key`, the mask
+    of sorted entries that start a distinct entry, and the CSR indices and
+    indptr of the distinct entries."""
     order = np.argsort(key, kind="stable")
     key = key[order]
     new = np.diff(key, prepend=-1) != 0
@@ -59,7 +63,7 @@ class ScatterPattern:
 
     def __init__(self, rows, cols, shape):
         order, new, self.indices, self.indptr = _entries(
-            np.ravel(rows), np.ravel(cols), shape)
+            _key(np.ravel(rows), np.ravel(cols), shape), shape)
         self.nnz = self.indices.size
         # intp: np.bincount casts any other index type on every call
         self.slot = np.empty(order.size, dtype=np.intp)
@@ -103,53 +107,85 @@ def _expand(starts, counts):
     return owner, np.arange(owner.size) + shift
 
 
-class ProductMap:
-    """The numeric phase of a fixed sum of sparse triple products.
+def _products(terms, shape):
+    """For each of the :class:`ProductMap` ``terms`` in turn, the result
+    key, the input and the value of its every scalar product."""
+    for src, rows, cols, left, right, (r0, c0), scale in terms:
+        left, right = sp.csc_matrix(left), sp.csr_matrix(right)
+        # every product left[r, rows[k]] * right[cols[k], s]
+        k, lpos = _expand(left.indptr[rows], np.diff(left.indptr)[rows])
+        kc = cols[k]
+        t, rpos = _expand(right.indptr[kc], np.diff(right.indptr)[kc])
+        lpos = lpos[t]
+        yield (_key(left.indices[lpos] + r0, right.indices[rpos] + c0, shape),
+               (src + k[t]).astype(np.int32),
+               scale * left.data[lpos] * right.data[rpos])
 
-    Each term ``(src, rows, cols, left, right, corner, scale)`` reads an
-    operand ``X`` whose entry ``k`` sits at ``(rows[k], cols[k])`` and is
-    input ``src + k`` (terms may share inputs), and adds ``scale * left @ X
-    @ right`` at ``corner`` of the result.  Building the map is the symbolic
-    phase (Gustavson, ACM TOMS 4, 1978): one stable sort by result entry
-    makes the scalar products, in term order, the rows of a CSR ``G``, one
-    per result entry, structural zeros included; products on one entry stay
-    separate.  A call is the numeric phase, ``data = G @ input``.
+
+class ProductMap:
+    """The numeric phase of a fixed sum of sparse triple products, its terms
+    in ``groups`` of operands.
+
+    Each term ``(src, rows, cols, left, right, corner, scale)`` of a group
+    reads an operand ``X`` whose entry ``k`` sits at ``(rows[k], cols[k])``
+    and is input ``src + k`` of its group (terms may share inputs), and adds
+    ``scale * left @ X @ right`` at ``corner`` of the result.  Building the
+    map is the symbolic phase (Gustavson, ACM TOMS 4, 1978): one stable
+    sort of every group's products by result entry gives the result's one
+    pattern, structural zeros included, and makes each group's scalar
+    products, in term order, the rows of a CSR ``G_g``, one per result
+    entry; products on one entry stay separate.  A call is the numeric
+    phase of one group, ``G_g @ input``, that group's share of the result's
+    data; the shares of all groups add up to the result.  A group whose
+    inputs and products together are fewer than the result's entries is
+    stored by input (CSC, each column in result order), so that a call
+    walks its inputs and not every result entry.
     """
 
-    def __init__(self, terms, shape):
-        rows_out, cols_out, srcs, vals = [], [], [], []
-        n_in = 0
-        for src, rows, cols, left, right, (r0, c0), scale in terms:
-            left, right = sp.csc_matrix(left), sp.csr_matrix(right)
-            # every product left[r, rows[k]] * right[cols[k], s]
-            k, lpos = _expand(left.indptr[rows], np.diff(left.indptr)[rows])
-            kc = cols[k]
-            t, rpos = _expand(right.indptr[kc], np.diff(right.indptr)[kc])
-            lpos = lpos[t]
-            rows_out.append(left.indices[lpos] + r0)
-            cols_out.append(right.indices[rpos] + c0)
-            srcs.append((src + k[t]).astype(np.int32))
-            vals.append(scale * left.data[lpos] * right.data[rpos])
-            n_in = max(n_in, src + len(rows))
+    def __init__(self, groups, shape):
+        keys, srcs, vals, ends = [], [], [], [0]
+        for terms in groups:
+            for key, src, val in _products(terms, shape):
+                keys.append(key)
+                srcs.append(src)
+                vals.append(val)
+            ends.append(sum(v.size for v in vals))
         order, new, self.indices, self.indptr = _entries(
-            np.concatenate(rows_out), np.concatenate(cols_out), shape)
-        first = np.flatnonzero(new).astype(np.int32)
-        self.g = sp.csr_matrix(
-            (np.concatenate(vals)[order], np.concatenate(srcs)[order],
-             np.append(first, order.size)), shape=(first.size, n_in))
+            np.concatenate(keys), shape)
+        entry = np.cumsum(new, dtype=np.int32) - 1   # of each sorted product
+        del keys, new
+        srcs, vals = np.concatenate(srcs), np.concatenate(vals)
+        self.g, nnz = [], self.indices.size
+        for terms, start, end in zip(groups, ends, ends[1:]):
+            n_in = max((src + len(rows) for src, rows, *_ in terms), default=0)
+            mine = (order >= start) & (order < end)
+            pick = order[mine]              # the group's products, sorted
+            major, minor = entry[mine], srcs[pick]
+            if n_in + pick.size < nnz:      # stored by input: see the class
+                by_input = np.argsort(minor, kind="stable")
+                pick, major, minor = (pick[by_input], minor[by_input],
+                                      major[by_input])
+                fmt, n = sp.csc_matrix, n_in
+            else:
+                fmt, n = sp.csr_matrix, nnz
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(major, minlength=n), out=indptr[1:])
+            self.g.append(fmt((vals[pick], minor, indptr), shape=(nnz, n_in)))
         self.shape = shape
-        self._input = np.empty(n_in)
 
-    def __call__(self, *data):
-        """The CSR result for the operands' ``data`` arrays in input order,
-        concatenated into the one input array the map keeps."""
-        n_in = sum(d.size for d in data)
-        if n_in != self._input.size:
-            raise ValueError(f"product map takes {self._input.size} operand "
-                             f"entries, got {n_in}")
-        np.concatenate(data, out=self._input)
-        return sp.csr_matrix((self.g @ self._input, self.indices,
-                              self.indptr), shape=self.shape)
+    def __call__(self, group, data):
+        """``G_group @ data``: the share of group ``group`` in the result's
+        data, from the array ``data`` of its inputs."""
+        g = self.g[group]
+        if data.size != g.shape[1]:
+            raise ValueError(f"product map group {group} takes {g.shape[1]} "
+                             f"operand entries, got {data.size}")
+        return g @ data
+
+    def matrix(self, data):
+        """The CSR result with the data array ``data``."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
 
 
 class DirectFactor:

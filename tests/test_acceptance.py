@@ -302,3 +302,14 @@ def test_criterion_12_elastic_parity(elastic_pulse_run, zero_forcing_runs):
                "dissipation ledger",
            "all sub-checks pass" if not failed else f"failed: {failed}",
            not failed)
+
+
+@pytest.mark.parametrize("run", ["pulse_run", "elastic_pulse_run"])
+def test_each_row_starts_from_the_energy_the_last_one_ended_on(run, request):
+    # the same fields on the same wall profile: e_n of a row is e0 or the
+    # previous row's e_full, bit for bit
+    ledger = request.getfixturevalue(run).ledger
+    assert len(ledger) == 200
+    assert ledger.rows[0]["e_n"] == ledger.header["e0"]
+    assert np.array_equal(ledger.column("e_n")[1:],
+                          ledger.column("e_full")[:-1])

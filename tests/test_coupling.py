@@ -81,7 +81,7 @@ def test_zero_data_gives_zero_solution():
     half = shell.structure_step(cs, state,
                                 ReusedFactorSolver(shell.STRUCTURE_TOL))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
+    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
                               u, half, 0.0, 0.0,
                               ReusedFactorSolver(coupling.FLUID_TOL))
     assert np.all(res.u_full == 0.0)
@@ -98,7 +98,7 @@ def test_elastic_case_runs_and_is_finite():
     half = shell.structure_step(cs, state,
                                 ReusedFactorSolver(shell.STRUCTURE_TOL))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
+    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
                               u, half, 500.0, 0.0,
                               ReusedFactorSolver(coupling.FLUID_TOL))
     assert np.all(np.isfinite(res.u_full))
@@ -118,7 +118,7 @@ def test_fluid_factor_fill_does_not_grow_at_extreme_dt():
         half = shell.structure_step(cs, state,
                                     ReusedFactorSolver(shell.STRUCTURE_TOL))
         solver = ReusedFactorSolver(coupling.FLUID_TOL)
-        coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
+        coupling.fluid_step(cs, coupling.build_frame(cs, snap),
                             u, half, 1500.0, -200.0, solver)
         assert solver.stats.factorizations == 1
         fill[dt] = solver.stats.lu_fill_nnz
@@ -136,7 +136,7 @@ def stepped():
     half = shell.structure_step(cs, state,
                                 ReusedFactorSolver(shell.STRUCTURE_TOL))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
+    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
                               u, half, 1500.0, -200.0,
                               ReusedFactorSolver(coupling.FLUID_TOL))
     mass_old = res.operators["mass"]
@@ -156,9 +156,9 @@ def test_step_balance_is_exact(stepped):
 
 def test_zero_pressure_step_dissipates(stepped):
     material, coeffs, sm, fm, cs, state, u, dt, half, _, mass_old, _ = stepped
-    res0 = coupling.fluid_step(cs, ale.build_snapshot(sm, state.eta, fm,
-                                                      material.radius),
-                               mass_old, u, half, 0.0, 0.0,
+    frame = coupling.build_frame(cs, ale.build_snapshot(sm, state.eta, fm,
+                                                        material.radius))
+    res0 = coupling.fluid_step(cs, frame, u, half, 0.0, 0.0,
                                ReusedFactorSolver(coupling.FLUID_TOL))
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
     mass_new = fluid.assemble_weighted_mass(fm, snap_new)
@@ -177,36 +177,38 @@ def wall_block(cs, dt):
 
 
 def step_kernels(cs, seed=2):
-    """A moving, deformed step of ``cs``: its snapshot and the scalar
-    operators, viscous entries and raw divergence blocks of the step."""
+    """A moving, deformed step of ``cs``: its frame, its scalar operators,
+    and the viscous entries and raw divergence blocks of its snapshot."""
     sm, fm = cs.shell_mesh, cs.fluid_mesh
     rng = np.random.default_rng(seed)
     snap = ale.build_snapshot(sm, 0.01 * rng.standard_normal(sm.n_free), fm,
                               cs.radius)
-    ops, viscous, divergence = coupling.assemble_step_operators(
-        cs, snap, fluid.assemble_weighted_mass(fm, snap),
-        rng.standard_normal(2 * fm.n_velocity_nodes),
+    frame = coupling.build_frame(cs, snap)
+    ops = coupling.assemble_step_operators(
+        cs, frame, rng.standard_normal(2 * fm.n_velocity_nodes),
         rng.standard_normal(sm.n_free))
-    return snap, ops, viscous, divergence
+    return (frame, ops, fluid.assemble_viscous_blocks(fm, snap, cs.mu),
+            fluid.assemble_divergence_blocks(fm, snap))
 
 
 def test_reduction_matches_the_index_reference():
-    # the one map from raw kernels to the step system against the path it
-    # replaced, on coupled, elastic and rigid setups: kernels scattered onto
-    # their patterns, the two-component momentum sum, then the reduction by
-    # index sets.  The two sum the same products in another order, so they
-    # agree to roundoff, 1e-15 of the largest entry (3.3e-17 measured)
+    # the frame's data plus the flow share of the one map, from raw kernels
+    # to the step system, against the path it replaced, on coupled, elastic
+    # and rigid setups: kernels scattered onto their patterns, the
+    # two-component momentum sum, then the reduction by index sets.  The
+    # two sum the same products in another order, so they agree to
+    # roundoff, 1e-15 of the largest entry
     dt = 5e-5
     for mode, elastic in (("viscoelastic", False), ("elastic", True),
                           ("rigid", False)):
         cs = make_setup(elastic=elastic, dt=dt, mode=mode)[-1]
-        snap, ops, viscous, divergence = step_kernels(cs)
+        frame, ops, viscous, _ = step_kernels(cs)
         a_mom = momentum_matrix_by_kron(
             cs, ops, viscous_csr(cs.fluid_mesh, viscous), dt)
-        b_div = assemble_divergence(cs.fluid_mesh, snap)
+        b_div = assemble_divergence(cs.fluid_mesh, frame.snapshot)
         wall = None if mode == "rigid" else wall_block(cs, dt)
         ref = reduce_by_index(cs, a_mom, b_div, wall)
-        ours = coupling.reduce_coupled_system(cs, ops, viscous, divergence)
+        ours = coupling.reduce_coupled_system(cs, frame, ops)
         assert ours.shape == ref.shape
         assert abs(ours - ref).max() <= 1e-15 * abs(ref).max()
 
@@ -218,9 +220,10 @@ def test_rigid_system_is_the_coupled_one_without_the_wall():
     dt = 5e-5
     _, _, sm, _, cs = make_setup(dt=dt)
     rigid = make_setup(dt=dt, mode="rigid")[-1]
-    _, ops, viscous, divergence = step_kernels(cs)
-    coupled = coupling.reduce_coupled_system(cs, ops, viscous, divergence)
-    ours = coupling.reduce_coupled_system(rigid, ops, viscous, divergence)
+    frame, ops, _, _ = step_kernels(cs)
+    coupled = coupling.reduce_coupled_system(cs, frame, ops)
+    ours = coupling.reduce_coupled_system(
+        rigid, coupling.build_frame(rigid, frame.snapshot), ops)
     nf, n = cs.partition.n_free, cs.prolongation.shape[1]
     keep = np.r_[0:nf, n:coupled.shape[0]]
     assert n - nf == sm.n_free > 0
@@ -268,11 +271,11 @@ def test_step_system_pattern_is_fixed(mode, elastic):
     systems = []
     for eta, v_half, u_prev in (zero, moving):
         snap = ale.build_snapshot(sm, eta, fm, material.radius)
-        mass = fluid.assemble_weighted_mass(fm, snap)
         for *_, cs in setups:
+            frame = coupling.build_frame(cs, snap)
             systems.append(coupling.reduce_coupled_system(
-                cs, *coupling.assemble_step_operators(cs, snap, mass, u_prev,
-                                                      v_half)))
+                cs, frame, coupling.assemble_step_operators(cs, frame, u_prev,
+                                                            v_half)))
     for system in systems[1:]:
         assert np.array_equal(system.indices, systems[0].indices)
         assert np.array_equal(system.indptr, systems[0].indptr)
@@ -285,9 +288,7 @@ def test_frozen_operator_solve_is_linear(stepped):
     p, nf = cs.prolongation, cs.partition.n_free
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     system = coupling.reduce_coupled_system(
-        cs, res.operators,
-        fluid.assemble_viscous_blocks(fm, res.snapshot, cs.mu),
-        fluid.assemble_divergence_blocks(fm, snap))
+        cs, coupling.build_frame(cs, snap), res.operators)
     from wallflow.sparsela import DirectFactor
     lu = DirectFactor(system)
 
@@ -364,7 +365,7 @@ def test_wall_traction_zero_state():
     half = shell.structure_step(cs, state,
                                 ReusedFactorSolver(shell.STRUCTURE_TOL))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
+    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
                               u, half, 0.0, 0.0,
                               ReusedFactorSolver(coupling.FLUID_TOL))
     load = wall_traction_load(cs, snap, res, u, dt)
@@ -378,14 +379,14 @@ def test_rigid_poiseuille_traction_tracks_pressure():
     cs = run_setup(16, 8, 5.0, 1.0, {}, dt, mode="rigid")
     material, sm, fm = cs.material, cs.shell_mesh, cs.fluid_mesh
     snap = ale.build_snapshot(sm, sm.zero_free(), fm, material.radius)
-    mass = fluid.assemble_weighted_mass(fm, snap)
+    frame = coupling.build_frame(cs, snap)
     u = np.zeros(2 * fm.n_velocity_nodes)
     p_in, p_out = 1.0, 0.0
     res = None
     solver = ReusedFactorSolver(coupling.FLUID_TOL)
     for _ in range(300):
         u_prev = u
-        res = coupling.rigid_fluid_step(cs, snap, mass, u_prev, p_in, p_out,
+        res = coupling.rigid_fluid_step(cs, frame, u_prev, p_in, p_out,
                                         solver)
         u = res.u_full
         if np.linalg.norm(u - u_prev) <= 1e-11 * np.linalg.norm(u):

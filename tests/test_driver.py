@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from wallflow import ale, coupling, driver, exporters, fluid, shell, sparsela
+from wallflow import (ale, coupling, driver, energy, exporters, fluid, shell,
+                      sparsela)
 from wallflow.cli import main
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
@@ -155,9 +156,9 @@ def test_fluid_step_geometry_is_the_start_of_step_wall(monkeypatch, tmp_path,
     calls = []
     original = coupling.fluid_step
 
-    def recording(setup, snapshot, mass, u_prev, shell_half, *args):
-        calls.append((snapshot, shell_half.eta.copy()))
-        return original(setup, snapshot, mass, u_prev, shell_half, *args)
+    def recording(setup, frame, u_prev, shell_half, *args):
+        calls.append((frame.snapshot, shell_half.eta.copy()))
+        return original(setup, frame, u_prev, shell_half, *args)
 
     monkeypatch.setattr(coupling, "fluid_step", recording)
     res = driver.run(small_cfg(
@@ -317,12 +318,19 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+FRAME_KERNELS = ("assemble_weighted_mass", "assemble_viscous_blocks",
+                 "assemble_divergence_blocks")
+
+
 def test_each_step_builds_one_mass_and_one_contact_check(monkeypatch):
-    masses = count_calls(monkeypatch, fluid, "assemble_weighted_mass")
+    # one frame per wall profile, the initial one and one per step; the
+    # trace constant reads the initial frame's viscous entries
+    kernels = [count_calls(monkeypatch, fluid, k) for k in FRAME_KERNELS]
     radii = count_calls(monkeypatch, ale, "min_radius_of")
     res = driver.run(small_cfg())
     assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
-    assert len(masses) == len(radii) == 10 + 1
+    assert [len(k) for k in kernels] == [10 + 1] * 3
+    assert len(radii) == 10 + 1
 
 
 def test_one_gram_assembly_per_setup(monkeypatch):
@@ -332,10 +340,15 @@ def test_one_gram_assembly_per_setup(monkeypatch):
 
 
 def test_rigid_harness_assembles_the_mass_once(monkeypatch):
-    setup = driver.RunSetup(rigid_cfg(n_steps=5))
-    masses = count_calls(monkeypatch, fluid, "assemble_weighted_mass")
-    _, _, steps, _ = driver.run_rigid_steady(setup)
-    assert steps == 5 and len(masses) == 1
+    # the one wall profile's frame, whatever the step count
+    kernels = [count_calls(monkeypatch, fluid, k) for k in FRAME_KERNELS]
+    for n_steps in (2, 5):
+        _, _, steps, _ = driver.run_rigid_steady(
+            driver.RunSetup(rigid_cfg(n_steps=n_steps)))
+        assert steps == n_steps
+        assert [len(k) for k in kernels] == [1] * 3
+        for k in kernels:
+            k.clear()
 
 
 def test_fit_order_harness():
@@ -374,7 +387,7 @@ def test_convergence_study_builds_one_setup_per_run(monkeypatch):
     assert len(setups) == 3
 
 
-def rigid_cfg(n_steps=200):
+def rigid_cfg(n_steps=200, inlet=1.0):
     return validate_config({
         "geometry": {"radius": 0.5, "length": 5.0},
         "fluid": {"density": 1.0, "viscosity": 1.0},
@@ -383,7 +396,7 @@ def rigid_cfg(n_steps=200):
         "mesh": {"n_z": 16, "n_r": 8, "wall_elements": 16},
         "time": {"t_final": 0.05 * n_steps, "n_steps": n_steps},
         "mode": "rigid",
-        "waveform": {"inlet": {"kind": "constant", "value": 1.0},
+        "waveform": {"inlet": {"kind": "constant", "value": inlet},
                      "outlet": {"kind": "constant", "value": 0.0}},
     })
 
@@ -417,12 +430,11 @@ def test_each_run_builds_one_reduction(monkeypatch):
 def step_on_the_end_of_step_geometry(monkeypatch):
     original = coupling.fluid_step
 
-    def mutated(setup, snapshot, mass, u_prev, shell_half, *args):
-        fm = setup.fluid_mesh
-        snap = ale.build_snapshot(setup.shell_mesh, shell_half.eta, fm,
-                                  setup.radius)
-        return original(setup, snap, fluid.assemble_weighted_mass(fm, snap),
-                        u_prev, shell_half, *args)
+    def mutated(setup, frame, u_prev, shell_half, *args):
+        snap = ale.build_snapshot(setup.shell_mesh, shell_half.eta,
+                                  setup.fluid_mesh, setup.radius)
+        return original(setup, coupling.build_frame(setup, snap), u_prev,
+                        shell_half, *args)
 
     monkeypatch.setattr(coupling, "fluid_step", mutated)
 
@@ -432,8 +444,8 @@ def momentum_without_the_robin_term(monkeypatch):
     original = coupling.reduce_coupled_system
     monkeypatch.setattr(
         coupling, "reduce_coupled_system",
-        lambda setup, ops, *blocks: original(
-            setup, {**ops, "robin": 0.0 * ops["robin"]}, *blocks))
+        lambda setup, frame, ops: original(
+            setup, frame, {**ops, "robin": 0.0 * ops["robin"]}))
 
 
 def step_with_the_lagged_wall_velocity(monkeypatch):
@@ -446,8 +458,8 @@ def step_with_the_lagged_wall_velocity(monkeypatch):
         start["v"] = state.v
         return wall_step(setup, state, solver)
 
-    def mutated(setup, snapshot, mass, u_prev, shell_half, *args):
-        return original(setup, snapshot, mass, u_prev,
+    def mutated(setup, frame, u_prev, shell_half, *args):
+        return original(setup, frame, u_prev,
                         dataclasses.replace(shell_half, v_star=start["v"]),
                         *args)
 
@@ -481,6 +493,32 @@ def test_rigid_steady_and_poiseuille_small():
     err, info = driver.poiseuille_profile_error(cfg)
     assert err <= 0.02
     assert info["increment"] <= 1e-9
+
+
+def test_a_tiny_rigid_flow_marches_as_far_as_a_small_one():
+    # the increment is taken on u and du scaled by the power of two of
+    # max |u|, so no norm underflows: at inlet 1e-160 (the norm of u would
+    # underflow) the march takes as many steps as at 1e-20 and ends on the
+    # same profile relative to the inlet
+    ends = []
+    for inlet in (1e-20, 1e-160):
+        u, _, steps, increment = driver.run_rigid_steady(
+            driver.RunSetup(rigid_cfg(n_steps=400, inlet=inlet)))
+        assert 1 < steps < 400 and 0.0 < increment < driver.STEADY_TOL
+        ends.append((steps, np.abs(u).max() / inlet))
+    (steps_small, peak_small), (steps_tiny, peak_tiny) = ends
+    assert steps_tiny == steps_small
+    assert peak_tiny == pytest.approx(peak_small, rel=1e-12)
+
+
+def test_a_ledger_row_carries_its_kinetic_energy_to_the_next(monkeypatch):
+    # e0 and each row's e_full evaluate the fluid kinetic energy; the next
+    # row's e_n reuses it, so a row makes two mass products: jump_u and
+    # e_full
+    products = count_calls(monkeypatch, energy, "componentwise")
+    res = driver.run(small_cfg())
+    assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
+    assert len(products) == 1 + 2 * 10
 
 
 def test_record_interpolants():

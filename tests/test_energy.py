@@ -39,7 +39,7 @@ def one_step(material, coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
     half = shell.structure_step(cs, state,
                                 ReusedFactorSolver(shell.STRUCTURE_TOL))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
+    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
                               u, half, p_in, p_out,
                               ReusedFactorSolver(coupling.FLUID_TOL))
     mass_old = res.operators["mass"]
@@ -60,7 +60,7 @@ def test_zero_states_record_all_zeros():
     half = shell.structure_step(cs, state,
                                 ReusedFactorSolver(shell.STRUCTURE_TOL))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, snap, fluid.assemble_weighted_mass(fm, snap),
+    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
                               u, half, 0.0, 0.0,
                               ReusedFactorSolver(coupling.FLUID_TOL))
     mass = res.operators["mass"]

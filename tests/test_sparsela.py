@@ -75,7 +75,9 @@ def test_scatter_pattern_matches_coo():
 
 def test_product_map_matches_scipy_products():
     # [[R^T A R, -(B R)^T], [B R, 0]] plus W in a corner, as the step
-    # reduction forms it, for two sets of operand values
+    # reduction forms it, for two sets of operand values: A, B and W in
+    # three groups, the shares added; W's few inputs and products make its
+    # group the one stored by input
     rng = np.random.default_rng(8)
     a = sp.random(7, 7, density=0.4, random_state=1, format="csr")
     b = sp.random(3, 7, density=0.5, random_state=2, format="csr")
@@ -84,19 +86,23 @@ def test_product_map_matches_scipy_products():
     eye = sp.identity(3, format="csr")
     a_rows, b_rows = sparsela.csr_rows(a), sparsela.csr_rows(b)
     pmap = sparsela.ProductMap(
-        [(0, a_rows, a.indices, r.T, r, (0, 0), 1.0),
-         (a.nnz, b_rows, b.indices, eye, r, (4, 0), 1.0),
-         (a.nnz, b.indices, b_rows, r.T, eye, (0, 4), -1.0),
-         (a.nnz + b.nnz, sparsela.csr_rows(w), w.indices,
-          sp.identity(2), sp.identity(2), (2, 2), 1.0)], (7, 7))
+        [[(0, a_rows, a.indices, r.T, r, (0, 0), 1.0)],
+         [(0, b_rows, b.indices, eye, r, (4, 0), 1.0),
+          (0, b.indices, b_rows, r.T, eye, (0, 4), -1.0)],
+         [(0, sparsela.csr_rows(w), w.indices,
+           sp.identity(2), sp.identity(2), (2, 2), 1.0)]], (7, 7))
+    assert [(g.format, g.shape) for g in pmap.g] == [
+        ("csr", (pmap.indices.size, a.nnz)),
+        ("csr", (pmap.indices.size, b.nnz)),
+        ("csc", (pmap.indices.size, w.nnz))]
     for _ in range(2):
         a.data, b.data, w.data = (rng.standard_normal(m.nnz) for m in (a, b, w))
-        ours = pmap(np.concatenate([a.data, b.data, w.data]))
+        ours = pmap.matrix(pmap(0, a.data) + pmap(1, b.data) + pmap(2, w.data))
         ref = sp.bmat([[r.T @ a @ r + sp.block_diag((sp.csr_matrix((2, 2)), w)),
                         -(b @ r).T], [b @ r, None]]).toarray()
         assert np.abs(ours.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
     with pytest.raises(ValueError, match="operand entries"):
-        pmap(np.zeros(3))
+        pmap(1, np.zeros(3))
 
 
 def test_product_map_keeps_products_that_share_an_input_and_a_slot():
@@ -110,17 +116,18 @@ def test_product_map_keeps_products_that_share_an_input_and_a_slot():
     x = sp.csr_matrix(x)
     rows, eye = sparsela.csr_rows(x), sp.identity(5, format="csr")
     pmap = sparsela.ProductMap(
-        [(0, rows, x.indices, eye, eye, (0, 0), 1.0),
-         (0, x.indices, rows, eye, eye, (0, 0), 1.0)], (5, 5))
-    assert pmap.g.shape == (abs(x + x.T).nnz, x.nnz)
-    assert pmap.g.nnz == 2 * x.nnz
+        [[(0, rows, x.indices, eye, eye, (0, 0), 1.0),
+          (0, x.indices, rows, eye, eye, (0, 0), 1.0)]], (5, 5))
+    g, = pmap.g
+    assert g.shape == (abs(x + x.T).nnz, x.nnz)
+    assert g.nnz == 2 * x.nnz
     diagonal = np.flatnonzero(rows == x.indices)
     for k in diagonal:
-        slot = np.flatnonzero(pmap.g.indices == k)
+        slot = np.flatnonzero(g.indices == k)
         assert slot.size == 2          # one row, both products
-        assert np.searchsorted(pmap.g.indptr, slot[0], side="right") == \
-            np.searchsorted(pmap.g.indptr, slot[1], side="right")
-    ours = pmap(x.data)
+        assert np.searchsorted(g.indptr, slot[0], side="right") == \
+            np.searchsorted(g.indptr, slot[1], side="right")
+    ours = pmap.matrix(pmap(0, x.data))
     assert np.array_equal(ours.toarray(), (x + x.T).toarray())
     assert np.array_equal(ours.diagonal(), x.diagonal() + x.diagonal())
 
@@ -129,10 +136,10 @@ def test_product_map_with_no_products():
     # a term whose operand or sides are empty adds no row to G
     empty = np.zeros(0, dtype=np.int32)
     pmap = sparsela.ProductMap(
-        [(0, empty, empty, sp.identity(3), sp.identity(3), (0, 0), 1.0)],
+        [[(0, empty, empty, sp.identity(3), sp.identity(3), (0, 0), 1.0)]],
         (3, 3))
-    assert pmap.g.shape == (0, 0)
-    out = pmap(np.zeros(0))
+    assert [g.shape for g in pmap.g] == [(0, 0)]
+    out = pmap.matrix(pmap(0, np.zeros(0)))
     assert out.shape == (3, 3) and out.nnz == 0
 
 
