@@ -16,8 +16,7 @@ from .driver import (RunResult, TrajectoryRecord, poiseuille_profile_error,
 from .energy import EnergyLedger, load_ledger, verify_run
 from .errors import (ConfigError, SolverError, ValidationError, WallContact,
                      WallflowError)
-from .materials import (ShellCoefficients, ShellMaterial, derive_coefficients,
-                        validate_compatibility)
+from .materials import ShellCoefficients, ShellMaterial, derive_coefficients
 
 __version__ = "0.1.0"
 
@@ -27,6 +26,5 @@ __all__ = [
     "ValidationError", "WallContact", "WallflowError", "build_snapshot",
     "derive_coefficients", "load_config", "load_ledger", "min_radius_of",
     "poiseuille_profile_error", "run", "run_rigid_steady",
-    "self_convergence_study", "validate_compatibility",
-    "validate_config", "verify_run",
+    "self_convergence_study", "validate_config", "verify_run",
 ]

@@ -26,7 +26,7 @@ def _cmd_run(args):
               f"{increment:.3e}")
         return 0
     result = driver.run(cfg)
-    written = write_outputs(result, result.setup, cfg["output"])
+    written = write_outputs(result)
     print(f"status: {result.status}")
     if result.contact is not None:
         t, z = result.contact

@@ -52,7 +52,8 @@ def _ratio(val):
 
 
 def _amplitude(val):
-    # a subnormal bump underflows in the compatibility check
+    # a subnormal bump keeps too few digits for u0's top-edge trace to
+    # equal v0
     return _number(val) or (
         None if val == 0 or abs(val) >= sys.float_info.min
         else f"must be 0 or of magnitude at least {sys.float_info.min:.4g},"
@@ -170,9 +171,15 @@ def validate_config(raw):
     if (cfg.get("mode") == "rigid"
             and cfg.get("initial_data", {}).get("kind", "zero") != "zero"):
         problems.append("rigid mode requires zero initial data")
-    if not problems and cfg["mesh"]["wall_elements"] != cfg["mesh"]["n_z"]:
-        problems.append("mesh.wall_elements must equal mesh.n_z so interface "
-                        "nodes coincide")
+    if not problems:
+        if cfg["mesh"]["wall_elements"] != cfg["mesh"]["n_z"]:
+            problems.append("mesh.wall_elements must equal mesh.n_z so "
+                            "interface nodes coincide")
+        # the bump's interpolant p has 0 <= p <= bump <= 1, so R + eta0 > 0
+        amp = cfg["initial_data"].get("eta_amplitude", 0.0)
+        if not amp > -cfg["geometry"]["radius"]:
+            problems.append(f"initial_data.eta_amplitude = {amp} must exceed "
+                            "-geometry.radius: the wall is closed at t = 0")
     if problems:
         raise ConfigError(problems)
     return cfg

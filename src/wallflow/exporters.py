@@ -107,9 +107,12 @@ def write_fields_vtk(record, fluid_mesh, shell_mesh, radius, directory):
     return written
 
 
-def write_outputs(result, setup, output_cfg):
-    """Write the configured artifacts of a finished run; returns paths.
-    A directory or file that cannot be written raises WallflowError."""
+def write_outputs(result):
+    """Write a finished run's artifacts, as its config's ``output`` asks;
+    returns paths.  A directory or file that cannot be written raises
+    WallflowError."""
+    setup = result.setup
+    output_cfg = setup.cfg["output"]
     directory = output_cfg["directory"]
     fields_mode = output_cfg["fields"]
     written = []

@@ -497,6 +497,34 @@ def trace_map_by_loop(shell_mesh, fluid_mesh):
     return t
 
 
+def compatibility_failures(setup, eta0, v0, u0, trace=None):
+    """Names of the compatibility conditions that the full-DOF initial data
+    ``(eta0, v0, u0)`` on the meshes of ``setup`` break.  Exactly: clamped
+    wall ends and ``R + eta0 > 0`` at the wall nodes.  To 1e-10 of the
+    largest velocity: ``u0`` zero on the fixed DOFs, and the top edge's
+    radial ``u0`` equal to ``trace`` (by default the loop reference map)
+    applied to ``v0``.  To this evaluation's roundoff, 1e-12 of the largest
+    displacement: ``R + eta0 > 0`` at 8 points per wall element, element
+    midpoints among them."""
+    sm, fm = setup.shell_mesh, setup.fluid_mesh
+    if trace is None:
+        trace = trace_map_by_loop(sm, fm)
+    ends = [0, 1, -2, -1]
+    top_r = u0[fm.n_velocity_nodes + fm.top_nodes]
+    tol = 1e-10 * (max(np.abs(u0).max(), np.abs(v0).max()) or 1.0)
+    z = np.linspace(0.0, setup.length, 8 * sm.n_elements + 1)
+    r = setup.radius
+    held = {
+        "clamped ends": not (eta0[ends].any() or v0[ends].any()),
+        "fixed velocity DOFs": np.abs(u0[fixed_dofs(fm)]).max() <= tol,
+        "interface trace": np.abs(top_r - trace @ v0[2:-2]).max() <= tol,
+        "R + eta0 > 0": ((r + eta0[0::2]).min() > 0.0
+                         and (r + hermite_eval(sm.nodes, eta0, z)).min()
+                         > -1e-12 * np.abs(eta0).max()),
+    }
+    return [name for name, ok in held.items() if not ok]
+
+
 def reduce_by_index(setup, a_mom, b_div, wall=None):
     """Reference block reduction of a step system by index sets.
 

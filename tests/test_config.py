@@ -146,8 +146,8 @@ def test_nonpositive_time_step_rejected(time, problem):
 @pytest.mark.parametrize("key", ["eta_amplitude", "v_amplitude"])
 @pytest.mark.parametrize("value", [5e-324, -5e-324, 1e-310])
 def test_subnormal_initial_amplitude_rejected(key, value):
-    # a subnormal bump used to pass validation and then fail the run's
-    # initial-data compatibility check; the smallest normal one runs
+    # a subnormal bump keeps too few digits for u0's top-edge trace to
+    # equal v0 (see test_initial_data); the smallest normal one passes
     raw = minimal_raw()
     raw["initial_data"] = {"kind": "bump", key: value}
     with pytest.raises(ConfigError, match=f"initial_data.{key} must be 0 or"):

@@ -555,7 +555,7 @@ def test_a_contact_at_t0_records_and_writes_the_initial_state(tmp_path):
     assert rec.times == [0.0]
     assert np.array_equal(rec.etas[0], eta0) and np.array_equal(rec.vs[0], v0)
     assert np.array_equal(rec.us[0], u0) and not rec.ps[0].any()
-    written = exporters.write_outputs(res, res.setup, cfg["output"])
+    written = exporters.write_outputs(res)
     assert sorted(os.path.basename(p) for p in written) == [
         "ledger.csv", "pressure_0000.csv", "velocity_0000.csv",
         "wall_0000.csv"]

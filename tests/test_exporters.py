@@ -31,14 +31,13 @@ def run_small(tmp_path, bump=False, **time):
                                "v_amplitude": 1.0}
         raw["waveform"]["inlet"] = {"kind": "pulse", "amplitude": 2.0e4,
                                     "duration": 0.005}
-    cfg = validate_config(raw)
-    result = driver.run(cfg)
-    return cfg, result, result.setup
+    result = driver.run(validate_config(raw))
+    return result, result.setup
 
 
 def test_zero_run_export_shapes_and_values(tmp_path):
-    cfg, result, setup = run_small(tmp_path)
-    written = exporters.write_outputs(result, setup, cfg["output"])
+    result, setup = run_small(tmp_path)
+    written = exporters.write_outputs(result)
     names = {os.path.basename(p) for p in written}
     assert "ledger.csv" in names and "ledger.jsonl" not in names
     assert "velocity_0000.csv" in names and "fields_0000.vtk" in names
@@ -56,7 +55,7 @@ def test_zero_run_export_shapes_and_values(tmp_path):
 
 
 def test_vtk_structure(tmp_path):
-    cfg, result, setup = run_small(tmp_path)
+    result, setup = run_small(tmp_path)
     exporters.write_fields_vtk(result.record, setup.fluid_mesh,
                                setup.shell_mesh, setup.radius,
                                str(tmp_path / "vtk"))
@@ -71,7 +70,7 @@ def test_vtk_structure(tmp_path):
 
 
 def test_deformed_grid_tracks_the_wall(tmp_path):
-    cfg, result, setup = run_small(tmp_path)
+    result, setup = run_small(tmp_path)
     # forge a constant interior displacement and confirm the export maps it
     rec = result.record
     full = np.zeros(2 * setup.shell_mesh.n_nodes)
@@ -91,7 +90,7 @@ def test_deformed_grid_tracks_the_wall(tmp_path):
 
 
 def test_exports_are_byte_stable(tmp_path):
-    cfg, result, setup = run_small(tmp_path)
+    result, setup = run_small(tmp_path)
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     exporters.write_fields_csv(result.record, setup.fluid_mesh,
                                setup.shell_mesh, setup.radius, d1)
@@ -104,8 +103,8 @@ def test_exports_are_byte_stable(tmp_path):
 
 
 def test_ledger_round_trip_preserves_verdict(tmp_path):
-    cfg, result, setup = run_small(tmp_path, t_final=0.001, n_steps=8)
-    exporters.write_outputs(result, setup, cfg["output"])
+    result, setup = run_small(tmp_path, t_final=0.001, n_steps=8)
+    exporters.write_outputs(result)
     original = verify_run(result.ledger)
     rep = verify_run(load_ledger(tmp_path / "out" / "ledger.csv"))
     assert rep.ok == original.ok
@@ -113,7 +112,7 @@ def test_ledger_round_trip_preserves_verdict(tmp_path):
 
 
 def test_pressure_interpolation_to_velocity_nodes_is_exact(tmp_path):
-    cfg, result, setup = run_small(tmp_path)
+    result, setup = run_small(tmp_path)
     fm = setup.fluid_mesh
     # a bilinear field is reproduced exactly at the velocity nodes
     zg, rg = np.meshgrid(fm.pressure_z, fm.pressure_r)
@@ -125,11 +124,11 @@ def test_pressure_interpolation_to_velocity_nodes_is_exact(tmp_path):
 
 
 def test_writers_match_the_loop_reference(tmp_path):
-    cfg, result, setup = run_small(tmp_path, bump=True)
+    result, setup = run_small(tmp_path, bump=True)
     rec = result.record
     assert all(np.abs(p).max() > 0.0 for p in rec.ps[1:])
     assert all(np.abs(eta).max() > 0.0 for eta in rec.etas)
-    new = exporters.write_outputs(result, setup, cfg["output"])[1:]
+    new = exporters.write_outputs(result)[1:]
     ref_dir = str(tmp_path / "ref")
     ref = (write_fields_csv_by_loop(rec, setup.fluid_mesh, setup.shell_mesh,
                                     setup.radius, ref_dir)

@@ -1,12 +1,9 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallflow import coupling, fluid, shell
 from wallflow.errors import ValidationError
-from wallflow.materials import (ShellMaterial, derive_coefficients,
-                                validate_compatibility)
+from wallflow.materials import ShellMaterial, derive_coefficients
 
 
 def reference_material(**overrides):
@@ -84,67 +81,3 @@ def test_derivation_is_deterministic():
 def test_out_of_range_parameters_name_the_field(field, value):
     with pytest.raises(ValidationError, match=field):
         derive_coefficients(reference_material(**{field: value}))
-
-
-@pytest.fixture
-def small_meshes():
-    sm = shell.ShellMesh(8, 6.0)
-    fm = fluid.FluidMesh(8, 4, 6.0)
-    return sm, fm, coupling.build_coupling(sm, fm)
-
-
-def test_compatibility_zero_data_passes(small_meshes):
-    sm, fm, trace = small_meshes
-    eta0 = np.zeros(2 * sm.n_nodes)
-    v0 = np.zeros(2 * sm.n_nodes)
-    u0 = np.zeros(2 * fm.n_velocity_nodes)
-    report = validate_compatibility(sm, fm, trace, eta0, v0, u0, radius=0.5)
-    assert report.ok
-    assert all(c.residual == 0.0 for c in report.checks[:-1])
-
-
-def test_compatibility_flags_unclamped_end(small_meshes):
-    sm, fm, trace = small_meshes
-    eta0 = np.zeros(2 * sm.n_nodes)
-    eta0[0] = 0.01
-    report = validate_compatibility(sm, fm, trace, eta0, np.zeros_like(eta0),
-                                    np.zeros(2 * fm.n_velocity_nodes), 0.5)
-    assert not report.ok
-    assert any("clamped value at z=0" in c.name for c in report.failures())
-
-
-def test_compatibility_flags_collapsed_wall(small_meshes):
-    sm, fm, trace = small_meshes
-    eta0 = np.zeros(2 * sm.n_nodes)
-    eta0[0::2] = -0.5          # nodal values at -R, slopes zero
-    eta0[0] = eta0[-2] = 0.0   # keep the clamped ends clean
-    report = validate_compatibility(sm, fm, trace, eta0, np.zeros_like(eta0),
-                                    np.zeros(2 * fm.n_velocity_nodes), 0.5)
-    assert not report.ok
-    assert any("min radius" in c.name for c in report.failures())
-
-
-def test_compatibility_flags_trace_mismatch(small_meshes):
-    sm, fm, trace = small_meshes
-    eta0 = np.zeros(2 * sm.n_nodes)
-    v0 = np.zeros(2 * sm.n_nodes)
-    u0 = np.zeros(2 * fm.n_velocity_nodes)
-    u0[fm.n_velocity_nodes + fm.top_nodes[3]] = 1.0   # wall moves, trace not
-    report = validate_compatibility(sm, fm, trace, eta0, v0, u0, 0.5)
-    assert not report.ok
-    assert any("interface trace" in c.name for c in report.failures())
-
-
-def test_compatibility_reads_the_trace_map_it_is_given(small_meshes):
-    # exactly compatible moving data pass against the run's trace map and
-    # fail against any other: the check builds no trace map of its own
-    sm, fm, trace = small_meshes
-    v0 = np.zeros(2 * sm.n_nodes)
-    v0[4] = 1.0                       # value DOF of an interior node
-    u0 = np.zeros(2 * fm.n_velocity_nodes)
-    u0[fm.n_velocity_nodes + fm.top_nodes] = trace @ sm.to_free(v0)
-    eta0 = np.zeros_like(v0)
-    assert validate_compatibility(sm, fm, trace, eta0, v0, u0, 0.5).ok
-    report = validate_compatibility(sm, fm, 0.0 * trace, eta0, v0, u0, 0.5)
-    assert [c.name for c in report.failures()] == [
-        "interface trace u0_r = v0"]
