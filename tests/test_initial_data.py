@@ -14,7 +14,7 @@ from wallflow.config import validate_config
 from wallflow.driver import RunSetup
 from wallflow.errors import ConfigError
 
-from oracles import compatibility_failures, trace_map_by_loop
+from oracles import compatibility_failures
 
 
 def bump_raw(n_z=8, n_r=4, radius=0.5, length=6.0, eta=0.01, v=1.0):
@@ -39,48 +39,6 @@ def run_cli(tmp_path, capsys, raw):
     path.write_text(json.dumps(raw))
     code = main(["run", str(path)])
     return code, capsys.readouterr().err.splitlines()
-
-
-def corrupt_end(setup, eta0, v0, u0):
-    eta0[0] = 0.01
-
-
-def corrupt_top_edge(setup, eta0, v0, u0):
-    fm = setup.fluid_mesh
-    u0[fm.n_velocity_nodes + fm.top_nodes[3]] += 1.0
-
-
-def corrupt_bottom_edge(setup, eta0, v0, u0):
-    fm = setup.fluid_mesh
-    u0[fm.n_velocity_nodes + fm.bottom_nodes[3]] = 1.0
-
-
-def collapse_wall(setup, eta0, v0, u0):
-    eta0[2:-2:2] = -setup.radius      # interior nodal values at -R
-
-
-@pytest.mark.parametrize("corrupt, broken", [
-    (corrupt_end, ["clamped ends"]),
-    (corrupt_top_edge, ["interface trace"]),
-    (corrupt_bottom_edge, ["fixed velocity DOFs"]),
-    (collapse_wall, ["R + eta0 > 0"]),
-], ids=["unclamped-end", "moved-top-edge", "moved-bottom-edge",
-        "collapsed-wall"])
-def test_the_check_fails_corrupted_data(corrupt, broken):
-    setup = RunSetup(validate_config(bump_raw()))
-    eta0, v0, u0 = setup.initial_data()
-    assert compatibility_failures(setup, eta0, v0, u0) == []
-    corrupt(setup, eta0, v0, u0)
-    assert compatibility_failures(setup, eta0, v0, u0) == broken
-
-
-def test_the_check_reads_the_trace_map_it_is_given():
-    setup = RunSetup(validate_config(bump_raw()))
-    data = setup.initial_data()
-    trace = trace_map_by_loop(setup.shell_mesh, setup.fluid_mesh)
-    assert compatibility_failures(setup, *data, trace=trace) == []
-    assert compatibility_failures(setup, *data, trace=0.0 * trace) == [
-        "interface trace"]
 
 
 def draws(n_z, count=16):

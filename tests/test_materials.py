@@ -1,9 +1,15 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallflow import coupling, fluid, shell
 from wallflow.errors import ValidationError
 from wallflow.materials import ShellMaterial, derive_coefficients
+
+from oracles import compatibility_failures
 
 
 def reference_material(**overrides):
@@ -81,3 +87,76 @@ def test_derivation_is_deterministic():
 def test_out_of_range_parameters_name_the_field(field, value):
     with pytest.raises(ValidationError, match=field):
         derive_coefficients(reference_material(**{field: value}))
+
+
+# The compatibility conditions on the initial data, as the independent
+# oracle check states them, fail on data that break them; that the data
+# ``RunSetup.initial_data`` builds pass is tests/test_initial_data.py.
+
+@pytest.fixture
+def small_meshes():
+    sm = shell.ShellMesh(8, 6.0)
+    fm = fluid.FluidMesh(8, 4, 6.0)
+    setup = SimpleNamespace(shell_mesh=sm, fluid_mesh=fm, length=6.0,
+                            radius=0.5)
+    return setup, coupling.build_coupling(sm, fm)
+
+
+def zero_data(setup):
+    n_wall = 2 * setup.shell_mesh.n_nodes
+    return (np.zeros(n_wall), np.zeros(n_wall),
+            np.zeros(2 * setup.fluid_mesh.n_velocity_nodes))
+
+
+def test_compatibility_zero_data_passes(small_meshes):
+    setup, trace = small_meshes
+    assert compatibility_failures(setup, *zero_data(setup), trace=trace) == []
+
+
+def test_compatibility_flags_unclamped_end(small_meshes):
+    setup, trace = small_meshes
+    eta0, v0, u0 = zero_data(setup)
+    eta0[0] = 0.01
+    assert compatibility_failures(setup, eta0, v0, u0, trace=trace) == [
+        "clamped ends"]
+
+
+def test_compatibility_flags_collapsed_wall(small_meshes):
+    setup, trace = small_meshes
+    eta0, v0, u0 = zero_data(setup)
+    eta0[0::2] = -0.5          # nodal values at -R, slopes zero
+    eta0[0] = eta0[-2] = 0.0   # keep the clamped ends clean
+    assert compatibility_failures(setup, eta0, v0, u0, trace=trace) == [
+        "R + eta0 > 0"]
+
+
+def test_compatibility_flags_trace_mismatch(small_meshes):
+    setup, trace = small_meshes
+    fm = setup.fluid_mesh
+    eta0, v0, u0 = zero_data(setup)
+    u0[fm.n_velocity_nodes + fm.top_nodes[3]] = 1.0   # wall moves, trace not
+    assert compatibility_failures(setup, eta0, v0, u0, trace=trace) == [
+        "interface trace"]
+
+
+def test_compatibility_flags_a_moving_fixed_dof(small_meshes):
+    setup, trace = small_meshes
+    fm = setup.fluid_mesh
+    eta0, v0, u0 = zero_data(setup)
+    u0[fm.n_velocity_nodes + fm.bottom_nodes[3]] = 1.0   # axis moves radially
+    assert compatibility_failures(setup, eta0, v0, u0, trace=trace) == [
+        "fixed velocity DOFs"]
+
+
+def test_compatibility_reads_the_trace_map_it_is_given(small_meshes):
+    # exactly compatible moving data pass against the run's trace map and
+    # fail against any other
+    setup, trace = small_meshes
+    sm, fm = setup.shell_mesh, setup.fluid_mesh
+    eta0, v0, u0 = zero_data(setup)
+    v0[4] = 1.0                       # value DOF of an interior node
+    u0[fm.n_velocity_nodes + fm.top_nodes] = trace @ sm.to_free(v0)
+    assert compatibility_failures(setup, eta0, v0, u0) == []
+    assert compatibility_failures(setup, eta0, v0, u0, trace=trace) == []
+    assert compatibility_failures(setup, eta0, v0, u0,
+                                  trace=0.0 * trace) == ["interface trace"]
