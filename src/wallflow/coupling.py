@@ -24,8 +24,8 @@ fixed reference rectangle and ``P`` and ``E`` are fixed, so every step
 system has one pattern and its data are linear in the element kernels'
 output.  One :class:`~wallflow.sparsela.ProductMap` per run composes the
 assembly scatter with the reduction.  A wall profile's :class:`Frame`
-holds what the profile alone fixes, so a step on it runs only its flow
-kernels, adds their share through the map and solves.
+holds what the profile alone fixes, so a step on it runs one flow kernel,
+adds its share through the map and solves.
 """
 
 from dataclasses import dataclass
@@ -94,10 +94,10 @@ GEOMETRY, FLOW = 0, 1      # the operand groups of the run's reduction map
 @dataclass
 class Frame:
     """A wall profile's ``snapshot``, scalar weighted ``mass`` and ``data``,
-    the geometry group's share of every step system on the profile."""
+    the geometry group's share of every step system on it, or None."""
     snapshot: object
     mass: object
-    data: np.ndarray
+    data: np.ndarray = None
 
 
 @dataclass
@@ -105,7 +105,8 @@ class FluidStepResult:
     u_full: np.ndarray
     v_new: np.ndarray
     pressure: np.ndarray
-    operators: dict            # scalar mass, advection and Robin matrices
+    flow: np.ndarray           # the flow data, for the ledger's checks
+    v_half_q: np.ndarray       # the domain velocity at the quadrature points
     snapshot: object           # the step's geometry, for the viscous form
     forcing: np.ndarray
 
@@ -131,28 +132,14 @@ def reduced_viscous(setup, operands):
     return setup.reduction.matrix(setup.reduction(GEOMETRY, k))[:n, :n]
 
 
-def build_frame(setup, snapshot, operands=None):
-    """The :class:`Frame` of ``snapshot``; ``operands``, when given, are its
-    :func:`geometry_operands`."""
+def build_frame(setup, snapshot, mass=None, operands=None):
+    """The :class:`Frame` of ``snapshot``; ``mass`` and ``operands``, when
+    given, are its weighted mass and its :func:`geometry_operands`."""
     if operands is None:
         operands = geometry_operands(setup, snapshot)
-    mass = fl.assemble_weighted_mass(setup.fluid_mesh, snapshot)
+    if mass is None:
+        mass = fl.assemble_weighted_mass(setup.fluid_mesh, snapshot)
     return Frame(snapshot, mass, setup.reduction(GEOMETRY, operands))
-
-
-def assemble_step_operators(setup, frame, u_prev_full, v_half_free):
-    """The scalar operators of a fluid step on ``frame``: its mass and the
-    step's advection and Robin matrices.  The geometry weight comes from the
-    start-of-step wall profile while the advecting domain velocity uses the
-    half step just produced by the wall solve; this asymmetry is deliberate
-    and required by the energy identity."""
-    mesh = setup.fluid_mesh
-    v_half_q = fl.shell_field_at_quad(setup.shell_mesh, v_half_free, mesh)
-    return {"mass": frame.mass,
-            "advection": fl.assemble_advection(mesh, frame.snapshot,
-                                               u_prev_full, v_half_q,
-                                               setup.rho_f),
-            "robin": fl.assemble_robin_mass(mesh, v_half_q)}
 
 
 def build_reduction(setup):
@@ -181,55 +168,59 @@ def build_reduction(setup):
         (n + n_p, n + n_p))
 
 
-def reduce_coupled_system(setup, frame, ops):
+def reduce_coupled_system(setup, frame, flow):
     """The step's saddle system ``[[P^T A P + E W E^T, -(B P)^T], [B P,
-    0]]``, ``A = K + I_2 (x) ((rho_f/dt) M + N + (rho_f/2) S)``: the
-    ``frame``'s data plus the flow group's share of the scalar ``ops``,
-    through the run's one map, so every step system of a run has the same
-    pattern."""
-    scalar = ((setup.rho_f / setup.dt) * ops["mass"].data
-              + ops["advection"].data + (0.5 * setup.rho_f) * ops["robin"].data)
-    data = setup.reduction(FLOW, scalar)
+    0]]``, ``A = K + I_2 (x) F``: the ``frame``'s data plus the flow
+    group's share of the scalar flow data ``flow`` (``F``), through the
+    run's one map, so every step system of a run has the same pattern."""
+    data = setup.reduction(FLOW, flow)
     data += frame.data
     return setup.reduction.matrix(data)
 
 
-def _step(setup, frame, u_prev_full, v_half, p_in, p_out, solver):
-    """The fluid step on ``frame`` with domain and wall velocity
-    ``v_half``: one reduced solve for ``x``, then ``u = P x`` and ``v_new =
-    E^T x``.  A solution that is not finite raises :class:`SolverError`."""
-    ops = assemble_step_operators(setup, frame, u_prev_full, v_half)
-    forcing = fl.assemble_pressure_forcing(setup.fluid_mesh, p_in, p_out,
+def _step(setup, frame, mass_new, u_prev_full, v_half, p_in, p_out, solver,
+          mass_u_prev):
+    """The fluid step from ``frame`` to the end mass ``mass_new`` with
+    domain and wall velocity ``v_half``: one reduced solve for ``x``, then
+    ``u = P x`` and ``v_new = E^T x``; a non-finite ``x`` is a SolverError."""
+    mesh = setup.fluid_mesh
+    v_half_q = fl.shell_field_at_quad(setup.shell_mesh, v_half, mesh)
+    flow = fl.assemble_flow(mesh, frame.snapshot, u_prev_full, v_half_q,
+                            setup.rho_f, setup.dt, frame.mass, mass_new)
+    forcing = fl.assemble_pressure_forcing(mesh, p_in, p_out,
                                            frame.snapshot.radius)
-    rhs_full = ((setup.rho_f / setup.dt)
-                * fl.componentwise(frame.mass, u_prev_full) + forcing)
+    rhs_full = (setup.rho_f / setup.dt) * mass_u_prev + forcing
     p, e = setup.prolongation, setup.wall_injection
     load = p.T @ rhs_full + e @ ((setup.rho_s_h / setup.dt)
                                  * (setup.shell_mass @ v_half))
-    system = reduce_coupled_system(setup, frame, ops)
-    x = solver.solve(system, np.concatenate(
-        [load, np.zeros(setup.fluid_mesh.n_pressure_nodes)]))
+    system = reduce_coupled_system(setup, frame, flow)
+    x = solver.solve(system, np.concatenate([load,
+                                             np.zeros(mesh.n_pressure_nodes)]))
     if not np.isfinite(x).all():
         raise SolverError("non-finite solution fields")
     n = p.shape[1]
     return FluidStepResult(u_full=p @ x[:n], v_new=e.T @ x[:n],
-                           pressure=x[n:], operators=ops,
+                           pressure=x[n:], flow=flow, v_half_q=v_half_q,
                            snapshot=frame.snapshot, forcing=forcing)
 
 
-def fluid_step(setup, frame, u_prev_full, shell_half, p_in, p_out, solver):
-    """The coupled fluid/wall-velocity step of the run's ``dt`` on the
-    start-of-step ``frame`` after the wall half step ``shell_half``, whose
-    ``v_star`` is the half-step velocity, solved by the run's fluid-step
-    ``solver``.  The wall displacement does not change in this half step."""
-    return _step(setup, frame, u_prev_full, shell_half.v_star, p_in, p_out,
-                 solver)
+def fluid_step(setup, frame, mass_new, u_prev_full, shell_half, p_in, p_out,
+               solver, mass_u_prev):
+    """The coupled step of the run's ``dt`` from the start-of-step
+    ``frame`` to the end-of-step mass ``mass_new``, on the frame's geometry
+    but with the half-step velocity of ``shell_half`` (the asymmetry the
+    energy identity needs), solved by the run's fluid-step ``solver``;
+    ``mass_u_prev`` is ``componentwise(frame.mass, u_prev_full)``, which
+    the ledger carries over from its last row."""
+    return _step(setup, frame, mass_new, u_prev_full, shell_half.v_star,
+                 p_in, p_out, solver, mass_u_prev)
 
 
 def rigid_fluid_step(setup, frame, u_prev_full, p_in, p_out, solver):
     """The fluid step of a rigid-mode ``setup`` on ``frame``, whose ``P``
     has no wall columns and ``E`` is zero: every top-edge DOF and the
-    returned wall velocity are zero.  Test harness for rigid-wall channel
-    flow."""
-    return _step(setup, frame, u_prev_full, setup.shell_mesh.zero_free(),
-                 p_in, p_out, solver)
+    returned wall velocity are zero, and the mass stays the frame's.  Test
+    harness for rigid-wall channel flow."""
+    return _step(setup, frame, frame.mass, u_prev_full,
+                 setup.shell_mesh.zero_free(), p_in, p_out, solver,
+                 fl.componentwise(frame.mass, u_prev_full))

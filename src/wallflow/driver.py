@@ -235,7 +235,7 @@ def run(cfg):
         # the step map is built here, before the trace constant's LU
         operands = coupling.geometry_operands(setup, snap)
         c_ref, c_ref_computed = _trace_constant(setup, operands)
-        frame = coupling.build_frame(setup, snap, operands)
+        frame = coupling.build_frame(setup, snap, operands=operands)
         del operands
         monitor = EnergyMonitor(setup)
         ledger.header.update(
@@ -253,14 +253,17 @@ def run(cfg):
             snap_new = ale.build_snapshot(
                 sm, half.eta, fm, setup.radius,
                 contact_threshold=setup.contact_threshold)
-            result = coupling.fluid_step(setup, frame, u, half, p_in, p_out,
-                                         solver)
-            # the spent frame's system data go before the next frame's come
-            mass_old, frame = frame.mass, None
-            frame = coupling.build_frame(setup, snap_new)
+            end = coupling.Frame(snap_new,
+                                 fluid.assemble_weighted_mass(fm, snap_new))
+            result = coupling.fluid_step(setup, frame, end.mass, u, half,
+                                         p_in, p_out, solver,
+                                         monitor.mass_product(u, frame.mass))
             ledger.append(monitor.record_step(n, state, u, half, result,
-                                              mass_old, frame.mass, p_in,
-                                              p_out))
+                                              frame, end, p_in, p_out))
+            # the spent frame's data go before the next one's come
+            frame = None
+            if n + 1 < n_steps:
+                frame = coupling.build_frame(setup, snap_new, end.mass)
 
             state = shell.ShellState(eta=half.eta, v=result.v_new,
                                      v_star=half.v_star)

@@ -2,13 +2,16 @@
 
 Every completed step appends one ledger row holding the semi-discrete
 energies, the dissipation, every squared jump term, the pressure work, and
-the defects of the two per-step identities:
+the defects of the per-step identities:
 
 * the wall half step satisfies an exact energy *equality* (kinetic +
   elastic energy plus squared jumps is conserved);
 * the fluid step satisfies an exact balance whose damped form is the
   stability inequality: the end-of-step energy plus jumps plus dissipation
-  equals the start energy plus the pressure work.
+  equals the start energy plus the pressure work;
+* entrywise, on the fluid step's own data: its domain velocity takes the
+  start profile's quadrature weights to the end one's, and its flow data
+  less the two masses are skew.
 
 Summing both telescopes to the uniform bound
 ``E_final + sum(dissipation + jumps) - sum(pressure work) = E_0``, which
@@ -193,7 +196,7 @@ class EnergyMonitor:
 
     def __init__(self, setup):
         self.setup = setup
-        self._last_kinetic = (None, None, 0.0)
+        self._last_product = (None, None, None)
 
     def _wall_elastic(self, eta):
         g0, g1, g2 = self.setup.grams
@@ -201,15 +204,18 @@ class EnergyMonitor:
         return (c.C0 * float(eta @ (g0 @ eta)) + c.C1 * float(eta @ (g1 @ eta))
                 + c.C2 * float(eta @ (g2 @ eta)))
 
-    def _kinetic(self, u_full, weighted_mass):
-        """The fluid kinetic energy, carried over to the next call on the
-        same arrays (a row's ``e_full`` term is the next row's ``e_n``)."""
-        u_last, mass_last, value = self._last_kinetic
+    def mass_product(self, u_full, weighted_mass):
+        """``componentwise(weighted_mass, u_full)``, carried over to the next
+        call on the same arrays: the next row's ``e_n`` and step's load."""
+        u_last, mass_last, product = self._last_product
         if u_full is not u_last or weighted_mass is not mass_last:
-            value = 0.5 * self.setup.rho_f * float(
-                u_full @ componentwise(weighted_mass, u_full))
-            self._last_kinetic = (u_full, weighted_mass, value)
-        return value
+            product = componentwise(weighted_mass, u_full)
+            self._last_product = (u_full, weighted_mass, product)
+        return product
+
+    def _kinetic(self, u_full, weighted_mass):
+        return 0.5 * self.setup.rho_f * float(
+            u_full @ self.mass_product(u_full, weighted_mass))
 
     def _wall_kinetic(self, v):
         s = self.setup
@@ -221,9 +227,10 @@ class EnergyMonitor:
         return (self._kinetic(u_full, weighted_mass) + self._wall_kinetic(v)
                 + 0.5 * self._wall_elastic(eta))
 
-    def record_step(self, step, state_n, u_n, shell_half, result, mass_old,
-                    mass_new, p_in, p_out):
-        """One ledger row for a completed (wall + fluid) step."""
+    def record_step(self, step, state_n, u_n, shell_half, result, old, new,
+                    p_in, p_out):
+        """One ledger row for a completed (wall + fluid) step from the
+        frames ``old`` and ``new`` of its start and end wall profiles."""
         s = self.setup
         dt, c = s.dt, s.coeffs
         g0, g1, g2 = s.grams
@@ -231,12 +238,12 @@ class EnergyMonitor:
 
         # total_energy's sums in its order (bitwise equal), with the shared
         # fluid kinetic (e_n, e_half) and elastic (e_half, e_full) terms once
-        kinetic_n = self._kinetic(u_n, mass_old)
+        kinetic_n = self._kinetic(u_n, old.mass)
         elastic_half = 0.5 * self._wall_elastic(shell_half.eta)
         e_n = (kinetic_n + self._wall_kinetic(state_n.v)
                + 0.5 * self._wall_elastic(state_n.eta))
         e_half = kinetic_n + self._wall_kinetic(shell_half.v_star) + elastic_half
-        e_full = (self._kinetic(result.u_full, mass_new)
+        e_full = (self._kinetic(result.u_full, new.mass)
                   + self._wall_kinetic(result.v_new) + elastic_half)
 
         d_eta = shell_half.eta - state_n.eta
@@ -247,7 +254,7 @@ class EnergyMonitor:
                     c.C1 * float(d_eta @ (g1 @ d_eta)),
                     c.C2 * float(d_eta @ (g2 @ d_eta))]
         jump_v_a1 = float(dv1 @ (ms @ dv1))
-        jump_u = s.rho_f * float(du @ componentwise(mass_old, du))
+        jump_u = s.rho_f * float(du @ componentwise(old.mass, du))
         jump_v_a2 = float(dv2 @ (ms @ dv2))
 
         d_fluid = dt * 0.5 * viscous_form(s.fluid_mesh, result.snapshot, s.mu,
@@ -260,15 +267,16 @@ class EnergyMonitor:
         balance = abs(e_full + 0.5 * jump_u + 0.5 * s.rho_s_h * jump_v_a2
                       + 2.0 * d_fluid + d_shell - e_half - pwork)
 
-        # the scalar operators hold every entry of I_2 (x) m once, so these
-        # maxima over their data are those over the two-component operators
-        mass_resid = float(np.max(np.abs(
-            mass_old.data + dt * result.operators["robin"].data - mass_new.data)))
-        mass_scale = float(np.max(np.abs(mass_new.data)))
-        n_adv = result.operators["advection"].data
-        skew_sum = n_adv + n_adv[s.fluid_mesh.scalar_pattern.transpose_slots]
-        skew = float(np.abs(skew_sum).max()) if n_adv.size else 0.0
-        skew_scale = float(np.abs(n_adv).max()) if n_adv.size else 0.0
+        # w_old + dt w_dv v_half = w_new at every quadrature point, with the
+        # step's v_half; the step's flow data F less its masses are skew
+        w_new, flow = new.snapshot.w, result.flow
+        mass_resid = float(np.abs(old.snapshot.w - w_new + dt * (
+            s.fluid_mesh.quad_w_dv * result.v_half_q)).max())
+        mass_scale = float(np.abs(w_new).max())
+        skew = float(np.abs(
+            flow + flow[s.fluid_mesh.scalar_pattern.transpose_slots]
+            - (s.rho_f / dt) * (old.mass.data + new.mass.data)).max())
+        skew_scale = float(np.abs(flow).max())
 
         scale = max(e_n, e_half, e_full, ENERGY_FLOOR)
         for name, val in (("e_n", e_n), ("e_half", e_half), ("e_full", e_full)):

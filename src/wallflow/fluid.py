@@ -2,15 +2,14 @@
 
 Structured quadrilateral grid on (0, L) x (0, 1), biquadratic velocity and
 bilinear pressure (an inf-sup stable pair).  All operators are assembled
-with the same 3x3 Gauss rule.  The mass, Robin mass and advection forms are
+with the same 3x3 Gauss rule.  The mass and the fluid step's flow data are
 ``I_2 (x) m``, so each is its scalar matrix ``m`` on one scalar pattern,
 applied by :func:`componentwise`; the viscous and divergence kernels
 return raw element entries, which the run's reduction maps into the step
-system; the viscous ones are only the independent entries of a symmetric
-operator.  The ledger's dissipation :func:`viscous_form` is the same
-quadratic form at the quadrature points.  Operators of one pattern
-combine, and satisfy their entrywise identities, on their data arrays,
-exactly up to roundoff.  Every element kernel is (n_cells, 9) quadrature
+system.  The viscous and transport kernels compute only the independent
+entries of a symmetric and an antisymmetric operator.  The ledger's
+dissipation :func:`viscous_form` is the same quadratic form at the
+quadrature points.  Every element kernel is (n_cells, 9) quadrature
 weights times a shape-function product table built once per mesh.
 
 DOF layout: velocity component c, node n -> index c * n_velocity_nodes + n,
@@ -30,6 +29,11 @@ from .sparsela import ScatterPattern
 # local (row, column) of the independent entries of a symmetric 9x9 cell
 # block: the diagonal, then the strict upper triangle
 _UPPER = np.hstack([np.tile(np.arange(9), (2, 1)), np.triu_indices(9, 1)])
+
+# local entries a * 9 + b of a cell block's strict upper triangle, then of
+# their mirrors: the layout of the transport table and of its slots
+_SKEW = np.r_[_UPPER[0, 9:] * 9 + _UPPER[1, 9:],
+              _UPPER[1, 9:] * 9 + _UPPER[0, 9:]]
 
 # entries per cell of the viscous kernel: the upper triangles of both
 # diagonal blocks, then the (0, 1) cross block
@@ -81,9 +85,10 @@ class FluidMesh:
 
         iz = np.arange(self.n_cols)
         ir = np.arange(self.n_rows)
-        self.velocity_z = iz * (self.hz / 2.0)
+        # linspace ends the outlet columns at exactly z = L
+        self.velocity_z = np.linspace(0.0, self.length, self.n_cols)
         self.velocity_r = ir * (self.hr / 2.0)
-        self.pressure_z = np.arange(self.n_z + 1) * self.hz
+        self.pressure_z = np.linspace(0.0, self.length, self.n_z + 1)
         self.pressure_r = np.arange(self.n_r + 1) * self.hr
 
         # cell -> node connectivity (cells row-major: c = cr * n_z + cz)
@@ -162,10 +167,16 @@ class FluidMesh:
     @functools.cached_property
     def scalar_pattern(self):
         """Pattern of one velocity component against itself, ``conn_v x
-        conn_v``: the mass, Robin mass and advection matrices."""
+        conn_v``: the mass and the flow data."""
         nv = self.n_velocity_nodes
         return ScatterPattern(*_cell_entries(self.conn_v, self.conn_v,
                                              [(0, 0)]), (nv, nv))
+
+    @functools.cached_property
+    def skew_slots(self):
+        """The scalar pattern's slots of each cell's strict-upper entries,
+        then of their mirrors, cell by cell: where ``skew`` goes."""
+        return self.scalar_pattern.slot.reshape(-1, 81)[:, _SKEW].ravel()
 
     @functools.cached_property
     def tables(self):
@@ -175,28 +186,22 @@ class FluidMesh:
         pullback gradients ``g1 = dz - f dr`` and ``g2 = dr / (R + eta)``
         expand into ``dz dz``, ``dz dr + dr dz`` and ``dr dr`` (``strain``,
         at the upper-triangle entries only), ``dr dz`` and ``dr dr``
-        (``cross``), ``phi dz`` and ``phi dr`` (``transport``), ``chi dz``
-        and ``chi dr`` (``divergence``), each stack holding its tables in
-        that order."""
+        (``cross``), ``phi dz - dz phi`` and ``phi dr - dr phi`` (``skew``,
+        at the strict upper triangle, then negated), ``chi dz`` and ``chi
+        dr`` (``divergence``), each stack holding its tables in that order."""
         def outer(x, y):
             return (x[:, :, None] * y[:, None, :]).reshape(self.n_quad, -1)
         phi, dz, dr = self.phi, self.dphi_dz, self.dphi_dr
+        transport = np.vstack([outer(phi, dz), outer(phi, dr)])[:, _SKEW]
         return {
             "mass": outer(phi, phi),
             "strain": np.vstack([outer(dz, dz), outer(dz, dr) + outer(dr, dz),
                                  outer(dr, dr)])[:, _UPPER[0] * 9 + _UPPER[1]],
             "cross": np.vstack([outer(dr, dz), outer(dr, dr)]),
-            "transport": np.vstack([outer(phi, dz), outer(phi, dr)]),
+            "skew": transport - np.roll(transport, 36, axis=1),
             "divergence": np.vstack([outer(self.chi, dz),
                                      outer(self.chi, dr)]),
         }
-
-    # -- field sampling ----------------------------------------------------
-
-    def velocity_at_quad(self, u_full):
-        """Both velocity components at the quadrature points, (2, nc, nq)."""
-        u = np.asarray(u_full, dtype=float).reshape(2, -1)[:, self.conn_v]
-        return (u.reshape(-1, 9) @ self.phi.T).reshape(2, self.n_cells, 9)
 
 
 def shell_field_at_quad(shell_mesh, field_free, fluid_mesh, deriv=0):
@@ -211,20 +216,15 @@ def componentwise(m, u_full):
     return (m @ u_full.reshape(2, -1).T).T.ravel()
 
 
-def _mass(mesh, w):
-    """Scalar velocity mass with quadrature weights ``w`` (n_cells, n_quad)."""
-    return mesh.scalar_pattern.csr(w @ mesh.tables["mass"])
-
-
 def assemble_weighted_mass(mesh, snapshot):
     """Scalar velocity mass with the Jacobian weight R + eta (SPD)."""
-    return _mass(mesh, snapshot.w)
+    return mesh.scalar_pattern.csr(snapshot.w @ mesh.tables["mass"])
 
 
 def assemble_unweighted_mass(mesh):
     """Plain scalar velocity mass on the reference rectangle (norms)."""
-    return _mass(mesh, np.broadcast_to(mesh.quad_w_dv[None, :],
-                                       (mesh.n_cells, mesh.n_quad)))
+    w = np.broadcast_to(mesh.quad_w_dv, (mesh.n_cells, mesh.n_quad))
+    return mesh.scalar_pattern.csr(w @ mesh.tables["mass"])
 
 
 def assemble_viscous_blocks(mesh, snapshot, mu, out=None):
@@ -257,7 +257,7 @@ def assemble_viscous_blocks(mesh, snapshot, mu, out=None):
 def viscous_form(mesh, snapshot, mu, u_full):
     """``u^T K u`` of the viscous operator, at the quadrature points:
     ``mu sum w (2 (g1 u_z)^2 + 2 (g2 u_r)^2 + (g2 u_z + g1 u_r)^2)``."""
-    u = u_full.reshape(2, -1)[:, mesh.conn_v].reshape(-1, 9)
+    u = np.take(u_full.reshape(2, -1), mesh.conn_v, axis=1).reshape(-1, 9)
     dz = (u @ mesh.dphi_dz.T).reshape(2, mesh.n_cells, 9)
     dr = (u @ mesh.dphi_dr.T).reshape(2, mesh.n_cells, 9)
     g1 = dz - snapshot.slope * dr
@@ -266,31 +266,29 @@ def viscous_form(mesh, snapshot, mu, u_full):
                                            + (g2[0] + g1[1]) ** 2)))
 
 
-def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
-    """Skew-symmetrized scalar transport operator.
-
-    The advecting field is the previous velocity minus the domain velocity
-    v_half * r * e_r; the two antisymmetrized terms make q^T N q = 0 exactly,
-    entry by entry, so the assembled matrix satisfies N = -N^T to roundoff.
-    """
+def assemble_flow(mesh, snapshot, u_advect_full, v_half_q, rho_f, dt,
+                  mass_old, mass_new):
+    """A fluid step's flow data on the scalar pattern, ``(rho_f/2dt)(M_old
+    + M_new) + N``.  The end weight is the start weight plus ``dt v_half``
+    at each quadrature point, so the mass part is the ALE Robin form
+    ``(rho_f/dt) M_old + (rho_f/2) S(v_half)``, the kinetic-energy update
+    the scheme relies on.  ``N`` is the transport by the previous velocity
+    minus the domain velocity v_half * r * e_r, each cell's block ``0.5
+    rho_f (x - x^T)`` taken at its strict upper triangle and, negated, at
+    its mirror, so ``q^T N q = 0``."""
     w, f = snapshot.w, snapshot.slope
-    a1, a2 = mesh.velocity_at_quad(u_advect_full)
+    # np.take gathers several times faster than fancy indexing here
+    u = np.take(u_advect_full.reshape(2, -1), mesh.conn_v, axis=1)
+    a1, a2 = (u.reshape(-1, 9) @ mesh.phi.T).reshape(2, mesh.n_cells, 9)
     a2 = a2 - v_half_q * mesh.quad_r          # minus the domain velocity
     # a1 g1 + a2 g2 = a1 dz + (a2 / (R + eta) - a1 f) dr
-    x = (np.hstack([w * a1, w * (a2 / snapshot.jac_q - a1 * f)])
-         @ mesh.tables["transport"]).reshape(-1, 9, 9)
-    return mesh.scalar_pattern.csr(0.5 * rho_f * (x - x.transpose(0, 2, 1)))
-
-
-def assemble_robin_mass(mesh, v_half_q):
-    """Scalar velocity mass weighted by the wall half-step velocity alone.
-
-    No Jacobian weight and no r factor: exactly this form combines with the
-    weighted mass into the weight R + eta + dt * v_half at every quadrature
-    point, which is the kinetic-energy update identity the scheme relies on.
-    """
-    return _mass(mesh, mesh.quad_w_dv[None, :] * np.broadcast_to(
-        np.asarray(v_half_q, dtype=float), (mesh.n_cells, mesh.n_quad)))
+    weights = (0.5 * rho_f) * np.hstack([w * a1,
+                                         w * (a2 / snapshot.jac_q - a1 * f)])
+    data = np.bincount(mesh.skew_slots,
+                       weights=(weights @ mesh.tables["skew"]).ravel(),
+                       minlength=mesh.scalar_pattern.nnz)
+    data += (rho_f / (2.0 * dt)) * (mass_old.data + mass_new.data)
+    return data
 
 
 def assemble_divergence_blocks(mesh, snapshot, out=None):

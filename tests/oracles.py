@@ -563,6 +563,51 @@ def assemble_divergence(mesh, snapshot):
         shape=(mesh.n_pressure_nodes, 2 * mesh.n_velocity_nodes)).tocsr()
 
 
+def transport_blocks(mesh, snapshot, u_advect_full, v_half_q, rho_f):
+    """Each cell's full 9x9 transport block ``rho_f (a . grad phi_b, phi_a)``,
+    (n_cells, 9, 9), with the advecting field the previous velocity minus
+    the domain velocity v_half * r * e_r; not antisymmetrized."""
+    def outer(x, y):
+        return (x[:, :, None] * y[:, None, :]).reshape(mesh.n_quad, -1)
+    w, f = snapshot.w, snapshot.slope
+    u = u_advect_full.reshape(2, -1)[:, mesh.conn_v].reshape(-1, 9)
+    a1, a2 = (u @ mesh.phi.T).reshape(2, mesh.n_cells, 9)
+    a2 = a2 - v_half_q * mesh.quad_r
+    table = np.vstack([outer(mesh.phi, mesh.dphi_dz),
+                       outer(mesh.phi, mesh.dphi_dr)])
+    return rho_f * (np.hstack([w * a1, w * (a2 / snapshot.jac_q - a1 * f)])
+                    @ table).reshape(-1, 9, 9)
+
+
+def assemble_advection(mesh, snapshot, u_advect_full, v_half_q, rho_f):
+    """The skew-symmetrized scalar transport ``N``: each cell's full
+    transport block ``x`` as ``0.5 (x - x^T)``, scattered onto the scalar
+    pattern."""
+    x = transport_blocks(mesh, snapshot, u_advect_full, v_half_q, rho_f)
+    return mesh.scalar_pattern.csr(0.5 * (x - x.transpose(0, 2, 1)))
+
+
+def assemble_robin_mass(mesh, v_half_q):
+    """The scalar velocity mass weighted by the wall half-step velocity
+    alone, ``S``: no Jacobian weight and no r factor, so ``M_old + dt S``
+    is the mass of the weight R + eta + dt * v_half."""
+    w = mesh.quad_w_dv[None, :] * np.broadcast_to(
+        np.asarray(v_half_q, dtype=float), (mesh.n_cells, mesh.n_quad))
+    return mesh.scalar_pattern.csr(w @ mesh.tables["mass"])
+
+
+def flow_by_terms(setup, snapshot, u_prev_full, v_half_q):
+    """Reference for the step's flow data: ``(rho_f/dt) M + N + (rho_f/2)
+    S`` on ``snapshot``, from the start-of-step mass, the transport and the
+    Robin mass, summed on their data arrays."""
+    mesh, rho_f = setup.fluid_mesh, setup.rho_f
+    return ((rho_f / setup.dt) * fluid.assemble_weighted_mass(mesh,
+                                                              snapshot).data
+            + assemble_advection(mesh, snapshot, u_prev_full, v_half_q,
+                                 rho_f).data
+            + (0.5 * rho_f) * assemble_robin_mass(mesh, v_half_q).data)
+
+
 def viscous_blocks_by_four(mesh, snapshot, mu):
     """Reference for the package's viscous kernel: its four full element
     blocks, (4, n_cells, 9, 9) for the component blocks (0, 0), (1, 1),
@@ -627,32 +672,26 @@ def viscous_matrix(setup, result):
     return assemble_viscous(setup.fluid_mesh, result.snapshot, setup.mu)
 
 
-def momentum_matrix_by_kron(setup, ops, viscous, dt):
+def momentum_matrix_by_kron(setup, flow, viscous):
     """Reference for the momentum block of the step system: the
-    two-component sum ``(rho_f/dt) I_2(x)M + I_2(x)N + (rho_f/2) I_2(x)S
-    + K`` with the assembled viscous operator ``viscous``, formed term by
-    term on the data arrays of the viscous pattern, structural zeros
-    included, in the order of the sum."""
-    vv = viscous_pattern(setup.fluid_mesh)
-    rows = csr_rows(vv)
-
-    def lifted(m):
-        return two_component(m).toarray()[rows, vv.indices]
-
-    return vv.matrix(
-        (setup.rho_f / dt) * lifted(ops["mass"]) + lifted(ops["advection"])
-        + (0.5 * setup.rho_f) * lifted(ops["robin"]) + viscous.data)
+    two-component sum ``I_2(x)F + K`` of the scalar flow data ``flow`` and
+    the assembled viscous operator ``viscous``, formed on the data arrays
+    of the viscous pattern, structural zeros included."""
+    fm = setup.fluid_mesh
+    vv = viscous_pattern(fm)
+    lifted = two_component(fm.scalar_pattern.matrix(flow)).toarray()
+    return vv.matrix(lifted[csr_rows(vv), vv.indices] + viscous.data)
 
 
 def _momentum_residual(setup, snapshot, result, u_prev_full, dt):
     """Residual of the full momentum equations at the step's solution on
     the step's geometry ``snapshot``; it vanishes on free DOFs and is the
     fluid load on the constrained ones."""
-    ops = result.operators
-    rhs_full = ((setup.rho_f / dt) * (two_component(ops["mass"]) @ u_prev_full)
-                + result.forcing)
-    a_mom = momentum_matrix_by_kron(setup, ops, viscous_matrix(setup, result),
-                                    dt)
+    mass = two_component(fluid.assemble_weighted_mass(setup.fluid_mesh,
+                                                      snapshot))
+    rhs_full = (setup.rho_f / dt) * (mass @ u_prev_full) + result.forcing
+    a_mom = momentum_matrix_by_kron(setup, result.flow,
+                                    viscous_matrix(setup, result))
     b_div = assemble_divergence(setup.fluid_mesh, snapshot)
     return rhs_full - a_mom @ result.u_full + b_div.T @ result.pressure
 

@@ -18,8 +18,8 @@ from wallflow import ale, driver, fluid, shell
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
 
-from oracles import (DenseFluidOracle, assemble_divergence, assemble_viscous,
-                     two_component)
+from oracles import (DenseFluidOracle, assemble_advection, assemble_divergence,
+                     assemble_robin_mass, assemble_viscous, two_component)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -142,7 +142,8 @@ def test_criterion_05_advection_skew_symmetry(pulse_run):
     rel = led.column("advection_skew") / np.maximum(
         led.column("advection_scale"), 1e-30)
     worst = float(rel.max())
-    report(5, "every assembled transport operator skew-symmetric to 1e-13",
+    report(5, "every step's flow data skew-symmetric but for its two "
+              "masses to 1e-13",
            f"max {worst:.3e}", worst <= TOL_ENTRYWISE)
 
 
@@ -151,8 +152,8 @@ def test_criterion_06_geometry_update_identity(pulse_run):
     rel = led.column("mass_update_residual") / np.maximum(
         led.column("mass_update_scale"), 1e-30)
     worst = float(rel.max())
-    report(6, "mass(old) + dt * robin = mass(new) entrywise to 1e-13 "
-              "every step", f"max {worst:.3e}", worst <= TOL_ENTRYWISE)
+    report(6, "weight(old) + dt * v_half = weight(new) at every quadrature "
+              "point to 1e-13 every step", f"max {worst:.3e}", worst <= TOL_ENTRYWISE)
 
 
 def test_criterion_07_assembly_oracles():
@@ -181,11 +182,11 @@ def test_criterion_07_assembly_oracles():
              oracle.mass(sm.nodes, eta_full, radius)),
             (assemble_viscous(fm, snap, 0.035).toarray(),
              oracle.viscous(sm.nodes, eta_full, radius, 0.035)),
-            (two_component(fluid.assemble_advection(fm, snap, u, v_half_q,
-                                                    1.0)).toarray(),
+            (two_component(assemble_advection(fm, snap, u, v_half_q,
+                                              1.0)).toarray(),
              oracle.advection(sm.nodes, eta_full, radius, u,
                               sm.to_full(v_half), 1.0)),
-            (two_component(fluid.assemble_robin_mass(fm, v_half_q)).toarray(),
+            (two_component(assemble_robin_mass(fm, v_half_q)).toarray(),
              oracle.robin(sm.nodes, sm.to_full(v_half))),
             (assemble_divergence(fm, snap).toarray(),
              oracle.divergence(sm.nodes, eta_full, radius)),

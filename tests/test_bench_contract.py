@@ -3,12 +3,20 @@
 ``perfbench/tracing.install_wrappers`` skips a target it cannot find, so a
 renamed step function would silently unhook the host-speed calibration of
 a workload and read zero in its metrics.  These tests read the tracer's
-target lists (nothing is wrapped) and check that the names still resolve.
+target lists and check that the names still resolve; one wraps the fluid
+kernels for a single step, and unwraps them, to check which the step calls.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from wallflow import ale, coupling, shell
+from wallflow.sparsela import ReusedFactorSolver
+
+from oracles import run_setup
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -47,3 +55,35 @@ def test_only_the_retired_factor_solve_target_is_missing():
     missing = [f"{m}.{p}" for m, p in tracing.TARGETS if not resolves(m, p)]
     # every solve is timed through krylov_solve; the direct solve is retired
     assert missing == ["sparsela.DirectFactor.solve", "sparsela.factor_solve"]
+
+
+def test_the_flow_kernel_is_timed_as_fluid_assembly():
+    # the fluid step's one flow kernel is wrapped by the tracer's
+    # ("fluid", "assemble_*") target, so fluid.assembly_ms covers it: a
+    # traced coupled step calls it, and of the fluid kernels only it and
+    # the pressure load
+    tracing = load_tracing()
+    target = ("fluid", "assemble_*")
+    assert target in tracing.TARGETS
+    called = []
+
+    def wrap(name, original):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    cs = run_setup(4, 2, 2.0, 0.1, {}, 1e-3, "elastic")
+    zero = cs.shell_mesh.zero_free()
+    frame = coupling.build_frame(cs, ale.build_snapshot(
+        cs.shell_mesh, zero, cs.fluid_mesh, cs.radius))
+    half = shell.ShellState(eta=zero, v=zero, v_star=zero)
+    u = np.zeros(2 * cs.fluid_mesh.n_velocity_nodes)
+    patches, _ = tracing.install_wrappers("wallflow", [target], wrap)
+    try:
+        # u is zero, and so is its mass product
+        coupling.fluid_step(cs, frame, frame.mass, u, half, 1.0, 0.0,
+                            ReusedFactorSolver(coupling.FLUID_TOL), u)
+    finally:
+        tracing.uninstall_wrappers(patches)
+    assert called == ["fluid.assemble_flow", "fluid.assemble_pressure_forcing"]

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from wallflow import ale, coupling, fluid, shell
 from wallflow.sparsela import ReusedFactorSolver
 
-from oracles import (assemble_divergence, fixed_dofs,
+from oracles import (assemble_divergence, fixed_dofs, flow_by_terms,
                      fluid_step_energy_residuals, momentum_matrix_by_kron,
                      reduce_by_index, run_setup, top_edge_traction,
                      trace_map_by_loop, two_component, viscous_csr,
@@ -28,6 +28,23 @@ def compatible_state(sm, fm, rng, scale=0.01):
     vn = sm.evaluate(sm.to_full(v), fm.velocity_z)
     u[fm.n_velocity_nodes:] = np.outer(fm.velocity_r, vn).ravel()
     return state, u
+
+
+def step_from(cs, state, u, p_in, p_out, solver=None):
+    """The wall half step and the coupled fluid step of ``cs`` from
+    ``state`` and ``u``, as the driver takes them: (half step, start
+    frame, end-of-step mass, fluid step result)."""
+    sm, fm = cs.shell_mesh, cs.fluid_mesh
+    half = shell.structure_step(cs, state,
+                                ReusedFactorSolver(shell.STRUCTURE_TOL))
+    frame = coupling.build_frame(cs, ale.build_snapshot(sm, state.eta, fm,
+                                                        cs.radius))
+    mass_new = fluid.assemble_weighted_mass(
+        fm, ale.build_snapshot(sm, half.eta, fm, cs.radius))
+    res = coupling.fluid_step(cs, frame, mass_new, u, half, p_in, p_out,
+                              solver or ReusedFactorSolver(coupling.FLUID_TOL),
+                              fluid.componentwise(frame.mass, u))
+    return half, frame, mass_new, res
 
 
 def test_trace_map_basics():
@@ -77,13 +94,7 @@ def test_zero_data_gives_zero_solution():
     material, coeffs, sm, fm, cs = make_setup()
     state = zero_shell_state(sm)
     u = np.zeros(2 * fm.n_velocity_nodes)
-    dt = 1e-4
-    half = shell.structure_step(cs, state,
-                                ReusedFactorSolver(shell.STRUCTURE_TOL))
-    snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
-                              u, half, 0.0, 0.0,
-                              ReusedFactorSolver(coupling.FLUID_TOL))
+    _, _, _, res = step_from(cs, state, u, 0.0, 0.0)
     assert np.all(res.u_full == 0.0)
     assert np.all(res.v_new == 0.0)
     assert np.all(res.pressure == 0.0)
@@ -94,13 +105,7 @@ def test_elastic_case_runs_and_is_finite():
     assert abs(cs.shell_viscous).max() == 0.0
     rng = np.random.default_rng(1)
     state, u = compatible_state(sm, fm, rng)
-    dt = 1e-4
-    half = shell.structure_step(cs, state,
-                                ReusedFactorSolver(shell.STRUCTURE_TOL))
-    snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
-                              u, half, 500.0, 0.0,
-                              ReusedFactorSolver(coupling.FLUID_TOL))
+    _, _, _, res = step_from(cs, state, u, 500.0, 0.0)
     assert np.all(np.isfinite(res.u_full))
     assert np.all(np.isfinite(res.v_new))
     assert np.all(np.isfinite(res.pressure))
@@ -114,12 +119,8 @@ def test_fluid_factor_fill_does_not_grow_at_extreme_dt():
     for dt in (1e-7, 6e-5, 1.0):
         material, coeffs, sm, fm, cs = make_setup(n_z=16, n_r=8, dt=dt)
         state, u = compatible_state(sm, fm, np.random.default_rng(4))
-        snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-        half = shell.structure_step(cs, state,
-                                    ReusedFactorSolver(shell.STRUCTURE_TOL))
         solver = ReusedFactorSolver(coupling.FLUID_TOL)
-        coupling.fluid_step(cs, coupling.build_frame(cs, snap),
-                            u, half, 1500.0, -200.0, solver)
+        step_from(cs, state, u, 1500.0, -200.0, solver)
         assert solver.stats.factorizations == 1
         fill[dt] = solver.stats.lu_fill_nnz
     assert fill[6e-5] > 0
@@ -133,17 +134,9 @@ def stepped():
     material, coeffs, sm, fm, cs = make_setup(dt=dt)
     rng = np.random.default_rng(2)
     state, u = compatible_state(sm, fm, rng)
-    half = shell.structure_step(cs, state,
-                                ReusedFactorSolver(shell.STRUCTURE_TOL))
-    snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
-                              u, half, 1500.0, -200.0,
-                              ReusedFactorSolver(coupling.FLUID_TOL))
-    mass_old = res.operators["mass"]
-    snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
-    mass_new = fluid.assemble_weighted_mass(fm, snap_new)
+    half, frame, mass_new, res = step_from(cs, state, u, 1500.0, -200.0)
     return material, coeffs, sm, fm, cs, state, u, dt, half, res, \
-        mass_old, mass_new
+        frame.mass, mass_new
 
 
 def test_step_balance_is_exact(stepped):
@@ -156,12 +149,7 @@ def test_step_balance_is_exact(stepped):
 
 def test_zero_pressure_step_dissipates(stepped):
     material, coeffs, sm, fm, cs, state, u, dt, half, _, mass_old, _ = stepped
-    frame = coupling.build_frame(cs, ale.build_snapshot(sm, state.eta, fm,
-                                                        material.radius))
-    res0 = coupling.fluid_step(cs, frame, u, half, 0.0, 0.0,
-                               ReusedFactorSolver(coupling.FLUID_TOL))
-    snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
-    mass_new = fluid.assemble_weighted_mass(fm, snap_new)
+    _, _, mass_new, res0 = step_from(cs, state, u, 0.0, 0.0)
     rho_s_h = coeffs.rho_s_h
     e_half = (0.5 * float(u @ fluid.componentwise(mass_old, u))
               + 0.5 * rho_s_h * float(half.v_star @ (cs.shell_mass @ half.v_star)))
@@ -176,18 +164,29 @@ def wall_block(cs, dt):
                                (cs.rho_s_h / dt, 1.0))
 
 
+def flow_data(cs, frame, eta, u_prev, v_half):
+    """The flow data of a step of ``cs`` on ``frame``, the frame of the
+    wall profile ``eta``, with domain velocity ``v_half``."""
+    sm, fm = cs.shell_mesh, cs.fluid_mesh
+    mass_new = fluid.assemble_weighted_mass(fm, ale.build_snapshot(
+        sm, eta + cs.dt * v_half, fm, cs.radius))
+    v_half_q = fluid.shell_field_at_quad(sm, v_half, fm)
+    return fluid.assemble_flow(fm, frame.snapshot, u_prev, v_half_q,
+                               cs.rho_f, cs.dt, frame.mass, mass_new)
+
+
 def step_kernels(cs, seed=2):
-    """A moving, deformed step of ``cs``: its frame, its scalar operators,
-    and the viscous entries and raw divergence blocks of its snapshot."""
+    """A moving, deformed step of ``cs``: its frame, its flow data, and the
+    viscous entries and raw divergence blocks of its snapshot."""
     sm, fm = cs.shell_mesh, cs.fluid_mesh
     rng = np.random.default_rng(seed)
-    snap = ale.build_snapshot(sm, 0.01 * rng.standard_normal(sm.n_free), fm,
-                              cs.radius)
+    eta = 0.01 * rng.standard_normal(sm.n_free)
+    snap = ale.build_snapshot(sm, eta, fm, cs.radius)
     frame = coupling.build_frame(cs, snap)
-    ops = coupling.assemble_step_operators(
-        cs, frame, rng.standard_normal(2 * fm.n_velocity_nodes),
-        rng.standard_normal(sm.n_free))
-    return (frame, ops, fluid.assemble_viscous_blocks(fm, snap, cs.mu),
+    flow = flow_data(cs, frame, eta,
+                     rng.standard_normal(2 * fm.n_velocity_nodes),
+                     rng.standard_normal(sm.n_free))
+    return (frame, flow, fluid.assemble_viscous_blocks(fm, snap, cs.mu),
             fluid.assemble_divergence_blocks(fm, snap))
 
 
@@ -202,13 +201,13 @@ def test_reduction_matches_the_index_reference():
     for mode, elastic in (("viscoelastic", False), ("elastic", True),
                           ("rigid", False)):
         cs = make_setup(elastic=elastic, dt=dt, mode=mode)[-1]
-        frame, ops, viscous, _ = step_kernels(cs)
+        frame, flow, viscous, _ = step_kernels(cs)
         a_mom = momentum_matrix_by_kron(
-            cs, ops, viscous_csr(cs.fluid_mesh, viscous), dt)
+            cs, flow, viscous_csr(cs.fluid_mesh, viscous))
         b_div = assemble_divergence(cs.fluid_mesh, frame.snapshot)
         wall = None if mode == "rigid" else wall_block(cs, dt)
         ref = reduce_by_index(cs, a_mom, b_div, wall)
-        ours = coupling.reduce_coupled_system(cs, frame, ops)
+        ours = coupling.reduce_coupled_system(cs, frame, flow)
         assert ours.shape == ref.shape
         assert abs(ours - ref).max() <= 1e-15 * abs(ref).max()
 
@@ -220,10 +219,10 @@ def test_rigid_system_is_the_coupled_one_without_the_wall():
     dt = 5e-5
     _, _, sm, _, cs = make_setup(dt=dt)
     rigid = make_setup(dt=dt, mode="rigid")[-1]
-    frame, ops, _, _ = step_kernels(cs)
-    coupled = coupling.reduce_coupled_system(cs, frame, ops)
+    frame, flow, _, _ = step_kernels(cs)
+    coupled = coupling.reduce_coupled_system(cs, frame, flow)
     ours = coupling.reduce_coupled_system(
-        rigid, coupling.build_frame(rigid, frame.snapshot), ops)
+        rigid, coupling.build_frame(rigid, frame.snapshot), flow)
     nf, n = cs.partition.n_free, cs.prolongation.shape[1]
     keep = np.r_[0:nf, n:coupled.shape[0]]
     assert n - nf == sm.n_free > 0
@@ -237,13 +236,26 @@ def test_rigid_system_is_the_coupled_one_without_the_wall():
 
 
 def test_scalar_operators_act_on_both_components(stepped):
-    _, _, _, fm, _, _, _, _, _, res, _, _ = stepped
+    _, _, _, fm, _, _, _, _, _, res, mass_old, mass_new = stepped
     u = res.u_full                     # both components nonzero
-    for name in ("mass", "robin", "advection"):
-        m = res.operators[name]
+    for m in (mass_old, mass_new, fm.scalar_pattern.matrix(res.flow)):
         assert m.shape == (fm.n_velocity_nodes, fm.n_velocity_nodes)
         assert np.array_equal(fluid.componentwise(m, u),
                               two_component(m) @ u)
+
+
+def test_step_hands_over_the_flow_data_it_solved_with(stepped):
+    # the result's flow data and domain velocity are the step's own: the
+    # kernel on the same inputs, bit for bit, and the terms it replaced
+    # to roundoff
+    _, _, sm, fm, cs, state, u, _, half, res, mass_old, mass_new = stepped
+    snap = ale.build_snapshot(sm, state.eta, fm, cs.radius)
+    assert np.array_equal(res.v_half_q,
+                          fluid.shell_field_at_quad(sm, half.v_star, fm))
+    assert np.array_equal(res.flow, fluid.assemble_flow(
+        fm, snap, u, res.v_half_q, cs.rho_f, cs.dt, mass_old, mass_new))
+    ref = flow_by_terms(cs, snap, u, res.v_half_q)
+    assert np.abs(res.flow - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_wall_block_is_the_gram_combination_at_the_run_dt(stepped):
@@ -274,8 +286,7 @@ def test_step_system_pattern_is_fixed(mode, elastic):
         for *_, cs in setups:
             frame = coupling.build_frame(cs, snap)
             systems.append(coupling.reduce_coupled_system(
-                cs, frame, coupling.assemble_step_operators(cs, frame, u_prev,
-                                                            v_half)))
+                cs, frame, flow_data(cs, frame, eta, u_prev, v_half)))
     for system in systems[1:]:
         assert np.array_equal(system.indices, systems[0].indices)
         assert np.array_equal(system.indptr, systems[0].indptr)
@@ -288,13 +299,12 @@ def test_frozen_operator_solve_is_linear(stepped):
     p, nf = cs.prolongation, cs.partition.n_free
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
     system = coupling.reduce_coupled_system(
-        cs, coupling.build_frame(cs, snap), res.operators)
+        cs, coupling.build_frame(cs, snap), res.flow)
     from wallflow.sparsela import DirectFactor
     lu = DirectFactor(system)
 
     def solve(u_prev, v_half, forcing):
-        rhs_full = ((cs.rho_f / dt)
-                    * fluid.componentwise(res.operators["mass"], u_prev)
+        rhs_full = ((cs.rho_f / dt) * fluid.componentwise(mass_old, u_prev)
                     + forcing)
         load = p.T @ rhs_full
         load[nf:] += (cs.rho_s_h / dt) * (cs.shell_mass @ v_half)
@@ -321,12 +331,10 @@ def test_coercivity_witness(stepped):
     material, coeffs, sm, fm, cs, state, u, dt, half, res, mass_old, mass_new \
         = stepped
     u_new, v_new = res.u_full, res.v_new
-    ops, viscous = res.operators, viscous_matrix(cs, res)
+    viscous = viscous_matrix(cs, res)
+    flow = fm.scalar_pattern.matrix(res.flow)
     lhs = dt * (
-        (cs.rho_f / dt) * float(u_new @ fluid.componentwise(ops["mass"], u_new))
-        + 0.5 * cs.rho_f * float(u_new @ fluid.componentwise(ops["robin"],
-                                                             u_new))
-        + float(u_new @ fluid.componentwise(ops["advection"], u_new))
+        float(u_new @ fluid.componentwise(flow, u_new))
         + float(u_new @ (viscous @ u_new))
         + (cs.rho_s_h / dt) * float(v_new @ (cs.shell_mass @ v_new))
         + float(v_new @ (cs.shell_viscous @ v_new)))
@@ -361,14 +369,8 @@ def test_wall_traction_zero_state():
     material, coeffs, sm, fm, cs = make_setup()
     state = zero_shell_state(sm)
     u = np.zeros(2 * fm.n_velocity_nodes)
-    dt = 1e-4
-    half = shell.structure_step(cs, state,
-                                ReusedFactorSolver(shell.STRUCTURE_TOL))
-    snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
-                              u, half, 0.0, 0.0,
-                              ReusedFactorSolver(coupling.FLUID_TOL))
-    load = wall_traction_load(cs, snap, res, u, dt)
+    _, frame, _, res = step_from(cs, state, u, 0.0, 0.0)
+    load = wall_traction_load(cs, frame.snapshot, res, u, cs.dt)
     assert np.abs(load).max() <= 1e-12
 
 

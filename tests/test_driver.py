@@ -12,7 +12,8 @@ from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
 from wallflow.errors import ConfigError, SolverError, ValidationError
 
-from oracles import linear_interpolant, state_at
+from oracles import (assemble_advection, linear_interpolant, state_at,
+                     transport_blocks)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -152,13 +153,14 @@ def test_zero_forcing_energy_never_increases():
 def test_fluid_step_geometry_is_the_start_of_step_wall(monkeypatch, tmp_path,
                                                       capsys):
     # step 0 runs on the snapshot of the initial eta, every later step on
-    # the snapshot of the eta the previous step's wall half step produced
+    # the snapshot of the eta the previous step's wall half step produced,
+    # and reads the end-of-step mass of the eta its own half step produced
     calls = []
     original = coupling.fluid_step
 
-    def recording(setup, frame, u_prev, shell_half, *args):
-        calls.append((frame.snapshot, shell_half.eta.copy()))
-        return original(setup, frame, u_prev, shell_half, *args)
+    def recording(setup, frame, mass_new, u_prev, shell_half, *args):
+        calls.append((frame.snapshot, mass_new, shell_half.eta.copy()))
+        return original(setup, frame, mass_new, u_prev, shell_half, *args)
 
     monkeypatch.setattr(coupling, "fluid_step", recording)
     res = driver.run(small_cfg(
@@ -169,13 +171,15 @@ def test_fluid_step_geometry_is_the_start_of_step_wall(monkeypatch, tmp_path,
     setup = res.setup
     sm, fm = setup.shell_mesh, setup.fluid_mesh
     sources = [sm.to_free(setup.initial_data()[0])]
-    sources += [eta for _, eta in calls[:-1]]
-    for (snap, eta_half), eta in zip(calls, sources):
+    sources += [eta for *_, eta in calls[:-1]]
+    for (snap, mass_new, eta_half), eta in zip(calls, sources):
         probe = ale.build_snapshot(sm, eta, fm, setup.radius)
         for name in ("eta_q", "deta_q", "jac_q"):
             assert np.array_equal(getattr(snap, name), getattr(probe, name))
         ahead = ale.build_snapshot(sm, eta_half, fm, setup.radius)
         assert not np.array_equal(snap.eta_q, ahead.eta_q)
+        assert np.array_equal(mass_new.data, fluid.assemble_weighted_mass(
+            fm, ahead).data)
     # the retired audit key is now an unknown key
     path = tmp_path / "audit.json"
     path.write_text(json.dumps(small_raw(debug_audit=True)))
@@ -323,13 +327,15 @@ FRAME_KERNELS = ("assemble_weighted_mass", "assemble_viscous_blocks",
 
 
 def test_each_step_builds_one_mass_and_one_contact_check(monkeypatch):
-    # one frame per wall profile, the initial one and one per step; the
-    # trace constant reads the initial frame's viscous entries
+    # one mass per wall profile, the initial one and one per step; a
+    # geometry share for each profile a step runs on, so none for the last
+    # one, whose mass only the last ledger row reads; the trace constant
+    # reads the initial frame's viscous entries
     kernels = [count_calls(monkeypatch, fluid, k) for k in FRAME_KERNELS]
     radii = count_calls(monkeypatch, ale, "min_radius_of")
     res = driver.run(small_cfg())
     assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
-    assert [len(k) for k in kernels] == [10 + 1] * 3
+    assert [len(k) for k in kernels] == [10 + 1, 10, 10]
     assert len(radii) == 10 + 1
 
 
@@ -428,24 +434,39 @@ def test_each_run_builds_one_reduction(monkeypatch):
 
 
 def step_on_the_end_of_step_geometry(monkeypatch):
+    # the step's frame, and so its start mass, is the end-of-step profile's
     original = coupling.fluid_step
 
-    def mutated(setup, frame, u_prev, shell_half, *args):
+    def mutated(setup, frame, mass_new, u_prev, shell_half, *args):
         snap = ale.build_snapshot(setup.shell_mesh, shell_half.eta,
                                   setup.fluid_mesh, setup.radius)
-        return original(setup, coupling.build_frame(setup, snap), u_prev,
-                        shell_half, *args)
+        return original(setup, coupling.build_frame(setup, snap), mass_new,
+                        u_prev, shell_half, *args)
 
     monkeypatch.setattr(coupling, "fluid_step", mutated)
 
 
-def momentum_without_the_robin_term(monkeypatch):
-    # the step system drops the Robin term; the ledger still reads it
-    original = coupling.reduce_coupled_system
+def flow_without_the_robin_term(monkeypatch):
+    # the flow kernel reads the start mass twice: (rho_f/dt) M_old, with
+    # no (rho_f/2) S(v_half)
+    original = fluid.assemble_flow
     monkeypatch.setattr(
-        coupling, "reduce_coupled_system",
-        lambda setup, frame, ops: original(
-            setup, frame, {**ops, "robin": 0.0 * ops["robin"]}))
+        fluid, "assemble_flow",
+        lambda *args: original(*args[:6], args[6], args[6]))
+
+
+def transport_not_antisymmetrized(monkeypatch):
+    # the flow kernel adds each cell's whole transport block x, not its
+    # skew part (x - x^T) / 2
+    original = fluid.assemble_flow
+
+    def mutated(mesh, snapshot, u_prev, v_half_q, rho_f, *args):
+        x = transport_blocks(mesh, snapshot, u_prev, v_half_q, rho_f)
+        skew = assemble_advection(mesh, snapshot, u_prev, v_half_q, rho_f)
+        return (original(mesh, snapshot, u_prev, v_half_q, rho_f, *args)
+                - skew.data + mesh.scalar_pattern.csr(x).data)
+
+    monkeypatch.setattr(fluid, "assemble_flow", mutated)
 
 
 def step_with_the_lagged_wall_velocity(monkeypatch):
@@ -458,8 +479,8 @@ def step_with_the_lagged_wall_velocity(monkeypatch):
         start["v"] = state.v
         return wall_step(setup, state, solver)
 
-    def mutated(setup, frame, u_prev, shell_half, *args):
-        return original(setup, frame, u_prev,
+    def mutated(setup, frame, mass_new, u_prev, shell_half, *args):
+        return original(setup, frame, mass_new, u_prev,
                         dataclasses.replace(shell_half, v_star=start["v"]),
                         *args)
 
@@ -469,18 +490,27 @@ def step_with_the_lagged_wall_velocity(monkeypatch):
 
 @pytest.mark.parametrize("mutate, failing", [
     (step_on_the_end_of_step_geometry,
-     ["fluid-step energy balance", "telescoped energy identity"]),
-    (momentum_without_the_robin_term,
-     ["fluid-step energy balance", "telescoped energy identity"]),
+     ["fluid-step energy balance", "telescoped energy identity",
+      "transport skew-symmetry"]),
+    (flow_without_the_robin_term,
+     ["fluid-step energy balance", "telescoped energy identity",
+      "transport skew-symmetry"]),
     (step_with_the_lagged_wall_velocity,
      ["fluid-step energy balance", "telescoped energy identity",
       "mass/geometry update identity"]),
-], ids=["end-of-step-geometry", "no-robin-term", "lagged-wall-velocity"])
+    (transport_not_antisymmetrized,
+     ["fluid-step energy balance", "telescoped energy identity",
+      "transport skew-symmetry"]),
+], ids=["end-of-step-geometry", "no-robin-term", "lagged-wall-velocity",
+        "transport-not-antisymmetrized"])
 def test_verifier_fails_a_mutated_step(monkeypatch, mutate, failing):
     # each wrong variant of the step still runs to completion, and the
-    # ledger's verdict names exactly the identities it breaks; the
-    # end-of-step geometry keeps the mass/geometry identity, whose two
-    # masses the ledger takes from the driver, not from the step
+    # ledger's verdict names exactly the identities it breaks.  The ledger
+    # takes both masses and their weights from the driver, and the flow
+    # data and the domain velocity from the step: a step whose flow data
+    # are not its two masses plus a skew part fails the skew column, and
+    # one that moves the domain at another velocity than the wall's
+    # profiles the mass/geometry column
     mutate(monkeypatch)
     res = driver.run(small_cfg())
     assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
@@ -513,12 +543,29 @@ def test_a_tiny_rigid_flow_marches_as_far_as_a_small_one():
 
 def test_a_ledger_row_carries_its_kinetic_energy_to_the_next(monkeypatch):
     # e0 and each row's e_full evaluate the fluid kinetic energy; the next
-    # row's e_n reuses it, so a row makes two mass products: jump_u and
-    # e_full
+    # row's e_n and the next step's load reuse its mass product, so a row
+    # makes two mass products, jump_u and e_full, and a step none
     products = count_calls(monkeypatch, energy, "componentwise")
+    step_products = count_calls(monkeypatch, fluid, "componentwise")
     res = driver.run(small_cfg())
     assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
     assert len(products) == 1 + 2 * 10
+    assert step_products == []
+
+
+def test_the_carried_load_is_the_product_the_step_would_form(monkeypatch):
+    # a run that hands each step the ledger's carried product and one that
+    # forms it afresh for each step write the same ledger, bit for bit
+    cfg = small_cfg()
+    ours = driver.run(cfg).ledger.rows
+    original = coupling.fluid_step
+
+    def fresh(setup, frame, mass_new, u_prev, *args):
+        return original(setup, frame, mass_new, u_prev, *args[:-1],
+                        fluid.componentwise(frame.mass, u_prev))
+
+    monkeypatch.setattr(coupling, "fluid_step", fresh)
+    assert driver.run(cfg).ledger.rows == ours
 
 
 def test_record_interpolants():

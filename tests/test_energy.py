@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -39,13 +41,13 @@ def one_step(material, coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
     half = shell.structure_step(cs, state,
                                 ReusedFactorSolver(shell.STRUCTURE_TOL))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
-                              u, half, p_in, p_out,
-                              ReusedFactorSolver(coupling.FLUID_TOL))
-    mass_old = res.operators["mass"]
+    old = coupling.build_frame(cs, snap)
     snap_new = ale.build_snapshot(sm, half.eta, fm, material.radius)
-    mass_new = fluid.assemble_weighted_mass(fm, snap_new)
-    return 0, state, u, half, res, mass_old, mass_new, p_in, p_out
+    new = coupling.Frame(snap_new, fluid.assemble_weighted_mass(fm, snap_new))
+    res = coupling.fluid_step(cs, old, new.mass, u, half, p_in, p_out,
+                              ReusedFactorSolver(coupling.FLUID_TOL),
+                              fluid.componentwise(old.mass, u))
+    return 0, state, u, half, res, old, new, p_in, p_out
 
 
 def run_one_step(material, coeffs, sm, fm, cs, monitor, dt, **kwargs):
@@ -60,11 +62,11 @@ def test_zero_states_record_all_zeros():
     half = shell.structure_step(cs, state,
                                 ReusedFactorSolver(shell.STRUCTURE_TOL))
     snap = ale.build_snapshot(sm, state.eta, fm, material.radius)
-    res = coupling.fluid_step(cs, coupling.build_frame(cs, snap),
-                              u, half, 0.0, 0.0,
-                              ReusedFactorSolver(coupling.FLUID_TOL))
-    mass = res.operators["mass"]
-    row = monitor.record_step(0, state, u, half, res, mass, mass, 0.0, 0.0)
+    frame = coupling.build_frame(cs, snap)
+    res = coupling.fluid_step(cs, frame, frame.mass, u, half, 0.0, 0.0,
+                              ReusedFactorSolver(coupling.FLUID_TOL),
+                              fluid.componentwise(frame.mass, u))
+    row = monitor.record_step(0, state, u, half, res, frame, frame, 0.0, 0.0)
     for key in ("e_n", "e_half", "e_full", "d_fluid", "d_shell", "jump_u",
                 "jump_v_a2", "jump_v_a1", "pwork", "wall_step_residual",
                 "balance_residual"):
@@ -79,6 +81,28 @@ def test_recorded_identities_hold():
     assert row["balance_residual"] <= 1e-10 * scale
     assert row["jump_u"] >= 0.0 and row["d_fluid"] >= 0.0
     assert row["mass_update_residual"] <= 1e-13 * row["mass_update_scale"]
+    assert row["advection_skew"] <= 1e-13 * row["advection_scale"]
+
+
+def test_the_entrywise_columns_read_the_step_s_own_data():
+    # a domain velocity that does not take the start weights to the end
+    # ones fails the mass column alone; flow data whose symmetric part is
+    # not the two masses fail the skew column alone
+    material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
+    args = list(one_step(material, coeffs, sm, fm, cs, dt))
+    res = args[4]
+    row = monitor.record_step(*args)
+    for changed, failing in (
+            ({"v_half_q": 0.5 * res.v_half_q}, "mass_update"),
+            ({"flow": res.flow * (1.0 + 1e-9)}, "advection")):
+        args[4] = dataclasses.replace(res, **changed)
+        bad = monitor.record_step(*args)
+        for column, scale in (("mass_update_residual", "mass_update_scale"),
+                              ("advection_skew", "advection_scale")):
+            if column.startswith(failing):
+                assert bad[column] > 1e-10 * bad[scale]
+            else:
+                assert bad[column] == row[column]
 
 
 class CountingMatrix(sp.csr_matrix):
@@ -94,13 +118,14 @@ class CountingMatrix(sp.csr_matrix):
 def test_ledger_row_evaluates_each_form_once():
     material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
     args = one_step(material, coeffs, sm, fm, cs, dt)
-    _, state, u, half, res, mass_old, mass_new, _, _ = args
-    e_n = monitor.total_energy(u, state.v, state.eta, mass_old)
-    e_half = monitor.total_energy(u, half.v_star, half.eta, mass_old)
-    e_full = monitor.total_energy(res.u_full, res.v_new, half.eta, mass_new)
-    counted = CountingMatrix(mass_old)
+    _, state, u, half, res, old, new, _, _ = args
+    e_n = monitor.total_energy(u, state.v, state.eta, old.mass)
+    e_half = monitor.total_energy(u, half.v_star, half.eta, old.mass)
+    e_full = monitor.total_energy(res.u_full, res.v_new, half.eta, new.mass)
+    counted = CountingMatrix(old.mass)
     cs.grams = tuple(CountingMatrix(g) for g in cs.grams)
-    row = monitor.record_step(*args[:5], counted, *args[6:])
+    row = monitor.record_step(*args[:5], coupling.Frame(old.snapshot, counted),
+                              *args[6:])
     assert counted.products == 2      # the kinetic energy at n and jump_u
     # elastic energy at eta_n and eta_half, and the eta jump
     assert [g.products for g in cs.grams] == [3, 3, 3]

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 from wallflow import ale, fluid, shell
 from wallflow.sparsela import ScatterPattern, csr_rows
 
-from oracles import (DenseFluidOracle, assemble_divergence, assemble_viscous,
-                     fixed_dofs, interpolate_velocity, run_setup,
+from oracles import (DenseFluidOracle, assemble_advection, assemble_divergence,
+                     assemble_robin_mass, assemble_viscous, fixed_dofs,
+                     flow_by_terms, interpolate_velocity, run_setup,
                      two_component, viscous_by_four, viscous_pattern)
 
 
@@ -70,7 +71,7 @@ def test_advection_vs_oracle(n_z, n_r, flat):
         v_half_free = sm.zero_free()
     v_half_q = fluid.shell_field_at_quad(sm, v_half_free, fm)
     ours = two_component(
-        fluid.assemble_advection(fm, snap, u, v_half_q, rho_f=1.3)).toarray()
+        assemble_advection(fm, snap, u, v_half_q, rho_f=1.3)).toarray()
     ref = oracle.advection(sm.nodes, sm.to_full(eta), 0.8, u, v_half_full, 1.3)
     assert rel_err(ours, ref) <= 1e-12
 
@@ -88,7 +89,7 @@ def test_robin_mass_vs_oracle():
     sm, fm, _, _, oracle, rng = make_case(2, 2, seed=4)
     v_half_free = rng.standard_normal(sm.n_free)
     v_half_q = fluid.shell_field_at_quad(sm, v_half_free, fm)
-    ours = two_component(fluid.assemble_robin_mass(fm, v_half_q)).toarray()
+    ours = two_component(assemble_robin_mass(fm, v_half_q)).toarray()
     ref = oracle.robin(sm.nodes, sm.to_full(v_half_free))
     assert rel_err(ours, ref) <= 1e-12
 
@@ -137,28 +138,58 @@ def test_constant_offset_scales_the_mass():
 
 def test_robin_constant_weight_scales_the_mass():
     _, fm, _, _, _, _ = make_case(2, 2)
-    zero = fluid.assemble_robin_mass(fm, 0.0)
+    zero = assemble_robin_mass(fm, 0.0)
     assert abs(zero).max() == 0.0
     c = -0.7
-    scaled = fluid.assemble_robin_mass(fm, c).toarray()
+    scaled = assemble_robin_mass(fm, c).toarray()
     plain = fluid.assemble_unweighted_mass(fm).toarray()
     assert rel_err(scaled, c * plain) <= 1e-13
 
 
 def test_advection_zero_field_and_exact_skewness():
+    # with zero masses the flow data are the transport N alone: zero for a
+    # zero field, and each entry exactly the negative of its mirror
     sm, fm, eta, snap, _, rng = make_case(2, 2, seed=5)
+    zero = fm.scalar_pattern.matrix(np.zeros(fm.scalar_pattern.nnz))
     zero_u = np.zeros(2 * fm.n_velocity_nodes)
-    n0 = fluid.assemble_advection(fm, snap, zero_u, 0.0, rho_f=1.0)
-    assert abs(n0).max() == 0.0
+    n0 = fluid.assemble_flow(fm, snap, zero_u, 0.0, 1.0, 0.1, zero, zero)
+    assert np.all(n0 == 0.0)
     u = rng.standard_normal(2 * fm.n_velocity_nodes)
     v_half_q = fluid.shell_field_at_quad(sm, rng.standard_normal(sm.n_free), fm)
-    n = fluid.assemble_advection(fm, snap, u, v_half_q, rho_f=1.0)
-    skew_sum = n + n.T
-    skew = np.abs(skew_sum.data).max() if skew_sum.nnz else 0.0
-    assert skew <= 1e-13 * np.abs(n.data).max()
+    n = fluid.assemble_flow(fm, snap, u, v_half_q, 1.0, 0.1, zero, zero)
+    assert np.abs(n).max() > 0.0
+    assert np.array_equal(n, -n[fm.scalar_pattern.transpose_slots])
     x = rng.standard_normal(2 * fm.n_velocity_nodes)
+    n = fm.scalar_pattern.matrix(n)
     assert (abs(x @ fluid.componentwise(n, x))
             <= 1e-12 * np.abs(n.data).max() * (x @ x))
+
+
+@pytest.mark.parametrize("rigid", [False, True], ids=["curved", "rigid"])
+def test_flow_kernel_matches_the_terms_it_replaced(rigid):
+    # (rho_f/2dt)(M_old + M_new) + N, with the end mass on eta + dt v_half,
+    # is (rho_f/dt) M + N + (rho_f/2) S; a rigid wall has v_half = 0 and
+    # one mass, read twice
+    dt = 0.05
+    cs = run_setup(6, 3, 2.0, 0.1, {}, dt, "rigid" if rigid else "elastic")
+    sm, fm = cs.shell_mesh, cs.fluid_mesh
+    rng = np.random.default_rng(12)
+    eta, v_half = sm.zero_free(), sm.zero_free()
+    if not rigid:
+        eta = 0.05 * rng.standard_normal(sm.n_free)
+        v_half = rng.standard_normal(sm.n_free)
+    u = rng.standard_normal(2 * fm.n_velocity_nodes)
+    snap = ale.build_snapshot(sm, eta, fm, cs.radius)
+    m_old = fluid.assemble_weighted_mass(fm, snap)
+    m_new = m_old
+    if not rigid:
+        m_new = fluid.assemble_weighted_mass(fm, ale.build_snapshot(
+            sm, eta + dt * v_half, fm, cs.radius))
+    v_half_q = fluid.shell_field_at_quad(sm, v_half, fm)
+    ours = fluid.assemble_flow(fm, snap, u, v_half_q, cs.rho_f, dt, m_old,
+                               m_new)
+    ref = flow_by_terms(cs, snap, u, v_half_q)
+    assert np.abs(ours - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_transpose_slots_give_the_symmetric_part():
@@ -185,12 +216,12 @@ def test_scalar_operators_are_one_component_square():
                                          fm)
     u = rng.standard_normal(2 * fm.n_velocity_nodes)
     nv = fm.n_velocity_nodes
-    for m in (fluid.assemble_weighted_mass(fm, snap),
-              fluid.assemble_unweighted_mass(fm),
-              fluid.assemble_robin_mass(fm, v_half_q),
-              fluid.assemble_advection(fm, snap, u, v_half_q, 1.0)):
+    mass = fluid.assemble_weighted_mass(fm, snap)
+    for m in (mass, fluid.assemble_unweighted_mass(fm)):
         assert m.shape == (nv, nv)
         assert m.nnz == 66177
+    flow = fluid.assemble_flow(fm, snap, u, v_half_q, 1.0, 1e-3, mass, mass)
+    assert flow.shape == (66177,)
     assert viscous_pattern(fm).nnz == 4 * 66177
 
 
@@ -280,11 +311,14 @@ def test_mass_update_identity_entrywise():
     v_half = 0.1 * rng.standard_normal(sm.n_free)
     v_half_q = fluid.shell_field_at_quad(sm, v_half, fm)
     m_old = fluid.assemble_weighted_mass(fm, snap)
-    s = fluid.assemble_robin_mass(fm, v_half_q)
+    s = assemble_robin_mass(fm, v_half_q)
     snap_new = ale.build_snapshot(sm, eta + dt * v_half, fm, 0.6)
     m_new = fluid.assemble_weighted_mass(fm, snap_new)
     resid = np.abs(m_old.data + dt * s.data - m_new.data).max()
     assert resid <= 1e-13 * np.abs(m_new.data).max()
+    # the ledger's form: the weights behind the two masses
+    resid = np.abs(snap.w + dt * fm.quad_w_dv * v_half_q - snap_new.w).max()
+    assert resid <= 1e-13 * np.abs(snap_new.w).max()
 
 
 def test_partition_classification():

@@ -106,3 +106,18 @@ def test_overflowing_initial_fields_are_a_config_error(tmp_path, capsys, key):
     code, err = run_cli(tmp_path, capsys, raw)
     assert code == 1 and len(err) == 1
     assert err[0].startswith("configuration error:")
+
+
+def test_the_outlet_column_is_at_exactly_the_length():
+    # at this length hz * n_z misses L by an ulp; the velocity and pressure
+    # columns still end at L, where the clamped wall's bump, and so the
+    # radial velocity, is exactly zero
+    length = 0.19016851592596093
+    setup = RunSetup(validate_config(bump_raw(n_z=5, n_r=2, length=length)))
+    fm = setup.fluid_mesh
+    assert 10 * (fm.hz / 2.0) != length
+    assert fm.velocity_z[-1] == fm.pressure_z[-1] == length
+    assert fm.velocity_z[-1] == setup.shell_mesh.nodes[-1]
+    _, _, u0 = setup.initial_data()
+    assert np.abs(u0[fm.n_velocity_nodes:]).max() > 0.0
+    assert np.all(u0[fm.n_velocity_nodes + fm.outlet_nodes] == 0.0)
