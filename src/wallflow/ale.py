@@ -43,26 +43,27 @@ class AleSnapshot:
     min_radius_z: float
 
 
-def min_radius_of(shell_mesh, eta_free, radius):
-    """min(R + eta) over mesh nodes and quadrature points, with its location."""
-    zs = np.concatenate([shell_mesh.nodes, shell_mesh.quad_points()])
+def min_radius_of(shell_mesh, eta_free, radius, fluid_mesh):
+    """min(R + eta) over the wall's nodes and quadrature points and the
+    fluid quadrature points, with its location."""
+    zs = np.concatenate([shell_mesh.nodes, shell_mesh.quad_points(),
+                         fluid_mesh.quad_z_flat])
     vals = radius + shell_mesh.evaluate(eta_free, zs)
     i = int(np.argmin(vals))
     return float(vals[i]), float(zs[i])
 
 
-def build_snapshot(shell_mesh, eta_free, fluid_mesh, radius,
-                   contact_threshold=None):
+def build_snapshot(shell_mesh, eta_free, fluid_mesh, radius):
     """Sample the wall profile on the fluid quadrature grid.
 
-    Raises :class:`WallContact` when the minimum radius over nodes and
-    quadrature points does not exceed ``contact_threshold`` (pass ``None``
-    to skip the check, e.g. for diagnostics on an already-halted run).
+    Raises :class:`WallContact` when the minimum radius over the points of
+    :func:`min_radius_of`, the fluid kernels' among them, does not exceed
+    ``CONTACT_THRESHOLD_FACTOR * radius``.
     """
     eta_q = shell_field_at_quad(shell_mesh, eta_free, fluid_mesh, deriv=0)
     deta_q = shell_field_at_quad(shell_mesh, eta_free, fluid_mesh, deriv=1)
-    min_r, min_z = min_radius_of(shell_mesh, eta_free, radius)
-    if contact_threshold is not None and min_r <= contact_threshold:
+    min_r, min_z = min_radius_of(shell_mesh, eta_free, radius, fluid_mesh)
+    if min_r <= CONTACT_THRESHOLD_FACTOR * radius:
         raise WallContact(min_r, min_z)
     jac_q = radius + eta_q
     w = fluid_mesh.quad_w_dv[None, :] * jac_q

@@ -23,9 +23,11 @@ when GMRES misses the residual contract.  The geometry is frozen on the
 fixed reference rectangle and ``P`` and ``E`` are fixed, so every step
 system has one pattern and its data are linear in the element kernels'
 output.  One :class:`~wallflow.sparsela.ProductMap` per run composes the
-assembly scatter with the reduction.  A wall profile's :class:`Frame`
-holds what the profile alone fixes, so a step on it runs one flow kernel,
-adds its share through the map and solves.
+assembly scatter with the reduction.  :func:`build_frame` makes each wall
+profile's :class:`Frame`, which holds what the profile alone fixes: its
+contact-checked snapshot, its weighted mass and, built by the first step
+that starts from it, its share of the step system.  A step on a frame
+runs one flow kernel, adds the share through the map and solves.
 """
 
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import fluid as fl
+from . import ale, fluid as fl
 from .errors import SolverError
 from .sparsela import ProductMap, csr_rows
 
@@ -94,7 +96,8 @@ GEOMETRY, FLOW = 0, 1      # the operand groups of the run's reduction map
 @dataclass
 class Frame:
     """A wall profile's ``snapshot``, scalar weighted ``mass`` and ``data``,
-    the geometry group's share of every step system on it, or None."""
+    the geometry group's share of every step system on it: None until the
+    first step on the frame builds it."""
     snapshot: object
     mass: object
     data: np.ndarray = None
@@ -107,7 +110,6 @@ class FluidStepResult:
     pressure: np.ndarray
     flow: np.ndarray           # the flow data, for the ledger's checks
     v_half_q: np.ndarray       # the domain velocity at the quadrature points
-    snapshot: object           # the step's geometry, for the viscous form
     forcing: np.ndarray
 
 
@@ -123,23 +125,23 @@ def geometry_operands(setup, snapshot):
     return x
 
 
-def reduced_viscous(setup, operands):
-    """``P^T K P``: the geometry group on ``operands`` with every one but
-    the viscous entries zero."""
-    nk = fl.VISCOUS_PER_CELL * setup.fluid_mesh.n_cells
-    k, n = np.zeros_like(operands), setup.prolongation.shape[1]
-    k[:nk] = operands[:nk]
-    return setup.reduction.matrix(setup.reduction(GEOMETRY, k))[:n, :n]
+def reduced_viscous(setup, snapshot):
+    """``P^T K P`` on ``snapshot``: the geometry group on its viscous
+    entries, every other operand zero."""
+    mesh, step_map = setup.fluid_mesh, setup.reduction
+    k, n = np.zeros(step_map.g[GEOMETRY].shape[1]), setup.prolongation.shape[1]
+    fl.assemble_viscous_blocks(mesh, snapshot, setup.mu,
+                               out=k[:fl.VISCOUS_PER_CELL * mesh.n_cells])
+    return step_map.matrix(step_map(GEOMETRY, k))[:n, :n]
 
 
-def build_frame(setup, snapshot, mass=None, operands=None):
-    """The :class:`Frame` of ``snapshot``; ``mass`` and ``operands``, when
-    given, are its weighted mass and its :func:`geometry_operands`."""
-    if operands is None:
-        operands = geometry_operands(setup, snapshot)
-    if mass is None:
-        mass = fl.assemble_weighted_mass(setup.fluid_mesh, snapshot)
-    return Frame(snapshot, mass, setup.reduction(GEOMETRY, operands))
+def build_frame(setup, eta):
+    """The :class:`Frame` of the wall profile ``eta`` (free wall DOFs): its
+    snapshot, which raises WallContact near contact, and weighted mass."""
+    snapshot = ale.build_snapshot(setup.shell_mesh, eta, setup.fluid_mesh,
+                                  setup.radius)
+    return Frame(snapshot, fl.assemble_weighted_mass(setup.fluid_mesh,
+                                                     snapshot))
 
 
 def build_reduction(setup):
@@ -170,23 +172,27 @@ def build_reduction(setup):
 
 def reduce_coupled_system(setup, frame, flow):
     """The step's saddle system ``[[P^T A P + E W E^T, -(B P)^T], [B P,
-    0]]``, ``A = K + I_2 (x) F``: the ``frame``'s data plus the flow
-    group's share of the scalar flow data ``flow`` (``F``), through the
-    run's one map, so every step system of a run has the same pattern."""
+    0]]``, ``A = K + I_2 (x) F``: the ``frame``'s data, built here on the
+    first step on the frame, plus the flow group's share of the scalar
+    flow data ``flow`` (``F``), through the run's one map, so every step
+    system of a run has the same pattern."""
+    if frame.data is None:
+        frame.data = setup.reduction(GEOMETRY,
+                                     geometry_operands(setup, frame.snapshot))
     data = setup.reduction(FLOW, flow)
     data += frame.data
     return setup.reduction.matrix(data)
 
 
-def _step(setup, frame, mass_new, u_prev_full, v_half, p_in, p_out, solver,
+def _step(setup, frame, end, u_prev_full, v_half, p_in, p_out, solver,
           mass_u_prev):
-    """The fluid step from ``frame`` to the end mass ``mass_new`` with
-    domain and wall velocity ``v_half``: one reduced solve for ``x``, then
+    """The fluid step from ``frame`` to the frame ``end`` with domain and
+    wall velocity ``v_half``: one reduced solve for ``x``, then
     ``u = P x`` and ``v_new = E^T x``; a non-finite ``x`` is a SolverError."""
     mesh = setup.fluid_mesh
     v_half_q = fl.shell_field_at_quad(setup.shell_mesh, v_half, mesh)
     flow = fl.assemble_flow(mesh, frame.snapshot, u_prev_full, v_half_q,
-                            setup.rho_f, setup.dt, frame.mass, mass_new)
+                            setup.rho_f, setup.dt, frame.mass, end.mass)
     forcing = fl.assemble_pressure_forcing(mesh, p_in, p_out,
                                            frame.snapshot.radius)
     rhs_full = (setup.rho_f / setup.dt) * mass_u_prev + forcing
@@ -201,26 +207,27 @@ def _step(setup, frame, mass_new, u_prev_full, v_half, p_in, p_out, solver,
     n = p.shape[1]
     return FluidStepResult(u_full=p @ x[:n], v_new=e.T @ x[:n],
                            pressure=x[n:], flow=flow, v_half_q=v_half_q,
-                           snapshot=frame.snapshot, forcing=forcing)
+                           forcing=forcing)
 
 
-def fluid_step(setup, frame, mass_new, u_prev_full, shell_half, p_in, p_out,
+def fluid_step(setup, frame, end, u_prev_full, shell_half, p_in, p_out,
                solver, mass_u_prev):
     """The coupled step of the run's ``dt`` from the start-of-step
-    ``frame`` to the end-of-step mass ``mass_new``, on the frame's geometry
-    but with the half-step velocity of ``shell_half`` (the asymmetry the
-    energy identity needs), solved by the run's fluid-step ``solver``;
-    ``mass_u_prev`` is ``componentwise(frame.mass, u_prev_full)``, which
-    the ledger carries over from its last row."""
-    return _step(setup, frame, mass_new, u_prev_full, shell_half.v_star,
+    ``frame`` to the end-of-step frame ``end``, whose mass alone it reads,
+    on the start frame's geometry but with the half-step velocity of
+    ``shell_half`` (the asymmetry the energy identity needs), solved by
+    the run's fluid-step ``solver``; ``mass_u_prev`` is
+    ``componentwise(frame.mass, u_prev_full)``, which the ledger carries
+    over from its last row."""
+    return _step(setup, frame, end, u_prev_full, shell_half.v_star,
                  p_in, p_out, solver, mass_u_prev)
 
 
 def rigid_fluid_step(setup, frame, u_prev_full, p_in, p_out, solver):
     """The fluid step of a rigid-mode ``setup`` on ``frame``, whose ``P``
     has no wall columns and ``E`` is zero: every top-edge DOF and the
-    returned wall velocity are zero, and the mass stays the frame's.  Test
-    harness for rigid-wall channel flow."""
-    return _step(setup, frame, frame.mass, u_prev_full,
+    returned wall velocity are zero, and the frame is also the end frame.
+    Test harness for rigid-wall channel flow."""
+    return _step(setup, frame, frame, u_prev_full,
                  setup.shell_mesh.zero_free(), p_in, p_out, solver,
                  fl.componentwise(frame.mass, u_prev_full))

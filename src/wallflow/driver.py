@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import ale, coupling, energy, fluid, shell
+from . import coupling, energy, fluid, shell
 from .config import build_material, ingest_waveform
 from .energy import EnergyLedger, EnergyMonitor
 from .errors import ConfigError, SolverError, ValidationError, WallContact
@@ -126,7 +126,6 @@ class RunSetup:
         n_wall = 0 if cfg["mode"] == "rigid" else sm.n_free
         self.prolongation = coupling.build_prolongation(
             fm, self.partition, self.trace_op, n_wall)
-        self.contact_threshold = ale.CONTACT_THRESHOLD_FACTOR * self.radius
         base = cfg.get("_base_dir", ".")
         self.wave_in = ingest_waveform(cfg["waveform"]["inlet"], base)
         self.wave_out = ingest_waveform(cfg["waveform"]["outlet"], base)
@@ -181,13 +180,12 @@ class RunSetup:
         return eta0, v0, u0
 
 
-def _trace_constant(setup, operands):
+def _trace_constant(setup, snapshot):
     """Pressure-work constant from the discrete trace inequality at the
-    initial geometry, and whether it was computed; combined with the
-    observed per-step requirement by the verifier.  A failed factorization
-    gives (0.0, False), which the ledger header records.  ``P^T K P``
-    comes from the initial geometry's frame ``operands``."""
-    p, k_red = setup.prolongation, coupling.reduced_viscous(setup, operands)
+    initial geometry ``snapshot``, and whether it was computed; combined
+    with the observed per-step requirement by the verifier.  A failed
+    factorization gives (0.0, False), which the ledger header records."""
+    p, k_red = setup.prolongation, coupling.reduced_viscous(setup, snapshot)
     # both functionals as signed flux integrals
     ell = [p.T @ np.abs(fluid.assemble_pressure_forcing(
                setup.fluid_mesh, p_in, p_out, 1.0))
@@ -230,13 +228,8 @@ def run(cfg):
     status, contact, failure = STATUS_COMPLETED, None, None
     t = t_next = 0.0
     try:
-        snap = ale.build_snapshot(sm, state.eta, fm, setup.radius,
-                                  contact_threshold=setup.contact_threshold)
-        # the step map is built here, before the trace constant's LU
-        operands = coupling.geometry_operands(setup, snap)
-        c_ref, c_ref_computed = _trace_constant(setup, operands)
-        frame = coupling.build_frame(setup, snap, operands=operands)
-        del operands
+        frame = coupling.build_frame(setup, state.eta)
+        c_ref, c_ref_computed = _trace_constant(setup, frame.snapshot)
         monitor = EnergyMonitor(setup)
         ledger.header.update(
             e0=monitor.total_energy(u, state.v, state.eta, frame.mass),
@@ -248,23 +241,15 @@ def run(cfg):
             p_out = setup.wave_out.average(n * dt, t_next)
 
             half = shell.structure_step(setup, state, wall_solver)
-            # the end-of-step geometry, checked for contact before the
-            # fluid step, which still runs on the start-of-step snapshot
-            snap_new = ale.build_snapshot(
-                sm, half.eta, fm, setup.radius,
-                contact_threshold=setup.contact_threshold)
-            end = coupling.Frame(snap_new,
-                                 fluid.assemble_weighted_mass(fm, snap_new))
-            result = coupling.fluid_step(setup, frame, end.mass, u, half,
+            # the end-of-step profile, checked for contact before the
+            # fluid step, which still runs on the start-of-step frame
+            end = coupling.build_frame(setup, half.eta)
+            result = coupling.fluid_step(setup, frame, end, u, half,
                                          p_in, p_out, solver,
                                          monitor.mass_product(u, frame.mass))
             ledger.append(monitor.record_step(n, state, u, half, result,
                                               frame, end, p_in, p_out))
-            # the spent frame's data go before the next one's come
-            frame = None
-            if n + 1 < n_steps:
-                frame = coupling.build_frame(setup, snap_new, end.mass)
-
+            frame = end
             state = shell.ShellState(eta=half.eta, v=result.v_new,
                                      v_star=half.v_star)
             u, pressure = result.u_full, result.pressure
@@ -322,11 +307,11 @@ def run_rigid_steady(setup):
     if setup.cfg["mode"] != "rigid":
         raise ConfigError(f"run_rigid_steady needs a rigid-mode setup, got "
                           f"mode {setup.cfg['mode']!r}; run() takes it")
-    fm, sm = setup.fluid_mesh, setup.shell_mesh
-    dt = setup.dt
-    snap = ale.build_snapshot(sm, sm.zero_free(), fm, setup.radius,
-                              contact_threshold=None)
-    frame = coupling.build_frame(setup, snap)
+    fm, dt = setup.fluid_mesh, setup.dt
+    # the run's map is built before the first step's arrays, as a coupled
+    # run's trace constant builds it, so its transient memory adds to none
+    setup.reduction
+    frame = coupling.build_frame(setup, setup.shell_mesh.zero_free())
     u = np.zeros(2 * fm.n_velocity_nodes)
     pressure = np.zeros(fm.n_pressure_nodes)
     solver = ReusedFactorSolver(coupling.FLUID_TOL)

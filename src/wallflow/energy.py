@@ -257,7 +257,7 @@ class EnergyMonitor:
         jump_u = s.rho_f * float(du @ componentwise(old.mass, du))
         jump_v_a2 = float(dv2 @ (ms @ dv2))
 
-        d_fluid = dt * 0.5 * viscous_form(s.fluid_mesh, result.snapshot, s.mu,
+        d_fluid = dt * 0.5 * viscous_form(s.fluid_mesh, old.snapshot, s.mu,
                                           result.u_full)
         d_shell = dt * float(result.v_new @ (s.shell_viscous @ result.v_new))
         pwork = dt * float(result.forcing @ result.u_full)

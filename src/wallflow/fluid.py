@@ -85,11 +85,12 @@ class FluidMesh:
 
         iz = np.arange(self.n_cols)
         ir = np.arange(self.n_rows)
-        # linspace ends the outlet columns at exactly z = L
+        # linspace ends the outlet columns at exactly z = L and the top
+        # row at exactly r = 1
         self.velocity_z = np.linspace(0.0, self.length, self.n_cols)
-        self.velocity_r = ir * (self.hr / 2.0)
+        self.velocity_r = np.linspace(0.0, 1.0, self.n_rows)
         self.pressure_z = np.linspace(0.0, self.length, self.n_z + 1)
-        self.pressure_r = np.arange(self.n_r + 1) * self.hr
+        self.pressure_r = np.linspace(0.0, 1.0, self.n_r + 1)
 
         # cell -> node connectivity (cells row-major: c = cr * n_z + cz)
         cz = np.arange(self.n_z)

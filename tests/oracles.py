@@ -404,8 +404,8 @@ def structure_step_energy_residual(before, after, mass, elastic, rho_s_h):
     return abs(e_after + jumps - e_before)
 
 
-def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
-                                v_half, dt, c_tilde=0.0, pressures_sq=0.0):
+def fluid_step_energy_residuals(setup, old, new, result, u_prev_full, v_half,
+                                dt, c_tilde=0.0, pressures_sq=0.0):
     """Exact balance defect and stability-inequality slack of one fluid step.
 
     Testing the step with its own solution gives, exactly in exact
@@ -416,8 +416,8 @@ def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
               + dt * (u K u + v A' v)  =  E_half + dt * <forcing, u_new>,
 
     where E collects fluid kinetic (old weight on the left of the step, new
-    weight on the right, ``mass_old`` and ``mass_new`` being the scalar
-    weighted masses) and wall kinetic terms; the wall elastic terms are
+    weight on the right, the masses of the step's start and end frames
+    ``old`` and ``new``) and wall kinetic terms; the wall elastic terms are
     identical on both sides and omitted.  The first return value is the
     absolute defect of this identity.
 
@@ -428,7 +428,7 @@ def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
     """
     rho_f, rho_s_h = setup.rho_f, setup.rho_s_h
     ms, asp = setup.shell_mass, setup.shell_viscous
-    mass_old, mass_new = two_component(mass_old), two_component(mass_new)
+    mass_old, mass_new = two_component(old.mass), two_component(new.mass)
     u_new, v_new = result.u_full, result.v_new
     e_half = (0.5 * rho_f * float(u_prev_full @ (mass_old @ u_prev_full))
               + 0.5 * rho_s_h * float(v_half @ (ms @ v_half)))
@@ -438,7 +438,9 @@ def fluid_step_energy_residuals(setup, mass_old, mass_new, result, u_prev_full,
     dv = v_new - v_half
     jump_f = 0.5 * rho_f * float(du @ (mass_old @ du))
     jump_s = 0.5 * rho_s_h * float(dv @ (ms @ dv))
-    visc = float(u_new @ (viscous_matrix(setup, result) @ u_new))  # 2 mu |D|^2
+    # 2 mu |D|^2 on the step's geometry
+    visc = float(u_new @ (assemble_viscous(setup.fluid_mesh, old.snapshot,
+                                           setup.mu) @ u_new))
     wall_visc = float(v_new @ (asp @ v_new))
     pwork = float(result.forcing @ u_new)
     equality_residual = abs(e_new + jump_f + jump_s + dt * (visc + wall_visc)
@@ -666,12 +668,6 @@ def assemble_viscous(mesh, snapshot, mu):
     return viscous_csr(mesh, fluid.assemble_viscous_blocks(mesh, snapshot, mu))
 
 
-def viscous_matrix(setup, result):
-    """The viscous operator of a fluid step's result, assembled on the
-    step's geometry."""
-    return assemble_viscous(setup.fluid_mesh, result.snapshot, setup.mu)
-
-
 def momentum_matrix_by_kron(setup, flow, viscous):
     """Reference for the momentum block of the step system: the
     two-component sum ``I_2(x)F + K`` of the scalar flow data ``flow`` and
@@ -690,8 +686,9 @@ def _momentum_residual(setup, snapshot, result, u_prev_full, dt):
     mass = two_component(fluid.assemble_weighted_mass(setup.fluid_mesh,
                                                       snapshot))
     rhs_full = (setup.rho_f / dt) * (mass @ u_prev_full) + result.forcing
-    a_mom = momentum_matrix_by_kron(setup, result.flow,
-                                    viscous_matrix(setup, result))
+    a_mom = momentum_matrix_by_kron(
+        setup, result.flow,
+        assemble_viscous(setup.fluid_mesh, snapshot, setup.mu))
     b_div = assemble_divergence(setup.fluid_mesh, snapshot)
     return rhs_full - a_mom @ result.u_full + b_div.T @ result.pressure
 

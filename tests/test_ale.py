@@ -46,8 +46,23 @@ def test_collapsed_wall_raises_contact(meshes):
     full = np.zeros(2 * sm.n_nodes)
     full[2:-2:2] = -0.5        # interior nodal values at -R
     with pytest.raises(WallContact):
-        ale.build_snapshot(sm, sm.to_free(full), fm, radius=0.5,
-                           contact_threshold=1e-6 * 0.5)
+        ale.build_snapshot(sm, sm.to_free(full), fm, radius=0.5)
+
+
+def test_contact_between_the_wall_s_points_is_caught_at_the_fluid_s():
+    # nodes 1 and 2 at eta = -0.75 with slopes -1 and +1: the cubic
+    # reaches -R at the element midpoint z = 1.5, a fluid quadrature point,
+    # while its minimum over the wall's nodes and Gauss points is 0.0289
+    sm, fm = shell.ShellMesh(4, 4.0), fluid.FluidMesh(4, 2, 4.0)
+    full = np.zeros(2 * sm.n_nodes)
+    full[2:6] = [-0.75, -1.0, -0.75, 1.0]
+    eta = sm.to_free(full)
+    zs = np.concatenate([sm.nodes, sm.quad_points()])
+    assert (1.0 + sm.evaluate(eta, zs)).min() > 0.028
+    with pytest.raises(WallContact) as exc:
+        ale.build_snapshot(sm, eta, fm, radius=1.0)
+    assert exc.value.z_location == 1.5
+    assert exc.value.min_radius == 0.0
 
 
 def test_identity_collapse_of_transformed_gradient():

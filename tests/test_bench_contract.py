@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wallflow import ale, coupling, shell
+from wallflow import coupling, shell
 from wallflow.sparsela import ReusedFactorSolver
 
 from oracles import run_setup
@@ -60,8 +60,9 @@ def test_only_the_retired_factor_solve_target_is_missing():
 def test_the_flow_kernel_is_timed_as_fluid_assembly():
     # the fluid step's one flow kernel is wrapped by the tracer's
     # ("fluid", "assemble_*") target, so fluid.assembly_ms covers it: a
-    # traced coupled step calls it, and of the fluid kernels only it and
-    # the pressure load
+    # traced coupled step on a frame whose share is built calls it, and of
+    # the fluid kernels only it and the pressure load; the first step on
+    # the frame also runs the geometry kernels that build the share
     tracing = load_tracing()
     target = ("fluid", "assemble_*")
     assert target in tracing.TARGETS
@@ -75,15 +76,20 @@ def test_the_flow_kernel_is_timed_as_fluid_assembly():
 
     cs = run_setup(4, 2, 2.0, 0.1, {}, 1e-3, "elastic")
     zero = cs.shell_mesh.zero_free()
-    frame = coupling.build_frame(cs, ale.build_snapshot(
-        cs.shell_mesh, zero, cs.fluid_mesh, cs.radius))
+    frame = coupling.build_frame(cs, zero)
     half = shell.ShellState(eta=zero, v=zero, v_star=zero)
     u = np.zeros(2 * cs.fluid_mesh.n_velocity_nodes)
     patches, _ = tracing.install_wrappers("wallflow", [target], wrap)
+    per_step = []
     try:
-        # u is zero, and so is its mass product
-        coupling.fluid_step(cs, frame, frame.mass, u, half, 1.0, 0.0,
-                            ReusedFactorSolver(coupling.FLUID_TOL), u)
+        for _ in range(2):
+            # u is zero, and so is its mass product
+            coupling.fluid_step(cs, frame, frame, u, half, 1.0, 0.0,
+                                ReusedFactorSolver(coupling.FLUID_TOL), u)
+            per_step.append(called[:])
+            called.clear()
     finally:
         tracing.uninstall_wrappers(patches)
-    assert called == ["fluid.assemble_flow", "fluid.assemble_pressure_forcing"]
+    step = ["fluid.assemble_flow", "fluid.assemble_pressure_forcing"]
+    assert per_step == [step + ["fluid.assemble_viscous_blocks",
+                                "fluid.assemble_divergence_blocks"], step]

@@ -158,9 +158,9 @@ def test_fluid_step_geometry_is_the_start_of_step_wall(monkeypatch, tmp_path,
     calls = []
     original = coupling.fluid_step
 
-    def recording(setup, frame, mass_new, u_prev, shell_half, *args):
-        calls.append((frame.snapshot, mass_new, shell_half.eta.copy()))
-        return original(setup, frame, mass_new, u_prev, shell_half, *args)
+    def recording(setup, frame, end, u_prev, shell_half, *args):
+        calls.append((frame.snapshot, end.mass, shell_half.eta.copy()))
+        return original(setup, frame, end, u_prev, shell_half, *args)
 
     monkeypatch.setattr(coupling, "fluid_step", recording)
     res = driver.run(small_cfg(
@@ -327,16 +327,35 @@ FRAME_KERNELS = ("assemble_weighted_mass", "assemble_viscous_blocks",
 
 
 def test_each_step_builds_one_mass_and_one_contact_check(monkeypatch):
-    # one mass per wall profile, the initial one and one per step; a
-    # geometry share for each profile a step runs on, so none for the last
-    # one, whose mass only the last ledger row reads; the trace constant
-    # reads the initial frame's viscous entries
+    # one frame, so one mass and one contact check, per wall profile: the
+    # initial one and one per step; a geometry share for each profile a
+    # step starts from, so none for the last one, whose mass only the last
+    # ledger row reads; the trace constant runs one viscous kernel more
     kernels = [count_calls(monkeypatch, fluid, k) for k in FRAME_KERNELS]
     radii = count_calls(monkeypatch, ale, "min_radius_of")
     res = driver.run(small_cfg())
     assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
-    assert [len(k) for k in kernels] == [10 + 1, 10, 10]
+    assert [len(k) for k in kernels] == [10 + 1, 10 + 1, 10]
     assert len(radii) == 10 + 1
+
+
+def test_a_frame_s_share_is_built_by_the_first_step_on_it(monkeypatch):
+    # the geometry group is applied once per frame a fluid step starts
+    # from: every step's of a coupled run, every completed step's of a run
+    # that ends in contact (the profile in contact gets no step), and once
+    # for all the steps of a rigid run, whose one frame every step reuses
+    shares = count_calls(monkeypatch, coupling, "geometry_operands")
+    res = driver.run(small_cfg())
+    assert len(res.ledger) == 10 and len(shares) == 10
+    shares.clear()
+    res = driver.run(load_config(os.path.join(CONFIG_DIR,
+                                              "contact_suction.json")))
+    assert res.status == driver.STATUS_WALL_CONTACT
+    assert 0 < len(res.ledger) == len(shares)
+    shares.clear()
+    _, _, steps, _ = driver.run_rigid_steady(driver.RunSetup(load_config(
+        os.path.join(CONFIG_DIR, "poiseuille_rigid.json"))))
+    assert steps == 56 and len(shares) == 1
 
 
 def test_one_gram_assembly_per_setup(monkeypatch):
@@ -437,11 +456,9 @@ def step_on_the_end_of_step_geometry(monkeypatch):
     # the step's frame, and so its start mass, is the end-of-step profile's
     original = coupling.fluid_step
 
-    def mutated(setup, frame, mass_new, u_prev, shell_half, *args):
-        snap = ale.build_snapshot(setup.shell_mesh, shell_half.eta,
-                                  setup.fluid_mesh, setup.radius)
-        return original(setup, coupling.build_frame(setup, snap), mass_new,
-                        u_prev, shell_half, *args)
+    def mutated(setup, frame, end, u_prev, shell_half, *args):
+        return original(setup, coupling.build_frame(setup, shell_half.eta),
+                        end, u_prev, shell_half, *args)
 
     monkeypatch.setattr(coupling, "fluid_step", mutated)
 

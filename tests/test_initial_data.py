@@ -121,3 +121,17 @@ def test_the_outlet_column_is_at_exactly_the_length():
     _, _, u0 = setup.initial_data()
     assert np.abs(u0[fm.n_velocity_nodes:]).max() > 0.0
     assert np.all(u0[fm.n_velocity_nodes + fm.outlet_nodes] == 0.0)
+
+
+def test_the_top_row_is_at_exactly_the_radius():
+    # at n_r 49 the top row of ir * hr / 2 misses r = 1 by an ulp; the
+    # velocity and pressure rows still end at 1, so a bump's top-edge
+    # radial velocity is the wall trace of v0 bit for bit
+    setup = RunSetup(validate_config(bump_raw(n_z=4, n_r=49)))
+    fm, sm = setup.fluid_mesh, setup.shell_mesh
+    assert (fm.n_rows - 1) * (fm.hr / 2.0) != 1.0
+    assert fm.velocity_r[-1] == fm.pressure_r[-1] == 1.0
+    _, v0, u0 = setup.initial_data()
+    trace = sm.evaluate(v0, fm.velocity_z)
+    assert np.abs(trace).max() > 0.0
+    assert np.array_equal(u0[fm.n_velocity_nodes + fm.top_nodes], trace)

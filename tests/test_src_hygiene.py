@@ -73,6 +73,41 @@ def test_the_check_sees_a_helper_with_no_use(tmp_path):
     assert unused_definitions(tmp_path) == ["a.py:recursive"]
 
 
+def unused_imports(root=ROOT):
+    """``file:name`` of each name a module of the package imports and its
+    code never names; a name in ``__init__.py``'s ``__all__`` is a use."""
+    unused = []
+    for path in sorted((root / "src" / "wallflow").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= _exported(tree)
+        unused += [f"{path.name}:{name}" for name in imported
+                   if name not in used]
+    return unused
+
+
+def test_every_import_has_a_use():
+    assert unused_imports() == []
+
+
+def test_the_check_sees_an_import_with_no_use(tmp_path):
+    pkg = tmp_path / "src" / "wallflow"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "from .a import api, spare\n\n__all__ = ['api']\n")
+    (pkg / "a.py").write_text(
+        "import os.path\nimport numpy as np\nfrom . import b, c\n\n\n"
+        "def api():\n    return np.zeros(b.N) if os.path else None\n\n\n"
+        "def spare():\n    return 'c'\n")
+    assert unused_imports(tmp_path) == ["__init__.py:spare", "a.py:c"]
+
+
 def environment_reads(root=ROOT):
     """``file`` of each module of the package whose code names ``environ``
     or ``getenv``, as a plain name, an attribute or an imported name."""
