@@ -3,10 +3,10 @@
 The moving channel (0, L) x (0, R + eta(t, z)) is pulled back to the
 reference domain (0, L) x (0, 1) by the vertical-stretch map
 (z, r) -> (z, (R + eta(z)) r).  Everything the fluid assembly needs from
-the geometry is frozen per time step in an :class:`AleSnapshot`: the wall
-profile, its slope and the Jacobian weight R + eta at the quadrature points,
-the weighted quadrature weights, the two factors of the transformed
-derivatives below, and the minimum radius for the contact check.
+the geometry is frozen per time step in an :class:`AleSnapshot`: the
+Jacobian weight R + eta at the quadrature points, the weighted quadrature
+weights, the two factors of the transformed derivatives below, and the
+minimum radius for the contact check.
 
 Reference-domain derivatives (d_z, d_r) of any field transform to
 moving-domain derivatives via
@@ -33,8 +33,6 @@ class AleSnapshot:
     """Wall geometry sampled at the fluid quadrature points, frozen per step."""
 
     radius: float
-    eta_q: np.ndarray        # (n_cells, n_quad) wall displacement
-    deta_q: np.ndarray       # (n_cells, n_quad) wall slope d eta / d z
     jac_q: np.ndarray        # (n_cells, n_quad) Jacobian weight R + eta
     w: np.ndarray            # (n_cells, n_quad) quadrature weight * jac_q
     slope: np.ndarray        # (n_cells, n_quad) r * eta_z / (R + eta)
@@ -60,28 +58,21 @@ def build_snapshot(shell_mesh, eta_free, fluid_mesh, radius):
     :func:`min_radius_of`, the fluid kernels' among them, does not exceed
     ``CONTACT_THRESHOLD_FACTOR * radius``.
     """
-    eta_q = shell_field_at_quad(shell_mesh, eta_free, fluid_mesh, deriv=0)
-    deta_q = shell_field_at_quad(shell_mesh, eta_free, fluid_mesh, deriv=1)
     min_r, min_z = min_radius_of(shell_mesh, eta_free, radius, fluid_mesh)
     if min_r <= CONTACT_THRESHOLD_FACTOR * radius:
         raise WallContact(min_r, min_z)
-    jac_q = radius + eta_q
+    jac_q = radius + shell_field_at_quad(shell_mesh, eta_free, fluid_mesh)
+    deta_q = shell_field_at_quad(shell_mesh, eta_free, fluid_mesh, deriv=1)
     w = fluid_mesh.quad_w_dv[None, :] * jac_q
-    return AleSnapshot(
-        radius=float(radius),
-        eta_q=eta_q,
-        deta_q=deta_q,
-        jac_q=jac_q,
-        w=w,
-        slope=fluid_mesh.quad_r * deta_q / jac_q,
-        w_over_jac=w / jac_q,
-        min_radius=min_r,
-        min_radius_z=min_z,
-    )
+    return AleSnapshot(radius=float(radius), jac_q=jac_q, w=w,
+                       slope=fluid_mesh.quad_r * deta_q / jac_q,
+                       w_over_jac=w / jac_q, min_radius=min_r,
+                       min_radius_z=min_z)
 
 
 def map_to_physical(shell_mesh, eta_free, radius, z, r):
-    """Image of reference points under the domain map (z, (R + eta(z)) r)."""
+    """Image of reference points under the domain map (z, (R + eta(z)) r)
+    of the wall profile ``eta_free`` (free wall DOFs)."""
     z = np.asarray(z, dtype=float)
     r = np.asarray(r, dtype=float)
     return z, (radius + shell_mesh.evaluate(eta_free, z)) * r

@@ -180,6 +180,15 @@ def validate_config(raw):
         if not amp > -cfg["geometry"]["radius"]:
             problems.append(f"initial_data.eta_amplitude = {amp} must exceed "
                             "-geometry.radius: the wall is closed at t = 0")
+        # each step's system holds both densities over dt
+        t, wall = cfg["time"], cfg["wall"]
+        dt = t["t_final"] / t["n_steps"] if is_finite(t["n_steps"]) else 0.0
+        rho = max(cfg["fluid"]["density"], wall["density"] * wall["thickness"])
+        if not (dt > 0 and math.isfinite(rho / dt)):
+            problems.append(
+                f"time.t_final = {t['t_final']} over {t['n_steps']} steps "
+                f"gives dt = {dt:.4g}, on which fluid.density / dt or "
+                "wall.density * wall.thickness / dt is not finite")
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -105,9 +105,12 @@ class Frame:
 
 @dataclass
 class FluidStepResult:
+    """A fluid step's end state; ``mass_u`` is ``u_full`` under the end
+    frame's mass, the next step's ``mass_u_prev``."""
     u_full: np.ndarray
     v_new: np.ndarray
     pressure: np.ndarray
+    mass_u: np.ndarray
     flow: np.ndarray           # the flow data, for the ledger's checks
     v_half_q: np.ndarray       # the domain velocity at the quadrature points
     forcing: np.ndarray
@@ -205,9 +208,10 @@ def _step(setup, frame, end, u_prev_full, v_half, p_in, p_out, solver,
     if not np.isfinite(x).all():
         raise SolverError("non-finite solution fields")
     n = p.shape[1]
-    return FluidStepResult(u_full=p @ x[:n], v_new=e.T @ x[:n],
-                           pressure=x[n:], flow=flow, v_half_q=v_half_q,
-                           forcing=forcing)
+    u_full = p @ x[:n]
+    return FluidStepResult(u_full=u_full, v_new=e.T @ x[:n], pressure=x[n:],
+                           mass_u=fl.componentwise(end.mass, u_full),
+                           flow=flow, v_half_q=v_half_q, forcing=forcing)
 
 
 def fluid_step(setup, frame, end, u_prev_full, shell_half, p_in, p_out,
@@ -217,17 +221,18 @@ def fluid_step(setup, frame, end, u_prev_full, shell_half, p_in, p_out,
     on the start frame's geometry but with the half-step velocity of
     ``shell_half`` (the asymmetry the energy identity needs), solved by
     the run's fluid-step ``solver``; ``mass_u_prev`` is
-    ``componentwise(frame.mass, u_prev_full)``, which the ledger carries
-    over from its last row."""
+    ``componentwise(frame.mass, u_prev_full)``, the previous step's
+    ``mass_u``."""
     return _step(setup, frame, end, u_prev_full, shell_half.v_star,
                  p_in, p_out, solver, mass_u_prev)
 
 
-def rigid_fluid_step(setup, frame, u_prev_full, p_in, p_out, solver):
+def rigid_fluid_step(setup, frame, u_prev_full, p_in, p_out, solver,
+                     mass_u_prev):
     """The fluid step of a rigid-mode ``setup`` on ``frame``, whose ``P``
     has no wall columns and ``E`` is zero: every top-edge DOF and the
     returned wall velocity are zero, and the frame is also the end frame.
     Test harness for rigid-wall channel flow."""
     return _step(setup, frame, frame, u_prev_full,
                  setup.shell_mesh.zero_free(), p_in, p_out, solver,
-                 fl.componentwise(frame.mass, u_prev_full))
+                 mass_u_prev)

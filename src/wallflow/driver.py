@@ -41,23 +41,23 @@ class TrajectoryRecord:
     """The t = 0 state, snapshots at the configured cadence, the end state.
 
     Stored fields are piecewise constant in time between steps; timestamps
-    are exact multiples of dt.
+    are exact multiples of dt.  Wall fields are free DOFs, as the run's
+    ``ShellState`` holds them; ``ShellMesh.to_full`` gives their node values.
     """
 
     times: list = field(default_factory=list)
-    etas: list = field(default_factory=list)        # full Hermite DOFs
-    vs: list = field(default_factory=list)          # full Hermite DOFs
-    v_stars: list = field(default_factory=list)     # full Hermite DOFs
+    etas: list = field(default_factory=list)        # free wall DOFs
+    vs: list = field(default_factory=list)          # free wall DOFs
+    v_stars: list = field(default_factory=list)     # free wall DOFs
     us: list = field(default_factory=list)          # full velocity DOFs
     ps: list = field(default_factory=list)
 
-    def store(self, t, eta_full, v_full, v_star_full, u_full, p):
+    def store(self, t, state, u_full, p):
         self.times.append(float(t))
-        self.etas.append(np.asarray(eta_full).copy())
-        self.vs.append(np.asarray(v_full).copy())
-        self.v_stars.append(np.asarray(v_star_full).copy())
-        self.us.append(np.asarray(u_full).copy())
-        self.ps.append(np.asarray(p).copy())
+        for stored, vec in ((self.etas, state.eta), (self.vs, state.v),
+                            (self.v_stars, state.v_star),
+                            (self.us, u_full), (self.ps, p)):
+            stored.append(vec.copy())
 
     def __len__(self):
         return len(self.times)
@@ -144,15 +144,14 @@ class RunSetup:
         return coupling.build_reduction(self)
 
     def initial_data(self):
-        """Full-DOF initial fields per the config, compatible by
+        """Initial fields ``(eta0, v0, u0)`` per the config, the wall's as
+        free DOFs and the velocity's as full DOFs, compatible by
         construction; a bump whose fields overflow is a ConfigError."""
         spec = self.cfg["initial_data"]
         sm, fm = self.shell_mesh, self.fluid_mesh
         if spec["kind"] == "zero":
-            eta0 = np.zeros(2 * sm.n_nodes)
-            v0 = np.zeros(2 * sm.n_nodes)
-            u0 = np.zeros(2 * fm.n_velocity_nodes)
-            return eta0, v0, u0
+            return sm.zero_free(), sm.zero_free(), np.zeros(
+                2 * fm.n_velocity_nodes)
         length = self.length
         amp_e = spec.get("eta_amplitude", 0.0)
         amp_v = spec.get("v_amplitude", 0.0)
@@ -209,19 +208,16 @@ def run(cfg):
         raise ConfigError("rigid mode runs through run_rigid_steady / the "
                           "poiseuille command, not run()")
     setup = RunSetup(cfg)
-    sm, fm = setup.shell_mesh, setup.fluid_mesh
     dt, n_steps = setup.dt, setup.n_steps
     solver = ReusedFactorSolver(coupling.FLUID_TOL)
     wall_solver = ReusedFactorSolver(shell.STRUCTURE_TOL)
 
-    eta0_full, v0_full, u0 = setup.initial_data()
-    state = shell.ShellState(eta=sm.to_free(eta0_full), v=sm.to_free(v0_full),
-                             v_star=sm.to_free(v0_full))
-    u = u0.copy()
-    pressure = np.zeros(fm.n_pressure_nodes)
+    eta0, v0, u = setup.initial_data()
+    state = shell.ShellState(eta=eta0, v=v0, v_star=v0)
+    pressure = np.zeros(setup.fluid_mesh.n_pressure_nodes)
 
     record = TrajectoryRecord()
-    record.store(0.0, eta0_full, v0_full, v0_full, u, pressure)
+    record.store(0.0, state, u, pressure)
     ledger = EnergyLedger(_ledger_header(setup))
     cadence = cfg["output"]["cadence"]
 
@@ -231,8 +227,10 @@ def run(cfg):
         frame = coupling.build_frame(setup, state.eta)
         c_ref, c_ref_computed = _trace_constant(setup, frame.snapshot)
         monitor = EnergyMonitor(setup)
+        # e0 and the first load; each step returns the next product
+        mass_u = fluid.componentwise(frame.mass, u)
         ledger.header.update(
-            e0=monitor.total_energy(u, state.v, state.eta, frame.mass),
+            e0=monitor.total_energy(u, mass_u, state.v, state.eta),
             c_ref=c_ref, c_ref_computed=c_ref_computed)
 
         for n in range(n_steps):
@@ -245,26 +243,23 @@ def run(cfg):
             # fluid step, which still runs on the start-of-step frame
             end = coupling.build_frame(setup, half.eta)
             result = coupling.fluid_step(setup, frame, end, u, half,
-                                         p_in, p_out, solver,
-                                         monitor.mass_product(u, frame.mass))
-            ledger.append(monitor.record_step(n, state, u, half, result,
-                                              frame, end, p_in, p_out))
-            frame = end
+                                         p_in, p_out, solver, mass_u)
+            ledger.append(monitor.record_step(n, state, u, mass_u, half,
+                                              result, frame, end, p_in, p_out))
+            frame, mass_u = end, result.mass_u
             state = shell.ShellState(eta=half.eta, v=result.v_new,
                                      v_star=half.v_star)
             u, pressure = result.u_full, result.pressure
             t = t_next
             if (n + 1) % cadence == 0:
-                record.store(t, sm.to_full(state.eta), sm.to_full(state.v),
-                             sm.to_full(state.v_star), u, pressure)
+                record.store(t, state, u, pressure)
     except WallContact as exc:
         status, contact = STATUS_WALL_CONTACT, (t_next, exc.z_location)
     except SolverError as exc:
         status, failure = STATUS_SOLVER_FAILURE, str(exc)
 
     if record.times[-1] != t:
-        record.store(t, sm.to_full(state.eta), sm.to_full(state.v),
-                     sm.to_full(state.v_star), u, pressure)
+        record.store(t, state, u, pressure)
     return RunResult(status, setup, record, ledger, contact=contact,
                      failure=failure, solver=solver.stats)
 
@@ -313,6 +308,7 @@ def run_rigid_steady(setup):
     setup.reduction
     frame = coupling.build_frame(setup, setup.shell_mesh.zero_free())
     u = np.zeros(2 * fm.n_velocity_nodes)
+    mass_u = fluid.componentwise(frame.mass, u)
     pressure = np.zeros(fm.n_pressure_nodes)
     solver = ReusedFactorSolver(coupling.FLUID_TOL)
     increment = math.inf
@@ -321,11 +317,11 @@ def run_rigid_steady(setup):
         p_in = setup.wave_in.average(n * dt, (n + 1) * dt)
         p_out = setup.wave_out.average(n * dt, (n + 1) * dt)
         result = coupling.rigid_fluid_step(setup, frame, u, p_in, p_out,
-                                           solver)
+                                           solver, mass_u)
         e = -np.frexp(np.max(np.abs(result.u_full)))[1]
         increment = (np.linalg.norm(np.ldexp(result.u_full - u, e))
                      / max(np.linalg.norm(np.ldexp(result.u_full, e)), 1e-30))
-        u, pressure = result.u_full, result.pressure
+        u, pressure, mass_u = result.u_full, result.pressure, result.mass_u
         taken = n + 1
         if increment < STEADY_TOL:
             break
@@ -400,9 +396,9 @@ def _run_final(cfg, n_steps):
                           f"with status {result.status}")
     # the error norms come from the run's own setup, so the study builds
     # no meshes of its own; every run of a study has the same meshes
-    sm, rec = result.setup.shell_mesh, result.record
-    return {"eta": sm.to_free(rec.etas[-1]), "v": sm.to_free(rec.vs[-1]),
-            "u": rec.us[-1], "gap": result.ledger.v_vstar_gap(),
+    rec = result.record
+    return {"eta": rec.etas[-1], "v": rec.vs[-1], "u": rec.us[-1],
+            "gap": result.ledger.v_vstar_gap(),
             "norms": (result.setup.shell_mass, fluid.assemble_unweighted_mass(
                 result.setup.fluid_mesh))}
 

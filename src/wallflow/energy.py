@@ -196,7 +196,6 @@ class EnergyMonitor:
 
     def __init__(self, setup):
         self.setup = setup
-        self._last_product = (None, None, None)
 
     def _wall_elastic(self, eta):
         g0, g1, g2 = self.setup.grams
@@ -204,33 +203,25 @@ class EnergyMonitor:
         return (c.C0 * float(eta @ (g0 @ eta)) + c.C1 * float(eta @ (g1 @ eta))
                 + c.C2 * float(eta @ (g2 @ eta)))
 
-    def mass_product(self, u_full, weighted_mass):
-        """``componentwise(weighted_mass, u_full)``, carried over to the next
-        call on the same arrays: the next row's ``e_n`` and step's load."""
-        u_last, mass_last, product = self._last_product
-        if u_full is not u_last or weighted_mass is not mass_last:
-            product = componentwise(weighted_mass, u_full)
-            self._last_product = (u_full, weighted_mass, product)
-        return product
-
-    def _kinetic(self, u_full, weighted_mass):
-        return 0.5 * self.setup.rho_f * float(
-            u_full @ self.mass_product(u_full, weighted_mass))
+    def _kinetic(self, u_full, mass_u):
+        return 0.5 * self.setup.rho_f * float(u_full @ mass_u)
 
     def _wall_kinetic(self, v):
         s = self.setup
         return 0.5 * s.rho_s_h * float(v @ (s.shell_mass @ v))
 
-    def total_energy(self, u_full, v, eta, weighted_mass):
-        """E = kinetic (fluid, wall) + elastic wall energy, with the fluid
-        kinetic term weighted by the profile the arguments belong to."""
-        return (self._kinetic(u_full, weighted_mass) + self._wall_kinetic(v)
+    def total_energy(self, u_full, mass_u, v, eta):
+        """E = kinetic (fluid, wall) + elastic wall energy; ``mass_u`` is
+        ``u_full`` under the weighted mass of the profile ``eta``."""
+        return (self._kinetic(u_full, mass_u) + self._wall_kinetic(v)
                 + 0.5 * self._wall_elastic(eta))
 
-    def record_step(self, step, state_n, u_n, shell_half, result, old, new,
-                    p_in, p_out):
+    def record_step(self, step, state_n, u_n, mass_u_n, shell_half, result,
+                    old, new, p_in, p_out):
         """One ledger row for a completed (wall + fluid) step from the
-        frames ``old`` and ``new`` of its start and end wall profiles."""
+        frames ``old`` and ``new`` of its start and end wall profiles;
+        ``mass_u_n`` is ``u_n`` under ``old.mass`` and ``result.mass_u``
+        the end velocity under ``new.mass``."""
         s = self.setup
         dt, c = s.dt, s.coeffs
         g0, g1, g2 = s.grams
@@ -238,12 +229,12 @@ class EnergyMonitor:
 
         # total_energy's sums in its order (bitwise equal), with the shared
         # fluid kinetic (e_n, e_half) and elastic (e_half, e_full) terms once
-        kinetic_n = self._kinetic(u_n, old.mass)
+        kinetic_n = self._kinetic(u_n, mass_u_n)
         elastic_half = 0.5 * self._wall_elastic(shell_half.eta)
         e_n = (kinetic_n + self._wall_kinetic(state_n.v)
                + 0.5 * self._wall_elastic(state_n.eta))
         e_half = kinetic_n + self._wall_kinetic(shell_half.v_star) + elastic_half
-        e_full = (self._kinetic(result.u_full, new.mass)
+        e_full = (self._kinetic(result.u_full, result.mass_u)
                   + self._wall_kinetic(result.v_new) + elastic_half)
 
         d_eta = shell_half.eta - state_n.eta

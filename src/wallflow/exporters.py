@@ -42,7 +42,8 @@ def _write_table(f, cols, fmt=_FMT, header=""):
 
 
 def write_fields_csv(record, fluid_mesh, shell_mesh, radius, directory):
-    """One velocity/pressure/wall CSV triple per stored snapshot."""
+    """One velocity/pressure/wall CSV triple per stored snapshot; the
+    record's free wall DOFs are written as node values."""
     os.makedirs(directory, exist_ok=True)
     nv = fluid_mesh.n_velocity_nodes
     zv, rv = _reference_grid(fluid_mesh.velocity_z, fluid_mesh.velocity_r)
@@ -58,8 +59,8 @@ def write_fields_csv(record, fluid_mesh, shell_mesh, radius, directory):
              [zp, rp, map_to_physical(shell_mesh, eta, radius, zp, rp)[1],
               record.ps[k]]),
             ("wall", "z,eta,v,v_star",
-             [shell_mesh.nodes, eta[0::2], record.vs[k][0::2],
-              record.v_stars[k][0::2]]),
+             [shell_mesh.nodes] + [shell_mesh.to_full(w)[0::2] for w in
+                                   (eta, record.vs[k], record.v_stars[k])]),
         )
         for name, header, cols in tables:
             path = os.path.join(directory, f"{name}_{k:04d}.csv")

@@ -78,7 +78,8 @@ class ShellMesh:
 
     DOF conventions: a *full* vector stores (value, slope) per node,
     ``full[2k]`` and ``full[2k+1]``; the *free* vector drops the four
-    clamped end DOFs and is what the solvers work with.
+    clamped end DOFs and is the one form every wall vector of a run takes.
+    :meth:`to_full` gives the node values a writer reads.
     """
 
     def __init__(self, n_elements, length):
@@ -99,9 +100,6 @@ class ShellMesh:
         full[2:-2] = free
         return full
 
-    def to_free(self, full):
-        return np.asarray(full, dtype=float)[2:-2].copy()
-
     def zero_free(self):
         return np.zeros(self.n_free)
 
@@ -110,20 +108,15 @@ class ShellMesh:
         return (self.nodes[:-1, None] + self.element_lengths[:, None] * _QX[None, :]).ravel()
 
     def interpolate(self, fn, dfn):
-        """Full DOF vector interpolating ``fn`` with exact slopes ``dfn``."""
-        full = np.empty(2 * self.n_nodes)
-        full[0::2] = fn(self.nodes)
-        full[1::2] = dfn(self.nodes)
-        return full
+        """Free DOF vector interpolating ``fn`` with exact slopes ``dfn`` at
+        the interior nodes; the clamped ends are zero whatever ``fn`` is."""
+        inner = self.nodes[1:-1]
+        return np.stack([fn(inner), dfn(inner)], axis=1).ravel()
 
-    def evaluate(self, dofs, z, deriv=0):
-        """Evaluate the Hermite field (or a z-derivative) at points ``z``.
-
-        ``dofs`` may be a full vector or a free vector.
-        """
-        dofs = np.asarray(dofs, dtype=float)
-        if dofs.size == self.n_free:
-            dofs = self.to_full(dofs)
+    def evaluate(self, free, z, deriv=0):
+        """Evaluate the Hermite field of the free DOF vector ``free`` (or a
+        z-derivative of it) at points ``z``."""
+        dofs = self.to_full(free)
         z = np.atleast_1d(np.asarray(z, dtype=float))
         k = np.clip(np.searchsorted(self.nodes, z, side="right") - 1,
                     0, self.n_elements - 1)
@@ -191,15 +184,14 @@ def structure_step(setup, state, solver):
     which is exact by definition.  The matrix is constant, so the solver
     factors it on the first step and reuses that factor on every later one.
     The fluid state is untouched in this half step.  Returns a new
-    ShellState with ``eta`` advanced and ``v_star`` holding v_half; ``v``
-    (the full-step wall velocity) is carried unchanged until the fluid step
-    replaces it.
+    ShellState with ``eta`` advanced and ``v_star`` holding v_half; its
+    ``v`` is ``state.v`` itself, as the fluid step, not this half step,
+    makes the next wall velocity.
     """
     if state.eta.size == 0:    # fully clamped wall (single-element mesh)
-        return ShellState(eta=state.eta.copy(), v=state.v.copy(),
-                          v_star=np.zeros(0))
+        return ShellState(eta=state.eta, v=state.v, v_star=np.zeros(0))
     dt = setup.dt
     rhs = setup.rho_s_h * (setup.shell_mass @ (state.eta + dt * state.v))
     eta_half = solver.solve(setup.wall_matrix, rhs)
     v_half = (eta_half - state.eta) / dt
-    return ShellState(eta=eta_half, v=state.v.copy(), v_star=v_half)
+    return ShellState(eta=eta_half, v=state.v, v_star=v_half)

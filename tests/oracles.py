@@ -350,6 +350,18 @@ def linear_interpolant(record, t):
             "u": lerp(record.us)}
 
 
+def to_free(full):
+    """The free DOFs of a full wall vector: the four clamped end DOFs,
+    value and slope at each end, dropped."""
+    return np.asarray(full, dtype=float)[2:-2].copy()
+
+
+def to_full(free):
+    """The full wall vector of free DOFs: zero value and slope at each
+    clamped end."""
+    return np.concatenate([np.zeros(2), free, np.zeros(2)])
+
+
 def interpolate_velocity(mesh, fz, fr):
     """Full velocity DOF vector from component callables fz(z, r), fr(z, r)."""
     zg, rg = np.meshgrid(mesh.velocity_z, mesh.velocity_r)
@@ -610,8 +622,9 @@ def flow_by_terms(setup, snapshot, u_prev_full, v_half_q):
             + (0.5 * rho_f) * assemble_robin_mass(mesh, v_half_q).data)
 
 
-def viscous_blocks_by_four(mesh, snapshot, mu):
-    """Reference for the package's viscous kernel: its four full element
+def viscous_blocks_by_four(mesh, snapshot, mu, deta_q):
+    """Reference for the package's viscous kernel on ``snapshot``, whose
+    wall slope at the quadrature points is ``deta_q``: its four full element
     blocks, (4, n_cells, 9, 9) for the component blocks (0, 0), (1, 1),
     (0, 1) and (1, 0), the diagonal ones computed in full and symmetrized,
     the last the transpose of the third."""
@@ -619,7 +632,7 @@ def viscous_blocks_by_four(mesh, snapshot, mu):
         return (x[:, :, None] * y[:, None, :]).reshape(mesh.n_quad, -1)
     dz, dr = mesh.dphi_dz, mesh.dphi_dr
     w, jac = snapshot.w, snapshot.jac_q
-    f = mesh.quad_r * snapshot.deta_q / jac
+    f = mesh.quad_r * deta_q / jac
     wj = w / jac
     f22 = wj / jac
     diag = np.concatenate([
@@ -633,10 +646,10 @@ def viscous_blocks_by_four(mesh, snapshot, mu):
     return np.stack([*diag.reshape(2, -1, 9, 9), f21, f21.transpose(0, 2, 1)])
 
 
-def viscous_by_four(mesh, snapshot, mu):
+def viscous_by_four(mesh, snapshot, mu, deta_q):
     """The reference four-block viscous kernel scattered into its matrix."""
     nv = mesh.n_velocity_nodes
-    blocks = viscous_blocks_by_four(mesh, snapshot, mu)
+    blocks = viscous_blocks_by_four(mesh, snapshot, mu, deta_q)
     conn = mesh.conn_v
     rows, cols = [], []
     for r, c in ((0, 0), (1, 1), (0, 1), (1, 0)):
@@ -755,12 +768,13 @@ def write_fields_csv_by_loop(record, fluid_mesh, shell_mesh, radius,
                                   _fmt(rp_p[i]), _fmt(p[i])]) + "\n")
         written.append(path)
         path = os.path.join(directory, f"wall_{k:04d}.csv")
+        walls = [to_full(w[k]) for w in (record.etas, record.vs,
+                                         record.v_stars)]
         with open(path, "w") as f:
             f.write("z,eta,v,v_star\n")
             for i, z in enumerate(shell_mesh.nodes):
-                f.write(",".join([_fmt(z), _fmt(record.etas[k][2 * i]),
-                                  _fmt(record.vs[k][2 * i]),
-                                  _fmt(record.v_stars[k][2 * i])]) + "\n")
+                f.write(",".join([_fmt(z)] + [_fmt(w[2 * i]) for w in walls])
+                        + "\n")
         written.append(path)
     return written
 

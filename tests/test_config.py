@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,33 @@ def test_nonpositive_time_step_rejected(time, problem):
     raw["time"] = time
     with pytest.raises(ConfigError, match=problem):
         validate_config(raw)
+
+
+@pytest.mark.parametrize("t_final, n_steps", [(1e-310, 20), (5e-324, 2)],
+                         ids=["subnormal-dt", "zero-dt"])
+def test_a_time_step_that_underflows_is_a_config_error(tmp_path, capsys,
+                                                       t_final, n_steps):
+    # over a subnormal dt the densities' quotients are inf, and a dt that
+    # rounds to 0 divides by zero: each stops at the configuration, with no
+    # warning and no step
+    from wallflow.cli import main
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "smoke_zero.json").read_text())
+    raw["time"] = {"t_final": t_final, "n_steps": n_steps}
+    raw["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:")
+    assert "time.t_final" in err[0] and captured.out == ""
+    assert not (tmp_path / "out").exists()
+    # a step whose quotients are finite passes
+    raw["time"] = {"t_final": 1e-300, "n_steps": n_steps}
+    assert validate_config(raw)["time"]["t_final"] == 1e-300
 
 
 @pytest.mark.parametrize("key", ["eta_amplitude", "v_amplitude"])

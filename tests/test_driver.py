@@ -119,9 +119,8 @@ def test_fully_clamped_wall_run_completes_and_verifies():
     res = driver.run(cfg)
     assert res.status == driver.STATUS_COMPLETED
     assert res.setup.shell_mass.shape == (0, 0)
-    sm = res.setup.shell_mesh
-    assert sm.to_free(res.record.etas[-1]).size == 0
-    assert sm.to_free(res.record.vs[-1]).size == 0
+    assert res.record.etas[-1].size == 0
+    assert res.record.vs[-1].size == 0
     assert len(res.ledger) == cfg["time"]["n_steps"]
     assert verify_run(res.ledger).ok
 
@@ -170,14 +169,15 @@ def test_fluid_step_geometry_is_the_start_of_step_wall(monkeypatch, tmp_path,
     assert res.status == driver.STATUS_COMPLETED and len(calls) == 5
     setup = res.setup
     sm, fm = setup.shell_mesh, setup.fluid_mesh
-    sources = [sm.to_free(setup.initial_data()[0])]
+    sources = [setup.initial_data()[0]]
     sources += [eta for *_, eta in calls[:-1]]
     for (snap, mass_new, eta_half), eta in zip(calls, sources):
         probe = ale.build_snapshot(sm, eta, fm, setup.radius)
-        for name in ("eta_q", "deta_q", "jac_q"):
+        # the wall profile and its slope at the quadrature points fix these
+        for name in ("jac_q", "slope", "w"):
             assert np.array_equal(getattr(snap, name), getattr(probe, name))
         ahead = ale.build_snapshot(sm, eta_half, fm, setup.radius)
-        assert not np.array_equal(snap.eta_q, ahead.eta_q)
+        assert not np.array_equal(snap.jac_q, ahead.jac_q)
         assert np.array_equal(mass_new.data, fluid.assemble_weighted_mass(
             fm, ahead).data)
     # the retired audit key is now an unknown key
@@ -558,20 +558,51 @@ def test_a_tiny_rigid_flow_marches_as_far_as_a_small_one():
     assert peak_tiny == pytest.approx(peak_small, rel=1e-12)
 
 
+def count_mass_products(monkeypatch):
+    """Every ``fluid.componentwise`` call, from the driver, the coupling
+    and the energy module alike; returns the call list."""
+    calls = count_calls(monkeypatch, fluid, "componentwise")
+    monkeypatch.setattr(energy, "componentwise", fluid.componentwise)
+    return calls
+
+
 def test_a_ledger_row_carries_its_kinetic_energy_to_the_next(monkeypatch):
-    # e0 and each row's e_full evaluate the fluid kinetic energy; the next
-    # row's e_n and the next step's load reuse its mass product, so a row
-    # makes two mass products, jump_u and e_full, and a step none
-    products = count_calls(monkeypatch, energy, "componentwise")
-    step_products = count_calls(monkeypatch, fluid, "componentwise")
+    # one product before the loop gives e0 and the first load; each step
+    # returns its end-of-step product, which its row reads for e_full and
+    # the next step and row for their load and e_n, so a step makes one
+    # product and its row one more, for jump_u
+    products = count_mass_products(monkeypatch)
     res = driver.run(small_cfg())
     assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
     assert len(products) == 1 + 2 * 10
-    assert step_products == []
+
+
+def test_a_rigid_run_hands_each_step_its_product(monkeypatch):
+    # one product of the zero initial velocity, then one per step
+    products = count_mass_products(monkeypatch)
+    _, _, steps, _ = driver.run_rigid_steady(driver.RunSetup(rigid_cfg()))
+    assert 1 < steps < 200 and len(products) == steps + 1
+
+
+def test_the_handed_product_is_the_end_velocity_under_the_end_mass(
+        monkeypatch):
+    calls = []
+    original = coupling.fluid_step
+
+    def recording(setup, frame, end, *args):
+        result = original(setup, frame, end, *args)
+        calls.append((end.mass, result))
+        return result
+
+    monkeypatch.setattr(coupling, "fluid_step", recording)
+    assert driver.run(small_cfg()).status == driver.STATUS_COMPLETED
+    for mass, result in calls:
+        assert np.array_equal(result.mass_u,
+                              fluid.componentwise(mass, result.u_full))
 
 
 def test_the_carried_load_is_the_product_the_step_would_form(monkeypatch):
-    # a run that hands each step the ledger's carried product and one that
+    # a run that hands each step the previous step's product and one that
     # forms it afresh for each step write the same ledger, bit for bit
     cfg = small_cfg()
     ours = driver.run(cfg).ledger.rows
@@ -583,6 +614,16 @@ def test_the_carried_load_is_the_product_the_step_would_form(monkeypatch):
 
     monkeypatch.setattr(coupling, "fluid_step", fresh)
     assert driver.run(cfg).ledger.rows == ours
+
+
+def test_the_record_holds_free_wall_dofs():
+    res = driver.run(small_cfg(initial_data={
+        "kind": "bump", "eta_amplitude": 0.02, "v_amplitude": 2.0}))
+    rec, n_free = res.record, res.setup.shell_mesh.n_free
+    assert len(rec) == 11 and n_free == 14
+    for stored in (rec.etas, rec.vs, rec.v_stars):
+        assert all(x.shape == (n_free,) for x in stored)
+    assert all(eta.any() for eta in rec.etas)
 
 
 def test_record_interpolants():
@@ -618,6 +659,7 @@ def test_a_contact_at_t0_records_and_writes_the_initial_state(tmp_path):
     rec = res.record
     assert rec.times == [0.0]
     assert np.array_equal(rec.etas[0], eta0) and np.array_equal(rec.vs[0], v0)
+    assert eta0.size == res.setup.shell_mesh.n_free
     assert np.array_equal(rec.us[0], u0) and not rec.ps[0].any()
     written = exporters.write_outputs(res)
     assert sorted(os.path.basename(p) for p in written) == [

@@ -36,16 +36,16 @@ def one_step(material, coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
     v = 0.01 * rng.standard_normal(sm.n_free)
     state = shell.ShellState(eta=eta, v=v, v_star=v.copy())
     u = np.zeros(2 * fm.n_velocity_nodes)
-    vn = sm.evaluate(sm.to_full(v), fm.velocity_z)
+    vn = sm.evaluate(v, fm.velocity_z)
     u[fm.n_velocity_nodes:] = np.outer(fm.velocity_r, vn).ravel()
     half = shell.structure_step(cs, state,
                                 ReusedFactorSolver(shell.STRUCTURE_TOL))
     old = coupling.build_frame(cs, state.eta)
     new = coupling.build_frame(cs, half.eta)
+    mass_u = fluid.componentwise(old.mass, u)
     res = coupling.fluid_step(cs, old, new, u, half, p_in, p_out,
-                              ReusedFactorSolver(coupling.FLUID_TOL),
-                              fluid.componentwise(old.mass, u))
-    return 0, state, u, half, res, old, new, p_in, p_out
+                              ReusedFactorSolver(coupling.FLUID_TOL), mass_u)
+    return 0, state, u, mass_u, half, res, old, new, p_in, p_out
 
 
 def run_one_step(material, coeffs, sm, fm, cs, monitor, dt, **kwargs):
@@ -60,10 +60,11 @@ def test_zero_states_record_all_zeros():
     half = shell.structure_step(cs, state,
                                 ReusedFactorSolver(shell.STRUCTURE_TOL))
     frame = coupling.build_frame(cs, state.eta)
+    mass_u = fluid.componentwise(frame.mass, u)
     res = coupling.fluid_step(cs, frame, frame, u, half, 0.0, 0.0,
-                              ReusedFactorSolver(coupling.FLUID_TOL),
-                              fluid.componentwise(frame.mass, u))
-    row = monitor.record_step(0, state, u, half, res, frame, frame, 0.0, 0.0)
+                              ReusedFactorSolver(coupling.FLUID_TOL), mass_u)
+    row = monitor.record_step(0, state, u, mass_u, half, res, frame, frame,
+                              0.0, 0.0)
     for key in ("e_n", "e_half", "e_full", "d_fluid", "d_shell", "jump_u",
                 "jump_v_a2", "jump_v_a1", "pwork", "wall_step_residual",
                 "balance_residual"):
@@ -87,12 +88,12 @@ def test_the_entrywise_columns_read_the_step_s_own_data():
     # not the two masses fail the skew column alone
     material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
     args = list(one_step(material, coeffs, sm, fm, cs, dt))
-    res = args[4]
+    res = args[5]
     row = monitor.record_step(*args)
     for changed, failing in (
             ({"v_half_q": 0.5 * res.v_half_q}, "mass_update"),
             ({"flow": res.flow * (1.0 + 1e-9)}, "advection")):
-        args[4] = dataclasses.replace(res, **changed)
+        args[5] = dataclasses.replace(res, **changed)
         bad = monitor.record_step(*args)
         for column, scale in (("mass_update_residual", "mass_update_scale"),
                               ("advection_skew", "advection_scale")):
@@ -115,16 +116,21 @@ class CountingMatrix(sp.csr_matrix):
 def test_ledger_row_evaluates_each_form_once():
     material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
     args = one_step(material, coeffs, sm, fm, cs, dt)
-    _, state, u, half, res, old, new, _, _ = args
-    e_n = monitor.total_energy(u, state.v, state.eta, old.mass)
-    e_half = monitor.total_energy(u, half.v_star, half.eta, old.mass)
-    e_full = monitor.total_energy(res.u_full, res.v_new, half.eta, new.mass)
-    counted = CountingMatrix(old.mass)
+    _, state, u, _, half, res, old, new, _, _ = args
+    mass_u, mass_u_new = (fluid.componentwise(old.mass, u),
+                          fluid.componentwise(new.mass, res.u_full))
+    e_n = monitor.total_energy(u, mass_u, state.v, state.eta)
+    e_half = monitor.total_energy(u, mass_u, half.v_star, half.eta)
+    e_full = monitor.total_energy(res.u_full, mass_u_new, res.v_new, half.eta)
+    counted, counted_new = CountingMatrix(old.mass), CountingMatrix(new.mass)
     cs.grams = tuple(CountingMatrix(g) for g in cs.grams)
-    row = monitor.record_step(*args[:5],
+    row = monitor.record_step(*args[:6],
                               dataclasses.replace(old, mass=counted),
-                              *args[6:])
-    assert counted.products == 2      # the kinetic energy at n and jump_u
+                              dataclasses.replace(new, mass=counted_new),
+                              *args[8:])
+    # jump_u; the kinetic energies at n and n + 1 read the handed products
+    assert counted.products == 1
+    assert getattr(counted_new, "products", 0) == 0
     # elastic energy at eta_n and eta_half, and the eta jump
     assert [g.products for g in cs.grams] == [3, 3, 3]
     assert (row["e_n"], row["e_half"], row["e_full"]) == (e_n, e_half, e_full)
@@ -145,7 +151,7 @@ def test_hand_computed_wall_energy_single_dof():
     v = np.array([v_val, 0.0])
     u = np.zeros(2 * fm.n_velocity_nodes)
     mass = fluid.assemble_unweighted_mass(fm)
-    e = monitor.total_energy(u, v, eta, mass)
+    e = monitor.total_energy(u, fluid.componentwise(mass, u), v, eta)
     expected = 0.5 * (coeffs.rho_s_h * v_val**2 * m00
                       + eta_val**2 * (coeffs.C0 * m00 + coeffs.C1 * g1_00
                                       + coeffs.C2 * g2_00))

@@ -3,7 +3,6 @@ algebraic identities the operators are designed to satisfy."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from wallflow import ale, fluid, shell
 from wallflow.sparsela import ScatterPattern, csr_rows
@@ -254,9 +253,11 @@ def test_raw_kernels_sit_at_their_entries():
 def test_viscous_entries_expand_to_the_four_block_kernel(n_z, n_r, flat):
     # the independent entries, each at its entry and off the diagonal at
     # its mirror too, give the reference's four full, symmetrized blocks
-    sm, fm, _, snap, _, _ = make_case(n_z, n_r, radius=0.8, flat=flat, seed=4)
+    sm, fm, eta, snap, _, _ = make_case(n_z, n_r, radius=0.8, flat=flat,
+                                        seed=4)
     ours = assemble_viscous(fm, snap, mu=0.7).toarray()
-    ref = viscous_by_four(fm, snap, mu=0.7).toarray()
+    ref = viscous_by_four(fm, snap, 0.7, fluid.shell_field_at_quad(
+        sm, eta, fm, deriv=1)).toarray()
     assert rel_err(ours, ref) <= 1e-15
 
 

@@ -9,7 +9,7 @@ from wallflow import coupling, fluid, shell
 from wallflow.errors import ValidationError
 from wallflow.materials import ShellMaterial, derive_coefficients
 
-from oracles import compatibility_failures
+from oracles import compatibility_failures, to_free
 
 
 def reference_material(**overrides):
@@ -155,7 +155,7 @@ def test_compatibility_reads_the_trace_map_it_is_given(small_meshes):
     sm, fm = setup.shell_mesh, setup.fluid_mesh
     eta0, v0, u0 = zero_data(setup)
     v0[4] = 1.0                       # value DOF of an interior node
-    u0[fm.n_velocity_nodes + fm.top_nodes] = trace @ sm.to_free(v0)
+    u0[fm.n_velocity_nodes + fm.top_nodes] = trace @ to_free(v0)
     assert compatibility_failures(setup, eta0, v0, u0) == []
     assert compatibility_failures(setup, eta0, v0, u0, trace=trace) == []
     assert compatibility_failures(setup, eta0, v0, u0,

@@ -122,15 +122,22 @@ def test_piecewise_cubic_norm_matches_dense_integral():
 
 
 def test_evaluate_reproduces_a_global_cubic():
+    # the interpolant keeps the cubic's value and slope at the interior
+    # nodes and clamps both ends to zero: it is the cubic on the interior
+    # elements, and everywhere the Hermite field of its full DOFs
     mesh = shell.ShellMesh(5, 2.0)
     poly = np.polynomial.Polynomial([1.0, 1.0, -0.5, 0.125])
-    dofs = mesh.interpolate(poly, poly.deriv())
-    z = np.linspace(0.0, 2.0, 23)
-    assert np.allclose(mesh.evaluate(dofs, z), poly(z), rtol=0, atol=1e-13)
-    assert np.allclose(mesh.evaluate(dofs, z, deriv=1), poly.deriv()(z),
-                       rtol=0, atol=1e-12)
-    assert np.allclose(mesh.evaluate(dofs, z, deriv=2), poly.deriv(2)(z),
-                       rtol=0, atol=1e-11)
+    free = mesh.interpolate(poly, poly.deriv())
+    assert free.size == mesh.n_free
+    z = np.linspace(0.0, 2.0, 41)
+    inner = (z >= mesh.nodes[1]) & (z < mesh.nodes[-2])
+    for deriv, atol in ((0, 1e-13), (1, 1e-12), (2, 1e-11)):
+        vals = mesh.evaluate(free, z, deriv=deriv)
+        assert np.allclose(vals[inner], poly.deriv(deriv)(z[inner]),
+                           rtol=0, atol=atol)
+        assert np.allclose(vals, hermite_eval(mesh.nodes, mesh.to_full(free),
+                                              z, deriv), rtol=0, atol=atol)
+    assert mesh.evaluate(free, [0.0, 2.0]).tolist() == [0.0, 0.0]
 
 
 def wall_setup(dt, m, a, rho_s_h):

@@ -74,10 +74,12 @@ def test_the_check_sees_a_helper_with_no_use(tmp_path):
 
 
 def unused_imports(root=ROOT):
-    """``file:name`` of each name a module of the package imports and its
-    code never names; a name in ``__init__.py``'s ``__all__`` is a use."""
+    """``file:name`` of each name a module of the package or a file of the
+    tests imports and its code never names; a name in the package's
+    ``__init__.py``'s ``__all__`` is a use."""
     unused = []
-    for path in sorted((root / "src" / "wallflow").glob("*.py")):
+    for path in (sorted((root / "src" / "wallflow").glob("*.py"))
+                 + sorted((root / "tests").glob("*.py"))):
         tree = ast.parse(path.read_text())
         imported = [alias.asname or alias.name.split(".")[0]
                     for node in ast.walk(tree)
@@ -105,7 +107,13 @@ def test_the_check_sees_an_import_with_no_use(tmp_path):
         "import os.path\nimport numpy as np\nfrom . import b, c\n\n\n"
         "def api():\n    return np.zeros(b.N) if os.path else None\n\n\n"
         "def spare():\n    return 'c'\n")
-    assert unused_imports(tmp_path) == ["__init__.py:spare", "a.py:c"]
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text(
+        "import pytest\nimport scipy.sparse as sp\n\nfrom wallflow import a\n"
+        "\n\n@pytest.mark.slow\ndef test_api():\n    assert a.api()\n")
+    assert unused_imports(tmp_path) == ["__init__.py:spare", "a.py:c",
+                                        "test_a.py:sp"]
 
 
 def environment_reads(root=ROOT):
