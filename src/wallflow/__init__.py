@@ -12,7 +12,7 @@ identities the scheme satisfies and a verifier checks them after the fact.
 from .ale import AleSnapshot, build_snapshot, min_radius_of
 from .config import load_config, validate_config
 from .driver import (RunResult, TrajectoryRecord, poiseuille_profile_error,
-                     run, run_rigid_steady, self_convergence_study)
+                     run, self_convergence_study)
 from .energy import EnergyLedger, load_ledger, verify_run
 from .errors import (ConfigError, SolverError, ValidationError, WallContact,
                      WallflowError)
@@ -25,6 +25,6 @@ __all__ = [
     "ShellCoefficients", "ShellMaterial", "SolverError", "TrajectoryRecord",
     "ValidationError", "WallContact", "WallflowError", "build_snapshot",
     "derive_coefficients", "load_config", "load_ledger", "min_radius_of",
-    "poiseuille_profile_error", "run", "run_rigid_steady",
-    "self_convergence_study", "validate_config", "verify_run",
+    "poiseuille_profile_error", "run", "self_convergence_study",
+    "validate_config", "verify_run",
 ]

@@ -19,13 +19,7 @@ from .exporters import write_outputs
 
 
 def _cmd_run(args):
-    cfg = load_config(args.config)
-    if cfg["mode"] == "rigid":
-        _, _, steps, increment = driver.run_rigid_steady(driver.RunSetup(cfg))
-        print(f"rigid run: {steps} steps, final relative increment "
-              f"{increment:.3e}")
-        return 0
-    result = driver.run(cfg)
+    result = driver.run(load_config(args.config))
     written = write_outputs(result)
     print(f"status: {result.status}")
     if result.contact is not None:
@@ -33,9 +27,9 @@ def _cmd_run(args):
         print(f"wall contact at t = {t:.6g}, z = {z:.6g}")
     if result.failure is not None:
         print(f"failure: {result.failure}")
-    print(f"steps completed: {len(result.ledger)}")
+    print(f"steps completed: {result.steps}")
     print(result.solver.summary())
-    if len(result.ledger):
+    if result.ledger:
         print(f"final energy: {result.ledger.rows[-1]['e_full']:.6e}")
     for path in written:
         print(f"wrote {path}")

@@ -13,8 +13,8 @@ full velocity, fixed DOFs included) and wall injection ``E`` (a wall vector
 among the reduced unknowns), both on its ``RunSetup``: a step solves
 ``P^T A P + E W E^T``, loads ``P^T f + E g`` and recovers ``u = P x`` and
 ``v = E^T x``.  A rigid wall is the same elimination with no wall velocity
-left to couple (no wall columns in ``P``, ``E`` zero), so the coupled and
-the rigid step share one body.
+left to couple (no wall columns in ``P``, ``E`` zero), so a rigid run takes
+the same step, on a half step that leaves its wall at zero.
 
 Every step of a run is solved by one
 :class:`~wallflow.sparsela.ReusedFactorSolver`: the LU of an earlier step
@@ -187,12 +187,17 @@ def reduce_coupled_system(setup, frame, flow):
     return setup.reduction.matrix(data)
 
 
-def _step(setup, frame, end, u_prev_full, v_half, p_in, p_out, solver,
-          mass_u_prev):
-    """The fluid step from ``frame`` to the frame ``end`` with domain and
-    wall velocity ``v_half``: one reduced solve for ``x``, then
-    ``u = P x`` and ``v_new = E^T x``; a non-finite ``x`` is a SolverError."""
-    mesh = setup.fluid_mesh
+def fluid_step(setup, frame, end, u_prev_full, shell_half, p_in, p_out,
+               solver, mass_u_prev):
+    """The coupled step of the run's ``dt`` from the start-of-step
+    ``frame`` to the end-of-step frame ``end``, whose mass alone it reads,
+    on the start frame's geometry but with the half-step velocity of
+    ``shell_half`` (the asymmetry the energy identity needs), solved by
+    the run's fluid-step ``solver``; ``mass_u_prev`` is
+    ``componentwise(frame.mass, u_prev_full)``, the previous step's
+    ``mass_u``.  One reduced solve for ``x``, then ``u = P x`` and
+    ``v_new = E^T x``; a non-finite ``x`` is a SolverError."""
+    mesh, v_half = setup.fluid_mesh, shell_half.v_star
     v_half_q = fl.shell_field_at_quad(setup.shell_mesh, v_half, mesh)
     flow = fl.assemble_flow(mesh, frame.snapshot, u_prev_full, v_half_q,
                             setup.rho_f, setup.dt, frame.mass, end.mass)
@@ -212,27 +217,3 @@ def _step(setup, frame, end, u_prev_full, v_half, p_in, p_out, solver,
     return FluidStepResult(u_full=u_full, v_new=e.T @ x[:n], pressure=x[n:],
                            mass_u=fl.componentwise(end.mass, u_full),
                            flow=flow, v_half_q=v_half_q, forcing=forcing)
-
-
-def fluid_step(setup, frame, end, u_prev_full, shell_half, p_in, p_out,
-               solver, mass_u_prev):
-    """The coupled step of the run's ``dt`` from the start-of-step
-    ``frame`` to the end-of-step frame ``end``, whose mass alone it reads,
-    on the start frame's geometry but with the half-step velocity of
-    ``shell_half`` (the asymmetry the energy identity needs), solved by
-    the run's fluid-step ``solver``; ``mass_u_prev`` is
-    ``componentwise(frame.mass, u_prev_full)``, the previous step's
-    ``mass_u``."""
-    return _step(setup, frame, end, u_prev_full, shell_half.v_star,
-                 p_in, p_out, solver, mass_u_prev)
-
-
-def rigid_fluid_step(setup, frame, u_prev_full, p_in, p_out, solver,
-                     mass_u_prev):
-    """The fluid step of a rigid-mode ``setup`` on ``frame``, whose ``P``
-    has no wall columns and ``E`` is zero: every top-edge DOF and the
-    returned wall velocity are zero, and the frame is also the end frame.
-    Test harness for rigid-wall channel flow."""
-    return _step(setup, frame, frame, u_prev_full,
-                 setup.shell_mesh.zero_free(), p_in, p_out, solver,
-                 mass_u_prev)

@@ -1,6 +1,6 @@
-"""Time loop: alternate the wall elastodynamics half step and the coupled
-fluid step, manage state history, pressure averaging, contact halting, and
-run finalization.
+"""The one time loop of every mode: alternate the wall elastodynamics half
+step and the coupled fluid step, manage state history, pressure averaging,
+contact halting, the steady stop of a rigid run, and run finalization.
 
 The splitting per step n:
 
@@ -35,6 +35,10 @@ STATUS_SOLVER_FAILURE = "solver-failure"
 EXIT_CODES = {STATUS_COMPLETED: 0, STATUS_WALL_CONTACT: 2,
               STATUS_SOLVER_FAILURE: 3}
 
+# a rigid run is steady, and stops, once the relative velocity increment of
+# a step falls below this
+STEADY_TOL = 1e-10
+
 
 @dataclass
 class TrajectoryRecord:
@@ -67,7 +71,8 @@ class TrajectoryRecord:
 class RunResult:
     """The one result of every ending of a run: ``record`` starts at t = 0
     and its last entry is always the end state, the last completed step's,
-    and ``ledger`` has one row per completed step."""
+    and ``ledger``, formed only when the config's ``output.ledger`` is
+    ``csv`` and None otherwise, has one row per completed step."""
 
     status: str
     setup: "RunSetup"                # the run's meshes, operators, data
@@ -76,6 +81,8 @@ class RunResult:
     contact: tuple = None            # (t, z) of first threshold crossing
     failure: str = None
     solver: SolveStats = None        # fluid-step solve counts; not in the ledger
+    steps: int = 0                   # completed steps
+    increment: float = None          # a rigid run's last scaled increment
 
     @property
     def exit_code(self):
@@ -170,9 +177,11 @@ class RunSetup:
             v0 = amp_v * sm.interpolate(bump, dbump)
             # radial velocity grows linearly from the symmetry line to the
             # wall trace of v0, evaluated through the wall's own basis so
-            # the interface condition holds exactly at every edge node
+            # the interface condition holds exactly at every edge node; the
+            # r = 0 row (the first) stays +0 whatever the sign of v0
             v0_nodes = sm.evaluate(v0, fm.velocity_z)
-            u0[fm.n_velocity_nodes:] = np.outer(fm.velocity_r, v0_nodes).ravel()
+            u0[fm.n_velocity_nodes + fm.n_cols:] = np.outer(
+                fm.velocity_r[1:], v0_nodes).ravel()
         if not all(np.isfinite(f).all() for f in (eta0, v0, u0)):
             raise ConfigError("initial_data: the bump's fields overflow on "
                               "this geometry; lower its amplitudes")
@@ -197,20 +206,28 @@ def _trace_constant(setup, snapshot):
 
 
 def run(cfg):
-    """Execute a configured FSI run; returns trajectory, ledger, status.
+    """Execute a configured run of any mode; returns trajectory, ledger,
+    status.  The ledger, its ``e0`` and trace constant are formed only when
+    the config's ``output.ledger`` is ``csv``.
+
+    A rigid wall's half step leaves it at zero, so a rigid run keeps one
+    frame; it stops once a step's relative velocity increment, taken on
+    ``u`` and ``du`` scaled by the power of two of ``max |u|`` so no norm
+    underflows, falls below :data:`STEADY_TOL`.
 
     A :class:`WallContact` of any snapshot, or a :class:`SolverError` of a
     wall or fluid step, ends the run in one handler with the steps completed
     so far: a ledger prefix that verifies on its own (a contact at t = 0
     keeps the zero energy header) and a record ending with the last state.
     """
-    if cfg["mode"] == "rigid":
-        raise ConfigError("rigid mode runs through run_rigid_steady / the "
-                          "poiseuille command, not run()")
     setup = RunSetup(cfg)
+    # the run's map is built before the first step's arrays, so its
+    # transient memory adds to none of theirs
+    setup.reduction
     dt, n_steps = setup.dt, setup.n_steps
     solver = ReusedFactorSolver(coupling.FLUID_TOL)
     wall_solver = ReusedFactorSolver(shell.STRUCTURE_TOL)
+    steady_stop = cfg["mode"] == "rigid"
 
     eta0, v0, u = setup.initial_data()
     state = shell.ShellState(eta=eta0, v=v0, v_star=v0)
@@ -218,20 +235,24 @@ def run(cfg):
 
     record = TrajectoryRecord()
     record.store(0.0, state, u, pressure)
-    ledger = EnergyLedger(_ledger_header(setup))
+    ledger = None
+    if cfg["output"]["ledger"] == "csv":
+        ledger = EnergyLedger(_ledger_header(setup))
+        monitor = EnergyMonitor(setup)
     cadence = cfg["output"]["cadence"]
 
     status, contact, failure = STATUS_COMPLETED, None, None
     t = t_next = 0.0
+    steps, increment = 0, None
     try:
         frame = coupling.build_frame(setup, state.eta)
-        c_ref, c_ref_computed = _trace_constant(setup, frame.snapshot)
-        monitor = EnergyMonitor(setup)
         # e0 and the first load; each step returns the next product
         mass_u = fluid.componentwise(frame.mass, u)
-        ledger.header.update(
-            e0=monitor.total_energy(u, mass_u, state.v, state.eta),
-            c_ref=c_ref, c_ref_computed=c_ref_computed)
+        if ledger is not None:
+            c_ref, c_ref_computed = _trace_constant(setup, frame.snapshot)
+            ledger.header.update(
+                e0=monitor.total_energy(u, mass_u, state.v, state.eta),
+                c_ref=c_ref, c_ref_computed=c_ref_computed)
 
         for n in range(n_steps):
             t_next = (n + 1) * dt
@@ -240,19 +261,30 @@ def run(cfg):
 
             half = shell.structure_step(setup, state, wall_solver)
             # the end-of-step profile, checked for contact before the
-            # fluid step, which still runs on the start-of-step frame
-            end = coupling.build_frame(setup, half.eta)
+            # fluid step, which still runs on the start-of-step frame; a
+            # wall that has not moved ends on the frame it started on
+            end = (frame if np.array_equal(half.eta, state.eta)
+                   else coupling.build_frame(setup, half.eta))
             result = coupling.fluid_step(setup, frame, end, u, half,
                                          p_in, p_out, solver, mass_u)
-            ledger.append(monitor.record_step(n, state, u, mass_u, half,
-                                              result, frame, end, p_in, p_out))
+            if ledger is not None:
+                ledger.append(monitor.record_step(
+                    n, state, u, mass_u, half, result, frame, end, p_in,
+                    p_out))
+            if steady_stop:
+                e = -np.frexp(np.max(np.abs(result.u_full)))[1]
+                increment = (
+                    np.linalg.norm(np.ldexp(result.u_full - u, e))
+                    / max(np.linalg.norm(np.ldexp(result.u_full, e)), 1e-30))
             frame, mass_u = end, result.mass_u
             state = shell.ShellState(eta=half.eta, v=result.v_new,
                                      v_star=half.v_star)
             u, pressure = result.u_full, result.pressure
-            t = t_next
-            if (n + 1) % cadence == 0:
+            t, steps = t_next, n + 1
+            if steps % cadence == 0:
                 record.store(t, state, u, pressure)
+            if steady_stop and increment < STEADY_TOL:
+                break
     except WallContact as exc:
         status, contact = STATUS_WALL_CONTACT, (t_next, exc.z_location)
     except SolverError as exc:
@@ -261,7 +293,8 @@ def run(cfg):
     if record.times[-1] != t:
         record.store(t, state, u, pressure)
     return RunResult(status, setup, record, ledger, contact=contact,
-                     failure=failure, solver=solver.stats)
+                     failure=failure, solver=solver.stats, steps=steps,
+                     increment=increment)
 
 
 def _ledger_header(setup):
@@ -283,50 +316,6 @@ def _ledger_header(setup):
 
 # -- rigid-wall test harness -------------------------------------------------
 
-# a rigid run is steady once the relative velocity increment of a step
-# falls below this
-STEADY_TOL = 1e-10
-
-
-def run_rigid_steady(setup):
-    """March the rigid-wall configuration of ``setup`` (a :class:`RunSetup`)
-    to a steady state, for at most its configured number of steps.
-
-    The wall is frozen (every top-edge DOF is zero) and the geometry stays
-    at eta = 0, so the run builds one frame; this is a test-harness mode
-    for pressure-driven channel flow regressions.  A setup of another mode,
-    whose wall moves, is rejected before any step.  The increment scales
-    ``u`` and ``du`` by the power of two of ``max |u|``, so no norm
-    underflows.  Returns (u_full, pressure, steps_taken, increment).
-    """
-    if setup.cfg["mode"] != "rigid":
-        raise ConfigError(f"run_rigid_steady needs a rigid-mode setup, got "
-                          f"mode {setup.cfg['mode']!r}; run() takes it")
-    fm, dt = setup.fluid_mesh, setup.dt
-    # the run's map is built before the first step's arrays, as a coupled
-    # run's trace constant builds it, so its transient memory adds to none
-    setup.reduction
-    frame = coupling.build_frame(setup, setup.shell_mesh.zero_free())
-    u = np.zeros(2 * fm.n_velocity_nodes)
-    mass_u = fluid.componentwise(frame.mass, u)
-    pressure = np.zeros(fm.n_pressure_nodes)
-    solver = ReusedFactorSolver(coupling.FLUID_TOL)
-    increment = math.inf
-    taken = 0
-    for n in range(setup.n_steps):
-        p_in = setup.wave_in.average(n * dt, (n + 1) * dt)
-        p_out = setup.wave_out.average(n * dt, (n + 1) * dt)
-        result = coupling.rigid_fluid_step(setup, frame, u, p_in, p_out,
-                                           solver, mass_u)
-        e = -np.frexp(np.max(np.abs(result.u_full)))[1]
-        increment = (np.linalg.norm(np.ldexp(result.u_full - u, e))
-                     / max(np.linalg.norm(np.ldexp(result.u_full, e)), 1e-30))
-        u, pressure, mass_u = result.u_full, result.pressure, result.mass_u
-        taken = n + 1
-        if increment < STEADY_TOL:
-            break
-    return u, pressure, taken, increment
-
 
 _P2_MASS = np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0],
                      [-1.0, 2.0, 4.0]]) / 30.0
@@ -344,9 +333,12 @@ def _column_l2_sq(vals, h):
 def poiseuille_profile_error(cfg):
     """L2-relative mismatch of the steady mid-channel axial profile against
     the parabolic solution of pressure-driven flow between the symmetry
-    line and a no-slip wall."""
-    setup = RunSetup(cfg)
-    u, _, steps, increment = run_rigid_steady(setup)
+    line and a no-slip wall, from ``run(cfg)`` of a rigid ``cfg``; a
+    failed step is a SolverError."""
+    result = run(cfg)
+    if result.failure is not None:
+        raise SolverError(result.failure)
+    setup, u = result.setup, result.record.us[-1]
     fm = setup.fluid_mesh
     radius, length, mu = setup.radius, setup.length, setup.mu
     dp = (setup.wave_in.average(0.0, setup.dt)
@@ -357,7 +349,7 @@ def poiseuille_profile_error(cfg):
     exact = dp / (2.0 * mu * length) * (radius**2 - r_phys**2)
     err = math.sqrt(_column_l2_sq(profile - exact, fm.hr))
     norm = math.sqrt(_column_l2_sq(exact, fm.hr))
-    return err / norm, {"steps": steps, "increment": increment,
+    return err / norm, {"steps": result.steps, "increment": result.increment,
                         "profile": profile, "exact": exact}
 
 
@@ -386,6 +378,7 @@ def fit_order(dts, errors):
 def _with_steps(cfg, n_steps):
     new = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items()}
     new["time"]["n_steps"] = int(n_steps)
+    new["output"]["ledger"] = "csv"     # the study reads each rung's gap
     return new
 
 

@@ -45,16 +45,22 @@ def resolves(mod_name, path):
 
 
 def test_step_targets_and_the_reduction_resolve():
+    # a run of every mode, the rigid one too, opens each step with the
+    # wall half step and the fluid step; the rigid step is retired
     tracing = load_tracing()
     targets = tracing.STEP_TARGETS + (("coupling", "reduce_coupled_system"),)
-    assert [t for t in targets if not resolves(*t)] == []
+    assert [t for t in targets if not resolves(*t)] == [
+        ("coupling", "rigid_fluid_step")]
 
 
 def test_only_the_retired_factor_solve_target_is_missing():
     tracing = load_tracing()
     missing = [f"{m}.{p}" for m, p in tracing.TARGETS if not resolves(m, p)]
-    # every solve is timed through krylov_solve; the direct solve is retired
-    assert missing == ["sparsela.DirectFactor.solve", "sparsela.factor_solve"]
+    # every solve is timed through krylov_solve; the direct solve is
+    # retired, and so are the rigid step and loop, as driver.run is the
+    # one time loop of every mode
+    assert missing == ["sparsela.DirectFactor.solve", "sparsela.factor_solve",
+                       "coupling.rigid_fluid_step", "driver.run_rigid_steady"]
 
 
 def test_the_flow_kernel_is_timed_as_fluid_assembly():

@@ -241,6 +241,28 @@ def test_poiseuille_command(tmp_path, capsys):
     assert "profile L2 relative error" in capsys.readouterr().out
 
 
+def test_poiseuille_prints_the_shipped_regression_lines(capsys):
+    # the benchmark's rigid gate parses the first line
+    cfg = os.path.join(CONFIG_DIR, "poiseuille_rigid.json")
+    assert main(["poiseuille", cfg]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "steady after 56 steps (relative increment 8.674e-11)",
+        "mid-channel profile L2 relative error: 0.0000%"]
+
+
+def test_a_rigid_run_writes_a_ledger_that_verifies(tmp_path, capsys):
+    # the one time loop forms a rigid run's rows too; the ledger ends at
+    # the steady step, short of the header's n_steps, and verifies as a
+    # prefix
+    assert main(["run", write_rigid_cfg(tmp_path)]) == 0
+    path = str(tmp_path / "out" / "ledger.csv")
+    assert main(["verify", path]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+    ledger = load_ledger(path)
+    assert 1 < len(ledger) < ledger.header["n_steps"] == 200
+    assert ledger.header["mode"] == "rigid"
+
+
 def test_poiseuille_requires_rigid_mode(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["poiseuille", cfg]) == 1

@@ -10,7 +10,7 @@ from wallflow import (ale, coupling, driver, energy, exporters, fluid, shell,
 from wallflow.cli import main
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
-from wallflow.errors import ConfigError, SolverError, ValidationError
+from wallflow.errors import SolverError, ValidationError
 
 from oracles import (assemble_advection, linear_interpolant, state_at,
                      transport_blocks)
@@ -326,36 +326,48 @@ FRAME_KERNELS = ("assemble_weighted_mass", "assemble_viscous_blocks",
                  "assemble_divergence_blocks")
 
 
+def wall_moves(res):
+    """Whether each step of a run stored at cadence 1 moved its wall."""
+    etas = res.record.etas
+    return [not np.array_equal(a, b) for a, b in zip(etas, etas[1:])]
+
+
 def test_each_step_builds_one_mass_and_one_contact_check(monkeypatch):
     # one frame, so one mass and one contact check, per wall profile: the
-    # initial one and one per step; a geometry share for each profile a
-    # step starts from, so none for the last one, whose mass only the last
-    # ledger row reads; the trace constant runs one viscous kernel more
+    # initial one and one per step that moves the wall, which the first
+    # step from rest does not (its half step keeps eta = 0, so it ends on
+    # the initial frame); a geometry share for each profile a step starts
+    # from, so none for the last one, whose mass only the last ledger row
+    # reads; the trace constant runs one viscous kernel more
     kernels = [count_calls(monkeypatch, fluid, k) for k in FRAME_KERNELS]
     radii = count_calls(monkeypatch, ale, "min_radius_of")
     res = driver.run(small_cfg())
     assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
-    assert [len(k) for k in kernels] == [10 + 1, 10 + 1, 10]
-    assert len(radii) == 10 + 1
+    assert wall_moves(res) == [False] + [True] * 9
+    assert [len(k) for k in kernels] == [9 + 1, 9 + 1, 9]
+    assert len(radii) == 9 + 1
 
 
 def test_a_frame_s_share_is_built_by_the_first_step_on_it(monkeypatch):
     # the geometry group is applied once per frame a fluid step starts
-    # from: every step's of a coupled run, every completed step's of a run
-    # that ends in contact (the profile in contact gets no step), and once
-    # for all the steps of a rigid run, whose one frame every step reuses
+    # from: every step's of a coupled run but the second's, which starts on
+    # the frame the first step from rest ended on, every completed step's
+    # of a run that ends in contact (the profile in contact gets no step),
+    # and once for all the steps of a rigid run, whose one frame every step
+    # reuses
     shares = count_calls(monkeypatch, coupling, "geometry_operands")
     res = driver.run(small_cfg())
-    assert len(res.ledger) == 10 and len(shares) == 10
+    assert wall_moves(res) == [False] + [True] * 9
+    assert len(res.ledger) == 10 and len(shares) == 9
     shares.clear()
     res = driver.run(load_config(os.path.join(CONFIG_DIR,
                                               "contact_suction.json")))
     assert res.status == driver.STATUS_WALL_CONTACT
     assert 0 < len(res.ledger) == len(shares)
     shares.clear()
-    _, _, steps, _ = driver.run_rigid_steady(driver.RunSetup(load_config(
-        os.path.join(CONFIG_DIR, "poiseuille_rigid.json"))))
-    assert steps == 56 and len(shares) == 1
+    res = driver.run(load_config(os.path.join(CONFIG_DIR,
+                                              "poiseuille_rigid.json")))
+    assert res.steps == 56 and len(shares) == 1
 
 
 def test_one_gram_assembly_per_setup(monkeypatch):
@@ -365,15 +377,18 @@ def test_one_gram_assembly_per_setup(monkeypatch):
 
 
 def test_rigid_harness_assembles_the_mass_once(monkeypatch):
-    # the one wall profile's frame, whatever the step count
+    # a rigid wall's half step leaves it at zero, so a rigid run builds the
+    # one wall profile's frame, whatever the step count; with a ledger the
+    # trace constant runs one viscous kernel more
+    frames = count_calls(monkeypatch, coupling, "build_frame")
     kernels = [count_calls(monkeypatch, fluid, k) for k in FRAME_KERNELS]
-    for n_steps in (2, 5):
-        _, _, steps, _ = driver.run_rigid_steady(
-            driver.RunSetup(rigid_cfg(n_steps=n_steps)))
-        assert steps == n_steps
-        assert [len(k) for k in kernels] == [1] * 3
-        for k in kernels:
-            k.clear()
+    for n_steps, ledger in ((2, "none"), (5, "none"), (5, "csv")):
+        res = driver.run(rigid_cfg(n_steps=n_steps, ledger=ledger))
+        assert res.status == driver.STATUS_COMPLETED and res.steps == n_steps
+        assert len(frames) == 1
+        assert [len(k) for k in kernels] == [1, 1 + (ledger == "csv"), 1]
+        for calls in [frames] + kernels:
+            calls.clear()
 
 
 def test_fit_order_harness():
@@ -412,7 +427,7 @@ def test_convergence_study_builds_one_setup_per_run(monkeypatch):
     assert len(setups) == 3
 
 
-def rigid_cfg(n_steps=200, inlet=1.0):
+def rigid_cfg(n_steps=200, inlet=1.0, ledger="none"):
     return validate_config({
         "geometry": {"radius": 0.5, "length": 5.0},
         "fluid": {"density": 1.0, "viscosity": 1.0},
@@ -423,23 +438,8 @@ def rigid_cfg(n_steps=200, inlet=1.0):
         "mode": "rigid",
         "waveform": {"inlet": {"kind": "constant", "value": inlet},
                      "outlet": {"kind": "constant", "value": 0.0}},
+        "output": {"ledger": ledger},
     })
-
-
-def test_run_rejects_rigid_mode_before_any_setup(monkeypatch):
-    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
-    with pytest.raises(ConfigError, match="rigid mode"):
-        driver.run(rigid_cfg())
-    assert setups == []
-
-
-def test_rigid_steady_rejects_a_coupled_setup(monkeypatch):
-    # a coupled setup's elimination keeps the wall velocity: a rigid march
-    # on it would solve with a moving wall, so it stops before any step
-    steps = count_calls(monkeypatch, coupling, "rigid_fluid_step")
-    with pytest.raises(ConfigError, match="rigid-mode setup"):
-        driver.run_rigid_steady(driver.RunSetup(small_cfg()))
-    assert steps == []
 
 
 def test_each_run_builds_one_reduction(monkeypatch):
@@ -447,9 +447,8 @@ def test_each_run_builds_one_reduction(monkeypatch):
     res = driver.run(small_cfg())
     assert res.status == driver.STATUS_COMPLETED and len(res.ledger) == 10
     assert len(reductions) == 1
-    _, _, steps, _ = driver.run_rigid_steady(
-        driver.RunSetup(rigid_cfg(n_steps=5)))
-    assert steps == 5 and len(reductions) == 2
+    assert driver.run(rigid_cfg(n_steps=5)).steps == 5
+    assert len(reductions) == 2
 
 
 def step_on_the_end_of_step_geometry(monkeypatch):
@@ -549,10 +548,10 @@ def test_a_tiny_rigid_flow_marches_as_far_as_a_small_one():
     # same profile relative to the inlet
     ends = []
     for inlet in (1e-20, 1e-160):
-        u, _, steps, increment = driver.run_rigid_steady(
-            driver.RunSetup(rigid_cfg(n_steps=400, inlet=inlet)))
-        assert 1 < steps < 400 and 0.0 < increment < driver.STEADY_TOL
-        ends.append((steps, np.abs(u).max() / inlet))
+        res = driver.run(rigid_cfg(n_steps=400, inlet=inlet))
+        assert 1 < res.steps < 400
+        assert 0.0 < res.increment < driver.STEADY_TOL
+        ends.append((res.steps, np.abs(res.record.us[-1]).max() / inlet))
     (steps_small, peak_small), (steps_tiny, peak_tiny) = ends
     assert steps_tiny == steps_small
     assert peak_tiny == pytest.approx(peak_small, rel=1e-12)
@@ -577,11 +576,31 @@ def test_a_ledger_row_carries_its_kinetic_energy_to_the_next(monkeypatch):
     assert len(products) == 1 + 2 * 10
 
 
+def test_a_run_that_asks_for_no_ledger_forms_none(monkeypatch):
+    # no rows, e0 or trace constant unless output.ledger is csv; the
+    # trajectory is the same either way
+    rows = count_calls(monkeypatch, energy.EnergyMonitor, "record_step")
+    constants = count_calls(monkeypatch, energy, "discrete_trace_constant")
+    with_ledger = driver.run(small_cfg())
+    assert len(rows) == len(with_ledger.ledger) == 10 and len(constants) == 1
+    rows.clear()
+    constants.clear()
+    res = driver.run(small_cfg(output={"cadence": 1, "ledger": "none"}))
+    assert res.status == driver.STATUS_COMPLETED and res.steps == 10
+    assert res.ledger is None and res.increment is None
+    assert all(np.array_equal(a, b) for a, b in zip(res.record.us,
+                                                     with_ledger.record.us))
+    rigid = driver.run(rigid_cfg(n_steps=5))
+    assert rigid.steps == 5 and rigid.ledger is None
+    assert rows == [] and constants == []
+
+
 def test_a_rigid_run_hands_each_step_its_product(monkeypatch):
-    # one product of the zero initial velocity, then one per step
+    # one product of the zero initial velocity, then one per step; with no
+    # ledger there is no row to read one more
     products = count_mass_products(monkeypatch)
-    _, _, steps, _ = driver.run_rigid_steady(driver.RunSetup(rigid_cfg()))
-    assert 1 < steps < 200 and len(products) == steps + 1
+    res = driver.run(rigid_cfg())
+    assert 1 < res.steps < 200 and len(products) == res.steps + 1
 
 
 def test_the_handed_product_is_the_end_velocity_under_the_end_mass(
@@ -699,10 +718,14 @@ def test_a_non_finite_fluid_solve_is_a_solver_failure(monkeypatch):
 
 
 def test_a_non_finite_rigid_solve_stops_the_rigid_march(monkeypatch):
+    # the run ends after the two completed steps; the Poiseuille harness,
+    # which needs the steady profile, raises the failure
     solves = nan_fluid_solves_from(monkeypatch, 2)
+    res = driver.run(rigid_cfg(n_steps=5))
+    assert res.status == driver.STATUS_SOLVER_FAILURE and res.steps == 2
+    assert res.failure == "non-finite solution fields" and len(solves) == 3
     with pytest.raises(SolverError, match="non-finite solution fields"):
-        driver.run_rigid_steady(driver.RunSetup(rigid_cfg(n_steps=5)))
-    assert len(solves) == 3
+        driver.poiseuille_profile_error(rigid_cfg(n_steps=5))
 
 
 def test_a_short_pulse_window_has_a_positive_norm_and_verifies():

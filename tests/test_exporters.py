@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 
@@ -153,3 +154,15 @@ def test_a_sunken_bump_writes_zero_not_minus_zero_at_the_clamped_ends(
     inlet = [line.split(",") for line in velocity.splitlines()[1:]
              if line.startswith("0,")]
     assert len(inlet) == 9 and all("-0" not in row for row in inlet)
+
+
+def test_a_falling_bump_writes_no_minus_zero_at_t0(tmp_path):
+    # the radial velocity is zero on the symmetry row r = 0 whatever the
+    # sign of v0, so no t = 0 file, CSV or VTK, holds a -0 cell
+    result, _ = run_small(tmp_path, bump=(-0.01, -1.0))
+    exporters.write_outputs(result)
+    files = sorted((tmp_path / "out").glob("*_0000.*"))
+    assert [f.name for f in files] == ["fields_0000.vtk", "pressure_0000.csv",
+                                       "velocity_0000.csv", "wall_0000.csv"]
+    for f in files:
+        assert "-0" not in re.split(r"[,\s]+", f.read_text()), f.name

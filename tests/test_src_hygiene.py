@@ -142,3 +142,52 @@ def lu_constructors(root=ROOT):
 
 def test_only_sparsela_constructs_an_lu():
     assert lu_constructors() == []
+
+
+def test_the_check_sees_an_lu_outside_sparsela(tmp_path):
+    pkg = tmp_path / "src" / "wallflow"
+    pkg.mkdir(parents=True)
+    (pkg / "sparsela.py").write_text(
+        "from scipy.sparse.linalg import splu\n\n\n"
+        "class DirectFactor:\n    pass\n")
+    (pkg / "a.py").write_text(
+        "from . import sparsela\n\n\n"
+        "def f(m):\n    return sparsela.DirectFactor(m)\n")
+    (pkg / "b.py").write_text(
+        "import scipy.sparse.linalg as spla\n\n\n"
+        "def g(m):\n    return spla.splu(m)\n")
+    (pkg / "c.py").write_text("# splu and DirectFactor, in words only\n")
+    assert lu_constructors(tmp_path) == ["a.py", "b.py"]
+
+
+def step_callers(root=ROOT):
+    """``file`` of each module of the package other than the steps' own
+    (``coupling.py``, ``shell.py``) and ``driver.py`` whose code names
+    ``fluid_step`` or ``structure_step``: ``driver.run`` is the one time
+    loop, for every mode."""
+    return [path.name
+            for path in sorted((root / "src" / "wallflow").glob("*.py"))
+            if path.name not in ("coupling.py", "shell.py", "driver.py")
+            and _names_used(ast.parse(path.read_text()))
+            & {"fluid_step", "structure_step"}]
+
+
+def test_only_the_driver_takes_a_step():
+    assert step_callers() == []
+
+
+def test_the_check_sees_a_second_time_loop(tmp_path):
+    pkg = tmp_path / "src" / "wallflow"
+    pkg.mkdir(parents=True)
+    (pkg / "coupling.py").write_text("def fluid_step():\n    pass\n")
+    (pkg / "shell.py").write_text("def structure_step():\n    pass\n")
+    loop = ("from . import coupling, shell\n\n\n"
+            "def march(n):\n    for _ in range(n):\n"
+            "        shell.structure_step()\n        coupling.fluid_step()\n")
+    (pkg / "driver.py").write_text(loop)
+    (pkg / "harness.py").write_text(loop)
+    (pkg / "cli.py").write_text(
+        "from .coupling import fluid_step\n\n\n"
+        "def main():\n    return 'fluid_step'\n")
+    (pkg / "energy.py").write_text('"""Rows of a fluid_step."""\n')
+    assert step_callers(tmp_path) == ["cli.py", "harness.py"]
