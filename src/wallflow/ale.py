@@ -41,12 +41,20 @@ class AleSnapshot:
     min_radius_z: float
 
 
+def _contact_points(shell_mesh, fluid_mesh):
+    """The wall's nodes and quadrature points and the fluid quadrature
+    columns, and the wall's sampler there."""
+    zs = np.concatenate([shell_mesh.nodes, shell_mesh.quad_points(),
+                         fluid_mesh.quad_z_flat])
+    return zs, shell_mesh.sampler(zs)
+
+
 def min_radius_of(shell_mesh, eta_free, radius, fluid_mesh):
     """min(R + eta) over the wall's nodes and quadrature points and the
     fluid quadrature points, with its location."""
-    zs = np.concatenate([shell_mesh.nodes, shell_mesh.quad_points(),
-                         fluid_mesh.quad_z_flat])
-    vals = radius + shell_mesh.evaluate(eta_free, zs)
+    zs, sampler = fluid_mesh.wall_constant(shell_mesh, "contact",
+                                           _contact_points)
+    vals = radius + sampler @ eta_free
     i = int(np.argmin(vals))
     return float(vals[i]), float(zs[i])
 

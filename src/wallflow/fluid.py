@@ -145,6 +145,7 @@ class FluidMesh:
         for c in range(self.n_r):
             w1d[2 * c:2 * c + 3] += cellw
         self.edge_weights = w1d
+        self._wall_constants = {}
 
     # -- raw entries and the scalar pattern (built on first use) -----------
 
@@ -179,6 +180,14 @@ class FluidMesh:
         then of their mirrors, cell by cell: where ``skew`` goes."""
         return self.scalar_pattern.slot.reshape(-1, 81)[:, _SKEW].ravel()
 
+    def wall_constant(self, shell_mesh, name, build):
+        """``build(shell_mesh, self)``, what a run derives from its two meshes
+        alone, kept by ``name`` and the wall mesh's element count and length."""
+        key = (shell_mesh.n_elements, shell_mesh.length, name)
+        if key not in self._wall_constants:
+            self._wall_constants[key] = build(shell_mesh, self)
+        return self._wall_constants[key]
+
     @functools.cached_property
     def tables(self):
         """Products of the shape tables at each quadrature point, built on
@@ -206,15 +215,18 @@ class FluidMesh:
 
 
 def shell_field_at_quad(shell_mesh, field_free, fluid_mesh, deriv=0):
-    """Sample a wall field (z-dependent only) on the fluid quadrature grid."""
-    vals = shell_mesh.evaluate(field_free, fluid_mesh.quad_z_flat, deriv=deriv)
-    return vals[fluid_mesh.quad_z_index]
+    """Sample a wall field (z-dependent only) on the fluid quadrature grid,
+    through the wall's sampler at the quadrature columns, built once."""
+    sampler = fluid_mesh.wall_constant(
+        shell_mesh, deriv, lambda sm, fm: sm.sampler(fm.quad_z_flat, deriv))
+    return (sampler @ field_free)[fluid_mesh.quad_z_index]
 
 
 def componentwise(m, u_full):
-    """``(I_2 (x) m) u_full``: the scalar velocity operator ``m`` on each
-    component of ``u_full``, summed as the two-component matvec sums."""
-    return (m @ u_full.reshape(2, -1).T).T.ravel()
+    """``(I_2 (x) m) u_full``: the scalar velocity operator ``m`` applied
+    to each component of ``u_full``, a contiguous half, as one vector."""
+    n = m.shape[1]
+    return np.concatenate([m @ u_full[:n], m @ u_full[n:]])
 
 
 def assemble_weighted_mass(mesh, snapshot):

@@ -7,8 +7,6 @@ choice in hemodynamics.  Any consistent unit system works.
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
-
 
 @dataclass(frozen=True)
 class ShellMaterial:
@@ -27,26 +25,6 @@ class ShellMaterial:
     density: float              # rho_s > 0, volume density of the wall
     viscous_modulus: float = 0.0
     viscous_poisson: float = 0.0
-
-    def validate(self):
-        checks = [
-            ("youngs_modulus", self.youngs_modulus > 0.0),
-            ("poisson_ratio", 0.0 <= self.poisson_ratio < 1.0),
-            ("thickness", self.thickness > 0.0),
-            ("radius", self.radius > 0.0),
-            ("length", self.length > 0.0),
-            ("density", self.density > 0.0),
-            ("viscous_modulus", self.viscous_modulus >= 0.0),
-            # admissible range for viscous_poisson mirrors the elastic one;
-            # this is a package convention, not a physical requirement
-            ("viscous_poisson", 0.0 <= self.viscous_poisson < 1.0),
-        ]
-        for name, ok in checks:
-            if not ok:
-                raise ValidationError(
-                    f"{name} = {getattr(self, name)!r} is outside its admissible range"
-                )
-        return self
 
 
 @dataclass(frozen=True)
@@ -71,9 +49,10 @@ def derive_coefficients(material: ShellMaterial) -> ShellCoefficients:
     """Map physical wall parameters to the PDE coefficients.
 
     Pure and deterministic; doubling E doubles C0, C1, C2 and leaves the
-    D coefficients unchanged.
+    D coefficients unchanged.  The fields are not checked: a validated
+    config's material lies in the ranges the config table gives them.
     """
-    m = material.validate()
+    m = material
     h, r = m.thickness, m.radius
     elastic = m.youngs_modulus / (1.0 - m.poisson_ratio**2)
     c_v = m.viscous_modulus / (1.0 - m.viscous_poisson**2)

@@ -113,10 +113,11 @@ class ShellMesh:
         inner = self.nodes[1:-1]
         return np.stack([fn(inner), dfn(inner)], axis=1).ravel()
 
-    def evaluate(self, free, z, deriv=0):
-        """Evaluate the Hermite field of the free DOF vector ``free`` (or a
-        z-derivative of it) at points ``z``."""
-        dofs = self.to_full(free)
+    def sampler(self, z, deriv=0):
+        """The CSR map from free DOFs to the field's ``deriv``-th
+        z-derivative at the points ``z``: row ``i`` holds the shapes of the
+        element of ``z[i]`` in DOF order, clamped columns dropped, so a
+        product adds an element's terms in the order of a tabulation."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
         k = np.clip(np.searchsorted(self.nodes, z, side="right") - 1,
                     0, self.n_elements - 1)
@@ -125,10 +126,16 @@ class ShellMesh:
         t = _shape_table(s, deriv) / lk[:, None] ** deriv
         t[:, 1] *= lk
         t[:, 3] *= lk
-        base = 2 * k
-        vals = (t[:, 0] * dofs[base] + t[:, 1] * dofs[base + 1]
-                + t[:, 2] * dofs[base + 2] + t[:, 3] * dofs[base + 3])
-        return vals
+        cols = self.element_dofs_free()[k]
+        keep = cols >= 0
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return sp.csr_matrix((t[keep], cols[keep], indptr),
+                             shape=(z.size, self.n_free))
+
+    def evaluate(self, free, z, deriv=0):
+        """Evaluate the Hermite field of the free DOF vector ``free`` (or a
+        z-derivative of it) at points ``z``, through :meth:`sampler`."""
+        return self.sampler(z, deriv) @ free
 
     def element_dofs_free(self):
         """(n_elements, 4) free indices per element, -1 where clamped."""

@@ -17,7 +17,6 @@ it needs few GMRES iterations, or none.  The residual contract
 right-hand side, against the matrix actually being solved.
 """
 
-import collections
 import functools
 import sys
 from dataclasses import dataclass
@@ -375,13 +374,38 @@ class ReusedFactorSolver:
     right-hand side ``b`` whose ``b·b`` underflows adds nothing, as the fit
     of a start to such pairs goes to NaN.  Each run owns its own instances,
     so a result never depends on what ran before it.
+
+    ``X`` and ``B`` are windows on ``(2 depth, n)`` buffers, allocated by
+    the first pair kept: pair ``j`` is written at row ``j mod depth`` and
+    ``depth`` rows below, so the pairs held are one slice, oldest first.
     """
 
     def __init__(self, tol):
         self.tol = tol
         self.stats = SolveStats()
         self._factor = None
-        self._history = collections.deque(maxlen=PROJECTION_DEPTH)
+        self._depth = PROJECTION_DEPTH
+        self._xs = self._bs = None      # the window's buffers
+        self._kept = self._next = 0     # pairs held; row of the next pair
+
+    def _history(self):
+        """The held solutions and right-hand sides, oldest first."""
+        start = (self._next - self._kept) % self._depth
+        rows = slice(start, start + self._kept)
+        return self._xs[rows], self._bs[rows]
+
+    def _keep(self, x, b):
+        """Add the pair ``(x, b)``, over the oldest one once ``depth`` are
+        held; a depth of 0 keeps nothing."""
+        if self._depth == 0:
+            return
+        if self._xs is None:
+            self._xs, self._bs = np.empty((2, 2 * self._depth, b.size))
+        i = self._next
+        self._xs[i] = self._xs[i + self._depth] = x
+        self._bs[i] = self._bs[i + self._depth] = b
+        self._next = (i + 1) % self._depth
+        self._kept = min(self._kept + 1, self._depth)
 
     def solve(self, a, b):
         """``x`` with ``||a x - b|| <= tol * ||b||``; raises
@@ -389,8 +413,8 @@ class ReusedFactorSolver:
         stats = self.stats
         b = np.asarray(b, dtype=float)
         x = x0 = None
-        if self._history:
-            xs, bs = (np.array(rows) for rows in zip(*self._history))
+        if self._kept:
+            xs, bs = self._history()
             x0 = np.linalg.lstsq(bs.T, b, rcond=None)[0] @ xs
         checked, iterations = [], []
         if self._factor is not None:
@@ -417,5 +441,5 @@ class ReusedFactorSolver:
             stats.worst_rel_residual = max(stats.worst_rel_residual,
                                            checked[0])
             if b @ b >= sys.float_info.min:
-                self._history.append((x, b))
+                self._keep(x, b)
         return x

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from wallflow import fluid
+from wallflow import fluid, shell
 from wallflow.ale import map_to_physical
 from wallflow.config import validate_config
 from wallflow.driver import RunSetup
@@ -95,6 +95,24 @@ def hermite_eval(nodes, full_dofs, z, deriv=0):
             val += dof * poly_eval(coeffs[:, m], s, deriv) / le**deriv
         out[i] = val
     return out
+
+
+def hermite_by_tabulation(mesh, free, z, deriv=0):
+    """The wall field of the free DOFs ``free`` at ``z`` by a tabulation of
+    the package's Hermite shapes at every call: the four terms of each
+    point's element summed left to right against the full DOF vector."""
+    dofs = mesh.to_full(free)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    k = np.clip(np.searchsorted(mesh.nodes, z, side="right") - 1,
+                0, mesh.n_elements - 1)
+    lk = mesh.element_lengths[k]
+    s = (z - mesh.nodes[k]) / lk
+    t = shell._shape_table(s, deriv) / lk[:, None] ** deriv
+    t[:, 1] *= lk
+    t[:, 3] *= lk
+    base = 2 * k
+    return (t[:, 0] * dofs[base] + t[:, 1] * dofs[base + 1]
+            + t[:, 2] * dofs[base + 2] + t[:, 3] * dofs[base + 3])
 
 
 def shell_gram_dense(nodes, deriv, n_gauss=6):

@@ -237,6 +237,9 @@ def test_scalar_operators_act_on_both_components(stepped):
         assert m.shape == (fm.n_velocity_nodes, fm.n_velocity_nodes)
         assert np.array_equal(fluid.componentwise(m, u),
                               two_component(m) @ u)
+        # bit for bit the product of both components as two columns
+        two_columns = (m @ u.reshape(2, -1).T).T.ravel()
+        assert fluid.componentwise(m, u).tobytes() == two_columns.tobytes()
 
 
 def test_step_hands_over_the_flow_data_it_solved_with(stepped):

@@ -391,6 +391,23 @@ def test_rigid_harness_assembles_the_mass_once(monkeypatch):
             calls.clear()
 
 
+def test_a_run_tabulates_the_wall_shapes_once(monkeypatch):
+    # the wall samplers are built on a run's first use and read by every
+    # later step, so a moving wall costs no tabulation per step
+    tables = count_calls(monkeypatch, shell, "_shape_table")
+    counts = []
+    for n_steps in (5, 10):
+        cfg = small_cfg(time={"t_final": 2e-4 * n_steps, "n_steps": n_steps},
+                        initial_data={"kind": "bump", "eta_amplitude": 0.01,
+                                      "v_amplitude": 0.5})
+        res = driver.run(cfg)
+        assert res.status == driver.STATUS_COMPLETED and res.steps == n_steps
+        assert all(wall_moves(res))
+        counts.append(len(tables))
+        tables.clear()
+    assert counts[0] == counts[1] > 0
+
+
 def test_fit_order_harness():
     dts = np.array([0.4, 0.2, 0.1, 0.05])
     errs = 3.0 * dts

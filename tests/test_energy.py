@@ -104,8 +104,8 @@ def test_the_entrywise_columns_read_the_step_s_own_data():
 
 
 class CountingMatrix(sp.csr_matrix):
-    """A CSR matrix that counts its products with a vector or, for a scalar
-    velocity operator, with both velocity components at once."""
+    """A CSR matrix that counts its products with a vector or a stack of
+    vectors; ``fluid.componentwise`` makes one per velocity component."""
 
     def __matmul__(self, other):
         if np.ndim(other) in (1, 2):
@@ -128,8 +128,9 @@ def test_ledger_row_evaluates_each_form_once():
                               dataclasses.replace(old, mass=counted),
                               dataclasses.replace(new, mass=counted_new),
                               *args[8:])
-    # jump_u; the kinetic energies at n and n + 1 read the handed products
-    assert counted.products == 1
+    # jump_u, one componentwise application: one product per component;
+    # the kinetic energies at n and n + 1 read the handed products
+    assert counted.products == 2
     assert getattr(counted_new, "products", 0) == 0
     # elastic energy at eta_n and eta_half, and the eta jump
     assert [g.products for g in cs.grams] == [3, 3, 3]

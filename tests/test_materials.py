@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallflow import coupling, fluid, shell
-from wallflow.errors import ValidationError
+from wallflow.config import validate_config
+from wallflow.errors import ConfigError
 from wallflow.materials import ShellMaterial, derive_coefficients
 
 from oracles import compatibility_failures, to_free
@@ -85,8 +86,21 @@ def test_derivation_is_deterministic():
     ("length", 0.0),
 ])
 def test_out_of_range_parameters_name_the_field(field, value):
-    with pytest.raises(ValidationError, match=field):
-        derive_coefficients(reference_material(**{field: value}))
+    # a ShellMaterial is built only from a validated config, whose table
+    # holds every range of a material field
+    m = reference_material(**{field: value})
+    raw = {"geometry": {"radius": m.radius, "length": m.length},
+           "fluid": {"density": 1.0, "viscosity": 0.035},
+           "wall": {key: getattr(m, key) for key in (
+               "youngs_modulus", "poisson_ratio", "thickness", "density",
+               "viscous_modulus", "viscous_poisson")},
+           "mesh": {"n_z": 8, "n_r": 4, "wall_elements": 8},
+           "time": {"t_final": 0.01, "n_steps": 10},
+           "waveform": {"inlet": {"kind": "constant", "value": 100.0},
+                        "outlet": {"kind": "constant", "value": 0.0}}}
+    with pytest.raises(ConfigError, match=rf"\.{field} ") as info:
+        validate_config(raw)
+    assert len(info.value.problems) == 1
 
 
 # The compatibility conditions on the initial data, as the independent

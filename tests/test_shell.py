@@ -8,9 +8,9 @@ from wallflow import shell, sparsela
 from wallflow.materials import ShellCoefficients
 from wallflow.sparsela import ReusedFactorSolver
 
-from oracles import (copy_shell_state, gauss01, hermite_eval, shell_energy,
-                     shell_gram_dense, structure_step_energy_residual,
-                     zero_shell_state)
+from oracles import (copy_shell_state, gauss01, hermite_by_tabulation,
+                     hermite_eval, shell_energy, shell_gram_dense,
+                     structure_step_energy_residual, zero_shell_state)
 
 
 def coeffs(c0=0.0, c1=0.0, c2=0.0, d0=0.0, d1=0.0, d2=0.0, rho_s_h=1.0):
@@ -138,6 +138,25 @@ def test_evaluate_reproduces_a_global_cubic():
         assert np.allclose(vals, hermite_eval(mesh.nodes, mesh.to_full(free),
                                               z, deriv), rtol=0, atol=atol)
     assert mesh.evaluate(free, [0.0, 2.0]).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("deriv", [0, 1, 2])
+def test_sampler_equals_a_tabulation_at_every_call(deriv):
+    # random points, both ends and points of both clamped elements: one
+    # map built once gives what tabulating the shapes at each call gives
+    mesh = shell.ShellMesh(7, 3.0)
+    rng = np.random.default_rng(40 + deriv)
+    le = mesh.element_lengths[0]
+    z = np.concatenate([rng.uniform(0.0, 3.0, 50), [0.0, 3.0],
+                        rng.uniform(0.0, le, 5), rng.uniform(3.0 - le, 3.0, 5),
+                        mesh.nodes])
+    sampler = mesh.sampler(z, deriv)
+    assert sampler.shape == (z.size, mesh.n_free)
+    for _ in range(3):
+        free = rng.standard_normal(mesh.n_free)
+        ref = hermite_by_tabulation(mesh, free, z, deriv)
+        assert np.array_equal(sampler @ free, ref)
+        assert np.array_equal(mesh.evaluate(free, z, deriv), ref)
 
 
 def wall_setup(dt, m, a, rho_s_h):

@@ -455,15 +455,49 @@ def test_reused_solve_makes_one_product_per_iteration_plus_two():
 def test_history_holds_at_most_projection_depth_solutions():
     a, _ = nonsymmetric_system(34)
     rng = np.random.default_rng(35)
-    solver = ReusedFactorSolver(tol=1e-12)
+    solver, pairs = ReusedFactorSolver(tol=1e-12), []
     for k in range(sparsela.PROJECTION_DEPTH + 4):
-        solver.solve(a, rng.standard_normal(a.shape[0]))
-        assert len(solver._history) == min(k + 1, sparsela.PROJECTION_DEPTH)
+        b = rng.standard_normal(a.shape[0])
+        pairs.append((solver.solve(a, b), b))
+        xs, bs = solver._history()
+        assert len(xs) == len(bs) == min(k + 1, sparsela.PROJECTION_DEPTH)
+        # the window is the last pairs, oldest first
+        kept = pairs[-len(xs):]
+        assert np.array_equal(xs, [x for x, _ in kept])
+        assert np.array_equal(bs, [b for _, b in kept])
     # a zero right-hand side adds nothing: its solution spans nothing
-    oldest = solver._history[0]
+    oldest = xs[0].copy()
     assert np.all(solver.solve(a, np.zeros(a.shape[0])) == 0.0)
-    assert len(solver._history) == sparsela.PROJECTION_DEPTH
-    assert solver._history[0] is oldest
+    xs, _ = solver._history()
+    assert len(xs) == sparsela.PROJECTION_DEPTH
+    assert np.array_equal(xs[0], oldest)
+
+
+def test_window_start_equals_a_stacked_history_start(monkeypatch):
+    # the fit reads the window in place; stacking the last pairs into new
+    # arrays, as a queue of pairs would, gives the same start bit for bit
+    starts, original = [], sparsela.krylov_solve
+
+    def recorded(*args, x0=None, **kwargs):
+        starts.append(x0)
+        return original(*args, x0=x0, **kwargs)
+
+    monkeypatch.setattr(sparsela, "krylov_solve", recorded)
+    solver, pairs = ReusedFactorSolver(tol=1e-12), []
+    assert sparsela.PROJECTION_DEPTH == 8
+    for a, b in drifting_systems(42, 12):
+        del starts[:]
+        x = solver.solve(a, b)
+        last = pairs[-sparsela.PROJECTION_DEPTH:]
+        if last:
+            xs, bs = (np.array(rows) for rows in zip(*last))
+            stacked = np.linalg.lstsq(bs.T, b, rcond=None)[0] @ xs
+            assert starts and all(s.tobytes() == stacked.tobytes()
+                                  for s in starts)
+        else:
+            assert starts == [None]
+        pairs.append((x, b))
+    assert solver.stats.reused_solves == 11
 
 
 def test_history_survives_a_refactorization():
@@ -473,7 +507,7 @@ def test_history_survives_a_refactorization():
     solver.solve(a0, b)
     solver.solve(far, b_far)
     assert solver.stats.factorizations == 2
-    assert len(solver._history) == 2
+    assert len(solver._history()[0]) == 2
     x = solver.solve(far, b_far)     # the refactored solution starts it
     assert solver.stats.reused_solves == 1
     assert solver.stats.max_gmres_iterations == 0

@@ -191,3 +191,32 @@ def test_the_check_sees_a_second_time_loop(tmp_path):
         "def main():\n    return 'fluid_step'\n")
     (pkg / "energy.py").write_text('"""Rows of a fluid_step."""\n')
     assert step_callers(tmp_path) == ["cli.py", "harness.py"]
+
+
+def identity_keys(root=ROOT):
+    """``file`` of each module of the package whose code calls ``id``: a
+    cache keyed by object identity outlives its object and can hand a new
+    object at the same address its data, so run-level data are keyed by
+    value or held on an object the run owns."""
+    return [path.name
+            for path in sorted((root / "src" / "wallflow").glob("*.py"))
+            if any(isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "id"
+                   for node in ast.walk(ast.parse(path.read_text())))]
+
+
+def test_no_module_keys_by_identity():
+    assert identity_keys() == []
+
+
+def test_the_check_sees_an_identity_key(tmp_path):
+    pkg = tmp_path / "src" / "wallflow"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        "_CACHE = {}\n\n\n"
+        "def product(m, u):\n"
+        "    return _CACHE.setdefault((id(m), id(u)), m @ u)\n")
+    (pkg / "b.py").write_text(
+        "def key(mesh):\n    return (mesh.n_elements, mesh.length)\n\n\n"
+        "def label(row):\n    return row.id, 'id(row)'\n")
+    assert identity_keys(tmp_path) == ["a.py"]
