@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import coupling, energy, fluid, shell
+from . import coupling, fluid, shell
 from .config import build_material, ingest_waveform
 from .energy import EnergyLedger, EnergyMonitor
 from .errors import ConfigError, SolverError, ValidationError, WallContact
@@ -188,27 +188,10 @@ class RunSetup:
         return eta0, v0, u0
 
 
-def _trace_constant(setup, snapshot):
-    """Pressure-work constant from the discrete trace inequality at the
-    initial geometry ``snapshot``, and whether it was computed; combined
-    with the observed per-step requirement by the verifier.  A failed
-    factorization gives (0.0, False), which the ledger header records."""
-    p, k_red = setup.prolongation, coupling.reduced_viscous(setup, snapshot)
-    # both functionals as signed flux integrals
-    ell = [p.T @ np.abs(fluid.assemble_pressure_forcing(
-               setup.fluid_mesh, p_in, p_out, 1.0))
-           for p_in, p_out in ((1.0, 0.0), (0.0, 1.0))]
-    try:
-        return energy.discrete_trace_constant(k_red, ell[0], ell[1],
-                                              setup.radius), True
-    except SolverError:
-        return 0.0, False
-
-
 def run(cfg):
     """Execute a configured run of any mode; returns trajectory, ledger,
-    status.  The ledger, its ``e0`` and trace constant are formed only when
-    the config's ``output.ledger`` is ``csv``.
+    status.  The run's :class:`EnergyMonitor` forms the ledger, its ``e0``
+    and trace constant, only when the config's ``output.ledger`` is ``csv``.
 
     A rigid wall's half step leaves it at zero, so a rigid run keeps one
     frame; it stops once a step's relative velocity increment, taken on
@@ -235,10 +218,8 @@ def run(cfg):
 
     record = TrajectoryRecord()
     record.store(0.0, state, u, pressure)
-    ledger = None
-    if cfg["output"]["ledger"] == "csv":
-        ledger = EnergyLedger(_ledger_header(setup))
-        monitor = EnergyMonitor(setup)
+    monitor = (EnergyMonitor(setup) if cfg["output"]["ledger"] == "csv"
+               else None)
     cadence = cfg["output"]["cadence"]
 
     status, contact, failure = STATUS_COMPLETED, None, None
@@ -248,11 +229,8 @@ def run(cfg):
         frame = coupling.build_frame(setup, state.eta)
         # e0 and the first load; each step returns the next product
         mass_u = fluid.componentwise(frame.mass, u)
-        if ledger is not None:
-            c_ref, c_ref_computed = _trace_constant(setup, frame.snapshot)
-            ledger.header.update(
-                e0=monitor.total_energy(u, mass_u, state.v, state.eta),
-                c_ref=c_ref, c_ref_computed=c_ref_computed)
+        if monitor is not None:
+            monitor.start(state, u, mass_u, frame)
 
         for n in range(n_steps):
             t_next = (n + 1) * dt
@@ -267,10 +245,9 @@ def run(cfg):
                    else coupling.build_frame(setup, half.eta))
             result = coupling.fluid_step(setup, frame, end, u, half,
                                          p_in, p_out, solver, mass_u)
-            if ledger is not None:
-                ledger.append(monitor.record_step(
-                    n, state, u, mass_u, half, result, frame, end, p_in,
-                    p_out))
+            if monitor is not None:
+                monitor.record_step(state, u, half, result, frame, end, p_in,
+                                    p_out)
             if steady_stop:
                 e = -np.frexp(np.max(np.abs(result.u_full)))[1]
                 increment = (
@@ -292,26 +269,10 @@ def run(cfg):
 
     if record.times[-1] != t:
         record.store(t, state, u, pressure)
+    ledger = monitor.ledger if monitor is not None else None
     return RunResult(status, setup, record, ledger, contact=contact,
                      failure=failure, solver=solver.stats, steps=steps,
                      increment=increment)
-
-
-def _ledger_header(setup):
-    """A run's ledger header, with zero initial energy and trace constant."""
-    c = setup.coeffs
-    return {
-        "rho_f": setup.rho_f, "mu": setup.mu, "rho_s_h": c.rho_s_h,
-        "radius": setup.radius, "length": setup.length,
-        "dt": setup.dt, "n_steps": setup.n_steps, "mode": setup.cfg["mode"],
-        "C0": c.C0, "C1": c.C1, "C2": c.C2,
-        "D0": c.D0, "D1": c.D1, "D2": c.D2,
-        "n_z": setup.fluid_mesh.n_z, "n_r": setup.fluid_mesh.n_r,
-        "wall_elements": setup.shell_mesh.n_elements,
-        "e0": 0.0, "c_ref": 0.0, "c_ref_computed": False,
-        "p_in_l2_sq": setup.wave_in.l2_norm_sq(0.0, setup.t_final),
-        "p_out_l2_sq": setup.wave_out.l2_norm_sq(0.0, setup.t_final),
-    }
 
 
 # -- rigid-wall test harness -------------------------------------------------

@@ -34,9 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import coupling
 from .config import is_finite
-from .errors import WallflowError
-from .fluid import componentwise, viscous_form
+from .errors import SolverError, WallflowError
+from .fluid import assemble_pressure_forcing, componentwise, viscous_form
 from .sparsela import ReusedFactorSolver
 
 LEDGER_COLUMNS = [
@@ -191,11 +192,28 @@ def load_ledger(path):
 
 
 class EnergyMonitor:
-    """Computes ledger rows from the states and operators of each step and
-    the run's ``RunSetup`` (its per-run operators, coefficients and dt)."""
+    """The one owner of a run's ledger: forms its header from the run's
+    ``RunSetup`` (its per-run operators, coefficients and dt), its ``e0`` and
+    trace constant at the first frame, and one row from the states and
+    operators of each completed step.  A row's start energies are the last
+    row's end ones, or ``e0``'s: each energy is formed once per time level."""
 
     def __init__(self, setup):
         self.setup = setup
+        c = setup.coeffs
+        self.ledger = EnergyLedger({
+            "rho_f": setup.rho_f, "mu": setup.mu, "rho_s_h": c.rho_s_h,
+            "radius": setup.radius, "length": setup.length,
+            "dt": setup.dt, "n_steps": setup.n_steps, "mode": setup.cfg["mode"],
+            "C0": c.C0, "C1": c.C1, "C2": c.C2,
+            "D0": c.D0, "D1": c.D1, "D2": c.D2,
+            "n_z": setup.fluid_mesh.n_z, "n_r": setup.fluid_mesh.n_r,
+            "wall_elements": setup.shell_mesh.n_elements,
+            "e0": 0.0, "c_ref": 0.0, "c_ref_computed": False,
+            "p_in_l2_sq": setup.wave_in.l2_norm_sq(0.0, setup.t_final),
+            "p_out_l2_sq": setup.wave_out.l2_norm_sq(0.0, setup.t_final),
+        })
+        self._start = None      # (energy, fluid kinetic energy) of the next row
 
     def _wall_elastic(self, eta):
         g0, g1, g2 = self.setup.grams
@@ -210,32 +228,49 @@ class EnergyMonitor:
         s = self.setup
         return 0.5 * s.rho_s_h * float(v @ (s.shell_mass @ v))
 
-    def total_energy(self, u_full, mass_u, v, eta):
-        """E = kinetic (fluid, wall) + elastic wall energy; ``mass_u`` is
-        ``u_full`` under the weighted mass of the profile ``eta``."""
-        return (self._kinetic(u_full, mass_u) + self._wall_kinetic(v)
-                + 0.5 * self._wall_elastic(eta))
+    def start(self, state, u, mass_u, frame):
+        """Set the header's ``e0`` from the initial wall ``state`` and
+        velocity ``u`` (``mass_u`` is ``u`` under ``frame.mass``), and its
+        pressure-work constant from the discrete trace inequality at the
+        initial ``frame``.  A failed factorization of the constant leaves
+        ``c_ref`` 0 and ``c_ref_computed`` false, which the verifier reports."""
+        s = self.setup
+        kinetic = self._kinetic(u, mass_u)
+        e0 = (kinetic + self._wall_kinetic(state.v)
+              + 0.5 * self._wall_elastic(state.eta))
+        p, k_red = s.prolongation, coupling.reduced_viscous(s, frame.snapshot)
+        # both functionals as signed flux integrals
+        ell = [p.T @ np.abs(assemble_pressure_forcing(s.fluid_mesh, p_in,
+                                                      p_out, 1.0))
+               for p_in, p_out in ((1.0, 0.0), (0.0, 1.0))]
+        try:
+            c_ref, computed = discrete_trace_constant(
+                k_red, ell[0], ell[1], s.radius), True
+        except SolverError:
+            c_ref, computed = 0.0, False
+        self.ledger.header.update(e0=e0, c_ref=c_ref, c_ref_computed=computed)
+        self._start = (e0, kinetic)
 
-    def record_step(self, step, state_n, u_n, mass_u_n, shell_half, result,
-                    old, new, p_in, p_out):
-        """One ledger row for a completed (wall + fluid) step from the
-        frames ``old`` and ``new`` of its start and end wall profiles;
-        ``mass_u_n`` is ``u_n`` under ``old.mass`` and ``result.mass_u``
-        the end velocity under ``new.mass``."""
+    def record_step(self, state_n, u_n, shell_half, result, old, new, p_in,
+                    p_out):
+        """Append the ledger row of the next completed (wall + fluid) step,
+        from the frames ``old`` and ``new`` of its start and end wall
+        profiles, and return it; ``result.mass_u`` is the end velocity under
+        ``new.mass``."""
         s = self.setup
         dt, c = s.dt, s.coeffs
         g0, g1, g2 = s.grams
         ms = s.shell_mass
+        step = len(self.ledger)
 
-        # total_energy's sums in its order (bitwise equal), with the shared
-        # fluid kinetic (e_n, e_half) and elastic (e_half, e_full) terms once
-        kinetic_n = self._kinetic(u_n, mass_u_n)
+        # the energy sum in one order at every time level (bitwise equal
+        # start and end energies), with the shared fluid kinetic (e_n,
+        # e_half) and elastic (e_half, e_full) terms once
+        e_n, kinetic_n = self._start
+        kinetic_full = self._kinetic(result.u_full, result.mass_u)
         elastic_half = 0.5 * self._wall_elastic(shell_half.eta)
-        e_n = (kinetic_n + self._wall_kinetic(state_n.v)
-               + 0.5 * self._wall_elastic(state_n.eta))
         e_half = kinetic_n + self._wall_kinetic(shell_half.v_star) + elastic_half
-        e_full = (self._kinetic(result.u_full, result.mass_u)
-                  + self._wall_kinetic(result.v_new) + elastic_half)
+        e_full = kinetic_full + self._wall_kinetic(result.v_new) + elastic_half
 
         d_eta = shell_half.eta - state_n.eta
         dv1 = shell_half.v_star - state_n.v
@@ -275,8 +310,8 @@ class EnergyMonitor:
                 raise WallflowError(
                     f"internal consistency: negative energy {name} = {val:.3e}")
 
-        return {
-            "step": int(step), "t": (step + 1) * dt,
+        row = {
+            "step": step, "t": (step + 1) * dt,
             "e_n": e_n, "e_half": e_half, "e_full": e_full,
             "d_fluid": d_fluid, "d_shell": d_shell,
             "jump_u": jump_u, "jump_v_a2": jump_v_a2, "jump_v_a1": jump_v_a1,
@@ -287,6 +322,9 @@ class EnergyMonitor:
             "mass_update_residual": mass_resid, "mass_update_scale": mass_scale,
             "advection_skew": skew, "advection_scale": skew_scale,
         }
+        self.ledger.append(row)
+        self._start = (e_full, kinetic_full)
+        return row
 
 
 # relative residual contract of the two solves of the trace constant

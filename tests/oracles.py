@@ -415,6 +415,19 @@ def shell_energy(eta, v, mass, elastic, rho_s_h):
     return 0.5 * (rho_s_h * float(v @ (mass @ v)) + float(eta @ (elastic @ eta)))
 
 
+def total_energy(setup, u_full, mass_u, v, eta):
+    """Fluid and wall kinetic plus wall elastic energy, summed in the
+    ledger's order; ``mass_u`` is ``u_full`` under the weighted mass of the
+    profile ``eta``."""
+    g0, g1, g2 = setup.grams
+    c = setup.coeffs
+    elastic = (c.C0 * float(eta @ (g0 @ eta)) + c.C1 * float(eta @ (g1 @ eta))
+               + c.C2 * float(eta @ (g2 @ eta)))
+    return (0.5 * setup.rho_f * float(u_full @ mass_u)
+            + 0.5 * setup.rho_s_h * float(v @ (setup.shell_mass @ v))
+            + 0.5 * elastic)
+
+
 def structure_step_energy_residual(before, after, mass, elastic, rho_s_h):
     """Absolute defect of the half-step energy equality.
 

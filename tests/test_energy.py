@@ -10,27 +10,35 @@ from wallflow.energy import (LEDGER_COLUMNS, EnergyLedger, EnergyMonitor,
                              discrete_trace_constant, load_ledger, verify_run)
 from wallflow.sparsela import DirectFactor, ReusedFactorSolver
 
-from oracles import assemble_viscous, zero_shell_state
+from oracles import assemble_viscous, total_energy, zero_shell_state
 
 
-def build_monitor(n_z=4, n_r=2, length=2.0):
-    cs = driver.RunSetup(validate_config({
+def monitor_config(n_z=4, n_r=2, length=2.0, n_steps=1, **overrides):
+    """A configuration with dt = 1e-3 and no pressure data unless
+    ``overrides`` give them."""
+    return validate_config({
         "geometry": {"radius": 0.5, "length": length},
         "fluid": {"density": 1.0, "viscosity": 0.05},
         "wall": {"youngs_modulus": 1.0e5, "poisson_ratio": 0.5,
                  "thickness": 0.1, "density": 1.1, "viscous_modulus": 100.0,
                  "viscous_poisson": 0.5},
         "mesh": {"n_z": n_z, "n_r": n_r, "wall_elements": n_z},
-        "time": {"t_final": 1e-3, "n_steps": 1},     # dt = 1e-3
+        "time": {"t_final": n_steps * 1e-3, "n_steps": n_steps},
         "waveform": {"inlet": {"kind": "constant", "value": 0.0},
-                     "outlet": {"kind": "constant", "value": 0.0}}}))
+                     "outlet": {"kind": "constant", "value": 0.0}},
+        **overrides})
+
+
+def build_monitor(n_z=4, n_r=2, length=2.0):
+    cs = driver.RunSetup(monitor_config(n_z, n_r, length))
     return (cs.material, cs.coeffs, cs.shell_mesh, cs.fluid_mesh, cs,
             EnergyMonitor(cs), cs.dt)
 
 
 def one_step(material, coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
              seed=0):
-    """The arguments of ``record_step`` for one step from random wall data."""
+    """The arguments of the monitor's ``start`` and of its ``record_step``
+    for one step from random wall data."""
     rng = np.random.default_rng(seed)
     eta = 0.01 * rng.standard_normal(sm.n_free)
     v = 0.01 * rng.standard_normal(sm.n_free)
@@ -45,12 +53,14 @@ def one_step(material, coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
     mass_u = fluid.componentwise(old.mass, u)
     res = coupling.fluid_step(cs, old, new, u, half, p_in, p_out,
                               ReusedFactorSolver(coupling.FLUID_TOL), mass_u)
-    return 0, state, u, mass_u, half, res, old, new, p_in, p_out
+    return (state, u, mass_u, old), (state, u, half, res, old, new, p_in,
+                                     p_out)
 
 
 def run_one_step(material, coeffs, sm, fm, cs, monitor, dt, **kwargs):
-    return monitor.record_step(*one_step(material, coeffs, sm, fm, cs, dt,
-                                         **kwargs))
+    first, args = one_step(material, coeffs, sm, fm, cs, dt, **kwargs)
+    monitor.start(*first)
+    return monitor.record_step(*args)
 
 
 def test_zero_states_record_all_zeros():
@@ -63,8 +73,8 @@ def test_zero_states_record_all_zeros():
     mass_u = fluid.componentwise(frame.mass, u)
     res = coupling.fluid_step(cs, frame, frame, u, half, 0.0, 0.0,
                               ReusedFactorSolver(coupling.FLUID_TOL), mass_u)
-    row = monitor.record_step(0, state, u, mass_u, half, res, frame, frame,
-                              0.0, 0.0)
+    monitor.start(state, u, mass_u, frame)
+    row = monitor.record_step(state, u, half, res, frame, frame, 0.0, 0.0)
     for key in ("e_n", "e_half", "e_full", "d_fluid", "d_shell", "jump_u",
                 "jump_v_a2", "jump_v_a1", "pwork", "wall_step_residual",
                 "balance_residual"):
@@ -87,13 +97,15 @@ def test_the_entrywise_columns_read_the_step_s_own_data():
     # ones fails the mass column alone; flow data whose symmetric part is
     # not the two masses fail the skew column alone
     material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
-    args = list(one_step(material, coeffs, sm, fm, cs, dt))
-    res = args[5]
+    first, args = one_step(material, coeffs, sm, fm, cs, dt)
+    monitor.start(*first)
+    args = list(args)
+    res = args[3]
     row = monitor.record_step(*args)
     for changed, failing in (
             ({"v_half_q": 0.5 * res.v_half_q}, "mass_update"),
             ({"flow": res.flow * (1.0 + 1e-9)}, "advection")):
-        args[5] = dataclasses.replace(res, **changed)
+        args[3] = dataclasses.replace(res, **changed)
         bad = monitor.record_step(*args)
         for column, scale in (("mass_update_residual", "mass_update_scale"),
                               ("advection_skew", "advection_scale")):
@@ -115,26 +127,32 @@ class CountingMatrix(sp.csr_matrix):
 
 def test_ledger_row_evaluates_each_form_once():
     material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
-    args = one_step(material, coeffs, sm, fm, cs, dt)
-    _, state, u, _, half, res, old, new, _, _ = args
-    mass_u, mass_u_new = (fluid.componentwise(old.mass, u),
-                          fluid.componentwise(new.mass, res.u_full))
-    e_n = monitor.total_energy(u, mass_u, state.v, state.eta)
-    e_half = monitor.total_energy(u, mass_u, half.v_star, half.eta)
-    e_full = monitor.total_energy(res.u_full, mass_u_new, res.v_new, half.eta)
+    first, args = one_step(material, coeffs, sm, fm, cs, dt)
+    state, u, mass_u, old = first
+    _, _, half, res, _, new, _, _ = args
+    energies = (
+        total_energy(cs, u, mass_u, state.v, state.eta),
+        total_energy(cs, u, mass_u, half.v_star, half.eta),
+        total_energy(cs, res.u_full, fluid.componentwise(new.mass, res.u_full),
+                     res.v_new, half.eta))
+    monitor.start(*first)
     counted, counted_new = CountingMatrix(old.mass), CountingMatrix(new.mass)
     cs.grams = tuple(CountingMatrix(g) for g in cs.grams)
-    row = monitor.record_step(*args[:6],
+    cs.shell_mass = CountingMatrix(cs.shell_mass)
+    row = monitor.record_step(*args[:4],
                               dataclasses.replace(old, mass=counted),
                               dataclasses.replace(new, mass=counted_new),
-                              *args[8:])
+                              *args[6:])
     # jump_u, one componentwise application: one product per component;
     # the kinetic energies at n and n + 1 read the handed products
     assert counted.products == 2
     assert getattr(counted_new, "products", 0) == 0
-    # elastic energy at eta_n and eta_half, and the eta jump
-    assert [g.products for g in cs.grams] == [3, 3, 3]
-    assert (row["e_n"], row["e_half"], row["e_full"]) == (e_n, e_half, e_full)
+    # elastic energy at eta_half and the eta jump; the energy at eta_n is
+    # the start's, handed on
+    assert [g.products for g in cs.grams] == [2, 2, 2]
+    # wall kinetic energy at v_half and v_new, and both velocity jumps
+    assert cs.shell_mass.products == 4
+    assert (row["e_n"], row["e_half"], row["e_full"]) == energies
 
 
 def test_hand_computed_wall_energy_single_dof():
@@ -151,8 +169,10 @@ def test_hand_computed_wall_energy_single_dof():
     eta = np.array([eta_val, 0.0])
     v = np.array([v_val, 0.0])
     u = np.zeros(2 * fm.n_velocity_nodes)
-    mass = fluid.assemble_unweighted_mass(fm)
-    e = monitor.total_energy(u, fluid.componentwise(mass, u), v, eta)
+    frame = coupling.build_frame(cs, eta)
+    monitor.start(shell.ShellState(eta=eta, v=v, v_star=v), u,
+                  fluid.componentwise(frame.mass, u), frame)
+    e = monitor.ledger.header["e0"]
     expected = 0.5 * (coeffs.rho_s_h * v_val**2 * m00
                       + eta_val**2 * (coeffs.C0 * m00 + coeffs.C1 * g1_00
                                       + coeffs.C2 * g2_00))
@@ -160,17 +180,14 @@ def test_hand_computed_wall_energy_single_dof():
 
 
 def make_ledger(rows=3):
-    material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
-    led = EnergyLedger({"rho_f": 1.0, "mu": 0.05, "rho_s_h": coeffs.rho_s_h,
-                        "radius": material.radius, "length": material.length,
-                        "dt": dt, "n_steps": rows, "mode": "viscoelastic",
-                        "e0": 1.0, "c_ref": 0.5,
-                        "p_in_l2_sq": 0.1, "p_out_l2_sq": 0.0})
-    for k in range(rows):
-        row = run_one_step(material, coeffs, sm, fm, cs, monitor, dt, seed=k)
-        row["step"] = k
-        led.append(row)
-    return led
+    """The ledger of a ``rows``-step run from a moving wall under a constant
+    inlet pressure."""
+    return driver.run(monitor_config(
+        n_steps=rows,
+        waveform={"inlet": {"kind": "constant", "value": 300.0},
+                  "outlet": {"kind": "constant", "value": 0.0}},
+        initial_data={"kind": "bump", "eta_amplitude": 0.01,
+                      "v_amplitude": 0.01})).ledger
 
 
 def test_ledger_round_trip_csv_and_jsonl(tmp_path):
@@ -198,18 +215,8 @@ def test_round_trip_preserves_verdict(tmp_path):
 
 def test_corrupted_energy_breaks_telescoped_check():
     led = make_ledger()
-    # consistent ledger: set e0 so the telescoped identity holds, then break
-    e0 = (led.rows[0]["e_half"]
-          + 0.5 * (led.header["rho_s_h"] * led.rows[0]["jump_v_a1"]
-                   + led.rows[0]["jump_eta_c0"] + led.rows[0]["jump_eta_c1"]
-                   + led.rows[0]["jump_eta_c2"]))
-    led.header["e0"] = e0
-    # rows were generated independently, so stitch them into one telescoping
-    # chain by replacing each row's start energy with the previous end
-    for k in range(1, len(led.rows)):
-        led.rows[k]["e_n"] = led.rows[k - 1]["e_full"]
-    # recompute a fake consistent chain is overkill; instead corrupt row 1
-    led.rows[1]["e_full"] *= 1.5
+    assert verify_run(led).ok
+    led.rows[-1]["e_full"] *= 1.5
     report = verify_run(led)
     tele = [c for c in report.checks if "telescoped" in c.name][0]
     assert not tele.passed
