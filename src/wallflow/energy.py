@@ -288,11 +288,6 @@ class EnergyMonitor:
         d_shell = dt * float(result.v_new @ (s.shell_viscous @ result.v_new))
         pwork = dt * float(result.forcing @ result.u_full)
 
-        wall_eq = abs(e_half
-                   + 0.5 * (s.rho_s_h * jump_v_a1 + sum(jump_eta)) - e_n)
-        balance = abs(e_full + 0.5 * jump_u + 0.5 * s.rho_s_h * jump_v_a2
-                      + 2.0 * d_fluid + d_shell - e_half - pwork)
-
         # w_old + dt w_dv v_half = w_new at every quadrature point, with the
         # step's v_half; the step's flow data F less its masses are skew
         w_new, flow = new.snapshot.w, result.flow
@@ -318,13 +313,31 @@ class EnergyMonitor:
             "jump_eta_c0": jump_eta[0], "jump_eta_c1": jump_eta[1],
             "jump_eta_c2": jump_eta[2],
             "pwork": pwork, "p_in": p_in, "p_out": p_out,
-            "wall_step_residual": wall_eq, "balance_residual": balance,
             "mass_update_residual": mass_resid, "mass_update_scale": mass_scale,
             "advection_skew": skew, "advection_scale": skew_scale,
         }
+        row["wall_step_residual"] = wall_step_residual(row, s.rho_s_h)
+        row["balance_residual"] = balance_residual(row, s.rho_s_h)
         self.ledger.append(row)
         self._start = (e_full, kinetic_full)
         return row
+
+
+def wall_step_residual(row, rho_s_h):
+    """Defect of the wall half step's energy equality from the terms of a
+    ledger row: of one row's numbers or of the ledger's columns alike, in
+    the association the row was written with."""
+    return abs(row["e_half"] + 0.5 * (rho_s_h * row["jump_v_a1"] + (
+        row["jump_eta_c0"] + row["jump_eta_c1"] + row["jump_eta_c2"]))
+        - row["e_n"])
+
+
+def balance_residual(row, rho_s_h):
+    """Defect of the fluid step's exact energy balance from the terms of a
+    ledger row, as :func:`wall_step_residual` takes them."""
+    return abs(row["e_full"] + 0.5 * row["jump_u"]
+               + 0.5 * rho_s_h * row["jump_v_a2"] + 2.0 * row["d_fluid"]
+               + row["d_shell"] - row["e_half"] - row["pwork"])
 
 
 # relative residual contract of the two solves of the trace constant
@@ -392,6 +405,14 @@ def _at_most(name, value, tol, detail=""):
     return CheckResult(name, bool(value <= tol), float(value), tol, detail)
 
 
+def _every_row(name, holds):
+    """An exact check that ``holds`` at every row; its value is the number
+    of rows where it does not, and it names the first of them."""
+    bad = np.flatnonzero(~holds)
+    return CheckResult(name, bad.size == 0, float(bad.size), 0.0,
+                       f"first bad row {bad[0]}" if bad.size else "")
+
+
 def verify_run(ledger):
     """Run-level verification of the per-step identities and uniform bounds.
 
@@ -405,8 +426,14 @@ def verify_run(ledger):
     5. max energy bounded by E0 plus C_impl times the squared L2 norms of
        the pressure data.
 
+    Both residuals are recomputed from each row's terms, and exact checks
+    trust nothing else the run wrote about itself: each stored residual
+    equals its recomputation, each row starts from the energy the last one
+    ended on (the first from the header's ``e0``, if it has one), and the
+    rows are steps 0, 1, ... at times (step + 1) dt.
+
     ``C_impl`` is the larger of the trace constant computed from the actual
-    mesh (stored by the driver in the header) and the smallest constant the
+    mesh (stored by the monitor in the header) and the smallest constant the
     recorded steps require; both are reported, neither is assumed.  The
     header key ``c_ref_computed`` says whether the trace constant was
     computed; a ledger without the key is read as computed.
@@ -425,47 +452,47 @@ def verify_run(ledger):
         return VerdictReport(checks, True, scale, float(h.get("c_ref", 0.0)),
                              details={"c_ref_computed": c_ref_computed})
 
-    for name, column, tol in (
+    col = {c: ledger.column(c) for c in LEDGER_COLUMNS}
+    matching = np.ones(len(ledger), dtype=bool)
+    for name, column, identity, tol in (
             ("wall half-step energy equality", "wall_step_residual",
-             TOL_WALL_EQUALITY),
-            ("fluid-step energy balance", "balance_residual", TOL_BALANCE)):
-        rel = ledger.column(column) / scale
+             wall_step_residual, TOL_WALL_EQUALITY),
+            ("fluid-step energy balance", "balance_residual",
+             balance_residual, TOL_BALANCE)):
+        residual = identity(col, rho_s_h)
+        matching &= residual == col[column]
+        rel = residual / scale
         checks.append(_at_most(name, rel.max(), tol,
                                f"worst step {int(np.argmax(rel))}"))
 
     # smallest constant the recorded steps require, then the max with the
     # mesh trace constant from the header
-    p_sq = ledger.column("p_in") ** 2 + ledger.column("p_out") ** 2
-    trace_work = ledger.column("pwork") / dt
-    spare = ledger.column("d_fluid") / dt
+    p_sq = col["p_in"] ** 2 + col["p_out"] ** 2
+    trace_work = col["pwork"] / dt
+    spare = col["d_fluid"] / dt
     need = np.zeros_like(p_sq)
     active = p_sq > ENERGY_FLOOR
     need[active] = (trace_work[active] - spare[active]) / p_sq[active]
     c_needed = float(max(0.0, need.max() if need.size else 0.0))
     c_impl = max(float(h.get("c_ref", 0.0)), c_needed)
 
-    e_half = ledger.column("e_half")
-    e_full = ledger.column("e_full")
-    jump_u = ledger.column("jump_u")
-    jump_v_a2 = ledger.column("jump_v_a2")
-    jump_v_a1 = ledger.column("jump_v_a1")
-    jump_eta = (ledger.column("jump_eta_c0") + ledger.column("jump_eta_c1")
-                + ledger.column("jump_eta_c2"))
-    d_fluid = ledger.column("d_fluid")
-    d_shell = ledger.column("d_shell")
+    e_half, e_full = col["e_half"], col["e_full"]
+    jump_eta = col["jump_eta_c0"] + col["jump_eta_c1"] + col["jump_eta_c2"]
+    d_fluid, d_shell = col["d_fluid"], col["d_shell"]
 
-    slack = (e_half + c_impl * dt * p_sq - e_full - 0.5 * jump_u
-             - 0.5 * rho_s_h * jump_v_a2 - (d_fluid + d_shell))
+    slack = (e_half + c_impl * dt * p_sq - e_full - 0.5 * col["jump_u"]
+             - 0.5 * rho_s_h * col["jump_v_a2"] - (d_fluid + d_shell))
     checks.append(CheckResult("stability inequality slack",
                               bool(slack.min() / scale >= -TOL_SLACK),
                               float(slack.min() / scale), -TOL_SLACK,
                               f"worst step {int(np.argmin(slack))}"))
 
     dissipation_identity = 2.0 * d_fluid + d_shell
-    all_jumps = (0.5 * jump_u + 0.5 * rho_s_h * (jump_v_a1 + jump_v_a2)
+    all_jumps = (0.5 * col["jump_u"]
+                 + 0.5 * rho_s_h * (col["jump_v_a1"] + col["jump_v_a2"])
                  + 0.5 * jump_eta)
     telescoped = abs(float(e_full[-1] + np.sum(dissipation_identity + all_jumps)
-                           - np.sum(ledger.column("pwork")) - e0)) / scale
+                           - np.sum(col["pwork"]) - e0)) / scale
     checks.append(_at_most("telescoped energy identity", telescoped,
                            TOL_TELESCOPED))
 
@@ -491,9 +518,16 @@ def verify_run(ledger):
             ("mass/geometry update identity", "mass_update_residual",
              "mass_update_scale"),
             ("transport skew-symmetry", "advection_skew", "advection_scale")):
-        rel = ledger.column(column) / np.maximum(ledger.column(ref),
-                                                 ENERGY_FLOOR)
+        rel = col[column] / np.maximum(col[ref], ENERGY_FLOOR)
         checks.append(_at_most(name, rel.max(), TOL_ENTRYWISE))
+
+    checks.append(_every_row("stored residuals match their terms", matching))
+    start = np.r_[float(h["e0"]) if "e0" in h else col["e_n"][0], e_full[:-1]]
+    checks.append(_every_row("energy chain", col["e_n"] == start))
+    step = col["step"]
+    checks.append(_every_row("step and time columns",
+                             (step == np.arange(len(ledger)))
+                             & (col["t"] == (step + 1) * dt)))
 
     return VerdictReport(checks, all(c.passed for c in checks), scale, c_impl,
                          details={"c_needed": c_needed,

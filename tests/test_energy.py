@@ -179,12 +179,12 @@ def test_hand_computed_wall_energy_single_dof():
     assert e == pytest.approx(expected, rel=1e-13)
 
 
-def make_ledger(rows=3):
+def make_ledger(rows=3, inlet=300.0):
     """The ledger of a ``rows``-step run from a moving wall under a constant
     inlet pressure."""
     return driver.run(monitor_config(
         n_steps=rows,
-        waveform={"inlet": {"kind": "constant", "value": 300.0},
+        waveform={"inlet": {"kind": "constant", "value": inlet},
                   "outlet": {"kind": "constant", "value": 0.0}},
         initial_data={"kind": "bump", "eta_amplitude": 0.01,
                       "v_amplitude": 0.01})).ledger
@@ -211,6 +211,56 @@ def test_round_trip_preserves_verdict(tmp_path):
     assert original.ok == reloaded.ok
     for a, b in zip(original.checks, reloaded.checks):
         assert a.name == b.name and a.passed == b.passed and a.value == b.value
+
+
+def failing_checks(ledger):
+    return {c.name: c.detail for c in verify_run(ledger).checks
+            if not c.passed}
+
+
+@pytest.mark.parametrize("column", ["wall_step_residual",
+                                    "balance_residual"])
+def test_a_forged_residual_fails_the_stored_residual_check(tmp_path, column):
+    # the residuals are recomputed from the terms of a loaded ledger bit for
+    # bit, so one forged cell fails exactly the check that compares them
+    path = tmp_path / "ledger.csv"
+    make_ledger().to_csv(path)
+    led = load_ledger(path)
+    assert verify_run(led).ok
+    led.rows[1][column] = 2.0 * led.rows[1][column] + 1.0
+    assert failing_checks(led) == {
+        "stored residuals match their terms": "first bad row 1"}
+
+
+def splice(ledger):
+    ledger.rows[2:] = make_ledger(inlet=0.0).rows[2:]
+
+
+def shift_time_column(ledger):
+    # each row's t at its step's start, not its end
+    for row in ledger.rows:
+        row["t"] -= ledger.header["dt"]
+
+
+@pytest.mark.parametrize("edit, failing", [
+    (lambda led: led.rows.pop(1),
+     {"energy chain": "first bad row 1",
+      "step and time columns": "first bad row 1"}),
+    (splice, {"energy chain": "first bad row 2"}),
+    (lambda led: led.header.update(e0=2.0 * led.header["e0"]),
+     {"energy chain": "first bad row 0"}),
+    (shift_time_column, {"step and time columns": "first bad row 0"}),
+], ids=["dropped-row", "spliced-runs", "other-e0", "shifted-t"])
+def test_verify_checks_the_energy_chain_and_the_step_columns(edit, failing):
+    # of the exact checks, each edit fails those it breaks, naming its first
+    # bad row; the energy identities it breaks are tested elsewhere
+    exact = {"stored residuals match their terms", "energy chain",
+             "step and time columns"}
+    led = make_ledger()
+    assert verify_run(led).ok
+    edit(led)
+    assert {name: detail for name, detail in failing_checks(led).items()
+            if name in exact} == failing
 
 
 def test_corrupted_energy_breaks_telescoped_check():

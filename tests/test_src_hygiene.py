@@ -193,6 +193,47 @@ def test_the_check_sees_a_second_time_loop(tmp_path):
     assert step_callers(tmp_path) == ["cli.py", "harness.py"]
 
 
+def ledger_writers(root=ROOT):
+    """``file`` of each module of the package other than ``energy.py`` whose
+    code calls ``EnergyLedger`` (or a method of it) or
+    ``discrete_trace_constant``: ``energy.EnergyMonitor`` forms a run's
+    ledger, its header, start energies and rows."""
+    return [path.name
+            for path in sorted((root / "src" / "wallflow").glob("*.py"))
+            if path.name != "energy.py"
+            and any(isinstance(node, ast.Call)
+                    and _names_used(node.func)
+                    & {"EnergyLedger", "discrete_trace_constant"}
+                    for node in ast.walk(ast.parse(path.read_text())))]
+
+
+def test_only_the_energy_module_writes_a_ledger():
+    assert ledger_writers() == []
+
+
+def test_the_check_sees_a_ledger_written_outside_energy(tmp_path):
+    pkg = tmp_path / "src" / "wallflow"
+    pkg.mkdir(parents=True)
+    (pkg / "energy.py").write_text(
+        "class EnergyLedger:\n    pass\n\n\n"
+        "def discrete_trace_constant():\n    return EnergyLedger()\n")
+    (pkg / "__init__.py").write_text(
+        "from .energy import EnergyLedger\n\n__all__ = ['EnergyLedger']\n")
+    (pkg / "a.py").write_text(
+        "from . import energy\n\n\n"
+        "def header(h):\n    return energy.EnergyLedger(h)\n")
+    (pkg / "b.py").write_text(
+        "from .energy import discrete_trace_constant\n\n\n"
+        "def f():\n    return discrete_trace_constant()\n")
+    (pkg / "c.py").write_text(
+        "from .energy import EnergyLedger\n\n\n"
+        "def load(path):\n    return EnergyLedger.from_csv(path)\n")
+    (pkg / "d.py").write_text(
+        "from .energy import EnergyLedger\n\n\n"
+        "def rows(ledger: EnergyLedger):\n    return ledger.rows\n")
+    assert ledger_writers(tmp_path) == ["a.py", "b.py", "c.py"]
+
+
 def identity_keys(root=ROOT):
     """``file`` of each module of the package whose code calls ``id``: a
     cache keyed by object identity outlives its object and can hand a new
