@@ -383,6 +383,24 @@ def test_stats_record_the_fill_of_the_last_factor():
     assert f"LU fill {solver.stats.lu_fill_nnz}" in solver.stats.summary()
 
 
+def test_factor_solves_the_matrix_not_its_transpose():
+    # the LU is of a^T, swept transposed: on a strongly nonsymmetric saddle
+    # matrix with a zero diagonal block, apply must solve a x = b
+    rng = np.random.default_rng(44)
+    n, m = 30, 6
+    k = sp.random(n, n, density=0.2, random_state=45) + 4.0 * sp.eye(n)
+    a = sp.csr_matrix(sp.bmat(
+        [[k, sp.random(n, m, density=0.5, random_state=46)],
+         [5.0 * sp.random(m, n, density=0.5, random_state=47), None]]))
+    assert abs(a - a.T).max() > 1.0
+    b = rng.standard_normal(n + m)
+    factor = DirectFactor(a)
+    x = factor.apply(b)
+    assert rel_residual(a, x, b) <= 1e-12
+    assert rel_residual(a.T, x, b) > 1e-2
+    assert factor.fill_nnz == factor._lu.nnz > 0
+
+
 class CountingMatrix:
     """A matrix that counts its products, one per ``@`` whatever the width
     of the operand."""
@@ -474,8 +492,9 @@ def test_history_holds_at_most_projection_depth_solutions():
 
 
 def test_window_start_equals_a_stacked_history_start(monkeypatch):
-    # the fit reads the window in place; stacking the last pairs into new
-    # arrays, as a queue of pairs would, gives the same start bit for bit
+    # the fit reads the window in place; fitting the last pairs stacked
+    # into new arrays, as a queue of pairs would, gives the same start bit
+    # for bit
     starts, original = [], sparsela.krylov_solve
 
     def recorded(*args, x0=None, **kwargs):
@@ -491,13 +510,48 @@ def test_window_start_equals_a_stacked_history_start(monkeypatch):
         last = pairs[-sparsela.PROJECTION_DEPTH:]
         if last:
             xs, bs = (np.array(rows) for rows in zip(*last))
-            stacked = np.linalg.lstsq(bs.T, b, rcond=None)[0] @ xs
+            stacked = sparsela.fit_coefficients(bs, b) @ xs
             assert starts and all(s.tobytes() == stacked.tobytes()
                                   for s in starts)
         else:
             assert starts == [None]
         pairs.append((x, b))
     assert solver.stats.reused_solves == 11
+
+
+def fit_window(kind, seed):
+    """Held solutions ``xs``, their right-hand sides ``bs = (a xs^T)^T``
+    for a well-conditioned ``a``, and a new right-hand side, for a window
+    of the given ``kind``."""
+    rng = np.random.default_rng(seed)
+    n, k = {"tall": (2 * sparsela.QR_BLOCK_ROWS + 5, 8), "wide": (4, 8),
+            "rank-deficient": (200, 8), "single pair": (200, 1)}[kind]
+    xs = rng.standard_normal((k, n))
+    if kind == "rank-deficient":
+        # near-repeated pairs, as a run that settles to constant holds
+        xs[4:] = xs[:4] * (1.0 + 1e-16 * rng.standard_normal((4, 1)))
+    a, _ = nonsymmetric_system(seed, n)
+    bs = (a @ xs.T).T
+    return xs, bs, bs.T @ rng.standard_normal(k) + rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient",
+                                  "single pair"])
+def test_fit_matches_lstsq(kind):
+    # "tall" spans two full QR blocks and a last block of fewer rows than
+    # the window has columns; "wide" is a 3-element wall's 4 free DOFs
+    xs, bs, b = fit_window(kind, 43)
+    fitted = sparsela.fit_coefficients(bs, b)
+    reference = np.linalg.lstsq(bs.T, b, rcond=None)[0]
+    if kind == "rank-deficient":
+        s = np.linalg.svd(bs, compute_uv=False)
+        assert s[-1] / s[0] < 1e-15
+    start, lstsq_start = fitted @ xs, reference @ xs
+    assert (np.linalg.norm(start - lstsq_start)
+            <= 1e-12 * np.linalg.norm(lstsq_start))
+    assert (np.linalg.norm(b - bs.T @ fitted)
+            <= np.linalg.norm(b - bs.T @ reference)
+            + 1e-14 * np.linalg.norm(b))
 
 
 def test_history_survives_a_refactorization():
