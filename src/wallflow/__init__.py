@@ -16,15 +16,14 @@ from .driver import (RunResult, TrajectoryRecord, poiseuille_profile_error,
 from .energy import EnergyLedger, load_ledger, verify_run
 from .errors import (ConfigError, SolverError, ValidationError, WallContact,
                      WallflowError)
-from .materials import ShellCoefficients, ShellMaterial, derive_coefficients
+from .materials import ShellCoefficients, derive_coefficients
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AleSnapshot", "ConfigError", "EnergyLedger", "RunResult",
-    "ShellCoefficients", "ShellMaterial", "SolverError", "TrajectoryRecord",
-    "ValidationError", "WallContact", "WallflowError", "build_snapshot",
-    "derive_coefficients", "load_config", "load_ledger", "min_radius_of",
-    "poiseuille_profile_error", "run", "self_convergence_study",
-    "validate_config", "verify_run",
+    "ShellCoefficients", "SolverError", "TrajectoryRecord", "ValidationError",
+    "WallContact", "WallflowError", "build_snapshot", "derive_coefficients",
+    "load_config", "load_ledger", "min_radius_of", "poiseuille_profile_error",
+    "run", "self_convergence_study", "validate_config", "verify_run",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import waveforms as wf
 from .errors import ConfigError, ValidationError
-from .materials import ShellMaterial
 
 
 def is_finite(val):
@@ -210,14 +209,6 @@ def load_config(path):
     cfg = validate_config(raw)
     cfg["_base_dir"] = os.path.dirname(os.path.abspath(path))
     return cfg
-
-
-def build_material(cfg):
-    """The wall of a validated config: its wall section, whose keys are the
-    material's fields, on the tube's radius and length."""
-    geo = cfg["geometry"]
-    return ShellMaterial(radius=geo["radius"], length=geo["length"],
-                         **cfg["wall"])
 
 
 def _read_waveform_csv(path):

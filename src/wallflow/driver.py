@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import coupling, fluid, shell
-from .config import build_material, ingest_waveform
+from .config import ingest_waveform
 from .energy import EnergyLedger, EnergyMonitor
 from .errors import ConfigError, SolverError, ValidationError, WallContact
 from .materials import derive_coefficients
@@ -100,9 +100,8 @@ class RunSetup:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.material = build_material(cfg)
         # elastic mode: D = 0, as the config forces viscous_modulus = 0
-        self.coeffs = coeffs = derive_coefficients(self.material)
+        self.coeffs = coeffs = derive_coefficients(cfg)
         self.radius = cfg["geometry"]["radius"]
         self.length = cfg["geometry"]["length"]
         self.rho_f = cfg["fluid"]["density"]
@@ -176,12 +175,11 @@ class RunSetup:
             eta0 = amp_e * sm.interpolate(bump, dbump)
             v0 = amp_v * sm.interpolate(bump, dbump)
             # radial velocity grows linearly from the symmetry line to the
-            # wall trace of v0, evaluated through the wall's own basis so
+            # wall trace of v0 through the trace map of every step's P, so
             # the interface condition holds exactly at every edge node; the
             # r = 0 row (the first) stays +0 whatever the sign of v0
-            v0_nodes = sm.evaluate(v0, fm.velocity_z)
             u0[fm.n_velocity_nodes + fm.n_cols:] = np.outer(
-                fm.velocity_r[1:], v0_nodes).ravel()
+                fm.velocity_r[1:], self.trace_op @ v0).ravel()
         if not all(np.isfinite(f).all() for f in (eta0, v0, u0)):
             raise ConfigError("initial_data: the bump's fields overflow on "
                               "this geometry; lower its amplitudes")

@@ -16,7 +16,7 @@ def make_setup(n_z=8, n_r=4, length=6.0, elastic=False, dt=1e-4,
     wall = ({} if elastic
             else {"viscous_modulus": 1000.0, "viscous_poisson": 0.5})
     cs = run_setup(n_z, n_r, length, 0.035, wall, dt, mode)
-    return cs.material, cs.coeffs, cs.shell_mesh, cs.fluid_mesh, cs
+    return cs.coeffs, cs.shell_mesh, cs.fluid_mesh, cs
 
 
 def compatible_state(sm, fm, rng, scale=0.01):
@@ -44,7 +44,7 @@ def step_from(cs, state, u, p_in, p_out, solver=None):
 
 
 def test_trace_map_basics():
-    _, _, sm, fm, cs = make_setup()
+    _, sm, fm, cs = make_setup()
     t = cs.trace_op
     assert t.shape == (fm.n_cols, sm.n_free)
     assert np.all(t @ sm.zero_free() == 0.0)
@@ -57,7 +57,7 @@ def test_trace_map_basics():
 
 
 def test_trace_reproduces_wall_fields_at_all_edge_nodes():
-    _, _, sm, fm, cs = make_setup()
+    _, sm, fm, cs = make_setup()
     rng = np.random.default_rng(0)
     v = rng.standard_normal(sm.n_free)
     trace = cs.trace_op @ v
@@ -73,7 +73,7 @@ def test_trace_map_matches_the_loop_reference(n_z):
 
 
 def test_prolongation_places_free_trace_and_fixed_dofs():
-    _, _, sm, fm, cs = make_setup()
+    _, sm, fm, cs = make_setup()
     part, p = cs.partition, cs.prolongation
     assert p.format == "csc"
     assert p.shape == (2 * fm.n_velocity_nodes, part.n_free + sm.n_free)
@@ -87,7 +87,7 @@ def test_prolongation_places_free_trace_and_fixed_dofs():
 
 
 def test_zero_data_gives_zero_solution():
-    material, coeffs, sm, fm, cs = make_setup()
+    coeffs, sm, fm, cs = make_setup()
     state = zero_shell_state(sm)
     u = np.zeros(2 * fm.n_velocity_nodes)
     _, _, _, res = step_from(cs, state, u, 0.0, 0.0)
@@ -97,7 +97,7 @@ def test_zero_data_gives_zero_solution():
 
 
 def test_elastic_case_runs_and_is_finite():
-    material, coeffs, sm, fm, cs = make_setup(elastic=True)
+    coeffs, sm, fm, cs = make_setup(elastic=True)
     assert abs(cs.shell_viscous).max() == 0.0
     rng = np.random.default_rng(1)
     state, u = compatible_state(sm, fm, rng)
@@ -113,7 +113,7 @@ def test_fluid_factor_fill_does_not_grow_at_extreme_dt():
     # 1.9 times as much at dt = 1e-7 as at dt = 6e-5
     fill = {}
     for dt in (1e-7, 6e-5, 1.0):
-        material, coeffs, sm, fm, cs = make_setup(n_z=16, n_r=8, dt=dt)
+        coeffs, sm, fm, cs = make_setup(n_z=16, n_r=8, dt=dt)
         state, u = compatible_state(sm, fm, np.random.default_rng(4))
         solver = ReusedFactorSolver(coupling.FLUID_TOL)
         step_from(cs, state, u, 1500.0, -200.0, solver)
@@ -127,15 +127,15 @@ def test_fluid_factor_fill_does_not_grow_at_extreme_dt():
 @pytest.fixture
 def stepped():
     dt = 5e-5
-    material, coeffs, sm, fm, cs = make_setup(dt=dt)
+    coeffs, sm, fm, cs = make_setup(dt=dt)
     rng = np.random.default_rng(2)
     state, u = compatible_state(sm, fm, rng)
     half, frame, end, res = step_from(cs, state, u, 1500.0, -200.0)
-    return material, coeffs, sm, fm, cs, state, u, dt, half, res, frame, end
+    return coeffs, sm, fm, cs, state, u, dt, half, res, frame, end
 
 
 def test_step_balance_is_exact(stepped):
-    (_, _, _, _, cs, _, u, dt, half, res, old, new) = stepped
+    (_, _, _, cs, _, u, dt, half, res, old, new) = stepped
     residual, _ = fluid_step_energy_residuals(
         cs, old, new, res, u, half.v_star, dt)
     e_scale = 0.5 * float(u @ fluid.componentwise(old.mass, u)) + 1.0
@@ -143,7 +143,7 @@ def test_step_balance_is_exact(stepped):
 
 
 def test_zero_pressure_step_dissipates(stepped):
-    material, coeffs, sm, fm, cs, state, u, dt, half, _, old, _ = stepped
+    coeffs, sm, fm, cs, state, u, dt, half, _, old, _ = stepped
     _, _, end, res0 = step_from(cs, state, u, 0.0, 0.0)
     rho_s_h = coeffs.rho_s_h
     e_half = (0.5 * float(u @ fluid.componentwise(old.mass, u))
@@ -212,7 +212,7 @@ def test_rigid_system_is_the_coupled_one_without_the_wall():
     # on the same kernels, deleting the wall rows and columns of the
     # coupled system gives the rigid one, pattern and values bit for bit
     dt = 5e-5
-    _, _, sm, _, cs = make_setup(dt=dt)
+    _, sm, _, cs = make_setup(dt=dt)
     rigid = make_setup(dt=dt, mode="rigid")[-1]
     eta, frame, flow, _, _ = step_kernels(cs)
     coupled = coupling.reduce_coupled_system(cs, frame, flow)
@@ -231,7 +231,7 @@ def test_rigid_system_is_the_coupled_one_without_the_wall():
 
 
 def test_scalar_operators_act_on_both_components(stepped):
-    _, _, _, fm, _, _, _, _, _, res, old, new = stepped
+    _, _, fm, _, _, _, _, _, res, old, new = stepped
     u = res.u_full                     # both components nonzero
     for m in (old.mass, new.mass, fm.scalar_pattern.matrix(res.flow)):
         assert m.shape == (fm.n_velocity_nodes, fm.n_velocity_nodes)
@@ -246,7 +246,7 @@ def test_step_hands_over_the_flow_data_it_solved_with(stepped):
     # the result's flow data and domain velocity are the step's own: the
     # kernel on the same inputs, bit for bit, and the terms it replaced
     # to roundoff
-    _, _, sm, fm, cs, state, u, _, half, res, old, new = stepped
+    _, sm, fm, cs, state, u, _, half, res, old, new = stepped
     snap = ale.build_snapshot(sm, state.eta, fm, cs.radius)
     assert np.array_equal(res.v_half_q,
                           fluid.shell_field_at_quad(sm, half.v_star, fm))
@@ -257,7 +257,7 @@ def test_step_hands_over_the_flow_data_it_solved_with(stepped):
 
 
 def test_wall_block_is_the_gram_combination_at_the_run_dt(stepped):
-    _, _, _, _, cs, _, _, dt, _, _, _, _ = stepped
+    _, _, _, cs, _, _, dt, _, _, _, _ = stepped
     assert cs.dt == dt
     assert np.array_equal(cs.wall_block.data, wall_block(cs, dt).data)
 
@@ -274,7 +274,7 @@ def test_step_system_pattern_is_fixed(mode, elastic):
     # contact, which a frame refuses
     setups = [make_setup(elastic=elastic, dt=dt, mode=mode)
               for dt in (1e-7, 6e-5, 1.0)]
-    _, _, sm, fm, _ = setups[0]
+    _, sm, fm, _ = setups[0]
     rng = np.random.default_rng(4)
     zero = (sm.zero_free(), sm.zero_free(), np.zeros(2 * fm.n_velocity_nodes))
     moving = (0.05 * rng.standard_normal(sm.n_free),
@@ -294,7 +294,7 @@ def test_step_system_pattern_is_fixed(mode, elastic):
 def test_frozen_operator_solve_is_linear(stepped):
     # the coupled problem is linear: with the assembled operators frozen,
     # the solution superposes over (previous velocity, wall velocity, loads)
-    material, coeffs, sm, fm, cs, state, u, dt, half, res, old, _ = stepped
+    coeffs, sm, fm, cs, state, u, dt, half, res, old, _ = stepped
     p, nf = cs.prolongation, cs.partition.n_free
     system = coupling.reduce_coupled_system(
         cs, coupling.build_frame(cs, state.eta), res.flow)
@@ -314,7 +314,7 @@ def test_frozen_operator_solve_is_linear(stepped):
     u2 = p[:, :nf] @ rng.standard_normal(nf)
     v2 = rng.standard_normal(sm.n_free)
     f1 = res.forcing
-    f2 = fluid.assemble_pressure_forcing(fm, -300.0, 100.0, material.radius)
+    f2 = fluid.assemble_pressure_forcing(fm, -300.0, 100.0, cs.radius)
     xa = solve(u, half.v_star, f1)
     xb = solve(u2, v2, f2)
     xc = solve(u + 2.0 * u2, half.v_star + 2.0 * v2, f1 + 2.0 * f2)
@@ -326,7 +326,7 @@ def test_coercivity_witness(stepped):
     # quadratic form of the velocity-velocity block at the solution equals
     # the midpoint-weighted kinetic term plus dt times the dissipation, and
     # dominates the unweighted kinetic energy through the minimum radius
-    material, coeffs, sm, fm, cs, state, u, dt, half, res, old, new = stepped
+    coeffs, sm, fm, cs, state, u, dt, half, res, old, new = stepped
     mass_old, mass_new = old.mass, new.mass
     u_new, v_new = res.u_full, res.v_new
     viscous = assemble_viscous(fm, old.snapshot, cs.mu)
@@ -345,7 +345,7 @@ def test_coercivity_witness(stepped):
            + cs.rho_s_h * float(v_new @ (cs.shell_mass @ v_new)))
     assert lhs == pytest.approx(rhs, rel=1e-11)
     snap_half = ale.min_radius_of(sm, 0.5 * (state.eta + half.eta),
-                                  material.radius, fm)[0]
+                                  cs.radius, fm)[0]
     unweighted = fluid.assemble_unweighted_mass(fm)
     assert rhs >= (cs.rho_f * snap_half
                    * float(u_new @ fluid.componentwise(unweighted, u_new))
@@ -353,7 +353,7 @@ def test_coercivity_witness(stepped):
 
 
 def test_wall_traction_residual_identity(stepped):
-    material, coeffs, sm, fm, cs, state, u, dt, half, res, old, _ = stepped
+    coeffs, sm, fm, cs, state, u, dt, half, res, old, _ = stepped
     load = wall_traction_load(cs, old.snapshot, res, u, dt)
     shell_side = ((coeffs.rho_s_h / dt)
                   * (cs.shell_mass @ (res.v_new - half.v_star))
@@ -363,7 +363,7 @@ def test_wall_traction_residual_identity(stepped):
 
 
 def test_wall_traction_zero_state():
-    material, coeffs, sm, fm, cs = make_setup()
+    coeffs, sm, fm, cs = make_setup()
     state = zero_shell_state(sm)
     u = np.zeros(2 * fm.n_velocity_nodes)
     _, frame, _, res = step_from(cs, state, u, 0.0, 0.0)
@@ -376,7 +376,7 @@ def test_rigid_poiseuille_traction_tracks_pressure():
     # discretization effects away from the ends
     dt = 0.05
     cs = run_setup(16, 8, 5.0, 1.0, {}, dt, mode="rigid")
-    material, sm, fm = cs.material, cs.shell_mesh, cs.fluid_mesh
+    sm, fm = cs.shell_mesh, cs.fluid_mesh
     frame = coupling.build_frame(cs, sm.zero_free())
     u = np.zeros(2 * fm.n_velocity_nodes)
     mass_u = fluid.componentwise(frame.mass, u)

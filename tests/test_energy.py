@@ -31,11 +31,11 @@ def monitor_config(n_z=4, n_r=2, length=2.0, n_steps=1, **overrides):
 
 def build_monitor(n_z=4, n_r=2, length=2.0):
     cs = driver.RunSetup(monitor_config(n_z, n_r, length))
-    return (cs.material, cs.coeffs, cs.shell_mesh, cs.fluid_mesh, cs,
+    return (cs.coeffs, cs.shell_mesh, cs.fluid_mesh, cs,
             EnergyMonitor(cs), cs.dt)
 
 
-def one_step(material, coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
+def one_step(coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
              seed=0):
     """The arguments of the monitor's ``start`` and of its ``record_step``
     for one step from random wall data."""
@@ -57,14 +57,14 @@ def one_step(material, coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
                                      p_out)
 
 
-def run_one_step(material, coeffs, sm, fm, cs, monitor, dt, **kwargs):
-    first, args = one_step(material, coeffs, sm, fm, cs, dt, **kwargs)
+def run_one_step(coeffs, sm, fm, cs, monitor, dt, **kwargs):
+    first, args = one_step(coeffs, sm, fm, cs, dt, **kwargs)
     monitor.start(*first)
     return monitor.record_step(*args)
 
 
 def test_zero_states_record_all_zeros():
-    material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
+    coeffs, sm, fm, cs, monitor, dt = build_monitor()
     state = zero_shell_state(sm)
     u = np.zeros(2 * fm.n_velocity_nodes)
     half = shell.structure_step(cs, state,
@@ -82,8 +82,8 @@ def test_zero_states_record_all_zeros():
 
 
 def test_recorded_identities_hold():
-    material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
-    row = run_one_step(material, coeffs, sm, fm, cs, monitor, dt)
+    coeffs, sm, fm, cs, monitor, dt = build_monitor()
+    row = run_one_step(coeffs, sm, fm, cs, monitor, dt)
     scale = max(row["e_n"], row["e_half"], row["e_full"])
     assert row["wall_step_residual"] <= 1e-12 * scale
     assert row["balance_residual"] <= 1e-10 * scale
@@ -96,8 +96,8 @@ def test_the_entrywise_columns_read_the_step_s_own_data():
     # a domain velocity that does not take the start weights to the end
     # ones fails the mass column alone; flow data whose symmetric part is
     # not the two masses fail the skew column alone
-    material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
-    first, args = one_step(material, coeffs, sm, fm, cs, dt)
+    coeffs, sm, fm, cs, monitor, dt = build_monitor()
+    first, args = one_step(coeffs, sm, fm, cs, dt)
     monitor.start(*first)
     args = list(args)
     res = args[3]
@@ -126,8 +126,8 @@ class CountingMatrix(sp.csr_matrix):
 
 
 def test_ledger_row_evaluates_each_form_once():
-    material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
-    first, args = one_step(material, coeffs, sm, fm, cs, dt)
+    coeffs, sm, fm, cs, monitor, dt = build_monitor()
+    first, args = one_step(coeffs, sm, fm, cs, dt)
     state, u, mass_u, old = first
     _, _, half, res, _, new, _, _ = args
     energies = (
@@ -158,7 +158,7 @@ def test_ledger_row_evaluates_each_form_once():
 def test_hand_computed_wall_energy_single_dof():
     # 2-element wall, velocity in the nodal value DOF only, no fluid:
     # assemble the energies from the two element matrices by hand
-    material, coeffs, sm, fm, cs, monitor, dt = build_monitor(n_z=2)
+    coeffs, sm, fm, cs, monitor, dt = build_monitor(n_z=2)
     le = sm.length / 2.0
     me, k1e, k2e = shell.hermite_element_matrices(le)
     m00 = me[2, 2] + me[0, 0]
@@ -290,8 +290,8 @@ def test_empty_ledger_verifies_trivially():
 
 
 def test_trace_constant_bounds_the_flux_functional(monkeypatch):
-    material, coeffs, sm, fm, cs, monitor, dt = build_monitor()
-    snap = ale.build_snapshot(sm, sm.zero_free(), fm, material.radius)
+    coeffs, sm, fm, cs, monitor, dt = build_monitor()
+    snap = ale.build_snapshot(sm, sm.zero_free(), fm, cs.radius)
     p = cs.prolongation
     k_red = p.T @ assemble_viscous(fm, snap, 0.05) @ p
     ell_in = p.T @ fluid.assemble_pressure_forcing(fm, 1.0, 0.0, 1.0)
@@ -304,13 +304,13 @@ def test_trace_constant_bounds_the_flux_functional(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(DirectFactor, "__init__", counting_init)
-    c = discrete_trace_constant(k_red, ell_in, ell_out, material.radius)
+    c = discrete_trace_constant(k_red, ell_in, ell_out, cs.radius)
     assert c > 0.0
     assert len(factored) == 1    # both right-hand sides share one factor
     # the defining inequality at random discrete fields
     rng = np.random.default_rng(9)
     for _ in range(5):
         x = rng.standard_normal(k_red.shape[0])
-        work = material.radius * (ell_in @ x)   # P_in = 1, P_out = 0
+        work = cs.radius * (ell_in @ x)   # P_in = 1, P_out = 0
         spare = 0.5 * float(x @ (k_red @ x))
         assert work <= spare + c + 1e-9 * max(1.0, abs(work))

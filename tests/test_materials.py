@@ -8,48 +8,54 @@ from hypothesis import strategies as st
 from wallflow import coupling, fluid, shell
 from wallflow.config import validate_config
 from wallflow.errors import ConfigError
-from wallflow.materials import ShellMaterial, derive_coefficients
+from wallflow.materials import derive_coefficients
 
 from oracles import compatibility_failures, to_free
 
 
-def reference_material(**overrides):
-    base = dict(youngs_modulus=7.5e5, poisson_ratio=0.5, thickness=0.1,
-                radius=0.5, length=6.0, density=1.1,
-                viscous_modulus=1000.0, viscous_poisson=0.5)
-    base.update(overrides)
-    return ShellMaterial(**base)
+def reference_config(**overrides):
+    """The geometry and wall sections that ``derive_coefficients`` reads,
+    each key of ``overrides`` set in the section that holds it."""
+    geometry = dict(radius=0.5, length=6.0)
+    wall = dict(youngs_modulus=7.5e5, poisson_ratio=0.5, thickness=0.1,
+                density=1.1, viscous_modulus=1000.0, viscous_poisson=0.5)
+    for key, val in overrides.items():
+        (geometry if key in geometry else wall)[key] = val
+    return {"geometry": geometry, "wall": wall}
 
 
 def test_bending_coefficient_hand_value():
     # (h^3/12) * E / (1 - sigma^2) at h=0.1, E=7.5e5, sigma=0.5 is 750/9
-    c = derive_coefficients(reference_material())
+    c = derive_coefficients(reference_config())
     assert c.C2 == pytest.approx(750.0 / 9.0, rel=1e-14)
 
 
 def test_all_coefficient_formulas():
-    m = reference_material()
-    c = derive_coefficients(m)
-    el = m.youngs_modulus / (1 - m.poisson_ratio**2)
-    bend = 1 + m.thickness**2 / (12 * m.radius**2)
-    assert c.C0 == pytest.approx(m.thickness * el / m.radius**2 * bend, rel=1e-14)
-    assert c.C1 == pytest.approx(m.thickness**3 / 6 * el * m.poisson_ratio
-                                 / m.radius**2, rel=1e-14)
-    cv = m.viscous_modulus / (1 - m.viscous_poisson**2)
-    dv = m.viscous_modulus * m.viscous_poisson / (1 - m.viscous_poisson**2)
-    assert c.D0 == pytest.approx(m.thickness * cv / m.radius**2 * bend, rel=1e-14)
-    assert c.D1 == pytest.approx(m.thickness**3 / 6 * dv / m.radius**2, rel=1e-14)
-    assert c.D2 == pytest.approx(m.thickness**3 / 12 * cv, rel=1e-14)
-    assert c.rho_s_h == pytest.approx(m.density * m.thickness, rel=1e-15)
+    cfg = reference_config()
+    c = derive_coefficients(cfg)
+    m, r = cfg["wall"], cfg["geometry"]["radius"]
+    h = m["thickness"]
+    el = m["youngs_modulus"] / (1 - m["poisson_ratio"]**2)
+    bend = 1 + h**2 / (12 * r**2)
+    assert c.C0 == pytest.approx(h * el / r**2 * bend, rel=1e-14)
+    assert c.C1 == pytest.approx(h**3 / 6 * el * m["poisson_ratio"] / r**2,
+                                 rel=1e-14)
+    nu_v = m["viscous_poisson"]
+    cv = m["viscous_modulus"] / (1 - nu_v**2)
+    dv = m["viscous_modulus"] * nu_v / (1 - nu_v**2)
+    assert c.D0 == pytest.approx(h * cv / r**2 * bend, rel=1e-14)
+    assert c.D1 == pytest.approx(h**3 / 6 * dv / r**2, rel=1e-14)
+    assert c.D2 == pytest.approx(h**3 / 12 * cv, rel=1e-14)
+    assert c.rho_s_h == pytest.approx(m["density"] * h, rel=1e-15)
 
 
 def test_zero_wall_viscosity_zeroes_damping():
-    c = derive_coefficients(reference_material(viscous_modulus=0.0))
+    c = derive_coefficients(reference_config(viscous_modulus=0.0))
     assert c.D0 == 0.0 and c.D1 == 0.0 and c.D2 == 0.0
 
 
 def test_zero_poisson_drops_c1():
-    c = derive_coefficients(reference_material(poisson_ratio=0.0))
+    c = derive_coefficients(reference_config(poisson_ratio=0.0))
     assert c.C1 == 0.0
     assert c.C0 > 0.0 and c.C2 > 0.0
 
@@ -57,9 +63,9 @@ def test_zero_poisson_drops_c1():
 @settings(max_examples=50, deadline=None)
 @given(scale=st.floats(min_value=0.25, max_value=8.0))
 def test_coefficients_scale_linearly_with_stiffness(scale):
-    base = derive_coefficients(reference_material())
+    base = derive_coefficients(reference_config())
     doubled = derive_coefficients(
-        reference_material(youngs_modulus=7.5e5 * scale))
+        reference_config(youngs_modulus=7.5e5 * scale))
     for name in ("C0", "C1", "C2"):
         assert getattr(doubled, name) == pytest.approx(
             scale * getattr(base, name), rel=1e-12)
@@ -68,8 +74,8 @@ def test_coefficients_scale_linearly_with_stiffness(scale):
 
 
 def test_derivation_is_deterministic():
-    a = derive_coefficients(reference_material())
-    b = derive_coefficients(reference_material())
+    a = derive_coefficients(reference_config())
+    b = derive_coefficients(reference_config())
     assert a == b
 
 
@@ -86,14 +92,10 @@ def test_derivation_is_deterministic():
     ("length", 0.0),
 ])
 def test_out_of_range_parameters_name_the_field(field, value):
-    # a ShellMaterial is built only from a validated config, whose table
-    # holds every range of a material field
-    m = reference_material(**{field: value})
-    raw = {"geometry": {"radius": m.radius, "length": m.length},
+    # derive_coefficients reads only a validated config, whose table holds
+    # every range of a wall field and of the radius
+    raw = {**reference_config(**{field: value}),
            "fluid": {"density": 1.0, "viscosity": 0.035},
-           "wall": {key: getattr(m, key) for key in (
-               "youngs_modulus", "poisson_ratio", "thickness", "density",
-               "viscous_modulus", "viscous_poisson")},
            "mesh": {"n_z": 8, "n_r": 4, "wall_elements": 8},
            "time": {"t_final": 0.01, "n_steps": 10},
            "waveform": {"inlet": {"kind": "constant", "value": 100.0},
