@@ -9,6 +9,7 @@ a configuration that sets one exits 1 as an unknown key.
 """
 
 import argparse
+import math
 import sys
 
 from . import driver
@@ -48,6 +49,10 @@ def _cmd_converge(args):
         raise ConfigError("--ladder and --reference-refinement must be at "
                           "least 2")
     cfg = load_config(args.config)
+    if cfg["mode"] == "rigid":
+        raise ConfigError("converge needs a viscoelastic or elastic "
+                          "configuration: a rigid wall's eta and v are zero "
+                          "on every rung")
     base = cfg["time"]["n_steps"]
     rungs = [base * 2**i for i in range(args.ladder)]
     reference = rungs[-1] * args.reference_refinement
@@ -57,14 +62,17 @@ def _cmd_converge(args):
 
 
 def _cmd_poiseuille(args):
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ConfigError("--tolerance must be a finite number >= 0, got "
+                          f"{args.tolerance}")
     cfg = load_config(args.config)
     if cfg["mode"] != "rigid":
         raise ConfigError("poiseuille needs a rigid-mode configuration")
     err, info = driver.poiseuille_profile_error(cfg)
-    print(f"steady after {info['steps']} steps "
-          f"(relative increment {info['increment']:.3e})")
+    print(f"{'' if info['steady'] else 'not '}steady after {info['steps']} "
+          f"steps (relative increment {info['increment']:.3e})")
     print(f"mid-channel profile L2 relative error: {err:.4%}")
-    return 0 if err <= args.tolerance else 1
+    return 0 if info["steady"] and err <= args.tolerance else 1
 
 
 def build_parser():

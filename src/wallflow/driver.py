@@ -290,10 +290,12 @@ def _column_l2_sq(vals, h):
 
 
 def poiseuille_profile_error(cfg):
-    """L2-relative mismatch of the steady mid-channel axial profile against
-    the parabolic solution of pressure-driven flow between the symmetry
-    line and a no-slip wall, from ``run(cfg)`` of a rigid ``cfg``; a
-    failed step is a SolverError."""
+    """L2-relative mismatch of the mid-channel axial profile that
+    ``run(cfg)`` of a rigid ``cfg`` ends on against the parabolic solution
+    of pressure-driven flow between the symmetry line and a no-slip wall;
+    a failed step is a SolverError.  ``info["steady"]`` is false when the
+    march ran out of steps before its increment fell below
+    :data:`STEADY_TOL`."""
     result = run(cfg)
     if result.failure is not None:
         raise SolverError(result.failure)
@@ -309,6 +311,7 @@ def poiseuille_profile_error(cfg):
     err = math.sqrt(_column_l2_sq(profile - exact, fm.hr))
     norm = math.sqrt(_column_l2_sq(exact, fm.hr))
     return err / norm, {"steps": result.steps, "increment": result.increment,
+                        "steady": result.increment < STEADY_TOL,
                         "profile": profile, "exact": exact}
 
 

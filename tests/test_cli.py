@@ -250,6 +250,44 @@ def test_poiseuille_prints_the_shipped_regression_lines(capsys):
         "mid-channel profile L2 relative error: 0.0000%"]
 
 
+def test_a_march_that_runs_out_of_steps_is_not_steady(tmp_path, capsys):
+    # the shipped regression on a 4x2 mesh, stopped after 4 of its steps
+    with open(os.path.join(CONFIG_DIR, "poiseuille_rigid.json")) as f:
+        raw = json.load(f)
+    raw.update(json.loads('{"mesh": {"n_z": 4, "n_r": 2, "wall_elements": 4}, '
+                          '"time": {"t_final": 1, "n_steps": 4}}'))
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(raw))
+    assert main(["poiseuille", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "not steady after 4 steps (relative increment 1.728e-02)",
+        "mid-channel profile L2 relative error: 0.6903%"]
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_a_bad_poiseuille_tolerance_is_a_config_error(tmp_path, monkeypatch,
+                                                      capsys, value):
+    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
+    assert main(["poiseuille", write_rigid_cfg(tmp_path), "--tolerance",
+                 value]) == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert "--tolerance" in lines[0] and out == ""
+    assert setups == []     # rejected before any run
+
+
+def test_converge_rejects_a_rigid_config_before_any_run(tmp_path,
+                                                         monkeypatch, capsys):
+    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
+    assert main(["converge", write_rigid_cfg(tmp_path), "--ladder", "2",
+                 "--reference-refinement", "2"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert "rigid" in lines[0]
+    assert setups == []
+
+
 def test_a_rigid_run_writes_a_ledger_that_verifies(tmp_path, capsys):
     # the one time loop forms a rigid run's rows too; the ledger ends at
     # the steady step, short of the header's n_steps, and verifies as a
