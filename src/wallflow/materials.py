@@ -36,19 +36,19 @@ def derive_coefficients(cfg) -> ShellCoefficients:
     D coefficients unchanged.  The fields are not checked: a validated
     config's wall lies in the ranges the config table gives them.
     """
-    m = cfg["wall"]
-    h, r = m["thickness"], cfg["geometry"]["radius"]
-    elastic = m["youngs_modulus"] / (1.0 - m["poisson_ratio"]**2)
-    nu_v = m["viscous_poisson"]
-    c_v = m["viscous_modulus"] / (1.0 - nu_v**2)
-    d_v = m["viscous_modulus"] * nu_v / (1.0 - nu_v**2)
+    wall = cfg["wall"]
+    h, r = wall["thickness"], cfg["geometry"]["radius"]
+    elastic = wall["youngs_modulus"] / (1.0 - wall["poisson_ratio"]**2)
+    nu_v = wall["viscous_poisson"]
+    c_v = wall["viscous_modulus"] / (1.0 - nu_v**2)
+    d_v = wall["viscous_modulus"] * nu_v / (1.0 - nu_v**2)
     bend = 1.0 + h**2 / (12.0 * r**2)
     return ShellCoefficients(
         C0=h * elastic / r**2 * bend,
-        C1=(h**3 / 6.0) * elastic * m["poisson_ratio"] / r**2,
+        C1=(h**3 / 6.0) * elastic * wall["poisson_ratio"] / r**2,
         C2=(h**3 / 12.0) * elastic,
         D0=h * c_v / r**2 * bend,
         D1=(h**3 / 6.0) * d_v / r**2,
         D2=(h**3 / 12.0) * c_v,
-        rho_s_h=m["density"] * h,
+        rho_s_h=wall["density"] * h,
     )
