@@ -49,15 +49,9 @@ def _cmd_converge(args):
         raise ConfigError("--ladder and --reference-refinement must be at "
                           "least 2")
     cfg = load_config(args.config)
-    if cfg["mode"] == "rigid":
-        raise ConfigError("converge needs a viscoelastic or elastic "
-                          "configuration: a rigid wall's eta and v are zero "
-                          "on every rung")
-    base = cfg["time"]["n_steps"]
-    rungs = [base * 2**i for i in range(args.ladder)]
-    reference = rungs[-1] * args.reference_refinement
-    report = driver.self_convergence_study(cfg, rungs, reference)
-    print(report)
+    rungs = [cfg["time"]["n_steps"] * 2**i for i in range(args.ladder)]
+    print(driver.self_convergence_study(
+        cfg, rungs, rungs[-1] * args.reference_refinement))
     return 0
 
 
@@ -65,10 +59,7 @@ def _cmd_poiseuille(args):
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ConfigError("--tolerance must be a finite number >= 0, got "
                           f"{args.tolerance}")
-    cfg = load_config(args.config)
-    if cfg["mode"] != "rigid":
-        raise ConfigError("poiseuille needs a rigid-mode configuration")
-    err, info = driver.poiseuille_profile_error(cfg)
+    err, info = driver.poiseuille_profile_error(load_config(args.config))
     print(f"{'' if info['steady'] else 'not '}steady after {info['steps']} "
           f"steps (relative increment {info['increment']:.3e})")
     print(f"mid-channel profile L2 relative error: {err:.4%}")

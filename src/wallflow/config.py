@@ -194,11 +194,9 @@ def validate_config(raw):
 
 
 def load_config(path):
-    """Parse and validate a configuration file, returning the config dict.
-
-    The dict keeps the file's directory under the key ``_base_dir`` so
-    relative waveform paths resolve against the file location.
-    """
+    """Parse and validate a configuration file, returning the config
+    dict.  A relative csv waveform path is resolved against the file's
+    directory and written into the dict, which so validates as itself."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -207,7 +205,10 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     cfg = validate_config(raw)
-    cfg["_base_dir"] = os.path.dirname(os.path.abspath(path))
+    base = os.path.dirname(os.path.abspath(path))
+    for spec in cfg["waveform"].values():
+        if spec["kind"] == "csv":
+            spec["path"] = os.path.join(base, spec["path"])
     return cfg
 
 
@@ -238,8 +239,9 @@ def _read_waveform_csv(path):
     return np.array(times), np.array(values)
 
 
-def ingest_waveform(spec, base_dir="."):
-    """Build a waveform object from its config spec."""
+def ingest_waveform(spec, t_end):
+    """Build a waveform object from its validated config spec; a csv file's
+    samples must cover [0, t_end], the run's window, to within 1e-12."""
     kind = spec["kind"]
     if kind == "constant":
         return wf.Constant(spec["value"])
@@ -247,9 +249,9 @@ def ingest_waveform(spec, base_dir="."):
         return wf.Sine(spec["amplitude"], spec["frequency"], spec["phase"])
     if kind == "pulse":
         return wf.HalfCosinePulse(spec["amplitude"], spec["duration"])
-    if kind == "csv":
-        path = spec["path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        return wf.Sampled(*_read_waveform_csv(path))
-    raise ConfigError(f"unknown waveform kind {kind!r}")
+    wave = wf.Sampled(*_read_waveform_csv(spec["path"]))
+    first, last = wave.times[[0, -1]]
+    if first > 1e-12 or last < t_end - 1e-12:
+        raise ValidationError(f"waveform csv {spec['path']} covers [{first:g}, "
+                              f"{last:g}] but the run asks for [0, {t_end:g}]")
+    return wave

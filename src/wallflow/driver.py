@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import coupling, fluid, shell
-from .config import ingest_waveform
+from .config import ingest_waveform, validate_config
 from .energy import EnergyLedger, EnergyMonitor
 from .errors import ConfigError, SolverError, ValidationError, WallContact
 from .materials import derive_coefficients
@@ -132,9 +132,10 @@ class RunSetup:
         n_wall = 0 if cfg["mode"] == "rigid" else sm.n_free
         self.prolongation = coupling.build_prolongation(
             fm, self.partition, self.trace_op, n_wall)
-        base = cfg.get("_base_dir", ".")
-        self.wave_in = ingest_waveform(cfg["waveform"]["inlet"], base)
-        self.wave_out = ingest_waveform(cfg["waveform"]["outlet"], base)
+        # the last time a run asks for: its last step's end or t_final
+        t_end = max(self.t_final, self.n_steps * self.dt)
+        self.wave_in = ingest_waveform(cfg["waveform"]["inlet"], t_end)
+        self.wave_out = ingest_waveform(cfg["waveform"]["outlet"], t_end)
 
     @functools.cached_property
     def wall_injection(self):
@@ -295,7 +296,9 @@ def poiseuille_profile_error(cfg):
     of pressure-driven flow between the symmetry line and a no-slip wall;
     a failed step is a SolverError.  ``info["steady"]`` is false when the
     march ran out of steps before its increment fell below
-    :data:`STEADY_TOL`."""
+    :data:`STEADY_TOL`.  A config of another mode is a ConfigError."""
+    if cfg["mode"] != "rigid":
+        raise ConfigError("poiseuille needs a rigid-mode configuration")
     result = run(cfg)
     if result.failure is not None:
         raise SolverError(result.failure)
@@ -319,36 +322,27 @@ def poiseuille_profile_error(cfg):
 
 
 def fit_order(dts, errors):
-    """Least-squares slope of log(error) against log(dt).
-
-    Rejects degenerate inputs: fewer than two rungs, repeated dt values,
-    or exactly zero errors (a rung identical to the reference).
-    """
+    """Least-squares slope of log(error) against log(dt); an error of zero
+    has no logarithm and is rejected."""
     dts = np.asarray(dts, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if dts.size < 2:
-        raise ValidationError("order fit needs at least two rungs")
-    if np.unique(dts).size != dts.size:
-        raise ValidationError("order fit rungs must have distinct dt")
     if np.any(errors <= 0.0):
-        raise ValidationError("order fit got a zero error rung (is a rung "
-                              "identical to the reference?)")
+        raise ValidationError("order fit got a zero error rung: the rung "
+                              "ended on the reference's fields")
     slope, _ = np.polyfit(np.log(dts), np.log(errors), 1)
     return float(slope)
 
 
-def _with_steps(cfg, n_steps):
-    new = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cfg.items()}
-    new["time"]["n_steps"] = int(n_steps)
-    new["output"]["ledger"] = "csv"     # the study reads each rung's gap
-    return new
+def _with_steps(cfg, n_steps):   # with the ledger whose gap the study reads
+    return validate_config({**cfg, "time": {**cfg["time"], "n_steps": n_steps},
+                            "output": {**cfg["output"], "ledger": "csv"}})
 
 
-def _run_final(cfg, n_steps):
-    result = run(_with_steps(cfg, n_steps))
+def _run_final(cfg):
+    result = run(cfg)
     if result.status != STATUS_COMPLETED:
-        raise SolverError(f"convergence rung with {n_steps} steps ended "
-                          f"with status {result.status}")
+        raise SolverError(f"convergence rung with {cfg['time']['n_steps']} "
+                          f"steps ended with status {result.status}")
     # the error norms come from the run's own setup, so the study builds
     # no meshes of its own; every run of a study has the same meshes
     rec = result.record
@@ -381,15 +375,24 @@ def self_convergence_study(cfg, rung_steps, reference_steps):
     """Errors at the final time against a fine-dt reference of the same run.
 
     The spatial mesh is shared by every rung, so the observed order isolates
-    the time discretization.
+    the time discretization.  Before any run, a step count the schema
+    rejects, a rigid wall, fewer than two distinct rungs or a reference no
+    finer than the finest rung is a ConfigError.
     """
-    rung_steps = sorted(int(n) for n in rung_steps)
-    if reference_steps in rung_steps:
-        raise ValidationError("reference resolution duplicates a rung")
-    t_final = cfg["time"]["t_final"]
-    outs = [_run_final(cfg, n) for n in rung_steps + [reference_steps]]
-    ref = outs[-1]
-    rungs = outs[:-1]
+    reference = _with_steps(cfg, reference_steps)
+    if reference["mode"] == "rigid":
+        raise ConfigError("a convergence study needs a moving wall: a rigid "
+                          "wall's eta and v are zero on every rung")
+    rung_cfgs = sorted((_with_steps(cfg, n) for n in rung_steps),
+                       key=lambda c: c["time"]["n_steps"])
+    rung_steps = [c["time"]["n_steps"] for c in rung_cfgs]
+    if (len(set(rung_steps)) < max(len(rung_steps), 2)
+            or reference_steps <= rung_steps[-1]):
+        raise ConfigError(
+            f"a convergence study needs two or more rungs of distinct step "
+            f"counts and a reference finer than them all, got rungs "
+            f"{rung_steps} and reference {reference_steps}")
+    *rungs, ref = [_run_final(c) for c in rung_cfgs + [reference]]
 
     ms, mu_mass = ref["norms"]
 
@@ -402,7 +405,7 @@ def self_convergence_study(cfg, rung_steps, reference_steps):
         errors["eta"].append(norm(d_eta, ms @ d_eta))
         errors["v"].append(norm(d_v, ms @ d_v))
         errors["u"].append(norm(d_u, fluid.componentwise(mu_mass, d_u)))
-    dts = [t_final / n for n in rung_steps]
+    dts = [cfg["time"]["t_final"] / n for n in rung_steps]
     orders = {name: fit_order(dts, errs) for name, errs in errors.items()}
     gaps = [out["gap"] for out in rungs]
     gap_order = fit_order(dts, gaps)

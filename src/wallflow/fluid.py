@@ -71,8 +71,6 @@ class FluidMesh:
     """Structured Taylor-Hood grid with precomputed shape/quadrature tables."""
 
     def __init__(self, n_z, n_r, length):
-        if n_z < 1 or n_r < 1:
-            raise ValueError("mesh needs at least one cell per direction")
         self.n_z, self.n_r = int(n_z), int(n_r)
         self.length = float(length)
         self.hz = self.length / self.n_z

@@ -83,8 +83,6 @@ class ShellMesh:
     """
 
     def __init__(self, n_elements, length):
-        if n_elements < 1:
-            raise ValueError("need at least one element")
         self.n_elements = int(n_elements)
         self.length = float(length)
         self.nodes = np.linspace(0.0, self.length, self.n_elements + 1)

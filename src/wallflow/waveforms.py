@@ -34,8 +34,6 @@ class Sine:
         self.phase = float(phase)
 
     def average(self, t0, t1):
-        if t1 <= t0:
-            raise ValidationError("average needs t1 > t0")
         if self.omega == 0.0:
             return self.amplitude * math.sin(self.phase)
         a, w, p = self.amplitude, self.omega, self.phase
@@ -57,14 +55,10 @@ class HalfCosinePulse:
     [0, duration], zero afterwards (C1 across the end)."""
 
     def __init__(self, amplitude, duration):
-        if duration <= 0.0:
-            raise ValidationError("pulse duration must be positive")
         self.amplitude = float(amplitude)
         self.duration = float(duration)
 
     def average(self, t0, t1):
-        if t1 <= t0:
-            raise ValidationError("average needs t1 > t0")
         a = min(max(t0, 0.0), self.duration)
         b = min(max(t1, 0.0), self.duration)
         if b <= a:
@@ -118,41 +112,28 @@ class HalfCosinePulse:
 class Sampled:
     """Piecewise-linear waveform through strictly increasing samples.
 
-    Queries outside the sampled range are rejected rather than
-    extrapolated; a run must be covered by its samples.
+    Outside the samples ``np.interp`` holds the end values; a run's window
+    is checked against the samples once, when ``config.ingest_waveform``
+    reads them.
     """
 
     def __init__(self, times, values):
         self.times = np.asarray(times, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        if self.times.size == 0:
-            raise ValidationError("sampled waveform has no samples")
-        if self.times.size != self.values.size:
-            raise ValidationError("sampled waveform columns differ in length")
         if not np.all(np.diff(self.times) > 0):
             raise ValidationError("sampled waveform time column must be "
                                   "strictly increasing")
-
-    def _check_range(self, t0, t1):
-        if t0 < self.times[0] - 1e-12 or t1 > self.times[-1] + 1e-12:
-            raise ValidationError(
-                f"sampled waveform covers [{self.times[0]:g}, {self.times[-1]:g}] "
-                f"but [{t0:g}, {t1:g}] was requested")
 
     def _knots(self, t0, t1):
         inner = self.times[(self.times > t0) & (self.times < t1)]
         return np.concatenate([[t0], inner, [t1]])
 
     def average(self, t0, t1):
-        if t1 <= t0:
-            raise ValidationError("average needs t1 > t0")
-        self._check_range(t0, t1)
         ts = self._knots(t0, t1)
         vs = np.interp(ts, self.times, self.values)
         return float(np.trapezoid(vs, ts)) / (t1 - t0)
 
     def l2_norm_sq(self, t0, t1):
-        self._check_range(t0, t1)
         ts = self._knots(t0, t1)
         vs = np.interp(ts, self.times, self.values)
         seg = np.diff(ts)

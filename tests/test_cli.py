@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from wallflow import driver, energy, shell
+from wallflow import coupling, driver, energy, shell
 from wallflow.cli import main
 from wallflow.energy import (CSV_HEADER_TAG, LEDGER_COLUMNS, EnergyLedger,
                              load_ledger)
@@ -286,6 +286,24 @@ def test_converge_rejects_a_rigid_config_before_any_run(tmp_path,
     assert len(lines) == 1 and lines[0].startswith("configuration error:")
     assert "rigid" in lines[0]
     assert setups == []
+
+
+def test_csv_samples_that_stop_short_are_rejected_before_any_step(
+        tmp_path, monkeypatch, capsys):
+    # with no ledger, no norm over (0, t_final) asks for the samples first
+    (tmp_path / "inlet.csv").write_text("0.0,1000.0\n0.001,0.0\n")
+    cfg = write_cfg(tmp_path, time={"t_final": 0.002, "n_steps": 20},
+                    waveform={"inlet": {"kind": "csv", "path": "inlet.csv"},
+                              "outlet": {"kind": "constant", "value": 0.0}},
+                    output={"directory": str(tmp_path / "out"),
+                            "ledger": "none"})
+    steps = count_calls(monkeypatch, coupling, "fluid_step")
+    assert main(["run", cfg]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert lines[0].endswith("covers [0, 0.001] but the run asks for "
+                             "[0, 0.002]")
+    assert steps == [] and not (tmp_path / "out").exists()
 
 
 def test_a_rigid_run_writes_a_ledger_that_verifies(tmp_path, capsys):

@@ -267,10 +267,11 @@ def test_rigid_mode_needs_zero_initial_data():
 
 
 def test_load_config_round_trip(tmp_path):
+    # a loaded config carries no hidden key: it validates as itself
     path = tmp_path / "run.json"
     path.write_text(json.dumps(minimal_raw()))
     cfg = load_config(path)
-    assert cfg["_base_dir"] == str(tmp_path)
+    assert validate_config(cfg) == cfg == validate_config(minimal_raw())
     with pytest.raises(ConfigError, match="not valid JSON"):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -279,10 +280,27 @@ def test_load_config_round_trip(tmp_path):
         load_config(tmp_path / "missing.json")
 
 
-def test_ingest_csv_waveform(tmp_path):
-    path = tmp_path / "wave.csv"
-    path.write_text("t,p\n0.0,1.0\n0.5,2.0\n1.0,0.0\n")
-    w = ingest_waveform({"kind": "csv", "path": "wave.csv"}, str(tmp_path))
+def csv_raw(path, t_final=1.0):
+    raw = minimal_raw()
+    raw["time"]["t_final"] = t_final
+    raw["waveform"]["inlet"] = {"kind": "csv", "path": path}
+    return raw
+
+
+def test_ingest_csv_waveform(tmp_path, monkeypatch):
+    # a relative csv path resolves against the config file's directory,
+    # not the working directory, and the loaded config carries the result
+    (tmp_path / "wave.csv").write_text("t,p\n0.0,1.0\n0.5,2.0\n1.0,0.0\n")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(csv_raw("wave.csv")))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    cfg = load_config(path)
+    spec = cfg["waveform"]["inlet"]
+    assert spec["path"] == str(tmp_path / "wave.csv")
+    assert validate_config(cfg) == cfg
+    w = ingest_waveform(spec, cfg["time"]["t_final"])
     assert w.average(0.0, 0.5) == pytest.approx(1.5, rel=1e-14)
 
 
@@ -290,19 +308,32 @@ def test_ingest_csv_rejections(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValidationError, match="no samples"):
-        ingest_waveform({"kind": "csv", "path": str(empty)})
+        ingest_waveform({"kind": "csv", "path": str(empty)}, 1.0)
     bad = tmp_path / "bad.csv"
     bad.write_text("0.0,1.0\n0.0,2.0\n")
     with pytest.raises(ValidationError, match="strictly increasing"):
-        ingest_waveform({"kind": "csv", "path": str(bad)})
+        ingest_waveform({"kind": "csv", "path": str(bad)}, 1.0)
+    # the samples must cover the run's whole window [0, t_end], to 1e-12
+    short = tmp_path / "short.csv"
+    short.write_text("0.0,1.0\n1.0,2.0\n")
+    spec = {"kind": "csv", "path": str(short)}
+    assert ingest_waveform(spec, 1.0 + 1e-13).average(0.5, 1.0) == 1.75
+    with pytest.raises(ValidationError, match=r"covers \[0, 1\] but the run "
+                       r"asks for \[0, 1.5\]"):
+        ingest_waveform(spec, 1.5)
+    late = tmp_path / "late.csv"
+    late.write_text("0.1,1.0\n2.0,2.0\n")
+    with pytest.raises(ValidationError, match="covers"):
+        ingest_waveform({"kind": "csv", "path": str(late)}, 1.0)
 
 
 def test_ingest_closed_forms():
-    assert waveform_at(ingest_waveform({"kind": "constant", "value": 2.0}),
-                       0.0) == 2.0
+    # a closed form covers any window
+    assert waveform_at(ingest_waveform({"kind": "constant", "value": 2.0},
+                                       1e9), 0.0) == 2.0
     sine = ingest_waveform({"kind": "sine", "amplitude": 1.0,
-                            "frequency": 2.0, "phase": 0.0})
+                            "frequency": 2.0, "phase": 0.0}, 1.0)
     assert waveform_at(sine, 0.125) == pytest.approx(1.0, rel=1e-12)
     pulse = ingest_waveform({"kind": "pulse", "amplitude": 4.0,
-                             "duration": 1.0})
+                             "duration": 1.0}, 1.0)
     assert waveform_at(pulse, [0.5])[0] == pytest.approx(4.0, rel=1e-12)

@@ -10,7 +10,7 @@ from wallflow import (ale, coupling, driver, energy, exporters, fluid, shell,
 from wallflow.cli import main
 from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
-from wallflow.errors import SolverError, ValidationError
+from wallflow.errors import ConfigError, SolverError, ValidationError
 
 from oracles import (assemble_advection, linear_interpolant, state_at,
                      transport_blocks)
@@ -466,18 +466,53 @@ def test_fit_order_harness():
     assert driver.fit_order(dts, errs) == pytest.approx(1.0, abs=1e-12)
     errs2 = 3.0 * dts**2
     assert driver.fit_order(dts, errs2) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ValidationError, match="zero error"):
+    # the rung count and distinct dts are the study's to check, before any
+    # run: test_a_study_rejects_bad_input_before_any_run
+    with pytest.raises(ValidationError, match="zero error rung: the rung "
+                       "ended on the reference's fields"):
         driver.fit_order(dts, [1.0, 1.0, 0.0, 1.0])
-    with pytest.raises(ValidationError, match="distinct"):
-        driver.fit_order([0.1, 0.1], [1.0, 2.0])
-    with pytest.raises(ValidationError, match="two rungs"):
-        driver.fit_order([0.1], [1.0])
 
 
-def test_convergence_study_rejects_duplicate_reference():
-    cfg = small_cfg()
-    with pytest.raises(ValidationError, match="duplicates"):
-        driver.self_convergence_study(cfg, [10, 20], 20)
+def test_convergence_study_rejects_duplicate_reference(monkeypatch):
+    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
+    with pytest.raises(ConfigError, match=r"a reference finer than them all, "
+                       r"got rungs \[10, 20\] and reference 20"):
+        driver.self_convergence_study(small_cfg(), [10, 20], 20)
+    assert setups == []
+
+
+BAD_STUDIES = {     # case -> (rung steps, reference steps, message)
+    "one-rung": ([10], 80, r"got rungs \[10\] and reference 80"),
+    "repeated-rung": ([10, 10], 80, r"got rungs \[10, 10\] and reference"),
+    "coarse-reference": ([20, 10], 15, r"got rungs \[10, 20\] and "
+                         "reference 15"),
+    "zero-reference": ([10, 20], 0, "time.n_steps must be a positive integer"),
+    "zero-rung": ([0, 20], 80, "time.n_steps must be a positive integer"),
+    "negative-rung": ([-5, 20], 80, "time.n_steps must be a positive integer"),
+    "rigid-wall": ([10, 20], 80, "a rigid wall's eta and v are zero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STUDIES))
+def test_a_study_rejects_bad_input_before_any_run(monkeypatch, case):
+    rungs, reference, says = BAD_STUDIES[case]
+    cfg = rigid_cfg() if case == "rigid-wall" else small_cfg()
+    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
+    with pytest.raises(ConfigError, match=says):
+        driver.self_convergence_study(cfg, rungs, reference)
+    assert setups == []
+
+
+def test_poiseuille_rejects_a_moving_wall_before_any_run(monkeypatch):
+    # the shipped pulse on a 4x2 mesh in 5 steps
+    with open(os.path.join(CONFIG_DIR, "pulse.json")) as f:
+        raw = json.load(f)
+    raw.update(mesh={"n_z": 4, "n_r": 2, "wall_elements": 4},
+               time={"t_final": raw["time"]["t_final"], "n_steps": 5})
+    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
+    with pytest.raises(ConfigError, match="rigid-mode"):
+        driver.poiseuille_profile_error(validate_config(raw))
+    assert setups == []
 
 
 def test_small_convergence_study_runs():
