@@ -63,6 +63,8 @@ def _cmd_poiseuille(args):
     print(f"{'' if info['steady'] else 'not '}steady after {info['steps']} "
           f"steps (relative increment {info['increment']:.3e})")
     print(f"mid-channel profile L2 relative error: {err:.4%}")
+    if not err <= args.tolerance:
+        print(f"profile error {err:.6g} exceeds --tolerance {args.tolerance:g}")
     return 0 if info["steady"] and err <= args.tolerance else 1
 
 

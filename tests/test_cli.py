@@ -250,6 +250,20 @@ def test_poiseuille_prints_the_shipped_regression_lines(capsys):
         "mid-channel profile L2 relative error: 0.0000%"]
 
 
+def test_a_missed_tolerance_is_named(capsys):
+    # a steady profile over the tolerance: the two regression lines as they
+    # are, then a third naming the error and the tolerance it missed
+    cfg = os.path.join(CONFIG_DIR, "poiseuille_rigid.json")
+    assert main(["poiseuille", cfg, "--tolerance", "1e-9"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "steady after 56 steps (relative increment 8.674e-11)",
+        "mid-channel profile L2 relative error: 0.0000%"]
+    missed = re.fullmatch(r"profile error (\S+) exceeds --tolerance 1e-09",
+                          lines[2])
+    assert missed and float(missed[1]) > 1e-9 and len(lines) == 3
+
+
 def test_a_march_that_runs_out_of_steps_is_not_steady(tmp_path, capsys):
     # the shipped regression on a 4x2 mesh, stopped after 4 of its steps
     with open(os.path.join(CONFIG_DIR, "poiseuille_rigid.json")) as f:
