@@ -194,16 +194,16 @@ def validate_config(raw):
 
 
 def load_config(path):
-    """Parse and validate a configuration file, returning the config
+    """Parse and validate a UTF-8 configuration file, returning the config
     dict.  A relative csv waveform path is resolved against the file's
     directory and written into the dict, which so validates as itself."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:    # not UTF-8, or bad JSON
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     cfg = validate_config(raw)
     base = os.path.dirname(os.path.abspath(path))
     for spec in cfg["waveform"].values():
@@ -215,7 +215,7 @@ def load_config(path):
 def _read_waveform_csv(path):
     times, values = [], []
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8") as f:
             for row in csv.reader(f):
                 if not row or row[0].lstrip().startswith("#"):
                     continue
@@ -234,6 +234,8 @@ def _read_waveform_csv(path):
                 values.append(v)
     except OSError as exc:
         raise ValidationError(f"cannot read waveform csv {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:  # e.g. an overlong cell
+        raise ValidationError(f"{path}: malformed waveform csv: {exc}") from None
     if not times:
         raise ValidationError(f"waveform csv {path} holds no samples")
     return np.array(times), np.array(values)

@@ -134,7 +134,7 @@ def _parse_json_object(text, where):
     """A JSON object from ledger text, or a WallflowError naming ``where``."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise WallflowError(f"{where}: malformed ledger JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise WallflowError(f"{where}: ledger JSON is not an object")

@@ -360,6 +360,42 @@ def test_bad_converge_arguments_are_config_errors(tmp_path, monkeypatch,
     assert setups == []     # rejected before any run
 
 
+UNREADABLE_CONFIGS = {   # case -> file contents
+    "utf16-bom": b"\xff\xfe" + "{}".encode("utf-16-le"),
+    "deeply-nested": b"[" * 100000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_CONFIGS))
+def test_an_unreadable_config_is_a_clean_error(tmp_path, capsys, case):
+    path = tmp_path / "run.json"
+    path.write_bytes(UNREADABLE_CONFIGS[case])
+    assert main(["run", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"configuration error: {path} is not valid "
+                               "JSON: ")
+
+
+UNREADABLE_WAVEFORMS = {    # case -> csv file contents
+    "not-utf8": b"0.0,1.0\n0.5,\xff2.0\n1.0,0.0\n",
+    "overlong-cell": b"0.0,1.0\n0.5," + b"2" * 200000 + b"\n1.0,0.0\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_WAVEFORMS))
+def test_an_unreadable_waveform_csv_is_a_clean_error(tmp_path, capsys, case):
+    (tmp_path / "inlet.csv").write_bytes(UNREADABLE_WAVEFORMS[case])
+    cfg = write_cfg(tmp_path, waveform={
+        "inlet": {"kind": "csv", "path": "inlet.csv"},
+        "outlet": {"kind": "constant", "value": 0.0}})
+    assert main(["run", cfg]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"configuration error: {tmp_path / 'inlet.csv'}"
+                               ": malformed waveform csv: ")
+
+
 def test_missing_file_is_config_error(capsys):
     assert main(["run", "/nonexistent/cfg.json"]) == 1
     assert "configuration error" in capsys.readouterr().err
@@ -459,6 +495,8 @@ MALFORMED_LEDGERS = {     # case -> (ledger format, edit of its lines)
         + lines[1:]),
     "overlong-cell": ("csv", lambda lines: set_cell(lines, 1, "e_full",
                                                     "1" * 131073)),
+    "deeply-nested-header": ("csv", lambda lines: [
+        CSV_HEADER_TAG + " " + "[" * 100000] + lines[1:]),
     "jsonl-ledger": ("jsonl", as_jsonl),
 }
 
