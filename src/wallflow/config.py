@@ -202,7 +202,7 @@ def load_config(path):
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:    # not UTF-8, or bad JSON
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     cfg = validate_config(raw)
     base = os.path.dirname(os.path.abspath(path))

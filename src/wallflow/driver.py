@@ -327,8 +327,8 @@ def fit_order(dts, errors):
     dts = np.asarray(dts, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if np.any(errors <= 0.0):
-        raise ValidationError("order fit got a zero error rung: the rung "
-                              "ended on the reference's fields")
+        raise ValidationError("order fit got a zero error rung: the run's "
+                              "fields do not change with dt")
     slope, _ = np.polyfit(np.log(dts), np.log(errors), 1)
     return float(slope)
 
