@@ -280,19 +280,14 @@ def test_load_config_round_trip(tmp_path):
         load_config(tmp_path / "missing.json")
 
 
-def csv_raw(path, t_final=1.0):
-    raw = minimal_raw()
-    raw["time"]["t_final"] = t_final
-    raw["waveform"]["inlet"] = {"kind": "csv", "path": path}
-    return raw
-
-
 def test_ingest_csv_waveform(tmp_path, monkeypatch):
     # a relative csv path resolves against the config file's directory,
     # not the working directory, and the loaded config carries the result
     (tmp_path / "wave.csv").write_text("t,p\n0.0,1.0\n0.5,2.0\n1.0,0.0\n")
+    raw = minimal_raw()
+    raw["waveform"]["inlet"] = {"kind": "csv", "path": "wave.csv"}
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(csv_raw("wave.csv")))
+    path.write_text(json.dumps(raw))
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
     monkeypatch.chdir(elsewhere)
