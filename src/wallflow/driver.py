@@ -338,6 +338,20 @@ def _with_steps(cfg, n_steps):   # with the ledger whose gap the study reads
                             "output": {**cfg["output"], "ledger": "csv"}})
 
 
+def _is_zero(spec):
+    """Whether initial data or a waveform is zero by its parameters; a csv
+    waveform's samples are read only by RunSetup, so it counts as nonzero."""
+    kind = spec["kind"]
+    if kind in ("zero", "bump"):
+        return spec.get("eta_amplitude", 0) == spec.get("v_amplitude", 0) == 0
+    if kind == "sine":
+        return (spec["amplitude"] == 0
+                or spec["frequency"] == spec["phase"] == 0)
+    if kind == "constant":
+        return spec["value"] == 0
+    return kind == "pulse" and spec["amplitude"] == 0
+
+
 def _run_final(cfg):
     result = run(cfg)
     if result.status != STATUS_COMPLETED:
@@ -377,12 +391,18 @@ def self_convergence_study(cfg, rung_steps, reference_steps):
     The spatial mesh is shared by every rung, so the observed order isolates
     the time discretization.  Before any run, a step count the schema
     rejects, a rigid wall, fewer than two distinct rungs or a reference no
-    finer than the finest rung is a ConfigError.
+    finer than the finest rung, or zero initial data under zero waveforms
+    (whose fields stay zero at every dt) is a ConfigError.
     """
     reference = _with_steps(cfg, reference_steps)
     if reference["mode"] == "rigid":
         raise ConfigError("a convergence study needs a moving wall: a rigid "
                           "wall's eta and v are zero on every rung")
+    if all(map(_is_zero, (reference["initial_data"],
+                          *reference["waveform"].values()))):
+        raise ConfigError("a convergence study needs nonzero initial data "
+                          "or a nonzero waveform: zero data stay zero at "
+                          "every dt")
     rung_cfgs = sorted((_with_steps(cfg, n) for n in rung_steps),
                        key=lambda c: c["time"]["n_steps"])
     rung_steps = [c["time"]["n_steps"] for c in rung_cfgs]

@@ -106,15 +106,39 @@ def _expand(starts, counts):
     return owner, np.arange(owner.size) + shift
 
 
+def _single_entries(m, offset):
+    """Of ``m``, CSC or CSR, whose every column or row (line) holds one
+    entry at most: the mask of lines that hold one, and tables of each
+    line's entry, its index plus ``offset`` and its value (0 where none)."""
+    has = np.diff(m.indptr) > 0
+    at = m.indptr[:-1][has]
+    index = np.zeros(has.size, dtype=m.indices.dtype)
+    value = np.zeros(has.size, dtype=m.data.dtype)
+    index[has], value[has] = m.indices[at] + offset, m.data[at]
+    return has, index, value
+
+
 def _products(terms, shape):
     """For each of the :class:`ProductMap` ``terms`` in turn, the result
     key, the input and the value of its every scalar product."""
     for src, rows, cols, left, right, (r0, c0), scale in terms:
         left, right = sp.csc_matrix(left), sp.csr_matrix(right)
+        lcount, rcount = np.diff(left.indptr), np.diff(right.indptr)
+        if max(lcount.max(initial=0), rcount.max(initial=0)) <= 1:
+            # selections: entry k has one product or none; intp indices,
+            # as a gather casts any other index type
+            lhas, lrow, lval = _single_entries(left, r0)
+            rhas, rcol, rval = _single_entries(right, c0)
+            rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+            k = np.flatnonzero(lhas[rows] & rhas[cols])
+            rk, ck = rows[k], cols[k]
+            yield (_key(lrow[rk], rcol[ck], shape),
+                   (src + k).astype(np.int32), (scale * lval)[rk] * rval[ck])
+            continue
         # every product left[r, rows[k]] * right[cols[k], s]
-        k, lpos = _expand(left.indptr[rows], np.diff(left.indptr)[rows])
+        k, lpos = _expand(left.indptr[rows], lcount[rows])
         kc = cols[k]
-        t, rpos = _expand(right.indptr[kc], np.diff(right.indptr)[kc])
+        t, rpos = _expand(right.indptr[kc], rcount[kc])
         lpos = lpos[t]
         yield (_key(left.indices[lpos] + r0, right.indices[rpos] + c0, shape),
                (src + k[t]).astype(np.int32),
@@ -139,6 +163,15 @@ class ProductMap:
     inputs and products together are fewer than the result's entries is
     stored by input (CSC, each column in result order), so that a call
     walks its inputs and not every result entry.
+
+    A term's products take one of two paths, chosen per term from its
+    operands.  When every column of ``left`` and every row of ``right``
+    holds one entry at most (selections, such as a rigid run's ``P``, the
+    identity or the wall injection), each operand entry has one product or
+    none, gathered from tables of those single entries.  Any other term
+    expands each operand entry over the column and row it reads.  Both
+    paths give the same products in the same order, so the map does not
+    depend on the path.
     """
 
     def __init__(self, groups, shape):

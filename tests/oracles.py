@@ -11,6 +11,9 @@ are not polynomial and the comparison targets the same discrete operator.
 Global DOF ordering follows the documented package conventions: velocity
 nodes row-major (r outer, z inner), component-blocked; wall DOFs (value,
 slope) per node with clamped ends dropped.
+
+``expanded_products`` keeps the product map's general expansion of every
+term, the reference for its direct path through selection operands.
 """
 
 import os
@@ -24,7 +27,7 @@ from wallflow.ale import map_to_physical
 from wallflow.config import validate_config
 from wallflow.driver import RunSetup
 from wallflow.shell import ShellState
-from wallflow.sparsela import ScatterPattern, csr_rows
+from wallflow.sparsela import ScatterPattern, _key, csr_rows
 from wallflow.waveforms import Constant, HalfCosinePulse, Sampled, Sine
 
 
@@ -863,3 +866,29 @@ def write_fields_vtk_by_loop(record, fluid_mesh, shell_mesh, radius,
                 f.write(f"{_fmt(p_nodes[i])}\n")
         written.append(path)
     return written
+
+
+def _expand_ranges(starts, counts):
+    """Owner and position of every item of the ranges ``[starts[k],
+    starts[k] + counts[k])``, in order."""
+    owner = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return owner, np.arange(owner.size) + shift
+
+
+def expanded_products(terms, shape):
+    """Reference for ``sparsela._products``: every term's products by
+    expanding each operand entry over the column of ``left`` and the row of
+    ``right`` it reads, whatever the operands, yielding (key, input, value)
+    per term as the product map takes them."""
+    for src, rows, cols, left, right, (r0, c0), scale in terms:
+        left, right = sp.csc_matrix(left), sp.csr_matrix(right)
+        k, lpos = _expand_ranges(left.indptr[rows],
+                                 np.diff(left.indptr)[rows])
+        kc = cols[k]
+        t, rpos = _expand_ranges(right.indptr[kc],
+                                 np.diff(right.indptr)[kc])
+        lpos = lpos[t]
+        yield (_key(left.indices[lpos] + r0, right.indices[rpos] + c0, shape),
+               (src + k[t]).astype(np.int32),
+               scale * left.data[lpos] * right.data[rpos])

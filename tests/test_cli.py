@@ -302,6 +302,18 @@ def test_converge_rejects_a_rigid_config_before_any_run(tmp_path,
     assert setups == []
 
 
+def test_converge_rejects_zero_data_before_any_run(monkeypatch, capsys):
+    # zero initial data under zero waveforms stay zero on every rung, so
+    # no rung's error could fit an order
+    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
+    assert main(["converge", os.path.join(CONFIG_DIR, "smoke_zero.json"),
+                 "--ladder", "2", "--reference-refinement", "2"]) == 1
+    assert setups == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert "zero data stay zero at every dt" in lines[0]
+
+
 def test_csv_samples_that_stop_short_are_rejected_before_any_step(
         tmp_path, monkeypatch, capsys):
     # with no ledger, no norm over (0, t_final) asks for the samples first

@@ -504,6 +504,40 @@ def test_a_study_rejects_bad_input_before_any_run(monkeypatch, case):
     assert setups == []
 
 
+ZERO = {"kind": "constant", "value": 0.0}
+ZERO_DATA = {   # case -> (initial data, inlet waveform), the outlet ZERO
+    "zero-constant": ({"kind": "zero"}, ZERO),
+    "flat-bump": ({"kind": "bump", "eta_amplitude": 0.0}, ZERO),
+    "silent-pulse": ({"kind": "zero"},
+                     {"kind": "pulse", "amplitude": 0.0, "duration": 1e-3}),
+    "silent-sine": ({"kind": "zero"},
+                    {"kind": "sine", "amplitude": 0.0, "frequency": 50.0}),
+    "still-sine": ({"kind": "zero"},
+                   {"kind": "sine", "amplitude": 1e3, "frequency": 0.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_DATA))
+def test_a_study_rejects_zero_data_before_any_run(monkeypatch, case):
+    initial, inlet = ZERO_DATA[case]
+    cfg = small_cfg(initial_data=initial,
+                    waveform={"inlet": inlet, "outlet": ZERO})
+    setups = count_calls(monkeypatch, driver.RunSetup, "__init__")
+    with pytest.raises(ConfigError, match="zero data stay zero at every dt"):
+        driver.self_convergence_study(cfg, [10, 20], 80)
+    assert setups == []
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "bump", "eta_amplitude": 0.0, "v_amplitude": 1e-3},
+    {"kind": "sine", "amplitude": 1e3, "frequency": 0.0, "phase": 0.5},
+    {"kind": "pulse", "amplitude": 1e3, "duration": 1e-3},
+    {"kind": "csv", "path": "zeros.csv"},   # its samples are not read
+])
+def test_nonzero_data_are_left_to_the_study(spec):
+    assert not driver._is_zero(spec)
+
+
 def test_poiseuille_rejects_a_moving_wall_before_any_run(monkeypatch):
     # the shipped pulse on a 4x2 mesh in 5 steps
     with open(os.path.join(CONFIG_DIR, "pulse.json")) as f:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wallflow import sparsela
+from wallflow import coupling, sparsela
 from wallflow.errors import SolverError
 from wallflow.sparsela import (DirectFactor, ReusedFactorSolver,
                                ScatterPattern, krylov_solve)
 
+import oracles
 from test_driver import count_calls
 
 
@@ -141,6 +142,115 @@ def test_product_map_with_no_products():
     assert [g.shape for g in pmap.g] == [(0, 0)]
     out = pmap.matrix(pmap(0, np.zeros(0)))
     assert out.shape == (3, 3) and out.nnz == 0
+
+
+def selection(rng, n_out, n_in, by_row, values):
+    """``left`` (``by_row`` False: ``n_out x n_in`` CSC) or ``right``
+    (``n_in x n_out`` CSR) whose every one of the ``n_in`` lines it is read
+    by holds one entry at most: at a random place, some lines left empty,
+    with ``values`` 1 or random."""
+    lines = np.flatnonzero(rng.random(n_in) < 0.7)
+    others = rng.integers(0, n_out, size=lines.size)
+    data = (np.ones(lines.size) if values == "ones"
+            else rng.standard_normal(lines.size))
+    if by_row:
+        return sp.csr_matrix((data, (lines, others)), shape=(n_in, n_out))
+    return sp.csc_matrix((data, (others, lines)), shape=(n_out, n_in))
+
+
+def random_side(rng, kind, n_out, n_in, by_row):
+    """``left`` (``by_row`` False: ``n_out x n_in``, read by column) or
+    ``right`` (``n_in x n_out``, read by row) of a term, of ``kind``."""
+    if kind == "identity":
+        return sp.identity(n_in, format="csr")
+    if kind in ("ones", "values"):
+        return selection(rng, n_out, n_in, by_row, kind)
+    shape = (n_in, n_out) if by_row else (n_out, n_in)
+    return sp.random(*shape, density=0.5, random_state=rng, format="csr")
+
+
+SIDES = ("identity", "ones", "values", "general")
+
+
+def random_groups(rng, shape=(23, 19)):
+    """Groups of terms on operands of random sizes, each side a selection
+    (the identity, a 0/1 selection with empty lines, a selection with other
+    values) or a general matrix, at random corners with scale 1 or -1."""
+    groups = []
+    for _ in range(2):
+        terms, n_inputs = [], 0
+        for lkind in SIDES:
+            for rkind in SIDES:
+                a, b = rng.integers(2, 7, size=2)
+                n_r = a if lkind == "identity" else rng.integers(1, 9)
+                n_c = b if rkind == "identity" else rng.integers(1, 9)
+                nx = int(rng.integers(0, 3 * a * b))
+                src = int(rng.integers(0, n_inputs + 1))
+                terms.append((src, rng.integers(0, a, size=nx),
+                              rng.integers(0, b, size=nx),
+                              random_side(rng, lkind, n_r, a, False),
+                              random_side(rng, rkind, n_c, b, True),
+                              (int(rng.integers(0, shape[0] - n_r + 1)),
+                               int(rng.integers(0, shape[1] - n_c + 1))),
+                              float(rng.choice([1.0, -1.0]))))
+                n_inputs = max(n_inputs, src + nx)
+        groups.append(terms)
+    return groups
+
+
+def assert_same_products(ours, ref):
+    ours, ref = list(ours), list(ref)
+    assert len(ours) == len(ref)
+    for mine, theirs in zip(ours, ref):
+        for a, b in zip(mine, theirs):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def assert_same_map(ours, ref):
+    assert ours.shape == ref.shape
+    for a, b in ((ours.indices, ref.indices), (ours.indptr, ref.indptr)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert len(ours.g) == len(ref.g)
+    for g, h in zip(ours.g, ref.g):
+        assert (g.format, g.shape) == (h.format, h.shape)
+        for a, b in ((g.data, h.data), (g.indices, h.indices),
+                     (g.indptr, h.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def map_from_oracle(monkeypatch, build, *args):
+    """``build(*args)`` with the product map's products from the oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(sparsela, "_products", oracles.expanded_products)
+        return build(*args)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_products_match_the_expansion(monkeypatch, seed):
+    # selection operands take the direct path, the others the expansion;
+    # either way each term's triples equal the expansion's, in its order
+    # and dtypes, and so does the map built from them
+    groups = random_groups(np.random.default_rng(seed))
+    for terms in groups:
+        assert_same_products(sparsela._products(terms, (23, 19)),
+                             oracles.expanded_products(terms, (23, 19)))
+    assert_same_map(sparsela.ProductMap(groups, (23, 19)),
+                    map_from_oracle(monkeypatch, sparsela.ProductMap,
+                                    groups, (23, 19)))
+
+
+@pytest.mark.parametrize("mode, expansions", [("rigid", 0),
+                                              ("viscoelastic", 12)])
+def test_reduction_map_matches_the_expansion(monkeypatch, mode, expansions):
+    # a rigid P holds one entry a row at most, so every term of its map is
+    # on selections; a moving wall's trace rows keep the six terms through
+    # P on the expansion, two ranges each, and its wall block off it
+    setup = oracles.run_setup(4, 3, 2.0, 0.1, {}, 1e-3, mode)
+    expand = count_calls(monkeypatch, sparsela, "_expand")
+    ours = coupling.build_reduction(setup)
+    assert len(expand) == expansions
+    assert_same_map(ours, map_from_oracle(monkeypatch,
+                                          coupling.build_reduction, setup))
 
 
 def test_empty_scatter_pattern_gives_empty_matrices():
