@@ -144,29 +144,23 @@ def test_product_map_with_no_products():
     assert out.shape == (3, 3) and out.nnz == 0
 
 
-def selection(rng, n_out, n_in, by_row, values):
-    """``left`` (``by_row`` False: ``n_out x n_in`` CSC) or ``right``
-    (``n_in x n_out`` CSR) whose every one of the ``n_in`` lines it is read
-    by holds one entry at most: at a random place, some lines left empty,
-    with ``values`` 1 or random."""
+def random_side(rng, kind, n_out, n_in, by_row):
+    """``left`` (``by_row`` False: ``n_out x n_in`` CSC, read by column) or
+    ``right`` (``n_in x n_out`` CSR, read by row) of a term: the identity,
+    a selection of ones or of random values (each of the ``n_in`` lines it
+    is read by holds one entry at random, or none) or a general matrix."""
+    if kind == "identity":
+        return sp.identity(n_in, format="csr")
+    if kind == "general":
+        shape = (n_in, n_out) if by_row else (n_out, n_in)
+        return sp.random(*shape, density=0.5, random_state=rng, format="csr")
     lines = np.flatnonzero(rng.random(n_in) < 0.7)
     others = rng.integers(0, n_out, size=lines.size)
-    data = (np.ones(lines.size) if values == "ones"
+    data = (np.ones(lines.size) if kind == "ones"
             else rng.standard_normal(lines.size))
     if by_row:
         return sp.csr_matrix((data, (lines, others)), shape=(n_in, n_out))
     return sp.csc_matrix((data, (others, lines)), shape=(n_out, n_in))
-
-
-def random_side(rng, kind, n_out, n_in, by_row):
-    """``left`` (``by_row`` False: ``n_out x n_in``, read by column) or
-    ``right`` (``n_in x n_out``, read by row) of a term, of ``kind``."""
-    if kind == "identity":
-        return sp.identity(n_in, format="csr")
-    if kind in ("ones", "values"):
-        return selection(rng, n_out, n_in, by_row, kind)
-    shape = (n_in, n_out) if by_row else (n_out, n_in)
-    return sp.random(*shape, density=0.5, random_state=rng, format="csr")
 
 
 SIDES = ("identity", "ones", "values", "general")
