@@ -5,8 +5,8 @@ reference domain (0, L) x (0, 1) by the vertical-stretch map
 (z, r) -> (z, (R + eta(z)) r).  Everything the fluid assembly needs from
 the geometry is frozen per time step in an :class:`AleSnapshot`: the
 Jacobian weight R + eta at the quadrature points, the weighted quadrature
-weights, the two factors of the transformed derivatives below, and the
-minimum radius for the contact check.
+weights and the two factors of the transformed derivatives below, once
+:func:`build_snapshot` has checked the profile for contact.
 
 Reference-domain derivatives (d_z, d_r) of any field transform to
 moving-domain derivatives via
@@ -37,51 +37,38 @@ class AleSnapshot:
     w: np.ndarray            # (n_cells, n_quad) quadrature weight * jac_q
     slope: np.ndarray        # (n_cells, n_quad) r * eta_z / (R + eta)
     w_over_jac: np.ndarray   # (n_cells, n_quad) w / (R + eta)
-    min_radius: float
-    min_radius_z: float
 
 
-def _contact_points(shell_mesh, fluid_mesh):
-    """The wall's nodes and quadrature points and the fluid quadrature
-    columns, and the wall's sampler there."""
-    zs = np.concatenate([shell_mesh.nodes, shell_mesh.quad_points(),
-                         fluid_mesh.quad_z_flat])
-    return zs, shell_mesh.sampler(zs)
-
-
-def min_radius_of(shell_mesh, eta_free, radius, fluid_mesh):
+def min_radius_of(fluid_mesh, eta_free, radius):
     """min(R + eta) over the wall's nodes and quadrature points and the
     fluid quadrature points, with its location."""
-    zs, sampler = fluid_mesh.wall_constant(shell_mesh, "contact",
-                                           _contact_points)
+    zs, sampler = fluid_mesh.contact_points
     vals = radius + sampler @ eta_free
     i = int(np.argmin(vals))
     return float(vals[i]), float(zs[i])
 
 
-def build_snapshot(shell_mesh, eta_free, fluid_mesh, radius):
+def build_snapshot(fluid_mesh, eta_free, radius):
     """Sample the wall profile on the fluid quadrature grid.
 
     Raises :class:`WallContact` when the minimum radius over the points of
     :func:`min_radius_of`, the fluid kernels' among them, does not exceed
     ``CONTACT_THRESHOLD_FACTOR * radius``.
     """
-    min_r, min_z = min_radius_of(shell_mesh, eta_free, radius, fluid_mesh)
+    min_r, min_z = min_radius_of(fluid_mesh, eta_free, radius)
     if min_r <= CONTACT_THRESHOLD_FACTOR * radius:
         raise WallContact(min_r, min_z)
-    jac_q = radius + shell_field_at_quad(shell_mesh, eta_free, fluid_mesh)
-    deta_q = shell_field_at_quad(shell_mesh, eta_free, fluid_mesh, deriv=1)
+    jac_q = radius + shell_field_at_quad(fluid_mesh, eta_free)
+    deta_q = shell_field_at_quad(fluid_mesh, eta_free, deriv=1)
     w = fluid_mesh.quad_w_dv[None, :] * jac_q
     return AleSnapshot(radius=float(radius), jac_q=jac_q, w=w,
                        slope=fluid_mesh.quad_r * deta_q / jac_q,
-                       w_over_jac=w / jac_q, min_radius=min_r,
-                       min_radius_z=min_z)
+                       w_over_jac=w / jac_q)
 
 
-def map_to_physical(shell_mesh, eta_free, radius, z, r):
+def map_to_physical(fluid_mesh, eta_free, radius, z, r):
     """Image of reference points under the domain map (z, (R + eta(z)) r)
     of the wall profile ``eta_free`` (free wall DOFs)."""
     z = np.asarray(z, dtype=float)
     r = np.asarray(r, dtype=float)
-    return z, (radius + shell_mesh.evaluate(eta_free, z)) * r
-
+    return z, (radius + fluid_mesh.wall.evaluate(eta_free, z)) * r

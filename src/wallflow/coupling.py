@@ -44,8 +44,9 @@ from .sparsela import ProductMap, csr_rows
 FLUID_TOL = 1e-10
 
 
-def build_coupling(shell_mesh, fluid_mesh):
-    """Trace map from free wall DOFs to top-edge velocity node values.
+def build_coupling(fluid_mesh):
+    """Trace map from the free DOFs of ``fluid_mesh.wall`` to top-edge
+    velocity node values.
 
     Rows follow the top-edge nodes in z order (vertices and midpoints).  A
     vertex row picks the nodal value DOF and a midpoint row evaluates the
@@ -57,17 +58,18 @@ def build_coupling(shell_mesh, fluid_mesh):
     corner trace values to zero.  The wall mesh is the fluid mesh's top
     edge: one wall element per fluid column.
     """
-    k = np.arange(1, shell_mesh.n_nodes - 1, dtype=np.int32)  # interior nodes
-    le = shell_mesh.element_lengths
+    wall = fluid_mesh.wall
+    k = np.arange(1, wall.n_nodes - 1, dtype=np.int32)  # interior nodes
+    le = wall.element_lengths
     half = np.full(k.size, 0.5)
     rows = np.stack([2 * k - 1, 2 * k, 2 * k + 1, 2 * k - 1, 2 * k + 1], axis=1)
     vals = np.stack([half, np.ones(k.size), half,
                      -le[k - 1] / 8.0, le[k] / 8.0], axis=1)
-    indptr = np.zeros(shell_mesh.n_free + 1, dtype=np.int32)
+    indptr = np.zeros(wall.n_free + 1, dtype=np.int32)
     indptr[1::2] = 5 * np.arange(k.size) + 3
     indptr[2::2] = 5 * np.arange(1, k.size + 1)
     return sp.csc_matrix((vals.ravel(), rows.ravel(), indptr),
-                         shape=(fluid_mesh.n_cols, shell_mesh.n_free))
+                         shape=(fluid_mesh.n_cols, wall.n_free))
 
 
 def build_prolongation(fluid_mesh, partition, trace_op, n_wall):
@@ -141,8 +143,7 @@ def reduced_viscous(setup, snapshot):
 def build_frame(setup, eta):
     """The :class:`Frame` of the wall profile ``eta`` (free wall DOFs): its
     snapshot, which raises WallContact near contact, and weighted mass."""
-    snapshot = ale.build_snapshot(setup.shell_mesh, eta, setup.fluid_mesh,
-                                  setup.radius)
+    snapshot = ale.build_snapshot(setup.fluid_mesh, eta, setup.radius)
     return Frame(snapshot, fl.assemble_weighted_mass(setup.fluid_mesh,
                                                      snapshot))
 
@@ -198,7 +199,7 @@ def fluid_step(setup, frame, end, u_prev_full, shell_half, p_in, p_out,
     ``mass_u``.  One reduced solve for ``x``, then ``u = P x`` and
     ``v_new = E^T x``; a non-finite ``x`` is a SolverError."""
     mesh, v_half = setup.fluid_mesh, shell_half.v_star
-    v_half_q = fl.shell_field_at_quad(setup.shell_mesh, v_half, mesh)
+    v_half_q = fl.shell_field_at_quad(mesh, v_half)
     flow = fl.assemble_flow(mesh, frame.snapshot, u_prev_full, v_half_q,
                             setup.rho_f, setup.dt, frame.mass, end.mass)
     forcing = fl.assemble_pressure_forcing(mesh, p_in, p_out,

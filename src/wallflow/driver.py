@@ -111,8 +111,7 @@ class RunSetup:
         self.dt = self.t_final / self.n_steps
         self.fluid_mesh = fm = fluid.FluidMesh(
             cfg["mesh"]["n_z"], cfg["mesh"]["n_r"], self.length)
-        # the wall mesh is the fluid mesh's top edge
-        self.shell_mesh = sm = shell.ShellMesh(fm.n_z, self.length)
+        self.shell_mesh = sm = fm.wall      # the fluid mesh's top edge
         self.grams = g = shell.assemble_grams(sm)    # (G0, G1, G2)
         self.shell_mass = g[0]                       # M_s = G0
         self.shell_elastic = shell.combine_grams(g, (coeffs.C0, coeffs.C1,
@@ -127,7 +126,7 @@ class RunSetup:
         self.wall_matrix = shell.combine_grams(
             (g[0], self.shell_elastic), (coeffs.rho_s_h, self.dt * self.dt))
         self.partition = fluid.DofPartition(fm)
-        self.trace_op = coupling.build_coupling(sm, fm)   # top edge <- wall
+        self.trace_op = coupling.build_coupling(fm)   # top edge <- wall
         # a rigid wall leaves no wall velocity to couple: P has no wall columns
         n_wall = 0 if cfg["mode"] == "rigid" else sm.n_free
         self.prolongation = coupling.build_prolongation(

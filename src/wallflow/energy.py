@@ -396,7 +396,8 @@ class VerdictReport:
                          "factorization failed); C_impl rests on the "
                          "recorded steps alone")
         lines.append(f"energy scale {self.scale:.6e}, pressure constant "
-                     f"C_impl {self.c_impl:.6e}")
+                     f"C_impl {self.c_impl:.6e}, recorded steps need "
+                     f"c_needed {self.details.get('c_needed', 0.0):.6e}")
         lines.append("verdict: " + ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines)
 
@@ -432,11 +433,13 @@ def verify_run(ledger):
     ended on (the first from the header's ``e0``, if it has one), and the
     rows are steps 0, 1, ... at times (step + 1) dt.
 
-    ``C_impl`` is the larger of the trace constant computed from the actual
-    mesh (stored by the monitor in the header) and the smallest constant the
-    recorded steps require; both are reported, neither is assumed.  The
-    header key ``c_ref_computed`` says whether the trace constant was
-    computed; a ledger without the key is read as computed.
+    ``C_impl`` is the trace constant computed from the actual mesh (stored
+    by the monitor in the header), so a step whose pressure work exceeds
+    what it allows fails the slack and the uniform bound.  The header key
+    ``c_ref_computed`` says whether it was computed; a ledger without the
+    key is read as computed.  When it was not, ``C_impl`` is the smallest
+    constant the recorded steps require, ``c_needed``, which is reported
+    in either case.
     """
     h = ledger.header
     rho_s_h = float(h["rho_s_h"])
@@ -465,8 +468,8 @@ def verify_run(ledger):
         checks.append(_at_most(name, rel.max(), tol,
                                f"worst step {int(np.argmax(rel))}"))
 
-    # smallest constant the recorded steps require, then the max with the
-    # mesh trace constant from the header
+    # smallest constant the recorded steps require: C_impl only when the
+    # run could not compute the mesh trace constant of the header
     p_sq = col["p_in"] ** 2 + col["p_out"] ** 2
     trace_work = col["pwork"] / dt
     spare = col["d_fluid"] / dt
@@ -474,7 +477,7 @@ def verify_run(ledger):
     active = p_sq > ENERGY_FLOOR
     need[active] = (trace_work[active] - spare[active]) / p_sq[active]
     c_needed = float(max(0.0, need.max() if need.size else 0.0))
-    c_impl = max(float(h.get("c_ref", 0.0)), c_needed)
+    c_impl = float(h.get("c_ref", 0.0)) if c_ref_computed else c_needed
 
     e_half, e_full = col["e_half"], col["e_full"]
     jump_eta = col["jump_eta_c0"] + col["jump_eta_c1"] + col["jump_eta_c2"]

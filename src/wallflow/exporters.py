@@ -41,11 +41,11 @@ def _write_table(f, cols, fmt=_FMT, header=""):
                header=header, comments="")
 
 
-def write_fields_csv(record, fluid_mesh, shell_mesh, radius, directory):
+def write_fields_csv(record, fluid_mesh, radius, directory):
     """One velocity/pressure/wall CSV triple per stored snapshot; the
     record's free wall DOFs are written as node values."""
     os.makedirs(directory, exist_ok=True)
-    nv = fluid_mesh.n_velocity_nodes
+    nv, wall = fluid_mesh.n_velocity_nodes, fluid_mesh.wall
     zv, rv = _reference_grid(fluid_mesh.velocity_z, fluid_mesh.velocity_r)
     zp, rp = _reference_grid(fluid_mesh.pressure_z, fluid_mesh.pressure_r)
     written = []
@@ -53,14 +53,14 @@ def write_fields_csv(record, fluid_mesh, shell_mesh, radius, directory):
         eta, u = record.etas[k], record.us[k]
         tables = (
             ("velocity", "z,r_ref,r_phys,u_z,u_r",
-             [zv, rv, map_to_physical(shell_mesh, eta, radius, zv, rv)[1],
+             [zv, rv, map_to_physical(fluid_mesh, eta, radius, zv, rv)[1],
               u[:nv], u[nv:]]),
             ("pressure", "z,r_ref,r_phys,p",
-             [zp, rp, map_to_physical(shell_mesh, eta, radius, zp, rp)[1],
+             [zp, rp, map_to_physical(fluid_mesh, eta, radius, zp, rp)[1],
               record.ps[k]]),
             ("wall", "z,eta,v,v_star",
-             [shell_mesh.nodes] + [shell_mesh.to_full(w)[0::2] for w in
-                                   (eta, record.vs[k], record.v_stars[k])]),
+             [wall.nodes] + [wall.to_full(w)[0::2] for w in
+                             (eta, record.vs[k], record.v_stars[k])]),
         )
         for name, header, cols in tables:
             path = os.path.join(directory, f"{name}_{k:04d}.csv")
@@ -82,14 +82,14 @@ def _pressure_at_velocity_nodes(fluid_mesh, p):
     return refine(refine(grid).T).T.ravel()
 
 
-def write_fields_vtk(record, fluid_mesh, shell_mesh, radius, directory):
+def write_fields_vtk(record, fluid_mesh, radius, directory):
     """Legacy-VTK structured grids on the deformed velocity grid."""
     os.makedirs(directory, exist_ok=True)
     nv = fluid_mesh.n_velocity_nodes
     zv, rv = _reference_grid(fluid_mesh.velocity_z, fluid_mesh.velocity_r)
     written = []
     for k in range(len(record)):
-        _, r_phys = map_to_physical(shell_mesh, record.etas[k], radius, zv, rv)
+        _, r_phys = map_to_physical(fluid_mesh, record.etas[k], radius, zv, rv)
         u = record.us[k]
         path = os.path.join(directory, f"fields_{k:04d}.vtk")
         with open(path, "w") as f:
@@ -125,12 +125,10 @@ def write_outputs(result):
             written.append(path)
         if fields_mode in ("csv", "both"):
             written += write_fields_csv(result.record, setup.fluid_mesh,
-                                        setup.shell_mesh, setup.radius,
-                                        directory)
+                                        setup.radius, directory)
         if fields_mode in ("vtk", "both"):
             written += write_fields_vtk(result.record, setup.fluid_mesh,
-                                        setup.shell_mesh, setup.radius,
-                                        directory)
+                                        setup.radius, directory)
     except OSError as exc:
         raise WallflowError(f"cannot write output to {directory}: "
                             f"{exc}") from exc

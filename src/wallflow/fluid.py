@@ -24,6 +24,7 @@ import functools
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .shell import ShellMesh
 from .sparsela import ScatterPattern
 
 # local (row, column) of the independent entries of a symmetric 9x9 cell
@@ -68,7 +69,8 @@ def _cell_entries(row_conn, col_conn, offsets):
 
 
 class FluidMesh:
-    """Structured Taylor-Hood grid with precomputed shape/quadrature tables."""
+    """Structured Taylor-Hood grid with precomputed shape/quadrature tables,
+    and its ``wall``: the top edge, one Hermite element per cell column."""
 
     def __init__(self, n_z, n_r, length):
         self.n_z, self.n_r = int(n_z), int(n_r)
@@ -143,7 +145,7 @@ class FluidMesh:
         for c in range(self.n_r):
             w1d[2 * c:2 * c + 3] += cellw
         self.edge_weights = w1d
-        self._wall_constants = {}
+        self.wall = ShellMesh(self.n_z, self.length)
 
     # -- raw entries and the scalar pattern (built on first use) -----------
 
@@ -178,13 +180,18 @@ class FluidMesh:
         then of their mirrors, cell by cell: where ``skew`` goes."""
         return self.scalar_pattern.slot.reshape(-1, 81)[:, _SKEW].ravel()
 
-    def wall_constant(self, shell_mesh, name, build):
-        """``build(shell_mesh, self)``, what a run derives from its two meshes
-        alone, kept by ``name`` and the wall mesh's element count and length."""
-        key = (shell_mesh.n_elements, shell_mesh.length, name)
-        if key not in self._wall_constants:
-            self._wall_constants[key] = build(shell_mesh, self)
-        return self._wall_constants[key]
+    @functools.cached_property
+    def wall_samplers(self):
+        """The wall's value and slope samplers at the quadrature columns."""
+        return tuple(self.wall.sampler(self.quad_z_flat, d) for d in (0, 1))
+
+    @functools.cached_property
+    def contact_points(self):
+        """The wall's nodes and quadrature points and the quadrature
+        columns, and the wall's sampler there."""
+        zs = np.concatenate([self.wall.nodes, self.wall.quad_points(),
+                             self.quad_z_flat])
+        return zs, self.wall.sampler(zs)
 
     @functools.cached_property
     def tables(self):
@@ -212,11 +219,10 @@ class FluidMesh:
         }
 
 
-def shell_field_at_quad(shell_mesh, field_free, fluid_mesh, deriv=0):
+def shell_field_at_quad(fluid_mesh, field_free, deriv=0):
     """Sample a wall field (z-dependent only) on the fluid quadrature grid,
-    through the wall's sampler at the quadrature columns, built once."""
-    sampler = fluid_mesh.wall_constant(
-        shell_mesh, deriv, lambda sm, fm: sm.sampler(fm.quad_z_flat, deriv))
+    through the wall's sampler at the quadrature columns."""
+    sampler = fluid_mesh.wall_samplers[deriv]
     return (sampler @ field_free)[fluid_mesh.quad_z_index]
 
 

@@ -477,9 +477,7 @@ class ReusedFactorSolver:
 
     def _keep(self, x, b):
         """Add the pair ``(x, b)``, over the oldest one once ``depth`` are
-        held; a depth of 0 keeps nothing."""
-        if self._depth == 0:
-            return
+        held."""
         if self._xs is None:
             self._xs, self._bs = np.empty((2, 2 * self._depth, b.size))
         i = self._next

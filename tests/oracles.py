@@ -527,16 +527,17 @@ def fixed_dofs(mesh):
     return np.setdiff1d(fixed, nv + mesh.top_nodes)
 
 
-def trace_map_by_loop(shell_mesh, fluid_mesh):
+def trace_map_by_loop(fluid_mesh):
     """Reference trace map, row by row: a vertex row picks the nodal value
     DOF, a midpoint row evaluates the cubic shapes at the element midpoint."""
-    t = np.zeros((fluid_mesh.n_cols, shell_mesh.n_free))
-    f2f = shell_mesh.full_to_free
-    for k in range(shell_mesh.n_nodes):
+    wall = fluid_mesh.wall
+    t = np.zeros((fluid_mesh.n_cols, wall.n_free))
+    f2f = wall.full_to_free
+    for k in range(wall.n_nodes):
         if f2f[2 * k] >= 0:
             t[2 * k, f2f[2 * k]] = 1.0
-    for e in range(shell_mesh.n_elements):
-        le = shell_mesh.element_lengths[e]
+    for e in range(wall.n_elements):
+        le = wall.element_lengths[e]
         for local, w in enumerate((0.5, le / 8.0, 0.5, -le / 8.0)):
             j = f2f[2 * e + local]
             if j >= 0:
@@ -555,7 +556,7 @@ def compatibility_failures(setup, eta0, v0, u0, trace=None):
     midpoints among them."""
     sm, fm = setup.shell_mesh, setup.fluid_mesh
     if trace is None:
-        trace = trace_map_by_loop(sm, fm)
+        trace = trace_map_by_loop(fm)
     ends = [0, 1, -2, -1]
     top_r = u0[fm.n_velocity_nodes + fm.top_nodes]
     tol = 1e-10 * (max(np.abs(u0).max(), np.abs(v0).max()) or 1.0)
@@ -768,8 +769,7 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
-def write_fields_csv_by_loop(record, fluid_mesh, shell_mesh, radius,
-                             directory):
+def write_fields_csv_by_loop(record, fluid_mesh, radius, directory):
     """Reference for ``exporters.write_fields_csv``: every row formatted
     number by number in a Python loop."""
     os.makedirs(directory, exist_ok=True)
@@ -781,7 +781,7 @@ def write_fields_csv_by_loop(record, fluid_mesh, shell_mesh, radius,
         u = record.us[k]
         p = record.ps[k]
         nv = fluid_mesh.n_velocity_nodes
-        _, rp_v = map_to_physical(shell_mesh, eta, radius, zg_v.ravel(),
+        _, rp_v = map_to_physical(fluid_mesh, eta, radius, zg_v.ravel(),
                                   rg_v.ravel())
         path = os.path.join(directory, f"velocity_{k:04d}.csv")
         with open(path, "w") as f:
@@ -791,7 +791,7 @@ def write_fields_csv_by_loop(record, fluid_mesh, shell_mesh, radius,
                                   _fmt(rp_v[i]), _fmt(u[i]), _fmt(u[nv + i])])
                         + "\n")
         written.append(path)
-        _, rp_p = map_to_physical(shell_mesh, eta, radius, zg_p.ravel(),
+        _, rp_p = map_to_physical(fluid_mesh, eta, radius, zg_p.ravel(),
                                   rg_p.ravel())
         path = os.path.join(directory, f"pressure_{k:04d}.csv")
         with open(path, "w") as f:
@@ -805,7 +805,7 @@ def write_fields_csv_by_loop(record, fluid_mesh, shell_mesh, radius,
                                          record.v_stars)]
         with open(path, "w") as f:
             f.write("z,eta,v,v_star\n")
-            for i, z in enumerate(shell_mesh.nodes):
+            for i, z in enumerate(fluid_mesh.wall.nodes):
                 f.write(",".join([_fmt(z)] + [_fmt(w[2 * i]) for w in walls])
                         + "\n")
         written.append(path)
@@ -834,8 +834,7 @@ def pressure_at_velocity_nodes_by_take(fluid_mesh, p):
     return refine(refine(grid, 0), 1).ravel()
 
 
-def write_fields_vtk_by_loop(record, fluid_mesh, shell_mesh, radius,
-                             directory):
+def write_fields_vtk_by_loop(record, fluid_mesh, radius, directory):
     """Reference for ``exporters.write_fields_vtk``: every point formatted
     number by number in a Python loop."""
     os.makedirs(directory, exist_ok=True)
@@ -844,7 +843,7 @@ def write_fields_vtk_by_loop(record, fluid_mesh, shell_mesh, radius,
     nz, nr = fluid_mesh.n_cols, fluid_mesh.n_rows
     nv = fluid_mesh.n_velocity_nodes
     for k in range(len(record)):
-        _, rp = map_to_physical(shell_mesh, record.etas[k], radius,
+        _, rp = map_to_physical(fluid_mesh, record.etas[k], radius,
                                 zg.ravel(), rg.ravel())
         u = record.us[k]
         p_nodes = pressure_at_velocity_nodes_by_take(fluid_mesh, record.ps[k])

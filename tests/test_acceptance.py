@@ -160,19 +160,19 @@ def test_criterion_07_assembly_oracles():
     worst = 0.0
     for n_z, n_r, flat, seed in [(1, 1, True, 0), (2, 2, False, 1),
                                  (4, 1, False, 2)]:
-        sm = shell.ShellMesh(n_z, 1.0)
         fm = fluid.FluidMesh(n_z, n_r, 1.0)
+        sm = fm.wall
         rng = np.random.default_rng(seed)
         eta = (sm.zero_free() if flat or sm.n_free == 0
                else 0.05 * rng.standard_normal(sm.n_free))
         radius = 0.8
-        snap = ale.build_snapshot(sm, eta, fm, radius)
+        snap = ale.build_snapshot(fm, eta, radius)
         oracle = DenseFluidOracle(n_z, n_r, 1.0)
         eta_full = sm.to_full(eta)
         u = rng.standard_normal(2 * fm.n_velocity_nodes)
         v_half = (sm.zero_free() if sm.n_free == 0
                   else rng.standard_normal(sm.n_free))
-        v_half_q = fluid.shell_field_at_quad(sm, v_half, fm)
+        v_half_q = fluid.shell_field_at_quad(fm, v_half)
 
         def rel(ours, ref):
             return np.abs(ours - ref).max() / max(np.abs(ref).max(), 1e-30)

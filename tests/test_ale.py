@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wallflow import ale, fluid, shell
+from wallflow import ale, fluid
 from wallflow.errors import WallContact
 
 from oracles import (symmetrized_transformed_gradient, to_free,
@@ -10,15 +10,16 @@ from oracles import (symmetrized_transformed_gradient, to_free,
 
 @pytest.fixture
 def meshes():
-    return shell.ShellMesh(4, 2.0), fluid.FluidMesh(4, 2, 2.0)
+    fm = fluid.FluidMesh(4, 2, 2.0)
+    return fm.wall, fm
 
 
 def test_flat_wall_snapshot(meshes):
     sm, fm = meshes
-    snap = ale.build_snapshot(sm, sm.zero_free(), fm, radius=0.75)
+    snap = ale.build_snapshot(fm, sm.zero_free(), radius=0.75)
     assert np.all(snap.jac_q == 0.75)
-    assert np.all(fluid.shell_field_at_quad(sm, sm.zero_free(), fm) == 0.0)
-    assert snap.min_radius == 0.75
+    assert np.all(fluid.shell_field_at_quad(fm, sm.zero_free()) == 0.0)
+    assert ale.min_radius_of(fm, sm.zero_free(), 0.75)[0] == 0.75
 
 
 def test_bump_profile_min_radius_at_the_ends(meshes):
@@ -34,12 +35,13 @@ def test_bump_profile_min_radius_at_the_ends(meshes):
         return 32.0 * s * (1 - s) * (1 - 2 * s) / length
 
     eta = 0.01 * sm.interpolate(bump, dbump)
-    snap = ale.build_snapshot(sm, eta, fm, radius=0.5)
-    assert snap.min_radius == pytest.approx(0.5, abs=1e-15)
-    assert snap.min_radius_z in (0.0, length)
+    snap = ale.build_snapshot(fm, eta, radius=0.5)
+    min_r, min_z = ale.min_radius_of(fm, eta, 0.5)
+    assert min_r == pytest.approx(0.5, abs=1e-15)
+    assert min_z in (0.0, length)
     # Jacobian weight is radius + eta at every sampled point
     assert np.array_equal(snap.jac_q,
-                          0.5 + fluid.shell_field_at_quad(sm, eta, fm))
+                          0.5 + fluid.shell_field_at_quad(fm, eta))
 
 
 def test_collapsed_wall_raises_contact(meshes):
@@ -47,21 +49,22 @@ def test_collapsed_wall_raises_contact(meshes):
     full = np.zeros(2 * sm.n_nodes)
     full[2:-2:2] = -0.5        # interior nodal values at -R
     with pytest.raises(WallContact):
-        ale.build_snapshot(sm, to_free(full), fm, radius=0.5)
+        ale.build_snapshot(fm, to_free(full), radius=0.5)
 
 
 def test_contact_between_the_wall_s_points_is_caught_at_the_fluid_s():
     # nodes 1 and 2 at eta = -0.75 with slopes -1 and +1: the cubic
     # reaches -R at the element midpoint z = 1.5, a fluid quadrature point,
     # while its minimum over the wall's nodes and Gauss points is 0.0289
-    sm, fm = shell.ShellMesh(4, 4.0), fluid.FluidMesh(4, 2, 4.0)
+    fm = fluid.FluidMesh(4, 2, 4.0)
+    sm = fm.wall
     full = np.zeros(2 * sm.n_nodes)
     full[2:6] = [-0.75, -1.0, -0.75, 1.0]
     eta = to_free(full)
     zs = np.concatenate([sm.nodes, sm.quad_points()])
     assert (1.0 + sm.evaluate(eta, zs)).min() > 0.028
     with pytest.raises(WallContact) as exc:
-        ale.build_snapshot(sm, eta, fm, radius=1.0)
+        ale.build_snapshot(fm, eta, radius=1.0)
     assert exc.value.z_location == 1.5
     assert exc.value.min_radius == 0.0
 
@@ -132,8 +135,8 @@ def test_map_jacobian_determinant_is_the_weight(meshes):
     sm, fm = meshes
     rng = np.random.default_rng(6)
     eta = 0.05 * rng.standard_normal(sm.n_free)
-    snap = ale.build_snapshot(sm, eta, fm, radius=0.8)
-    deta_q = fluid.shell_field_at_quad(sm, eta, fm, deriv=1)
+    snap = ale.build_snapshot(fm, eta, radius=0.8)
+    deta_q = fluid.shell_field_at_quad(fm, eta, deriv=1)
     # determinant of [[1, 0], [r deta, R + eta]] at a few sampled points
     for c, q in [(0, 0), (3, 4), (7, 8)]:
         grad_map = np.array([[1.0, 0.0],
@@ -146,6 +149,6 @@ def test_map_jacobian_determinant_is_the_weight(meshes):
 def test_physical_map_and_domain_velocity(meshes):
     sm, fm = meshes
     eta = sm.zero_free()
-    z, r = ale.map_to_physical(sm, eta, 0.5, np.array([1.0]), np.array([0.5]))
+    z, r = ale.map_to_physical(fm, eta, 0.5, np.array([1.0]), np.array([0.5]))
     assert r[0] == pytest.approx(0.25, rel=1e-15)
 

@@ -67,9 +67,9 @@ def test_trace_reproduces_wall_fields_at_all_edge_nodes():
 
 @pytest.mark.parametrize("n_z", [1, 2, 8, 13])
 def test_trace_map_matches_the_loop_reference(n_z):
-    sm, fm = shell.ShellMesh(n_z, 2.7), fluid.FluidMesh(n_z, 2, 2.7)
-    t = coupling.build_coupling(sm, fm)
-    assert np.array_equal(t.toarray(), trace_map_by_loop(sm, fm))
+    fm = fluid.FluidMesh(n_z, 2, 2.7)
+    t = coupling.build_coupling(fm)
+    assert np.array_equal(t.toarray(), trace_map_by_loop(fm))
 
 
 def test_prolongation_places_free_trace_and_fixed_dofs():
@@ -164,7 +164,7 @@ def flow_data(cs, frame, eta, u_prev, v_half):
     wall profile ``eta``, with domain velocity ``v_half``."""
     sm, fm = cs.shell_mesh, cs.fluid_mesh
     end = coupling.build_frame(cs, eta + cs.dt * v_half)
-    v_half_q = fluid.shell_field_at_quad(sm, v_half, fm)
+    v_half_q = fluid.shell_field_at_quad(fm, v_half)
     return fluid.assemble_flow(fm, frame.snapshot, u_prev, v_half_q,
                                cs.rho_f, cs.dt, frame.mass, end.mass)
 
@@ -247,9 +247,9 @@ def test_step_hands_over_the_flow_data_it_solved_with(stepped):
     # kernel on the same inputs, bit for bit, and the terms it replaced
     # to roundoff
     _, sm, fm, cs, state, u, _, half, res, old, new = stepped
-    snap = ale.build_snapshot(sm, state.eta, fm, cs.radius)
+    snap = ale.build_snapshot(fm, state.eta, cs.radius)
     assert np.array_equal(res.v_half_q,
-                          fluid.shell_field_at_quad(sm, half.v_star, fm))
+                          fluid.shell_field_at_quad(fm, half.v_star))
     assert np.array_equal(res.flow, fluid.assemble_flow(
         fm, snap, u, res.v_half_q, cs.rho_f, cs.dt, old.mass, new.mass))
     ref = flow_by_terms(cs, snap, u, res.v_half_q)
@@ -344,8 +344,8 @@ def test_coercivity_witness(stepped):
                    + float(v_new @ (cs.shell_viscous @ v_new)))
            + cs.rho_s_h * float(v_new @ (cs.shell_mass @ v_new)))
     assert lhs == pytest.approx(rhs, rel=1e-11)
-    snap_half = ale.min_radius_of(sm, 0.5 * (state.eta + half.eta),
-                                  cs.radius, fm)[0]
+    snap_half = ale.min_radius_of(fm, 0.5 * (state.eta + half.eta),
+                                  cs.radius)[0]
     unweighted = fluid.assemble_unweighted_mass(fm)
     assert rhs >= (cs.rho_f * snap_half
                    * float(u_new @ fluid.componentwise(unweighted, u_new))

@@ -41,6 +41,17 @@ def small_cfg(**overrides):
     return validate_config(small_raw(**overrides))
 
 
+def test_the_wall_mesh_is_the_fluid_mesh_s_top_edge():
+    # one Hermite element per cell column, its nodes the vertex columns bit
+    # for bit, also at a length that hz * n_z misses by an ulp; a run's
+    # wall mesh is that same object
+    setup = driver.RunSetup(small_cfg())
+    for fm in (fluid.FluidMesh(5, 2, 0.19016851592596093), setup.fluid_mesh):
+        assert fm.wall.n_elements == fm.n_z
+        assert np.array_equal(fm.wall.nodes, fm.velocity_z[::2])
+    assert setup.shell_mesh is setup.fluid_mesh.wall
+
+
 def test_zero_run_is_identically_zero():
     cfg = small_cfg(waveform={"inlet": {"kind": "constant", "value": 0.0},
                               "outlet": {"kind": "constant", "value": 0.0}})
@@ -172,11 +183,11 @@ def test_fluid_step_geometry_is_the_start_of_step_wall(monkeypatch, tmp_path,
     sources = [setup.initial_data()[0]]
     sources += [eta for *_, eta in calls[:-1]]
     for (snap, mass_new, eta_half), eta in zip(calls, sources):
-        probe = ale.build_snapshot(sm, eta, fm, setup.radius)
+        probe = ale.build_snapshot(fm, eta, setup.radius)
         # the wall profile and its slope at the quadrature points fix these
         for name in ("jac_q", "slope", "w"):
             assert np.array_equal(getattr(snap, name), getattr(probe, name))
-        ahead = ale.build_snapshot(sm, eta_half, fm, setup.radius)
+        ahead = ale.build_snapshot(fm, eta_half, setup.radius)
         assert not np.array_equal(snap.jac_q, ahead.jac_q)
         assert np.array_equal(mass_new.data, fluid.assemble_weighted_mass(
             fm, ahead).data)
@@ -643,6 +654,16 @@ def step_with_the_lagged_wall_velocity(monkeypatch):
     monkeypatch.setattr(coupling, "fluid_step", mutated)
 
 
+def pressure_load_a_hundred_times_its_data(monkeypatch):
+    # the step loads 100 times the pressures the ledger records, so its
+    # pressure work outgrows what the mesh's trace constant allows; the
+    # energy module's own forcing, which the constant is taken from, is not
+    # the patched name
+    original = fluid.assemble_pressure_forcing
+    monkeypatch.setattr(fluid, "assemble_pressure_forcing",
+                        lambda *args: 100.0 * original(*args))
+
+
 @pytest.mark.parametrize("mutate, failing", [
     (step_on_the_end_of_step_geometry,
      ["fluid-step energy balance", "telescoped energy identity",
@@ -656,8 +677,10 @@ def step_with_the_lagged_wall_velocity(monkeypatch):
     (transport_not_antisymmetrized,
      ["fluid-step energy balance", "telescoped energy identity",
       "transport skew-symmetry"]),
+    (pressure_load_a_hundred_times_its_data,
+     ["stability inequality slack", "uniform energy bound"]),
 ], ids=["end-of-step-geometry", "no-robin-term", "lagged-wall-velocity",
-        "transport-not-antisymmetrized"])
+        "transport-not-antisymmetrized", "pressure-load-100x"])
 def test_verifier_fails_a_mutated_step(monkeypatch, mutate, failing):
     # each wrong variant of the step still runs to completion, and the
     # ledger's verdict names exactly the identities it breaks.  The ledger

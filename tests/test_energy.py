@@ -291,7 +291,7 @@ def test_empty_ledger_verifies_trivially():
 
 def test_trace_constant_bounds_the_flux_functional(monkeypatch):
     coeffs, sm, fm, cs, monitor, dt = build_monitor()
-    snap = ale.build_snapshot(sm, sm.zero_free(), fm, cs.radius)
+    snap = ale.build_snapshot(fm, sm.zero_free(), cs.radius)
     p = cs.prolongation
     k_red = p.T @ assemble_viscous(fm, snap, 0.05) @ p
     ell_in = p.T @ fluid.assemble_pressure_forcing(fm, 1.0, 0.0, 1.0)

@@ -57,8 +57,7 @@ def test_zero_run_export_shapes_and_values(tmp_path):
 
 def test_vtk_structure(tmp_path):
     result, setup = run_small(tmp_path)
-    exporters.write_fields_vtk(result.record, setup.fluid_mesh,
-                               setup.shell_mesh, setup.radius,
+    exporters.write_fields_vtk(result.record, setup.fluid_mesh, setup.radius,
                                str(tmp_path / "vtk"))
     path = tmp_path / "vtk" / "fields_0000.vtk"
     text = path.read_text().splitlines()
@@ -77,8 +76,8 @@ def test_deformed_grid_tracks_the_wall(tmp_path):
     free = setup.shell_mesh.zero_free()
     free[0::2] = 0.25
     rec.etas[-1] = free
-    exporters.write_fields_csv(rec, setup.fluid_mesh, setup.shell_mesh,
-                               setup.radius, str(tmp_path / "csv"))
+    exporters.write_fields_csv(rec, setup.fluid_mesh, setup.radius,
+                               str(tmp_path / "csv"))
     k = len(rec) - 1
     vel = np.genfromtxt(tmp_path / "csv" / f"velocity_{k:04d}.csv",
                         delimiter=",", names=True)
@@ -94,9 +93,9 @@ def test_exports_are_byte_stable(tmp_path):
     result, setup = run_small(tmp_path)
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     exporters.write_fields_csv(result.record, setup.fluid_mesh,
-                               setup.shell_mesh, setup.radius, d1)
+                               setup.radius, d1)
     exporters.write_fields_csv(result.record, setup.fluid_mesh,
-                               setup.shell_mesh, setup.radius, d2)
+                               setup.radius, d2)
     for name in sorted(os.listdir(d1)):
         with open(os.path.join(d1, name), "rb") as fa, \
                 open(os.path.join(d2, name), "rb") as fb:
@@ -131,10 +130,10 @@ def test_writers_match_the_loop_reference(tmp_path):
     assert all(np.abs(eta).max() > 0.0 for eta in rec.etas)
     new = exporters.write_outputs(result)[1:]
     ref_dir = str(tmp_path / "ref")
-    ref = (write_fields_csv_by_loop(rec, setup.fluid_mesh, setup.shell_mesh,
-                                    setup.radius, ref_dir)
-           + write_fields_vtk_by_loop(rec, setup.fluid_mesh, setup.shell_mesh,
-                                      setup.radius, ref_dir))
+    ref = (write_fields_csv_by_loop(rec, setup.fluid_mesh, setup.radius,
+                                    ref_dir)
+           + write_fields_vtk_by_loop(rec, setup.fluid_mesh, setup.radius,
+                                      ref_dir))
     assert len(new) == len(ref) == 4 * len(rec)
     for a, b in zip(new, ref):
         assert os.path.basename(a) == os.path.basename(b)

@@ -4,7 +4,7 @@ algebraic identities the operators are designed to satisfy."""
 import numpy as np
 import pytest
 
-from wallflow import ale, fluid, shell
+from wallflow import ale, fluid
 from wallflow.sparsela import ScatterPattern, csr_rows
 
 from oracles import (DenseFluidOracle, assemble_advection, assemble_divergence,
@@ -14,14 +14,14 @@ from oracles import (DenseFluidOracle, assemble_advection, assemble_divergence,
 
 
 def make_case(n_z, n_r, length=1.0, radius=1.0, seed=0, flat=False):
-    sm = shell.ShellMesh(n_z, length)
     fm = fluid.FluidMesh(n_z, n_r, length)
+    sm = fm.wall
     rng = np.random.default_rng(seed)
     if flat or sm.n_free == 0:
         eta = sm.zero_free()
     else:
         eta = 0.05 * rng.standard_normal(sm.n_free)
-    snap = ale.build_snapshot(sm, eta, fm, radius)
+    snap = ale.build_snapshot(fm, eta, radius)
     oracle = DenseFluidOracle(n_z, n_r, length)
     return sm, fm, eta, snap, oracle, rng
 
@@ -68,7 +68,7 @@ def test_advection_vs_oracle(n_z, n_r, flat):
         v_half_full = sm.to_full(v_half_free)
     else:
         v_half_free = sm.zero_free()
-    v_half_q = fluid.shell_field_at_quad(sm, v_half_free, fm)
+    v_half_q = fluid.shell_field_at_quad(fm, v_half_free)
     ours = two_component(
         assemble_advection(fm, snap, u, v_half_q, rho_f=1.3)).toarray()
     ref = oracle.advection(sm.nodes, sm.to_full(eta), 0.8, u, v_half_full, 1.3)
@@ -87,7 +87,7 @@ def test_divergence_vs_oracle(n_z, n_r, flat):
 def test_robin_mass_vs_oracle():
     sm, fm, _, _, oracle, rng = make_case(2, 2, seed=4)
     v_half_free = rng.standard_normal(sm.n_free)
-    v_half_q = fluid.shell_field_at_quad(sm, v_half_free, fm)
+    v_half_q = fluid.shell_field_at_quad(fm, v_half_free)
     ours = two_component(assemble_robin_mass(fm, v_half_q)).toarray()
     ref = oracle.robin(sm.nodes, sm.to_full(v_half_free))
     assert rel_err(ours, ref) <= 1e-12
@@ -129,7 +129,7 @@ def test_constant_offset_scales_the_mass():
     full[2:-2:2] = 0.3          # interior values at c, clamped ends stay 0
     # a truly constant offset is not in the clamped space; emulate the
     # statement with the constant-weight path instead
-    snap_c = ale.build_snapshot(sm, sm.zero_free(), fm, radius=1.0 + 0.3)
+    snap_c = ale.build_snapshot(fm, sm.zero_free(), radius=1.0 + 0.3)
     scaled = fluid.assemble_weighted_mass(fm, snap_c).toarray()
     plain = fluid.assemble_unweighted_mass(fm).toarray()
     assert rel_err(scaled, 1.3 * plain) <= 1e-14
@@ -154,7 +154,7 @@ def test_advection_zero_field_and_exact_skewness():
     n0 = fluid.assemble_flow(fm, snap, zero_u, 0.0, 1.0, 0.1, zero, zero)
     assert np.all(n0 == 0.0)
     u = rng.standard_normal(2 * fm.n_velocity_nodes)
-    v_half_q = fluid.shell_field_at_quad(sm, rng.standard_normal(sm.n_free), fm)
+    v_half_q = fluid.shell_field_at_quad(fm, rng.standard_normal(sm.n_free))
     n = fluid.assemble_flow(fm, snap, u, v_half_q, 1.0, 0.1, zero, zero)
     assert np.abs(n).max() > 0.0
     assert np.array_equal(n, -n[fm.scalar_pattern.transpose_slots])
@@ -178,13 +178,13 @@ def test_flow_kernel_matches_the_terms_it_replaced(rigid):
         eta = 0.05 * rng.standard_normal(sm.n_free)
         v_half = rng.standard_normal(sm.n_free)
     u = rng.standard_normal(2 * fm.n_velocity_nodes)
-    snap = ale.build_snapshot(sm, eta, fm, cs.radius)
+    snap = ale.build_snapshot(fm, eta, cs.radius)
     m_old = fluid.assemble_weighted_mass(fm, snap)
     m_new = m_old
     if not rigid:
         m_new = fluid.assemble_weighted_mass(fm, ale.build_snapshot(
-            sm, eta + dt * v_half, fm, cs.radius))
-    v_half_q = fluid.shell_field_at_quad(sm, v_half, fm)
+            fm, eta + dt * v_half, cs.radius))
+    v_half_q = fluid.shell_field_at_quad(fm, v_half)
     ours = fluid.assemble_flow(fm, snap, u, v_half_q, cs.rho_f, dt, m_old,
                                m_new)
     ref = flow_by_terms(cs, snap, u, v_half_q)
@@ -207,12 +207,11 @@ def test_transpose_slots_give_the_symmetric_part():
 def test_scalar_operators_are_one_component_square():
     # 64x16 is the pulse mesh: 66,177 entries each, a quarter of the
     # two-component pattern's
-    sm, fm = shell.ShellMesh(64, 6.0), fluid.FluidMesh(64, 16, 6.0)
+    fm = fluid.FluidMesh(64, 16, 6.0)
+    sm = fm.wall
     rng = np.random.default_rng(9)
-    snap = ale.build_snapshot(sm, 0.01 * rng.standard_normal(sm.n_free), fm,
-                              0.5)
-    v_half_q = fluid.shell_field_at_quad(sm, rng.standard_normal(sm.n_free),
-                                         fm)
+    snap = ale.build_snapshot(fm, 0.01 * rng.standard_normal(sm.n_free), 0.5)
+    v_half_q = fluid.shell_field_at_quad(fm, rng.standard_normal(sm.n_free))
     u = rng.standard_normal(2 * fm.n_velocity_nodes)
     nv = fm.n_velocity_nodes
     mass = fluid.assemble_weighted_mass(fm, snap)
@@ -257,7 +256,7 @@ def test_viscous_entries_expand_to_the_four_block_kernel(n_z, n_r, flat):
                                         seed=4)
     ours = assemble_viscous(fm, snap, mu=0.7).toarray()
     ref = viscous_by_four(fm, snap, 0.7, fluid.shell_field_at_quad(
-        sm, eta, fm, deriv=1)).toarray()
+        fm, eta, deriv=1)).toarray()
     assert rel_err(ours, ref) <= 1e-15
 
 
@@ -274,7 +273,7 @@ def test_viscous_form_sums_the_element_blocks():
         sm, fm, p = cs.shell_mesh, cs.fluid_mesh, cs.prolongation
         eta = (sm.zero_free() if mode == "rigid"
                else 0.05 * rng.standard_normal(sm.n_free))
-        snap = ale.build_snapshot(sm, eta, fm, cs.radius)
+        snap = ale.build_snapshot(fm, eta, cs.radius)
         k = assemble_viscous(fm, snap, cs.mu)
         for u in (p @ rng.standard_normal(p.shape[1]),
                   rng.standard_normal(2 * fm.n_velocity_nodes)):
@@ -310,10 +309,10 @@ def test_mass_update_identity_entrywise():
     sm, fm, eta, snap, _, rng = make_case(2, 2, radius=0.6, seed=7)
     dt = 0.05
     v_half = 0.1 * rng.standard_normal(sm.n_free)
-    v_half_q = fluid.shell_field_at_quad(sm, v_half, fm)
+    v_half_q = fluid.shell_field_at_quad(fm, v_half)
     m_old = fluid.assemble_weighted_mass(fm, snap)
     s = assemble_robin_mass(fm, v_half_q)
-    snap_new = ale.build_snapshot(sm, eta + dt * v_half, fm, 0.6)
+    snap_new = ale.build_snapshot(fm, eta + dt * v_half, 0.6)
     m_new = fluid.assemble_weighted_mass(fm, snap_new)
     resid = np.abs(m_old.data + dt * s.data - m_new.data).max()
     assert resid <= 1e-13 * np.abs(m_new.data).max()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallflow import coupling, fluid, shell
+from wallflow import coupling, fluid
 from wallflow.config import validate_config
 from wallflow.errors import ConfigError
 from wallflow.materials import derive_coefficients
@@ -111,11 +111,11 @@ def test_out_of_range_parameters_name_the_field(field, value):
 
 @pytest.fixture
 def small_meshes():
-    sm = shell.ShellMesh(8, 6.0)
     fm = fluid.FluidMesh(8, 4, 6.0)
+    sm = fm.wall
     setup = SimpleNamespace(shell_mesh=sm, fluid_mesh=fm, length=6.0,
                             radius=0.5)
-    return setup, coupling.build_coupling(sm, fm)
+    return setup, coupling.build_coupling(fm)
 
 
 def zero_data(setup):

@@ -261,3 +261,40 @@ def test_the_check_sees_an_identity_key(tmp_path):
         "def key(mesh):\n    return (mesh.n_elements, mesh.length)\n\n\n"
         "def label(row):\n    return row.id, 'id(row)'\n")
     assert identity_keys(tmp_path) == ["a.py"]
+
+
+def mesh_pairs(root=ROOT):
+    """``file:function`` of each function or lambda of the package that
+    takes both a ``shell_mesh`` and a ``fluid_mesh`` parameter: the wall
+    mesh is the fluid mesh's ``wall``, so a pair that must match is one
+    mesh too many."""
+    pairs = []
+    for path in sorted((root / "src" / "wallflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                if {"shell_mesh", "fluid_mesh"} <= {
+                        p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}:
+                    pairs.append(f"{path.name}:"
+                                 f"{getattr(node, 'name', '<lambda>')}")
+    return pairs
+
+
+def test_no_function_takes_both_meshes():
+    assert mesh_pairs() == []
+
+
+def test_the_check_sees_a_mesh_pair(tmp_path):
+    pkg = tmp_path / "src" / "wallflow"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        "def trace(shell_mesh, fluid_mesh):\n    return 0\n\n\n"
+        "def snapshot(fluid_mesh, eta):\n    return fluid_mesh.wall\n\n\n"
+        "def short(sm, fm):\n    return 'shell_mesh, fluid_mesh'\n")
+    (pkg / "b.py").write_text(
+        "class Mesh:\n"
+        "    def constant(self, name, *, fluid_mesh, shell_mesh):\n"
+        "        return name\n\n\n"
+        "BUILD = lambda shell_mesh, fluid_mesh: None\n")
+    assert mesh_pairs(tmp_path) == ["a.py:trace", "b.py:constant",
+                                    "b.py:<lambda>"]
