@@ -313,8 +313,7 @@ def poiseuille_profile_error(cfg):
     err = math.sqrt(_column_l2_sq(profile - exact, fm.hr))
     norm = math.sqrt(_column_l2_sq(exact, fm.hr))
     return err / norm, {"steps": result.steps, "increment": result.increment,
-                        "steady": result.increment < STEADY_TOL,
-                        "profile": profile, "exact": exact}
+                        "steady": result.increment < STEADY_TOL}
 
 
 # -- temporal self-convergence harness ----------------------------------------

@@ -30,12 +30,12 @@ reapplied by the verifier from the header.
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import coupling
-from .config import is_finite
+from .config import _number, _positive
 from .errors import SolverError, WallflowError
 from .fluid import assemble_pressure_forcing, componentwise, viscous_form
 from .sparsela import ReusedFactorSolver
@@ -62,12 +62,20 @@ TOL_SLACK = 1e-10
 TOL_MONOTONE = 1e-12
 TOL_ENTRYWISE = 1e-13
 
+# every header key the verifier reads, each required, with its rule
+HEADER_RULES = {
+    "dt": _positive, "rho_s_h": _positive, "e0": _number, "c_ref": _number,
+    "p_in_l2_sq": _number, "p_out_l2_sq": _number,
+    "c_ref_computed": lambda val: (None if isinstance(val, bool)
+                                   else "must be true or false"),
+}
+
 
 class EnergyLedger:
     """Append-only record of per-step energies and identity residuals."""
 
-    def __init__(self, header=None):
-        self.header = dict(header or {})
+    def __init__(self, header):
+        self.header = header
         self.rows = []
 
     def append(self, row):
@@ -83,8 +91,7 @@ class EnergyLedger:
         return np.array([r[name] for r in self.rows], dtype=float)
 
     def energy_scale(self):
-        e0 = float(self.header.get("e0", 0.0))
-        vals = [e0, ENERGY_FLOOR]
+        vals = [float(self.header["e0"]), ENERGY_FLOOR]
         if self.rows:
             vals += [self.column("e_half").max(), self.column("e_full").max()]
         return max(vals)
@@ -108,37 +115,11 @@ class EnergyLedger:
             for r in self.rows:
                 w.writerow([_fmt(r[c]) for c in LEDGER_COLUMNS])
 
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, encoding="utf-8") as f:
-            first = f.readline()
-            if not first.startswith(CSV_HEADER_TAG):
-                raise WallflowError(f"{path} is not a ledger CSV")
-            led = cls(_parse_json_object(first[len(CSV_HEADER_TAG):], path))
-            reader = csv.DictReader(f)
-            missing = set(LEDGER_COLUMNS) - set(reader.fieldnames or ())
-            if missing:
-                raise WallflowError(f"{path}: no columns {sorted(missing)}")
-            for rec in reader:
-                led.append(_parse_row(rec, f"{path} line {reader.line_num}"))
-        return led
-
 
 def _fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
-
-
-def _parse_json_object(text, where):
-    """A JSON object from ledger text, or a WallflowError naming ``where``."""
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-        raise WallflowError(f"{where}: malformed ledger JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise WallflowError(f"{where}: ledger JSON is not an object")
-    return obj
 
 
 def _parse_row(cells, where):
@@ -157,37 +138,39 @@ def _parse_row(cells, where):
     return row
 
 
-def _check_header(header, path):
-    """Raise a WallflowError naming ``path`` unless the header numbers the
-    verifier reads, ``dt`` and ``rho_s_h`` and any optional ones, are finite,
-    and ``dt`` and ``rho_s_h`` are positive."""
-    for key in ("dt", "rho_s_h", "e0", "c_ref", "p_in_l2_sq", "p_out_l2_sq"):
-        val = header.get(key)
-        if key not in header:
-            if key in ("dt", "rho_s_h"):
-                raise WallflowError(f"{path}: ledger header has no {key}")
-        elif type(val) not in (int, float) or not is_finite(val):
-            raise WallflowError(f"{path}: ledger header {key} is {val!r}, "
-                                "not a finite number")
-        elif key in ("dt", "rho_s_h") and not val > 0:
-            raise WallflowError(f"{path}: ledger header {key} is {val!r}, "
-                                "not a positive number")
-
-
 def load_ledger(path):
     """Read a ledger CSV.  A file that cannot be read, is not UTF-8 text or
-    cannot be parsed, or whose header lacks a valid number the verifier
-    reads, raises :class:`WallflowError` naming it."""
+    cannot be parsed, or whose header breaks a rule of
+    :data:`HEADER_RULES`, raises :class:`WallflowError` naming it."""
     try:
-        led = EnergyLedger.from_csv(path)
+        with open(path, encoding="utf-8") as f:
+            first = f.readline()
+            if not first.startswith(CSV_HEADER_TAG):
+                raise WallflowError(f"{path} is not a ledger CSV")
+            header = json.loads(first[len(CSV_HEADER_TAG):])
+            if not isinstance(header, dict):
+                raise WallflowError(f"{path}: ledger JSON is not an object")
+            for key, rule in HEADER_RULES.items():
+                says = ("is missing" if key not in header
+                        else rule(header[key]))
+                if says:
+                    raise WallflowError(f"{path}: ledger header {key} {says}")
+            led = EnergyLedger(header)
+            reader = csv.DictReader(f)
+            missing = set(LEDGER_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise WallflowError(f"{path}: no columns {sorted(missing)}")
+            for rec in reader:
+                led.append(_parse_row(rec, f"{path} line {reader.line_num}"))
     except OSError as exc:
         raise WallflowError(
             f"cannot read ledger {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise WallflowError(f"{path} is not a ledger CSV") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        raise WallflowError(f"{path}: malformed ledger JSON: {exc}") from None
     except csv.Error as exc:    # e.g. a cell over the csv module's limit
         raise WallflowError(f"{path}: malformed ledger CSV: {exc}") from None
-    _check_header(led.header, path)
     return led
 
 
@@ -387,17 +370,18 @@ class VerdictReport:
     ok: bool
     scale: float
     c_impl: float
-    details: dict = field(default_factory=dict)
+    c_needed: float
+    c_ref_computed: bool
 
     def __str__(self):
         lines = [c.line() for c in self.checks]
-        if not self.details.get("c_ref_computed", True):
+        if not self.c_ref_computed:
             lines.append("trace constant c_ref was not computed (its "
                          "factorization failed); C_impl rests on the "
                          "recorded steps alone")
         lines.append(f"energy scale {self.scale:.6e}, pressure constant "
                      f"C_impl {self.c_impl:.6e}, recorded steps need "
-                     f"c_needed {self.details.get('c_needed', 0.0):.6e}")
+                     f"c_needed {self.c_needed:.6e}")
         lines.append("verdict: " + ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines)
 
@@ -430,30 +414,31 @@ def verify_run(ledger):
     Both residuals are recomputed from each row's terms, and exact checks
     trust nothing else the run wrote about itself: each stored residual
     equals its recomputation, each row starts from the energy the last one
-    ended on (the first from the header's ``e0``, if it has one), and the
-    rows are steps 0, 1, ... at times (step + 1) dt.
+    ended on (the first from the header's ``e0``), and the rows are steps
+    0, 1, ... at times (step + 1) dt.
 
     ``C_impl`` is the trace constant computed from the actual mesh (stored
     by the monitor in the header), so a step whose pressure work exceeds
     what it allows fails the slack and the uniform bound.  The header key
-    ``c_ref_computed`` says whether it was computed; a ledger without the
-    key is read as computed.  When it was not, ``C_impl`` is the smallest
-    constant the recorded steps require, ``c_needed``, which is reported
-    in either case.
+    ``c_ref_computed`` says whether it was computed.  When it was not,
+    ``C_impl`` is the smallest constant the recorded steps require,
+    ``c_needed``, which is reported in either case.  The header is read
+    with no default: :func:`load_ledger` admits only one that has every
+    key of :data:`HEADER_RULES`.
     """
     h = ledger.header
     rho_s_h = float(h["rho_s_h"])
     dt = float(h["dt"])
-    e0 = float(h.get("e0", 0.0))
+    e0 = float(h["e0"])
     scale = ledger.energy_scale()
     checks = []
 
-    c_ref_computed = bool(h.get("c_ref_computed", True))
+    c_ref_computed = h["c_ref_computed"]
     if not ledger.rows:
         checks.append(CheckResult("nonempty ledger", True, 0.0, 0.0,
                                   "empty run: nothing to verify"))
-        return VerdictReport(checks, True, scale, float(h.get("c_ref", 0.0)),
-                             details={"c_ref_computed": c_ref_computed})
+        return VerdictReport(checks, True, scale, float(h["c_ref"]), 0.0,
+                             c_ref_computed)
 
     col = {c: ledger.column(c) for c in LEDGER_COLUMNS}
     matching = np.ones(len(ledger), dtype=bool)
@@ -477,7 +462,7 @@ def verify_run(ledger):
     active = p_sq > ENERGY_FLOOR
     need[active] = (trace_work[active] - spare[active]) / p_sq[active]
     c_needed = float(max(0.0, need.max() if need.size else 0.0))
-    c_impl = float(h.get("c_ref", 0.0)) if c_ref_computed else c_needed
+    c_impl = float(h["c_ref"]) if c_ref_computed else c_needed
 
     e_half, e_full = col["e_half"], col["e_full"]
     jump_eta = col["jump_eta_c0"] + col["jump_eta_c1"] + col["jump_eta_c2"]
@@ -510,7 +495,7 @@ def verify_run(ledger):
             TOL_MONOTONE,
             f"{int(np.sum(increases > TOL_MONOTONE * scale))} violations"))
     else:
-        p_l2 = float(h.get("p_in_l2_sq", 0.0)) + float(h.get("p_out_l2_sq", 0.0))
+        p_l2 = float(h["p_in_l2_sq"]) + float(h["p_out_l2_sq"])
         bound = e0 + c_impl * p_l2
         ratio = float(max(e_half.max(), e_full.max()) / max(bound, ENERGY_FLOOR))
         checks.append(CheckResult("uniform energy bound", bool(ratio <= 1.0 + 1e-12),
@@ -525,7 +510,7 @@ def verify_run(ledger):
         checks.append(_at_most(name, rel.max(), TOL_ENTRYWISE))
 
     checks.append(_every_row("stored residuals match their terms", matching))
-    start = np.r_[float(h["e0"]) if "e0" in h else col["e_n"][0], e_full[:-1]]
+    start = np.r_[e0, e_full[:-1]]
     checks.append(_every_row("energy chain", col["e_n"] == start))
     step = col["step"]
     checks.append(_every_row("step and time columns",
@@ -533,6 +518,4 @@ def verify_run(ledger):
                              & (col["t"] == (step + 1) * dt)))
 
     return VerdictReport(checks, all(c.passed for c in checks), scale, c_impl,
-                         details={"c_needed": c_needed,
-                                  "c_ref": float(h.get("c_ref", 0.0)),
-                                  "c_ref_computed": c_ref_computed})
+                         c_needed, c_ref_computed)

@@ -109,9 +109,9 @@ def write_fields_vtk(record, fluid_mesh, radius, directory):
 
 
 def write_outputs(result):
-    """Write a finished run's artifacts, as its config's ``output`` asks;
-    returns paths.  A directory or file that cannot be written raises
-    WallflowError."""
+    """Write a finished run's artifacts: its ledger, if it formed one, and
+    the fields its config's ``output`` asks for; returns paths.  A
+    directory or file that cannot be written raises WallflowError."""
     setup = result.setup
     output_cfg = setup.cfg["output"]
     directory = output_cfg["directory"]
@@ -119,7 +119,7 @@ def write_outputs(result):
     written = []
     try:
         os.makedirs(directory, exist_ok=True)
-        if output_cfg["ledger"] == "csv":
+        if result.ledger is not None:
             path = os.path.join(directory, "ledger.csv")
             result.ledger.to_csv(path)
             written.append(path)

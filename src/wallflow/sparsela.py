@@ -101,7 +101,7 @@ def csr_rows(m):
 def _expand(starts, counts):
     """Owner ``k`` and position of every item of the index ranges
     ``[starts[k], starts[k] + counts[k])``, in order."""
-    owner = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    owner = np.repeat(np.arange(counts.size), counts)
     shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
     return owner, np.arange(owner.size) + shift
 

@@ -14,6 +14,8 @@ slope) per node with clamped ends dropped.
 
 ``expanded_products`` keeps the product map's general expansion of every
 term, the reference for its direct path through selection operands.
+``ledger_header`` is a header for hand-made ledgers that the verifier
+admits.
 """
 
 import os
@@ -45,6 +47,15 @@ def run_setup(n_z, n_r, length, mu, wall, dt, mode="viscoelastic"):
         "mode": mode,
         "waveform": {"inlet": {"kind": "constant", "value": 0.0},
                      "outlet": {"kind": "constant", "value": 0.0}}}))
+
+
+def ledger_header(without=(), **values):
+    """A ledger header that every rule of ``energy.HEADER_RULES`` admits,
+    with ``values`` put in and the keys ``without`` left out."""
+    header = {"dt": 1e-3, "rho_s_h": 1.0, "e0": 1.0, "c_ref": 1.0,
+              "p_in_l2_sq": 1.0, "p_out_l2_sq": 1.0, "c_ref_computed": True,
+              **values}
+    return {k: v for k, v in header.items() if k not in without}
 
 
 def gauss01(n):

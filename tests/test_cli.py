@@ -11,6 +11,7 @@ from wallflow.energy import (CSV_HEADER_TAG, LEDGER_COLUMNS, EnergyLedger,
                              load_ledger)
 from wallflow.errors import SolverError
 
+from oracles import ledger_header
 from test_driver import count_calls
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -444,7 +445,9 @@ def test_trace_constant_fallback_is_recorded_and_reported(tmp_path,
     assert "c_ref was not computed" in capsys.readouterr().out
 
 
-def test_ledger_without_trace_flag_still_verifies(tmp_path, capsys):
+def test_a_ledger_without_the_trace_flag_is_rejected(tmp_path, capsys):
+    # a header without c_ref_computed does not say what C_impl rests on,
+    # so it is rejected rather than read as computed
     assert main(["run", write_cfg(tmp_path)]) == 0
     path = tmp_path / "out" / "ledger.csv"
     assert load_ledger(str(path)).header["c_ref_computed"] is True
@@ -455,9 +458,10 @@ def test_ledger_without_trace_flag_still_verifies(tmp_path, capsys):
     older.write_text("# wallflow-ledger-header: "
                      + json.dumps(header, sort_keys=True) + "\n" + rest)
     capsys.readouterr()
-    assert main(["verify", str(older)]) == 0
-    out = capsys.readouterr().out
-    assert "verdict: PASS" in out and "not computed" not in out
+    assert main(["verify", str(older)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: {older}: ledger header "
+                                 "c_ref_computed is missing\n")
 
 
 def drop_column(lines, name):
@@ -483,7 +487,16 @@ def as_jsonl(lines):
             + [json.dumps({"kind": "row", **row}) for row in rows])
 
 
-MALFORMED_LEDGERS = {     # case -> (ledger format, edit of its lines)
+def with_header(without=(), **values):
+    """The edit that puts ``ledger_header(without, **values)`` in place of
+    a ledger's header."""
+    line = CSV_HEADER_TAG + " " + json.dumps(ledger_header(without, **values))
+    return lambda lines: [line] + lines[1:]
+
+
+# case -> (ledger format, edit of its lines); a header-* case's id ends in
+# the key its error line names
+MALFORMED_LEDGERS = {
     "missing-file": ("csv", None),
     "bad-header-json": ("csv", lambda lines: [CSV_HEADER_TAG + ' {"dt": ']
                         + lines[1:]),
@@ -491,20 +504,15 @@ MALFORMED_LEDGERS = {     # case -> (ledger format, edit of its lines)
                          lambda lines: set_cell(lines, 1, "e_full", "abc")),
     "truncated-row": ("csv", lambda lines: lines[:-1] + [lines[-1][:20]]),
     "missing-column": ("csv", lambda lines: drop_column(lines, "pwork")),
-    "header-missing-rho_s_h": ("csv", lambda lines: [
-        CSV_HEADER_TAG + ' {"dt": 0.001, "e0": 1.0}'] + lines[1:]),
-    "header-non-numeric-dt": ("csv", lambda lines: [
-        CSV_HEADER_TAG + ' {"dt": "abc", "e0": 1.0, "rho_s_h": 1.0}']
-        + lines[1:]),
-    "header-overflowing-dt": ("csv", lambda lines: [
-        CSV_HEADER_TAG + f' {{"dt": {10**400}, "e0": 1.0, "rho_s_h": 1.0}}']
-        + lines[1:]),
-    "header-zero-dt": ("csv", lambda lines: [
-        CSV_HEADER_TAG + ' {"dt": 0, "e0": 1.0, "rho_s_h": 1.0}']
-        + lines[1:]),
-    "header-negative-rho_s_h": ("csv", lambda lines: [
-        CSV_HEADER_TAG + ' {"dt": 0.001, "e0": 1.0, "rho_s_h": -1.0}']
-        + lines[1:]),
+    "header-missing-rho_s_h": ("csv", with_header(without=["rho_s_h"])),
+    "header-missing-e0": ("csv", with_header(without=["e0"])),
+    "header-missing-c_ref_computed": ("csv",
+                                      with_header(without=["c_ref_computed"])),
+    "header-integer-c_ref_computed": ("csv", with_header(c_ref_computed=1)),
+    "header-non-numeric-dt": ("csv", with_header(dt="abc")),
+    "header-overflowing-dt": ("csv", with_header(dt=10**400)),
+    "header-zero-dt": ("csv", with_header(dt=0)),
+    "header-negative-rho_s_h": ("csv", with_header(rho_s_h=-1.0)),
     "overlong-cell": ("csv", lambda lines: set_cell(lines, 1, "e_full",
                                                     "1" * 131073)),
     "deeply-nested-header": ("csv", lambda lines: [
@@ -515,7 +523,7 @@ MALFORMED_LEDGERS = {     # case -> (ledger format, edit of its lines)
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_LEDGERS))
 def test_malformed_ledger_is_a_clean_error(tmp_path, capsys, case):
-    led = EnergyLedger({"dt": 1e-3, "rho_s_h": 1.0, "e0": 1.0})
+    led = EnergyLedger(ledger_header())
     for k in range(3):
         led.append({c: k if c == "step" else 0.5 for c in LEDGER_COLUMNS})
     fmt, edit = MALFORMED_LEDGERS[case]
@@ -529,6 +537,8 @@ def test_malformed_ledger_is_a_clean_error(tmp_path, capsys, case):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert str(path) in lines[0]
+    if case.startswith("header-"):
+        assert f" ledger header {case.rsplit('-', 1)[1]} " in lines[0]
 
 
 NOT_UTF8 = {    # case -> file contents that do not decode as UTF-8

@@ -664,6 +664,19 @@ def pressure_load_a_hundred_times_its_data(monkeypatch):
                         lambda *args: 100.0 * original(*args))
 
 
+def wall_step_with_the_elastic_term_at_eta_n(monkeypatch):
+    # the wall half step takes its elastic term at the start displacement:
+    # rho_s_h M eta_half = rho_s_h M (eta + dt v) - dt^2 A eta
+    def mutated(setup, state, solver):
+        dt, mass = setup.dt, setup.rho_s_h * setup.shell_mass
+        eta_half = solver.solve(mass, mass @ (state.eta + dt * state.v)
+                                - dt * dt * (setup.shell_elastic @ state.eta))
+        return shell.ShellState(eta=eta_half, v=state.v,
+                                v_star=(eta_half - state.eta) / dt)
+
+    monkeypatch.setattr(shell, "structure_step", mutated)
+
+
 @pytest.mark.parametrize("mutate, failing", [
     (step_on_the_end_of_step_geometry,
      ["fluid-step energy balance", "telescoped energy identity",
@@ -679,8 +692,11 @@ def pressure_load_a_hundred_times_its_data(monkeypatch):
       "transport skew-symmetry"]),
     (pressure_load_a_hundred_times_its_data,
      ["stability inequality slack", "uniform energy bound"]),
+    (wall_step_with_the_elastic_term_at_eta_n,
+     ["wall half-step energy equality", "telescoped energy identity"]),
 ], ids=["end-of-step-geometry", "no-robin-term", "lagged-wall-velocity",
-        "transport-not-antisymmetrized", "pressure-load-100x"])
+        "transport-not-antisymmetrized", "pressure-load-100x",
+        "explicit-wall-elasticity"])
 def test_verifier_fails_a_mutated_step(monkeypatch, mutate, failing):
     # each wrong variant of the step still runs to completion, and the
     # ledger's verdict names exactly the identities it breaks.  The ledger

@@ -10,7 +10,8 @@ from wallflow.energy import (LEDGER_COLUMNS, EnergyLedger, EnergyMonitor,
                              discrete_trace_constant, load_ledger, verify_run)
 from wallflow.sparsela import DirectFactor, ReusedFactorSolver
 
-from oracles import assemble_viscous, total_energy, zero_shell_state
+from oracles import (assemble_viscous, ledger_header, total_energy,
+                     zero_shell_state)
 
 
 def monitor_config(n_z=4, n_r=2, length=2.0, n_steps=1, **overrides):
@@ -284,7 +285,7 @@ def test_verify_flags_monotonicity_violation():
 
 
 def test_empty_ledger_verifies_trivially():
-    led = EnergyLedger({"rho_s_h": 0.1, "dt": 1.0, "e0": 0.0})
+    led = EnergyLedger(ledger_header(rho_s_h=0.1, dt=1.0, e0=0.0))
     report = verify_run(led)
     assert report.ok
 
