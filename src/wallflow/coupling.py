@@ -72,24 +72,36 @@ def build_coupling(fluid_mesh):
                          shape=(fluid_mesh.n_cols, wall.n_free))
 
 
-def build_prolongation(fluid_mesh, partition, trace_op, n_wall):
+def build_prolongation(fluid_mesh, trace_op, n_wall):
     """The elimination as one map ``P`` from reduced unknowns (free fluid
     DOFs, then the first ``n_wall`` columns of the CSC ``trace_op``: all
-    free wall DOFs, or 0 for a rigid wall) to the full velocity vector.
+    free wall DOFs, or 0 for a rigid wall) to the full velocity vector;
+    the one place that classifies the velocity DOFs.
 
-    Its columns are the identity on the free DOFs and the trace map on the
-    top-edge radial DOFs; fixed DOFs get zero rows.  Reduced operators are
-    ``P^T A P``, reduced loads ``P^T f`` and recovered fields ``P x``.
-    Stored as CSC, so ``P.T`` is a CSR view and column slices are cheap.
+    Fixed (eliminated at zero, so zero rows): axial component on the top
+    edge, radial component on the bottom, inlet and outlet edges.  Coupled:
+    radial component on the top edge, in z order, slaved to the wall
+    velocity through the trace map's rows (the corner values come out
+    exactly zero because the wall space is clamped).  Everything else is
+    free, and ``P`` is the identity there.  Reduced operators are ``P^T A
+    P``, reduced loads ``P^T f`` and recovered fields ``P x``.  Stored as
+    CSC, so ``P.T`` is a CSR view and column slices are cheap.
     """
-    nf = partition.n_free
+    nv, fm = fluid_mesh.n_velocity_nodes, fluid_mesh
+    top_r = nv + fm.top_nodes
+    free = np.ones(2 * nv, dtype=bool)
+    free[fm.top_nodes] = free[top_r] = False
+    free[nv + np.concatenate([fm.bottom_nodes, fm.inlet_nodes,
+                              fm.outlet_nodes])] = False
+    free = np.flatnonzero(free)
+    nf = free.size
     indptr = trace_op.indptr[:n_wall + 1]
     rows = trace_op.indices[:indptr[-1]]
     return sp.csc_matrix(
         (np.concatenate([np.ones(nf), trace_op.data[:indptr[-1]]]),
-         np.concatenate([partition.free, partition.top_r[rows]]),
+         np.concatenate([free, top_r[rows]]),
          np.concatenate([np.arange(nf), nf + indptr])),
-        shape=(2 * fluid_mesh.n_velocity_nodes, nf + n_wall))
+        shape=(2 * nv, nf + n_wall))
 
 
 GEOMETRY, FLOW = 0, 1      # the operand groups of the run's reduction map

@@ -125,12 +125,11 @@ class RunSetup:
             (g[0], self.shell_viscous), (coeffs.rho_s_h / self.dt, 1.0))
         self.wall_matrix = shell.combine_grams(
             (g[0], self.shell_elastic), (coeffs.rho_s_h, self.dt * self.dt))
-        self.partition = fluid.DofPartition(fm)
         self.trace_op = coupling.build_coupling(fm)   # top edge <- wall
         # a rigid wall leaves no wall velocity to couple: P has no wall columns
-        n_wall = 0 if cfg["mode"] == "rigid" else sm.n_free
-        self.prolongation = coupling.build_prolongation(
-            fm, self.partition, self.trace_op, n_wall)
+        self.n_wall = 0 if cfg["mode"] == "rigid" else sm.n_free
+        self.prolongation = coupling.build_prolongation(fm, self.trace_op,
+                                                        self.n_wall)
         # the last time a run asks for: its last step's end or t_final
         t_end = max(self.t_final, self.n_steps * self.dt)
         self.wave_in = ingest_waveform(cfg["waveform"]["inlet"], t_end)
@@ -140,9 +139,11 @@ class RunSetup:
     def wall_injection(self):
         """``E``, the wall velocity's place among the reduced unknowns: a
         wall vector ``v`` enters as ``E v`` and ``E^T x`` is the wall
-        velocity of ``x``; zero for a rigid wall.  Built on first use."""
-        return sp.eye(self.prolongation.shape[1], self.shell_mesh.n_free,
-                      k=-self.partition.n_free, format="csr")
+        velocity of ``x``; zero for a rigid wall.  Built on first use: the
+        wall columns are ``P``'s last ``n_wall``."""
+        n = self.prolongation.shape[1]
+        return sp.eye(n, self.shell_mesh.n_free, k=self.n_wall - n,
+                      format="csr")
 
     @functools.cached_property
     def reduction(self):

@@ -14,9 +14,8 @@ weights times a shape-function product table built once per mesh.
 
 DOF layout: velocity component c, node n -> index c * n_velocity_nodes + n,
 with nodes numbered row-major bottom-to-top (n = ir * n_cols + iz).
-Essential velocity values (axial on the top edge, radial on the bottom,
-inlet and outlet edges) are imposed by DOF elimination downstream; the
-radial top-edge values are the coupling unknowns.
+Which DOFs are fixed, coupled or free is decided once, by
+:func:`wallflow.coupling.build_prolongation`.
 """
 
 import functools
@@ -330,27 +329,3 @@ def assemble_pressure_forcing(mesh, p_in, p_out, radius):
     f[mesh.outlet_nodes] -= radius * p_out * mesh.edge_weights
     return f
 
-
-class DofPartition:
-    """Classification of velocity DOFs into free, coupled, and fixed sets;
-    the free and coupled indices are kept.
-
-    Fixed (eliminated at zero): axial component on the top edge, radial
-    component on the bottom, inlet and outlet edges.  Coupled: radial
-    component on the top edge, slaved to the wall velocity through the
-    trace map (the corner values come out exactly zero because the wall
-    space is clamped).  Everything else is free.
-    """
-
-    def __init__(self, mesh):
-        nv = mesh.n_velocity_nodes
-        fixed = np.zeros(2 * nv, dtype=bool)
-        coupled = np.zeros(2 * nv, dtype=bool)
-        fixed[mesh.top_nodes] = True                     # u_z = 0 on top
-        fixed[nv + mesh.bottom_nodes] = True             # u_r = 0 symmetry
-        fixed[nv + mesh.inlet_nodes] = True
-        fixed[nv + mesh.outlet_nodes] = True
-        coupled[nv + mesh.top_nodes] = True              # u_r = trace of wall v
-        self.top_r = nv + mesh.top_nodes                 # ordered by z
-        self.free = np.where(~(fixed | coupled))[0]
-        self.n_free = self.free.size

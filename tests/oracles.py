@@ -535,7 +535,19 @@ def fixed_dofs(mesh):
     nv = mesh.n_velocity_nodes
     fixed = np.concatenate([mesh.top_nodes, nv + mesh.bottom_nodes,
                             nv + mesh.inlet_nodes, nv + mesh.outlet_nodes])
-    return np.setdiff1d(fixed, nv + mesh.top_nodes)
+    return np.setdiff1d(fixed, top_radial_dofs(mesh))
+
+
+def top_radial_dofs(mesh):
+    """The coupled velocity DOFs: the radial component on the top edge,
+    in z order, the rows of the trace map."""
+    return mesh.n_velocity_nodes + mesh.top_nodes
+
+
+def free_dofs(mesh):
+    """Velocity DOFs neither fixed nor coupled, in increasing order."""
+    return np.setdiff1d(np.arange(2 * mesh.n_velocity_nodes),
+                        np.r_[fixed_dofs(mesh), top_radial_dofs(mesh)])
 
 
 def trace_map_by_loop(fluid_mesh):
@@ -569,7 +581,7 @@ def compatibility_failures(setup, eta0, v0, u0, trace=None):
     if trace is None:
         trace = trace_map_by_loop(fm)
     ends = [0, 1, -2, -1]
-    top_r = u0[fm.n_velocity_nodes + fm.top_nodes]
+    top_r = u0[top_radial_dofs(fm)]
     tol = 1e-10 * (max(np.abs(u0).max(), np.abs(v0).max()) or 1.0)
     z = np.linspace(0.0, setup.length, 8 * sm.n_elements + 1)
     r = setup.radius
@@ -592,8 +604,8 @@ def reduce_by_index(setup, a_mom, b_div, wall=None):
     every top-edge DOF is zero and there is no wall block (the system of a
     rigid-mode setup).
     """
-    part, t = setup.partition, setup.trace_op
-    free, topr = part.free, part.top_r
+    fm, t = setup.fluid_mesh, setup.trace_op
+    free, topr = free_dofs(fm), top_radial_dofs(fm)
     a_ff = a_mom[free][:, free]
     b_f = b_div[:, free]
     if wall is None:
@@ -759,7 +771,7 @@ def wall_traction_load(setup, snapshot, result, u_prev_full, dt):
     terms of the coupled equations to solver precision.
     """
     resid_full = _momentum_residual(setup, snapshot, result, u_prev_full, dt)
-    return setup.trace_op.T @ resid_full[setup.partition.top_r]
+    return setup.trace_op.T @ resid_full[top_radial_dofs(setup.fluid_mesh)]
 
 
 def top_edge_traction(setup, snapshot, result, u_prev_full, dt):
@@ -769,7 +781,7 @@ def top_edge_traction(setup, snapshot, result, u_prev_full, dt):
     against the constrained-DOF residual.
     """
     resid_full = _momentum_residual(setup, snapshot, result, u_prev_full, dt)
-    load = resid_full[setup.partition.top_r]
+    load = resid_full[top_radial_dofs(setup.fluid_mesh)]
     return np.linalg.solve(top_edge_mass(setup.fluid_mesh), load)
 
 

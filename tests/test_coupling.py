@@ -5,10 +5,11 @@ from wallflow import ale, coupling, fluid, shell
 from wallflow.sparsela import ReusedFactorSolver
 
 from oracles import (assemble_divergence, assemble_viscous, fixed_dofs,
-                     flow_by_terms, fluid_step_energy_residuals,
+                     flow_by_terms, fluid_step_energy_residuals, free_dofs,
                      momentum_matrix_by_kron, reduce_by_index, run_setup,
-                     top_edge_traction, trace_map_by_loop, two_component,
-                     viscous_csr, wall_traction_load, zero_shell_state)
+                     top_edge_traction, top_radial_dofs, trace_map_by_loop,
+                     two_component, viscous_csr, wall_traction_load,
+                     zero_shell_state)
 
 
 def make_setup(n_z=8, n_r=4, length=6.0, elastic=False, dt=1e-4,
@@ -74,15 +75,15 @@ def test_trace_map_matches_the_loop_reference(n_z):
 
 def test_prolongation_places_free_trace_and_fixed_dofs():
     _, sm, fm, cs = make_setup()
-    part, p = cs.partition, cs.prolongation
+    free, p = free_dofs(fm), cs.prolongation
     assert p.format == "csc"
-    assert p.shape == (2 * fm.n_velocity_nodes, part.n_free + sm.n_free)
+    assert p.shape == (2 * fm.n_velocity_nodes, free.size + sm.n_free)
     rng = np.random.default_rng(5)
-    w = rng.standard_normal(part.n_free)
+    w = rng.standard_normal(free.size)
     v = rng.standard_normal(sm.n_free)
     u = p @ np.concatenate([w, v])
-    assert np.array_equal(u[part.free], w)
-    assert np.array_equal(u[part.top_r], cs.trace_op @ v)
+    assert np.array_equal(u[free], w)
+    assert np.array_equal(u[top_radial_dofs(fm)], cs.trace_op @ v)
     assert np.all(u[fixed_dofs(fm)] == 0.0)
 
 
@@ -212,13 +213,13 @@ def test_rigid_system_is_the_coupled_one_without_the_wall():
     # on the same kernels, deleting the wall rows and columns of the
     # coupled system gives the rigid one, pattern and values bit for bit
     dt = 5e-5
-    _, sm, _, cs = make_setup(dt=dt)
+    _, sm, fm, cs = make_setup(dt=dt)
     rigid = make_setup(dt=dt, mode="rigid")[-1]
     eta, frame, flow, _, _ = step_kernels(cs)
     coupled = coupling.reduce_coupled_system(cs, frame, flow)
     ours = coupling.reduce_coupled_system(
         rigid, coupling.build_frame(rigid, eta), flow)
-    nf, n = cs.partition.n_free, cs.prolongation.shape[1]
+    nf, n = free_dofs(fm).size, cs.prolongation.shape[1]
     keep = np.r_[0:nf, n:coupled.shape[0]]
     assert n - nf == sm.n_free > 0
     assert ours.shape == (keep.size, keep.size)
@@ -295,7 +296,7 @@ def test_frozen_operator_solve_is_linear(stepped):
     # the coupled problem is linear: with the assembled operators frozen,
     # the solution superposes over (previous velocity, wall velocity, loads)
     coeffs, sm, fm, cs, state, u, dt, half, res, old, _ = stepped
-    p, nf = cs.prolongation, cs.partition.n_free
+    p, nf = cs.prolongation, free_dofs(fm).size
     system = coupling.reduce_coupled_system(
         cs, coupling.build_frame(cs, state.eta), res.flow)
     from wallflow.sparsela import DirectFactor

@@ -4,12 +4,12 @@ algebraic identities the operators are designed to satisfy."""
 import numpy as np
 import pytest
 
-from wallflow import ale, fluid
+from wallflow import ale, coupling, fluid
 from wallflow.sparsela import ScatterPattern, csr_rows
 
 from oracles import (DenseFluidOracle, assemble_advection, assemble_divergence,
                      assemble_robin_mass, assemble_viscous, fixed_dofs,
-                     flow_by_terms, interpolate_velocity, run_setup,
+                     flow_by_terms, free_dofs, interpolate_velocity, run_setup,
                      two_component, viscous_by_four, viscous_pattern)
 
 
@@ -322,15 +322,27 @@ def test_mass_update_identity_entrywise():
 
 
 def test_partition_classification():
+    # P classifies each velocity DOF once: the rows of its identity columns
+    # are the free DOFs, those of its wall columns the coupled top-edge
+    # radial DOFs, every other row is zero, a fixed DOF
     _, fm, _, _, _, _ = make_case(2, 2)
-    part = fluid.DofPartition(fm)
-    nv = fm.n_velocity_nodes
-    assert set(part.top_r) == set(nv + fm.top_nodes)
+    nv, trace = fm.n_velocity_nodes, coupling.build_coupling(fm)
+    p = coupling.build_prolongation(fm, trace, fm.wall.n_free)
+    nf = p.shape[1] - fm.wall.n_free
+    free = p[:, :nf].tocoo()
+    assert np.array_equal(free.col, np.arange(nf))
+    assert np.all(free.data == 1.0)
+    coupled = np.unique(p[:, nf:].tocoo().row)
+    zero = np.flatnonzero(np.diff(p.tocsr().indptr) == 0)
+    assert np.array_equal(p[nv + fm.top_nodes, nf:].toarray(),
+                          trace.toarray())
     # no overlap and full coverage
-    fixed = fixed_dofs(fm)
-    all_sets = np.concatenate([part.free, fixed, part.top_r])
-    assert np.unique(all_sets).size == 2 * nv
-    # axial top DOFs are fixed, interior DOFs free
-    assert fm.top_nodes[1] in fixed
+    all_sets = np.concatenate([free.row, coupled, zero])
+    assert np.unique(all_sets).size == all_sets.size == 2 * nv
+    assert np.array_equal(free.row, free_dofs(fm))
+    # axial top DOFs and the corners are zero rows, interior DOFs free
+    corners = nv + fm.top_nodes[[0, -1]]
+    assert np.array_equal(zero, np.union1d(fixed_dofs(fm), corners))
+    assert set(fm.top_nodes) <= set(zero)
     interior = fm.n_cols + 1
-    assert interior in part.free and (nv + interior) in part.free
+    assert interior in free.row and (nv + interior) in free.row
