@@ -87,12 +87,11 @@ def build_prolongation(fluid_mesh, trace_op, n_wall):
     P``, reduced loads ``P^T f`` and recovered fields ``P x``.  Stored as
     CSC, so ``P.T`` is a CSR view and column slices are cheap.
     """
-    nv, fm = fluid_mesh.n_velocity_nodes, fluid_mesh
+    fm, nv = fluid_mesh, fluid_mesh.n_velocity_nodes
     top_r = nv + fm.top_nodes
     free = np.ones(2 * nv, dtype=bool)
-    free[fm.top_nodes] = free[top_r] = False
-    free[nv + np.concatenate([fm.bottom_nodes, fm.inlet_nodes,
-                              fm.outlet_nodes])] = False
+    free[np.r_[fm.top_nodes, top_r, nv + fm.bottom_nodes,
+               nv + fm.inlet_nodes, nv + fm.outlet_nodes]] = False
     free = np.flatnonzero(free)
     nf = free.size
     indptr = trace_op.indptr[:n_wall + 1]

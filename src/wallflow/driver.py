@@ -39,6 +39,9 @@ EXIT_CODES = {STATUS_COMPLETED: 0, STATUS_WALL_CONTACT: 2,
 # a step falls below this
 STEADY_TOL = 1e-10
 
+_OVERFLOW = ("the wall's coefficients or forms leave the float range; check "
+             "geometry.radius, geometry.length, mesh.n_z and the wall section")
+
 
 @dataclass
 class TrajectoryRecord:
@@ -101,7 +104,10 @@ class RunSetup:
     def __init__(self, cfg):
         self.cfg = cfg
         # elastic mode: D = 0, as the config forces viscous_modulus = 0
-        self.coeffs = coeffs = derive_coefficients(cfg)
+        try:
+            self.coeffs = coeffs = derive_coefficients(cfg)
+        except (ZeroDivisionError, OverflowError):  # r**2 is 0, h**2 inf
+            raise ConfigError(_OVERFLOW) from None
         self.radius = cfg["geometry"]["radius"]
         self.length = cfg["geometry"]["length"]
         self.rho_f = cfg["fluid"]["density"]
@@ -112,19 +118,24 @@ class RunSetup:
         self.fluid_mesh = fm = fluid.FluidMesh(
             cfg["mesh"]["n_z"], cfg["mesh"]["n_r"], self.length)
         self.shell_mesh = sm = fm.wall      # the fluid mesh's top edge
-        self.grams = g = shell.assemble_grams(sm)    # (G0, G1, G2)
-        self.shell_mass = g[0]                       # M_s = G0
-        self.shell_elastic = shell.combine_grams(g, (coeffs.C0, coeffs.C1,
-                                                     coeffs.C2))
-        self.shell_viscous = shell.combine_grams(g, (coeffs.D0, coeffs.D1,
-                                                     coeffs.D2))
         self.rho_s_h = coeffs.rho_s_h
-        # the fluid step's wall block rho_s_h/dt M_s + D and the wall half
-        # step's matrix rho_s_h M_s + dt^2 A, constant for a run
-        self.wall_block = shell.combine_grams(
-            (g[0], self.shell_viscous), (coeffs.rho_s_h / self.dt, 1.0))
-        self.wall_matrix = shell.combine_grams(
-            (g[0], self.shell_elastic), (coeffs.rho_s_h, self.dt * self.dt))
+        # the wall's forms, the fluid step's wall block rho_s_h/dt M_s + D
+        # and the wall half step's matrix rho_s_h M_s + dt^2 A, constant for
+        # a run; a block that leaves the float range is a ConfigError
+        with np.errstate(all="ignore"):
+            self.grams = g = shell.assemble_grams(sm)    # (G0, G1, G2)
+            self.shell_mass = g[0]                       # M_s = G0
+            self.shell_elastic = shell.combine_grams(
+                g, (coeffs.C0, coeffs.C1, coeffs.C2))
+            self.shell_viscous = shell.combine_grams(
+                g, (coeffs.D0, coeffs.D1, coeffs.D2))
+            self.wall_block = shell.combine_grams(
+                (g[0], self.shell_viscous), (coeffs.rho_s_h / self.dt, 1.0))
+            self.wall_matrix = shell.combine_grams(
+                (g[0], self.shell_elastic), (coeffs.rho_s_h, self.dt * self.dt))
+        if not all(np.isfinite(m.data).all()
+                   for m in (self.wall_block, self.wall_matrix)):
+            raise ConfigError(_OVERFLOW)
         self.trace_op = coupling.build_coupling(fm)   # top edge <- wall
         # a rigid wall leaves no wall velocity to couple: P has no wall columns
         self.n_wall = 0 if cfg["mode"] == "rigid" else sm.n_free
@@ -153,7 +164,8 @@ class RunSetup:
     def initial_data(self):
         """Initial fields ``(eta0, v0, u0)`` per the config, the wall's as
         free DOFs and the velocity's as full DOFs, compatible by
-        construction; a bump whose fields overflow is a ConfigError."""
+        construction; a bump whose fields or wall energy overflow is a
+        ConfigError before any step, as overflowing wall forms are."""
         spec = self.cfg["initial_data"]
         sm, fm = self.shell_mesh, self.fluid_mesh
         if spec["kind"] == "zero":
@@ -181,9 +193,11 @@ class RunSetup:
             # r = 0 row (the first) stays +0 whatever the sign of v0
             u0[fm.n_velocity_nodes + fm.n_cols:] = np.outer(
                 fm.velocity_r[1:], self.trace_op @ v0).ravel()
-        if not all(np.isfinite(f).all() for f in (eta0, v0, u0)):
-            raise ConfigError("initial_data: the bump's fields overflow on "
-                              "this geometry; lower its amplitudes")
+            energy = (eta0 @ (self.shell_elastic @ eta0)
+                      + self.rho_s_h * (v0 @ (self.shell_mass @ v0)))
+        if not all(np.isfinite(f).all() for f in (eta0, v0, u0, energy)):
+            raise ConfigError("initial_data: the bump's fields or energy "
+                              "overflow on this geometry; lower its amplitudes")
         return eta0, v0, u0
 
 
@@ -292,14 +306,14 @@ def _column_l2_sq(vals, h):
 
 def poiseuille_profile_error(cfg):
     """L2-relative mismatch of the mid-channel axial profile that
-    ``run(cfg)`` of a rigid ``cfg`` ends on against the parabolic solution
-    of pressure-driven flow between the symmetry line and a no-slip wall;
-    a failed step is a SolverError.  ``info["steady"]`` is false when the
-    march ran out of steps before its increment fell below
-    :data:`STEADY_TOL`.  A config of another mode is a ConfigError."""
+    ``run(cfg)`` of a rigid ``cfg``, with no ledger, ends on against the
+    parabolic solution of pressure-driven flow between the symmetry line
+    and a no-slip wall; a failed step is a SolverError.  ``info["steady"]``
+    is false when the march ran out of steps before its increment fell
+    below :data:`STEADY_TOL`.  A config of another mode is a ConfigError."""
     if cfg["mode"] != "rigid":
         raise ConfigError("poiseuille needs a rigid-mode configuration")
-    result = run(cfg)
+    result = run({**cfg, "output": {**cfg["output"], "ledger": "none"}})
     if result.failure is not None:
         raise SolverError(result.failure)
     setup, u = result.setup, result.record.us[-1]
@@ -337,9 +351,9 @@ def _with_steps(cfg, n_steps):   # with the ledger whose gap the study reads
                             "output": {**cfg["output"], "ledger": "csv"}})
 
 
-def _is_zero(spec):
-    """Whether initial data or a waveform is zero by its parameters; a csv
-    waveform's samples are read only by RunSetup, so it counts as nonzero."""
+def _is_zero(spec, t_end):
+    """Whether initial data or a waveform is zero by its parameters, or a
+    csv waveform by its samples, read for a run that ends at ``t_end``."""
     kind = spec["kind"]
     if kind in ("zero", "bump"):
         return spec.get("eta_amplitude", 0) == spec.get("v_amplitude", 0) == 0
@@ -348,6 +362,8 @@ def _is_zero(spec):
                 or spec["frequency"] == spec["phase"] == 0)
     if kind == "constant":
         return spec["value"] == 0
+    if kind == "csv":
+        return not ingest_waveform(spec, t_end).values.any()
     return kind == "pulse" and spec["amplitude"] == 0
 
 
@@ -397,8 +413,9 @@ def self_convergence_study(cfg, rung_steps, reference_steps):
     if reference["mode"] == "rigid":
         raise ConfigError("a convergence study needs a moving wall: a rigid "
                           "wall's eta and v are zero on every rung")
-    if all(map(_is_zero, (reference["initial_data"],
-                          *reference["waveform"].values()))):
+    if all(_is_zero(spec, reference["time"]["t_final"])
+           for spec in (reference["initial_data"],
+                        *reference["waveform"].values())):
         raise ConfigError("a convergence study needs nonzero initial data "
                           "or a nonzero waveform: zero data stay zero at "
                           "every dt")

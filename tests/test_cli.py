@@ -133,6 +133,35 @@ def test_retired_key_is_config_error(tmp_path, capsys, key, value, says):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("ledger", ["csv", "none"])
+@pytest.mark.parametrize("section, key, value", [
+    ("geometry", "radius", 1e-200),     # r**2 is 0 in the coefficients
+    ("geometry", "radius", 1e200),      # r**2 overflows
+    ("wall", "thickness", 1e200),
+    ("geometry", "length", 1e150),      # a wall Gram form overflows
+    ("geometry", "length", 1e-150),
+    ("initial_data", "eta_amplitude", 1e200),   # the wall energy overflows
+    ("initial_data", "v_amplitude", 1e300),
+], ids=["radius-tiny", "radius-huge", "thickness-huge", "length-huge",
+        "length-tiny", "eta-amplitude-huge", "v-amplitude-huge"])
+def test_overflowing_inputs_are_rejected_before_any_step(
+        tmp_path, capsys, monkeypatch, recwarn, section, key, value, ledger):
+    steps = count_calls(monkeypatch, shell, "structure_step")
+    path = write_cfg(tmp_path, initial_data={
+        "kind": "bump", "eta_amplitude": 0.01, "v_amplitude": 0.1})
+    raw = json.loads((tmp_path / "run.json").read_text())
+    raw[section][key] = value
+    raw["output"]["ledger"] = ledger
+    (tmp_path / "run.json").write_text(json.dumps(raw))
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert "status:" not in captured.out and not steps
+    assert not (tmp_path / "out").exists()
+    assert not recwarn.list             # no numpy warning on stderr either
+
+
 def test_wall_contact_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)   # shipped config writes a relative out dir
     cfg = os.path.abspath(os.path.join(CONFIG_DIR, "contact_suction.json"))

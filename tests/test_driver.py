@@ -525,11 +525,15 @@ ZERO_DATA = {   # case -> (initial data, inlet waveform), the outlet ZERO
                     {"kind": "sine", "amplitude": 0.0, "frequency": 50.0}),
     "still-sine": ({"kind": "zero"},
                    {"kind": "sine", "amplitude": 1e3, "frequency": 0.0}),
+    "zero-csv": ({"kind": "zero"}, {"kind": "csv", "path": "zeros.csv"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ZERO_DATA))
-def test_a_study_rejects_zero_data_before_any_run(monkeypatch, case):
+def test_a_study_rejects_zero_data_before_any_run(monkeypatch, tmp_path,
+                                                  case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zeros.csv").write_text("t,p\n0.0,0.0\n0.5,-0.0\n1.0,0.0\n")
     initial, inlet = ZERO_DATA[case]
     cfg = small_cfg(initial_data=initial,
                     waveform={"inlet": inlet, "outlet": ZERO})
@@ -543,10 +547,12 @@ def test_a_study_rejects_zero_data_before_any_run(monkeypatch, case):
     {"kind": "bump", "eta_amplitude": 0.0, "v_amplitude": 1e-3},
     {"kind": "sine", "amplitude": 1e3, "frequency": 0.0, "phase": 0.5},
     {"kind": "pulse", "amplitude": 1e3, "duration": 1e-3},
-    {"kind": "csv", "path": "zeros.csv"},   # its samples are not read
+    {"kind": "csv", "path": "wave.csv"},    # one nonzero sample
 ])
-def test_nonzero_data_are_left_to_the_study(spec):
-    assert not driver._is_zero(spec)
+def test_nonzero_data_are_left_to_the_study(monkeypatch, tmp_path, spec):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wave.csv").write_text("0.0,0.0\n0.5,1e-300\n1.0,0.0\n")
+    assert not driver._is_zero(spec, 1.0)
 
 
 def test_poiseuille_rejects_a_moving_wall_before_any_run(monkeypatch):
@@ -771,6 +777,20 @@ def test_a_run_that_asks_for_no_ledger_forms_none(monkeypatch):
     rigid = driver.run(rigid_cfg(n_steps=5))
     assert rigid.steps == 5 and rigid.ledger is None
     assert rows == [] and constants == []
+
+
+def test_the_poiseuille_harness_forms_no_ledger(monkeypatch):
+    # the harness reads the record only: a config that asks for a ledger
+    # gets the same profile and no rows, e0 or trace constant
+    rows = count_calls(monkeypatch, energy.EnergyMonitor, "record_step")
+    starts = count_calls(monkeypatch, energy.EnergyMonitor, "start")
+    constants = count_calls(monkeypatch, energy, "discrete_trace_constant")
+    cfg = rigid_cfg(n_steps=5, ledger="csv")
+    err, info = driver.poiseuille_profile_error(cfg)
+    assert info["steps"] == 5 and cfg["output"]["ledger"] == "csv"
+    assert rows == starts == constants == []
+    assert (err, info) == driver.poiseuille_profile_error(
+        rigid_cfg(n_steps=5, ledger="none"))
 
 
 def test_a_rigid_run_hands_each_step_its_product(monkeypatch):

@@ -1,9 +1,11 @@
 """Initial data are compatible by construction: ``RunSetup.initial_data``
 builds them, the configuration rejects the one geometric failure (a
-collapsed wall) and the run the one numeric one (overflow), and an
-independent check, ``oracles.compatibility_failures``, confirms the rest."""
+collapsed wall) and the run the one numeric one (overflow of the fields
+or of their wall energy), and an independent check,
+``oracles.compatibility_failures``, confirms the rest."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -14,7 +16,7 @@ from wallflow.config import validate_config
 from wallflow.driver import RunSetup
 from wallflow.errors import ConfigError
 
-from oracles import compatibility_failures, to_full
+from oracles import compatibility_failures, to_free, to_full
 
 
 def bump_raw(n_z=8, n_r=4, radius=0.5, length=6.0, eta=0.01, v=1.0):
@@ -65,13 +67,41 @@ def draws(n_z, count=16):
         yield bump_raw(n_z, int(rng.integers(1, 6)), radius, length, eta, v)
 
 
+def log10_wall_energy(setup, raw):
+    """log10 of the larger term of the bump's wall energy ``eta0^T A eta0 +
+    rho_s_h v0^T M_s v0``: each amplitude squared in log space against the
+    form of the bump's unit Hermite interpolant (nodal values and slopes),
+    so nothing overflows; -inf for a fully clamped wall."""
+    g, c, nodes = setup.grams, setup.coeffs, setup.shell_mesh.nodes
+    length, spec = raw["geometry"]["length"], raw["initial_data"]
+    s = nodes / length
+    p = to_free(np.column_stack([
+        16.0 * s**2 * (1.0 - s)**2,
+        32.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / length]).ravel())
+    forms = [(spec["eta_amplitude"],
+              p @ ((c.C0 * g[0] + c.C1 * g[1] + c.C2 * g[2]) @ p)),
+             (spec["v_amplitude"], c.rho_s_h * (p @ (g[0] @ p)))]
+    return max((2.0 * math.log10(abs(a)) + math.log10(q)
+                for a, q in forms if a != 0 and q > 0), default=-math.inf)
+
+
 @pytest.mark.parametrize("n_z", range(1, 20))
 def test_initial_data_are_compatible(n_z):
+    # a draw is rejected exactly when its wall energy leaves the float
+    # range (log10 of the largest double is 308.25; two terms at most
+    # double the larger), and its data are compatible otherwise
     zero = bump_raw(n_z)
     zero["initial_data"] = {"kind": "zero"}
     for raw in [zero, *draws(n_z)]:
         setup = RunSetup(validate_config(raw))
-        failures = initial_failures(setup)
+        energy = (log10_wall_energy(setup, raw)
+                  if raw["initial_data"]["kind"] == "bump" else -math.inf)
+        try:
+            failures = initial_failures(setup)
+        except ConfigError as exc:
+            assert "overflow" in str(exc) and energy > 308.25 - 0.31, raw
+            continue
+        assert energy < 308.26, raw
         assert failures == [], (failures, raw)
 
 
