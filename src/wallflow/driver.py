@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import coupling, fluid, shell
+from . import coupling, fluid, shell, sparsela
 from .config import ingest_waveform, validate_config
 from .energy import EnergyLedger, EnergyMonitor
 from .errors import ConfigError, SolverError, ValidationError, WallContact
@@ -97,9 +97,8 @@ class RunSetup:
     one per-run object, which carries the wall Gram matrices and forms, the
     wall half step's matrix, the fluid step's wall block, the trace map, the
     prolongation ``P`` (with no wall columns for a rigid wall: the run's one
-    mode choice) and, built on first use, the wall injection ``E`` and the
-    fluid step's reduction map.  Each linear system of a run is solved
-    through a ``ReusedFactorSolver`` of its own, not here."""
+    mode choice) and, built on first use, the wall injection ``E``, the
+    fluid step's reduction map and the wall half step's solve."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -155,6 +154,12 @@ class RunSetup:
         n = self.prolongation.shape[1]
         return sp.eye(n, self.shell_mesh.n_free, k=self.n_wall - n,
                       format="csr")
+
+    @functools.cached_property
+    def wall_solve(self):
+        """The solve of the constant ``wall_matrix``, factored on first use,
+        in the first wall half step."""
+        return sparsela.constant_solver(self.wall_matrix, shell.STRUCTURE_TOL)
 
     @functools.cached_property
     def reduction(self):
@@ -222,7 +227,6 @@ def run(cfg):
     setup.reduction
     dt, n_steps = setup.dt, setup.n_steps
     solver = ReusedFactorSolver(coupling.FLUID_TOL)
-    wall_solver = ReusedFactorSolver(shell.STRUCTURE_TOL)
     steady_stop = cfg["mode"] == "rigid"
 
     eta0, v0, u = setup.initial_data()
@@ -242,6 +246,11 @@ def run(cfg):
         frame = coupling.build_frame(setup, state.eta)
         # e0 and the first load; each step returns the next product
         mass_u = fluid.componentwise(frame.mass, u)
+        with np.errstate(over="ignore"):  # e0's fluid part must be finite
+            if not np.isfinite(setup.rho_f * (u @ mass_u)):
+                raise ConfigError("initial_data: the fluid's kinetic energy "
+                                  "overflows; lower fluid.density or the "
+                                  "bump's amplitudes")
         if monitor is not None:
             monitor.start(state, u, mass_u, frame)
 
@@ -250,7 +259,7 @@ def run(cfg):
             p_in = setup.wave_in.average(n * dt, t_next)
             p_out = setup.wave_out.average(n * dt, t_next)
 
-            half = shell.structure_step(setup, state, wall_solver)
+            half = shell.structure_step(setup, state)
             # the end-of-step profile, checked for contact before the
             # fluid step, which still runs on the start-of-step frame; a
             # wall that has not moved ends on the frame it started on

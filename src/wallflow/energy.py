@@ -38,7 +38,7 @@ from . import coupling
 from .config import _number, _positive
 from .errors import SolverError, WallflowError
 from .fluid import assemble_pressure_forcing, componentwise, viscous_form
-from .sparsela import ReusedFactorSolver
+from .sparsela import constant_solver
 
 LEDGER_COLUMNS = [
     "step", "t", "e_n", "e_half", "e_full",
@@ -332,16 +332,15 @@ def discrete_trace_constant(k_reduced, l_in_reduced, l_out_reduced, radius):
 
     Largest ratio of the squared inlet/outlet flux functionals to the fluid
     viscous dissipation quadratic form, computed exactly from two sparse
-    solves (the numerator is rank two) through one solver, whose second
-    solve reuses the first one's factor.  The returned value C satisfies
+    solves (the numerator is rank two) with one LU of ``k_reduced``.  The
+    returned value C satisfies
 
         R * (P_in t_in(u) - P_out t_out(u)) <= d(u) + C * (P_in^2 + P_out^2)
 
     for every discrete u, where d is the *spare* half of the viscous form.
     """
-    solver = ReusedFactorSolver(TRACE_CONSTANT_TOL)
-    sols = [solver.solve(k_reduced, 2.0 * l)
-            for l in (l_in_reduced, l_out_reduced)]
+    solve = constant_solver(k_reduced, TRACE_CONSTANT_TOL)
+    sols = [solve(2.0 * l) for l in (l_in_reduced, l_out_reduced)]
     gram = np.array([[float(l @ x) for x in sols]
                      for l in (l_in_reduced, l_out_reduced)])
     kappa = float(np.linalg.eigvalsh(0.5 * (gram + gram.T)).max())

@@ -4,9 +4,7 @@ The wall displacement and velocity live in the clamped space (value and
 slope pinned at both ends), which the C1 Hermite elements represent
 conformingly; that is what makes the fourth-order bending term assemblable
 as a plain Gram matrix of second derivatives.  The wall half step solves
-the run's constant wall matrix through the run's solve policy
-(:class:`~wallflow.sparsela.ReusedFactorSolver`), like every other linear
-system of a run.
+the run's constant wall matrix with its own LU (``constant_solver``).
 """
 
 from dataclasses import dataclass
@@ -175,28 +173,26 @@ class ShellState:
     v_star: np.ndarray
 
 
-def structure_step(setup, state, solver):
+def structure_step(setup, state):
     """Advance the wall elastodynamics half step.
 
-    Solves, through the run's wall ``solver`` (a
-    :class:`~wallflow.sparsela.ReusedFactorSolver` at :data:`STRUCTURE_TOL`),
-    the one-matrix eliminated system whose matrix ``setup.wall_matrix`` is
-    built once per run,
+    Solves, through ``setup.wall_solve`` (the LU of the run's constant
+    ``setup.wall_matrix``, factored by the first half step of a run and
+    applied from zero at :data:`STRUCTURE_TOL`), the one-matrix eliminated
+    system
 
         (rho_s_h * M + dt^2 * A) eta_half = rho_s_h * M (eta + dt * v)
 
     and recovers the half-step velocity v_half = (eta_half - eta) / dt,
-    which is exact by definition.  The matrix is constant, so the solver
-    factors it on the first step and reuses that factor on every later one.
-    The fluid state is untouched in this half step.  Returns a new
-    ShellState with ``eta`` advanced and ``v_star`` holding v_half; its
-    ``v`` is ``state.v`` itself, as the fluid step, not this half step,
-    makes the next wall velocity.
+    which is exact by definition.  The fluid state is untouched in this half
+    step.  Returns a new ShellState with ``eta`` advanced and ``v_star``
+    holding v_half; its ``v`` is ``state.v`` itself, as the fluid step, not
+    this half step, makes the next wall velocity.
     """
     if state.eta.size == 0:    # fully clamped wall (single-element mesh)
         return ShellState(eta=state.eta, v=state.v, v_star=np.zeros(0))
     dt = setup.dt
     rhs = setup.rho_s_h * (setup.shell_mass @ (state.eta + dt * state.v))
-    eta_half = solver.solve(setup.wall_matrix, rhs)
+    eta_half = setup.wall_solve(rhs)
     v_half = (eta_half - state.eta) / dt
     return ShellState(eta=eta_half, v=state.v, v_star=v_half)

@@ -5,20 +5,19 @@ kernels.
 products) do their symbolic work once per pattern, so each later call only
 forms a data array.
 
-:class:`DirectFactor` is the only LU constructor, and
-:class:`ReusedFactorSolver` the only solve policy: every linear system (the
-fluid system of each time step, the wall half step of a run, the trace
-constant) is solved by flexible GMRES preconditioned with the last LU it
-factored, refactoring only when GMRES misses.  GMRES starts from the
-solver's last :data:`PROJECTION_DEPTH` solutions, combined as their
-right-hand sides best fit the new one, so a system close to the ones before
-it needs few GMRES iterations, or none.  The residual contract
-``||Ax - b|| <= tol * ||b||`` is checked on the true residual of the full
-right-hand side, against the matrix actually being solved.
+:class:`DirectFactor` is the only LU constructor and :func:`krylov_solve`
+the one solve: flexible GMRES preconditioned with an LU, its contract
+``||Ax - b|| <= tol * ||b||`` checked on the true residual against the
+matrix being solved.  A constant system (a run's wall half step, the trace
+constant) keeps its own LU, applied from zero (:func:`constant_solver`).
+The fluid system changes from step to step, so :class:`ReusedFactorSolver`
+keeps the last LU it factored, refactors only when GMRES misses, and starts
+GMRES from its last :data:`PROJECTION_DEPTH` solutions, combined as their
+right-hand sides best fit the new one, so a system close to the ones
+before it needs few GMRES iterations, or none.
 """
 
 import functools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -375,6 +374,14 @@ def krylov_solve(a, b, factor, tol, callback=None, *, x0=None,
         f"iterations (residual {np.ldexp(resid, e):.3e})")
 
 
+def constant_solver(a, tol):
+    """The solve ``b -> x`` of the constant ``a``, factored once, here:
+    :func:`krylov_solve` from zero with that exact LU, which leaves a
+    residual at rounding level; a miss of ``tol`` still raises."""
+    factor = DirectFactor(a)
+    return lambda b: krylov_solve(a, b, factor, tol)
+
+
 # Rows per block of the projected start's QR.  A block of a full window
 # and its right-hand side (1,024 x 9 doubles, 72 KB) stays in cache, and
 # every BLAS call on it stays below the size at which OpenBLAS wakes its
@@ -435,8 +442,7 @@ class SolveStats:
 
 
 class ReusedFactorSolver:
-    """The solve policy of every linear system: a sequence of nearby
-    systems, one per time step, or one constant system solved many times.
+    """The fluid step's solve policy: nearby systems, one per time step.
 
     It keeps the LU of the last system it factored and solves each new
     system by GMRES preconditioned with it (:func:`krylov_solve`).  When
@@ -451,10 +457,10 @@ class ReusedFactorSolver:
     and an SVD of its small triangle), which needs no product with ``a``
     (Fischer, CMAME 163, 1998).  When ``a`` has changed the fit is only a
     guess, and the true residual of ``x0`` decides.  The history survives a
-    refactorization; a right-hand side ``b`` whose ``b·b`` underflows adds
-    nothing, as the fit of a start to such pairs goes to NaN.  Each run
-    owns its own instances, so a result never depends on what ran before
-    it.
+    refactorization; a right-hand side with ``max|b| < 2^-511``, whose
+    ``b·b`` may underflow, adds nothing, as the fit of a start to such pairs
+    goes to NaN.  Each run owns its own instance, so a result never depends
+    on what ran before it.
 
     ``X`` and ``B`` are windows on ``(2 depth, n)`` buffers, allocated by
     the first pair kept: pair ``j`` is written at row ``j mod depth`` and
@@ -519,6 +525,6 @@ class ReusedFactorSolver:
         if checked:     # a zero right-hand side has no residual to check
             stats.worst_rel_residual = max(stats.worst_rel_residual,
                                            checked[0])
-            if b @ b >= sys.float_info.min:
+            if np.abs(b).max() >= 2.0**-511:   # so b·b does not underflow
                 self._keep(x, b)
         return x

@@ -134,23 +134,28 @@ def test_retired_key_is_config_error(tmp_path, capsys, key, value, says):
 
 
 @pytest.mark.parametrize("ledger", ["csv", "none"])
-@pytest.mark.parametrize("section, key, value", [
-    ("geometry", "radius", 1e-200),     # r**2 is 0 in the coefficients
-    ("geometry", "radius", 1e200),      # r**2 overflows
-    ("wall", "thickness", 1e200),
-    ("geometry", "length", 1e150),      # a wall Gram form overflows
-    ("geometry", "length", 1e-150),
-    ("initial_data", "eta_amplitude", 1e200),   # the wall energy overflows
-    ("initial_data", "v_amplitude", 1e300),
+@pytest.mark.parametrize("values", [
+    {"geometry.radius": 1e-200},        # r**2 is 0 in the coefficients
+    {"geometry.radius": 1e200},         # r**2 overflows
+    {"wall.thickness": 1e200},
+    {"geometry.length": 1e150},         # a wall Gram form overflows
+    {"geometry.length": 1e-150},
+    {"initial_data.eta_amplitude": 1e200},  # the wall energy overflows
+    {"initial_data.v_amplitude": 1e300},
+    # the fluid part of e0, rho_f/2 u.Mu, overflows
+    {"fluid.density": 1e300, "initial_data.v_amplitude": 1e5},
 ], ids=["radius-tiny", "radius-huge", "thickness-huge", "length-huge",
-        "length-tiny", "eta-amplitude-huge", "v-amplitude-huge"])
+        "length-tiny", "eta-amplitude-huge", "v-amplitude-huge",
+        "fluid-energy-huge"])
 def test_overflowing_inputs_are_rejected_before_any_step(
-        tmp_path, capsys, monkeypatch, recwarn, section, key, value, ledger):
+        tmp_path, capsys, monkeypatch, recwarn, values, ledger):
     steps = count_calls(monkeypatch, shell, "structure_step")
     path = write_cfg(tmp_path, initial_data={
         "kind": "bump", "eta_amplitude": 0.01, "v_amplitude": 0.1})
     raw = json.loads((tmp_path / "run.json").read_text())
-    raw[section][key] = value
+    for key, value in values.items():
+        section, name = key.split(".")
+        raw[section][name] = value
     raw["output"]["ledger"] = ledger
     (tmp_path / "run.json").write_text(json.dumps(raw))
     assert main(["run", path]) == 1
@@ -177,11 +182,11 @@ def test_a_wall_step_failure_leaves_a_verifiable_ledger(tmp_path,
     # a solver failure with the ledger rows of steps 0-2 written
     wall_step, calls = shell.structure_step, []
 
-    def failing(setup, state, solver):
+    def failing(setup, state):
         calls.append(state)
         if len(calls) == 4:
             raise SolverError("injected wall-step failure")
-        return wall_step(setup, state, solver)
+        return wall_step(setup, state)
 
     monkeypatch.setattr(shell, "structure_step", failing)
     assert main(["run", write_cfg(tmp_path)]) == 3
@@ -199,7 +204,7 @@ def test_a_wall_solve_that_misses_its_contract_writes_its_ledger(
         tmp_path, monkeypatch, capsys):
     # the wall solve of step 0 misses its contract: the run still writes
     # its (empty) ledger, and that ledger verifies
-    def failing(setup, state, solver):
+    def failing(setup, state):
         raise SolverError("gmres missed 1.0e-12 * ||b|| within 20 iterations")
 
     monkeypatch.setattr(shell, "structure_step", failing)
@@ -209,6 +214,26 @@ def test_a_wall_solve_that_misses_its_contract_writes_its_ledger(
     ledger = tmp_path / "out" / "ledger.csv"
     assert ledger.exists()
     assert main(["verify", str(ledger)]) == 0
+
+
+def test_a_fluid_density_of_1e300_runs_and_verifies_with_no_warning(
+        tmp_path, capsys, recwarn):
+    # smoke_zero.json's fluid at density 1e300 under a small bump: its
+    # right-hand sides reach 1e300, where b·b overflows
+    with open(os.path.join(CONFIG_DIR, "smoke_zero.json")) as f:
+        raw = json.load(f)
+    raw["fluid"]["density"] = 1e300
+    raw["time"]["n_steps"] = 3
+    raw["initial_data"] = {"kind": "bump", "eta_amplitude": 0.01,
+                           "v_amplitude": 0.1}
+    raw["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 0
+    assert "status: completed" in capsys.readouterr().out
+    assert main(["verify", str(tmp_path / "out" / "ledger.csv")]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+    assert not recwarn.list
 
 
 # property-replay draw 3889, whose wall velocity of -4.2e-161 gives right-hand

@@ -34,8 +34,7 @@ def step_from(cs, state, u, p_in, p_out, solver=None):
     """The wall half step and the coupled fluid step of ``cs`` from
     ``state`` and ``u``, as the driver takes them: (half step, start
     frame, end frame, fluid step result)."""
-    half = shell.structure_step(cs, state,
-                                ReusedFactorSolver(shell.STRUCTURE_TOL))
+    half = shell.structure_step(cs, state)
     frame = coupling.build_frame(cs, state.eta)
     end = coupling.build_frame(cs, half.eta)
     res = coupling.fluid_step(cs, frame, end, u, half, p_in, p_out,

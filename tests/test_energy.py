@@ -47,8 +47,7 @@ def one_step(coeffs, sm, fm, cs, dt, p_in=300.0, p_out=0.0,
     u = np.zeros(2 * fm.n_velocity_nodes)
     vn = sm.evaluate(v, fm.velocity_z)
     u[fm.n_velocity_nodes:] = np.outer(fm.velocity_r, vn).ravel()
-    half = shell.structure_step(cs, state,
-                                ReusedFactorSolver(shell.STRUCTURE_TOL))
+    half = shell.structure_step(cs, state)
     old = coupling.build_frame(cs, state.eta)
     new = coupling.build_frame(cs, half.eta)
     mass_u = fluid.componentwise(old.mass, u)
@@ -68,8 +67,7 @@ def test_zero_states_record_all_zeros():
     coeffs, sm, fm, cs, monitor, dt = build_monitor()
     state = zero_shell_state(sm)
     u = np.zeros(2 * fm.n_velocity_nodes)
-    half = shell.structure_step(cs, state,
-                                ReusedFactorSolver(shell.STRUCTURE_TOL))
+    half = shell.structure_step(cs, state)
     frame = coupling.build_frame(cs, state.eta)
     mass_u = fluid.componentwise(frame.mass, u)
     res = coupling.fluid_step(cs, frame, frame, u, half, 0.0, 0.0,

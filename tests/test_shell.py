@@ -6,10 +6,9 @@ import scipy.sparse as sp
 
 from wallflow import shell, sparsela
 from wallflow.materials import ShellCoefficients
-from wallflow.sparsela import ReusedFactorSolver
 
 from oracles import (copy_shell_state, gauss01, hermite_by_tabulation,
-                     hermite_eval, shell_energy, shell_gram_dense,
+                     hermite_eval, run_setup, shell_energy, shell_gram_dense,
                      structure_step_energy_residual, zero_shell_state)
 
 
@@ -161,15 +160,16 @@ def test_sampler_equals_a_tabulation_at_every_call(deriv):
 
 def wall_setup(dt, m, a, rho_s_h):
     """What the wall half step reads of a ``RunSetup``, for these forms."""
+    matrix = rho_s_h * m + dt * dt * a
     return SimpleNamespace(dt=dt, rho_s_h=rho_s_h, shell_mass=m,
-                           wall_matrix=rho_s_h * m + dt * dt * a)
+                           wall_matrix=matrix,
+                           wall_solve=sparsela.constant_solver(
+                               matrix, shell.STRUCTURE_TOL))
 
 
-def half_step(state, dt, m, a, rho_s_h, solver=None):
-    """One wall half step, through ``solver`` or a fresh one."""
-    return shell.structure_step(
-        wall_setup(dt, m, a, rho_s_h), state,
-        solver or ReusedFactorSolver(shell.STRUCTURE_TOL))
+def half_step(state, dt, m, a, rho_s_h, setup=None):
+    """One wall half step, of ``setup`` or of a fresh one."""
+    return shell.structure_step(setup or wall_setup(dt, m, a, rho_s_h), state)
 
 
 @pytest.fixture
@@ -237,21 +237,26 @@ def test_structure_step_superposition(step_system):
                           v_star=np.zeros(mesh.n_free))
     both = shell.ShellState(eta=s1.eta + 2.0 * s2.eta, v=s1.v + 2.0 * s2.v,
                             v_star=np.zeros(mesh.n_free))
-    solver = ReusedFactorSolver(shell.STRUCTURE_TOL)
-    o1 = half_step(s1, dt, m, a, rho_s_h, solver)
-    o2 = half_step(s2, dt, m, a, rho_s_h, solver)
-    ob = half_step(both, dt, m, a, rho_s_h, solver)
+    setup = wall_setup(dt, m, a, rho_s_h)
+    o1, o2, ob = (half_step(s, dt, m, a, rho_s_h, setup)
+                  for s in (s1, s2, both))
     scale = np.abs(ob.eta).max()
     assert np.abs(ob.eta - o1.eta - 2.0 * o2.eta).max() <= 1e-12 * scale
 
 
-def test_wall_system_factors_once_and_matches_a_fresh_factor(step_system,
-                                                            monkeypatch):
-    mesh, m, a = step_system
+def test_wall_system_factors_once_and_matches_a_fresh_factor(monkeypatch):
+    # a run's wall matrix is factored by the first half step of its setup,
+    # and only then; every solve meets STRUCTURE_TOL and is bitwise the
+    # solve of a fresh setup, as each starts from zero on the same LU
     rng = np.random.default_rng(17)
-    states = [shell.ShellState(eta=rng.standard_normal(mesh.n_free),
-                               v=rng.standard_normal(mesh.n_free),
-                               v_star=np.zeros(mesh.n_free))
+
+    def fresh_setup():
+        return run_setup(4, 2, 1.0, 0.035, {}, 0.02)
+
+    setup = fresh_setup()
+    n = setup.shell_mesh.n_free
+    states = [shell.ShellState(eta=rng.standard_normal(n),
+                               v=rng.standard_normal(n), v_star=np.zeros(n))
               for _ in range(3)]
     built = []
     original = sparsela.DirectFactor.__init__
@@ -261,25 +266,17 @@ def test_wall_system_factors_once_and_matches_a_fresh_factor(step_system,
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(sparsela.DirectFactor, "__init__", counting_init)
-    dt, rho_s_h = 0.02, 0.11
-    setup = wall_setup(dt, m, a, rho_s_h)
-    solver = ReusedFactorSolver(shell.STRUCTURE_TOL)
-    reused = [half_step(s, dt, m, a, rho_s_h, solver) for s in states]
+    assert not built
+    outs = [shell.structure_step(setup, s) for s in states]
     assert len(built) == 1
-    assert solver.stats.reused_solves == 2
-    # the reused solves start from the earlier solutions, so they agree
-    # with a fresh solve to the contract, not bitwise: two solutions with
-    # relative residuals <= tol differ by at most 2 tol cond(K), relative
-    tol = shell.STRUCTURE_TOL
-    bound = 2.0 * tol * np.linalg.cond(setup.wall_matrix.toarray())
-    for s, out in zip(states, reused):
-        rhs = rho_s_h * (m @ (s.eta + dt * s.v))
+    for s, out in zip(states, outs):
+        rhs = setup.rho_s_h * (setup.shell_mass @ (s.eta + setup.dt * s.v))
         resid = np.linalg.norm(setup.wall_matrix @ out.eta - rhs)
-        assert resid <= tol * np.linalg.norm(rhs)
-        fresh = half_step(s, dt, m, a, rho_s_h)
-        scale = np.linalg.norm(fresh.eta)
-        assert np.linalg.norm(out.eta - fresh.eta) <= bound * scale
-        assert np.linalg.norm(out.v_star - fresh.v_star) * dt <= bound * scale
+        assert resid <= shell.STRUCTURE_TOL * np.linalg.norm(rhs)
+        fresh = shell.structure_step(fresh_setup(), s)
+        assert np.array_equal(out.eta, fresh.eta)
+        assert np.array_equal(out.v_star, fresh.v_star)
+    assert len(built) == 1 + len(states)
 
 
 def test_step_energy_equality_and_detector(step_system):

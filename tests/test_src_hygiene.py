@@ -130,14 +130,18 @@ def test_no_module_reads_the_environment():
 
 
 def lu_constructors(root=ROOT):
-    """``file`` of each module of the package other than ``sparsela.py``
-    whose code names ``DirectFactor`` or ``splu``: every linear system is
-    solved through ``sparsela.ReusedFactorSolver``, one solve policy."""
+    """``file`` of each module of the package whose code names
+    ``DirectFactor`` or ``splu`` outside ``sparsela.py``, or
+    ``ReusedFactorSolver`` outside ``sparsela.py`` and ``driver.py``: every
+    LU is formed in ``sparsela``, a constant system's by
+    ``sparsela.constant_solver``, and ``driver.run`` builds a run's one
+    ``ReusedFactorSolver``, the fluid step's."""
+    names = {"DirectFactor", "splu", "ReusedFactorSolver"}
+    allowed = {"sparsela.py": names, "driver.py": {"ReusedFactorSolver"}}
     return [path.name
             for path in sorted((root / "src" / "wallflow").glob("*.py"))
-            if path.name != "sparsela.py"
-            and _names_used(ast.parse(path.read_text()))
-            & {"DirectFactor", "splu"}]
+            if _names_used(ast.parse(path.read_text()))
+            & (names - allowed.get(path.name, set()))]
 
 
 def test_only_sparsela_constructs_an_lu():
@@ -157,7 +161,13 @@ def test_the_check_sees_an_lu_outside_sparsela(tmp_path):
         "import scipy.sparse.linalg as spla\n\n\n"
         "def g(m):\n    return spla.splu(m)\n")
     (pkg / "c.py").write_text("# splu and DirectFactor, in words only\n")
-    assert lu_constructors(tmp_path) == ["a.py", "b.py"]
+    (pkg / "driver.py").write_text(
+        "from .sparsela import ReusedFactorSolver\n\n\n"
+        "def run():\n    return ReusedFactorSolver(1e-10)\n")
+    (pkg / "energy.py").write_text(
+        "from . import sparsela\n\n\n"
+        "def constant(k):\n    return sparsela.ReusedFactorSolver(1e-10)\n")
+    assert lu_constructors(tmp_path) == ["a.py", "b.py", "energy.py"]
 
 
 def step_callers(root=ROOT):

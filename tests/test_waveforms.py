@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wallflow import waveforms as wf
 from wallflow.config import validate_config
@@ -24,12 +22,14 @@ def test_constant_average_is_the_value():
     assert w.l2_norm_sq(0.0, 2.0) == pytest.approx(4.2**2 * 2.0, rel=1e-15)
 
 
-@settings(max_examples=40, deadline=None)
-@given(t0=st.floats(min_value=0.0, max_value=5.0),
-       width=st.floats(min_value=1e-3, max_value=3.0),
-       value=st.floats(min_value=-1e4, max_value=1e4))
-def test_constant_average_any_interval(t0, width, value):
-    assert wf.Constant(value).average(t0, t0 + width) == value
+def test_constant_average_any_interval():
+    # 40 seeded (t0, width, value) draws in [0, 5] x [1e-3, 3] x [-1e4, 1e4],
+    # the first at every range's low end and the second at every high end
+    low, high = np.array([0.0, 1e-3, -1e4]), np.array([5.0, 3.0, 1e4])
+    draws = np.random.default_rng(28).uniform(low, high, (40, 3))
+    draws[:2] = low, high
+    for t0, width, value in draws:
+        assert wf.Constant(value).average(t0, t0 + width) == value
 
 
 def test_sine_average_closed_form():
