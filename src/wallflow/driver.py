@@ -157,8 +157,8 @@ class RunSetup:
 
     @functools.cached_property
     def wall_solve(self):
-        """The solve of the constant ``wall_matrix``, factored on first use,
-        in the first wall half step."""
+        """The solve of the constant ``wall_matrix``, built on first use and
+        factored by its first nonzero load."""
         return sparsela.constant_solver(self.wall_matrix, shell.STRUCTURE_TOL)
 
     @functools.cached_property

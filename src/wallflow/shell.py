@@ -177,9 +177,9 @@ def structure_step(setup, state):
     """Advance the wall elastodynamics half step.
 
     Solves, through ``setup.wall_solve`` (the LU of the run's constant
-    ``setup.wall_matrix``, factored by the first half step of a run and
-    applied from zero at :data:`STRUCTURE_TOL`), the one-matrix eliminated
-    system
+    ``setup.wall_matrix``, factored by its first nonzero load, so a wall at
+    rest or with no free DOFs forms none, and applied from zero at
+    :data:`STRUCTURE_TOL`), the one-matrix eliminated system
 
         (rho_s_h * M + dt^2 * A) eta_half = rho_s_h * M (eta + dt * v)
 
@@ -189,8 +189,6 @@ def structure_step(setup, state):
     holding v_half; its ``v`` is ``state.v`` itself, as the fluid step, not
     this half step, makes the next wall velocity.
     """
-    if state.eta.size == 0:    # fully clamped wall (single-element mesh)
-        return ShellState(eta=state.eta, v=state.v, v_star=np.zeros(0))
     dt = setup.dt
     rhs = setup.rho_s_h * (setup.shell_mass @ (state.eta + dt * state.v))
     eta_half = setup.wall_solve(rhs)

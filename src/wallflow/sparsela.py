@@ -8,8 +8,8 @@ forms a data array.
 :class:`DirectFactor` is the only LU constructor and :func:`krylov_solve`
 the one solve: flexible GMRES preconditioned with an LU, its contract
 ``||Ax - b|| <= tol * ||b||`` checked on the true residual against the
-matrix being solved.  A constant system (a run's wall half step, the trace
-constant) keeps its own LU, applied from zero (:func:`constant_solver`).
+matrix being solved.  A constant system (the wall half step, the trace
+constant) is factored by its first nonzero load (:func:`constant_solver`).
 The fluid system changes from step to step, so :class:`ReusedFactorSolver`
 keeps the last LU it factored, refactors only when GMRES misses, and starts
 GMRES from its last :data:`PROJECTION_DEPTH` solutions, combined as their
@@ -375,11 +375,11 @@ def krylov_solve(a, b, factor, tol, callback=None, *, x0=None,
 
 
 def constant_solver(a, tol):
-    """The solve ``b -> x`` of the constant ``a``, factored once, here:
-    :func:`krylov_solve` from zero with that exact LU, which leaves a
-    residual at rounding level; a miss of ``tol`` still raises."""
-    factor = DirectFactor(a)
-    return lambda b: krylov_solve(a, b, factor, tol)
+    """The solve ``b -> x`` of the constant ``a``: :func:`krylov_solve` from
+    zero with the exact LU of ``a``, formed by the first load that is not all
+    zeros; the residual is at rounding level, and a miss of ``tol`` raises."""
+    factor = functools.cache(lambda: DirectFactor(a))
+    return lambda b: krylov_solve(a, b, factor() if np.any(b) else None, tol)
 
 
 # Rows per block of the projected start's QR.  A block of a full window

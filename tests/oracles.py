@@ -15,7 +15,9 @@ slope) per node with clamped ends dropped.
 ``expanded_products`` keeps the product map's general expansion of every
 term, the reference for its direct path through selection operands.
 ``ledger_header`` is a header for hand-made ledgers that the verifier
-admits.
+admits.  ``womersley_velocity`` and ``long_wave_speed`` are closed forms of
+the physics: oscillatory flow in a rigid channel and the speed of a
+pressure wave along an elastic wall.
 """
 
 import os
@@ -28,6 +30,7 @@ from wallflow import fluid, shell
 from wallflow.ale import map_to_physical
 from wallflow.config import validate_config
 from wallflow.driver import RunSetup
+from wallflow.materials import derive_coefficients
 from wallflow.shell import ShellState
 from wallflow.sparsela import ScatterPattern, _key, csr_rows
 from wallflow.waveforms import Constant, HalfCosinePulse, Sampled, Sine
@@ -525,6 +528,29 @@ def waveform_at(wave, t):
     if isinstance(wave, Sampled):
         return np.interp(t, wave.times, wave.values)
     raise TypeError(f"no pointwise oracle for {type(wave).__name__}")
+
+
+def womersley_velocity(r, t, amplitude, omega, rho, mu, length, radius):
+    """Axial velocity of fully developed planar Womersley flow between the
+    symmetry line ``r = 0`` and a no-slip wall at ``r = radius``, driven by
+    the pressure drop ``amplitude sin(omega t)`` over ``length``:
+    ``Im[A / (i w rho L) (1 - cosh(k r) / cosh(k R)) e^{i w t}]`` with
+    ``k = sqrt(i w rho / mu)``, the periodic solution of
+    ``rho u_t = A sin(w t) / L + mu u_rr``, ``u_r(0) = 0``, ``u(R) = 0``."""
+    k = np.sqrt(1j * omega * rho / mu)
+    shape = 1.0 - np.cosh(k * np.asarray(r, dtype=float)) / np.cosh(k * radius)
+    return (amplitude / (1j * omega * rho * length) * shape
+            * np.exp(1j * omega * t)).imag
+
+
+def long_wave_speed(cfg):
+    """``sqrt(R C0 / rho_f)``, the speed of long pressure waves in the
+    linearized 1D model of the planar channel of ``cfg``: mass
+    ``eta_t + Q_z = 0`` and momentum ``Q_t + (R / rho_f) p_z = 0`` for the
+    flux ``Q`` through the half-width, with the wall's membrane law
+    ``p = C0 eta``."""
+    c0 = derive_coefficients(cfg).C0
+    return np.sqrt(cfg["geometry"]["radius"] * c0 / cfg["fluid"]["density"])
 
 
 def fixed_dofs(mesh):

@@ -8,6 +8,7 @@ mesh-independent).  Run with ``pytest -s tests/test_acceptance.py`` to see
 the criterion lines as they pass.
 """
 
+import dataclasses
 import json
 import os
 
@@ -19,7 +20,8 @@ from wallflow.config import load_config, validate_config
 from wallflow.energy import verify_run
 
 from oracles import (DenseFluidOracle, assemble_advection, assemble_divergence,
-                     assemble_robin_mass, assemble_viscous, two_component)
+                     assemble_robin_mass, assemble_viscous, long_wave_speed,
+                     two_component, womersley_velocity)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -32,6 +34,13 @@ TOL_ORACLE = 1e-12
 ORDER_RANGE = (0.8, 1.3)
 GAP_ORDER_MIN = 0.45
 POISEUILLE_TOL = 0.02
+# closed forms of the physics, their bounds fixed before the checks were
+# written; measured: Womersley errors of 2.43e-2 to 3.10e-3, orders
+# 0.98-1.00, and the pulse peak at 438 cm/s against the long-wave 448 cm/s
+WOMERSLEY_STEPS = (150, 300, 600, 1200)
+WOMERSLEY_ORDER_RANGE = (0.9, 1.1)
+WOMERSLEY_TOL = 4e-3            # relative L2 error at 1,200 steps
+WAVE_SPEED_TOL = 0.05           # relative to long_wave_speed
 
 
 def report(num, description, value, ok):
@@ -57,9 +66,17 @@ def desk_overrides(**kw):
     return validate_config(base)
 
 
+def pulse_cfg(ledger="csv"):
+    """``configs/pulse.json`` stored at cadence 5, for the wave-speed fit;
+    the cadence changes what is stored, not the trajectory or ledger."""
+    cfg = load_config(os.path.join(CONFIG_DIR, "pulse.json"))
+    return {**cfg, "output": {**cfg["output"], "cadence": 5,
+                              "ledger": ledger}}
+
+
 @pytest.fixture(scope="session")
 def pulse_run():
-    result = driver.run(load_config(os.path.join(CONFIG_DIR, "pulse.json")))
+    result = driver.run(pulse_cfg())
     assert result.status == driver.STATUS_COMPLETED
     return result
 
@@ -314,3 +331,102 @@ def test_each_row_starts_from_the_energy_the_last_one_ended_on(run, request):
     assert ledger.rows[0]["e_n"] == ledger.header["e0"]
     assert np.array_equal(ledger.column("e_n")[1:],
                           ledger.column("e_full")[:-1])
+
+
+# -- closed forms: checks the energy identities cannot make, as a scheme
+# with a wrong coefficient still balances exactly; each has a mutation of
+# that coefficient that must fail it
+
+
+def womersley_errors():
+    """Relative L2 errors (``driver._column_l2_sq``) of the mid-channel
+    profile of a rigid channel at t = 3 against planar Womersley flow, at
+    each of :data:`WOMERSLEY_STEPS`: R 0.5, L 5, rho 1, mu 1, an 8x4 mesh,
+    inlet pressure sin(4 pi t) (Womersley number 1.77) and outlet 0.  The
+    start-up transient decays like exp(-pi^2 mu t / (4 rho R^2)), below
+    1e-13 by t = 3."""
+    errors = []
+    for n_steps in WOMERSLEY_STEPS:
+        cfg = validate_config({
+            "geometry": {"radius": 0.5, "length": 5.0},
+            "fluid": {"density": 1.0, "viscosity": 1.0},
+            "wall": {"youngs_modulus": 7.5e5, "poisson_ratio": 0.5,
+                     "thickness": 0.1, "density": 1.1},
+            "mesh": {"n_z": 8, "n_r": 4, "wall_elements": 8},
+            "time": {"t_final": 3.0, "n_steps": n_steps},
+            "mode": "rigid",
+            "waveform": {"inlet": {"kind": "sine", "amplitude": 1.0,
+                                   "frequency": 2.0},
+                         "outlet": {"kind": "constant", "value": 0.0}},
+            "output": {"ledger": "none"}})
+        res = driver.run(cfg)
+        assert res.steps == n_steps
+        fm, u = res.setup.fluid_mesh, res.record.us[-1]
+        profile = u[:fm.n_velocity_nodes].reshape(fm.n_rows,
+                                                  fm.n_cols)[:, fm.n_z]
+        exact = womersley_velocity(0.5 * fm.velocity_r, res.record.times[-1],
+                                   1.0, 4.0 * np.pi, 1.0, 1.0, 5.0, 0.5)
+        errors.append(np.sqrt(driver._column_l2_sq(profile - exact, fm.hr)
+                              / driver._column_l2_sq(exact, fm.hr)))
+    return np.array(errors)
+
+
+def womersley_passes(errors):
+    """First order in time between each pair of rungs, and an error below
+    :data:`WOMERSLEY_TOL` on the finest."""
+    lo, hi = WOMERSLEY_ORDER_RANGE
+    orders = np.log2(errors[:-1] / errors[1:])
+    return bool(np.all((lo <= orders) & (orders <= hi))
+                and errors[-1] < WOMERSLEY_TOL)
+
+
+def peak_speed(result):
+    """Slope of the least-squares line through the wall displacement's
+    peak position against time, over the snapshots at t >= 6.3 ms, once
+    the peak has run clear of the inlet, where the pulse that raised it
+    ended at 5 ms.  The peak is taken on 6,001 points along the wall."""
+    sm = result.setup.shell_mesh
+    z = np.linspace(0.0, sm.length, 6001)
+    sampler = sm.sampler(z)
+    times = np.array(result.record.times)
+    late = np.flatnonzero(times >= 6.3e-3)
+    peaks = [z[np.argmax(sampler @ result.record.etas[i])] for i in late]
+    return np.polyfit(times[late], peaks, 1)[0]
+
+
+def wave_speed_passes(result):
+    return abs(peak_speed(result) / long_wave_speed(result.setup.cfg)
+               - 1.0) <= WAVE_SPEED_TOL
+
+
+def test_the_rigid_step_converges_to_womersley_flow():
+    errors = womersley_errors()
+    assert womersley_passes(errors), errors
+
+
+def test_the_womersley_check_fails_a_viscous_form_scaled_by_1_1(monkeypatch):
+    # the error stops halving: it tends to the gap between the flows at
+    # mu and 1.1 mu, 7.6e-2 at 1,200 steps
+    original = fluid.assemble_viscous_blocks
+    monkeypatch.setattr(
+        fluid, "assemble_viscous_blocks",
+        lambda mesh, snapshot, mu, out=None: original(mesh, snapshot,
+                                                      1.1 * mu, out=out))
+    errors = womersley_errors()
+    assert not womersley_passes(errors), errors
+
+
+def test_the_pressure_pulse_runs_at_the_long_wave_speed(pulse_run):
+    assert wave_speed_passes(pulse_run), peak_speed(pulse_run)
+
+
+def test_the_wave_speed_check_fails_a_halved_c0(monkeypatch):
+    # the long-wave speed of the mutated wall is 317 cm/s, against the
+    # 448 cm/s of the configured one; its peak runs at 359 cm/s
+    original = driver.derive_coefficients
+    monkeypatch.setattr(driver, "derive_coefficients",
+                        lambda cfg: dataclasses.replace(
+                            original(cfg), C0=0.5 * original(cfg).C0))
+    result = driver.run(pulse_cfg(ledger="none"))
+    assert result.status == driver.STATUS_COMPLETED
+    assert not wave_speed_passes(result), peak_speed(result)

@@ -136,6 +136,44 @@ def test_fully_clamped_wall_run_completes_and_verifies():
     assert verify_run(res.ledger).ok
 
 
+def factored_in_steps(monkeypatch):
+    """Wrap ``DirectFactor.__init__`` to record, for each LU formed, its
+    unknowns and the wall half steps begun by then; returns that list and
+    the list of half steps."""
+    half_steps = count_calls(monkeypatch, shell, "structure_step")
+    formed = []
+    original = sparsela.DirectFactor.__init__
+
+    def recording(self, a):
+        formed.append((a.shape[0], len(half_steps)))
+        original(self, a)
+
+    monkeypatch.setattr(sparsela.DirectFactor, "__init__", recording)
+    return formed, half_steps
+
+
+def test_a_wall_at_rest_forms_no_lu(monkeypatch):
+    # a constant system is factored by its first nonzero load: a rigid
+    # wall's half step loads zeros at every step, so a rigid run forms the
+    # fluid system's LU alone, in step 1; a moving wall from zero data
+    # loads zeros in step 1 and forms its LU in step 2, after the trace
+    # constant's (before step 1) and the fluid system's (in step 1)
+    formed, half_steps = factored_in_steps(monkeypatch)
+    rigid = driver.run(rigid_cfg(n_steps=5))
+    n = rigid.setup.prolongation.shape[1]
+    assert rigid.steps == 5
+    assert formed == [(n + rigid.setup.fluid_mesh.n_pressure_nodes, 1)]
+    formed.clear()
+    half_steps.clear()
+    res = driver.run(small_cfg())
+    assert res.status == driver.STATUS_COMPLETED
+    assert wall_moves(res) == [False] + [True] * 9
+    setup = res.setup
+    n = setup.prolongation.shape[1]
+    assert formed == [(n, 0), (n + setup.fluid_mesh.n_pressure_nodes, 1),
+                      (setup.shell_mesh.n_free, 2)]
+
+
 @pytest.mark.parametrize("n_cells", [1, 4, 16])
 def test_column_norm_is_exact_on_quadratics(n_cells):
     # 1 - r^2 is quadratic on every cell: its squared L2 norm on (0, 1)

@@ -59,6 +59,33 @@ def test_zero_rhs_returns_zero():
     assert np.all(factor_solve(a, np.zeros(4)) == 0.0)
 
 
+def test_a_constant_system_is_factored_by_its_first_nonzero_load(
+        monkeypatch):
+    # built, or given zero loads only (+0, -0.0, or none at all in a 0x0
+    # system), a constant solver forms no LU and returns krylov_solve's +0
+    # zeros; the first nonzero load forms the one LU that solves it and
+    # every later load
+    built = count_calls(monkeypatch, DirectFactor, "__init__")
+    a = sp.csr_matrix(np.diag([3.0, 1.0, 2.0, 5.0]) + np.eye(4, k=1))
+    empty = sp.csr_matrix((0, 0))
+    solve = sparsela.constant_solver(a, 1e-12)
+    solve_empty = sparsela.constant_solver(empty, 1e-12)
+    for m, s, b in ((a, solve, np.zeros(4)), (a, solve, -np.zeros(4)),
+                    (a, solve, np.array([0.0, -0.0, -0.0, 0.0])),
+                    (empty, solve_empty, np.zeros(0))):
+        x = s(b)
+        assert x.tobytes() == krylov_solve(m, b, None, 1e-12).tobytes()
+        assert x.shape == b.shape and not np.signbit(x).any()
+    assert built == []
+    rng = np.random.default_rng(5)
+    loads = [rng.standard_normal(4) for _ in range(3)] + [np.zeros(4)]
+    xs = [solve(b) for b in loads]
+    assert len(built) == 1
+    factor = DirectFactor(a)
+    for b, x in zip(loads, xs):
+        assert np.array_equal(x, krylov_solve(a, b, factor, 1e-12))
+
+
 def test_scatter_pattern_matches_coo():
     rng = np.random.default_rng(3)
     rows = rng.integers(0, 6, size=40)
