@@ -35,17 +35,26 @@ def _key(rows, cols, shape):
             + np.asarray(cols, dtype=dtype))
 
 
-def _entries(key, shape):
-    """The stable order that sorts entries by their :func:`_key`, the mask
-    of sorted entries that start a distinct entry, and the CSR indices and
-    indptr of the distinct entries."""
+def _entries(key):
+    """The stable order that sorts ``key``, the index of each sorted key
+    among the distinct keys, and the distinct keys, sorted."""
     order = np.argsort(key, kind="stable")
     key = key[order]
-    new = np.diff(key, prepend=-1) != 0
-    key = key[new]
-    indptr = np.searchsorted(key // shape[1], np.arange(shape[0] + 1))
-    return (order, new, (key % shape[1]).astype(np.int32),
-            indptr.astype(np.int32))
+    new = np.ones(key.size, dtype=bool)     # np.diff would copy to int64
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return order, np.cumsum(new, dtype=np.int32) - 1, key[new]
+
+
+def _slots(key, shape, dtype):
+    """The index of each :func:`_key` in ``key`` among the distinct keys, as
+    ``dtype``, and the CSR indices and indptr of the distinct keys."""
+    order, entry, key = _entries(key)
+    slot = np.empty(order.size, dtype=dtype)
+    slot[order] = entry
+    # both sides in the keys' dtype, so that searchsorted copies neither
+    indptr = np.searchsorted(key // shape[1],
+                             np.arange(shape[0] + 1, dtype=key.dtype))
+    return slot, (key % shape[1]).astype(np.int32), indptr.astype(np.int32)
 
 
 class ScatterPattern:
@@ -60,12 +69,10 @@ class ScatterPattern:
     """
 
     def __init__(self, rows, cols, shape):
-        order, new, self.indices, self.indptr = _entries(
-            _key(np.ravel(rows), np.ravel(cols), shape), shape)
-        self.nnz = self.indices.size
         # intp: np.bincount casts any other index type on every call
-        self.slot = np.empty(order.size, dtype=np.intp)
-        self.slot[order] = np.cumsum(new) - 1
+        self.slot, self.indices, self.indptr = _slots(
+            _key(np.ravel(rows), np.ravel(cols), shape), shape, np.intp)
+        self.nnz = self.indices.size
         self.shape = shape
 
     def csr(self, raw_data):
@@ -144,6 +151,15 @@ def _products(terms, shape):
                scale * left.data[lpos] * right.data[rpos])
 
 
+def _sorted_products(terms, shape):
+    """The products of one :class:`ProductMap` group, sorted stably by
+    result key: the group's distinct keys, sorted, and the products' values,
+    inputs and index each among those keys."""
+    key, src, val = map(np.concatenate, zip(*_products(terms, shape)))
+    order, local, key = _entries(key)
+    return key, (val[order], src[order], local)
+
+
 class ProductMap:
     """The numeric phase of a fixed sum of sparse triple products, its terms
     in ``groups`` of operands.
@@ -152,16 +168,18 @@ class ProductMap:
     reads an operand ``X`` whose entry ``k`` sits at ``(rows[k], cols[k])``
     and is input ``src + k`` of its group (terms may share inputs), and adds
     ``scale * left @ X @ right`` at ``corner`` of the result.  Building the
-    map is the symbolic phase (Gustavson, ACM TOMS 4, 1978): one stable
-    sort of every group's products by result entry gives the result's one
-    pattern, structural zeros included, and makes each group's scalar
-    products, in term order, the rows of a CSR ``G_g``, one per result
-    entry; products on one entry stay separate.  A call is the numeric
-    phase of one group, ``G_g @ input``, that group's share of the result's
-    data; the shares of all groups add up to the result.  A group whose
-    inputs and products together are fewer than the result's entries is
-    stored by input (CSC, each column in result order), so that a call
-    walks its inputs and not every result entry.
+    map is the symbolic phase (Gustavson, ACM TOMS 4, 1978), one group at a
+    time: a stable sort of the group's products by result entry, freed
+    before the next group's products exist.  One stable sort of the
+    groups' sorted distinct entries then merges them into the result's one
+    pattern, structural zeros included, and places each group's entries in
+    it.  Each group's scalar products, in term order, are the rows of a CSR
+    ``G_g``, one per result entry; products on one entry stay separate.  A
+    call is the numeric phase of one group, ``G_g @ input``, that group's
+    share of the result's data; the shares of all groups add up to the
+    result.  A group whose inputs and products together are fewer than the
+    result's entries is stored by input (CSC, each column in result order),
+    so that a call walks its inputs and not every result entry.
 
     A term's products take one of two paths, chosen per term from its
     operands.  When every column of ``left`` and every row of ``right``
@@ -174,34 +192,26 @@ class ProductMap:
     """
 
     def __init__(self, groups, shape):
-        keys, srcs, vals, ends = [], [], [], [0]
-        for terms in groups:
-            for key, src, val in _products(terms, shape):
-                keys.append(key)
-                srcs.append(src)
-                vals.append(val)
-            ends.append(sum(v.size for v in vals))
-        order, new, self.indices, self.indptr = _entries(
-            np.concatenate(keys), shape)
-        entry = np.cumsum(new, dtype=np.int32) - 1   # of each sorted product
-        del keys, new
-        srcs, vals = np.concatenate(srcs), np.concatenate(vals)
+        keys, parts = zip(*(_sorted_products(t, shape) for t in groups))
+        ends = np.cumsum([k.size for k in keys])[:-1]
+        slot, self.indices, self.indptr = _slots(np.concatenate(keys), shape,
+                                                 np.int32)
+        del keys                        # before any G is built
         self.g, nnz = [], self.indices.size
-        for terms, start, end in zip(groups, ends, ends[1:]):
+        for terms, (vals, minor, local), slot_g in zip(groups, parts,
+                                                       np.split(slot, ends)):
             n_in = max((src + len(rows) for src, rows, *_ in terms), default=0)
-            mine = (order >= start) & (order < end)
-            pick = order[mine]              # the group's products, sorted
-            major, minor = entry[mine], srcs[pick]
-            if n_in + pick.size < nnz:      # stored by input: see the class
+            major = slot_g[local]
+            if n_in + vals.size < nnz:      # stored by input: see the class
                 by_input = np.argsort(minor, kind="stable")
-                pick, major, minor = (pick[by_input], minor[by_input],
+                vals, major, minor = (vals[by_input], minor[by_input],
                                       major[by_input])
                 fmt, n = sp.csc_matrix, n_in
             else:
                 fmt, n = sp.csr_matrix, nnz
             indptr = np.zeros(n + 1, dtype=np.int32)
             np.cumsum(np.bincount(major, minlength=n), out=indptr[1:])
-            self.g.append(fmt((vals[pick], minor, indptr), shape=(nnz, n_in)))
+            self.g.append(fmt((vals, minor, indptr), shape=(nnz, n_in)))
         self.shape = shape
 
     def __call__(self, group, data):

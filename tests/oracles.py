@@ -13,7 +13,9 @@ nodes row-major (r outer, z inner), component-blocked; wall DOFs (value,
 slope) per node with clamped ends dropped.
 
 ``expanded_products`` keeps the product map's general expansion of every
-term, the reference for its direct path through selection operands.
+term, the reference for its direct path through selection operands, and
+``one_sort_product_map`` its symbolic phase as one sort of all groups'
+products, the reference for the sort per group.
 ``ledger_header`` is a header for hand-made ledgers that the verifier
 admits.  ``womersley_velocity`` and ``long_wave_speed`` are closed forms of
 the physics: oscillatory flow in a rigid channel and the speed of a
@@ -21,12 +23,13 @@ pressure wave along an elastic wall.
 """
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from wallflow import fluid, shell
+from wallflow import fluid, shell, sparsela
 from wallflow.ale import map_to_physical
 from wallflow.config import validate_config
 from wallflow.driver import RunSetup
@@ -940,3 +943,44 @@ def expanded_products(terms, shape):
         yield (_key(left.indices[lpos] + r0, right.indices[rpos] + c0, shape),
                (src + k[t]).astype(np.int32),
                scale * left.data[lpos] * right.data[rpos])
+
+
+def one_sort_product_map(groups, shape):
+    """Reference for the symbolic phase of ``sparsela.ProductMap``: one
+    stable sort of every group's products together gives the result's
+    pattern and each group's ``G``.  Returns the pattern (``indices``,
+    ``indptr``), ``g`` and ``shape`` of that map."""
+    keys, srcs, vals, ends = [], [], [], [0]
+    for terms in groups:
+        for key, src, val in sparsela._products(terms, shape):
+            keys.append(key)
+            srcs.append(src)
+            vals.append(val)
+        ends.append(sum(v.size for v in vals))
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.diff(key, prepend=-1) != 0
+    key = key[new]
+    indptr = np.searchsorted(key // shape[1], np.arange(shape[0] + 1))
+    indices = (key % shape[1]).astype(np.int32)
+    indptr = indptr.astype(np.int32)
+    entry = np.cumsum(new, dtype=np.int32) - 1   # of each sorted product
+    srcs, vals = np.concatenate(srcs), np.concatenate(vals)
+    g, nnz = [], indices.size
+    for terms, start, end in zip(groups, ends, ends[1:]):
+        n_in = max((src + len(rows) for src, rows, *_ in terms), default=0)
+        mine = (order >= start) & (order < end)
+        pick = order[mine]              # the group's products, sorted
+        major, minor = entry[mine], srcs[pick]
+        if n_in + pick.size < nnz:      # stored by input
+            by_input = np.argsort(minor, kind="stable")
+            pick, major, minor = (pick[by_input], minor[by_input],
+                                  major[by_input])
+            fmt, n = sp.csc_matrix, n_in
+        else:
+            fmt, n = sp.csr_matrix, nnz
+        g_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(major, minlength=n), out=g_indptr[1:])
+        g.append(fmt((vals[pick], minor, g_indptr), shape=(nnz, n_in)))
+    return SimpleNamespace(indices=indices, indptr=indptr, g=g, shape=shape)
